@@ -8,7 +8,6 @@ binary channel the signal induces.  A CLI (``qcc``) wraps single runs,
 parameter sweeps, capacity calculations, and a self-check suite.
 """
 
-from ._core import backend_name
 from .channel import (
     ChannelStats,
     binary_entropy,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "backend_name",
     # scenario
     "CausalClass",
     "ComplexAmplitudePair",

@@ -215,6 +215,25 @@ def capacity_expansion(
     )
 
 
+def _probs_and_s2(s, lambda_product, noise_R, tol):
+    """(p, q) as documented in :func:`channel_probs`, plus their S2."""
+    if noise_R < 0:
+        raise ValueError(f"noise_R must be >= 0, got {noise_R!r}")
+    q = abs(s.bob.state.alpha) ** 2 + noise_R
+    if q > 1.0:
+        raise ValueError(
+            f"q = |alpha_B|^2 + R = {q!r} exceeds 1; noise_R too large"
+        )
+    s2_val = s2_observable(s, tol=tol).value
+    p = q + abs(lambda_product * s2_val)
+    if p > 1.0:
+        raise ValueError(
+            f"p = q + |lambda s2| = {p!r} exceeds 1; the leading-order "
+            "channel description breaks down for this coupling"
+        )
+    return p, q, s2_val
+
+
 def channel_probs(
     s: Scenario,
     lambda_product: float,
@@ -227,21 +246,7 @@ def channel_probs(
     Out-of-range probabilities are an error, never a silent clamp: the
     leading-order expressions have left their regime of validity there.
     """
-    if noise_R < 0:
-        raise ValueError(f"noise_R must be >= 0, got {noise_R!r}")
-    q = abs(s.bob.state.alpha) ** 2 + noise_R
-    if q > 1.0:
-        raise ValueError(
-            f"q = |alpha_B|^2 + R = {q!r} exceeds 1; noise_R too large"
-        )
-    s2_val = s2_observable(s, tol=tol).value
-    p = q + abs(lambda_product * s2_val)
-    if p > 1.0:
-        raise ValueError(
-            f"p = q + |lambda s2| = {p!r} exceeds 1; the leading-order "
-            "channel description breaks down for this coupling"
-        )
-    return p, q
+    return _probs_and_s2(s, lambda_product, noise_R, tol)[:2]
 
 
 def channel_stats(
@@ -251,20 +256,7 @@ def channel_stats(
     tol: Optional[float] = None,
 ) -> ChannelStats:
     """Full channel characterization for one scenario."""
-    if noise_R < 0:
-        raise ValueError(f"noise_R must be >= 0, got {noise_R!r}")
-    q = abs(s.bob.state.alpha) ** 2 + noise_R
-    if q > 1.0:
-        raise ValueError(
-            f"q = |alpha_B|^2 + R = {q!r} exceeds 1; noise_R too large"
-        )
-    s2_val = s2_observable(s, tol=tol).value
-    p = q + abs(lambda_product * s2_val)
-    if p > 1.0:
-        raise ValueError(
-            f"p = q + |lambda s2| = {p!r} exceeds 1; the leading-order "
-            "channel description breaks down for this coupling"
-        )
+    p, q, s2_val = _probs_and_s2(s, lambda_product, noise_R, tol)
     return ChannelStats(
         p=p,
         q=q,

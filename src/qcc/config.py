@@ -14,11 +14,12 @@ Keys::
     alice.position       spatial coordinates, comma or space separated
     bob.*                same fields for Bob
     lambda_product       lambda_A * lambda_B  (default 1.0)
-    noise_R              Bob's signal-independent noise R  (default 0.0)
+    noise_R              Bob's signal-independent noise R >= 0  (default 0.0)
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -62,11 +63,16 @@ class RunConfig:
 
 def _parse_float(raw: str, key: str, source: str, line: int) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(
             f"{source}:{line}: value for {key!r} is not a number: {raw!r}"
         ) from None
+    if not math.isfinite(value):
+        raise ConfigError(
+            f"{source}:{line}: value for {key!r} must be finite, got {raw!r}"
+        )
+    return value
 
 
 def _parse_position(raw: str, key: str, source: str, line: int) -> Tuple[float, ...]:
@@ -74,12 +80,18 @@ def _parse_position(raw: str, key: str, source: str, line: int) -> Tuple[float, 
     if not parts:
         raise ConfigError(f"{source}:{line}: empty position for {key!r}")
     try:
-        return tuple(float(p) for p in parts)
+        coords = tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigError(
             f"{source}:{line}: position for {key!r} must be numbers, "
             f"got {raw!r}"
         ) from None
+    if not all(map(math.isfinite, coords)):
+        raise ConfigError(
+            f"{source}:{line}: position for {key!r} must be finite, "
+            f"got {raw!r}"
+        )
+    return coords
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
@@ -143,10 +155,16 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         )
         return DetectorSpec(fval(f"{who}.gap"), state, position, window)
 
+    noise_R = fval("noise_R")
+    if noise_R < 0:
+        raise ConfigError(
+            f"{source}:{lines['noise_R']}: noise_R must be >= 0, "
+            f"got {values['noise_R']!r}"
+        )
     return RunConfig(
         scenario=Scenario(dimension, detector("alice"), detector("bob")),
         lambda_product=fval("lambda_product"),
-        noise_R=fval("noise_R"),
+        noise_R=noise_R,
     )
 
 

@@ -6,10 +6,16 @@ signalling parts of the detector, interaction and field energies, and the
 energy-balance identity tying them together.  All outputs are reported
 divided by lambda_A lambda_B.
 
-The double integrals are evaluated as an adaptive outer integral over
-Bob's time of an inner Alice-window profile supplied by the selected
-``_core`` backend; s2 additionally has a fully independent closed form in
-1+1D (constant kernel makes the integral separable) used both as the
+Every kernel depends on the two times only through the lag
+tau = t2 - t1, so each double integral over the two switching windows is
+a single integral int dtau K(tau) C(tau).  C is the windowed
+cross-correlation of the two detector sinusoids, in closed form; it has
+kinks where the shifted windows start or stop overlapping, and those and
+the lightcone |tau| = L are the breakpoints of one adaptive quadrature in
+tau.  The interaction energy at a single time t is the same integral with
+Alice's bias at t - tau as the weight, and the 3+1D on-cone delta reduces
+s2 to C at tau = L.  s2 additionally has a fully independent closed form
+in 1+1D (constant kernel makes the integral separable) used both as the
 default fast path and as a cross-check oracle.
 """
 
@@ -23,7 +29,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _core
 from .greens import commutator_kernel
 from .quadrature import QuadResult, default_tolerance, integrate_1d
 from .scenario import (
@@ -92,52 +97,124 @@ def _bias_coeff(det) -> complex:
     return det.state.alpha.conjugate() * det.state.beta
 
 
-def _im_bias(det, t):
-    """Im(alpha* beta e^{i Omega t}), the conjugate quadrature of the bias."""
-    c = _bias_coeff(det)
-    t_arr = np.asarray(t, dtype=float)
-    out = np.imag(c * np.exp(1j * det.gap * t_arr))
-    return float(out) if t_arr.ndim == 0 else out
+def _commutator_lag_kernel(dim: Dimension, L: float):
+    """Vectorized D(tau, L) for timelike lags, given tau and its distance
+    x = |tau| - L from the cone (1+1D and 2+1D)."""
+    if dim is Dimension.D1p1:
+        return lambda tau, x: 0.5 * np.sign(tau)
+
+    def kernel(tau, x):
+        return np.sign(tau) / (2.0 * math.pi * np.sqrt(x * (np.abs(tau) + L)))
+
+    return kernel
 
 
-def _commutator_profile(s: Scenario, L: float, ts, tol: float):
-    a = s.alice
-    c = _bias_coeff(a)
-    return _core.inner_commutator_profile(
-        ts, s.dimension.spatial, L, a.gap, c.real, c.imag,
-        a.window.t_on, a.window.t_off, tol,
+def _field_lag_kernel(L: float):
+    """Vectorized 2+1D field-energy kernel F(tau, L), arguments as for
+    :func:`_commutator_lag_kernel`."""
+
+    def kernel(tau, x):
+        a = np.abs(tau)
+        return -a / (2.0 * math.pi * (x * (a + L)) ** 1.5)
+
+    return kernel
+
+
+def _window_correlation(s: Scenario, upper: float, d_b: complex):
+    """C(tau) = int bias_A(t1) Re(d_b e^{i Om_B (t1 + tau)}) dt1, vectorized.
+
+    t1 runs over the overlap of Alice's window with Bob's window
+    [t_on, upper] shifted back by tau.  Writing both sinusoids about the
+    overlap's midpoints (Alice's and Bob's absolute times) turns the
+    integral into two sinc terms, which stay exact as the difference
+    frequency Om_A - Om_B goes to 0.
+    """
+    a_on, a_off = s.alice.window.t_on, s.alice.window.t_off
+    b_on = s.bob.window.t_on
+    om_a, om_b = s.alice.gap, s.bob.gap
+    c_a = _bias_coeff(s.alice)
+    c_sum = c_a * d_b
+    c_diff = c_a * d_b.conjugate()
+
+    def corr(tau):
+        lo = np.maximum(a_on, b_on - tau)
+        hi = np.minimum(a_off, upper - tau)
+        w = np.maximum(hi - lo, 0.0)
+        phase_a = om_a * 0.5 * (lo + hi)
+        phase_b = om_b * 0.5 * (np.maximum(a_on + tau, b_on)
+                                + np.minimum(a_off + tau, upper))
+        # Re(x) Re(y) = [Re(x y) + Re(x conj(y))] / 2, and e^{i kappa t}
+        # integrates over the overlap to w sinc(kappa w / 2) about its
+        # midpoint.
+        return 0.5 * w * (
+            np.real(c_sum * np.exp(1j * (phase_a + phase_b)))
+            * np.sinc((om_a + om_b) * w / (2.0 * math.pi))
+            + np.real(c_diff * np.exp(1j * (phase_a - phase_b)))
+            * np.sinc((om_a - om_b) * w / (2.0 * math.pi))
+        )
+
+    return corr
+
+
+def _lag_integral(dim, L, kernel, weight, omega, lo, hi, kinks, tol, factor):
+    """factor * int_lo^hi kernel(tau) weight(tau) dtau over |tau| > L.
+
+    The lag range is cut at +-L and at the weight's ``kinks`` so every
+    piece is smooth, and panels start a quarter period of the weight's
+    top frequency ``omega`` wide; the pieces inside the cone, where the
+    kernel vanishes, are dropped.  A 2+1D piece that ends on the cone
+    carries the kernel's 1/sqrt singularity: it is integrated over the
+    distance x = |tau| - L from the cone, through the integrator's
+    declared substitution, so the kernel never sees x rounded off
+    against L.
+    """
+    cuts = sorted({lo, hi} | {c for c in (-L, L, *kinks) if lo < c < hi})
+    pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
+              if abs(0.5 * (a + b)) > L]
+    if not pieces:
+        return Observable(0.0, 0.0, 0)
+    piece_tol = tol / len(pieces) / (abs(factor) or 1.0)
+    width = (2.0 * math.pi / omega) / 4.0 if omega > 0 else None
+    singular = dim is Dimension.D2p1
+
+    def f(tau):
+        return kernel(tau, np.abs(tau) - L) * weight(tau)
+
+    def on_cone(sign):
+        def g(x):
+            tau = sign * (L + x)
+            return kernel(tau, x) * weight(tau)
+        return g
+
+    values, err, evals = [], 0.0, 0
+    for a, b in pieces:
+        if singular and (a == L or b == -L):
+            end = b if a == L else a
+            res = integrate_1d(
+                on_cone(math.copysign(1.0, end)), 0.0, abs(end) - L,
+                piece_tol, vectorized=True, sqrt_singularity="lower",
+                max_panel_width=width,
+            )
+        else:
+            res = integrate_1d(
+                f, a, b, piece_tol, vectorized=True, max_panel_width=width,
+            )
+        values.append(res.value)
+        err += res.abs_error_estimate
+        evals += res.evaluations
+    return Observable(factor * math.fsum(values), abs(factor) * err, evals)
+
+
+def _correlation_integral(s, L, kernel, upper, d_b, tol):
+    """4 int dtau kernel(tau) C(tau): a double integral over both windows
+    (Bob's up to ``upper``) whose kernel depends only on tau = t2 - t1."""
+    a_on, a_off = s.alice.window.t_on, s.alice.window.t_off
+    b_on = s.bob.window.t_on
+    return _lag_integral(
+        s.dimension, L, kernel, _window_correlation(s, upper, d_b),
+        max(s.alice.gap, s.bob.gap),
+        b_on - a_off, upper - a_on, (b_on - a_on, upper - a_off), tol, 4.0,
     )
-
-
-def _field_profile(s: Scenario, L: float, ts, tol: float):
-    a = s.alice
-    c = _bias_coeff(a)
-    return _core.inner_field_profile(
-        ts, L, a.gap, c.real, c.imag, a.window.t_on, a.window.t_off, tol,
-    )
-
-
-def _outer_over_bob(s, L, lower, upper, tol, profile, bob_factor):
-    """4 * int_lower^upper bob_factor(t2) * profile(t2) dt2 with the
-    inner/outer tolerance split and aggregated error accounting."""
-    span = upper - lower
-    inner_tol = tol / (8.0 * span)
-    inner_err = [0.0]
-    inner_evals = [0]
-
-    def f(ts):
-        vals, err, n = profile(s, L, ts, inner_tol)
-        inner_err[0] = max(inner_err[0], err)
-        inner_evals[0] += n
-        return 4.0 * bob_factor(ts) * vals
-
-    omega_max = max(s.alice.gap, s.bob.gap)
-    width = (2.0 * math.pi / omega_max) / 4.0 if omega_max > 0 else None
-    res = integrate_1d(
-        f, lower, upper, 0.5 * tol, vectorized=True, max_panel_width=width,
-    )
-    err = res.abs_error_estimate + span * inner_err[0]
-    return Observable(res.value, err, inner_evals[0] + res.evaluations)
 
 
 def s2_observable(
@@ -187,11 +264,10 @@ def s2_observable(
     if upper <= lower:
         return Observable(0.0, 0.0, 0)
 
-    def bob_factor(ts):
-        return -_im_bias(s.bob, ts)
-
-    return _outer_over_bob(
-        s, L, lower, upper, tol, _commutator_profile, bob_factor
+    # Bob's factor -Im(c_B e^{i Om_B t2}) is Re(i c_B e^{i Om_B t2})
+    return _correlation_integral(
+        s, L, _commutator_lag_kernel(s.dimension, L), upper,
+        1j * _bias_coeff(s.bob), tol,
     )
 
 
@@ -276,10 +352,14 @@ def interaction_energy_observable(
         return Observable(0.0, 0.0, 0)
     if tol is None:
         tol = default_tolerance()
-    ts = np.array([t])
-    vals, err, n = _commutator_profile(s, L, ts, tol)
+    # K(t) = int bias_A(t - tau) D(tau, L) dtau over t - tau in Alice's window
+    a = s.alice
     bob = detector_bias(s.bob, t)
-    return Observable(-4.0 * bob * float(vals[0]), 4.0 * abs(bob) * err, n)
+    return _lag_integral(
+        s.dimension, L, _commutator_lag_kernel(s.dimension, L),
+        lambda tau: detector_bias(a, t - tau), a.gap,
+        t - a.window.t_off, t - a.window.t_on, (), tol, -4.0 * bob,
+    )
 
 
 def interaction_energy_sig(
@@ -364,10 +444,9 @@ def field_energy_observable(
     if upper <= lower:
         return Observable(0.0, 0.0, 0)
 
-    def bob_factor(ts):
-        return detector_bias(s.bob, ts)
-
-    return _outer_over_bob(s, L, lower, upper, tol, _field_profile, bob_factor)
+    return _correlation_integral(
+        s, L, _field_lag_kernel(L), upper, _bias_coeff(s.bob), tol,
+    )
 
 
 def field_energy_sig(
@@ -384,9 +463,9 @@ def field_energy_sig(
 
 
 def s2_null_3p1(s: Scenario) -> float:
-    """Null-ray signalling in 3+1D: the on-cone delta collapses S2 to a
-    single integral over the times whose forward light ray lands inside
-    Bob's window.
+    """Null-ray signalling in 3+1D: the on-cone delta collapses S2 to the
+    window correlation at lag L, i.e. to the times whose forward light ray
+    lands inside Bob's window, which is integrated in closed form.
 
     The overall sign inherits the retarded-kernel normalization
     convention (the magnitude does not); returns 0 with a warning when
@@ -410,21 +489,10 @@ def s2_null_3p1(s: Scenario) -> float:
         )
         return 0.0
     delta_coeff = commutator_kernel(Dimension.D3p1, L, L).on_lightcone_delta
-
-    def f(t1):
-        # 4 * bias_A(t1) * Re(alpha_B* beta_B e^{i Om_B (t1+L)} * i * coeff)
-        return (
-            4.0 * detector_bias(s.alice, t1)
-            * (-delta_coeff) * _im_bias(s.bob, t1 + L)
-        )
-
-    omega_max = max(s.alice.gap, s.bob.gap)
-    width = (2.0 * math.pi / omega_max) / 4.0 if omega_max > 0 else None
-    res = integrate_1d(
-        f, lo, hi, default_tolerance(), vectorized=True,
-        max_panel_width=width,
-    )
-    return res.value
+    # 4 int bias_A(t1) Re(alpha_B* beta_B e^{i Om_B (t1+L)} * i * coeff):
+    # the window correlation at the lag tau = L
+    corr = _window_correlation(s, s.bob.window.t_off, 1j * _bias_coeff(s.bob))
+    return 4.0 * delta_coeff * float(corr(L))
 
 
 def energy_balance(s: Scenario, tol: Optional[float] = None) -> BalanceResult:

@@ -53,7 +53,7 @@ def random_state(rng):
 
 def s2_via_2d_quadrature(s, t=None, tol=1e-10):
     """Independent route to S2: assemble the double integral directly on
-    top of the generic 2D integrator, bypassing the backend profiles."""
+    top of the generic 2D integrator, bypassing the lag-integral route."""
     if t is None:
         t = s.bob.window.t_off
     L = math.dist(s.alice.position, s.bob.position)

@@ -119,6 +119,26 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match="expected 'key = value'"):
             parse_config("dimension\n")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_with_location(self, raw):
+        # appended after the 17 base keys, so it sits on line 18
+        text = config_text({"lambda_product": raw})
+        with pytest.raises(ConfigError,
+                           match=rf"cfg:18: value for 'lambda_product' "
+                                 rf"must be finite, got '{raw}'"):
+            parse_config(text, source="cfg")
+
+    def test_non_finite_position(self):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config(config_text({"bob.position": "1, nan"}))
+
+    def test_negative_noise_with_location(self):
+        text = config_text({"noise_R": "-0.01"})
+        with pytest.raises(ConfigError,
+                           match=r"cfg:18: noise_R must be >= 0, "
+                                 r"got '-0.01'"):
+            parse_config(text, source="cfg")
+
     def test_bad_position(self):
         with pytest.raises(ConfigError, match="must be numbers"):
             parse_config(config_text({"bob.position": "1, north"}))
