@@ -122,7 +122,11 @@ def apply_sweep_parameter(s: Scenario, parameter: str, value: float) -> Scenario
 
 @dataclass(frozen=True)
 class Row:
-    """One CSV row; nan marks a column whose observable was not computed."""
+    """One CSV row; nan marks a column whose observable was not computed.
+
+    ``failures`` is not part of the CSV: it holds one "<obs>: <reason>:
+    <message>" line per observable tagged ``numerical:<obs>``.
+    """
 
     param: float
     s2: float
@@ -132,6 +136,7 @@ class Row:
     hf_sig: float
     quad_error: float
     status: str
+    failures: Tuple[str, ...] = ()
 
     def to_csv(self) -> str:
         return ",".join(
@@ -162,14 +167,17 @@ def compute_row(
 
     t = s.bob.window.t_off if eval_time is None else eval_time
     tags: List[str] = []
+    failures: List[str] = []
     total_err = 0.0
 
     def attempt(label, fn):
         nonlocal total_err
         try:
             obs = fn()
-        except (QuadratureError, NonConvergenceError):
+        except (QuadratureError, NonConvergenceError) as err:
             tags.append(f"numerical:{label}")
+            reason = getattr(err, "reason", "extrapolation")
+            failures.append(f"{label}: {reason}: {err}")
             return math.nan
         except ValueError:
             # InvalidScenarioError and out-of-window evaluation times
@@ -186,7 +194,7 @@ def compute_row(
     hf = attempt("hf_sig", lambda: signalling.field_energy_observable(s, t, tol))
 
     return Row(param_value, s2_val, s.bob.gap * s2_val, hi_on, hi_off, hf,
-               total_err, ";".join(tags) if tags else "ok")
+               total_err, ";".join(tags) if tags else "ok", tuple(failures))
 
 
 def _row_worker(args: Tuple[Scenario, float, Optional[float], float]) -> Row:
@@ -222,6 +230,8 @@ def run_point(config_path: str) -> int:
     if any(tag.startswith("numerical:") for tag in row.status.split(";")):
         print("quadrature failed to converge for at least one observable",
               file=sys.stderr)
+        for line in row.failures:
+            print(line, file=sys.stderr)
         return EXIT_NUMERICAL
 
     stats = channel_stats(s, cfg.lambda_product, cfg.noise_R, tol=tol)

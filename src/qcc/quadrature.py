@@ -6,6 +6,13 @@ greedy refinement of the worst panel; integrable inverse-square-root
 singularities are handled by declared substitutions so the rule only ever
 sees smooth integrands.
 
+Refinement stops at the roundoff floor (QUADPACK's roundoff detection,
+Piessens et al. 1983): a panel whose 15- and 7-point rules already agree
+to within 50*eps*resabs is frozen, since bisecting it cannot lower its
+error.  Once the frozen panels alone carry more error than the tolerance,
+the integral fails at once with reason "roundoff" instead of spending
+its evaluation budget.
+
 Everything here is deterministic: fixed node sets, a stable refinement
 order, and compensated summation of the final panel list.
 """
@@ -110,20 +117,39 @@ class QuadResult:
 class QuadratureError(Exception):
     """Raised when an integral cannot be certified to the requested tolerance.
 
+    ``reason`` says why, as one of :attr:`REASONS`:
+
+    * ``"budget"`` -- the evaluation budget ran out first;
+    * ``"roundoff"`` -- the panels that have reached their roundoff floor
+      already carry more error than the tolerance allows;
+    * ``"non-finite"`` -- the integrand returned nan or inf;
+    * ``"unsplittable"`` -- the panels left to refine are too narrow to
+      bisect in floating point.
+
     ``best`` carries the best available estimate (or None when the failure
     happened before any usable value existed, e.g. a non-finite integrand).
     """
 
-    def __init__(self, message: str, best: Optional[QuadResult] = None):
+    REASONS = ("budget", "roundoff", "non-finite", "unsplittable")
+
+    def __init__(self, message: str, reason: str,
+                 best: Optional[QuadResult] = None):
+        if reason not in self.REASONS:
+            raise ValueError(f"unknown quadrature failure reason {reason!r}")
         super().__init__(message)
+        self.reason = reason
         self.best = best
 
 
 def _eval_panels(f, lefts, rights, vectorized, counter):
     """Apply the GK15 pair to a batch of panels.
 
-    Returns (k15, err, resabs) arrays, one entry per panel.  ``counter``
-    is a single-element list tracking total point evaluations.
+    Returns (k15, err, at_floor) arrays, one entry per panel.  ``err`` is
+    the Kronrod-Gauss difference, raised to the roundoff floor
+    50*eps*resabs; ``at_floor`` marks the panels whose difference is
+    already at or below that floor, so that bisecting them cannot lower
+    their error.  ``counter`` is a single-element list tracking total
+    point evaluations.
     """
     lefts = np.asarray(lefts, dtype=float)
     rights = np.asarray(rights, dtype=float)
@@ -134,7 +160,7 @@ def _eval_panels(f, lefts, rights, vectorized, counter):
     if vectorized:
         vals = np.asarray(f(flat), dtype=float)
         if vals.shape != flat.shape:
-            raise QuadratureError(
+            raise ValueError(
                 "vectorized integrand returned shape "
                 f"{vals.shape}, expected {flat.shape}"
             )
@@ -145,18 +171,27 @@ def _eval_panels(f, lefts, rights, vectorized, counter):
         bad = flat[~np.isfinite(vals.reshape(flat.shape))][0]
         raise QuadratureError(
             f"integrand returned a non-finite value near t={bad!r}; "
-            "an undeclared singularity must be declared to the integrator"
+            "an undeclared singularity must be declared to the integrator",
+            "non-finite",
         )
     vals = vals.reshape(pts.shape)
     k15 = halves * (vals * _WK).sum(axis=1)
     g7 = halves * (vals * _WGAUSS).sum(axis=1)
     resabs = halves * (np.abs(vals) * _WK).sum(axis=1)
-    err = np.maximum(np.abs(k15 - g7), 50.0 * _EPS * resabs)
-    return k15, err, resabs
+    diff = np.abs(k15 - g7)
+    floor = 50.0 * _EPS * resabs
+    return k15, np.maximum(diff, floor), diff <= floor
 
 
 def _adaptive(f, a, b, tol, vectorized, max_panel_width, budget, counter):
-    """Greedy GK15 refinement of [a, b] down to absolute tolerance ``tol``."""
+    """Greedy GK15 refinement of [a, b] down to absolute tolerance ``tol``.
+
+    A panel whose Kronrod-Gauss difference is at or below its roundoff
+    floor is frozen: it stays in the panel list (its value and error are
+    still summed) but never goes back on the heap, since its halves would
+    carry the same floor.  The frozen error can only grow, so once it
+    exceeds ``tol`` the integral fails at once with reason "roundoff".
+    """
     span = b - a
     n0 = 1
     if max_panel_width is not None and max_panel_width > 0:
@@ -165,9 +200,12 @@ def _adaptive(f, a, b, tol, vectorized, max_panel_width, budget, counter):
     if 15 * n0 > budget - counter[0]:
         raise QuadratureError(
             f"initial panelling needs {15 * n0} evaluations, "
-            f"exceeding the budget of {budget}"
+            f"exceeding the budget of {budget}",
+            "budget",
         )
-    k15, err, _ = _eval_panels(f, edges[:-1], edges[1:], vectorized, counter)
+    k15, err, at_floor = _eval_panels(
+        f, edges[:-1], edges[1:], vectorized, counter
+    )
 
     # Heap entries: (-err, insertion order); the order makes ties
     # deterministic.  Panels live in a dict so the final value can be
@@ -175,10 +213,19 @@ def _adaptive(f, a, b, tol, vectorized, max_panel_width, budget, counter):
     order = 0
     heap = []
     panels = {}
-    for i in range(n0):
-        heapq.heappush(heap, (-err[i], order))
-        panels[order] = (edges[i], edges[i + 1], k15[i], err[i])
+    frozen_err = 0.0
+
+    def add(pa, pb, value, perr, frozen):
+        nonlocal order, frozen_err
+        panels[order] = (pa, pb, value, perr)
+        if frozen:
+            frozen_err += perr
+        else:
+            heapq.heappush(heap, (-perr, order))
         order += 1
+
+    for i in range(n0):
+        add(edges[i], edges[i + 1], k15[i], err[i], at_floor[i])
     running_err = float(err.sum())
 
     def finish():
@@ -187,26 +234,28 @@ def _adaptive(f, a, b, tol, vectorized, max_panel_width, budget, counter):
         total_err = math.fsum(p[3] for p in items)
         return value, total_err
 
+    def fail(message, reason):
+        value, total_err = finish()
+        raise QuadratureError(
+            f"{message} (error estimate {total_err:.3e} > tol {tol:.3e})",
+            reason,
+            best=QuadResult(value, total_err, counter[0]),
+        )
+
     while True:
         if running_err <= tol:
             value, total_err = finish()
             if total_err <= tol:
                 return QuadResult(value, total_err, counter[0])
             running_err = total_err  # running sum had drifted; keep going
+        if frozen_err > tol:
+            fail(f"tolerance is below roundoff floor: panels at their floor "
+                 f"carry error {frozen_err:.3e}", "roundoff")
         if counter[0] + 30 > budget:
-            value, total_err = finish()
-            raise QuadratureError(
-                f"quadrature budget of {budget} evaluations exhausted "
-                f"(error estimate {total_err:.3e} > tol {tol:.3e})",
-                best=QuadResult(value, total_err, counter[0]),
-            )
+            fail(f"quadrature budget of {budget} evaluations exhausted",
+                 "budget")
         if not heap:
-            value, total_err = finish()
-            raise QuadratureError(
-                "no panel can be refined further (error estimate "
-                f"{total_err:.3e} > tol {tol:.3e})",
-                best=QuadResult(value, total_err, counter[0]),
-            )
+            fail("no panel can be refined further", "unsplittable")
         _, key = heapq.heappop(heap)
         pa, pb, pval, perr = panels[key]
         mid = 0.5 * (pa + pb)
@@ -215,14 +264,12 @@ def _adaptive(f, a, b, tol, vectorized, max_panel_width, budget, counter):
             # error) but never refine it again.
             continue
         del panels[key]
-        ck15, cerr, _ = _eval_panels(
+        ck15, cerr, cfloor = _eval_panels(
             f, [pa, mid], [mid, pb], vectorized, counter
         )
         running_err += cerr[0] + cerr[1] - perr
-        for j, (ca, cb) in enumerate([(pa, mid), (mid, pb)]):
-            heapq.heappush(heap, (-cerr[j], order))
-            panels[order] = (ca, cb, ck15[j], cerr[j])
-            order += 1
+        add(pa, mid, ck15[0], cerr[0], cfloor[0])
+        add(mid, pb, ck15[1], cerr[1], cfloor[1])
 
 
 def _sqrt_transformed(f, a, b, side, vectorized):
@@ -295,8 +342,16 @@ def integrate_1d(
     Raises
     ------
     QuadratureError
-        On non-convergence within the budget (carrying the best estimate)
-        or when the integrand returns non-finite values.
+        With ``reason`` "budget" when the budget runs out first, "roundoff"
+        when ``tol`` is below the roundoff floor (the panels whose 15- and
+        7-point rules agree to within 50*eps*resabs, which are never
+        bisected again, already carry more than ``tol`` of error),
+        "unsplittable" when the panels left are too narrow to bisect, and
+        "non-finite" when the integrand returns nan or inf.  All but the
+        last carry the best estimate in ``best``.
+    ValueError
+        On bad limits or tolerance, or when a vectorized integrand
+        returns the wrong shape.
     """
     if not (a < b):
         raise ValueError(f"require a < b, got a={a!r}, b={b!r}")
@@ -395,7 +450,8 @@ def integrate_2d_rect(
     def inner(x):
         if counter[0] >= budget:
             raise QuadratureError(
-                f"2D quadrature budget of {budget} evaluations exhausted"
+                f"2D quadrature budget of {budget} evaluations exhausted",
+                "budget",
             )
         remaining = budget - counter[0]
         if singular_line is None:
@@ -406,7 +462,7 @@ def integrate_2d_rect(
                 )
             except QuadratureError as err:
                 raise QuadratureError(
-                    f"inner integral at x={x!r} failed: {err}"
+                    f"inner integral at x={x!r} failed: {err}", err.reason
                 ) from err
             counter[0] += res.evaluations
             worst_inner[0] = max(worst_inner[0], res.abs_error_estimate)
@@ -419,7 +475,8 @@ def integrate_2d_rect(
         for kind, lo, hi in pieces:
             if counter[0] >= budget:
                 raise QuadratureError(
-                    f"2D quadrature budget of {budget} evaluations exhausted"
+                    f"2D quadrature budget of {budget} evaluations exhausted",
+                    "budget",
                 )
             remaining = budget - counter[0]
             if kind == "plain":
@@ -452,7 +509,7 @@ def integrate_2d_rect(
             except QuadratureError as err:
                 raise QuadratureError(
                     f"inner integral at x={x!r} over the {kind} piece "
-                    f"failed: {err}"
+                    f"failed: {err}", err.reason
                 ) from err
             counter[0] += res.evaluations
             err_here += res.abs_error_estimate

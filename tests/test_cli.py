@@ -117,6 +117,13 @@ class TestPointVerb:
         (row,) = csv_rows(out)
         assert "numerical:s2" in row
         assert "failed to converge" in err
+        # one reason line per failed observable, after the summary line
+        lines = err.splitlines()
+        summary = next(i for i, line in enumerate(lines)
+                       if "failed to converge" in line)
+        failed = [tag.split(":", 1)[1] for tag in row.split(",")[-1].split(";")]
+        assert [line.split(":")[0] for line in lines[summary + 1:]] == failed
+        assert lines[summary + 1].startswith("s2: roundoff: ")
 
 
 class TestSweepVerb:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import demo_scenario
+from qcc import signalling
 from qcc.greens import commutator_kernel
 from qcc.quadrature import (
     QuadResult,
@@ -16,6 +18,7 @@ from qcc.quadrature import (
     integrate_2d_rect,
 )
 from qcc.scenario import Dimension
+from qcc.validation import _poly_cos_integral
 
 # (f, a, b, exact) with exact from elementary antiderivatives
 KNOWN_INTEGRALS = [
@@ -86,20 +89,107 @@ class TestIntegrate1d:
         with pytest.raises(QuadratureError) as excinfo:
             integrate_1d(lambda t: math.cos(200.0 * t), 0.0, 10.0, 1e-14,
                          budget=300)
+        assert excinfo.value.reason == "budget"
         best = excinfo.value.best
         assert isinstance(best, QuadResult)
         assert best.evaluations <= 300
         assert best.abs_error_estimate > 1e-14
 
     def test_nonfinite_integrand_rejected(self):
-        with pytest.raises(QuadratureError, match="non-finite"):
+        with pytest.raises(QuadratureError, match="non-finite") as excinfo:
             integrate_1d(lambda t: math.nan, 0.0, 1.0, 1e-8)
+        assert excinfo.value.reason == "non-finite"
+        assert excinfo.value.best is None
+
+    def test_unsplittable_panels_reported(self):
+        # two ulps wide: bisection runs out of floats while the noise-like
+        # integrand keeps the Kronrod-Gauss difference above the floor
+        b = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
+        with pytest.raises(QuadratureError) as excinfo:
+            integrate_1d(lambda t: math.sin(1e18 * t), 1.0, b, 1e-25)
+        assert excinfo.value.reason == "unsplittable"
+        assert excinfo.value.best is not None
+
+    def test_unknown_reason_rejected(self):
+        with pytest.raises(ValueError, match="reason"):
+            QuadratureError("boom", "tired")
 
     def test_quadresult_invariants(self):
         with pytest.raises(ValueError):
             QuadResult(1.0, -1e-3, 10)
         with pytest.raises(ValueError):
             QuadResult(1.0, 1e-3, 0)
+
+
+class TestRoundoffFloor:
+    """A tolerance below the roundoff floor 50*eps*resabs fails fast with
+    reason "roundoff", carrying an honest best estimate."""
+
+    def test_below_floor_fails_fast_with_honest_best(self):
+        f = lambda t: t * math.cos(3.0 * t)
+        # antiderivative t sin(3t)/3 + cos(3t)/9
+        exact = 4.0 * math.sin(12.0) / 3.0 + (math.cos(12.0) - 1.0) / 9.0
+        with pytest.raises(QuadratureError, match="below roundoff floor") \
+                as excinfo:
+            integrate_1d(f, 0.0, 4.0, 1e-17)
+        err = excinfo.value
+        assert err.reason == "roundoff"
+        assert err.best.evaluations <= 1000
+        assert abs(err.best.value - exact) <= 10 * err.best.abs_error_estimate
+
+    def test_reachable_tolerance_unaffected(self):
+        f = lambda t: t * math.cos(3.0 * t)
+        exact = 4.0 * math.sin(12.0) / 3.0 + (math.cos(12.0) - 1.0) / 9.0
+        res = integrate_1d(f, 0.0, 4.0, 1e-13)
+        assert res.abs_error_estimate <= 1e-13
+        assert abs(res.value - exact) <= 1e-13
+
+    @pytest.mark.parametrize("observable", [
+        signalling.s2_observable, signalling.field_energy_observable,
+    ])
+    def test_demo_2p1_observable_fails_fast(self, observable, monkeypatch):
+        # every evaluation the observable spends, in any of its pieces
+        spent = []
+
+        def counting(*args, **kwargs):
+            try:
+                res = integrate_1d(*args, **kwargs)
+            except QuadratureError as err:
+                spent.append(err.best.evaluations)
+                raise
+            spent.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(signalling, "integrate_1d", counting)
+        s = demo_scenario("2+1")
+        with pytest.raises(QuadratureError) as excinfo:
+            observable(s, s.bob.window.t_off, 1e-16)
+        assert excinfo.value.reason == "roundoff"
+        assert sum(spent) <= 1000
+
+    def test_2d_keeps_inner_reason(self):
+        with pytest.raises(QuadratureError) as excinfo:
+            integrate_2d_rect(lambda x, y: math.sin(x) * math.cos(y),
+                              (0.0, 1.0), (0.0, 1.0), 1e-18)
+        assert excinfo.value.reason == "roundoff"
+        assert "inner integral" in str(excinfo.value)
+
+
+class TestPolyCosOracle:
+    """The exact integral behind the validate honesty check."""
+
+    @pytest.mark.parametrize("coeffs,omega,a,b,exact", [
+        ([0.0, 1.0], 1.0, 0.0, math.pi, -2.0),
+        ([1.0], 2.0, 0.0, math.pi / 4, 0.5),
+        ([0.0, 0.0, 1.0], 1.0, 0.0, math.pi / 2, math.pi ** 2 / 4 - 2.0),
+        ([2.0, -1.0], 3.0, -1.0, 1.0,
+         # odd part integrates to zero: 2 * 2 sin(3)/3
+         4.0 * math.sin(3.0) / 3.0),
+    ])
+    def test_hand_values(self, coeffs, omega, a, b, exact):
+        poly = np.polynomial.Polynomial(coeffs)
+        assert _poly_cos_integral(poly, omega, a, b) == pytest.approx(
+            exact, abs=1e-14)
 
 
 poly_coeffs = st.lists(

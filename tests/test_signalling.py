@@ -173,6 +173,27 @@ class TestS2GenericRoutes:
         assert s2_observable(demo_scenario("2+1")).evaluations <= 400
 
 
+# Exact evaluation counts at tol 1e-8 of the rows `qcc point` computes:
+# the demo and a long Bob window at a high gap.  Counts are deterministic,
+# so any change to how panels far above their roundoff floor are refined
+# shows here.
+@pytest.mark.parametrize("s,expected", [
+    (demo_scenario("2+1"),
+     {"s2": 180, "hI_on": 90, "hI_off": 90, "hf_sig": 180}),
+    (make_scenario("2+1", b_win=(5.0, 65.0), gap_b=30.0),
+     {"s2": 18075, "hI_on": 90, "hI_off": 90, "hf_sig": 18075}),
+], ids=["demo", "gapB30-window60"])
+def test_production_evaluation_counts_pinned(s, expected):
+    t_on, t_off = s.bob.window.t_on, s.bob.window.t_off
+    counts = {
+        "s2": s2_observable(s, t_off, 1e-8).evaluations,
+        "hI_on": interaction_energy_observable(s, t_on, 1e-8).evaluations,
+        "hI_off": interaction_energy_observable(s, t_off, 1e-8).evaluations,
+        "hf_sig": field_energy_observable(s, t_off, 1e-8).evaluations,
+    }
+    assert counts == expected
+
+
 class TestInteractionEnergy:
     def test_closed_form_reference(self):
         # closed form written out independently here, then compared with
