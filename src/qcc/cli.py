@@ -157,7 +157,9 @@ def compute_row(
     Shared by run_point and run_sweep so a sweep row and a single-point
     run of the same scenario agree bit for bit.  Observables that reject
     the configuration (domain errors) or fail to converge show up as nan
-    plus a status tag; the rest of the row is still filled in.
+    plus a status tag; the rest of the row is still filled in.  A row
+    with a ``numerical:`` tag has no error bound, so its ``quad_error``
+    is nan.
     """
     report = validate(s)
     if not report.ok:
@@ -194,11 +196,8 @@ def compute_row(
     hf = attempt("hf_sig", lambda: signalling.field_energy_observable(s, t, tol))
 
     return Row(param_value, s2_val, s.bob.gap * s2_val, hi_on, hi_off, hf,
-               total_err, ";".join(tags) if tags else "ok", tuple(failures))
-
-
-def _row_worker(args: Tuple[Scenario, float, Optional[float], float]) -> Row:
-    return compute_row(*args)
+               math.nan if failures else total_err,
+               ";".join(tags) if tags else "ok", tuple(failures))
 
 
 # --- verbs --------------------------------------------------------------
@@ -267,9 +266,10 @@ def run_sweep(
     if jobs > 1:
         chunk = max(1, len(tasks) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_row_worker, tasks, chunksize=chunk))
+            rows = list(pool.map(compute_row, *zip(*tasks),
+                                 chunksize=chunk))
     else:
-        rows = [_row_worker(task) for task in tasks]
+        rows = [compute_row(*task) for task in tasks]
 
     text = "\n".join([CSV_HEADER] + [row.to_csv() for row in rows]) + "\n"
     with open(out_path, "w", encoding="ascii", newline="") as fh:

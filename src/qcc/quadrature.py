@@ -183,7 +183,7 @@ def _eval_panels(f, lefts, rights, vectorized, counter):
     return k15, np.maximum(diff, floor), diff <= floor
 
 
-def _adaptive(f, a, b, tol, vectorized, max_panel_width, budget, counter):
+def _adaptive(f, a, b, tol, vectorized, max_panel_width, budget):
     """Greedy GK15 refinement of [a, b] down to absolute tolerance ``tol``.
 
     A panel whose Kronrod-Gauss difference is at or below its roundoff
@@ -192,6 +192,7 @@ def _adaptive(f, a, b, tol, vectorized, max_panel_width, budget, counter):
     carry the same floor.  The frozen error can only grow, so once it
     exceeds ``tol`` the integral fails at once with reason "roundoff".
     """
+    counter = [0]  # point evaluations so far, shared with _eval_panels
     span = b - a
     n0 = 1
     if max_panel_width is not None and max_panel_width > 0:
@@ -272,34 +273,24 @@ def _adaptive(f, a, b, tol, vectorized, max_panel_width, budget, counter):
         add(mid, pb, ck15[1], cerr[1], cfloor[1])
 
 
-def _sqrt_transformed(f, a, b, side, vectorized):
+def _sqrt_transformed(f, a, b, side):
     """Rewrite an endpoint 1/sqrt singularity as a smooth integrand.
 
     ``side='lower'`` assumes f ~ c/sqrt(t-a) near a and substitutes
-    t = a + u^2; ``side='upper'`` mirrors this at b.  Returns the new
-    integrand plus its (0, sqrt(b-a)) domain.
+    t = a + u^2; ``side='upper'`` mirrors this at b with t = b - u^2.
+    Returns the new integrand plus its (0, sqrt(b-a)) domain; the
+    integrand is vectorized exactly when ``f`` is.
     """
-    span = b - a
-    u_max = math.sqrt(span)
-    if side == "lower":
-        if vectorized:
-            def g(u):
-                return 2.0 * u * np.asarray(f(a + u * u))
-        else:
-            def g(u):
-                return 2.0 * u * f(a + u * u)
-    elif side == "upper":
-        if vectorized:
-            def g(u):
-                return 2.0 * u * np.asarray(f(b - u * u))
-        else:
-            def g(u):
-                return 2.0 * u * f(b - u * u)
-    else:
+    if side not in ("lower", "upper"):
         raise ValueError(
             f"sqrt_singularity must be 'lower' or 'upper', got {side!r}"
         )
-    return g, 0.0, u_max
+    end, sign = (a, 1.0) if side == "lower" else (b, -1.0)
+
+    def g(u):
+        return 2.0 * u * f(end + sign * (u * u))
+
+    return g, 0.0, math.sqrt(b - a)
 
 
 def integrate_1d(
@@ -359,39 +350,29 @@ def integrate_1d(
         tol = default_tolerance()
     if tol <= 0:
         raise ValueError("tol must be positive")
-    counter = [0]
     if sqrt_singularity is not None:
-        g, ga, gb = _sqrt_transformed(f, a, b, sqrt_singularity, vectorized)
-        width = None
         if max_panel_width is not None:
             # du = dt / (2u): a t-width W maps to at least W / (2 sqrt(span)).
-            width = max_panel_width / (2.0 * math.sqrt(b - a))
-        return _adaptive(g, ga, gb, tol, vectorized, width, budget, counter)
-    return _adaptive(f, a, b, tol, vectorized, max_panel_width, budget, counter)
+            max_panel_width /= 2.0 * math.sqrt(b - a)
+        f, a, b = _sqrt_transformed(f, a, b, sqrt_singularity)
+    return _adaptive(f, a, b, tol, vectorized, max_panel_width, budget)
 
 
 def _inner_pieces(x, ay, by, L):
     """Split the inner range at the lines y = x - L and y = x + L.
 
-    Yields (kind, lo, hi) with kind in {'plain', 'above', 'below'}:
-    'above' pieces start on the line y = x + L, 'below' pieces end on
-    y = x - L (the two timelike sides, where the integrand may carry an
-    inverse-square-root edge singularity).
+    Yields (side, lo, hi): side +1 for pieces above y = x + L, -1 for
+    pieces below y = x - L (the timelike sides, where the integrand may
+    carry an inverse-square-root edge singularity), 0 for the rest; with
+    ``L`` None the whole range is one plain piece.
     """
-    cuts = [ay]
-    for c in (x - L, x + L):
-        if ay < c < by:
-            cuts.append(c)
-    cuts.append(by)
-    cuts = sorted(set(cuts))
+    if L is None:
+        yield 0, ay, by
+        return
+    cuts = sorted({ay, by} | {c for c in (x - L, x + L) if ay < c < by})
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        if mid - x > L:
-            yield "above", lo, hi
-        elif mid - x < -L:
-            yield "below", lo, hi
-        else:
-            yield "plain", lo, hi
+        rel = 0.5 * (lo + hi) - x
+        yield (1 if rel > L else -1 if rel < -L else 0), lo, hi
 
 
 def integrate_2d_rect(
@@ -419,9 +400,13 @@ def integrate_2d_rect(
         edge singularity of the integrand.  Must be declared whenever the
         line crosses the rectangle and f is singular (or discontinuous)
         across it.
-    tol, max_panel_width, budget :
+    tol, max_panel_width :
         As in :func:`integrate_1d`; the tolerance is apportioned between
         the outer rule and the inner integrals.
+    budget : int
+        Maximum number of evaluations of ``f``, summed over all inner
+        integrals (the count returned).  The outer integral over x is an
+        :func:`integrate_1d` call whose points are not counted.
 
     Notes
     -----
@@ -435,92 +420,61 @@ def integrate_2d_rect(
         raise ValueError("degenerate rectangle")
     if tol is None:
         tol = default_tolerance()
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if singular_line is not None and singular_line <= 0:
+    L = singular_line
+    if L is not None and L <= 0:
         raise ValueError("singular_line must be a positive separation")
 
     span_x = bx - ax
     # Outer rule gets half the tolerance; inner integrals get the rest,
     # diluted by the outer span and a safety factor of 4.
     inner_tol = tol / (8.0 * span_x)
-    counter = [0]
-    worst_inner = [0.0]
+    spent = 0
+    worst_inner = 0.0
 
     def inner(x):
-        if counter[0] >= budget:
-            raise QuadratureError(
-                f"2D quadrature budget of {budget} evaluations exhausted",
-                "budget",
-            )
-        remaining = budget - counter[0]
-        if singular_line is None:
-            try:
-                res = integrate_1d(
-                    lambda y: f(x, y), ay, by, inner_tol,
-                    max_panel_width=max_panel_width, budget=remaining,
-                )
-            except QuadratureError as err:
-                raise QuadratureError(
-                    f"inner integral at x={x!r} failed: {err}", err.reason
-                ) from err
-            counter[0] += res.evaluations
-            worst_inner[0] = max(worst_inner[0], res.abs_error_estimate)
-            return res.value
-        L = singular_line
+        nonlocal spent, worst_inner
         pieces = list(_inner_pieces(x, ay, by, L))
-        piece_tol = inner_tol / len(pieces)
-        total = 0.0
-        err_here = 0.0
-        for kind, lo, hi in pieces:
-            if counter[0] >= budget:
+        total = err_here = 0.0
+        for side, lo, hi in pieces:
+            if spent >= budget:
                 raise QuadratureError(
                     f"2D quadrature budget of {budget} evaluations exhausted",
                     "budget",
                 )
-            remaining = budget - counter[0]
-            if kind == "plain":
-                g, g_lo, g_hi = (lambda y, _x=x: f(_x, y)), lo, hi
+            if side:
+                # y = x + side sqrt(u^2 + L^2), dy = u du / sqrt(u^2 + L^2);
+                # u runs from the piece's end nearest the line to its far end
+                near, far = (lo, hi) if side > 0 else (hi, lo)
+                g_lo = math.sqrt(max((near - x) ** 2 - L * L, 0.0))
+                g_hi = math.sqrt(max((far - x) ** 2 - L * L, 0.0))
+                width = None
+
+                def g(u):
+                    r = math.sqrt(u * u + L * L)
+                    return f(x, x + side * r) * u / r
+            else:
+                g, g_lo, g_hi = (lambda y: f(x, y)), lo, hi
                 width = max_panel_width
-            elif kind == "above":
-                # y = x + sqrt(u^2 + L^2), dy = u du / sqrt(u^2 + L^2)
-                g_hi = math.sqrt(max((hi - x) ** 2 - L * L, 0.0))
-                g_lo = math.sqrt(max((lo - x) ** 2 - L * L, 0.0))
-                width = None
-
-                def g(u, _x=x):
-                    r = math.sqrt(u * u + L * L)
-                    return f(_x, _x + r) * u / r
-            else:  # below: y = x - sqrt(u^2 + L^2)
-                g_hi = math.sqrt(max((x - lo) ** 2 - L * L, 0.0))
-                g_lo = math.sqrt(max((x - hi) ** 2 - L * L, 0.0))
-                width = None
-
-                def g(u, _x=x):
-                    r = math.sqrt(u * u + L * L)
-                    return f(_x, _x - r) * u / r
-            if g_hi - g_lo <= 0:
+            if g_hi <= g_lo:
                 continue
             try:
                 res = integrate_1d(
-                    g, g_lo, g_hi, piece_tol,
-                    max_panel_width=width, budget=remaining,
+                    g, g_lo, g_hi, inner_tol / len(pieces),
+                    max_panel_width=width, budget=budget - spent,
                 )
             except QuadratureError as err:
                 raise QuadratureError(
-                    f"inner integral at x={x!r} over the {kind} piece "
+                    f"inner integral at x={x!r} over y in [{lo!r}, {hi!r}] "
                     f"failed: {err}", err.reason
                 ) from err
-            counter[0] += res.evaluations
+            spent += res.evaluations
             err_here += res.abs_error_estimate
             total += res.value
-        worst_inner[0] = max(worst_inner[0], err_here)
+        worst_inner = max(worst_inner, err_here)
         return total
 
-    outer_counter = [0]
-    outer = _adaptive(
-        inner, ax, bx, 0.5 * tol, False, max_panel_width,
-        budget=10 ** 9, counter=outer_counter,
-    )
-    err = outer.abs_error_estimate + span_x * worst_inner[0]
-    return QuadResult(outer.value, err, counter[0])
+    # the outer rule checks tol > 0 before its first inner integral
+    outer = integrate_1d(inner, ax, bx, 0.5 * tol,
+                         max_panel_width=max_panel_width, budget=10 ** 9)
+    err = outer.abs_error_estimate + span_x * worst_inner
+    return QuadResult(outer.value, err, spent)

@@ -106,16 +106,14 @@ class SwitchingWindow:
 class DetectorSpec:
     """One pointlike two-level detector.
 
-    ``gap`` is the energy splitting Omega, ``coupling`` the bookkeeping
-    constant lambda (never used numerically outside channel statistics),
-    ``position`` a spatial n-vector in natural length units.
+    ``gap`` is the energy splitting Omega, ``position`` a spatial
+    n-vector in natural length units.
     """
 
     gap: float
     state: ComplexAmplitudePair
     position: Tuple[float, ...]
     window: SwitchingWindow
-    coupling: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "position", tuple(float(x) for x in self.position))

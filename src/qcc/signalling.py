@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .greens import commutator_kernel
-from .quadrature import QuadResult, default_tolerance, integrate_1d
+from .quadrature import QuadratureError, default_tolerance, integrate_1d
 from .scenario import (
     CausalClass,
     Dimension,
@@ -167,7 +167,12 @@ def _lag_integral(dim, L, kernel, weight, omega, lo, hi, kinks, tol, factor):
     distance x = |tau| - L from the cone, through the integrator's
     declared substitution, so the kernel never sees x rounded off
     against L.
+
+    ``tol`` (default :func:`default_tolerance`) is split across the
+    pieces; a piece that fails is re-raised naming ``tol``.
     """
+    if tol is None:
+        tol = default_tolerance()
     cuts = sorted({lo, hi} | {c for c in (-L, L, *kinks) if lo < c < hi})
     pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
               if abs(0.5 * (a + b)) > L]
@@ -190,26 +195,46 @@ def _lag_integral(dim, L, kernel, weight, omega, lo, hi, kinks, tol, factor):
     for a, b in pieces:
         if singular and (a == L or b == -L):
             end = b if a == L else a
-            res = integrate_1d(
-                on_cone(math.copysign(1.0, end)), 0.0, abs(end) - L,
-                piece_tol, vectorized=True, sqrt_singularity="lower",
-                max_panel_width=width,
-            )
+            g, ga, gb = on_cone(math.copysign(1.0, end)), 0.0, abs(end) - L
+            sqrt_end = "lower"
         else:
+            g, ga, gb, sqrt_end = f, a, b, None
+        try:
             res = integrate_1d(
-                f, a, b, piece_tol, vectorized=True, max_panel_width=width,
+                g, ga, gb, piece_tol, vectorized=True,
+                sqrt_singularity=sqrt_end, max_panel_width=width,
             )
+        except QuadratureError as exc:
+            raise QuadratureError(
+                f"tol {tol:.3e} not reached on the lag piece "
+                f"[{a!r}, {b!r}]: {exc}", exc.reason, exc.best,
+            ) from exc
         values.append(res.value)
         err += res.abs_error_estimate
         evals += res.evaluations
     return Observable(factor * math.fsum(values), abs(factor) * err, evals)
 
 
+def _bob_upper(s: Scenario, t: Optional[float]) -> float:
+    """Bob's upper limit min(t, T_off) for evaluation time t >= T_on."""
+    if t is None:
+        t = s.bob.window.t_off
+    if t < s.bob.window.t_on:
+        raise ValueError(
+            f"evaluation time {t!r} precedes bob's switch-on "
+            f"{s.bob.window.t_on!r}"
+        )
+    return min(t, s.bob.window.t_off)
+
+
 def _correlation_integral(s, L, kernel, upper, d_b, tol):
     """4 int dtau kernel(tau) C(tau): a double integral over both windows
-    (Bob's up to ``upper``) whose kernel depends only on tau = t2 - t1."""
+    (Bob's up to ``upper``) whose kernel depends only on tau = t2 - t1;
+    exactly 0 when Bob's window is empty."""
     a_on, a_off = s.alice.window.t_on, s.alice.window.t_off
     b_on = s.bob.window.t_on
+    if upper <= b_on:
+        return Observable(0.0, 0.0, 0)
     return _lag_integral(
         s.dimension, L, kernel, _window_correlation(s, upper, d_b),
         max(s.alice.gap, s.bob.gap),
@@ -229,21 +254,13 @@ def s2_observable(
     strictly timelike 1+1D scenarios, quadrature in 2+1D (and in 1+1D
     when the windows touch the lightcone), and the exact Huygens zero in
     3+1D; 'quadrature' forces the numerical path (used by the oracle
-    cross-checks); 'closed' forces the 1+1D closed form.
+    cross-checks).  :func:`s2_closed_form_1p1` is the closed form itself.
     """
-    if method not in ("auto", "quadrature", "closed"):
+    if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
     report = require_valid(s)
     L = report.separation
-    if t is None:
-        t = s.bob.window.t_off
-    if t < s.bob.window.t_on:
-        raise ValueError(
-            f"evaluation time {t!r} precedes bob's switch-on "
-            f"{s.bob.window.t_on!r}"
-        )
-    if method == "closed":
-        return Observable(s2_closed_form_1p1(s, t), 0.0, 0)
+    upper = _bob_upper(s, t)
     if report.causal_class is CausalClass.SPACELIKE:
         # no commutator support anywhere in the double integral
         return Observable(0.0, 0.0, 0)
@@ -257,13 +274,6 @@ def s2_observable(
     if method == "auto" and s.dimension is Dimension.D1p1 \
             and report.causal_class is CausalClass.TIMELIKE:
         return Observable(s2_closed_form_1p1(s, t), 0.0, 0)
-    if tol is None:
-        tol = default_tolerance()
-    lower = s.bob.window.t_on
-    upper = min(t, s.bob.window.t_off)
-    if upper <= lower:
-        return Observable(0.0, 0.0, 0)
-
     # Bob's factor -Im(c_B e^{i Om_B t2}) is Re(i c_B e^{i Om_B t2})
     return _correlation_integral(
         s, L, _commutator_lag_kernel(s.dimension, L), upper,
@@ -350,8 +360,6 @@ def interaction_energy_observable(
                 "delta; only the null-signalling op handles that"
             )
         return Observable(0.0, 0.0, 0)
-    if tol is None:
-        tol = default_tolerance()
     # K(t) = int bias_A(t - tau) D(tau, L) dtau over t - tau in Alice's window
     a = s.alice
     bob = detector_bias(s.bob, t)
@@ -420,13 +428,7 @@ def field_energy_observable(
     """Signalling part of the field energy with error bookkeeping."""
     report = require_valid(s)
     L = report.separation
-    if t is None:
-        t = s.bob.window.t_off
-    if t < s.bob.window.t_on:
-        raise ValueError(
-            f"evaluation time {t!r} precedes bob's switch-on "
-            f"{s.bob.window.t_on!r}"
-        )
+    upper = _bob_upper(s, t)
     if report.causal_class is CausalClass.SPACELIKE:
         return Observable(0.0, 0.0, 0)
     if report.causal_class is CausalClass.LIGHTCONE_CROSSING:
@@ -437,13 +439,6 @@ def field_energy_observable(
     if s.dimension in (Dimension.D1p1, Dimension.D3p1):
         # kernel supported on the cone only: timelike windows see nothing
         return Observable(0.0, 0.0, 0)
-    if tol is None:
-        tol = default_tolerance()
-    lower = s.bob.window.t_on
-    upper = min(t, s.bob.window.t_off)
-    if upper <= lower:
-        return Observable(0.0, 0.0, 0)
-
     return _correlation_integral(
         s, L, _field_lag_kernel(L), upper, _bias_coeff(s.bob), tol,
     )

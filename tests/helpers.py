@@ -13,7 +13,6 @@ from qcc.scenario import (
     Dimension,
     Scenario,
     SwitchingWindow,
-    detector_bias,
 )
 
 ISQ = 1.0 / math.sqrt(2.0)
@@ -53,10 +52,14 @@ def random_state(rng):
 
 def s2_via_2d_quadrature(s, t=None, tol=1e-10):
     """Independent route to S2: assemble the double integral directly on
-    top of the generic 2D integrator, bypassing the lag-integral route."""
+    top of the generic 2D integrator, bypassing the lag-integral route.
+
+    Both detector factors are scalar cmath expressions: the integrand runs
+    once per node, where a numpy round trip per call would dominate."""
     if t is None:
         t = s.bob.window.t_off
     L = math.dist(s.alice.position, s.bob.position)
+    c_a = s.alice.state.alpha.conjugate() * s.alice.state.beta
     c_b = s.bob.state.alpha.conjugate() * s.bob.state.beta
 
     def f(t2, t1):
@@ -64,7 +67,8 @@ def s2_via_2d_quadrature(s, t=None, tol=1e-10):
         if d == 0.0:
             return 0.0
         im_b = (c_b * cmath.exp(1j * s.bob.gap * t2)).imag
-        return -4.0 * im_b * detector_bias(s.alice, t1) * d
+        bias_a = (c_a * cmath.exp(1j * s.alice.gap * t1)).real
+        return -4.0 * im_b * bias_a * d
 
     upper = min(t, s.bob.window.t_off)
     return integrate_2d_rect(

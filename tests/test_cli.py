@@ -116,6 +116,8 @@ class TestPointVerb:
         assert rc == 2
         (row,) = csv_rows(out)
         assert "numerical:s2" in row
+        # a row without an error bound must not claim an exact zero
+        assert row.split(",")[6] == "nan"
         assert "failed to converge" in err
         # one reason line per failed observable, after the summary line
         lines = err.splitlines()
@@ -124,6 +126,8 @@ class TestPointVerb:
         failed = [tag.split(":", 1)[1] for tag in row.split(",")[-1].split(";")]
         assert [line.split(":")[0] for line in lines[summary + 1:]] == failed
         assert lines[summary + 1].startswith("s2: roundoff: ")
+        # the reason names the tolerance the user set, not a piece's share
+        assert "tol 1.000e-16 " in lines[summary + 1]
 
 
 class TestSweepVerb:

@@ -115,6 +115,12 @@ class TestS2GenericRoutes:
         assert obs.value == s2_closed_form_1p1(s)
         assert obs.evaluations == 0
 
+    @pytest.mark.parametrize("method", ["closed", "bogus"])
+    def test_unknown_method_rejected(self, method):
+        # the 1+1D closed form is s2_closed_form_1p1, not a method
+        with pytest.raises(ValueError, match="unknown method"):
+            s2_observable(make_scenario("1+1", L=0.5), method=method)
+
     def test_intermediate_time_truncates_bob_integral(self):
         s = demo_scenario("2+1")
         partial = s2(s, t=6.0, tol=1e-10)
