@@ -14,7 +14,6 @@ from .channel import (
     capacity_bruteforce,
     capacity_closed,
     capacity_expansion,
-    channel_probs,
     channel_stats,
     guess_success,
     optimal_input_prior,
@@ -52,17 +51,13 @@ from .scenario import (
 from .signalling import (
     BalanceResult,
     Observable,
-    SignallingReport,
     energy_balance,
-    energy_balance_residual,
-    field_energy_sig,
+    field_energy_observable,
     interaction_energy_1p1_closed,
-    interaction_energy_sig,
-    s2,
+    interaction_energy_observable,
     s2_closed_form_1p1,
     s2_null_3p1,
     s2_observable,
-    signalling_report,
 )
 
 __version__ = "0.1.0"
@@ -98,24 +93,19 @@ __all__ = [
     # signalling
     "BalanceResult",
     "Observable",
-    "SignallingReport",
     "energy_balance",
-    "energy_balance_residual",
-    "field_energy_sig",
+    "field_energy_observable",
     "interaction_energy_1p1_closed",
-    "interaction_energy_sig",
-    "s2",
+    "interaction_energy_observable",
     "s2_closed_form_1p1",
     "s2_null_3p1",
     "s2_observable",
-    "signalling_report",
     # channel
     "ChannelStats",
     "binary_entropy",
     "capacity_bruteforce",
     "capacity_closed",
     "capacity_expansion",
-    "channel_probs",
     "channel_stats",
     "guess_success",
     "optimal_input_prior",

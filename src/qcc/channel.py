@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .signalling import s2_observable
 __all__ = [
     "ChannelStats",
     "binary_entropy",
-    "channel_probs",
     "guess_success",
     "capacity_closed",
     "capacity_bruteforce",
@@ -215,8 +214,18 @@ def capacity_expansion(
     )
 
 
-def _probs_and_s2(s, lambda_product, noise_R, tol):
-    """(p, q) as documented in :func:`channel_probs`, plus their S2."""
+def channel_stats(
+    s: Scenario,
+    lambda_product: float,
+    noise_R: float = 0.0,
+    tol: Optional[float] = None,
+) -> ChannelStats:
+    """Full channel characterization for one scenario.
+
+    q = |alpha_B|^2 + R and p = q + |lambda_product * S2(T2)|.
+    Out-of-range probabilities are an error, never a silent clamp: the
+    leading-order expressions have left their regime of validity there.
+    """
     if noise_R < 0:
         raise ValueError(f"noise_R must be >= 0, got {noise_R!r}")
     q = abs(s.bob.state.alpha) ** 2 + noise_R
@@ -231,32 +240,6 @@ def _probs_and_s2(s, lambda_product, noise_R, tol):
             f"p = q + |lambda s2| = {p!r} exceeds 1; the leading-order "
             "channel description breaks down for this coupling"
         )
-    return p, q, s2_val
-
-
-def channel_probs(
-    s: Scenario,
-    lambda_product: float,
-    noise_R: float,
-    tol: Optional[float] = None,
-) -> Tuple[float, float]:
-    """(p, q) for the scenario: q = |alpha_B|^2 + R,
-    p = q + |lambda_product * S2(T2)|.
-
-    Out-of-range probabilities are an error, never a silent clamp: the
-    leading-order expressions have left their regime of validity there.
-    """
-    return _probs_and_s2(s, lambda_product, noise_R, tol)[:2]
-
-
-def channel_stats(
-    s: Scenario,
-    lambda_product: float,
-    noise_R: float = 0.0,
-    tol: Optional[float] = None,
-) -> ChannelStats:
-    """Full channel characterization for one scenario."""
-    p, q, s2_val = _probs_and_s2(s, lambda_product, noise_R, tol)
     return ChannelStats(
         p=p,
         q=q,

@@ -206,8 +206,7 @@ def compute_row(
 def run_point(config_path: str) -> int:
     cfg = load_config(config_path)
     s = cfg.scenario
-    require_valid(s)
-    report = validate(s)
+    report = require_valid(s)
     tol = default_tolerance()
     row = compute_row(s, s.bob.window.t_on, None, tol)
 

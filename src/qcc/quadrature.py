@@ -128,6 +128,8 @@ class QuadratureError(Exception):
 
     ``best`` carries the best available estimate (or None when the failure
     happened before any usable value existed, e.g. a non-finite integrand).
+    A failed inner integral of :func:`integrate_2d_rect` carries None:
+    its estimate at a single x is not an estimate of the 2D integral.
     """
 
     REASONS = ("budget", "roundoff", "non-finite", "unsplittable")
@@ -407,6 +409,17 @@ def integrate_2d_rect(
         Maximum number of evaluations of ``f``, summed over all inner
         integrals (the count returned).  The outer integral over x is an
         :func:`integrate_1d` call whose points are not counted.
+
+    Raises
+    ------
+    QuadratureError
+        When an inner integral fails (its ``reason`` is kept) or the
+        budget is spent, with ``best`` None: an inner estimate at one x
+        is not an estimate of the 2D integral.  A failure of the outer
+        integral over x is raised as :func:`integrate_1d` raises it.
+    ValueError
+        On a degenerate rectangle, a non-positive ``singular_line`` or a
+        non-positive tolerance.
 
     Notes
     -----

@@ -41,41 +41,16 @@ from .scenario import (
 )
 
 __all__ = [
-    "SignallingReport",
     "Observable",
     "BalanceResult",
-    "s2",
     "s2_observable",
     "s2_closed_form_1p1",
     "s2_null_3p1",
-    "interaction_energy_sig",
     "interaction_energy_observable",
     "interaction_energy_1p1_closed",
-    "field_energy_sig",
     "field_energy_observable",
     "energy_balance",
-    "energy_balance_residual",
-    "signalling_report",
 ]
-
-
-@dataclass(frozen=True)
-class SignallingReport:
-    """All leading-order signalling outputs at one evaluation time.
-
-    ``hB_sig`` is Omega_B * s2 by definition (Bob's detector Hamiltonian
-    is Omega_B times his excitation probability); ``hI_on``/``hI_off``
-    are the interaction-energy parts at Bob's switch-on/off instants;
-    ``quad_error`` aggregates the error estimates of every quadrature
-    involved.  Everything is per lambda_A lambda_B.
-    """
-
-    s2: float
-    hB_sig: float
-    hI_on: float
-    hI_off: float
-    hf_sig: float
-    quad_error: float
 
 
 @dataclass(frozen=True)
@@ -248,7 +223,12 @@ def s2_observable(
     tol: Optional[float] = None,
     method: str = "auto",
 ) -> Observable:
-    """S2 with its quadrature error estimate and evaluation count.
+    """Leading-order signalling shift of Bob's excitation probability.
+
+    S2 = 4 int dt2 int dt1 bias_A(t1) * Re(alpha_B* beta_B e^{i Om_B t2}
+    * i D(t2 - t1, L)), per lambda_A lambda_B, with t2 running over Bob's
+    window up to ``t`` (default: his switch-off time); returned with its
+    quadrature error estimate and evaluation count.
 
     ``method`` selects the route: 'auto' uses the 1+1D closed form for
     strictly timelike 1+1D scenarios, quadrature in 2+1D (and in 1+1D
@@ -281,19 +261,16 @@ def s2_observable(
     )
 
 
-def s2(
-    s: Scenario,
-    t: Optional[float] = None,
-    tol: Optional[float] = None,
-    method: str = "auto",
-) -> float:
-    """Leading-order signalling shift of Bob's excitation probability.
-
-    S2 = 4 int dt2 int dt1 bias_A(t1) * Re(alpha_B* beta_B e^{i Om_B t2}
-    * i D(t2 - t1, L)), per lambda_A lambda_B, with t2 running over Bob's
-    window up to ``t`` (default: his switch-off time).
-    """
-    return s2_observable(s, t, tol, method).value
+def _alice_bias_integral(s: Scenario) -> float:
+    """int bias_A(t1) dt1 over Alice's window, from the antiderivative
+    Im(c e^{i om t})/om of Re(c e^{i om t})."""
+    c_a = _bias_coeff(s.alice)
+    om_a = s.alice.gap
+    a = s.alice.window
+    return (
+        (c_a * cmath.exp(1j * om_a * a.t_off)).imag
+        - (c_a * cmath.exp(1j * om_a * a.t_on)).imag
+    ) / om_a
 
 
 def s2_closed_form_1p1(s: Scenario, t: Optional[float] = None) -> float:
@@ -313,35 +290,32 @@ def s2_closed_form_1p1(s: Scenario, t: Optional[float] = None) -> float:
             "closed form requires strictly timelike windows, got "
             f"{report.causal_class.value}"
         )
-    if t is None:
-        t = s.bob.window.t_off
-    upper = min(t, s.bob.window.t_off)
+    upper = _bob_upper(s, t)
     lower = s.bob.window.t_on
     if upper <= lower:
         return 0.0
-    c_a = _bias_coeff(s.alice)
     c_b = _bias_coeff(s.bob)
-    om_a = s.alice.gap
     om_b = s.bob.gap
-    a = s.alice.window
-    # int Re(c e^{i om t}) dt has antiderivative Im(c e^{i om t})/om;
-    # int -Im(c e^{i om t}) dt has antiderivative Re(c e^{i om t})/om.
-    alice_integral = (
-        (c_a * cmath.exp(1j * om_a * a.t_off)).imag
-        - (c_a * cmath.exp(1j * om_a * a.t_on)).imag
-    ) / om_a
+    # int -Im(c e^{i om t}) dt has antiderivative Re(c e^{i om t})/om
     bob_integral = (
         (c_b * cmath.exp(1j * om_b * upper)).real
         - (c_b * cmath.exp(1j * om_b * lower)).real
     ) / om_b
     # S2 = 4 * [int (-Im_B)] * (1/2) * [int bias_A]
-    return 2.0 * alice_integral * bob_integral
+    return 2.0 * _alice_bias_integral(s) * bob_integral
 
 
 def interaction_energy_observable(
     s: Scenario, t: float, tol: Optional[float] = None
 ) -> Observable:
-    """Signalling part of <H_I,B>(t) with error bookkeeping."""
+    """Signalling contribution to the interaction energy <H_I,B> at t.
+
+    Equals -4 Re(alpha_B* beta_B e^{i Omega_B t}) K(t) with
+    K(t) = int bias_A(t1) D(t - t1, L) dt1; the sign and prefactor are
+    pinned down by the 1+1D closed form (see
+    :func:`interaction_energy_1p1_closed`), which this op must reproduce.
+    Per lambda_A lambda_B, with error bookkeeping.
+    """
     report = require_valid(s)
     L = report.separation
     if not s.bob.window.t_on <= t <= s.bob.window.t_off:
@@ -370,24 +344,10 @@ def interaction_energy_observable(
     )
 
 
-def interaction_energy_sig(
-    s: Scenario, t: float, tol: Optional[float] = None
-) -> float:
-    """Signalling contribution to the interaction energy <H_I,B> at t.
-
-    Equals -4 Re(alpha_B* beta_B e^{i Omega_B t}) K(t) with
-    K(t) = int bias_A(t1) D(t - t1, L) dt1; the sign and prefactor are
-    pinned down by the 1+1D closed form (see
-    :func:`interaction_energy_1p1_closed`), which this op must reproduce.
-    Per lambda_A lambda_B.
-    """
-    return interaction_energy_observable(s, t, tol).value
-
-
 def interaction_energy_1p1_closed(s: Scenario, t: float) -> float:
-    """1+1D closed form (2/Om_A) Re(a_B b_B* e^{-i Om_B t})
-    Im[a_A b_A* (e^{-i Om_A T_A} - 1)], valid once Alice's whole window
-    is inside the past cone (t > T_A + L)."""
+    """1+1D closed form -2 bias_B(t) int bias_A(t1) dt1, valid once
+    Alice's whole window is inside the past cone (t > T_A + L), where the
+    kernel is the constant 1/2 over all of it."""
     if s.dimension is not Dimension.D1p1:
         raise InvalidScenarioError(
             f"closed form requires 1+1D, scenario is {s.dimension}"
@@ -403,29 +363,19 @@ def interaction_energy_1p1_closed(s: Scenario, t: float) -> float:
             f"t={t!r} outside bob's window "
             f"[{s.bob.window.t_on!r}, {s.bob.window.t_off!r}]"
         )
-    if s.alice.window.t_on != 0.0:
-        raise ValueError(
-            "closed form assumes Alice's window starts at t = 0; got "
-            f"t_on = {s.alice.window.t_on!r}"
-        )
-    om_a = s.alice.gap
-    om_b = s.bob.gap
-    a_state = s.alice.state
-    b_state = s.bob.state
-    bob_factor = (
-        b_state.alpha * b_state.beta.conjugate() * cmath.exp(-1j * om_b * t)
-    ).real
-    alice_factor = (
-        a_state.alpha * a_state.beta.conjugate()
-        * (cmath.exp(-1j * om_a * s.alice.window.t_off) - 1.0)
-    ).imag
-    return (2.0 / om_a) * bob_factor * alice_factor
+    return -2.0 * detector_bias(s.bob, t) * _alice_bias_integral(s)
 
 
 def field_energy_observable(
     s: Scenario, t: Optional[float] = None, tol: Optional[float] = None
 ) -> Observable:
-    """Signalling part of the field energy with error bookkeeping."""
+    """Signalling contribution to the field energy after time t.
+
+    4 int dt2 int dt1 bias_A(t1) bias_B(t2) F(t1 - t2, L) over Bob's
+    window up to t, with F the field-energy kernel; identically zero in
+    1+1D and 3+1D for timelike windows (cone-supported kernel), computed
+    by quadrature in 2+1D.  Per lambda_A lambda_B, with error bookkeeping.
+    """
     report = require_valid(s)
     L = report.separation
     upper = _bob_upper(s, t)
@@ -442,19 +392,6 @@ def field_energy_observable(
     return _correlation_integral(
         s, L, _field_lag_kernel(L), upper, _bias_coeff(s.bob), tol,
     )
-
-
-def field_energy_sig(
-    s: Scenario, t: Optional[float] = None, tol: Optional[float] = None
-) -> float:
-    """Signalling contribution to the field energy after time t.
-
-    4 int dt2 int dt1 bias_A(t1) bias_B(t2) F(t1 - t2, L) over Bob's
-    window up to t, with F the field-energy kernel; identically zero in
-    1+1D and 3+1D for timelike windows (cone-supported kernel), computed
-    by quadrature in 2+1D.  Per lambda_A lambda_B.
-    """
-    return field_energy_observable(s, t, tol).value
 
 
 def s2_null_3p1(s: Scenario) -> float:
@@ -521,32 +458,3 @@ def energy_balance(s: Scenario, tol: Optional[float] = None) -> BalanceResult:
     )
     return BalanceResult(residual, err)
 
-
-def energy_balance_residual(s: Scenario, tol: Optional[float] = None) -> float:
-    return energy_balance(s, tol).residual
-
-
-def signalling_report(
-    s: Scenario, t: Optional[float] = None, tol: Optional[float] = None
-) -> SignallingReport:
-    """Evaluate every signalling observable at time t (default T2)."""
-    require_valid(s)
-    if t is None:
-        t = s.bob.window.t_off
-    s2_res = s2_observable(s, t, tol)
-    hi_on = interaction_energy_observable(s, s.bob.window.t_on, tol)
-    hi_off = interaction_energy_observable(
-        s, min(t, s.bob.window.t_off), tol
-    )
-    hf_res = field_energy_observable(s, t, tol)
-    return SignallingReport(
-        s2=s2_res.value,
-        hB_sig=s.bob.gap * s2_res.value,
-        hI_on=hi_on.value,
-        hI_off=hi_off.value,
-        hf_sig=hf_res.value,
-        quad_error=(
-            s2_res.quad_error + hi_on.quad_error
-            + hi_off.quad_error + hf_res.quad_error
-        ),
-    )

@@ -17,14 +17,12 @@ import numpy as np
 from . import channel, greens, signalling
 from .quadrature import QuadratureError, integrate_1d
 from .scenario import (
-    CausalClass,
     ComplexAmplitudePair,
     DetectorSpec,
     Dimension,
     Scenario,
     SwitchingWindow,
     detector_bias,
-    validate,
 )
 
 __all__ = ["CheckResult", "run_all_checks", "format_report"]
@@ -261,7 +259,7 @@ def _check_spacelike_zero() -> CheckResult:
     for dim in Dimension:
         s = _scenario(dim, 30.0, (0.0, 3.0), (5.0, 8.0),
                       (_ISQ, -1j * _ISQ), (_ISQ, _ISQ))
-        worst = max(worst, abs(signalling.s2(s)))
+        worst = max(worst, abs(signalling.s2_observable(s).value))
     return CheckResult("causality-spacelike-s2", worst == 0.0,
                        f"max |s2| spacelike = {worst:.3e} (must be exactly 0)")
 
@@ -286,11 +284,12 @@ def _check_sign_flip() -> CheckResult:
             s.bob,
         )
         for op in (
-            lambda sc: signalling.s2(sc, tol=1e-10),
-            lambda sc: signalling.interaction_energy_sig(sc, 6.0, tol=1e-10),
-            lambda sc: signalling.field_energy_sig(sc, tol=1e-10),
+            lambda sc: signalling.s2_observable(sc, tol=1e-10),
+            lambda sc: signalling.interaction_energy_observable(
+                sc, 6.0, tol=1e-10),
+            lambda sc: signalling.field_energy_observable(sc, tol=1e-10),
         ):
-            worst = max(worst, abs(op(s) + op(flipped)))
+            worst = max(worst, abs(op(s).value + op(flipped).value))
     return CheckResult("orthogonal-sign-flip", worst < 1e-9,
                        f"max |x + x_flipped| = {worst:.3e} (tol 1e-9)")
 
@@ -300,9 +299,10 @@ def _check_eigenstate_nullity() -> CheckResult:
     for dim in (Dimension.D1p1, Dimension.D2p1):
         s = _scenario(dim, 1.0, (0.0, 3.0), (5.0, 8.0),
                       (1.0, 0.0), (_ISQ, _ISQ))
-        worst = max(worst, abs(signalling.s2(s, method="quadrature")))
-        worst = max(worst, abs(signalling.interaction_energy_sig(s, 6.0)))
-        worst = max(worst, abs(signalling.field_energy_sig(s)))
+        for obs in (signalling.s2_observable(s, method="quadrature"),
+                    signalling.interaction_energy_observable(s, 6.0),
+                    signalling.field_energy_observable(s)):
+            worst = max(worst, abs(obs.value))
     return CheckResult("eigenstate-nullity", worst < 1e-14,
                        f"max |signal| with eigenstate Alice = {worst:.3e}")
 
@@ -316,7 +316,8 @@ def _check_1p1_closed_vs_quad() -> CheckResult:
         s = _scenario(Dimension.D1p1, 1.0, (0.0, 3.0), (5.0, 8.0),
                       _random_state(rng), _random_state(rng), gap_a, gap_b)
         closed = signalling.s2_closed_form_1p1(s)
-        quad = signalling.s2(s, method="quadrature", tol=1e-11)
+        quad = signalling.s2_observable(s, method="quadrature",
+                                        tol=1e-11).value
         rel = abs(closed - quad) / max(abs(closed), 1e-12)
         worst = max(worst, rel)
     return CheckResult("s2-1p1-closed-vs-quadrature", worst < 1e-8,
@@ -332,7 +333,7 @@ def _check_interaction_closed_form() -> CheckResult:
                       float(rng.uniform(0.5, 8.0)), float(rng.uniform(0.5, 8.0)))
         t = float(rng.uniform(5.0, 8.0))
         worst = max(worst, abs(
-            signalling.interaction_energy_sig(s, t, tol=1e-12)
+            signalling.interaction_energy_observable(s, t, tol=1e-12).value
             - signalling.interaction_energy_1p1_closed(s, t)))
     return CheckResult("interaction-energy-closed-form", worst < 1e-10,
                        f"max |quad - closed| = {worst:.3e} (tol 1e-10)")
@@ -358,7 +359,7 @@ def _check_channel_reset() -> CheckResult:
 
     def rms(t1):
         samples = [
-            signalling.s2(_demo(t1=t1 + x), tol=1e-8)
+            signalling.s2_observable(_demo(t1=t1 + x), tol=1e-8).value
             for x in np.linspace(0.0, period, 8, endpoint=False)
         ]
         return math.sqrt(np.mean(np.square(samples)))
@@ -369,8 +370,11 @@ def _check_channel_reset() -> CheckResult:
 
 
 def _check_hb_identity() -> CheckResult:
-    rep = signalling.signalling_report(_demo(), tol=1e-8)
-    defect = abs(rep.hB_sig - 3.0 * rep.s2)
+    # cli imports this module, so the production row is imported here
+    from .cli import compute_row
+
+    row = compute_row(_demo(), 5.0, None, 1e-8)
+    defect = abs(row.hB_sig - 3.0 * row.s2)
     return CheckResult("hB-definition", defect < 1e-12,
                        f"|hB - Omega_B s2| = {defect:.3e} (tol 1e-12)")
 

@@ -39,7 +39,6 @@ from qcc.signalling import (
     field_energy_observable,
     interaction_energy_1p1_closed,
     interaction_energy_observable,
-    interaction_energy_sig,
     s2_closed_form_1p1,
     s2_null_3p1,
     s2_observable,
@@ -99,7 +98,7 @@ def test_02_interaction_energy_quadrature_matches_closed_form():
         t = float(rng.uniform(w.t_on, w.t_off))
         assert t > s.alice.window.t_off + math.dist(
             s.alice.position, s.bob.position)
-        diff = abs(interaction_energy_sig(s, t, tol=1e-12)
+        diff = abs(interaction_energy_observable(s, t, tol=1e-12).value
                    - interaction_energy_1p1_closed(s, t))
         worst = max(worst, diff)
     assert worst <= 1e-10

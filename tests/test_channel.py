@@ -19,7 +19,6 @@ from qcc.channel import (
     capacity_bruteforce_grid,
     capacity_closed,
     capacity_expansion,
-    channel_probs,
     channel_stats,
     guess_success,
     optimal_input_prior,
@@ -193,31 +192,33 @@ class TestCapacityExpansion:
 class TestChannelProbs:
     def test_reference_curve_point(self):
         s = demo_scenario("2+1", t1=5.0)
-        p, q = channel_probs(s, 0.1, 0.0, tol=1e-9)
+        stats = channel_stats(s, 0.1, 0.0, tol=1e-9)
+        p, q = stats.p, stats.q
         assert q == pytest.approx(0.5, abs=1e-15)
         assert p - q == pytest.approx(0.1 * 0.0102247348907952, abs=1e-12)
 
     def test_noise_shifts_baseline(self):
         s = demo_scenario("2+1")
-        p0, q0 = channel_probs(s, 0.1, 0.0, tol=1e-8)
-        p1, q1 = channel_probs(s, 0.1, 0.2, tol=1e-8)
+        s0 = channel_stats(s, 0.1, 0.0, tol=1e-8)
+        s1 = channel_stats(s, 0.1, 0.2, tol=1e-8)
+        p0, q0, p1, q1 = s0.p, s0.q, s1.p, s1.q
         assert q1 == pytest.approx(q0 + 0.2, abs=1e-15)
         assert p1 - q1 == pytest.approx(p0 - q0, abs=1e-15)
 
     def test_spacelike_channel_is_useless(self):
-        p, q = channel_probs(make_scenario("2+1", L=30.0), 0.1, 0.0)
-        assert p == q
+        stats = channel_stats(make_scenario("2+1", L=30.0), 0.1, 0.0)
+        assert stats.p == stats.q
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
-            channel_probs(demo_scenario("2+1"), 0.1, -0.01)
+            channel_stats(demo_scenario("2+1"), 0.1, -0.01)
 
     def test_probability_overflow_is_an_error_not_a_clamp(self):
         s = demo_scenario("2+1")
         with pytest.raises(ValueError, match="noise_R too large"):
-            channel_probs(s, 0.1, 0.6)
+            channel_stats(s, 0.1, 0.6)
         with pytest.raises(ValueError, match="breaks down"):
-            channel_probs(s, 100.0, 0.0, tol=1e-8)
+            channel_stats(s, 100.0, 0.0, tol=1e-8)
 
 
 class TestChannelStats:

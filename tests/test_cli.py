@@ -310,13 +310,18 @@ class TestComputeRow:
         from qcc import signalling
         s = demo_scenario("2+1")
         row = compute_row(s, 5.0, None, 1e-8)
-        rep = signalling.signalling_report(s, tol=1e-8)
-        assert row.s2 == rep.s2
-        assert row.hB_sig == rep.hB_sig
-        assert row.hI_on == rep.hI_on
-        assert row.hI_off == rep.hI_off
-        assert row.hf_sig == rep.hf_sig
-        assert row.quad_error == rep.quad_error
+        w = s.bob.window
+        s2 = signalling.s2_observable(s, w.t_off, 1e-8)
+        hi_on = signalling.interaction_energy_observable(s, w.t_on, 1e-8)
+        hi_off = signalling.interaction_energy_observable(s, w.t_off, 1e-8)
+        hf = signalling.field_energy_observable(s, w.t_off, 1e-8)
+        assert row.s2 == s2.value
+        assert row.hB_sig == s.bob.gap * s2.value
+        assert row.hI_on == hi_on.value
+        assert row.hI_off == hi_off.value
+        assert row.hf_sig == hf.value
+        assert row.quad_error == (s2.quad_error + hi_on.quad_error
+                                  + hi_off.quad_error + hf.quad_error)
 
 
 class TestEntryPoints:

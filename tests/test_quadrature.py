@@ -173,6 +173,8 @@ class TestRoundoffFloor:
                               (0.0, 1.0), (0.0, 1.0), 1e-18)
         assert excinfo.value.reason == "roundoff"
         assert "inner integral" in str(excinfo.value)
+        # an inner estimate at one x is no estimate of the 2D integral
+        assert excinfo.value.best is None
 
 
 class TestPolyCosOracle:

@@ -9,18 +9,18 @@ code path.
 import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
-    ALICE_STATE,
-    BOB_STATE,
     demo_scenario,
     make_scenario,
-    random_state,
     random_timelike_scenario,
     s2_via_2d_quadrature,
 )
-from qcc import signalling
+from qcc.cli import compute_row
 from qcc.greens import commutator_kernel
 from qcc.quadrature import integrate_1d
 from qcc.scenario import (
@@ -31,17 +31,12 @@ from qcc.scenario import (
 )
 from qcc.signalling import (
     energy_balance,
-    energy_balance_residual,
     field_energy_observable,
-    field_energy_sig,
     interaction_energy_1p1_closed,
     interaction_energy_observable,
-    interaction_energy_sig,
-    s2,
     s2_closed_form_1p1,
     s2_null_3p1,
     s2_observable,
-    signalling_report,
 )
 
 
@@ -91,20 +86,20 @@ class TestS2ClosedForm1p1:
         for _ in range(8):
             s = random_timelike_scenario(rng, "1+1")
             closed = s2_closed_form_1p1(s)
-            quad = s2(s, method="quadrature", tol=1e-11)
+            quad = s2_observable(s, method="quadrature", tol=1e-11).value
             assert quad == pytest.approx(closed, rel=1e-9, abs=1e-12)
 
 
 class TestS2GenericRoutes:
     def test_2p1_profile_route_vs_2d_quadrature(self):
         s = demo_scenario("2+1", t1=5.0)
-        via_profiles = s2(s, tol=1e-10)
+        via_profiles = s2_observable(s, tol=1e-10).value
         via_2d = s2_via_2d_quadrature(s, tol=1e-9)
         assert via_profiles == pytest.approx(via_2d.value, rel=1e-6)
 
     def test_2p1_lightcone_crossing_supported(self):
         s = make_scenario("2+1", b_win=(3.5, 6.5))
-        via_profiles = s2(s, tol=1e-10)
+        via_profiles = s2_observable(s, tol=1e-10).value
         via_2d = s2_via_2d_quadrature(s, tol=1e-9)
         assert via_profiles == pytest.approx(via_2d.value, rel=1e-6)
         assert via_profiles != 0.0
@@ -123,15 +118,22 @@ class TestS2GenericRoutes:
 
     def test_intermediate_time_truncates_bob_integral(self):
         s = demo_scenario("2+1")
-        partial = s2(s, t=6.0, tol=1e-10)
-        full = s2(s, t=8.0, tol=1e-10)
-        beyond = s2(s, t=50.0, tol=1e-10)
+        partial = s2_observable(s, t=6.0, tol=1e-10).value
+        full = s2_observable(s, t=8.0, tol=1e-10).value
+        beyond = s2_observable(s, t=50.0, tol=1e-10).value
         assert partial != pytest.approx(full, rel=1e-3)
         assert beyond == full  # window clamps at T2
 
     def test_time_before_window_rejected(self):
         with pytest.raises(ValueError):
-            s2(demo_scenario("2+1"), t=4.0)
+            s2_observable(demo_scenario("2+1"), t=4.0)
+
+    @pytest.mark.parametrize("route", [s2_observable, s2_closed_form_1p1],
+                             ids=["observable", "closed_form"])
+    def test_1p1_time_before_switch_on_rejected_by_both_routes(self, route):
+        s = make_scenario("1+1", L=0.5)
+        with pytest.raises(ValueError, match="precedes bob's switch-on"):
+            route(s, s.bob.window.t_on - 0.1)
 
     def test_spacelike_is_exactly_zero(self):
         for dim in ("1+1", "2+1", "3+1"):
@@ -147,11 +149,11 @@ class TestS2GenericRoutes:
     def test_3p1_crossing_rejected_with_null_op_hint(self):
         s = make_scenario("3+1", b_win=(3.5, 6.5))
         with pytest.raises(InvalidScenarioError, match="null"):
-            s2(s)
+            s2_observable(s)
 
     def test_eigenstate_alice_nulls_signal(self):
         s = make_scenario("2+1", a_state=(1.0, 0.0))
-        assert s2(s, method="quadrature") == 0.0
+        assert s2_observable(s, method="quadrature").value == 0.0
 
     @pytest.mark.parametrize("gap_b", [
         1.9573782686485903,         # the benchmark's crossing probe row
@@ -216,8 +218,8 @@ class TestInteractionEnergy:
         ).imag
         assert interaction_energy_1p1_closed(s, t) == pytest.approx(
             expected, rel=1e-14)
-        assert interaction_energy_sig(s, t, tol=1e-12) == pytest.approx(
-            expected, abs=1e-10)
+        assert interaction_energy_observable(
+            s, t, tol=1e-12).value == pytest.approx(expected, abs=1e-10)
 
     def test_quadrature_matches_closed_random(self, rng):
         for _ in range(8):
@@ -227,23 +229,26 @@ class TestInteractionEnergy:
             if t <= s.alice.window.t_off + math.dist(s.alice.position,
                                                      s.bob.position):
                 continue
-            assert interaction_energy_sig(s, t, tol=1e-12) == pytest.approx(
-                interaction_energy_1p1_closed(s, t), abs=1e-10)
+            assert interaction_energy_observable(
+                s, t, tol=1e-12).value == pytest.approx(
+                    interaction_energy_1p1_closed(s, t), abs=1e-10)
 
     def test_alice_eigenstate_zero(self):
         s = make_scenario("1+1", a_state=(0.0, 1.0))
-        assert interaction_energy_sig(s, 6.0) == 0.0
+        assert interaction_energy_observable(s, 6.0).value == 0.0
 
     def test_outside_window_rejected(self):
         with pytest.raises(ValueError):
-            interaction_energy_sig(demo_scenario("2+1"), 4.0)
+            interaction_energy_observable(demo_scenario("2+1"), 4.0)
         with pytest.raises(ValueError):
-            interaction_energy_sig(demo_scenario("2+1"), 8.5)
+            interaction_energy_observable(demo_scenario("2+1"), 8.5)
 
-    def test_closed_form_needs_window_start_at_zero(self):
+    def test_closed_form_alice_window_off_zero(self):
+        # the closed form holds for any Alice window inside the past cone
         s = make_scenario("1+1", L=0.5, a_win=(1.0, 3.0))
-        with pytest.raises(ValueError, match="starts at t = 0"):
-            interaction_energy_1p1_closed(s, 6.0)
+        assert interaction_energy_1p1_closed(s, 6.0) == pytest.approx(
+            interaction_energy_observable(s, 6.0, tol=1e-12).value,
+            abs=1e-10)
 
     def test_2p1_time_on_alice_past_cone_vs_direct_quadrature(self):
         # at t = 3.5 the past cone t1 = t - L ends inside Alice's window,
@@ -266,9 +271,9 @@ class TestInteractionEnergy:
         # on the lightcone delta, which has no off-cone value to report
         s = make_scenario("3+1", b_win=(3.2, 6.2))
         with pytest.raises(InvalidScenarioError):
-            interaction_energy_sig(s, 3.5)
+            interaction_energy_observable(s, 3.5)
         # but away from the ray the 3+1D interaction term is exactly 0
-        assert interaction_energy_sig(s, 5.0) == 0.0
+        assert interaction_energy_observable(s, 5.0).value == 0.0
 
 
 class TestFieldEnergy:
@@ -279,17 +284,18 @@ class TestFieldEnergy:
         assert obs.evaluations == 0
 
     def test_spacelike_zero(self):
-        assert field_energy_sig(make_scenario("2+1", L=30.0)) == 0.0
+        s = make_scenario("2+1", L=30.0)
+        assert field_energy_observable(s).value == 0.0
 
     def test_2p1_crossing_rejected(self):
         s = make_scenario("2+1", b_win=(3.5, 6.5))
         with pytest.raises(InvalidScenarioError):
-            field_energy_sig(s)
+            field_energy_observable(s)
 
     def test_2p1_value_is_small_but_nonzero(self):
         s = demo_scenario("2+1", t1=5.0)
-        hf = field_energy_sig(s, tol=1e-10)
-        hb = s.bob.gap * s2(s, tol=1e-10)
+        hf = field_energy_observable(s, tol=1e-10).value
+        hb = s.bob.gap * s2_observable(s, tol=1e-10).value
         assert hf != 0.0
         assert abs(hf) < abs(hb)
 
@@ -307,17 +313,17 @@ class TestSignFlips:
             flipped_det if who == "alice" else s.alice,
             flipped_det if who == "bob" else s.bob,
         )
-        for op in (lambda x: s2(x, tol=1e-9),
-                   lambda x: interaction_energy_sig(x, 6.0, tol=1e-9),
-                   lambda x: field_energy_sig(x, tol=1e-9)):
-            assert op(flipped) == pytest.approx(-op(s), abs=1e-15)
+        for op in (lambda x: s2_observable(x, tol=1e-9),
+                   lambda x: interaction_energy_observable(x, 6.0, tol=1e-9),
+                   lambda x: field_energy_observable(x, tol=1e-9)):
+            assert op(flipped).value == pytest.approx(-op(s).value, abs=1e-15)
 
 
 class TestEnergyBalance:
     def test_1p1_randomized(self, rng):
         for _ in range(5):
             s = random_timelike_scenario(rng, "1+1")
-            assert abs(energy_balance_residual(s, tol=1e-10)) < 1e-8
+            assert abs(energy_balance(s, tol=1e-10).residual) < 1e-8
 
     def test_2p1_reference_curve_point(self):
         bal = energy_balance(demo_scenario("2+1", t1=5.0), tol=1e-9)
@@ -325,11 +331,34 @@ class TestEnergyBalance:
 
     def test_alice_eigenstate_balances_exactly(self):
         s = make_scenario("2+1", a_state=(1.0, 0.0))
-        assert energy_balance_residual(s) == 0.0
+        assert energy_balance(s).residual == 0.0
 
     def test_crossing_rejected(self):
         with pytest.raises(InvalidScenarioError):
             energy_balance(make_scenario("2+1", b_win=(3.5, 6.5)))
+
+
+class TestRandomScenarioProperties:
+    """Production routes against the oracles on seeded random timelike
+    scenarios; every bound is the sum of the reported error estimates."""
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_2p1_s2_matches_2d_oracle(self, seed):
+        s = random_timelike_scenario(np.random.default_rng(seed), "2+1")
+        obs = s2_observable(s, tol=1e-10)
+        oracle = s2_via_2d_quadrature(s, tol=1e-9)
+        assert abs(obs.value - oracle.value) <= (
+            obs.quad_error + oracle.abs_error_estimate
+            + 1e-15 * (1.0 + abs(obs.value)))
+
+    @pytest.mark.parametrize("dim", ["1+1", "2+1"])
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_energy_balance_residual_within_quad_error(self, dim, seed):
+        s = random_timelike_scenario(np.random.default_rng(seed), dim)
+        bal = energy_balance(s, tol=1e-9)
+        assert abs(bal.residual) <= bal.quad_error + 1e-14
 
 
 class TestNull3p1:
@@ -360,19 +389,23 @@ class TestNull3p1:
             s2_null_3p1(make_scenario("2+1", b_win=(3.0, 6.5)))
 
 
+def _row(s, tol=None):
+    return compute_row(s, s.bob.window.t_on, None, tol)
+
+
 class TestSignallingReport:
     def test_hb_is_gap_times_s2(self):
-        rep = signalling_report(demo_scenario("2+1"), tol=1e-9)
+        rep = _row(demo_scenario("2+1"), tol=1e-9)
         assert rep.hB_sig == pytest.approx(3.0 * rep.s2, abs=1e-12)
         assert rep.quad_error >= 0.0
 
     def test_report_zero_for_spacelike(self):
-        rep = signalling_report(make_scenario("2+1", L=30.0))
+        rep = _row(make_scenario("2+1", L=30.0))
         assert (rep.s2, rep.hB_sig, rep.hI_on, rep.hI_off, rep.hf_sig) \
             == (0.0, 0.0, 0.0, 0.0, 0.0)
         assert rep.quad_error == 0.0
 
     def test_1p1_report_has_zero_field_term(self):
-        rep = signalling_report(demo_scenario("1+1"))
+        rep = _row(demo_scenario("1+1"))
         assert rep.hf_sig == 0.0
         assert rep.s2 != 0.0
