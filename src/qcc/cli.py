@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .channel import ChannelStats, channel_stats
-from .config import ConfigError, load_config
-from .greens import NonConvergenceError
+from .config import load_config
 from .quadrature import QuadratureError, default_tolerance
 from .scenario import (
-    InvalidScenarioError,
     Scenario,
     SwitchingWindow,
     require_valid,
@@ -176,10 +175,9 @@ def compute_row(
         nonlocal total_err
         try:
             obs = fn()
-        except (QuadratureError, NonConvergenceError) as err:
+        except QuadratureError as err:
             tags.append(f"numerical:{label}")
-            reason = getattr(err, "reason", "extrapolation")
-            failures.append(f"{label}: {reason}: {err}")
+            failures.append(f"{label}: {err.reason}: {err}")
             return math.nan
         except ValueError:
             # InvalidScenarioError and out-of-window evaluation times
@@ -262,9 +260,11 @@ def run_sweep(
          sweep.eval_time, tol)
         for v in values
     ]
-    if jobs > 1:
-        chunk = max(1, len(tasks) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts every worker at once
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        chunk = max(1, len(tasks) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(compute_row, *zip(*tasks),
                                  chunksize=chunk))
     else:
@@ -324,14 +324,24 @@ def _range_triple(text: str) -> Tuple[float, float, float]:
     return start, stop, step
 
 
+def _checked(kind, ok, what):
+    """argparse type: ``kind(text)``, rejected unless ``ok`` holds for it."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return parse
+
+
 def _eval_time(text: str) -> Optional[float]:
     if text == "at_T2":
         return None
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--eval-time takes 'at_T2' or a number, got {text!r}") from None
+    return _checked(float, lambda t: not math.isnan(t),
+                    "'at_T2' or a number")(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -357,15 +367,18 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="evaluation time per row (default: each row's "
                               "own T2)")
     p_sweep.add_argument("--out", required=True, help="CSV output path")
-    p_sweep.add_argument("--jobs", type=int, default=1,
+    p_sweep.add_argument("--jobs", default=1,
+                         type=_checked(int, lambda n: n >= 1,
+                                       "a positive integer"),
                          help="worker processes (default 1: serial)")
 
     p_cap = sub.add_parser("capacity", help="channel capacity for one config")
     p_cap.add_argument("config")
-    p_cap.add_argument("--lambda-product", type=float, default=None,
+    finite = _checked(float, math.isfinite, "a finite number")
+    p_cap.add_argument("--lambda-product", type=finite, default=None,
                        dest="lambda_product",
                        help="override lambda_product from the config")
-    p_cap.add_argument("--noise-R", type=float, default=None, dest="noise_R",
+    p_cap.add_argument("--noise-R", type=finite, default=None, dest="noise_R",
                        help="override noise_R from the config")
 
     sub.add_parser("validate", help="run the built-in invariant suite")
@@ -386,16 +399,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "validate":
             return run_validate()
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (ConfigError, InvalidScenarioError) as err:
-        print(f"qcc: error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (QuadratureError, NonConvergenceError) as err:
+    except QuadratureError as err:
         print(f"qcc: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as err:
-        print(f"qcc: error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as err:
+    except (ValueError, OSError) as err:
+        # ConfigError and InvalidScenarioError are ValueErrors
         print(f"qcc: error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

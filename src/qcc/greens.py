@@ -11,7 +11,8 @@ Both are elementary inside/outside the lightcone; their on-cone
 distributional parts are represented only where needed (the 3+1D delta
 coefficient of D).  The closed forms are locked in by
 :func:`regularized_momentum_integral`, an independent Abel-regularized
-quadrature oracle with Richardson extrapolation in the damping parameter.
+oracle: exact in |k| per plane wave, quadrature over directions, and
+Richardson extrapolation in the damping parameter.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import QuadResult, integrate_1d
+from .quadrature import QuadResult, QuadratureError, integrate_1d
 from .scenario import Dimension
 
 __all__ = [
@@ -138,43 +139,46 @@ def field_energy_kernel(dim: Dimension, tau: float, L: float) -> KernelValue:
     raise ValueError(f"unknown dimension {dim!r}")
 
 
-def _damped_integrand(dim: Dimension, tau: float, L: float, eps: float):
-    """Vectorized k-integrand of the momentum integral with e^{-eps k}."""
-    if dim is Dimension.D1p1:
-        def f(k):
-            return (
-                (np.cos(k * (tau - L)) + np.cos(k * (tau + L)))
-                * np.exp(-eps * k) / (2.0 * math.pi)
-            )
-    elif dim is Dimension.D2p1:
-        # imported here: scipy.special costs ~0.35 s and ~25 MB at startup,
-        # and only this oracle needs it
-        from scipy.special import j0
+def _damped_level(dim: Dimension, tau: float, L: float, eps: float,
+                  tol: float) -> List[QuadResult]:
+    """The momentum integral damped by e^{-eps |k|}, at one eps, in pieces.
 
-        def f(k):
-            return k * j0(k * L) * np.cos(k * tau) * np.exp(-eps * k) / (2.0 * math.pi)
-    elif dim is Dimension.D3p1:
-        if L == 0:
-            raise ValueError("3+1D momentum integral needs L > 0")
-        def f(k):
-            return (
-                k * np.sin(k * L) * np.cos(k * tau) * np.exp(-eps * k)
-                / (2.0 * math.pi ** 2 * L)
-            )
-    else:
-        raise ValueError(f"unknown dimension {dim!r}")
-    return f
+    Each plane wave's k-integral is exact,
+    int_0^inf k^{n-1} cos(a k) e^{-eps k} dk = Re[(n-1)! / (eps - i a)^n]
+    with a = tau - L cos(theta), so only the directions are integrated:
+    the two of a line in 1+1D, theta over [0, pi] otherwise, cut where
+    a = 0 when |tau| < L (the integrand peaks there with width ~eps).  A
+    piece whose ``tol`` is below the roundoff floor keeps its best estimate.
+    """
+    n = dim.spatial
 
+    def radial(a):
+        return (math.factorial(n - 1) / (eps - 1j * a) ** n).real
 
-def _roundoff_floor(dim: Dimension, L: float, eps: float) -> float:
-    """Roundoff scale of the damped integral: machine eps * total |integrand|."""
-    if dim is Dimension.D1p1:
-        resabs = 1.0 / (math.pi * eps)
-    elif dim is Dimension.D2p1:
-        resabs = 1.0 / (2.0 * math.pi * eps * eps)
-    else:
-        resabs = 1.0 / (2.0 * math.pi ** 2 * max(L, 1e-3) * eps * eps)
-    return 100.0 * np.finfo(float).eps * resabs
+    if n == 1:
+        return [QuadResult((radial(tau - L) + radial(tau + L)) / (2.0 * math.pi),
+                           0.0, 2)]
+    if n == 3 and L == 0:
+        raise ValueError("3+1D momentum integral needs L > 0")
+
+    def f(theta):
+        # times S_{n-1} / (2 pi)^n and the measure dtheta or sin(theta) dtheta
+        wave = radial(tau - L * np.cos(theta))
+        if n == 2:
+            return wave / (2.0 * math.pi ** 2)
+        return wave * np.sin(theta) / (4.0 * math.pi ** 2)
+
+    cuts = [0.0, math.acos(tau / L), math.pi] if abs(tau) < L else [0.0, math.pi]
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        try:
+            parts.append(integrate_1d(f, lo, hi, tol / (len(cuts) - 1),
+                                      vectorized=True))
+        except QuadratureError as exc:
+            if exc.reason != "roundoff":
+                raise
+            parts.append(exc.best)
+    return parts
 
 
 def suggest_eps_schedule(tau: float, L: float, levels: int = 7) -> List[float]:
@@ -183,7 +187,7 @@ def suggest_eps_schedule(tau: float, L: float, levels: int = 7) -> List[float]:
     Starts at 0.3 * |  |tau| - L  | (or 0.3 * max(|tau|, L) when that
     degenerates) and halves ``levels - 1`` times; small enough that the
     damped value is in the asymptotic regime, large enough that the
-    k-integrals stay affordable.
+    angular integrands, peaked with width ~eps, stay cheap to resolve.
     """
     scale = abs(abs(tau) - L)
     if scale == 0:
@@ -201,15 +205,17 @@ def regularized_momentum_integral(
 ) -> QuadResult:
     """Momentum integral of the field-energy kernel, by damping + extrapolation.
 
-    For each eps in the schedule the k-integral is evaluated with an
-    e^{-eps k} damping factor (truncated at k = 50/eps, far beyond the
-    damping scale); the sequence is then extrapolated polynomially in eps
-    to eps -> 0 with a Neville tableau.  The returned error estimate is
-    the last diagonal difference of the tableau plus the propagated
-    quadrature errors.
+    For each eps in the schedule the momentum integral is damped by
+    e^{-eps |k|} and evaluated exactly in |k|, by quadrature over
+    directions (:func:`_damped_level`); the sequence is then extrapolated
+    polynomially in eps to eps -> 0 with a Neville tableau.  The returned
+    error estimate is the last diagonal difference of the tableau plus
+    the propagated quadrature errors.
 
-    This op is the oracle for :func:`field_energy_kernel`: it knows
-    nothing about closed forms.
+    This op is the oracle for :func:`field_energy_kernel`: it evaluates
+    no closed form of F.  In 2+1D the limit
+    -(1/2 pi^2) int_0^pi dtheta / (tau - L cos theta)^2 of the damped
+    integrals is what produces -|tau| / (2 pi (tau^2 - L^2)^{3/2}).
 
     Raises
     ------
@@ -223,27 +229,11 @@ def regularized_momentum_integral(
     if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps_schedule must be strictly decreasing and positive")
 
-    values = []
-    quad_errors = []
-    evaluations = 0
-    omega_max = abs(tau) + L  # fastest oscillation frequency in k
-    for e in eps:
-        f = _damped_integrand(dim, tau, L, e)
-        k_max = 50.0 / e
-        width = None
-        if omega_max > 0:
-            width = (2.0 * math.pi / omega_max) / 4.0
-        level_tol = max(
-            (tol if tol is not None else 1e-8) * 1e-2,
-            _roundoff_floor(dim, L, e),
-        )
-        res = integrate_1d(
-            f, 0.0, k_max, level_tol,
-            vectorized=True, max_panel_width=width, budget=30_000_000,
-        )
-        values.append(res.value)
-        quad_errors.append(res.abs_error_estimate)
-        evaluations += res.evaluations
+    level_tol = (tol if tol is not None else 1e-8) * 1e-2
+    levels = [_damped_level(dim, tau, L, e, level_tol) for e in eps]
+    values = [math.fsum(r.value for r in lv) for lv in levels]
+    quad_errors = [math.fsum(r.abs_error_estimate for r in lv) for lv in levels]
+    evaluations = sum(r.evaluations for lv in levels for r in lv)
 
     # Neville tableau in the variable eps, evaluated at eps = 0; a parallel
     # tableau propagates the quadrature error bounds through the same

@@ -11,10 +11,11 @@ are always reported divided by lambda_A*lambda_B.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -127,6 +128,46 @@ class Scenario:
     alice: DetectorSpec
     bob: DetectorSpec
 
+    @functools.cached_property
+    def report(self) -> "ValidationReport":
+        """The :func:`validate` report, computed once: scenarios are frozen."""
+        violations = []
+        for name, det in (("alice", self.alice), ("bob", self.bob)):
+            defect = det.state.norm_defect()
+            if not abs(defect) <= NORMALIZATION_TOL:
+                violations.append(
+                    f"{name}: state norm defect {defect:.3e} exceeds "
+                    f"{NORMALIZATION_TOL:g}"
+                )
+            if not det.gap > 0:
+                violations.append(f"{name}: gap must be positive, got {det.gap!r}")
+            if not det.window.t_on < det.window.t_off:
+                violations.append(
+                    f"{name}: switching window requires t_on < t_off, got "
+                    f"[{det.window.t_on!r}, {det.window.t_off!r}]"
+                )
+            if len(det.position) != self.dimension.spatial:
+                violations.append(
+                    f"{name}: position has {len(det.position)} components, "
+                    f"dimension {self.dimension} needs {self.dimension.spatial}"
+                )
+            if not all(math.isfinite(x) for x in det.position):
+                violations.append(f"{name}: position components must be finite")
+            if not math.isfinite(det.gap):
+                violations.append(f"{name}: gap must be finite")
+        if not self.alice.window.t_off <= self.bob.window.t_on:
+            violations.append(
+                "alice must switch off before bob switches on "
+                f"(alice.t_off={self.alice.window.t_off!r} > "
+                f"bob.t_on={self.bob.window.t_on!r})"
+            )
+        try:
+            L = separation(self)
+        except ValueError:
+            # mismatched position lengths already reported above
+            L = float("nan")
+        return ValidationReport(tuple(violations), _classify(self, L), L)
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -148,15 +189,10 @@ def separation(s: Scenario) -> float:
     return math.dist(s.alice.position, s.bob.position)
 
 
-def _dt_range(s: Scenario) -> Tuple[float, float]:
-    """Range of t2 - t1 over the two windows."""
+def _classify(s: Scenario, L: float) -> CausalClass:
+    # the range of t2 - t1 over the two windows
     lo = s.bob.window.t_on - s.alice.window.t_off
     hi = s.bob.window.t_off - s.alice.window.t_on
-    return lo, hi
-
-
-def _classify(s: Scenario, L: float) -> CausalClass:
-    lo, hi = _dt_range(s)
     if min(abs(lo), abs(hi)) > L and lo * hi > 0:
         return CausalClass.TIMELIKE
     if max(abs(lo), abs(hi)) < L:
@@ -172,42 +208,7 @@ def validate(s: Scenario) -> ValidationReport:
     is strictly inside the cone, SPACELIKE when strictly outside, and
     LIGHTCONE_CROSSING when the cone |t2 - t1| = L meets the windows.
     """
-    violations = []
-    for name, det in (("alice", s.alice), ("bob", s.bob)):
-        defect = det.state.norm_defect()
-        if not abs(defect) <= NORMALIZATION_TOL:
-            violations.append(
-                f"{name}: state norm defect {defect:.3e} exceeds "
-                f"{NORMALIZATION_TOL:g}"
-            )
-        if not det.gap > 0:
-            violations.append(f"{name}: gap must be positive, got {det.gap!r}")
-        if not det.window.t_on < det.window.t_off:
-            violations.append(
-                f"{name}: switching window requires t_on < t_off, got "
-                f"[{det.window.t_on!r}, {det.window.t_off!r}]"
-            )
-        if len(det.position) != s.dimension.spatial:
-            violations.append(
-                f"{name}: position has {len(det.position)} components, "
-                f"dimension {s.dimension} needs {s.dimension.spatial}"
-            )
-        if not all(math.isfinite(x) for x in det.position):
-            violations.append(f"{name}: position components must be finite")
-        if not math.isfinite(det.gap):
-            violations.append(f"{name}: gap must be finite")
-    if not s.alice.window.t_off <= s.bob.window.t_on:
-        violations.append(
-            "alice must switch off before bob switches on "
-            f"(alice.t_off={s.alice.window.t_off!r} > "
-            f"bob.t_on={s.bob.window.t_on!r})"
-        )
-    try:
-        L = separation(s)
-    except ValueError:
-        # mismatched position lengths already reported above
-        L = float("nan")
-    return ValidationReport(tuple(violations), _classify(s, L), L)
+    return s.report
 
 
 def require_valid(s: Scenario) -> ValidationReport:

@@ -194,7 +194,7 @@ def _bob_upper(s: Scenario, t: Optional[float]) -> float:
     """Bob's upper limit min(t, T_off) for evaluation time t >= T_on."""
     if t is None:
         t = s.bob.window.t_off
-    if t < s.bob.window.t_on:
+    if not t >= s.bob.window.t_on:  # also rejects nan
         raise ValueError(
             f"evaluation time {t!r} precedes bob's switch-on "
             f"{s.bob.window.t_on!r}"

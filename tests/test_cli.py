@@ -8,11 +8,13 @@ points are wired up.
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from helpers import demo_scenario
+from qcc import cli, scenario, signalling
 from qcc.cli import (
     CSV_HEADER,
     Row,
@@ -46,6 +48,13 @@ def stdout_floats(out):
         except ValueError:
             pass
     return values
+
+
+def usage_error(capsys, *argv):
+    """Exit code and stderr of a command line argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
 
 
 def csv_rows(out):
@@ -197,6 +206,53 @@ class TestSweepVerb:
         assert at_t2 == default
         assert pinned != default
 
+    def test_nan_eval_time_exits_1(self, capsys, tmp_path):
+        rc, err = usage_error(
+            capsys, "sweep", DEMO_CFG, "--param", "bob_t_on",
+            "--range", "4.5:5.3:0.2", "--out", str(tmp_path / "nan.csv"),
+            "--eval-time", "nan")
+        assert rc == 1
+        assert "--eval-time" in err
+        assert not (tmp_path / "nan.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_exits_1(self, capsys, tmp_path, jobs):
+        rc, err = usage_error(
+            capsys, "sweep", DEMO_CFG, "--param", "bob_t_on",
+            "--range", "4.5:5.3:0.2", "--out", str(tmp_path / "j.csv"),
+            "--jobs", jobs)
+        assert rc == 1
+        assert "--jobs" in err
+
+    def test_jobs_capped_by_rows_and_cpus(self, capsys, tmp_path,
+                                          monkeypatch):
+        # a stand-in pool: records the worker count, maps in process
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        self.sweep(capsys, tmp_path, "rows.csv", "--jobs", "1000")
+        rc, _, _ = run_cli(
+            capsys, "sweep", DEMO_CFG, "--param", "bob_t_on",
+            "--range", "4.5:4.7:0.2", "--out", str(tmp_path / "two.csv"),
+            "--jobs", "1000")
+        assert rc == 0
+        # 5 rows on 3 cpus, then 2 rows
+        assert started == [3, 2]
+
     def test_separation_sweep_changes_signal(self, capsys, tmp_path):
         out_path = tmp_path / "sep.csv"
         rc, _, _ = run_cli(
@@ -290,6 +346,16 @@ class TestCapacityVerb:
         assert v["capacity_closed"] / base["capacity_closed"] \
             == pytest.approx(4.0 * (0.25 / 0.21) / 1.0, rel=5e-2)
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--lambda-product", "nan"),
+        ("--lambda-product", "inf"),
+        ("--noise-R", "nan"),
+    ])
+    def test_non_finite_override_exits_1(self, capsys, flag, value):
+        rc, err = usage_error(capsys, "capacity", DEMO_CFG, flag, value)
+        assert rc == 1
+        assert flag in err and "finite" in err
+
 
 class TestValidateVerb:
     def test_all_invariants_hold(self, capsys):
@@ -322,6 +388,41 @@ class TestComputeRow:
         assert row.hf_sig == hf.value
         assert row.quad_error == (s2.quad_error + hi_on.quad_error
                                   + hi_off.quad_error + hf.quad_error)
+
+    def test_scenario_validated_once_per_row(self, monkeypatch):
+        calls = []
+        classify = scenario._classify
+        monkeypatch.setattr(scenario, "_classify",
+                            lambda *a: calls.append(a) or classify(*a))
+        compute_row(demo_scenario("2+1"), 5.0)
+        assert len(calls) == 1
+
+    def _counted_row(self, monkeypatch, s):
+        counts = {}
+        for name in ("s2_observable", "field_energy_observable"):
+            def counted(*args, _fn=getattr(signalling, name), _name=name):
+                obs = _fn(*args)
+                counts[_name] = obs.evaluations
+                return obs
+            monkeypatch.setattr(signalling, name, counted)
+        return compute_row(s, 0.0), counts
+
+    def test_long_bob_window_finishes(self, monkeypatch):
+        s = demo_scenario("2+1")
+        s = replace(s, bob=replace(s.bob, window=replace(s.bob.window,
+                                                         t_off=1e4)))
+        row, counts = self._counted_row(monkeypatch, s)
+        assert row.status == "ok"
+        assert counts == {"s2_observable": 286_440,
+                          "field_energy_observable": 286_440}
+
+    def test_high_gap_fails_on_budget(self, monkeypatch):
+        s = demo_scenario("2+1")
+        row, _ = self._counted_row(
+            monkeypatch, replace(s, bob=replace(s.bob, gap=1e5)))
+        assert row.status == "numerical:s2;numerical:hf_sig"
+        assert [f.split(": ")[:2] for f in row.failures] \
+            == [["s2", "budget"], ["hf_sig", "budget"]]
 
 
 class TestEntryPoints:

@@ -1,6 +1,8 @@
 """Tests for the vacuum commutator and field-energy kernels."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -131,6 +133,8 @@ class TestRegularizedMomentumIntegral:
     @pytest.mark.parametrize("dim,tau,L", [
         (D2, 0.3, 1.0),   # spacelike
         (D1, 5.0, 1.0),   # no off-cone support on a line
+        (D3, 5.0, 1.0),   # strong Huygens: no support inside the cone
+        (D3, 0.3, 1.0),   # spacelike
     ])
     def test_zero_cases_within_tolerance(self, dim, tau, L):
         res = regularized_momentum_integral(
@@ -156,6 +160,28 @@ class TestRegularizedMomentumIntegral:
             regularized_momentum_integral(
                 D2, 2.0, 1.0, [0.4, 0.2], tol=1e-14)
         assert excinfo.value.best is not None
+
+    def test_certification_grid_is_cheap_and_bounded(self):
+        # the acceptance grid: only the directions are integrated, so each
+        # point costs a few GK15 panels per level, and the reported error
+        # covers the true one
+        for ratio in (1.1, 1.5, 2.0, 3.0, 5.0, 10.0):
+            for L in (0.5, 1.0, 2.0):
+                tau = ratio * L
+                res = regularized_momentum_integral(
+                    D2, tau, L, suggest_eps_schedule(tau, L), tol=1e-6)
+                closed = field_energy_kernel(D2, tau, L).value
+                assert res.evaluations <= 2000
+                assert abs(res.value - closed) <= res.abs_error_estimate
+
+
+def test_validation_suite_needs_no_scipy():
+    code = ("import sys; from qcc.validation import run_all_checks; "
+            "assert all(r.passed for r in run_all_checks()); "
+            "assert 'scipy' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_kernel_value_defaults():

@@ -1,6 +1,7 @@
 """Tests for scenario construction, validation, and the detector bias."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,6 +86,13 @@ class TestValidate:
         # Bob [3.5, 6.5]: dt spans [0.5, 6.5], contains L = 1
         report = validate(make_scenario("2+1", L=1.0, b_win=(3.5, 6.5)))
         assert report.causal_class is CausalClass.LIGHTCONE_CROSSING
+
+    def test_report_is_cached_and_replace_starts_afresh(self):
+        s = make_scenario("2+1", L=1.0)
+        assert validate(s) is validate(s)
+        moved = replace(s, bob=replace(s.bob, position=(10.0, 0.0)))
+        assert validate(moved).separation == 10.0
+        assert validate(moved).causal_class is CausalClass.SPACELIKE
 
     def test_valid_scenario_has_no_violations(self):
         report = validate(make_scenario("2+1"))

@@ -135,6 +135,17 @@ class TestS2GenericRoutes:
         with pytest.raises(ValueError, match="precedes bob's switch-on"):
             route(s, s.bob.window.t_on - 0.1)
 
+    @pytest.mark.parametrize("dim,route", [
+        ("2+1", s2_observable),
+        ("1+1", s2_observable),
+        ("1+1", s2_closed_form_1p1),
+        ("2+1", field_energy_observable),
+    ], ids=["s2-2p1", "s2-1p1", "s2-closed-1p1", "hf-2p1"])
+    def test_nan_time_rejected(self, dim, route):
+        # nan compares false with every switch-on time
+        with pytest.raises(ValueError, match="precedes bob's switch-on"):
+            route(make_scenario(dim, L=0.5), math.nan)
+
     def test_spacelike_is_exactly_zero(self):
         for dim in ("1+1", "2+1", "3+1"):
             obs = s2_observable(make_scenario(dim, L=30.0))
