@@ -154,11 +154,12 @@ def compute_row(
     """Evaluate all signalling columns for one scenario.
 
     Shared by run_point and run_sweep so a sweep row and a single-point
-    run of the same scenario agree bit for bit.  Observables that reject
-    the configuration (domain errors) or fail to converge show up as nan
-    plus a status tag; the rest of the row is still filled in.  A row
-    with a ``numerical:`` tag has no error bound, so its ``quad_error``
-    is nan.
+    run of the same scenario agree bit for bit.  ``s2`` and ``hf_sig``
+    come from one shared lag-quadrature pass, each bit for bit what its
+    own public route returns.  Observables that reject the configuration
+    (domain errors) or fail to converge show up as nan plus a status
+    tag; the rest of the row is still filled in.  A row with a
+    ``numerical:`` tag has no error bound, so its ``quad_error`` is nan.
     """
     report = validate(s)
     if not report.ok:
@@ -171,27 +172,30 @@ def compute_row(
     failures: List[str] = []
     total_err = 0.0
 
-    def attempt(label, fn):
+    def record(label, outcome):
         nonlocal total_err
-        try:
-            obs = fn()
-        except QuadratureError as err:
+        if isinstance(outcome, QuadratureError):
             tags.append(f"numerical:{label}")
-            failures.append(f"{label}: {err.reason}: {err}")
+            failures.append(f"{label}: {outcome.reason}: {outcome}")
             return math.nan
-        except ValueError:
+        if isinstance(outcome, ValueError):
             # InvalidScenarioError and out-of-window evaluation times
             tags.append(f"rejected:{label}")
             return math.nan
-        total_err += obs.quad_error
-        return obs.value
+        total_err += outcome.quad_error
+        return outcome.value
 
-    s2_val = attempt("s2", lambda: signalling.s2_observable(s, t, tol))
-    hi_on = attempt("hI_on", lambda: signalling.interaction_energy_observable(
-        s, s.bob.window.t_on, tol))
-    hi_off = attempt("hI_off", lambda: signalling.interaction_energy_observable(
-        s, min(t, s.bob.window.t_off), tol))
-    hf = attempt("hf_sig", lambda: signalling.field_energy_observable(s, t, tol))
+    def interaction_energy(at):
+        try:
+            return signalling.interaction_energy_observable(s, at, tol)
+        except (QuadratureError, ValueError) as exc:
+            return exc
+
+    s2_out, hf_out = signalling._s2_and_field_energy(s, t, tol)
+    s2_val = record("s2", s2_out)
+    hi_on = record("hI_on", interaction_energy(s.bob.window.t_on))
+    hi_off = record("hI_off", interaction_energy(min(t, s.bob.window.t_off)))
+    hf = record("hf_sig", hf_out)
 
     return Row(param_value, s2_val, s.bob.gap * s2_val, hi_on, hi_off, hf,
                math.nan if failures else total_err,

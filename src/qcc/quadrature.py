@@ -13,6 +13,11 @@ error.  Once the frozen panels alone carry more error than the tolerance,
 the integral fails at once with reason "roundoff" instead of spending
 its evaluation budget.
 
+Several integrands over one interval can share the evaluation of their
+initial panelling; each is then refined on its own.  A panelling that
+already meets the tolerance is summed at once, with no per-panel
+bookkeeping.
+
 Everything here is deterministic: fixed node sets, a stable refinement
 order, and compensated summation of the final panel list.
 """
@@ -143,40 +148,38 @@ class QuadratureError(Exception):
         self.best = best
 
 
-def _eval_panels(f, lefts, rights, vectorized, counter):
-    """Apply the GK15 pair to a batch of panels.
+def _panel_nodes(edges):
+    """GK15 nodes of the panels between consecutive ``edges``, flattened
+    panel by panel, plus each panel's half width."""
+    lefts, rights = edges[:-1], edges[1:]
+    halves = 0.5 * (rights - lefts)
+    pts = (0.5 * (lefts + rights))[:, None] + halves[:, None] * _NODES[None, :]
+    return pts.ravel(), halves
+
+
+def _panel_rules(vals, flat, halves):
+    """Apply the GK15 pair to integrand values at the ``flat`` nodes.
 
     Returns (k15, err, at_floor) arrays, one entry per panel.  ``err`` is
     the Kronrod-Gauss difference, raised to the roundoff floor
     50*eps*resabs; ``at_floor`` marks the panels whose difference is
     already at or below that floor, so that bisecting them cannot lower
-    their error.  ``counter`` is a single-element list tracking total
-    point evaluations.
+    their error.
     """
-    lefts = np.asarray(lefts, dtype=float)
-    rights = np.asarray(rights, dtype=float)
-    centers = 0.5 * (lefts + rights)
-    halves = 0.5 * (rights - lefts)
-    pts = centers[:, None] + halves[:, None] * _NODES[None, :]
-    flat = pts.ravel()
-    if vectorized:
-        vals = np.asarray(f(flat), dtype=float)
-        if vals.shape != flat.shape:
-            raise ValueError(
-                "vectorized integrand returned shape "
-                f"{vals.shape}, expected {flat.shape}"
-            )
-    else:
-        vals = np.fromiter((f(x) for x in flat), dtype=float, count=flat.size)
-    counter[0] += flat.size
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape != flat.shape:
+        raise ValueError(
+            "vectorized integrand returned shape "
+            f"{vals.shape}, expected {flat.shape}"
+        )
     if not np.all(np.isfinite(vals)):
-        bad = flat[~np.isfinite(vals.reshape(flat.shape))][0]
+        bad = flat[~np.isfinite(vals)][0]
         raise QuadratureError(
             f"integrand returned a non-finite value near t={bad!r}; "
             "an undeclared singularity must be declared to the integrator",
             "non-finite",
         )
-    vals = vals.reshape(pts.shape)
+    vals = vals.reshape(-1, 15)
     k15 = halves * (vals * _WK).sum(axis=1)
     g7 = halves * (vals * _WGAUSS).sum(axis=1)
     resabs = halves * (np.abs(vals) * _WK).sum(axis=1)
@@ -185,30 +188,43 @@ def _eval_panels(f, lefts, rights, vectorized, counter):
     return k15, np.maximum(diff, floor), diff <= floor
 
 
-def _adaptive(f, a, b, tol, vectorized, max_panel_width, budget):
-    """Greedy GK15 refinement of [a, b] down to absolute tolerance ``tol``.
-
-    A panel whose Kronrod-Gauss difference is at or below its roundoff
-    floor is frozen: it stays in the panel list (its value and error are
-    still summed) but never goes back on the heap, since its halves would
-    carry the same floor.  The frozen error can only grow, so once it
-    exceeds ``tol`` the integral fails at once with reason "roundoff".
-    """
-    counter = [0]  # point evaluations so far, shared with _eval_panels
-    span = b - a
+def _initial_edges(a, b, max_panel_width, budget):
+    """Edges of the initial panelling of [a, b]: equal panels no wider
+    than ``max_panel_width``; fails with reason "budget" when their
+    nodes alone would exceed ``budget``."""
     n0 = 1
     if max_panel_width is not None and max_panel_width > 0:
-        n0 = max(1, int(math.ceil(span / max_panel_width)))
-    edges = np.linspace(a, b, n0 + 1)
-    if 15 * n0 > budget - counter[0]:
+        n0 = max(1, int(math.ceil((b - a) / max_panel_width)))
+    if 15 * n0 > budget:
         raise QuadratureError(
             f"initial panelling needs {15 * n0} evaluations, "
             f"exceeding the budget of {budget}",
             "budget",
         )
-    k15, err, at_floor = _eval_panels(
-        f, edges[:-1], edges[1:], vectorized, counter
-    )
+    return np.linspace(a, b, n0 + 1)
+
+
+def _adaptive(f, edges, initial, tol, budget):
+    """Greedy GK15 refinement, down to absolute tolerance ``tol``, of the
+    panelling ``edges`` whose (k15, err, at_floor) is ``initial``.
+
+    A panelling that already meets ``tol`` is summed at once; ``fsum``
+    is exact, so this is the value the refinement loop would return.
+    A panel whose Kronrod-Gauss difference is at or below its roundoff
+    floor is frozen: it stays in the panel list (its value and error are
+    still summed) but never goes back on the heap, since its halves would
+    carry the same floor.  The frozen error can only grow, so once it
+    exceeds ``tol`` the integral fails at once with reason "roundoff".
+    ``f`` is vectorized; the initial panels count 15 evaluations each.
+    """
+    k15, err, at_floor = initial
+    n0 = len(k15)
+    evaluations = 15 * n0
+    running_err = float(err.sum())
+    if running_err <= tol:
+        total_err = math.fsum(err)
+        if total_err <= tol:
+            return QuadResult(math.fsum(k15), total_err, evaluations)
 
     # Heap entries: (-err, insertion order); the order makes ties
     # deterministic.  Panels live in a dict so the final value can be
@@ -229,7 +245,6 @@ def _adaptive(f, a, b, tol, vectorized, max_panel_width, budget):
 
     for i in range(n0):
         add(edges[i], edges[i + 1], k15[i], err[i], at_floor[i])
-    running_err = float(err.sum())
 
     def finish():
         items = sorted(panels.values(), key=lambda p: p[0])
@@ -242,19 +257,19 @@ def _adaptive(f, a, b, tol, vectorized, max_panel_width, budget):
         raise QuadratureError(
             f"{message} (error estimate {total_err:.3e} > tol {tol:.3e})",
             reason,
-            best=QuadResult(value, total_err, counter[0]),
+            best=QuadResult(value, total_err, evaluations),
         )
 
     while True:
         if running_err <= tol:
             value, total_err = finish()
             if total_err <= tol:
-                return QuadResult(value, total_err, counter[0])
+                return QuadResult(value, total_err, evaluations)
             running_err = total_err  # running sum had drifted; keep going
         if frozen_err > tol:
             fail(f"tolerance is below roundoff floor: panels at their floor "
                  f"carry error {frozen_err:.3e}", "roundoff")
-        if counter[0] + 30 > budget:
+        if evaluations + 30 > budget:
             fail(f"quadrature budget of {budget} evaluations exhausted",
                  "budget")
         if not heap:
@@ -267,9 +282,9 @@ def _adaptive(f, a, b, tol, vectorized, max_panel_width, budget):
             # error) but never refine it again.
             continue
         del panels[key]
-        ck15, cerr, cfloor = _eval_panels(
-            f, [pa, mid], [mid, pb], vectorized, counter
-        )
+        flat, halves = _panel_nodes(np.array([pa, mid, pb]))
+        evaluations += flat.size
+        ck15, cerr, cfloor = _panel_rules(f(flat), flat, halves)
         running_err += cerr[0] + cerr[1] - perr
         add(pa, mid, ck15[0], cerr[0], cfloor[0])
         add(mid, pb, ck15[1], cerr[1], cfloor[1])
@@ -280,8 +295,8 @@ def _sqrt_transformed(f, a, b, side):
 
     ``side='lower'`` assumes f ~ c/sqrt(t-a) near a and substitutes
     t = a + u^2; ``side='upper'`` mirrors this at b with t = b - u^2.
-    Returns the new integrand plus its (0, sqrt(b-a)) domain; the
-    integrand is vectorized exactly when ``f`` is.
+    Returns the new integrand, in the calling convention of
+    :func:`_integrate_shared`, plus its (0, sqrt(b-a)) domain.
     """
     if side not in ("lower", "upper"):
         raise ValueError(
@@ -289,10 +304,49 @@ def _sqrt_transformed(f, a, b, side):
         )
     end, sign = (a, 1.0) if side == "lower" else (b, -1.0)
 
-    def g(u):
-        return 2.0 * u * f(end + sign * (u * u))
+    def g(u, picks):
+        vals = f(end + sign * (u * u), picks)
+        two_u = 2.0 * u
+        for i, v in enumerate(vals):
+            vals[i] = two_u * v
+        return vals
 
     return g, 0.0, math.sqrt(b - a)
+
+
+def _integrate_shared(f, picks, a, b, tol, sqrt_singularity=None,
+                      max_panel_width=None, budget=_DEFAULT_BUDGET):
+    """Integrate several integrands over [a, b] on one initial node set.
+
+    ``f(t, picks)`` takes an ndarray of abscissae and returns a list
+    with one value array per entry of ``picks``.  The initial panelling
+    is evaluated for every pick in one call; after that each integrand
+    is refined through ``f(t, [pick])``, budget-checked and failed on
+    its own, exactly as :func:`integrate_1d` would integrate it alone.
+    Returns one QuadResult or QuadratureError per pick.  Arguments are
+    as for :func:`integrate_1d`, and are not checked here.
+    """
+    if sqrt_singularity is not None:
+        if max_panel_width is not None:
+            # du = dt / (2u): a t-width W maps to at least W / (2 sqrt(span)).
+            max_panel_width /= 2.0 * math.sqrt(b - a)
+        f, a, b = _sqrt_transformed(f, a, b, sqrt_singularity)
+    try:
+        edges = _initial_edges(a, b, max_panel_width, budget)
+    except QuadratureError as exc:
+        return [exc] * len(picks)
+    flat, halves = _panel_nodes(edges)
+    vals = f(flat, picks)
+    results = []
+    for i, pick in enumerate(picks):
+        try:
+            initial = _panel_rules(vals[i], flat, halves)
+            vals[i] = None  # only the panel sums are kept while refining
+            results.append(_adaptive(lambda t, pick=pick: f(t, [pick])[0],
+                                     edges, initial, tol, budget))
+        except QuadratureError as exc:
+            results.append(exc)
+    return results
 
 
 def integrate_1d(
@@ -352,12 +406,18 @@ def integrate_1d(
         tol = default_tolerance()
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if sqrt_singularity is not None:
-        if max_panel_width is not None:
-            # du = dt / (2u): a t-width W maps to at least W / (2 sqrt(span)).
-            max_panel_width /= 2.0 * math.sqrt(b - a)
-        f, a, b = _sqrt_transformed(f, a, b, sqrt_singularity)
-    return _adaptive(f, a, b, tol, vectorized, max_panel_width, budget)
+    if not vectorized:
+        scalar = f
+
+        def f(t):
+            return np.fromiter((scalar(x) for x in t), dtype=float,
+                               count=t.size)
+
+    (res,) = _integrate_shared(lambda t, picks: [f(t)], [0], a, b, tol,
+                               sqrt_singularity, max_panel_width, budget)
+    if isinstance(res, QuadratureError):
+        raise res
+    return res
 
 
 def _inner_pieces(x, ay, by, L):

@@ -17,6 +17,14 @@ Alice's bias at t - tau as the weight, and the 3+1D on-cone delta reduces
 s2 to C at tau = L.  s2 additionally has a fully independent closed form
 in 1+1D (constant kernel makes the integral separable) used both as the
 default fast path and as a cross-check oracle.
+
+s2 and the field energy integrate the commutator and field-energy
+kernels against the same correlation C (with Bob's coefficient i c_B
+and c_B) over the same pieces, panel widths and tolerance.  A row
+computes both in one shared pass: on each lag piece C's intermediates
+and both integrands are evaluated on one initial node set, then each
+observable is refined, budget-checked and failed on its own, so each
+gets exactly what its own public route returns.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .greens import commutator_kernel
-from .quadrature import QuadratureError, default_tolerance, integrate_1d
+from .quadrature import QuadratureError, _integrate_shared, default_tolerance
 from .scenario import (
     CausalClass,
     Dimension,
@@ -95,56 +103,77 @@ def _field_lag_kernel(L: float):
     return kernel
 
 
-def _window_correlation(s: Scenario, upper: float, d_b: complex):
-    """C(tau) = int bias_A(t1) Re(d_b e^{i Om_B (t1 + tau)}) dt1, vectorized.
+# Indices of the two correlation observables in a shared pass.
+_S2, _HF = 0, 1
 
-    t1 runs over the overlap of Alice's window with Bob's window
-    [t_on, upper] shifted back by tau.  Writing both sinusoids about the
-    overlap's midpoints (Alice's and Bob's absolute times) turns the
-    integral into two sinc terms, which stay exact as the difference
-    frequency Om_A - Om_B goes to 0.
+
+def _window_correlation(s: Scenario, upper: float):
+    """corr(tau, picks): C(tau) = int bias_A(t1) Re(d_B e^{i Om_B (t1 + tau)})
+    dt1 for each picked observable, vectorized.
+
+    ``_S2`` picks d_B = i c_B and ``_HF`` picks d_B = c_B, with c_B Bob's
+    bias coefficient; both share every intermediate below.  t1 runs over
+    the overlap of Alice's window with Bob's window [t_on, upper]
+    shifted back by tau.  Writing both sinusoids about the overlap's
+    midpoints (Alice's and Bob's absolute times) turns the integral into
+    two sinc terms, which stay exact as the difference frequency
+    Om_A - Om_B goes to 0.
     """
     a_on, a_off = s.alice.window.t_on, s.alice.window.t_off
     b_on = s.bob.window.t_on
     om_a, om_b = s.alice.gap, s.bob.gap
     c_a = _bias_coeff(s.alice)
-    c_sum = c_a * d_b
-    c_diff = c_a * d_b.conjugate()
+    c_b = _bias_coeff(s.bob)
+    # (c_A d_B, c_A conj(d_B)) per observable; s2's Bob factor
+    # -Im(c_B e^{i Om_B t2}) is Re(i c_B e^{i Om_B t2})
+    coeffs = [(c_a * d_b, c_a * d_b.conjugate()) for d_b in (1j * c_b, c_b)]
 
-    def corr(tau):
+    def corr(tau, picks):
         lo = np.maximum(a_on, b_on - tau)
         hi = np.minimum(a_off, upper - tau)
         w = np.maximum(hi - lo, 0.0)
         phase_a = om_a * 0.5 * (lo + hi)
+        del lo, hi
         phase_b = om_b * 0.5 * (np.maximum(a_on + tau, b_on)
                                 + np.minimum(a_off + tau, upper))
         # Re(x) Re(y) = [Re(x y) + Re(x conj(y))] / 2, and e^{i kappa t}
         # integrates over the overlap to w sinc(kappa w / 2) about its
         # midpoint.
-        return 0.5 * w * (
-            np.real(c_sum * np.exp(1j * (phase_a + phase_b)))
-            * np.sinc((om_a + om_b) * w / (2.0 * math.pi))
-            + np.real(c_diff * np.exp(1j * (phase_a - phase_b)))
-            * np.sinc((om_a - om_b) * w / (2.0 * math.pi))
-        )
+        e_sum = np.exp(1j * (phase_a + phase_b))
+        e_diff = np.exp(1j * (phase_a - phase_b))
+        del phase_a, phase_b
+        sinc_sum = np.sinc((om_a + om_b) * w / (2.0 * math.pi))
+        sinc_diff = np.sinc((om_a - om_b) * w / (2.0 * math.pi))
+        return [
+            0.5 * w * (np.real(c_sum * e_sum) * sinc_sum
+                       + np.real(c_diff * e_diff) * sinc_diff)
+            for c_sum, c_diff in (coeffs[p] for p in picks)
+        ]
 
     return corr
 
 
-def _lag_integral(dim, L, kernel, weight, omega, lo, hi, kinks, tol, factor):
-    """factor * int_lo^hi kernel(tau) weight(tau) dtau over |tau| > L.
+def _lag_integrals(dim, L, integrand, picks, omega, lo, hi, kinks, tol,
+                   factor):
+    """factor * int_lo^hi integrand(tau, x)[j] dtau over |tau| > L, with
+    x = |tau| - L, for every observable j in ``picks``, on one node set.
 
-    The lag range is cut at +-L and at the weight's ``kinks`` so every
-    piece is smooth, and panels start a quarter period of the weight's
-    top frequency ``omega`` wide; the pieces inside the cone, where the
-    kernel vanishes, are dropped.  A 2+1D piece that ends on the cone
-    carries the kernel's 1/sqrt singularity: it is integrated over the
-    distance x = |tau| - L from the cone, through the integrator's
-    declared substitution, so the kernel never sees x rounded off
-    against L.
+    ``integrand(tau, x, picks)`` returns one value array per pick.  The
+    lag range is cut at +-L and at the weight's ``kinks`` so every piece
+    is smooth, and panels start a quarter period of the weight's top
+    frequency ``omega`` wide; the pieces inside the cone, where the
+    kernels vanish, are dropped.  A 2+1D piece that ends on the cone
+    carries the kernels' 1/sqrt singularity: it is integrated over the
+    distance x from the cone, through the integrator's declared
+    substitution, so the kernels never see x rounded off against L.
 
+    This is the shared pass: on each piece every live pick is evaluated
+    on the initial nodes in one call, then refined on its own, so each
+    pick gets the value, error and evaluation count it gets alone.
     ``tol`` (default :func:`default_tolerance`) is split across the
-    pieces; a piece that fails is re-raised naming ``tol``.
+    pieces; a pick that fails on a piece gets a QuadratureError naming
+    ``tol`` and takes no further part.  Returns one Observable or
+    QuadratureError per pick.
     """
     if tol is None:
         tol = default_tolerance()
@@ -152,42 +181,58 @@ def _lag_integral(dim, L, kernel, weight, omega, lo, hi, kinks, tol, factor):
     pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
               if abs(0.5 * (a + b)) > L]
     if not pieces:
-        return Observable(0.0, 0.0, 0)
+        return [Observable(0.0, 0.0, 0) for _ in picks]
     piece_tol = tol / len(pieces) / (abs(factor) or 1.0)
     width = (2.0 * math.pi / omega) / 4.0 if omega > 0 else None
     singular = dim is Dimension.D2p1
 
-    def f(tau):
-        return kernel(tau, np.abs(tau) - L) * weight(tau)
+    def f(tau, live):
+        return integrand(tau, np.abs(tau) - L, live)
 
     def on_cone(sign):
-        def g(x):
-            tau = sign * (L + x)
-            return kernel(tau, x) * weight(tau)
+        def g(x, live):
+            return integrand(sign * (L + x), x, live)
         return g
 
-    values, err, evals = [], 0.0, 0
+    values = {p: [] for p in picks}
+    err = dict.fromkeys(picks, 0.0)
+    evals = dict.fromkeys(picks, 0)
+    failed = {}
     for a, b in pieces:
+        live = [p for p in picks if p not in failed]
+        if not live:
+            break
         if singular and (a == L or b == -L):
             end = b if a == L else a
             g, ga, gb = on_cone(math.copysign(1.0, end)), 0.0, abs(end) - L
             sqrt_end = "lower"
         else:
             g, ga, gb, sqrt_end = f, a, b, None
-        try:
-            res = integrate_1d(
-                g, ga, gb, piece_tol, vectorized=True,
-                sqrt_singularity=sqrt_end, max_panel_width=width,
-            )
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"tol {tol:.3e} not reached on the lag piece "
-                f"[{a!r}, {b!r}]: {exc}", exc.reason, exc.best,
-            ) from exc
-        values.append(res.value)
-        err += res.abs_error_estimate
-        evals += res.evaluations
-    return Observable(factor * math.fsum(values), abs(factor) * err, evals)
+        results = _integrate_shared(g, live, ga, gb, piece_tol, sqrt_end,
+                                    width)
+        for p, res in zip(live, results):
+            if isinstance(res, QuadratureError):
+                failed[p] = QuadratureError(
+                    f"tol {tol:.3e} not reached on the lag piece "
+                    f"[{a!r}, {b!r}]: {res}", res.reason, res.best,
+                )
+                failed[p].__cause__ = res
+                continue
+            values[p].append(res.value)
+            err[p] += res.abs_error_estimate
+            evals[p] += res.evaluations
+    return [
+        failed.get(p) or Observable(
+            factor * math.fsum(values[p]), abs(factor) * err[p], evals[p])
+        for p in picks
+    ]
+
+
+def _one(result):
+    """``result`` itself, or raised when it is an exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _bob_upper(s: Scenario, t: Optional[float]) -> float:
@@ -202,19 +247,55 @@ def _bob_upper(s: Scenario, t: Optional[float]) -> float:
     return min(t, s.bob.window.t_off)
 
 
-def _correlation_integral(s, L, kernel, upper, d_b, tol):
-    """4 int dtau kernel(tau) C(tau): a double integral over both windows
-    (Bob's up to ``upper``) whose kernel depends only on tau = t2 - t1;
-    exactly 0 when Bob's window is empty."""
+def _correlation_observables(s, t, picks, tol):
+    """4 int dtau K(tau) C(tau) for each pick, _S2 (K = D) or _HF (K = F),
+    in one shared pass: double integrals over both windows (Bob's up to
+    min(t, T_off)) whose kernels depend only on tau = t2 - t1; exactly 0
+    when Bob's window is empty.  One Observable or QuadratureError per
+    pick."""
+    L = s.report.separation
+    upper = _bob_upper(s, t)
     a_on, a_off = s.alice.window.t_on, s.alice.window.t_off
     b_on = s.bob.window.t_on
     if upper <= b_on:
-        return Observable(0.0, 0.0, 0)
-    return _lag_integral(
-        s.dimension, L, kernel, _window_correlation(s, upper, d_b),
-        max(s.alice.gap, s.bob.gap),
+        return [Observable(0.0, 0.0, 0) for _ in picks]
+    corr = _window_correlation(s, upper)
+    kernels = {_S2: _commutator_lag_kernel(s.dimension, L),
+               _HF: _field_lag_kernel(L)}
+
+    def integrand(tau, x, live):
+        vals = corr(tau, live)
+        for i, p in enumerate(live):
+            vals[i] = kernels[p](tau, x) * vals[i]
+        return vals
+
+    return _lag_integrals(
+        s.dimension, L, integrand, picks, max(s.alice.gap, s.bob.gap),
         b_on - a_off, upper - a_on, (b_on - a_on, upper - a_off), tol, 4.0,
     )
+
+
+def _s2_exact(s: Scenario, t: Optional[float], method: str):
+    """S2 from its exact route (zero or closed form), or None when it
+    needs the lag quadrature; raises as :func:`s2_observable` does."""
+    if method not in ("auto", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
+    report = require_valid(s)
+    _bob_upper(s, t)  # rejects an evaluation time before T_on
+    if report.causal_class is CausalClass.SPACELIKE:
+        # no commutator support anywhere in the double integral
+        return Observable(0.0, 0.0, 0)
+    if s.dimension is Dimension.D3p1:
+        if report.causal_class is CausalClass.TIMELIKE:
+            return Observable(0.0, 0.0, 0)
+        raise InvalidScenarioError(
+            "3+1D windows touch the lightcone: the signal lives on the "
+            "on-cone delta; use s2_null_3p1 for this configuration"
+        )
+    if method == "auto" and s.dimension is Dimension.D1p1 \
+            and report.causal_class is CausalClass.TIMELIKE:
+        return Observable(s2_closed_form_1p1(s, t), 0.0, 0)
+    return None
 
 
 def s2_observable(
@@ -236,29 +317,10 @@ def s2_observable(
     3+1D; 'quadrature' forces the numerical path (used by the oracle
     cross-checks).  :func:`s2_closed_form_1p1` is the closed form itself.
     """
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    report = require_valid(s)
-    L = report.separation
-    upper = _bob_upper(s, t)
-    if report.causal_class is CausalClass.SPACELIKE:
-        # no commutator support anywhere in the double integral
-        return Observable(0.0, 0.0, 0)
-    if s.dimension is Dimension.D3p1:
-        if report.causal_class is CausalClass.TIMELIKE:
-            return Observable(0.0, 0.0, 0)
-        raise InvalidScenarioError(
-            "3+1D windows touch the lightcone: the signal lives on the "
-            "on-cone delta; use s2_null_3p1 for this configuration"
-        )
-    if method == "auto" and s.dimension is Dimension.D1p1 \
-            and report.causal_class is CausalClass.TIMELIKE:
-        return Observable(s2_closed_form_1p1(s, t), 0.0, 0)
-    # Bob's factor -Im(c_B e^{i Om_B t2}) is Re(i c_B e^{i Om_B t2})
-    return _correlation_integral(
-        s, L, _commutator_lag_kernel(s.dimension, L), upper,
-        1j * _bias_coeff(s.bob), tol,
-    )
+    exact = _s2_exact(s, t, method)
+    if exact is not None:
+        return exact
+    return _one(_correlation_observables(s, t, [_S2], tol)[0])
 
 
 def _alice_bias_integral(s: Scenario) -> float:
@@ -337,11 +399,13 @@ def interaction_energy_observable(
     # K(t) = int bias_A(t - tau) D(tau, L) dtau over t - tau in Alice's window
     a = s.alice
     bob = detector_bias(s.bob, t)
-    return _lag_integral(
-        s.dimension, L, _commutator_lag_kernel(s.dimension, L),
-        lambda tau: detector_bias(a, t - tau), a.gap,
-        t - a.window.t_off, t - a.window.t_on, (), tol, -4.0 * bob,
-    )
+    kernel = _commutator_lag_kernel(s.dimension, L)
+    return _one(_lag_integrals(
+        s.dimension, L,
+        lambda tau, x, live: [kernel(tau, x) * detector_bias(a, t - tau)],
+        [0], a.gap, t - a.window.t_off, t - a.window.t_on, (), tol,
+        -4.0 * bob,
+    )[0])
 
 
 def interaction_energy_1p1_closed(s: Scenario, t: float) -> float:
@@ -376,9 +440,17 @@ def field_energy_observable(
     1+1D and 3+1D for timelike windows (cone-supported kernel), computed
     by quadrature in 2+1D.  Per lambda_A lambda_B, with error bookkeeping.
     """
+    exact = _field_energy_exact(s, t)
+    if exact is not None:
+        return exact
+    return _one(_correlation_observables(s, t, [_HF], tol)[0])
+
+
+def _field_energy_exact(s: Scenario, t: Optional[float]):
+    """The field energy's exact zero, or None when it needs the lag
+    quadrature; raises as :func:`field_energy_observable` does."""
     report = require_valid(s)
-    L = report.separation
-    upper = _bob_upper(s, t)
+    _bob_upper(s, t)  # rejects an evaluation time before T_on
     if report.causal_class is CausalClass.SPACELIKE:
         return Observable(0.0, 0.0, 0)
     if report.causal_class is CausalClass.LIGHTCONE_CROSSING:
@@ -389,9 +461,27 @@ def field_energy_observable(
     if s.dimension in (Dimension.D1p1, Dimension.D3p1):
         # kernel supported on the cone only: timelike windows see nothing
         return Observable(0.0, 0.0, 0)
-    return _correlation_integral(
-        s, L, _field_lag_kernel(L), upper, _bias_coeff(s.bob), tol,
-    )
+    return None
+
+
+def _s2_and_field_energy(s: Scenario, t: Optional[float],
+                         tol: Optional[float]):
+    """(s2, hf_sig) for one row, each the Observable its public route
+    returns or the ValueError or QuadratureError it raises.  When both
+    need the lag quadrature they share one pass, which gives each the
+    value, error and count of its own route."""
+    out, picks = {}, []
+    for p, exact in ((_S2, lambda: _s2_exact(s, t, "auto")),
+                     (_HF, lambda: _field_energy_exact(s, t))):
+        try:
+            out[p] = exact()
+        except ValueError as exc:
+            out[p] = exc
+        if out[p] is None:
+            picks.append(p)
+    if picks:
+        out.update(zip(picks, _correlation_observables(s, t, picks, tol)))
+    return out[_S2], out[_HF]
 
 
 def s2_null_3p1(s: Scenario) -> float:
@@ -423,8 +513,8 @@ def s2_null_3p1(s: Scenario) -> float:
     delta_coeff = commutator_kernel(Dimension.D3p1, L, L).on_lightcone_delta
     # 4 int bias_A(t1) Re(alpha_B* beta_B e^{i Om_B (t1+L)} * i * coeff):
     # the window correlation at the lag tau = L
-    corr = _window_correlation(s, s.bob.window.t_off, 1j * _bias_coeff(s.bob))
-    return 4.0 * delta_coeff * float(corr(L))
+    corr = _window_correlation(s, s.bob.window.t_off)
+    return 4.0 * delta_coeff * float(corr(L, [_S2])[0])
 
 
 def energy_balance(s: Scenario, tol: Optional[float] = None) -> BalanceResult:
@@ -443,8 +533,7 @@ def energy_balance(s: Scenario, tol: Optional[float] = None) -> BalanceResult:
         )
     t1 = s.bob.window.t_on
     t2 = s.bob.window.t_off
-    s2_res = s2_observable(s, t2, tol)
-    hf_res = field_energy_observable(s, t2, tol)
+    s2_res, hf_res = (_one(r) for r in _s2_and_field_energy(s, t2, tol))
     hi_on = interaction_energy_observable(s, t1, tol)
     hi_off = interaction_energy_observable(s, t2, tol)
     omega_b = s.bob.gap

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, List
+import time
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -32,9 +33,13 @@ _ISQ = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict; ``ms`` is its wall time, set by
+    :func:`run_all_checks`."""
+
     name: str
     passed: bool
     detail: str
+    ms: Optional[float] = None
 
 
 def _scenario(dim, L, a_win, b_win, a_state, b_state, gap_a=3.0, gap_b=3.0):
@@ -460,22 +465,27 @@ _CHECKS: List[Callable[[], CheckResult]] = [
 
 
 def run_all_checks() -> List[CheckResult]:
-    """Run every invariant check; never raises for a failing invariant."""
+    """Run every invariant check, timing each; never raises for a
+    failing invariant."""
     results = []
     for check in _CHECKS:
+        start = time.perf_counter()
         try:
-            results.append(check())
+            result = check()
         except Exception as err:  # noqa: BLE001 - report, don't crash the suite
-            results.append(CheckResult(
+            result = CheckResult(
                 check.__name__.replace("_check_", "", 1).replace("_", "-"),
-                False, f"raised {type(err).__name__}: {err}"))
+                False, f"raised {type(err).__name__}: {err}")
+        ms = 1e3 * (time.perf_counter() - start)
+        results.append(replace(result, ms=ms))
     return results
 
 
 def format_report(results: List[CheckResult]) -> str:
     lines = []
     for r in results:
-        lines.append(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")
+        line = f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}"
+        lines.append(line if r.ms is None else f"{line} [{r.ms:.1f} ms]")
     n_fail = sum(not r.passed for r in results)
     lines.append(
         f"{len(results) - n_fail}/{len(results)} invariants hold"

@@ -5,6 +5,7 @@ subprocess smoke tests confirm the module and console-script entry
 points are wired up.
 """
 
+import re
 import shutil
 import subprocess
 import sys
@@ -364,6 +365,14 @@ class TestValidateVerb:
         assert "invariants hold" in out
         assert "FAIL" not in out
 
+    def test_every_check_line_carries_its_wall_time(self, capsys):
+        _, out, _ = run_cli(capsys, "validate")
+        lines = out.splitlines()
+        checks = [ln for ln in lines if ln.startswith(("PASS", "FAIL"))]
+        assert checks and len(checks) == len(lines) - 1
+        for line in checks:
+            assert re.fullmatch(r"(PASS|FAIL)  \S+: .* \[\d+\.\d ms\]", line)
+
 
 class TestComputeRow:
     def test_nan_columns_render_as_nan(self):
@@ -398,13 +407,17 @@ class TestComputeRow:
         assert len(calls) == 1
 
     def _counted_row(self, monkeypatch, s):
+        # the evaluations the row's shared s2/hf_sig pass spends on each
         counts = {}
-        for name in ("s2_observable", "field_energy_observable"):
-            def counted(*args, _fn=getattr(signalling, name), _name=name):
-                obs = _fn(*args)
-                counts[_name] = obs.evaluations
-                return obs
-            monkeypatch.setattr(signalling, name, counted)
+        shared = signalling._s2_and_field_energy
+
+        def counted(*args):
+            pair = shared(*args)
+            for name, obs in zip(("s2", "hf_sig"), pair):
+                if isinstance(obs, signalling.Observable):
+                    counts[name] = obs.evaluations
+            return pair
+        monkeypatch.setattr(signalling, "_s2_and_field_energy", counted)
         return compute_row(s, 0.0), counts
 
     def test_long_bob_window_finishes(self, monkeypatch):
@@ -413,8 +426,7 @@ class TestComputeRow:
                                                          t_off=1e4)))
         row, counts = self._counted_row(monkeypatch, s)
         assert row.status == "ok"
-        assert counts == {"s2_observable": 286_440,
-                          "field_energy_observable": 286_440}
+        assert counts == {"s2": 286_440, "hf_sig": 286_440}
 
     def test_high_gap_fails_on_budget(self, monkeypatch):
         s = demo_scenario("2+1")

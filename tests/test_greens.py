@@ -117,6 +117,34 @@ class TestFieldEnergyKernel:
             assert field_energy_kernel(D2, tau, L).value < 0.0
 
 
+class TestFieldKernelIsLagDerivative:
+    """F = dD/dtau pointwise inside the cone: central differences of the
+    commutator kernel against the field-energy kernel."""
+
+    @staticmethod
+    def d_dtau(dim, tau, L):
+        # a step well inside the distance |tau| - L to the cone
+        h = 1e-4 * (abs(tau) - L)
+        return (commutator_kernel(dim, tau + h, L).value
+                - commutator_kernel(dim, tau - h, L).value) / (2.0 * h)
+
+    @pytest.mark.parametrize("L", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_2p1_central_difference(self, L, sign):
+        for ratio in np.linspace(1.05, 10.0, 25):
+            tau = sign * L * ratio
+            f = field_energy_kernel(D2, tau, L).value
+            assert abs(self.d_dtau(D2, tau, L) - f) <= 1e-6 * abs(f)
+
+    @pytest.mark.parametrize("dim", [D1, D3])
+    @pytest.mark.parametrize("L", [0.5, 1.0, 3.0])
+    def test_cone_supported_dimensions_vanish(self, dim, L):
+        for ratio in np.linspace(1.05, 10.0, 25):
+            for tau in (L * ratio, -L * ratio):
+                assert self.d_dtau(dim, tau, L) == 0.0
+                assert field_energy_kernel(dim, tau, L).value == 0.0
+
+
 class TestRegularizedMomentumIntegral:
     """The damped-and-extrapolated oracle that certifies the 2+1D
     closed form above; slow-ish, so the full certification grid lives in

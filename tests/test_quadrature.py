@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import demo_scenario
-from qcc import signalling
+from qcc import quadrature, signalling
 from qcc.greens import commutator_kernel
 from qcc.quadrature import (
     QuadResult,
@@ -121,6 +121,32 @@ class TestIntegrate1d:
             QuadResult(1.0, 1e-3, 0)
 
 
+class TestConvergedInitialPanelling:
+    """An initial panelling that already meets tol is summed at once."""
+
+    @staticmethod
+    def f(t):
+        return t * np.cos(5.0 * t)
+
+    def test_returns_fsum_of_initial_panels(self):
+        a, b, width = 0.0, 6.0, 0.3
+        n0 = math.ceil((b - a) / width)
+        flat, halves = quadrature._panel_nodes(np.linspace(a, b, n0 + 1))
+        k15, err, _ = quadrature._panel_rules(self.f(flat), flat, halves)
+        res = integrate_1d(self.f, a, b, 1e-8, vectorized=True,
+                           max_panel_width=width)
+        assert res.evaluations == 15 * n0
+        assert res.value == math.fsum(k15)
+        assert res.abs_error_estimate == math.fsum(err)
+
+    def test_unconverged_panelling_still_refines(self):
+        # one panel cannot resolve an undeclared sqrt endpoint
+        res = integrate_1d(np.sqrt, 0.0, 1.0, 1e-10, vectorized=True)
+        assert res.evaluations > 15
+        assert res.abs_error_estimate <= 1e-10
+        assert abs(res.value - 2.0 / 3.0) <= 1e-10
+
+
 class TestRoundoffFloor:
     """A tolerance below the roundoff floor 50*eps*resabs fails fast with
     reason "roundoff", carrying an honest best estimate."""
@@ -152,15 +178,14 @@ class TestRoundoffFloor:
         spent = []
 
         def counting(*args, **kwargs):
-            try:
-                res = integrate_1d(*args, **kwargs)
-            except QuadratureError as err:
-                spent.append(err.best.evaluations)
-                raise
-            spent.append(res.evaluations)
-            return res
+            results = quadrature._integrate_shared(*args, **kwargs)
+            for res in results:
+                if isinstance(res, QuadratureError):
+                    res = res.best
+                spent.append(res.evaluations)
+            return results
 
-        monkeypatch.setattr(signalling, "integrate_1d", counting)
+        monkeypatch.setattr(signalling, "_integrate_shared", counting)
         s = demo_scenario("2+1")
         with pytest.raises(QuadratureError) as excinfo:
             observable(s, s.bob.window.t_off, 1e-16)

@@ -8,6 +8,7 @@ code path.
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from helpers import (
     random_timelike_scenario,
     s2_via_2d_quadrature,
 )
+from qcc import signalling
 from qcc.cli import compute_row
 from qcc.greens import commutator_kernel
-from qcc.quadrature import integrate_1d
+from qcc.quadrature import QuadratureError, integrate_1d
 from qcc.scenario import (
     DetectorSpec,
     InvalidScenarioError,
@@ -211,6 +213,79 @@ def test_production_evaluation_counts_pinned(s, expected):
         "hf_sig": field_energy_observable(s, t_off, 1e-8).evaluations,
     }
     assert counts == expected
+
+
+def _row_from_public_routes(s, t, tol):
+    """(observables, status, failures) of a row assembled from one
+    public call per observable, the way a row reads them."""
+    obs, tags, failures = {}, [], []
+    for label, call in (
+        ("s2", lambda: s2_observable(s, t, tol)),
+        ("hI_on", lambda: interaction_energy_observable(
+            s, s.bob.window.t_on, tol)),
+        ("hI_off", lambda: interaction_energy_observable(s, t, tol)),
+        ("hf_sig", lambda: field_energy_observable(s, t, tol)),
+    ):
+        try:
+            obs[label] = call()
+        except QuadratureError as err:
+            tags.append(f"numerical:{label}")
+            failures.append(f"{label}: {err.reason}: {err}")
+        except ValueError:
+            tags.append(f"rejected:{label}")
+    return obs, ";".join(tags) or "ok", tuple(failures)
+
+
+class TestSharedPass:
+    """A row takes s2 and hf_sig from one shared lag-quadrature pass;
+    each must equal its own public route bit for bit: value, quad_error
+    and evaluations, and on failure the same status and message."""
+
+    @staticmethod
+    def assert_parity(s, tol=1e-8):
+        t = s.bob.window.t_off
+        obs, status, failures = _row_from_public_routes(s, t, tol)
+        pair = signalling._s2_and_field_energy(s, t, tol)
+        assert pair == (obs["s2"], obs["hf_sig"])
+        row = compute_row(s, 0.0, None, tol)
+        assert (row.status, row.failures) == (status, failures)
+        assert row.s2 == obs["s2"].value
+        assert row.hf_sig == obs["hf_sig"].value
+        assert row.quad_error == (
+            obs["s2"].quad_error + obs["hI_on"].quad_error
+            + obs["hI_off"].quad_error + obs["hf_sig"].quad_error)
+
+    @pytest.mark.parametrize("s", [
+        demo_scenario("2+1"),
+        make_scenario("2+1", b_win=(5.0, 65.0), gap_b=30.0),
+    ], ids=["demo", "gapB30-window60"])
+    def test_pinned_scenarios(self, s):
+        self.assert_parity(s)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), equal_gaps=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_random_timelike_2p1(self, seed, equal_gaps):
+        s = random_timelike_scenario(np.random.default_rng(seed), "2+1")
+        if equal_gaps:
+            s = replace(s, bob=replace(s.bob, gap=s.alice.gap))
+        self.assert_parity(s)
+
+    @pytest.mark.parametrize("gap_b,tol,reason", [
+        (1e5, 1e-8, "budget"),
+        (3.0, 1e-16, "roundoff"),
+    ])
+    def test_failing_rows(self, gap_b, tol, reason):
+        s = demo_scenario("2+1")
+        s = replace(s, bob=replace(s.bob, gap=gap_b))
+        t = s.bob.window.t_off
+        _, status, failures = _row_from_public_routes(s, t, tol)
+        assert [f.split(": ")[:2] for f in failures
+                if f.startswith(("s2", "hf_sig"))] \
+            == [["s2", reason], ["hf_sig", reason]]
+        row = compute_row(s, 0.0, None, tol)
+        assert (row.status, row.failures) == (status, failures)
+        pair = signalling._s2_and_field_energy(s, t, tol)
+        assert [type(x) for x in pair] == [QuadratureError] * 2
 
 
 class TestInteractionEnergy:
