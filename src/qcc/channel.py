@@ -164,9 +164,7 @@ def capacity_bruteforce(p: float, q: float, tol: float = 1e-10) -> float:
             raise ValueError(f"{name} must be in [0, 1], got {v!r}")
     if p == q:
         return 0.0
-    pi = _ternary_search(p, q, _bruteforce_pi_tol(p, q, tol))
-    value = _mutual_information(pi, np.atleast_1d(p), np.atleast_1d(q))
-    return max(float(value.ravel()[0]), 0.0)
+    return float(capacity_bruteforce_grid(p, q, tol)[0])
 
 
 def capacity_bruteforce_grid(p, q, tol: float = 1e-10) -> np.ndarray:
@@ -196,11 +194,11 @@ def capacity_expansion(
     s2_value: float,
     alpha_B: complex,
     beta_B: complex,
-    lambda_A: float = 1.0,
-    lambda_B: float = 1.0,
+    lambda_product: float = 1.0,
 ) -> float:
     """Small-signal capacity expansion
-    lambda_A^2 lambda_B^2 (2/ln2) (S2 / (4 |alpha_B||beta_B|))^2."""
+    (lambda_A lambda_B)^2 (2/ln2) (S2 / (4 |alpha_B||beta_B|))^2, with
+    ``lambda_product`` = lambda_A lambda_B."""
     mod = abs(alpha_B) * abs(beta_B)
     if mod == 0.0:
         raise ValueError(
@@ -208,7 +206,7 @@ def capacity_expansion(
             "eigenstate (|alpha_B||beta_B| = 0)"
         )
     return (
-        (lambda_A * lambda_B) ** 2
+        lambda_product ** 2
         * (2.0 / _LN2)
         * (s2_value / (4.0 * mod)) ** 2
     )
@@ -246,7 +244,7 @@ def channel_stats(
         success=guess_success(p, q),
         capacity_closed=capacity_closed(p, q),
         capacity_expansion=capacity_expansion(
-            s2_val, s.bob.state.alpha, s.bob.state.beta, lambda_product, 1.0
+            s2_val, s.bob.state.alpha, s.bob.state.beta, lambda_product
         ),
         capacity_bruteforce=capacity_bruteforce(p, q),
     )

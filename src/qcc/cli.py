@@ -16,12 +16,11 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .channel import ChannelStats, channel_stats
-from .config import load_config
+from .config import _fmt, load_config
 from .quadrature import QuadratureError, default_tolerance
 from .scenario import (
     Scenario,
@@ -30,7 +29,6 @@ from .scenario import (
     validate,
 )
 from . import signalling
-from .validation import format_report, run_all_checks
 
 __all__ = [
     "SweepSpec",
@@ -52,10 +50,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_VALIDATION = 3
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 @dataclass(frozen=True)
@@ -267,6 +261,8 @@ def run_sweep(
     # the pool starts every worker at once
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(compute_row, *zip(*tasks),
@@ -298,6 +294,8 @@ def run_capacity(
 
 
 def run_validate() -> int:
+    from .validation import format_report, run_all_checks
+
     results = run_all_checks()
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VALIDATION

@@ -1,7 +1,9 @@
 """Adaptive quadrature with explicit error control.
 
-Provides the 1D and 2D integrators used by the signalling calculations.
-The workhorse is a Gauss-Kronrod 7/15 pair applied over a panel list with
+Provides the 1D integrator behind the signalling calculations and a 2D
+integrator, :func:`integrate_2d_rect`, that is the reference oracle for
+the tests and the benchmark (signalling does not use it).  The workhorse
+is a Gauss-Kronrod 7/15 pair applied over a panel list with
 greedy refinement of the worst panel; integrable inverse-square-root
 singularities are handled by declared substitutions so the rule only ever
 sees smooth integrands.
@@ -18,8 +20,9 @@ initial panelling; each is then refined on its own.  A panelling that
 already meets the tolerance is summed at once, with no per-panel
 bookkeeping.
 
-Everything here is deterministic: fixed node sets, a stable refinement
-order, and compensated summation of the final panel list.
+Everything here is deterministic: fixed node sets, a refinement order
+whose ties break by insertion, and correctly rounded sums (``math.fsum``)
+of the final panel values and errors, which no panel order can change.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ def default_tolerance() -> float:
     """Absolute tolerance used when none is passed explicitly.
 
     Reads the ``QCC_QUAD_TOL`` environment variable at call time and falls
-    back to 1e-8.
+    back to 1e-8; a value that is not a finite positive number is a
+    ValueError.
     """
     raw = os.environ.get(TOL_ENV_VAR)
     if raw is None:
@@ -99,9 +103,15 @@ def default_tolerance() -> float:
         tol = float(raw)
     except ValueError as err:
         raise ValueError(f"{TOL_ENV_VAR} is not a number: {raw!r}") from err
-    if tol <= 0:
-        raise ValueError(f"{TOL_ENV_VAR} must be positive, got {raw!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(
+            f"{TOL_ENV_VAR} must be a finite positive number, got {raw!r}")
     return tol
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -227,8 +237,7 @@ def _adaptive(f, edges, initial, tol, budget):
             return QuadResult(math.fsum(k15), total_err, evaluations)
 
     # Heap entries: (-err, insertion order); the order makes ties
-    # deterministic.  Panels live in a dict so the final value can be
-    # re-summed in interval order with compensated arithmetic.
+    # deterministic and is the key of the panel in ``panels``.
     order = 0
     heap = []
     panels = {}
@@ -247,10 +256,8 @@ def _adaptive(f, edges, initial, tol, budget):
         add(edges[i], edges[i + 1], k15[i], err[i], at_floor[i])
 
     def finish():
-        items = sorted(panels.values(), key=lambda p: p[0])
-        value = math.fsum(p[2] for p in items)
-        total_err = math.fsum(p[3] for p in items)
-        return value, total_err
+        return (math.fsum(p[2] for p in panels.values()),
+                math.fsum(p[3] for p in panels.values()))
 
     def fail(message, reason):
         value, total_err = finish()
@@ -404,8 +411,7 @@ def integrate_1d(
         raise ValueError(f"require a < b, got a={a!r}, b={b!r}")
     if tol is None:
         tol = default_tolerance()
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if not vectorized:
         scalar = f
 

@@ -222,6 +222,11 @@ def require_valid(s: Scenario) -> ValidationReport:
 ArrayOrFloat = Union[float, np.ndarray]
 
 
+def _bias_coeff(d: DetectorSpec) -> complex:
+    """alpha* beta: the detector's bias is Re(alpha* beta e^{i Omega t})."""
+    return d.state.alpha.conjugate() * d.state.beta
+
+
 def detector_bias(d: DetectorSpec, t: ArrayOrFloat) -> ArrayOrFloat:
     """Free-evolution bias Re(alpha* beta e^{i Omega t}) of a detector.
 
@@ -229,7 +234,7 @@ def detector_bias(d: DetectorSpec, t: ArrayOrFloat) -> ArrayOrFloat:
     leading-order signalling integrand; it is bounded by |alpha||beta| and
     periodic in t with period 2 pi / Omega.  Accepts scalars or arrays.
     """
-    coeff = d.state.alpha.conjugate() * d.state.beta
+    coeff = _bias_coeff(d)
     t_arr = np.asarray(t, dtype=float)
     out = np.real(coeff * np.exp(1j * d.gap * t_arr))
     if np.isscalar(t) or t_arr.ndim == 0:

@@ -38,12 +38,14 @@ from typing import Optional
 import numpy as np
 
 from .greens import commutator_kernel
-from .quadrature import QuadratureError, _integrate_shared, default_tolerance
+from .quadrature import (QuadratureError, _check_tol, _integrate_shared,
+                         default_tolerance)
 from .scenario import (
     CausalClass,
     Dimension,
     InvalidScenarioError,
     Scenario,
+    _bias_coeff,
     detector_bias,
     require_valid,
 )
@@ -74,10 +76,6 @@ class Observable:
 class BalanceResult:
     residual: float
     quad_error: float
-
-
-def _bias_coeff(det) -> complex:
-    return det.state.alpha.conjugate() * det.state.beta
 
 
 def _commutator_lag_kernel(dim: Dimension, L: float):
@@ -170,13 +168,14 @@ def _lag_integrals(dim, L, integrand, picks, omega, lo, hi, kinks, tol,
     This is the shared pass: on each piece every live pick is evaluated
     on the initial nodes in one call, then refined on its own, so each
     pick gets the value, error and evaluation count it gets alone.
-    ``tol`` (default :func:`default_tolerance`) is split across the
-    pieces; a pick that fails on a piece gets a QuadratureError naming
-    ``tol`` and takes no further part.  Returns one Observable or
-    QuadratureError per pick.
+    ``tol`` (default :func:`default_tolerance`; ValueError unless finite
+    and positive) is split across the pieces; a pick that fails on a
+    piece gets a QuadratureError naming ``tol`` and takes no further
+    part.  Returns one Observable or QuadratureError per pick.
     """
     if tol is None:
         tol = default_tolerance()
+    _check_tol(tol)
     cuts = sorted({lo, hi} | {c for c in (-L, L, *kinks) if lo < c < hi})
     pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
               if abs(0.5 * (a + b)) > L]

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from . import channel, greens, signalling
+from . import channel, cli, greens, signalling
 from .quadrature import QuadratureError, integrate_1d
 from .scenario import (
     ComplexAmplitudePair,
@@ -375,10 +375,7 @@ def _check_channel_reset() -> CheckResult:
 
 
 def _check_hb_identity() -> CheckResult:
-    # cli imports this module, so the production row is imported here
-    from .cli import compute_row
-
-    row = compute_row(_demo(), 5.0, None, 1e-8)
+    row = cli.compute_row(_demo(), 5.0, None, 1e-8)
     defect = abs(row.hB_sig - 3.0 * row.s2)
     return CheckResult("hB-definition", defect < 1e-12,
                        f"|hB - Omega_B s2| = {defect:.3e} (tol 1e-12)")

@@ -171,7 +171,7 @@ class TestCapacityExpansion:
     def test_coupling_scaling(self):
         isq = 1.0 / math.sqrt(2.0)
         base = capacity_expansion(1e-3, isq, isq)
-        assert capacity_expansion(1e-3, isq, isq, 0.3, 1.0) \
+        assert capacity_expansion(1e-3, isq, isq, 0.3) \
             == pytest.approx(0.09 * base, rel=1e-14)
 
     def test_eigenstate_rejected(self):

@@ -113,10 +113,24 @@ class TestPointVerb:
         assert "before bob switches on" in err
 
     def test_garbage_tolerance_env_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setenv("QCC_QUAD_TOL", "quick")
-        rc, _, err = run_cli(capsys, "point", DEMO_CFG)
-        assert rc == 1
-        assert "QCC_QUAD_TOL" in err
+        for value in ("quick", "nan", "inf"):
+            monkeypatch.setenv("QCC_QUAD_TOL", value)
+            rc, out, err = run_cli(capsys, "point", DEMO_CFG)
+            assert rc == 1
+            assert out == ""
+            assert "QCC_QUAD_TOL" in err
+
+    def test_readme_block_is_what_point_prints(self, capsys, monkeypatch):
+        # the block README shows for `qcc point configs/demo_2p1.cfg` is
+        # the head of what the verb prints
+        monkeypatch.delenv("QCC_QUAD_TOL", raising=False)
+        readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+        _, _, after = readme.partition(
+            "`qcc point configs/demo_2p1.cfg` prints")
+        block = after.split("```\n", 2)[1]
+        assert "status     = ok" in block and CSV_HEADER in block
+        assert cli.run_point(DEMO_CFG) == 0
+        assert capsys.readouterr().out.startswith(block)
 
     def test_unreachable_tolerance_exits_2(self, capsys, monkeypatch):
         # 1e-16 sits below the roundoff floor of the double integrals:
@@ -243,7 +257,8 @@ class TestSweepVerb:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         self.sweep(capsys, tmp_path, "rows.csv", "--jobs", "1000")
         rc, _, _ = run_cli(
@@ -444,6 +459,22 @@ class TestEntryPoints:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert CSV_HEADER in proc.stdout
+
+    def test_imports_load_only_what_a_verb_runs(self):
+        # `import qcc` loads no submodule; the CLI loads the validation
+        # suite and the process pool only for `validate` and `--jobs`
+        code = (
+            "import sys, qcc\n"
+            "print(sorted(m for m in sys.modules if m.startswith('qcc.')))\n"
+            "import qcc.cli\n"
+            "print([m for m in ('qcc.validation', "
+            "'concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "[]"]
 
     @pytest.mark.skipif(shutil.which("qcc") is None,
                         reason="console script not on PATH")

@@ -82,8 +82,12 @@ class TestIntegrate1d:
             integrate_1d(lambda t: 1.0, 1.0, 1.0, 1e-8)
 
     def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_1d(lambda t: 1.0, 0.0, 1.0, -1e-8)
+        for tol in (-1e-8, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                integrate_1d(lambda t: 1.0, 0.0, 1.0, tol)
+            with pytest.raises(ValueError, match="finite and positive"):
+                integrate_2d_rect(lambda x, y: 1.0, (0.0, 1.0), (0.0, 1.0),
+                                  tol)
 
     def test_budget_failure_carries_best_estimate(self):
         with pytest.raises(QuadratureError) as excinfo:
@@ -257,9 +261,10 @@ def test_env_var_overrides_default_tolerance(monkeypatch):
     monkeypatch.setenv("QCC_QUAD_TOL", "not-a-number")
     with pytest.raises(ValueError):
         default_tolerance()
-    monkeypatch.setenv("QCC_QUAD_TOL", "-1e-8")
-    with pytest.raises(ValueError):
-        default_tolerance()
+    for bad in ("-1e-8", "0", "nan", "inf"):
+        monkeypatch.setenv("QCC_QUAD_TOL", bad)
+        with pytest.raises(ValueError, match="QCC_QUAD_TOL"):
+            default_tolerance()
 
 
 # Frozen oracle for the singular-line rectangle below: midpoint-rule

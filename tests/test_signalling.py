@@ -126,6 +126,15 @@ class TestS2GenericRoutes:
         assert partial != pytest.approx(full, rel=1e-3)
         assert beyond == full  # window clamps at T2
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        s = demo_scenario("2+1")
+        for route in (lambda: s2_observable(s, tol=tol),
+                      lambda: field_energy_observable(s, tol=tol),
+                      lambda: interaction_energy_observable(s, 6.0, tol)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                route()
+
     def test_time_before_window_rejected(self):
         with pytest.raises(ValueError):
             s2_observable(demo_scenario("2+1"), t=4.0)
