@@ -342,8 +342,8 @@ def _checked(kind, ok, what):
 def _eval_time(text: str) -> Optional[float]:
     if text == "at_T2":
         return None
-    return _checked(float, lambda t: not math.isnan(t),
-                    "'at_T2' or a number")(text)
+    return _checked(float, math.isfinite,
+                    "'at_T2' or a finite number")(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -411,4 +411,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    # `validate` imports qcc.cli: let it find this module, not a copy
+    sys.modules.setdefault("qcc.cli", sys.modules[__name__])
     raise SystemExit(main())

@@ -4,9 +4,9 @@ Provides the 1D integrator behind the signalling calculations and a 2D
 integrator, :func:`integrate_2d_rect`, that is the reference oracle for
 the tests and the benchmark (signalling does not use it).  The workhorse
 is a Gauss-Kronrod 7/15 pair applied over a panel list with
-greedy refinement of the worst panel; integrable inverse-square-root
-singularities are handled by declared substitutions so the rule only ever
-sees smooth integrands.
+greedy refinement of the worst panel.  The rule expects smooth
+integrands: a caller substitutes an integrable endpoint singularity away
+first, as the 2+1D lag integrals in :mod:`qcc.signalling` do on the cone.
 
 Refinement stops at the roundoff floor (QUADPACK's roundoff detection,
 Piessens et al. 1983): a panel whose 15- and 7-point rules already agree
@@ -186,7 +186,7 @@ def _panel_rules(vals, flat, halves):
         bad = flat[~np.isfinite(vals)][0]
         raise QuadratureError(
             f"integrand returned a non-finite value near t={bad!r}; "
-            "an undeclared singularity must be declared to the integrator",
+            "an endpoint singularity must be substituted away first",
             "non-finite",
         )
     vals = vals.reshape(-1, 15)
@@ -297,59 +297,30 @@ def _adaptive(f, edges, initial, tol, budget):
         add(mid, pb, ck15[1], cerr[1], cfloor[1])
 
 
-def _sqrt_transformed(f, a, b, side):
-    """Rewrite an endpoint 1/sqrt singularity as a smooth integrand.
+def _integrate_shared(f, n, a, b, tol, max_panel_width,
+                      budget=_DEFAULT_BUDGET):
+    """Integrate ``n`` integrands over [a, b] on one initial node set.
 
-    ``side='lower'`` assumes f ~ c/sqrt(t-a) near a and substitutes
-    t = a + u^2; ``side='upper'`` mirrors this at b with t = b - u^2.
-    Returns the new integrand, in the calling convention of
-    :func:`_integrate_shared`, plus its (0, sqrt(b-a)) domain.
+    ``f(t)`` takes an ndarray of abscissae and returns ``n`` value
+    arrays.  The initial panelling is evaluated once for all of them;
+    after that integrand i is refined through ``f(t)[i]``,
+    budget-checked and failed on its own, exactly as
+    :func:`integrate_1d` would integrate it alone.  Returns one
+    QuadResult or QuadratureError per integrand.  Arguments are as for
+    :func:`integrate_1d`, and are not checked here.
     """
-    if side not in ("lower", "upper"):
-        raise ValueError(
-            f"sqrt_singularity must be 'lower' or 'upper', got {side!r}"
-        )
-    end, sign = (a, 1.0) if side == "lower" else (b, -1.0)
-
-    def g(u, picks):
-        vals = f(end + sign * (u * u), picks)
-        two_u = 2.0 * u
-        for i, v in enumerate(vals):
-            vals[i] = two_u * v
-        return vals
-
-    return g, 0.0, math.sqrt(b - a)
-
-
-def _integrate_shared(f, picks, a, b, tol, sqrt_singularity=None,
-                      max_panel_width=None, budget=_DEFAULT_BUDGET):
-    """Integrate several integrands over [a, b] on one initial node set.
-
-    ``f(t, picks)`` takes an ndarray of abscissae and returns a list
-    with one value array per entry of ``picks``.  The initial panelling
-    is evaluated for every pick in one call; after that each integrand
-    is refined through ``f(t, [pick])``, budget-checked and failed on
-    its own, exactly as :func:`integrate_1d` would integrate it alone.
-    Returns one QuadResult or QuadratureError per pick.  Arguments are
-    as for :func:`integrate_1d`, and are not checked here.
-    """
-    if sqrt_singularity is not None:
-        if max_panel_width is not None:
-            # du = dt / (2u): a t-width W maps to at least W / (2 sqrt(span)).
-            max_panel_width /= 2.0 * math.sqrt(b - a)
-        f, a, b = _sqrt_transformed(f, a, b, sqrt_singularity)
     try:
         edges = _initial_edges(a, b, max_panel_width, budget)
     except QuadratureError as exc:
-        return [exc] * len(picks)
+        return [exc] * n
     flat, halves = _panel_nodes(edges)
-    vals = f(flat, picks)
+    vals = f(flat)
     results = []
-    for i, pick in enumerate(picks):
+    for i in range(n):
         try:
             initial = _panel_rules(vals[i], flat, halves)
             vals[i] = None  # only the panel sums are kept while refining
-            results.append(_adaptive(lambda t, pick=pick: f(t, [pick])[0],
+            results.append(_adaptive(lambda t, i=i: f(t)[i],
                                      edges, initial, tol, budget))
         except QuadratureError as exc:
             results.append(exc)
@@ -363,7 +334,6 @@ def integrate_1d(
     tol: Optional[float] = None,
     *,
     vectorized: bool = False,
-    sqrt_singularity: Optional[str] = None,
     max_panel_width: Optional[float] = None,
     budget: int = _DEFAULT_BUDGET,
 ) -> QuadResult:
@@ -379,10 +349,6 @@ def integrate_1d(
         Integration limits, a < b.
     tol : float, optional
         Absolute tolerance target; defaults to :func:`default_tolerance`.
-    sqrt_singularity : {'lower', 'upper'}, optional
-        Declares an integrable c/sqrt(t - endpoint) singularity.  The
-        integrator substitutes t = endpoint +/- u^2 so the transformed
-        integrand is smooth; quadrature nodes never touch the endpoint.
     max_panel_width : float, optional
         Upper bound on the initial panel width, used to resolve
         oscillations (a quarter period per panel is ample for GK15).
@@ -419,8 +385,8 @@ def integrate_1d(
             return np.fromiter((scalar(x) for x in t), dtype=float,
                                count=t.size)
 
-    (res,) = _integrate_shared(lambda t, picks: [f(t)], [0], a, b, tol,
-                               sqrt_singularity, max_panel_width, budget)
+    (res,) = _integrate_shared(lambda t: [f(t)], 1, a, b, tol,
+                               max_panel_width, budget)
     if isinstance(res, QuadratureError):
         raise res
     return res

@@ -105,9 +105,9 @@ def _field_lag_kernel(L: float):
 _S2, _HF = 0, 1
 
 
-def _window_correlation(s: Scenario, upper: float):
-    """corr(tau, picks): C(tau) = int bias_A(t1) Re(d_B e^{i Om_B (t1 + tau)})
-    dt1 for each picked observable, vectorized.
+def _window_correlation(s: Scenario, upper: float, picks):
+    """corr(tau): C(tau) = int bias_A(t1) Re(d_B e^{i Om_B (t1 + tau)})
+    dt1 for each observable in ``picks``, vectorized.
 
     ``_S2`` picks d_B = i c_B and ``_HF`` picks d_B = c_B, with c_B Bob's
     bias coefficient; both share every intermediate below.  t1 runs over
@@ -124,9 +124,10 @@ def _window_correlation(s: Scenario, upper: float):
     c_b = _bias_coeff(s.bob)
     # (c_A d_B, c_A conj(d_B)) per observable; s2's Bob factor
     # -Im(c_B e^{i Om_B t2}) is Re(i c_B e^{i Om_B t2})
-    coeffs = [(c_a * d_b, c_a * d_b.conjugate()) for d_b in (1j * c_b, c_b)]
+    d_b = (1j * c_b, c_b)
+    coeffs = [(c_a * d_b[p], c_a * d_b[p].conjugate()) for p in picks]
 
-    def corr(tau, picks):
+    def corr(tau):
         lo = np.maximum(a_on, b_on - tau)
         hi = np.minimum(a_off, upper - tau)
         w = np.maximum(hi - lo, 0.0)
@@ -145,33 +146,35 @@ def _window_correlation(s: Scenario, upper: float):
         return [
             0.5 * w * (np.real(c_sum * e_sum) * sinc_sum
                        + np.real(c_diff * e_diff) * sinc_diff)
-            for c_sum, c_diff in (coeffs[p] for p in picks)
+            for c_sum, c_diff in coeffs
         ]
 
     return corr
 
 
-def _lag_integrals(dim, L, integrand, picks, omega, lo, hi, kinks, tol,
+def _lag_integrals(dim, L, integrand, n, omega, lo, hi, kinks, tol,
                    factor):
-    """factor * int_lo^hi integrand(tau, x)[j] dtau over |tau| > L, with
-    x = |tau| - L, for every observable j in ``picks``, on one node set.
+    """factor * int_lo^hi integrand(tau, x)[i] dtau over |tau| > L, with
+    x = |tau| - L, for each of the ``n`` integrands, on one node set.
 
-    ``integrand(tau, x, picks)`` returns one value array per pick.  The
-    lag range is cut at +-L and at the weight's ``kinks`` so every piece
-    is smooth, and panels start a quarter period of the weight's top
-    frequency ``omega`` wide; the pieces inside the cone, where the
-    kernels vanish, are dropped.  A 2+1D piece that ends on the cone
-    carries the kernels' 1/sqrt singularity: it is integrated over the
-    distance x from the cone, through the integrator's declared
-    substitution, so the kernels never see x rounded off against L.
+    ``integrand(tau, x)`` returns ``n`` value arrays.  The lag range is
+    cut at +-L and at the weight's ``kinks`` so every piece is smooth,
+    and panels start a quarter period of the weight's top frequency
+    ``omega`` wide; the pieces inside the cone, where the kernels
+    vanish, are dropped.  A 2+1D piece that ends on the cone carries
+    the kernels' 1/sqrt singularity, which this route substitutes away:
+    it integrates over u = sqrt(x), with tau = +-(L + u^2) and weight
+    2u, so the rule sees a smooth integrand and the kernels never see x
+    rounded off against L.
 
-    This is the shared pass: on each piece every live pick is evaluated
-    on the initial nodes in one call, then refined on its own, so each
-    pick gets the value, error and evaluation count it gets alone.
+    This is the shared pass: on each piece all integrands are evaluated
+    on the initial nodes in one call, then each is refined on its own,
+    so each gets the value, error and evaluation count it gets alone.
     ``tol`` (default :func:`default_tolerance`; ValueError unless finite
-    and positive) is split across the pieces; a pick that fails on a
-    piece gets a QuadratureError naming ``tol`` and takes no further
-    part.  Returns one Observable or QuadratureError per pick.
+    and positive) is split across the pieces; an integrand that fails
+    on a piece gets a QuadratureError naming ``tol``, and is ignored on
+    later pieces.  Returns one Observable or QuadratureError per
+    integrand.
     """
     if tol is None:
         tol = default_tolerance()
@@ -180,50 +183,47 @@ def _lag_integrals(dim, L, integrand, picks, omega, lo, hi, kinks, tol,
     pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
               if abs(0.5 * (a + b)) > L]
     if not pieces:
-        return [Observable(0.0, 0.0, 0) for _ in picks]
+        return [Observable(0.0, 0.0, 0)] * n
     piece_tol = tol / len(pieces) / (abs(factor) or 1.0)
-    width = (2.0 * math.pi / omega) / 4.0 if omega > 0 else None
-    singular = dim is Dimension.D2p1
+    width = (2.0 * math.pi / omega) / 4.0
 
-    def f(tau, live):
-        return integrand(tau, np.abs(tau) - L, live)
-
-    def on_cone(sign):
-        def g(x, live):
-            return integrand(sign * (L + x), x, live)
-        return g
-
-    values = {p: [] for p in picks}
-    err = dict.fromkeys(picks, 0.0)
-    evals = dict.fromkeys(picks, 0)
-    failed = {}
+    values = [[] for _ in range(n)]
+    err, evals, failed = [0.0] * n, [0] * n, [None] * n
     for a, b in pieces:
-        live = [p for p in picks if p not in failed]
-        if not live:
+        if None not in failed:
             break
-        if singular and (a == L or b == -L):
+        if dim is Dimension.D2p1 and (a == L or b == -L):
             end = b if a == L else a
-            g, ga, gb = on_cone(math.copysign(1.0, end)), 0.0, abs(end) - L
-            sqrt_end = "lower"
+            sign, span = math.copysign(1.0, end), abs(end) - L
+
+            def g(u):
+                x = u * u
+                return [2.0 * u * v for v in integrand(sign * (L + x), x)]
+
+            # du = dx / (2u): an x-width W maps to at least W / (2 sqrt(span))
+            results = _integrate_shared(g, n, 0.0, math.sqrt(span), piece_tol,
+                                        width / (2.0 * math.sqrt(span)))
         else:
-            g, ga, gb, sqrt_end = f, a, b, None
-        results = _integrate_shared(g, live, ga, gb, piece_tol, sqrt_end,
-                                    width)
-        for p, res in zip(live, results):
+            results = _integrate_shared(
+                lambda tau: integrand(tau, np.abs(tau) - L), n, a, b,
+                piece_tol, width)
+        for i, res in enumerate(results):
+            if failed[i] is not None:
+                continue
             if isinstance(res, QuadratureError):
-                failed[p] = QuadratureError(
+                failed[i] = QuadratureError(
                     f"tol {tol:.3e} not reached on the lag piece "
                     f"[{a!r}, {b!r}]: {res}", res.reason, res.best,
                 )
-                failed[p].__cause__ = res
+                failed[i].__cause__ = res
                 continue
-            values[p].append(res.value)
-            err[p] += res.abs_error_estimate
-            evals[p] += res.evaluations
+            values[i].append(res.value)
+            err[i] += res.abs_error_estimate
+            evals[i] += res.evaluations
     return [
-        failed.get(p) or Observable(
-            factor * math.fsum(values[p]), abs(factor) * err[p], evals[p])
-        for p in picks
+        failed[i] or Observable(
+            factor * math.fsum(values[i]), abs(factor) * err[i], evals[i])
+        for i in range(n)
     ]
 
 
@@ -258,18 +258,16 @@ def _correlation_observables(s, t, picks, tol):
     b_on = s.bob.window.t_on
     if upper <= b_on:
         return [Observable(0.0, 0.0, 0) for _ in picks]
-    corr = _window_correlation(s, upper)
-    kernels = {_S2: _commutator_lag_kernel(s.dimension, L),
-               _HF: _field_lag_kernel(L)}
+    corr = _window_correlation(s, upper, picks)
+    kernel = {_S2: _commutator_lag_kernel(s.dimension, L),
+              _HF: _field_lag_kernel(L)}
+    kernels = [kernel[p] for p in picks]
 
-    def integrand(tau, x, live):
-        vals = corr(tau, live)
-        for i, p in enumerate(live):
-            vals[i] = kernels[p](tau, x) * vals[i]
-        return vals
+    def integrand(tau, x):
+        return [k(tau, x) * c for k, c in zip(kernels, corr(tau))]
 
     return _lag_integrals(
-        s.dimension, L, integrand, picks, max(s.alice.gap, s.bob.gap),
+        s.dimension, L, integrand, len(picks), max(s.alice.gap, s.bob.gap),
         b_on - a_off, upper - a_on, (b_on - a_on, upper - a_off), tol, 4.0,
     )
 
@@ -401,8 +399,8 @@ def interaction_energy_observable(
     kernel = _commutator_lag_kernel(s.dimension, L)
     return _one(_lag_integrals(
         s.dimension, L,
-        lambda tau, x, live: [kernel(tau, x) * detector_bias(a, t - tau)],
-        [0], a.gap, t - a.window.t_off, t - a.window.t_on, (), tol,
+        lambda tau, x: [kernel(tau, x) * detector_bias(a, t - tau)],
+        1, a.gap, t - a.window.t_off, t - a.window.t_on, (), tol,
         -4.0 * bob,
     )[0])
 
@@ -512,8 +510,8 @@ def s2_null_3p1(s: Scenario) -> float:
     delta_coeff = commutator_kernel(Dimension.D3p1, L, L).on_lightcone_delta
     # 4 int bias_A(t1) Re(alpha_B* beta_B e^{i Om_B (t1+L)} * i * coeff):
     # the window correlation at the lag tau = L
-    corr = _window_correlation(s, s.bob.window.t_off)
-    return 4.0 * delta_coeff * float(corr(L, [_S2])[0])
+    corr = _window_correlation(s, s.bob.window.t_off, [_S2])
+    return 4.0 * delta_coeff * float(corr(L)[0])
 
 
 def energy_balance(s: Scenario, tol: Optional[float] = None) -> BalanceResult:

@@ -222,13 +222,15 @@ class TestSweepVerb:
         assert pinned != default
 
     def test_nan_eval_time_exits_1(self, capsys, tmp_path):
-        rc, err = usage_error(
-            capsys, "sweep", DEMO_CFG, "--param", "bob_t_on",
-            "--range", "4.5:5.3:0.2", "--out", str(tmp_path / "nan.csv"),
-            "--eval-time", "nan")
-        assert rc == 1
-        assert "--eval-time" in err
-        assert not (tmp_path / "nan.csv").exists()
+        # inf used to mean at_T2, and -inf swept rows all rejected
+        for value in ("nan", "inf", "-inf"):
+            rc, err = usage_error(
+                capsys, "sweep", DEMO_CFG, "--param", "bob_t_on",
+                "--range", "4.5:5.3:0.2", "--out", str(tmp_path / "bad.csv"),
+                "--eval-time", value)
+            assert rc == 1
+            assert "--eval-time" in err
+            assert not (tmp_path / "bad.csv").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
     def test_jobs_below_one_exits_1(self, capsys, tmp_path, jobs):
@@ -475,6 +477,19 @@ class TestEntryPoints:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "[]"]
+
+    def test_python_m_validate_loads_cli_once(self):
+        # the running __main__ stands in for qcc.cli, so the validation
+        # suite's `from . import cli` imports no second copy
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "qcc.cli", "validate"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "qcc.validation" in imported
+        assert "qcc.cli" not in imported
 
     @pytest.mark.skipif(shutil.which("qcc") is None,
                         reason="console script not on PATH")

@@ -65,18 +65,6 @@ class TestIntegrate1d:
         assert tight.evaluations >= loose.evaluations
         assert tight.abs_error_estimate <= 1e-12
 
-    @pytest.mark.parametrize("f,side,exact", [
-        (lambda t: 1.0 / math.sqrt(t), "lower", 2.0),
-        (lambda t: math.sqrt(t), "lower", 2.0 / 3.0),
-        (lambda t: 1.0 / math.sqrt(1.0 - t), "upper", 2.0),
-        (lambda t: math.log(1.0 + math.sqrt(t)), "lower",
-         # int_0^1 log(1 + sqrt(t)) dt = 2 int_0^1 u log(1+u) du = 1/2
-         0.5),
-    ])
-    def test_declared_sqrt_singularity(self, f, side, exact):
-        res = integrate_1d(f, 0.0, 1.0, 1e-11, sqrt_singularity=side)
-        assert abs(res.value - exact) < 1e-10
-
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError, match="a < b"):
             integrate_1d(lambda t: 1.0, 1.0, 1.0, 1e-8)
@@ -144,7 +132,7 @@ class TestConvergedInitialPanelling:
         assert res.abs_error_estimate == math.fsum(err)
 
     def test_unconverged_panelling_still_refines(self):
-        # one panel cannot resolve an undeclared sqrt endpoint
+        # one panel cannot resolve a sqrt endpoint left unsubstituted
         res = integrate_1d(np.sqrt, 0.0, 1.0, 1e-10, vectorized=True)
         assert res.evaluations > 15
         assert res.abs_error_estimate <= 1e-10

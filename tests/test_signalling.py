@@ -297,6 +297,23 @@ class TestSharedPass:
         assert [type(x) for x in pair] == [QuadratureError] * 2
 
 
+def test_failing_integrand_leaves_its_partner(monkeypatch):
+    # a non-finite field kernel fails hf_sig on the first lag piece of the
+    # demo row; s2, in the same shared pass, must not notice
+    monkeypatch.setattr(signalling, "_field_lag_kernel",
+                        lambda L: lambda tau, x: np.full_like(tau, np.nan))
+    s = demo_scenario("2+1")
+    t = s.bob.window.t_off
+    s2, hf = signalling._s2_and_field_energy(s, t, 1e-8)
+    assert isinstance(hf, QuadratureError)
+    assert hf.reason == "non-finite"
+    assert "on the lag piece [2.0, 5.0]:" in str(hf)
+    assert s2 == s2_observable(s, t, 1e-8)
+    row = compute_row(s, 0.0, None, 1e-8)
+    assert row.status == "numerical:hf_sig"
+    assert row.s2 == s2.value
+
+
 class TestInteractionEnergy:
     def test_closed_form_reference(self):
         # closed form written out independently here, then compared with
@@ -347,15 +364,18 @@ class TestInteractionEnergy:
 
     def test_2p1_time_on_alice_past_cone_vs_direct_quadrature(self):
         # at t = 3.5 the past cone t1 = t - L ends inside Alice's window,
-        # on the kernel's 1/sqrt edge; the oracle integrates over t1 with
-        # the scalar kernel and a declared endpoint singularity
+        # on the kernel's 1/sqrt edge; the oracle integrates with the
+        # scalar kernel over u, t1 = (t - L) - u^2, which absorbs the edge
         s = make_scenario("2+1", b_win=(3.5, 6.5))
         t, L = 3.5, 1.0
+
+        def g(u):
+            t1 = (t - L) - u * u
+            return 2.0 * u * detector_bias(s.alice, t1) * commutator_kernel(
+                s.dimension, t - t1, L).value
+
         inner = integrate_1d(
-            lambda t1: detector_bias(s.alice, t1)
-            * commutator_kernel(s.dimension, t - t1, L).value,
-            s.alice.window.t_on, t - L, 1e-13, sqrt_singularity="upper",
-        )
+            g, 0.0, math.sqrt((t - L) - s.alice.window.t_on), 1e-13)
         bob = detector_bias(s.bob, t)
         obs = interaction_energy_observable(s, t, tol=1e-10)
         assert abs(obs.value + 4.0 * bob * inner.value) <= (
