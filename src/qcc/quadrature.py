@@ -20,6 +20,15 @@ initial panelling; each is then refined on its own.  A panelling that
 already meets the tolerance is summed at once, with no per-panel
 bookkeeping.
 
+For highly oscillatory integrals int_a^b g(t) e^{i omega t} dt with g
+analytic above the interval, :func:`_steepest_descent` replaces the
+panels by numerical steepest descent (Huybrechs & Vandewalle, SIAM J.
+Numer. Anal. 44 (2006) 1026): the path t = x + i p / omega from each
+end turns the oscillation into the Laguerre weight e^{-p}, so the cost
+does not grow with omega (b - a).  The caller decides which integrals
+qualify and falls back to the panels when its error estimate is too
+large.
+
 Everything here is deterministic: fixed node sets, a refinement order
 whose ties break by insertion, and correctly rounded sums (``math.fsum``)
 of the final panel values and errors, which no panel order can change.
@@ -27,6 +36,8 @@ of the final panel values and errors, which no panel order can change.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import heapq
 import math
 import os
@@ -85,6 +96,10 @@ _WGAUSS[7] = _WG[3]
 
 _EPS = np.finfo(float).eps
 _DEFAULT_BUDGET = 1_000_000
+
+# Gauss-Laguerre order of the steepest-descent rule; the rule 8 orders
+# higher gives the value and their difference its error estimate.
+_LAGUERRE_NODES = 16
 
 TOL_ENV_VAR = "QCC_QUAD_TOL"
 
@@ -325,6 +340,47 @@ def _integrate_shared(f, n, a, b, tol, max_panel_width,
         except QuadratureError as exc:
             results.append(exc)
     return results
+
+
+@functools.cache
+def _laguerre_rules():
+    """Nodes and weights of the two Gauss-Laguerre orders, built on
+    first use (the module that builds them is imported only then)."""
+    from numpy.polynomial.laguerre import laggauss
+
+    return [laggauss(m) for m in (_LAGUERRE_NODES, _LAGUERRE_NODES + 8)]
+
+
+def _steepest_descent(g, n, omega, a, b):
+    """int_a^b g(t)[i] e^{i omega t} dt for each of ``n`` integrands, by
+    numerical steepest descent; ``omega`` > 0.
+
+    ``g(z)`` takes an ndarray of complex abscissae and returns ``n``
+    complex value arrays; each integrand must be analytic on and above
+    [a, b] and grow slower than e^{omega Im z}.  The integral is then
+    H(a) - H(b), with H(x) = (i / omega) e^{i omega x}
+    int_0^inf g(x + i p / omega) e^{-p} dp, done by Gauss-Laguerre at two
+    orders.  Returns (values, errors, evaluations): the higher order's
+    complex value and the modulus of its difference from the lower
+    order's, per integrand, and the number of abscissae each integrand
+    was evaluated at.  Each integrand's sums are exactly rounded
+    (``math.fsum``), so its result does not depend on the others.
+    """
+    rules = _laguerre_rules()
+    p = np.concatenate([nodes for nodes, _ in rules]) / omega
+    vals = g(np.concatenate([a + 1j * p, b + 1j * p]))
+    ends = [(0, 1j * cmath.exp(1j * omega * a) / omega),
+            (p.size, -1j * cmath.exp(1j * omega * b) / omega)]
+    out = [[0j] * n for _ in rules]
+    for i in range(n):
+        for start, scale in ends:
+            for q, (nodes, weights) in zip(out, rules):
+                wv = weights * vals[i][start:start + nodes.size]
+                q[i] += scale * complex(math.fsum(wv.real),
+                                        math.fsum(wv.imag))
+                start += nodes.size
+    low, high = out
+    return (high, [abs(h - l) for h, l in zip(high, low)], 2 * p.size)
 
 
 def integrate_1d(

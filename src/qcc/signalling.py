@@ -25,6 +25,20 @@ computes both in one shared pass: on each lag piece C's intermediates
 and both integrands are evaluated on one initial node set, then each
 observable is refined, budget-checked and failed on its own, so each
 gets exactly what its own public route returns.
+
+GK panels a quarter period wide cost O(Om T) evaluations on a lag
+piece.  So a 2+1D piece off the cone that spans at least
+_STEEPEST_DESCENT_PERIODS periods of the top gap takes a second route
+for s2 and the field energy.  On a piece the overlap and both phases
+are affine in tau, so C is exactly a finite sum of exponentials
+sum_j P_j(tau) e^{i om_j tau}, with om_j among +-Om_A, +-Om_B,
+(Om_A + Om_B) / 2 and (Om_B - Om_A) / 2.  Both kernels continue
+analytically into the upper half-plane, so each high-frequency group
+of terms is integrated by numerical steepest descent at a cost
+independent of om_j, and GK takes the slowly varying rest.  A pick
+whose estimate misses its share of tol is redone on GK panels, so a
+failure there is the GK route's failure.
+Every other piece, and the interaction energy, stays on GK alone.
 """
 
 from __future__ import annotations
@@ -38,7 +52,8 @@ from typing import Optional
 import numpy as np
 
 from .greens import commutator_kernel
-from .quadrature import (QuadratureError, _check_tol, _integrate_shared,
+from .quadrature import (QuadratureError, QuadResult, _check_tol,
+                         _integrate_shared, _steepest_descent,
                          default_tolerance)
 from .scenario import (
     CausalClass,
@@ -104,10 +119,38 @@ def _field_lag_kernel(L: float):
 # Indices of the two correlation observables in a shared pass.
 _S2, _HF = 0, 1
 
+# A 2+1D lag piece off the cone takes the steepest-descent route when it
+# spans at least this many periods of the top gap.  GK spends 6000 or
+# more evaluations per observable on such a piece, at least 5x the
+# route's cost, and the sweeps of the shipped configurations stay below
+# it (19 periods at most), so their rows keep GK's values.
+_STEEPEST_DESCENT_PERIODS = 100.0
+# On such a piece, a term of the window correlation that spans at least
+# this many periods of its own frequency is integrated along the
+# steepest-descent paths; the slowly varying rest by GK.
+_OSCILLATORY_TERM_PERIODS = 2.0
+
+
+def _path_kernels(L: float):
+    """D and F continued into the upper half-plane: the boundary values
+    from above of 1/(2 pi r) and -z/(2 pi r^3), with r the product of
+    the principal roots sqrt(z - L) sqrt(z + L), which is -sqrt(tau^2 -
+    L^2) for tau < -L and so gives both kernels' sign there."""
+
+    def commutator(z):
+        return 1.0 / (2.0 * math.pi * (np.sqrt(z - L) * np.sqrt(z + L)))
+
+    def field(z):
+        return -z / (2.0 * math.pi * (np.sqrt(z - L) * np.sqrt(z + L)) ** 3)
+
+    return {_S2: commutator, _HF: field}
+
 
 def _window_correlation(s: Scenario, upper: float, picks):
-    """corr(tau): C(tau) = int bias_A(t1) Re(d_B e^{i Om_B (t1 + tau)})
-    dt1 for each observable in ``picks``, vectorized.
+    """(corr, terms).  corr(tau) is C(tau) = int bias_A(t1)
+    Re(d_B e^{i Om_B (t1 + tau)}) dt1 for each observable in ``picks``,
+    vectorized; terms(a, b) is C on one lag piece as a sum of
+    exponentials.
 
     ``_S2`` picks d_B = i c_B and ``_HF`` picks d_B = c_B, with c_B Bob's
     bias coefficient; both share every intermediate below.  t1 runs over
@@ -149,23 +192,145 @@ def _window_correlation(s: Scenario, upper: float, picks):
             for c_sum, c_diff in coeffs
         ]
 
-    return corr
+    def terms(a, b):
+        """C on the lag piece [a, b] as Re sum_j coefs_j[p] amp_j(tau)
+        e^{i om_j tau}: a list of (om_j, amp_j, coefs_j) with om_j > 0,
+        amp_j entire, vectorized and real on the real axis, and one
+        coefficient per pick."""
+        # lo and hi are affine on a piece: l0 + l1 tau and h0 + h1 tau
+        mid = 0.5 * (a + b)
+        l0, l1 = (b_on, -1.0) if b_on - mid > a_on else (a_on, 0.0)
+        h0, h1 = (upper, -1.0) if upper - mid < a_off else (a_off, 0.0)
+        w0, w1 = h0 - l0, h1 - l1
+        m0, m1 = 0.5 * (l0 + h0), 0.5 * (l1 + h1)
+        w_max = max(w0 + w1 * a, w0 + w1 * b)
+        out = []
+        # int_lo^hi e^{i kappa t1} dt1 times e^{+-i Om_B tau}, for the sum
+        # and the difference term
+        for k, kappa, om_bob in ((0, om_a + om_b, om_b),
+                                 (1, om_a - om_b, -om_b)):
+            cs = [c[k] for c in coeffs]
+            if w1 and abs(kappa) * w_max > 1.0:
+                # (e^{i kappa hi} - e^{i kappa lo}) / (2 i kappa): an end
+                # fixed in t1 keeps Om_B, a moving one turns it into -Om_A
+                for e0, e1, sign in ((h0, h1, 1.0), (l0, l1, -1.0)):
+                    f = sign * cmath.exp(1j * kappa * e0) / (2j * kappa)
+                    out.append((-om_a if e1 else om_bob, _unit,
+                                [c * f for c in cs]))
+                continue
+            # e^{i kappa m} sin(kappa w / 2) / kappa kept whole, since
+            # split into two exponentials it would cancel as kappa w -> 0;
+            # its frequency is om_bob + kappa m1, written out so that
+            # equal frequencies come out equal
+            if m1 == 0.0:
+                om = om_bob
+            elif m1 == -1.0:
+                om = -om_a
+            else:
+                om = 0.5 * (om_b - om_a) if k == 0 else -0.5 * (om_a + om_b)
+            f = cmath.exp(1j * kappa * m0)
+            out.append((om, _half_sinc(kappa, w0, w1), [c * f for c in cs]))
+        # amp is real on the real axis, so Re(c amp e^{i om tau}) is
+        # Re(conj(c) amp e^{-i om tau})
+        return [(om, amp, cs) if om > 0
+                else (-om, amp, [c.conjugate() for c in cs])
+                for om, amp, cs in out]
+
+    return corr, terms
+
+
+def _unit(z):
+    """The amplitude of a single exponential."""
+    return 1.0
+
+
+def _half_sinc(kappa, w0, w1):
+    """z -> sin(kappa w / 2) / kappa (w / 2 when kappa is 0), with
+    w = w0 + w1 z: the overlap integral of e^{i kappa t1} about its
+    midpoint, continued to complex lags."""
+    if kappa == 0.0:
+        return lambda z: 0.5 * (w0 + w1 * z)
+    return lambda z: np.sin(0.5 * kappa * (w0 + w1 * z)) / kappa
+
+
+def _oscillatory_piece(L, kernels, path_kernels, terms, a, b, tol):
+    """int_a^b K_i(tau) C_i(tau) dtau for each pick i, on a lag piece
+    off the 2+1D cone, from C's exponential ``terms`` on [a, b].
+
+    Terms that span at least _OSCILLATORY_TERM_PERIODS periods over the
+    piece are grouped by frequency, and each group is integrated by
+    numerical steepest descent against the continued kernels
+    ``path_kernels``; the rest form a slowly varying remainder, which GK
+    integrates against ``kernels`` on panels a quarter period of its own
+    top frequency, to half of ``tol``.  Returns, per pick, a QuadResult,
+    or None when the remainder fails or the summed error estimate
+    exceeds ``tol``: the caller then redoes that pick's piece on the
+    GK path.
+    """
+    n = len(kernels)
+    groups, low = {}, []
+    for om, amp, coefs in terms:
+        if om * (b - a) >= 2.0 * math.pi * _OSCILLATORY_TERM_PERIODS:
+            groups.setdefault(om, []).append((amp, coefs))
+        else:
+            low.append((om, amp, coefs))
+    values = [[] for _ in range(n)]
+    err, evals = [0.0] * n, [0] * n
+    for om, group in groups.items():
+        def g(z, group=group):
+            amps = [amp(z) for amp, _ in group]
+            return [k(z) * sum(c[i] * A for A, (_, c) in zip(amps, group))
+                    for i, k in enumerate(path_kernels)]
+
+        moments, errors, count = _steepest_descent(g, n, om, a, b)
+        for i in range(n):
+            values[i].append(moments[i].real)
+            err[i] += errors[i]
+            evals[i] += count
+    if low:
+        top = max(om for om, _, _ in low)
+
+        def remainder(tau):
+            x = np.abs(tau) - L
+            waves = [(amp(tau) * np.exp(1j * om * tau), coefs)
+                     for om, amp, coefs in low]
+            return [k(tau, x) * sum((c[i] * wave).real for wave, c in waves)
+                    for i, k in enumerate(kernels)]
+
+        width = (2.0 * math.pi / top) / 4.0 if top > 0 else None
+        for i, res in enumerate(_integrate_shared(remainder, n, a, b,
+                                                  0.5 * tol, width)):
+            if isinstance(res, QuadratureError):
+                err[i] = math.inf
+                continue
+            values[i].append(res.value)
+            err[i] += res.abs_error_estimate
+            evals[i] += res.evaluations
+    return [QuadResult(math.fsum(values[i]), err[i], evals[i])
+            if err[i] <= tol else None for i in range(n)]
 
 
 def _lag_integrals(dim, L, integrand, n, omega, lo, hi, kinks, tol,
-                   factor):
+                   factor, oscillatory=None):
     """factor * int_lo^hi integrand(tau, x)[i] dtau over |tau| > L, with
     x = |tau| - L, for each of the ``n`` integrands, on one node set.
 
     ``integrand(tau, x)`` returns ``n`` value arrays.  The lag range is
     cut at +-L and at the weight's ``kinks`` so every piece is smooth,
     and panels start a quarter period of the weight's top frequency
-    ``omega`` wide; the pieces inside the cone, where the kernels
-    vanish, are dropped.  A 2+1D piece that ends on the cone carries
+    ``omega`` wide (unless the piece takes the steepest-descent route
+    below); the pieces inside the cone, where the kernels vanish, are
+    dropped.  A 2+1D piece that ends on the cone carries
     the kernels' 1/sqrt singularity, which this route substitutes away:
     it integrates over u = sqrt(x), with tau = +-(L + u^2) and weight
     2u, so the rule sees a smooth integrand and the kernels never see x
     rounded off against L.
+
+    A 2+1D piece off the cone that spans at least
+    _STEEPEST_DESCENT_PERIODS periods of ``omega`` is first offered to
+    ``oscillatory(a, b, piece_tol)`` when it is given (see
+    :func:`_oscillatory_piece`); each integrand it returns None for is
+    integrated on GK panels as above.
 
     This is the shared pass: on each piece all integrands are evaluated
     on the initial nodes in one call, then each is refined on its own,
@@ -192,7 +357,13 @@ def _lag_integrals(dim, L, integrand, n, omega, lo, hi, kinks, tol,
     for a, b in pieces:
         if None not in failed:
             break
-        if dim is Dimension.D2p1 and (a == L or b == -L):
+        on_cone = dim is Dimension.D2p1 and (a == L or b == -L)
+        results = [None] * n
+        if (oscillatory is not None and not on_cone and omega * (b - a)
+                >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS):
+            results = oscillatory(a, b, piece_tol)
+        redo = [i for i, res in enumerate(results) if res is None]
+        if on_cone:
             end = b if a == L else a
             sign, span = math.copysign(1.0, end), abs(end) - L
 
@@ -203,10 +374,14 @@ def _lag_integrals(dim, L, integrand, n, omega, lo, hi, kinks, tol,
             # du = dx / (2u): an x-width W maps to at least W / (2 sqrt(span))
             results = _integrate_shared(g, n, 0.0, math.sqrt(span), piece_tol,
                                         width / (2.0 * math.sqrt(span)))
-        else:
-            results = _integrate_shared(
-                lambda tau: integrand(tau, np.abs(tau) - L), n, a, b,
-                piece_tol, width)
+        elif redo:
+            def f(tau):
+                vals = integrand(tau, np.abs(tau) - L)
+                return [vals[i] for i in redo]
+
+            for i, res in zip(redo, _integrate_shared(
+                    f, len(redo), a, b, piece_tol, width)):
+                results[i] = res
         for i, res in enumerate(results):
             if failed[i] is not None:
                 continue
@@ -258,7 +433,7 @@ def _correlation_observables(s, t, picks, tol):
     b_on = s.bob.window.t_on
     if upper <= b_on:
         return [Observable(0.0, 0.0, 0) for _ in picks]
-    corr = _window_correlation(s, upper, picks)
+    corr, terms = _window_correlation(s, upper, picks)
     kernel = {_S2: _commutator_lag_kernel(s.dimension, L),
               _HF: _field_lag_kernel(L)}
     kernels = [kernel[p] for p in picks]
@@ -266,9 +441,19 @@ def _correlation_observables(s, t, picks, tol):
     def integrand(tau, x):
         return [k(tau, x) * c for k, c in zip(kernels, corr(tau))]
 
+    oscillatory = None
+    if s.dimension is Dimension.D2p1:
+        path_kernel = _path_kernels(L)
+        path_kernels = [path_kernel[p] for p in picks]
+
+        def oscillatory(a, b, piece_tol):
+            return _oscillatory_piece(L, kernels, path_kernels, terms(a, b),
+                                      a, b, piece_tol)
+
     return _lag_integrals(
         s.dimension, L, integrand, len(picks), max(s.alice.gap, s.bob.gap),
         b_on - a_off, upper - a_on, (b_on - a_on, upper - a_off), tol, 4.0,
+        oscillatory,
     )
 
 
@@ -510,7 +695,7 @@ def s2_null_3p1(s: Scenario) -> float:
     delta_coeff = commutator_kernel(Dimension.D3p1, L, L).on_lightcone_delta
     # 4 int bias_A(t1) Re(alpha_B* beta_B e^{i Om_B (t1+L)} * i * coeff):
     # the window correlation at the lag tau = L
-    corr = _window_correlation(s, s.bob.window.t_off, [_S2])
+    corr, _ = _window_correlation(s, s.bob.window.t_off, [_S2])
     return 4.0 * delta_coeff * float(corr(L)[0])
 
 

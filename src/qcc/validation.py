@@ -90,19 +90,28 @@ def _check_quad_additivity() -> CheckResult:
                        f"|defect| = {defect:.3e} (tol 1e-10)")
 
 
-def _poly_cos_integral(poly, omega, a, b) -> float:
-    """Exact integral of poly(t) * cos(omega t) over [a, b].
+def _poly_cos_integral(coeffs, omega, a, b) -> float:
+    """Exact integral of p(t) * cos(omega t) over [a, b], for the
+    polynomial p with coefficients ``coeffs`` (constant term first; a
+    numpy Polynomial iterates over its own).
 
     Repeated integration by parts gives the antiderivative
     Re[e^{i omega t} sum_k (-1)^k p^(k)(t) / (i omega)^(k+1)], a finite
-    sum for a polynomial; it shares no code with the integrator.
+    sum for a polynomial; each p^(k)(t) is a Horner sum over the
+    coefficients of the k-th derivative.  It shares no code with the
+    integrator.
     """
+    coeffs = [float(c) for c in coeffs]
+
     def antiderivative(t):
         total = 0j
-        deriv = poly
-        for k in range(poly.degree() + 1):
-            total += (-1) ** k * deriv(t) / (1j * omega) ** (k + 1)
-            deriv = deriv.deriv()
+        deriv = coeffs
+        for k in range(len(coeffs)):
+            value = 0.0
+            for c in reversed(deriv):
+                value = value * t + c
+            total += (-1) ** k * value / (1j * omega) ** (k + 1)
+            deriv = [j * c for j, c in enumerate(deriv)][1:]
         return (cmath.exp(1j * omega * t) * total).real
 
     return float(antiderivative(b) - antiderivative(a))
@@ -124,7 +133,7 @@ def _check_quad_error_honesty() -> CheckResult:
         def f(t):
             return poly(t) * np.cos(omega * t)
 
-        exact = _poly_cos_integral(poly, omega, a, b)
+        exact = _poly_cos_integral(coeffs, omega, a, b)
 
         def missed(res):
             return (abs(res.value - exact)
@@ -359,6 +368,37 @@ def _check_energy_balance() -> CheckResult:
     return CheckResult("energy-balance", ok, detail)
 
 
+def _check_oscillatory_route() -> CheckResult:
+    # the demo's lag piece [5, 8] spans 19 periods at gap_B 40, below the
+    # steepest-descent threshold, so rows take it on GK panels; offered
+    # to the route directly, both correlation integrals must match GK
+    s = _demo()
+    s = replace(s, bob=replace(s.bob, gap=40.0))
+    L, a, b, tol = 1.0, 5.0, 8.0, 1e-10
+    picks = (signalling._S2, signalling._HF)
+    corr, terms = signalling._window_correlation(s, 8.0, picks)
+    kernels = (signalling._commutator_lag_kernel(s.dimension, L),
+               signalling._field_lag_kernel(L))
+    paths = signalling._path_kernels(L)
+    routed = signalling._oscillatory_piece(
+        L, kernels, [paths[p] for p in picks], terms(a, b), a, b, tol)
+    if None in routed:
+        return CheckResult("oscillatory-route-vs-gk", False,
+                           "the route handed the piece back to GK")
+    worst = 0.0
+    for i, (kernel, res) in enumerate(zip(kernels, routed)):
+        gk = integrate_1d(lambda t: kernel(t, np.abs(t) - L) * corr(t)[i],
+                          a, b, tol, vectorized=True,
+                          max_panel_width=(2.0 * math.pi / 40.0) / 4.0)
+        worst = max(worst, abs(res.value - gk.value) / (
+            res.abs_error_estimate + gk.abs_error_estimate + 1e-15))
+    return CheckResult(
+        "oscillatory-route-vs-gk", worst <= 1.0,
+        f"max |route - GK| / (sum of estimates + 1e-15) = {worst:.3e} "
+        f"(need <= 1) for s2 and hf_sig on [5, 8] at 19 periods, "
+        f"{routed[0].evaluations} evaluations each")
+
+
 def _check_channel_reset() -> CheckResult:
     period = 2.0 * math.pi / 3.0
 
@@ -451,6 +491,7 @@ _CHECKS: List[Callable[[], CheckResult]] = [
     _check_1p1_closed_vs_quad,
     _check_interaction_closed_form,
     _check_energy_balance,
+    _check_oscillatory_route,
     _check_channel_reset,
     _check_hb_identity,
     _check_capacity_oracle,

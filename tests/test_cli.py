@@ -443,15 +443,18 @@ class TestComputeRow:
                                                          t_off=1e4)))
         row, counts = self._counted_row(monkeypatch, s)
         assert row.status == "ok"
-        assert counts == {"s2": 286_440, "hf_sig": 286_440}
+        # the 9992-long middle lag piece takes the steepest-descent route
+        assert counts == {"s2": 260, "hf_sig": 260}
 
-    def test_high_gap_fails_on_budget(self, monkeypatch):
+    def test_high_gap_finishes(self, monkeypatch):
+        # on GK panels this row needs 2.86M evaluations per observable,
+        # past the 1M budget; both its lag pieces take the steepest-descent
+        # route instead
         s = demo_scenario("2+1")
-        row, _ = self._counted_row(
+        row, counts = self._counted_row(
             monkeypatch, replace(s, bob=replace(s.bob, gap=1e5)))
-        assert row.status == "numerical:s2;numerical:hf_sig"
-        assert [f.split(": ")[:2] for f in row.failures] \
-            == [["s2", "budget"], ["hf_sig", "budget"]]
+        assert (row.status, row.failures) == ("ok", ())
+        assert counts == {"s2": 340, "hf_sig": 340}
 
 
 class TestEntryPoints:

@@ -204,14 +204,15 @@ class TestS2GenericRoutes:
 
 
 # Exact evaluation counts at tol 1e-8 of the rows `qcc point` computes:
-# the demo and a long Bob window at a high gap.  Counts are deterministic,
-# so any change to how panels far above their roundoff floor are refined
-# shows here.
+# the demo and a long Bob window at a high gap, whose 57-long middle lag
+# piece (272 periods) takes the steepest-descent route.  Counts are
+# deterministic, so any change to how panels far above their roundoff
+# floor are refined, or to which pieces take which route, shows here.
 @pytest.mark.parametrize("s,expected", [
     (demo_scenario("2+1"),
      {"s2": 180, "hI_on": 90, "hI_off": 90, "hf_sig": 180}),
     (make_scenario("2+1", b_win=(5.0, 65.0), gap_b=30.0),
-     {"s2": 18075, "hI_on": 90, "hI_off": 90, "hf_sig": 18075}),
+     {"s2": 1820, "hI_on": 90, "hI_off": 90, "hf_sig": 1820}),
 ], ids=["demo", "gapB30-window60"])
 def test_production_evaluation_counts_pinned(s, expected):
     t_on, t_off = s.bob.window.t_on, s.bob.window.t_off
@@ -283,7 +284,9 @@ class TestSharedPass:
         (1e5, 1e-8, "budget"),
         (3.0, 1e-16, "roundoff"),
     ])
-    def test_failing_rows(self, gap_b, tol, reason):
+    def test_failing_rows(self, gap_b, tol, reason, monkeypatch):
+        # on GK panels alone the gap-1e5 row runs out of budget
+        monkeypatch.setattr(signalling, "_STEEPEST_DESCENT_PERIODS", math.inf)
         s = demo_scenario("2+1")
         s = replace(s, bob=replace(s.bob, gap=gap_b))
         t = s.bob.window.t_off
@@ -312,6 +315,96 @@ def test_failing_integrand_leaves_its_partner(monkeypatch):
     row = compute_row(s, 0.0, None, 1e-8)
     assert row.status == "numerical:hf_sig"
     assert row.s2 == s2.value
+
+
+def _with_periods(periods, route, *args):
+    """``route(*args)`` with the steepest-descent threshold at
+    ``periods``: at 0 every 2+1D lag piece off the cone is offered to
+    that route, at inf none is."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signalling, "_STEEPEST_DESCENT_PERIODS", periods)
+        return route(*args)
+
+
+def _demo_with_bob(**changes):
+    s = demo_scenario("2+1")
+    if "t_off" in changes:
+        changes["window"] = replace(s.bob.window, t_off=changes.pop("t_off"))
+    return replace(s, bob=replace(s.bob, **changes))
+
+
+class TestSteepestDescentRoute:
+    """Lag pieces on the steepest-descent route against the GK panels
+    they replace; every bound is the sum of the two reported error
+    estimates."""
+
+    @staticmethod
+    def assert_agrees(s, tol=1e-8):
+        t = s.bob.window.t_off
+        route = signalling._s2_and_field_energy
+        forced = _with_periods(0.0, route, s, t, tol)
+        gk = _with_periods(math.inf, route, s, t, tol)
+        for new, old in zip(forced, gk):
+            assert abs(new.value - old.value) \
+                <= new.quad_error + old.quad_error + 1e-15
+        return forced, gk
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), equal_gaps=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_forced_route_matches_gk(self, seed, equal_gaps):
+        s = random_timelike_scenario(np.random.default_rng(seed), "2+1",
+                                     gap_range=(50.0, 500.0))
+        if equal_gaps:
+            s = replace(s, bob=replace(s.bob, gap=s.alice.gap))
+        self.assert_agrees(s)
+
+    def test_nearly_equal_gaps(self):
+        # the difference term's sin(kappa w / 2) / kappa stays whole;
+        # split into two exponentials it would cancel to 1e-12 or worse
+        s = random_timelike_scenario(np.random.default_rng(2), "2+1",
+                                     gap_range=(50.0, 500.0))
+        self.assert_agrees(
+            replace(s, bob=replace(s.bob, gap=s.alice.gap + 1e-9)))
+
+    def test_gap_1e4_matches_gk(self):
+        forced, gk = self.assert_agrees(_demo_with_bob(gap=1e4))
+        assert [o.evaluations for o in forced] == [340, 340]
+        assert [o.evaluations for o in gk] == [572_970, 572_970]
+
+    @pytest.mark.parametrize("changes", [
+        {"gap": 1e5}, {"gap": 1e6}, {"t_off": 1e4},
+    ], ids=["gap1e5", "gap1e6", "t_off1e4"])
+    def test_extreme_rows_finish(self, changes):
+        s = _demo_with_bob(**changes)
+        pair = signalling._s2_and_field_energy(s, s.bob.window.t_off, 1e-8)
+        assert all(o.evaluations <= 10_000 for o in pair)
+        # hI stays on GK panels, so the balance checks the route
+        bal = energy_balance(s)
+        assert abs(bal.residual) <= bal.quad_error
+
+    def test_piece_near_cone_falls_back_to_gk(self, monkeypatch):
+        # the first lag piece, [L + 1e-3, L + 3 + 1e-3], spans 143
+        # periods of Om_B = 300 but starts 0.3 / Om_B from the kernels'
+        # branch point: its estimate misses tol and it is redone on GK.
+        # The other piece is sent to GK as well, so the row is GK's.
+        s = make_scenario("2+1", b_win=(4.001, 7.001), gap_b=300.0)
+        first = s.bob.window.t_on - s.alice.window.t_off
+        offered = []
+        piece = signalling._oscillatory_piece
+
+        def only_first(L, kernels, path_kernels, terms, a, b, tol):
+            res = piece(L, kernels, path_kernels, terms, a, b, tol)
+            if a != first:
+                return [None] * len(res)
+            offered.append(tuple(res))
+            return res
+
+        monkeypatch.setattr(signalling, "_oscillatory_piece", only_first)
+        t = s.bob.window.t_off
+        pair = signalling._s2_and_field_energy(s, t, 1e-8)
+        assert offered == [(None, None)]
+        assert pair == _with_periods(
+            math.inf, signalling._s2_and_field_energy, s, t, 1e-8)
 
 
 class TestInteractionEnergy:
