@@ -217,12 +217,15 @@ def channel_stats(
     lambda_product: float,
     noise_R: float = 0.0,
     tol: Optional[float] = None,
+    s2: Optional[float] = None,
 ) -> ChannelStats:
     """Full channel characterization for one scenario.
 
-    q = |alpha_B|^2 + R and p = q + |lambda_product * S2(T2)|.
-    Out-of-range probabilities are an error, never a silent clamp: the
-    leading-order expressions have left their regime of validity there.
+    q = |alpha_B|^2 + R and p = q + |lambda_product * S2(T2)|, with
+    S2(T2) from :func:`s2_observable` at ``tol`` unless the caller
+    passes it as ``s2``.  Out-of-range probabilities are an error, never
+    a silent clamp: the leading-order expressions have left their regime
+    of validity there.
     """
     if noise_R < 0:
         raise ValueError(f"noise_R must be >= 0, got {noise_R!r}")
@@ -231,7 +234,7 @@ def channel_stats(
         raise ValueError(
             f"q = |alpha_B|^2 + R = {q!r} exceeds 1; noise_R too large"
         )
-    s2_val = s2_observable(s, tol=tol).value
+    s2_val = s2_observable(s, tol=tol).value if s2 is None else s2
     p = q + abs(lambda_product * s2_val)
     if p > 1.0:
         raise ValueError(

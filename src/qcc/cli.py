@@ -228,7 +228,10 @@ def run_point(config_path: str) -> int:
             print(line, file=sys.stderr)
         return EXIT_NUMERICAL
 
-    stats = channel_stats(s, cfg.lambda_product, cfg.noise_R, tol=tol)
+    # the row's s2 is S2(T2) at tol, unless the row could not compute it
+    s2_ok = not any(tag.endswith(":s2") for tag in row.status.split(";"))
+    stats = channel_stats(s, cfg.lambda_product, cfg.noise_R, tol=tol,
+                          s2=row.s2 if s2_ok else None)
     print()
     print(f"{'lambda_product':<20}= {_fmt(cfg.lambda_product)}")
     print(f"{'noise_R':<20}= {_fmt(cfg.noise_R)}")

@@ -37,7 +37,6 @@ of the final panel values and errors, which no panel order can change.
 from __future__ import annotations
 
 import cmath
-import functools
 import heapq
 import math
 import os
@@ -97,9 +96,49 @@ _WGAUSS[7] = _WG[3]
 _EPS = np.finfo(float).eps
 _DEFAULT_BUDGET = 1_000_000
 
-# Gauss-Laguerre order of the steepest-descent rule; the rule 8 orders
-# higher gives the value and their difference its error estimate.
-_LAGUERRE_NODES = 16
+# Nodes and weights of the 16- and 24-point Gauss-Laguerre rules on
+# [0, inf) with weight e^{-p}: numpy.polynomial.laguerre.laggauss(16)
+# and laggauss(24), to the last bit.  The steepest-descent rule takes its
+# value from the 24-point rule and its error estimate from their
+# difference.
+_LAGUERRE_X16 = np.array([
+    0.08764941047892776, 0.4626963289150804, 1.1410577748312265,
+    2.1292836450983805, 3.4370866338932067, 5.078018614549768,
+    7.070338535048234, 9.438314336391938, 12.21422336886616,
+    15.441527368781617, 19.180156856753136, 23.515905693991908,
+    28.57872974288214, 34.58339870228662, 41.94045264768833,
+    51.70116033954332,
+])
+_LAGUERRE_W16 = np.array([
+    0.2061517149578049, 0.3310578549508783, 0.2657957776442144,
+    0.13629693429637874, 0.04732892869412563, 0.011299900080339598,
+    0.0018490709435263271, 0.0002042719153082809, 1.4844586873981502e-05,
+    6.828319330871331e-07, 1.8810248410797222e-08, 2.862350242973897e-10,
+    2.1270790332241214e-12, 6.29796700251788e-15, 5.050473700035608e-18,
+    4.161462370372851e-22,
+])
+_LAGUERRE_X24 = np.array([
+    0.05901985218150761, 0.3112391461984835, 0.7660969055459361,
+    1.4255975908036125, 2.2925620586321904, 3.3707742642089986,
+    4.66508370346717, 6.181535118736765, 7.927539247172152,
+    9.912098015077705, 12.146102711729764, 14.642732289596674,
+    17.417992646508978, 20.491460082616424, 23.887329848169735,
+    27.635937174332717, 31.776041352374722, 36.35840580165162,
+    41.45172048487077, 47.153106445156325, 53.60857454469507,
+    61.05853144721876, 69.96224003510503, 81.49827923394889,
+])
+_LAGUERRE_W24 = np.array([
+    0.14281197333475043, 0.25877410751744107, 0.2588067072728734,
+    0.18332268897778237, 0.09816627262992299, 0.04073247815141022,
+    0.013226019405120549, 0.0033693490584784146, 0.0006721625640935707,
+    0.00010446121465927847, 1.2544721977993773e-05, 1.151315812737323e-06,
+    7.960812959133895e-08, 4.072858987550192e-09, 1.507008226292658e-10,
+    3.917736515058548e-12, 6.894181052958382e-14, 7.819800382459628e-16,
+    5.350188813010104e-18, 2.0105174645555705e-20, 3.6057658645529064e-23,
+    2.451818845878714e-26, 4.08830159368094e-30, 5.575345788327942e-35,
+])
+_LAGUERRE_RULES = ((_LAGUERRE_X16, _LAGUERRE_W16),
+                   (_LAGUERRE_X24, _LAGUERRE_W24))
 
 TOL_ENV_VAR = "QCC_QUAD_TOL"
 
@@ -342,15 +381,6 @@ def _integrate_shared(f, n, a, b, tol, max_panel_width,
     return results
 
 
-@functools.cache
-def _laguerre_rules():
-    """Nodes and weights of the two Gauss-Laguerre orders, built on
-    first use (the module that builds them is imported only then)."""
-    from numpy.polynomial.laguerre import laggauss
-
-    return [laggauss(m) for m in (_LAGUERRE_NODES, _LAGUERRE_NODES + 8)]
-
-
 def _steepest_descent(g, n, omega, a, b):
     """int_a^b g(t)[i] e^{i omega t} dt for each of ``n`` integrands, by
     numerical steepest descent; ``omega`` > 0.
@@ -363,15 +393,21 @@ def _steepest_descent(g, n, omega, a, b):
     orders.  Returns (values, errors, evaluations): the higher order's
     complex value and the modulus of its difference from the lower
     order's, per integrand, and the number of abscissae each integrand
-    was evaluated at.  Each integrand's sums are exactly rounded
-    (``math.fsum``), so its result does not depend on the others.
+    was evaluated at.  As for GK15, an error is raised to the roundoff
+    floor 50*eps*resabs, with resabs the higher order's sum of
+    |weight * value| / omega over both ends: the two orders usually
+    agree to below it, and where the rule is exact (a constant g) their
+    difference is roundoff alone.  Each integrand's sums are exactly
+    rounded (``math.fsum``), so its result does not depend on the
+    others.
     """
-    rules = _laguerre_rules()
+    rules = _LAGUERRE_RULES
     p = np.concatenate([nodes for nodes, _ in rules]) / omega
     vals = g(np.concatenate([a + 1j * p, b + 1j * p]))
     ends = [(0, 1j * cmath.exp(1j * omega * a) / omega),
             (p.size, -1j * cmath.exp(1j * omega * b) / omega)]
     out = [[0j] * n for _ in rules]
+    resabs = [0.0] * n
     for i in range(n):
         for start, scale in ends:
             for q, (nodes, weights) in zip(out, rules):
@@ -379,8 +415,11 @@ def _steepest_descent(g, n, omega, a, b):
                 q[i] += scale * complex(math.fsum(wv.real),
                                         math.fsum(wv.imag))
                 start += nodes.size
+            # wv is the higher order's
+            resabs[i] += math.fsum(np.abs(wv)) / omega
     low, high = out
-    return (high, [abs(h - l) for h, l in zip(high, low)], 2 * p.size)
+    return (high, [max(abs(h - l), 50.0 * float(_EPS) * r)
+                   for h, l, r in zip(high, low, resabs)], 2 * p.size)
 
 
 def integrate_1d(

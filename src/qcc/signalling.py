@@ -27,18 +27,20 @@ observable is refined, budget-checked and failed on its own, so each
 gets exactly what its own public route returns.
 
 GK panels a quarter period wide cost O(Om T) evaluations on a lag
-piece.  So a 2+1D piece off the cone that spans at least
-_STEEPEST_DESCENT_PERIODS periods of the top gap takes a second route
-for s2 and the field energy.  On a piece the overlap and both phases
-are affine in tau, so C is exactly a finite sum of exponentials
+piece.  So a piece that spans at least _STEEPEST_DESCENT_PERIODS
+periods of its weight's top frequency takes a second route, for all
+three observables in 1+1D and 2+1D.  On a piece the overlap and both
+phases are affine in tau, so C is exactly a finite sum of exponentials
 sum_j P_j(tau) e^{i om_j tau}, with om_j among +-Om_A, +-Om_B,
-(Om_A + Om_B) / 2 and (Om_B - Om_A) / 2.  Both kernels continue
-analytically into the upper half-plane, so each high-frequency group
-of terms is integrated by numerical steepest descent at a cost
-independent of om_j, and GK takes the slowly varying rest.  A pick
-whose estimate misses its share of tol is redone on GK panels, so a
-failure there is the GK route's failure.
-Every other piece, and the interaction energy, stays on GK alone.
+(Om_A + Om_B) / 2 and (Om_B - Om_A) / 2; the interaction energy's
+weight is a single one, of frequency Om_A.  The kernels continue
+analytically into the upper half-plane (in 1+1D D is the constant 1/2
+beyond the cone), so each high-frequency group of terms is integrated
+by numerical steepest descent at a cost independent of om_j, and GK
+takes the slowly varying rest.  A pick whose estimate misses its share
+of tol is redone on GK panels, so a failure there is the GK route's
+failure.  A 2+1D piece that ends on the cone, where the kernels have
+their 1/sqrt edge, stays on GK alone.
 """
 
 from __future__ import annotations
@@ -116,26 +118,45 @@ def _field_lag_kernel(L: float):
     return kernel
 
 
-# Indices of the two correlation observables in a shared pass.
+# Picks of a shared pass.  A pick selects the lag kernel, D for _S2 (which
+# the interaction energy integrates too) and F for _HF, and in the window
+# correlation Bob's coefficient.
 _S2, _HF = 0, 1
 
-# A 2+1D lag piece off the cone takes the steepest-descent route when it
-# spans at least this many periods of the top gap.  GK spends 6000 or
-# more evaluations per observable on such a piece, at least 5x the
-# route's cost, and the sweeps of the shipped configurations stay below
-# it (19 periods at most), so their rows keep GK's values.
-_STEEPEST_DESCENT_PERIODS = 100.0
+# A lag piece that does not end on the 2+1D cone takes the steepest-
+# descent route when it spans at least this many periods of its weight's
+# top frequency.  At 20 periods GK already spends about 1,200
+# evaluations per observable on a piece, against the route's 80 to 170:
+# on the demo's two 3-long pieces at gap_B 41.9 the s2/hf_sig pair takes
+# 0.98 ms on GK and 0.76 ms on the route (2-vCPU host, best of 20).  The
+# sweeps of the shipped configurations reach 19.1 periods at most (demo
+# gap_B 40 on a 3-long piece), so their rows keep GK's values; a test
+# guards that.
+_STEEPEST_DESCENT_PERIODS = 20.0
 # On such a piece, a term of the window correlation that spans at least
 # this many periods of its own frequency is integrated along the
 # steepest-descent paths; the slowly varying rest by GK.
 _OSCILLATORY_TERM_PERIODS = 2.0
 
 
-def _path_kernels(L: float):
-    """D and F continued into the upper half-plane: the boundary values
-    from above of 1/(2 pi r) and -z/(2 pi r^3), with r the product of
-    the principal roots sqrt(z - L) sqrt(z + L), which is -sqrt(tau^2 -
-    L^2) for tau < -L and so gives both kernels' sign there."""
+def _lag_kernel(dim: Dimension, L: float, pick: int):
+    """The lag kernel of ``pick`` on the real axis: D or F."""
+    if pick == _S2:
+        return _commutator_lag_kernel(dim, L)
+    return _field_lag_kernel(L)
+
+
+def _path_kernels(dim: Dimension, L: float):
+    """D and F continued into the upper half-plane from the lags
+    tau > L, by pick (Alice switches off before Bob switches on, so no
+    lag is negative).
+
+    In 1+1D D is the constant 1/2 there (F vanishes off the cone).  In
+    2+1D they are the boundary values from above of 1/(2 pi r) and
+    -z/(2 pi r^3), with r the product of the principal roots
+    sqrt(z - L) sqrt(z + L)."""
+    if dim is Dimension.D1p1:
+        return {_S2: lambda z: np.full(z.shape, 0.5)}
 
     def commutator(z):
         return 1.0 / (2.0 * math.pi * (np.sqrt(z - L) * np.sqrt(z + L)))
@@ -253,9 +274,27 @@ def _half_sinc(kappa, w0, w1):
     return lambda z: np.sin(0.5 * kappa * (w0 + w1 * z)) / kappa
 
 
+def _interaction_weight(alice, t: float):
+    """(weight, terms) of the interaction energy at time t, as
+    :func:`_window_correlation` returns them for its one pick: weight(tau)
+    is Alice's bias at t - tau, and terms(a, b) writes it as
+    Re(conj(c_A e^{i Om_A t}) e^{i Om_A tau}), a single exponential of
+    amplitude 1 on every piece."""
+
+    def weight(tau):
+        return [detector_bias(alice, t - tau)]
+
+    def terms(a, b):
+        c = _bias_coeff(alice) * cmath.exp(1j * alice.gap * t)
+        return [(alice.gap, _unit, [c.conjugate()])]
+
+    return weight, terms
+
+
 def _oscillatory_piece(L, kernels, path_kernels, terms, a, b, tol):
-    """int_a^b K_i(tau) C_i(tau) dtau for each pick i, on a lag piece
-    off the 2+1D cone, from C's exponential ``terms`` on [a, b].
+    """int_a^b K_i(tau) W_i(tau) dtau for each pick i, on a lag piece
+    beyond the cone that does not end on the 2+1D cone, from the
+    weight's exponential ``terms`` on [a, b].
 
     Terms that span at least _OSCILLATORY_TERM_PERIODS periods over the
     piece are grouped by frequency, and each group is integrated by
@@ -310,27 +349,29 @@ def _oscillatory_piece(L, kernels, path_kernels, terms, a, b, tol):
             if err[i] <= tol else None for i in range(n)]
 
 
-def _lag_integrals(dim, L, integrand, n, omega, lo, hi, kinks, tol,
-                   factor, oscillatory=None):
-    """factor * int_lo^hi integrand(tau, x)[i] dtau over |tau| > L, with
-    x = |tau| - L, for each of the ``n`` integrands, on one node set.
+def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
+                   factor):
+    """factor * int_lo^hi K_i(tau) W_i(tau) dtau over |tau| > L for each
+    pick i, on one node set: K_i is the pick's lag kernel and W_i its
+    weight.
 
-    ``integrand(tau, x)`` returns ``n`` value arrays.  The lag range is
-    cut at +-L and at the weight's ``kinks`` so every piece is smooth,
-    and panels start a quarter period of the weight's top frequency
-    ``omega`` wide (unless the piece takes the steepest-descent route
-    below); the pieces inside the cone, where the kernels vanish, are
-    dropped.  A 2+1D piece that ends on the cone carries
-    the kernels' 1/sqrt singularity, which this route substitutes away:
-    it integrates over u = sqrt(x), with tau = +-(L + u^2) and weight
-    2u, so the rule sees a smooth integrand and the kernels never see x
+    ``weight(tau)`` returns one weight array per pick, and ``terms(a,
+    b)`` the weights on the lag piece [a, b] as a sum of exponentials
+    (see :func:`_window_correlation`).  The lag range is cut at +-L and
+    at the weight's ``kinks`` so every piece is smooth, and panels start
+    a quarter period of the weight's top frequency ``omega`` wide
+    (unless the piece takes the steepest-descent route below); the
+    pieces inside the cone, where the kernels vanish, are dropped.  A
+    2+1D piece that ends on the cone carries the kernels' 1/sqrt
+    singularity, which this route substitutes away: it integrates over
+    u = sqrt(x), with x = |tau| - L, tau = +-(L + u^2) and weight 2u,
+    so the rule sees a smooth integrand and the kernels never see x
     rounded off against L.
 
-    A 2+1D piece off the cone that spans at least
-    _STEEPEST_DESCENT_PERIODS periods of ``omega`` is first offered to
-    ``oscillatory(a, b, piece_tol)`` when it is given (see
-    :func:`_oscillatory_piece`); each integrand it returns None for is
-    integrated on GK panels as above.
+    Any other piece that spans at least _STEEPEST_DESCENT_PERIODS
+    periods of ``omega`` is first offered to :func:`_oscillatory_piece`,
+    with the terms and continued kernels built for that piece only; each
+    pick it returns None for is integrated on GK panels as above.
 
     This is the shared pass: on each piece all integrands are evaluated
     on the initial nodes in one call, then each is refined on its own,
@@ -344,6 +385,12 @@ def _lag_integrals(dim, L, integrand, n, omega, lo, hi, kinks, tol,
     if tol is None:
         tol = default_tolerance()
     _check_tol(tol)
+    n = len(picks)
+    kernels = [_lag_kernel(dim, L, p) for p in picks]
+
+    def integrand(tau, x):
+        return [k(tau, x) * w for k, w in zip(kernels, weight(tau))]
+
     cuts = sorted({lo, hi} | {c for c in (-L, L, *kinks) if lo < c < hi})
     pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
               if abs(0.5 * (a + b)) > L]
@@ -359,9 +406,12 @@ def _lag_integrals(dim, L, integrand, n, omega, lo, hi, kinks, tol,
             break
         on_cone = dim is Dimension.D2p1 and (a == L or b == -L)
         results = [None] * n
-        if (oscillatory is not None and not on_cone and omega * (b - a)
-                >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS):
-            results = oscillatory(a, b, piece_tol)
+        if not on_cone and omega * (b - a) \
+                >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
+            paths = _path_kernels(dim, L)
+            results = _oscillatory_piece(
+                L, kernels, [paths[p] for p in picks], terms(a, b), a, b,
+                piece_tol)
         redo = [i for i, res in enumerate(results) if res is None]
         if on_cone:
             end = b if a == L else a
@@ -434,26 +484,9 @@ def _correlation_observables(s, t, picks, tol):
     if upper <= b_on:
         return [Observable(0.0, 0.0, 0) for _ in picks]
     corr, terms = _window_correlation(s, upper, picks)
-    kernel = {_S2: _commutator_lag_kernel(s.dimension, L),
-              _HF: _field_lag_kernel(L)}
-    kernels = [kernel[p] for p in picks]
-
-    def integrand(tau, x):
-        return [k(tau, x) * c for k, c in zip(kernels, corr(tau))]
-
-    oscillatory = None
-    if s.dimension is Dimension.D2p1:
-        path_kernel = _path_kernels(L)
-        path_kernels = [path_kernel[p] for p in picks]
-
-        def oscillatory(a, b, piece_tol):
-            return _oscillatory_piece(L, kernels, path_kernels, terms(a, b),
-                                      a, b, piece_tol)
-
     return _lag_integrals(
-        s.dimension, L, integrand, len(picks), max(s.alice.gap, s.bob.gap),
+        s.dimension, L, picks, corr, terms, max(s.alice.gap, s.bob.gap),
         b_on - a_off, upper - a_on, (b_on - a_on, upper - a_off), tol, 4.0,
-        oscillatory,
     )
 
 
@@ -580,13 +613,11 @@ def interaction_energy_observable(
         return Observable(0.0, 0.0, 0)
     # K(t) = int bias_A(t - tau) D(tau, L) dtau over t - tau in Alice's window
     a = s.alice
-    bob = detector_bias(s.bob, t)
-    kernel = _commutator_lag_kernel(s.dimension, L)
+    weight, terms = _interaction_weight(a, t)
     return _one(_lag_integrals(
-        s.dimension, L,
-        lambda tau, x: [kernel(tau, x) * detector_bias(a, t - tau)],
-        1, a.gap, t - a.window.t_off, t - a.window.t_on, (), tol,
-        -4.0 * bob,
+        s.dimension, L, [_S2], weight, terms, a.gap,
+        t - a.window.t_off, t - a.window.t_on, (), tol,
+        -4.0 * detector_bias(s.bob, t),
     )[0])
 
 

@@ -369,25 +369,31 @@ def _check_energy_balance() -> CheckResult:
 
 
 def _check_oscillatory_route() -> CheckResult:
-    # the demo's lag piece [5, 8] spans 19 periods at gap_B 40, below the
+    # the demo's lag piece [5, 8] spans 19 periods at gap 40, below the
     # steepest-descent threshold, so rows take it on GK panels; offered
-    # to the route directly, both correlation integrals must match GK
+    # to the route directly, s2's and hf_sig's integrals at gap_B 40 and
+    # hI's at alice.gap 40 (t = 8, Alice's whole window) must match GK
     s = _demo()
     s = replace(s, bob=replace(s.bob, gap=40.0))
     L, a, b, tol = 1.0, 5.0, 8.0, 1e-10
     picks = (signalling._S2, signalling._HF)
     corr, terms = signalling._window_correlation(s, 8.0, picks)
-    kernels = (signalling._commutator_lag_kernel(s.dimension, L),
-               signalling._field_lag_kernel(L))
-    paths = signalling._path_kernels(L)
+    bias, bias_terms = signalling._interaction_weight(
+        replace(s.alice, gap=40.0), 8.0)
+    kernels = [signalling._lag_kernel(s.dimension, L, p) for p in picks]
+    paths = signalling._path_kernels(s.dimension, L)
     routed = signalling._oscillatory_piece(
         L, kernels, [paths[p] for p in picks], terms(a, b), a, b, tol)
+    routed += signalling._oscillatory_piece(
+        L, kernels[:1], [paths[picks[0]]], bias_terms(a, b), a, b, tol)
     if None in routed:
         return CheckResult("oscillatory-route-vs-gk", False,
                            "the route handed the piece back to GK")
+    weights = (lambda t: corr(t)[0], lambda t: corr(t)[1],
+               lambda t: bias(t)[0])
     worst = 0.0
-    for i, (kernel, res) in enumerate(zip(kernels, routed)):
-        gk = integrate_1d(lambda t: kernel(t, np.abs(t) - L) * corr(t)[i],
+    for kernel, weight, res in zip(kernels + kernels[:1], weights, routed):
+        gk = integrate_1d(lambda t: kernel(t, np.abs(t) - L) * weight(t),
                           a, b, tol, vectorized=True,
                           max_panel_width=(2.0 * math.pi / 40.0) / 4.0)
         worst = max(worst, abs(res.value - gk.value) / (
@@ -395,8 +401,9 @@ def _check_oscillatory_route() -> CheckResult:
     return CheckResult(
         "oscillatory-route-vs-gk", worst <= 1.0,
         f"max |route - GK| / (sum of estimates + 1e-15) = {worst:.3e} "
-        f"(need <= 1) for s2 and hf_sig on [5, 8] at 19 periods, "
-        f"{routed[0].evaluations} evaluations each")
+        f"(need <= 1) for s2, hf_sig and hI on [5, 8] at 19 periods, "
+        f"{routed[0].evaluations} evaluations each for s2 and hf_sig, "
+        f"{routed[2].evaluations} for hI")
 
 
 def _check_channel_reset() -> CheckResult:

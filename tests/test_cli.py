@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import demo_scenario
-from qcc import cli, scenario, signalling
+from helpers import demo_scenario, make_scenario
+from qcc import channel, cli, scenario, signalling
 from qcc.cli import (
     CSV_HEADER,
     Row,
@@ -131,6 +131,32 @@ class TestPointVerb:
         assert "status     = ok" in block and CSV_HEADER in block
         assert cli.run_point(DEMO_CFG) == 0
         assert capsys.readouterr().out.startswith(block)
+
+    @pytest.mark.parametrize("name", ["demo_1p1", "demo_2p1", "demo_3p1",
+                                      "spacelike_2p1"])
+    def test_channel_reuses_the_rows_s2(self, capsys, monkeypatch, name):
+        calls = []
+        s2_observable = channel.s2_observable
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return s2_observable(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "s2_observable", counted)
+        assert cli.run_point(str(CONFIGS / f"{name}.cfg")) == 0
+        assert calls == []
+
+    def test_rejected_s2_still_fails_the_channel(self, capsys, tmp_path):
+        # a 3+1D row across the cone rejects s2 (its signal sits on the
+        # on-cone delta), so the channel layer asks for it again, and
+        # that raises
+        path = tmp_path / "crossing_3p1.cfg"
+        path.write_text(serialize_config(RunConfig(
+            make_scenario("3+1", b_win=(3.5, 6.5)))))
+        rc, out, err = run_cli(capsys, "point", str(path))
+        assert rc == 1
+        assert "rejected:s2" in out
+        assert "s2_null_3p1" in err
 
     def test_unreachable_tolerance_exits_2(self, capsys, monkeypatch):
         # 1e-16 sits below the roundoff floor of the double integrals:

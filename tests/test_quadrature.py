@@ -255,6 +255,25 @@ def test_env_var_overrides_default_tolerance(monkeypatch):
             default_tolerance()
 
 
+@pytest.mark.parametrize("rule", quadrature._LAGUERRE_RULES,
+                         ids=["16", "24"])
+def test_laguerre_tables_are_laggauss(rule):
+    # the literal tables are laggauss's output; another LAPACK may move a
+    # node by an ulp, and laggauss's weight formula turns that into
+    # hundreds of ulps on the tiny weights, so those get a relative bound
+    from numpy.polynomial.laguerre import laggauss
+
+    nodes, weights = rule
+    x, w = laggauss(nodes.size)
+    np.testing.assert_array_max_ulp(nodes, x, maxulp=4)
+    np.testing.assert_allclose(weights, w, rtol=1e-12, atol=0.0)
+    # and with no LAPACK at all: the rule integrates p^k e^{-p} to k!
+    # for every k < 2m (positive terms, so the sums are well conditioned)
+    for k in range(2 * nodes.size):
+        assert math.fsum(weights * nodes ** k) == pytest.approx(
+            math.factorial(k), rel=1e-12)
+
+
 # Frozen oracle for the singular-line rectangle below: midpoint-rule
 # refinement of the same double integral on n x n grids per axis shows a
 # 1/sqrt(n) error from the lightcone edge whose coefficient depends on

@@ -9,6 +9,7 @@ code path.
 import cmath
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from helpers import (
     s2_via_2d_quadrature,
 )
 from qcc import signalling
-from qcc.cli import compute_row
+from qcc.cli import SweepSpec, apply_sweep_parameter, compute_row
+from qcc.config import load_config
 from qcc.greens import commutator_kernel
 from qcc.quadrature import QuadratureError, integrate_1d
 from qcc.scenario import (
+    CausalClass,
     DetectorSpec,
     InvalidScenarioError,
     Scenario,
@@ -41,6 +44,8 @@ from qcc.signalling import (
     s2_observable,
 )
 
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # The lightcone-crossing row the benchmark probes (perfbench/run.py).
 CROSSING_GAP_A = 5.098864354543416
@@ -319,11 +324,21 @@ def test_failing_integrand_leaves_its_partner(monkeypatch):
 
 def _with_periods(periods, route, *args):
     """``route(*args)`` with the steepest-descent threshold at
-    ``periods``: at 0 every 2+1D lag piece off the cone is offered to
-    that route, at inf none is."""
+    ``periods``: at 0 every lag piece that does not end on the 2+1D
+    cone is offered to that route, at inf none is."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(signalling, "_STEEPEST_DESCENT_PERIODS", periods)
         return route(*args)
+
+
+def _with_gap(s, who, gap):
+    return replace(s, **{who: replace(getattr(s, who), gap=gap)})
+
+
+def _interaction_energies(s, tol=1e-8):
+    w = s.bob.window
+    return [interaction_energy_observable(s, t, tol)
+            for t in (w.t_on, w.t_off)]
 
 
 def _demo_with_bob(**changes):
@@ -339,14 +354,24 @@ class TestSteepestDescentRoute:
     estimates."""
 
     @staticmethod
-    def assert_agrees(s, tol=1e-8):
-        t = s.bob.window.t_off
-        route = signalling._s2_and_field_energy
-        forced = _with_periods(0.0, route, s, t, tol)
-        gk = _with_periods(math.inf, route, s, t, tol)
+    def assert_agrees(s, tol=1e-8, route=None, kappa=0.0):
+        """``route(s)``, by default the row's s2/hf_sig pass, with every
+        lag piece off the cone offered to the route, against GK.
+
+        GK's estimate covers its rule and its sums, not the rounding of
+        its nodes: a node off by eps |tau| turns the integrand's phase by
+        eps Om |tau|.  Each GK panel's error is at least 50 eps times
+        its int |f|, so where Om |tau| is at most ``kappa`` GK may miss
+        by a further kappa / 50 times its estimate."""
+        if route is None:
+            def route(s):
+                return signalling._s2_and_field_energy(
+                    s, s.bob.window.t_off, tol)
+        forced = _with_periods(0.0, route, s)
+        gk = _with_periods(math.inf, route, s)
         for new, old in zip(forced, gk):
-            assert abs(new.value - old.value) \
-                <= new.quad_error + old.quad_error + 1e-15
+            assert abs(new.value - old.value) <= new.quad_error \
+                + (1.0 + kappa / 50.0) * old.quad_error + 1e-15
         return forced, gk
 
     @given(seed=st.integers(0, 2 ** 32 - 1), equal_gaps=st.booleans())
@@ -378,9 +403,97 @@ class TestSteepestDescentRoute:
         s = _demo_with_bob(**changes)
         pair = signalling._s2_and_field_energy(s, s.bob.window.t_off, 1e-8)
         assert all(o.evaluations <= 10_000 for o in pair)
-        # hI stays on GK panels, so the balance checks the route
+        # hI, at Alice's gap 3, stays on GK panels here, so the balance
+        # checks the route against GK
         bal = energy_balance(s)
         assert abs(bal.residual) <= bal.quad_error
+
+    @pytest.mark.parametrize("dim", ["2+1", "1+1"])
+    @given(seed=st.integers(0, 2 ** 32 - 1), periods=st.floats(20.0, 100.0))
+    @settings(max_examples=20, deadline=None)
+    def test_forced_route_matches_gk_for_hI(self, dim, seed, periods):
+        # at either end of Bob's window hI's lag range is Alice's window,
+        # one piece off the cone; her gap makes it span ``periods``.  At
+        # 100 periods GK's node rounding alone can exceed its estimate
+        # (about 1 example in 200 in 1+1D, where the closed form shows
+        # the route is the closer of the two), hence kappa.
+        s = random_timelike_scenario(np.random.default_rng(seed), dim)
+        gap = 2.0 * math.pi * periods / s.alice.window.duration
+        self.assert_agrees(_with_gap(s, "alice", gap),
+                           route=_interaction_energies,
+                           kappa=gap * s.bob.window.t_off)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), periods=st.floats(20.0, 100.0),
+           ratio=st.floats(0.2, 1.0))
+    @settings(max_examples=20, deadline=None)
+    def test_forced_route_matches_gk_for_1p1_crossing_s2(self, seed,
+                                                         periods, ratio):
+        # L past both kinks of the window correlation (T_on,B - T_on,A and
+        # T_off,B - T_off,A) and before T_off,B - T_on,A: Bob's window
+        # crosses the cone, and the one lag piece beyond it, [L, T_off,B -
+        # T_on,A], spans ``periods`` of Bob's gap; Alice's is ``ratio`` of it
+        rng = np.random.default_rng(seed)
+        s = random_timelike_scenario(rng, "1+1")
+        a, b = s.alice.window, s.bob.window
+        first = max(b.t_on - a.t_on, b.t_off - a.t_off)
+        last = b.t_off - a.t_on
+        L = first + float(rng.uniform(0.1, 0.9)) * (last - first)
+        gap_b = 2.0 * math.pi * periods / (last - L)
+        s = replace(s, alice=replace(s.alice, gap=ratio * gap_b),
+                    bob=replace(s.bob, gap=gap_b, position=(L,)))
+        assert s.report.causal_class is CausalClass.LIGHTCONE_CROSSING
+        self.assert_agrees(s, route=lambda s: [s2_observable(s, None, 1e-8)],
+                           kappa=gap_b * b.t_off)
+
+    @pytest.mark.parametrize("s", [
+        _with_gap(demo_scenario("2+1"), "alice", 1e4),
+        _with_gap(demo_scenario("2+1"), "alice", 1e5),
+        _with_gap(demo_scenario("1+1"), "alice", 1e4),
+        _with_gap(demo_scenario("1+1"), "alice", 1e5),
+        _with_gap(demo_scenario("1+1", L=6.0), "bob", 1e4),
+        _with_gap(demo_scenario("1+1", L=6.0), "bob", 1e5),
+    ], ids=["2p1-alice-gap1e4", "2p1-alice-gap1e5", "1p1-alice-gap1e4",
+            "1p1-alice-gap1e5", "1p1-crossing-bob-gap1e4",
+            "1p1-crossing-bob-gap1e5"])
+    def test_fixed_cost_rows(self, s):
+        # on GK panels hI at Alice's gap 1e4 costs 286,485 evaluations and
+        # the crossing s2 at Bob's gap 1e4 190,995; at 1e5 both run out of
+        # budget
+        obs, status, failures = _row_from_public_routes(
+            s, s.bob.window.t_off, 1e-8)
+        assert failures == ()
+        assert status in ("ok", "rejected:hf_sig")  # crossing: no hf_sig
+        assert all(o.evaluations <= 10_000 for o in obs.values())
+        assert compute_row(s, 0.0, None, 1e-8).status == status
+        if s.report.causal_class is CausalClass.TIMELIKE:
+            bal = energy_balance(s)
+            assert abs(bal.residual) <= bal.quad_error
+
+    @pytest.mark.parametrize("name", ["demo_1p1", "demo_2p1", "demo_3p1",
+                                      "spacelike_2p1"])
+    def test_shipped_gap_sweeps_stay_on_gk(self, name, monkeypatch):
+        # the reference gap_B 0.5:40:0.5 sweeps reach the most periods of
+        # any shipped sweep: 19.1 on the demo 2+1 top row's 3-long lag
+        # pieces.  Lowering _STEEPEST_DESCENT_PERIODS to that would move
+        # their rows off GK, and so their bytes; it fails here instead.
+        offered = []
+        piece = signalling._oscillatory_piece
+
+        def counted(*args):
+            offered.append(args[4:6])
+            return piece(*args)
+
+        monkeypatch.setattr(signalling, "_oscillatory_piece", counted)
+        s = load_config(str(CONFIGS / f"{name}.cfg")).scenario
+        for v in SweepSpec("gap_B", 0.5, 40.0, 0.5).grid():
+            compute_row(apply_sweep_parameter(s, "gap_B", v), v, None, 1e-8)
+        assert offered == []
+        if name == "demo_2p1":
+            # the guard is tight: at 19 periods the top row is offered
+            monkeypatch.setattr(signalling, "_STEEPEST_DESCENT_PERIODS", 19.0)
+            compute_row(apply_sweep_parameter(s, "gap_B", 40.0), 40.0,
+                        None, 1e-8)
+            assert offered
 
     def test_piece_near_cone_falls_back_to_gk(self, monkeypatch):
         # the first lag piece, [L + 1e-3, L + 3 + 1e-3], spans 143
