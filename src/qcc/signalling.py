@@ -18,13 +18,15 @@ s2 to C at tau = L.  s2 additionally has a fully independent closed form
 in 1+1D (constant kernel makes the integral separable) used both as the
 default fast path and as a cross-check oracle.
 
-s2 and the field energy integrate the commutator and field-energy
-kernels against the same correlation C (with Bob's coefficient i c_B
-and c_B) over the same pieces, panel widths and tolerance.  A row
-computes both in one shared pass: on each lag piece C's intermediates
-and both integrands are evaluated on one initial node set, then each
-observable is refined, budget-checked and failed on its own, so each
-gets exactly what its own public route returns.
+The commutator and field-energy kernels D and F are :mod:`qcc.greens`',
+on the real axis beyond the cone and continued into the upper
+half-plane; this module holds no closed form of either.  s2 and the
+field energy integrate them against the same correlation C (with Bob's
+coefficient i c_B and c_B) over the same pieces, panel widths and
+tolerance.  A row computes both in one shared pass: on each lag piece
+C's intermediates and both integrands are evaluated on one initial node
+set, then each observable is refined, budget-checked and failed on its
+own, so each gets exactly what its own public route returns.
 
 GK panels a quarter period wide cost O(Om T) evaluations on a lag
 piece.  So a piece that spans at least _STEEPEST_DESCENT_PERIODS
@@ -34,13 +36,12 @@ phases are affine in tau, so C is exactly a finite sum of exponentials
 sum_j P_j(tau) e^{i om_j tau}, with om_j among +-Om_A, +-Om_B,
 (Om_A + Om_B) / 2 and (Om_B - Om_A) / 2; the interaction energy's
 weight is a single one, of frequency Om_A.  The kernels continue
-analytically into the upper half-plane (in 1+1D D is the constant 1/2
-beyond the cone), so each high-frequency group of terms is integrated
-by numerical steepest descent at a cost independent of om_j, and GK
-takes the slowly varying rest.  A pick whose estimate misses its share
-of tol is redone on GK panels, so a failure there is the GK route's
-failure.  A 2+1D piece that ends on the cone, where the kernels have
-their 1/sqrt edge, stays on GK alone.
+analytically into the upper half-plane, so each high-frequency group of
+terms is integrated by numerical steepest descent at a cost independent
+of om_j, and GK takes the slowly varying rest.  A pick whose estimate
+misses its share of tol is redone on GK panels, so a failure there is
+the GK route's failure.  A 2+1D piece that ends on the cone, where the
+kernels have their 1/sqrt edge, stays on GK alone.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .greens import commutator_kernel
+from . import greens
 from .quadrature import (QuadratureError, QuadResult, _check_tol,
                          _integrate_shared, _steepest_descent,
                          default_tolerance)
@@ -95,33 +96,14 @@ class BalanceResult:
     quad_error: float
 
 
-def _commutator_lag_kernel(dim: Dimension, L: float):
-    """Vectorized D(tau, L) for timelike lags, given tau and its distance
-    x = |tau| - L from the cone (1+1D and 2+1D)."""
-    if dim is Dimension.D1p1:
-        return lambda tau, x: 0.5 * np.sign(tau)
-
-    def kernel(tau, x):
-        return np.sign(tau) / (2.0 * math.pi * np.sqrt(x * (np.abs(tau) + L)))
-
-    return kernel
-
-
-def _field_lag_kernel(L: float):
-    """Vectorized 2+1D field-energy kernel F(tau, L), arguments as for
-    :func:`_commutator_lag_kernel`."""
-
-    def kernel(tau, x):
-        a = np.abs(tau)
-        return -a / (2.0 * math.pi * (x * (a + L)) ** 1.5)
-
-    return kernel
-
-
 # Picks of a shared pass.  A pick selects the lag kernel, D for _S2 (which
-# the interaction energy integrates too) and F for _HF, and in the window
-# correlation Bob's coefficient.
+# the interaction energy integrates too) and F for _HF, on the real axis
+# beyond the cone and continued into the upper half-plane, and in the
+# window correlation Bob's coefficient.
 _S2, _HF = 0, 1
+_TIMELIKE = (greens.commutator_timelike, greens.field_energy_timelike)
+_CONTINUED = (greens.commutator_continued, greens.field_energy_continued)
+
 
 # A lag piece that does not end on the 2+1D cone takes the steepest-
 # descent route when it spans at least this many periods of its weight's
@@ -137,34 +119,6 @@ _STEEPEST_DESCENT_PERIODS = 20.0
 # this many periods of its own frequency is integrated along the
 # steepest-descent paths; the slowly varying rest by GK.
 _OSCILLATORY_TERM_PERIODS = 2.0
-
-
-def _lag_kernel(dim: Dimension, L: float, pick: int):
-    """The lag kernel of ``pick`` on the real axis: D or F."""
-    if pick == _S2:
-        return _commutator_lag_kernel(dim, L)
-    return _field_lag_kernel(L)
-
-
-def _path_kernels(dim: Dimension, L: float):
-    """D and F continued into the upper half-plane from the lags
-    tau > L, by pick (Alice switches off before Bob switches on, so no
-    lag is negative).
-
-    In 1+1D D is the constant 1/2 there (F vanishes off the cone).  In
-    2+1D they are the boundary values from above of 1/(2 pi r) and
-    -z/(2 pi r^3), with r the product of the principal roots
-    sqrt(z - L) sqrt(z + L)."""
-    if dim is Dimension.D1p1:
-        return {_S2: lambda z: np.full(z.shape, 0.5)}
-
-    def commutator(z):
-        return 1.0 / (2.0 * math.pi * (np.sqrt(z - L) * np.sqrt(z + L)))
-
-    def field(z):
-        return -z / (2.0 * math.pi * (np.sqrt(z - L) * np.sqrt(z + L)) ** 3)
-
-    return {_S2: commutator, _HF: field}
 
 
 def _window_correlation(s: Scenario, upper: float, picks):
@@ -291,22 +245,23 @@ def _interaction_weight(alice, t: float):
     return weight, terms
 
 
-def _oscillatory_piece(L, kernels, path_kernels, terms, a, b, tol):
+def _oscillatory_piece(dim, L, picks, terms, a, b, tol):
     """int_a^b K_i(tau) W_i(tau) dtau for each pick i, on a lag piece
     beyond the cone that does not end on the 2+1D cone, from the
     weight's exponential ``terms`` on [a, b].
 
     Terms that span at least _OSCILLATORY_TERM_PERIODS periods over the
     piece are grouped by frequency, and each group is integrated by
-    numerical steepest descent against the continued kernels
-    ``path_kernels``; the rest form a slowly varying remainder, which GK
-    integrates against ``kernels`` on panels a quarter period of its own
-    top frequency, to half of ``tol``.  Returns, per pick, a QuadResult,
-    or None when the remainder fails or the summed error estimate
-    exceeds ``tol``: the caller then redoes that pick's piece on the
-    GK path.
+    numerical steepest descent against the continued kernels; the rest
+    form a slowly varying remainder, which GK integrates against the
+    real-axis kernels on panels a quarter period of its own top
+    frequency, to half of ``tol``.  Returns, per pick, a QuadResult, or
+    None when the remainder fails or the summed error estimate exceeds
+    ``tol``: the caller then redoes that pick's piece on the GK path.
     """
-    n = len(kernels)
+    n = len(picks)
+    kernels = [_TIMELIKE[p] for p in picks]
+    continued = [_CONTINUED[p] for p in picks]
     groups, low = {}, []
     for om, amp, coefs in terms:
         if om * (b - a) >= 2.0 * math.pi * _OSCILLATORY_TERM_PERIODS:
@@ -318,8 +273,9 @@ def _oscillatory_piece(L, kernels, path_kernels, terms, a, b, tol):
     for om, group in groups.items():
         def g(z, group=group):
             amps = [amp(z) for amp, _ in group]
-            return [k(z) * sum(c[i] * A for A, (_, c) in zip(amps, group))
-                    for i, k in enumerate(path_kernels)]
+            return [k(dim, z, L)
+                    * sum(c[i] * A for A, (_, c) in zip(amps, group))
+                    for i, k in enumerate(continued)]
 
         moments, errors, count = _steepest_descent(g, n, om, a, b)
         for i in range(n):
@@ -333,7 +289,8 @@ def _oscillatory_piece(L, kernels, path_kernels, terms, a, b, tol):
             x = np.abs(tau) - L
             waves = [(amp(tau) * np.exp(1j * om * tau), coefs)
                      for om, amp, coefs in low]
-            return [k(tau, x) * sum((c[i] * wave).real for wave, c in waves)
+            return [k(dim, tau, x, L)
+                    * sum((c[i] * wave).real for wave, c in waves)
                     for i, k in enumerate(kernels)]
 
         width = (2.0 * math.pi / top) / 4.0 if top > 0 else None
@@ -370,8 +327,8 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
 
     Any other piece that spans at least _STEEPEST_DESCENT_PERIODS
     periods of ``omega`` is first offered to :func:`_oscillatory_piece`,
-    with the terms and continued kernels built for that piece only; each
-    pick it returns None for is integrated on GK panels as above.
+    with the terms built for that piece only; each pick it returns None
+    for is integrated on GK panels as above.
 
     This is the shared pass: on each piece all integrands are evaluated
     on the initial nodes in one call, then each is refined on its own,
@@ -386,10 +343,10 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
         tol = default_tolerance()
     _check_tol(tol)
     n = len(picks)
-    kernels = [_lag_kernel(dim, L, p) for p in picks]
+    kernels = [_TIMELIKE[p] for p in picks]
 
     def integrand(tau, x):
-        return [k(tau, x) * w for k, w in zip(kernels, weight(tau))]
+        return [k(dim, tau, x, L) * w for k, w in zip(kernels, weight(tau))]
 
     cuts = sorted({lo, hi} | {c for c in (-L, L, *kinks) if lo < c < hi})
     pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
@@ -408,10 +365,8 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
         results = [None] * n
         if not on_cone and omega * (b - a) \
                 >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
-            paths = _path_kernels(dim, L)
-            results = _oscillatory_piece(
-                L, kernels, [paths[p] for p in picks], terms(a, b), a, b,
-                piece_tol)
+            results = _oscillatory_piece(dim, L, picks, terms(a, b), a, b,
+                                         piece_tol)
         redo = [i for i, res in enumerate(results) if res is None]
         if on_cone:
             end = b if a == L else a
@@ -723,7 +678,8 @@ def s2_null_3p1(s: Scenario) -> float:
             stacklevel=2,
         )
         return 0.0
-    delta_coeff = commutator_kernel(Dimension.D3p1, L, L).on_lightcone_delta
+    delta_coeff = greens.commutator_kernel(
+        Dimension.D3p1, L, L).on_lightcone_delta
     # 4 int bias_A(t1) Re(alpha_B* beta_B e^{i Om_B (t1+L)} * i * coeff):
     # the window correlation at the lag tau = L
     corr, _ = _window_correlation(s, s.bob.window.t_off, [_S2])

@@ -380,22 +380,22 @@ def _check_oscillatory_route() -> CheckResult:
     corr, terms = signalling._window_correlation(s, 8.0, picks)
     bias, bias_terms = signalling._interaction_weight(
         replace(s.alice, gap=40.0), 8.0)
-    kernels = [signalling._lag_kernel(s.dimension, L, p) for p in picks]
-    paths = signalling._path_kernels(s.dimension, L)
     routed = signalling._oscillatory_piece(
-        L, kernels, [paths[p] for p in picks], terms(a, b), a, b, tol)
+        s.dimension, L, picks, terms(a, b), a, b, tol)
     routed += signalling._oscillatory_piece(
-        L, kernels[:1], [paths[picks[0]]], bias_terms(a, b), a, b, tol)
+        s.dimension, L, picks[:1], bias_terms(a, b), a, b, tol)
     if None in routed:
         return CheckResult("oscillatory-route-vs-gk", False,
                            "the route handed the piece back to GK")
+    d, f = greens.commutator_timelike, greens.field_energy_timelike
     weights = (lambda t: corr(t)[0], lambda t: corr(t)[1],
                lambda t: bias(t)[0])
     worst = 0.0
-    for kernel, weight, res in zip(kernels + kernels[:1], weights, routed):
-        gk = integrate_1d(lambda t: kernel(t, np.abs(t) - L) * weight(t),
-                          a, b, tol, vectorized=True,
-                          max_panel_width=(2.0 * math.pi / 40.0) / 4.0)
+    for kernel, weight, res in zip((d, f, d), weights, routed):
+        gk = integrate_1d(
+            lambda t: kernel(s.dimension, t, np.abs(t) - L, L) * weight(t),
+            a, b, tol, vectorized=True,
+            max_panel_width=(2.0 * math.pi / 40.0) / 4.0)
         worst = max(worst, abs(res.value - gk.value) / (
             res.abs_error_estimate + gk.abs_error_estimate + 1e-15))
     return CheckResult(

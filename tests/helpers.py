@@ -51,8 +51,12 @@ def random_state(rng):
 
 
 def s2_via_2d_quadrature(s, t=None, tol=1e-10):
-    """Independent route to S2: assemble the double integral directly on
-    top of the generic 2D integrator, bypassing the lag-integral route.
+    """Second route to S2: assemble the double integral directly on top
+    of the generic 2D integrator.  It is independent of the lag
+    reduction, the window correlation and the cone substitution, but
+    shares D: the scalar kernel is the 0-d case of the one the rows
+    evaluate.  D itself is checked through F = dD/dtau and the
+    momentum-integral oracle of F.
 
     Both detector factors are scalar cmath expressions: the integrand runs
     once per node, where a numpy round trip per call would dominate."""

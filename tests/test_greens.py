@@ -3,16 +3,24 @@
 import math
 import subprocess
 import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcc.greens import (
     KernelDomainError,
     KernelValue,
     NonConvergenceError,
+    commutator_continued,
     commutator_kernel,
+    commutator_timelike,
+    field_energy_continued,
     field_energy_kernel,
+    field_energy_timelike,
     regularized_momentum_integral,
     suggest_eps_schedule,
 )
@@ -143,6 +151,80 @@ class TestFieldKernelIsLagDerivative:
             for tau in (L * ratio, -L * ratio):
                 assert self.d_dtau(dim, tau, L) == 0.0
                 assert field_energy_kernel(dim, tau, L).value == 0.0
+
+
+class TestNearCone:
+    """Beyond the cone both kernels are written in x = |tau| - L, which
+    keeps every digit there; sqrt(tau^2 - L^2) loses them to cancellation
+    (2.3e-10 relative for D at x = 2^-30, L = 1)."""
+
+    # pi to 40 digits; math.pi is within 4e-17 of it
+    PI = Decimal("3.141592653589793238462643383279502884197")
+
+    @pytest.mark.parametrize("k", [30, 40])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_2p1_exact_to_rounding(self, k, sign):
+        L = 1.0
+        tau = sign * (1.0 + 2.0 ** -k)
+        # tau^2 - L^2, exact as a fraction, then its root to 40 digits
+        q = Fraction(tau) ** 2 - Fraction(L) ** 2
+        with localcontext() as ctx:
+            ctx.prec = 40
+            r = (Decimal(q.numerator) / Decimal(q.denominator)).sqrt()
+            exact_d = Decimal(sign) / (2 * self.PI * r)
+            exact_f = -Decimal(abs(tau)) / (2 * self.PI * r ** 3)
+            taus = np.array([tau])
+            xs = np.abs(taus) - L
+            for value, exact in (
+                    (commutator_kernel(D2, tau, L).value, exact_d),
+                    (commutator_timelike(D2, taus, xs, L)[0], exact_d),
+                    (field_energy_kernel(D2, tau, L).value, exact_f),
+                    (field_energy_timelike(D2, taus, xs, L)[0], exact_f)):
+                assert abs(Decimal(float(value)) - exact) \
+                    <= Decimal("1e-15") * abs(exact)
+
+
+def _bits(v):
+    return float(v).hex()
+
+
+class TestOneKernelEverywhere:
+    """The scalar kernels are the 0-d case of the vectorized ones, and
+    the continued kernels continue them."""
+
+    @given(L=st.floats(1e-3, 10.0), x=st.floats(1e-12, 50.0))
+    @settings(max_examples=20, deadline=None)
+    def test_pointwise_agreement(self, L, x):
+        assume(L + x > L)
+        taus = np.array([L + x, -(L + x)])
+        xs = np.abs(taus) - L
+        eps = np.finfo(float).eps
+        for dim in Dimension:
+            d = commutator_timelike(dim, taus, xs, L)
+            f = field_energy_timelike(dim, taus, xs, L)
+            for i, tau in enumerate(taus.tolist()):
+                x_i = abs(tau) - L
+                dv = commutator_kernel(dim, tau, L).value
+                fv = field_energy_kernel(dim, tau, L).value
+                assert _bits(dv) == _bits(
+                    commutator_timelike(dim, tau, x_i, L))
+                assert _bits(fv) == _bits(
+                    field_energy_timelike(dim, tau, x_i, L))
+                # the roots of D round correctly on floats and arrays
+                # alike; on an array the power in F is numpy's vectorized
+                # one, which can round apart from libm's pow
+                assert _bits(dv) == _bits(d[i])
+                assert abs(fv - f[i]) <= 4.0 * eps * abs(fv)
+            if dim is not D2:
+                # 1+1D and 3+1D: F is supported on the cone only
+                assert np.all(f == 0.0)
+                assert field_energy_kernel(dim, taus[0], L).value == 0.0
+            z = taus[:1] + 0j
+            for cont, real in ((commutator_continued(dim, z, L), d[:1]),
+                               (field_energy_continued(dim, z, L), f[:1])):
+                assert np.all(np.imag(cont) == 0.0)
+                assert np.all(np.abs(np.real(cont) - real)
+                              <= 8.0 * eps * np.abs(real))
 
 
 class TestRegularizedMomentumIntegral:

@@ -22,7 +22,7 @@ from helpers import (
     random_timelike_scenario,
     s2_via_2d_quadrature,
 )
-from qcc import signalling
+from qcc import greens, signalling
 from qcc.cli import SweepSpec, apply_sweep_parameter, compute_row
 from qcc.config import load_config
 from qcc.greens import commutator_kernel
@@ -308,8 +308,9 @@ class TestSharedPass:
 def test_failing_integrand_leaves_its_partner(monkeypatch):
     # a non-finite field kernel fails hf_sig on the first lag piece of the
     # demo row; s2, in the same shared pass, must not notice
-    monkeypatch.setattr(signalling, "_field_lag_kernel",
-                        lambda L: lambda tau, x: np.full_like(tau, np.nan))
+    monkeypatch.setattr(signalling, "_TIMELIKE", (
+        greens.commutator_timelike,
+        lambda dim, tau, x, L: np.full_like(tau, np.nan)))
     s = demo_scenario("2+1")
     t = s.bob.window.t_off
     s2, hf = signalling._s2_and_field_energy(s, t, 1e-8)
@@ -505,8 +506,8 @@ class TestSteepestDescentRoute:
         offered = []
         piece = signalling._oscillatory_piece
 
-        def only_first(L, kernels, path_kernels, terms, a, b, tol):
-            res = piece(L, kernels, path_kernels, terms, a, b, tol)
+        def only_first(dim, L, picks, terms, a, b, tol):
+            res = piece(dim, L, picks, terms, a, b, tol)
             if a != first:
                 return [None] * len(res)
             offered.append(tuple(res))
