@@ -148,12 +148,12 @@ def compute_row(
     """Evaluate all signalling columns for one scenario.
 
     Shared by run_point and run_sweep so a sweep row and a single-point
-    run of the same scenario agree bit for bit.  ``s2`` and ``hf_sig``
-    come from one shared lag-quadrature pass, each bit for bit what its
-    own public route returns.  Observables that reject the configuration
-    (domain errors) or fail to converge show up as nan plus a status
-    tag; the rest of the row is still filled in.  A row with a
-    ``numerical:`` tag has no error bound, so its ``quad_error`` is nan.
+    run of the same scenario agree bit for bit.  The values come from
+    :func:`signalling.row_observables`, which also picks the times they
+    are evaluated at.  Observables that reject the configuration (domain
+    errors) or fail to converge show up as nan plus a status tag; the
+    rest of the row is still filled in.  A row with a ``numerical:`` tag
+    has no error bound, so its ``quad_error`` is nan.
     """
     report = validate(s)
     if not report.ok:
@@ -161,39 +161,27 @@ def compute_row(
         return Row(param_value, nan, nan, nan, nan, nan, nan,
                    "invalid-scenario")
 
-    t = s.bob.window.t_off if eval_time is None else eval_time
     tags: List[str] = []
     failures: List[str] = []
+    values: List[float] = []
     total_err = 0.0
-
-    def record(label, outcome):
-        nonlocal total_err
+    for label, outcome in zip(("s2", "hI_on", "hI_off", "hf_sig"),
+                              signalling.row_observables(s, eval_time, tol)):
         if isinstance(outcome, QuadratureError):
             tags.append(f"numerical:{label}")
             failures.append(f"{label}: {outcome.reason}: {outcome}")
-            return math.nan
-        if isinstance(outcome, ValueError):
+            values.append(math.nan)
+        elif isinstance(outcome, ValueError):
             # InvalidScenarioError and out-of-window evaluation times
             tags.append(f"rejected:{label}")
-            return math.nan
-        total_err += outcome.quad_error
-        return outcome.value
-
-    def interaction_energy(at):
-        try:
-            return signalling.interaction_energy_observable(s, at, tol)
-        except (QuadratureError, ValueError) as exc:
-            return exc
-
-    s2_out, hf_out = signalling._s2_and_field_energy(s, t, tol)
-    s2_val = record("s2", s2_out)
-    hi_on = record("hI_on", interaction_energy(s.bob.window.t_on))
-    hi_off = record("hI_off", interaction_energy(min(t, s.bob.window.t_off)))
-    hf = record("hf_sig", hf_out)
-
-    return Row(param_value, s2_val, s.bob.gap * s2_val, hi_on, hi_off, hf,
+            values.append(math.nan)
+        else:
+            total_err += outcome.quad_error
+            values.append(outcome.value)
+    s2, hi_on, hi_off, hf = values
+    return Row(param_value, s2, s.bob.gap * s2, hi_on, hi_off, hf,
                math.nan if failures else total_err,
-               ";".join(tags) if tags else "ok", tuple(failures))
+               ";".join(tags) or "ok", tuple(failures))
 
 
 # --- verbs --------------------------------------------------------------

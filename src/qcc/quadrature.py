@@ -465,11 +465,11 @@ def integrate_1d(
         "non-finite" when the integrand returns nan or inf.  All but the
         last carry the best estimate in ``best``.
     ValueError
-        On bad limits or tolerance, or when a vectorized integrand
-        returns the wrong shape.
+        On bad limits (not finite, or not a < b) or tolerance, or when a
+        vectorized integrand returns the wrong shape.
     """
-    if not (a < b):
-        raise ValueError(f"require a < b, got a={a!r}, b={b!r}")
+    if not (a < b and math.isfinite(b - a)):
+        raise ValueError(f"require finite a < b, got a={a!r}, b={b!r}")
     if tol is None:
         tol = default_tolerance()
     _check_tol(tol)
@@ -545,8 +545,8 @@ def integrate_2d_rect(
         is not an estimate of the 2D integral.  A failure of the outer
         integral over x is raised as :func:`integrate_1d` raises it.
     ValueError
-        On a degenerate rectangle, a non-positive ``singular_line`` or a
-        non-positive tolerance.
+        On a degenerate or unbounded rectangle, a non-positive
+        ``singular_line`` or a non-positive tolerance.
 
     Notes
     -----
@@ -556,8 +556,9 @@ def integrate_2d_rect(
     """
     ax, bx = map(float, x_range)
     ay, by = map(float, y_range)
-    if not (ax < bx and ay < by):
-        raise ValueError("degenerate rectangle")
+    if not (ax < bx and ay < by
+            and math.isfinite(bx - ax) and math.isfinite(by - ay)):
+        raise ValueError("degenerate or unbounded rectangle")
     if tol is None:
         tol = default_tolerance()
     L = singular_line

@@ -23,10 +23,11 @@ on the real axis beyond the cone and continued into the upper
 half-plane; this module holds no closed form of either.  s2 and the
 field energy integrate them against the same correlation C (with Bob's
 coefficient i c_B and c_B) over the same pieces, panel widths and
-tolerance.  A row computes both in one shared pass: on each lag piece
-C's intermediates and both integrands are evaluated on one initial node
-set, then each observable is refined, budget-checked and failed on its
-own, so each gets exactly what its own public route returns.
+tolerance.  :func:`row_observables` computes a whole row, both in one
+shared pass: on each lag piece C's intermediates and both integrands
+are evaluated on one initial node set, then each observable is refined,
+budget-checked and failed on its own, so each gets exactly what its own
+public route returns.
 
 GK panels a quarter period wide cost O(Om T) evaluations on a lag
 piece.  So a piece that spans at least _STEEPEST_DESCENT_PERIODS
@@ -77,6 +78,7 @@ __all__ = [
     "interaction_energy_observable",
     "interaction_energy_1p1_closed",
     "field_energy_observable",
+    "row_observables",
     "energy_balance",
 ]
 
@@ -88,6 +90,9 @@ class Observable:
     value: float
     quad_error: float
     evaluations: int
+
+
+_ZERO = Observable(0.0, 0.0, 0)
 
 
 @dataclass(frozen=True)
@@ -352,7 +357,7 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
     pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
               if abs(0.5 * (a + b)) > L]
     if not pieces:
-        return [Observable(0.0, 0.0, 0)] * n
+        return [_ZERO] * n
     piece_tol = tol / len(pieces) / (abs(factor) or 1.0)
     width = (2.0 * math.pi / omega) / 4.0
 
@@ -437,7 +442,7 @@ def _correlation_observables(s, t, picks, tol):
     a_on, a_off = s.alice.window.t_on, s.alice.window.t_off
     b_on = s.bob.window.t_on
     if upper <= b_on:
-        return [Observable(0.0, 0.0, 0) for _ in picks]
+        return [_ZERO] * len(picks)
     corr, terms = _window_correlation(s, upper, picks)
     return _lag_integrals(
         s.dimension, L, picks, corr, terms, max(s.alice.gap, s.bob.gap),
@@ -445,52 +450,66 @@ def _correlation_observables(s, t, picks, tol):
     )
 
 
-def _s2_exact(s: Scenario, t: Optional[float], method: str):
-    """S2 from its exact route (zero or closed form), or None when it
-    needs the lag quadrature; raises as :func:`s2_observable` does."""
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
+def _exact(s: Scenario, t: Optional[float], pick):
+    """The pick's value from its exact route (a zero or the 1+1D closed
+    form), or None when it needs the lag quadrature; raises as its public
+    route does."""
     report = require_valid(s)
     _bob_upper(s, t)  # rejects an evaluation time before T_on
     if report.causal_class is CausalClass.SPACELIKE:
         # no commutator support anywhere in the double integral
-        return Observable(0.0, 0.0, 0)
-    if s.dimension is Dimension.D3p1:
-        if report.causal_class is CausalClass.TIMELIKE:
-            return Observable(0.0, 0.0, 0)
+        return _ZERO
+    crossing = report.causal_class is CausalClass.LIGHTCONE_CROSSING
+    if crossing and pick == _HF:
+        raise InvalidScenarioError(
+            "field energy for windows touching the lightcone depends on "
+            "the kernel's unspecified on-cone part; rejected"
+        )
+    if crossing and s.dimension is Dimension.D3p1:
         raise InvalidScenarioError(
             "3+1D windows touch the lightcone: the signal lives on the "
             "on-cone delta; use s2_null_3p1 for this configuration"
         )
-    if method == "auto" and s.dimension is Dimension.D1p1 \
-            and report.causal_class is CausalClass.TIMELIKE:
+    if crossing or s.dimension is Dimension.D2p1:
+        return None
+    # timelike windows: 1+1D's constant D makes s2 separable, and a kernel
+    # that lives on the cone (F in 1+1D, D and F in 3+1D) sees nothing
+    if pick == _S2 and s.dimension is Dimension.D1p1:
         return Observable(s2_closed_form_1p1(s, t), 0.0, 0)
-    return None
+    return _ZERO
+
+
+def _correlations(s: Scenario, t: Optional[float], picks,
+                  tol: Optional[float]):
+    """For each pick, the Observable its public route returns or the
+    ValueError or QuadratureError it raises.  The picks that need the lag
+    quadrature share one pass, which gives each the value, error and
+    count of its own route."""
+    out = {}
+    for p in picks:
+        try:
+            out[p] = _exact(s, t, p)
+        except ValueError as exc:
+            out[p] = exc
+    lag = [p for p in picks if out[p] is None]
+    if lag:
+        out.update(zip(lag, _correlation_observables(s, t, lag, tol)))
+    return [out[p] for p in picks]
 
 
 def s2_observable(
-    s: Scenario,
-    t: Optional[float] = None,
-    tol: Optional[float] = None,
-    method: str = "auto",
+    s: Scenario, t: Optional[float] = None, tol: Optional[float] = None
 ) -> Observable:
     """Leading-order signalling shift of Bob's excitation probability.
 
     S2 = 4 int dt2 int dt1 bias_A(t1) * Re(alpha_B* beta_B e^{i Om_B t2}
     * i D(t2 - t1, L)), per lambda_A lambda_B, with t2 running over Bob's
     window up to ``t`` (default: his switch-off time); returned with its
-    quadrature error estimate and evaluation count.
-
-    ``method`` selects the route: 'auto' uses the 1+1D closed form for
-    strictly timelike 1+1D scenarios, quadrature in 2+1D (and in 1+1D
-    when the windows touch the lightcone), and the exact Huygens zero in
-    3+1D; 'quadrature' forces the numerical path (used by the oracle
-    cross-checks).  :func:`s2_closed_form_1p1` is the closed form itself.
+    quadrature error estimate and evaluation count.  Strictly timelike
+    1+1D windows take :func:`s2_closed_form_1p1`, 3+1D the exact Huygens
+    zero, and the rest the lag quadrature.
     """
-    exact = _s2_exact(s, t, method)
-    if exact is not None:
-        return exact
-    return _one(_correlation_observables(s, t, [_S2], tol)[0])
+    return _one(_correlations(s, t, [_S2], tol)[0])
 
 
 def _alice_bias_integral(s: Scenario) -> float:
@@ -565,7 +584,7 @@ def interaction_energy_observable(
                 "meets Alice's window is carried entirely by the on-cone "
                 "delta; only the null-signalling op handles that"
             )
-        return Observable(0.0, 0.0, 0)
+        return _ZERO
     # K(t) = int bias_A(t - tau) D(tau, L) dtau over t - tau in Alice's window
     a = s.alice
     weight, terms = _interaction_weight(a, t)
@@ -608,48 +627,27 @@ def field_energy_observable(
     1+1D and 3+1D for timelike windows (cone-supported kernel), computed
     by quadrature in 2+1D.  Per lambda_A lambda_B, with error bookkeeping.
     """
-    exact = _field_energy_exact(s, t)
-    if exact is not None:
-        return exact
-    return _one(_correlation_observables(s, t, [_HF], tol)[0])
+    return _one(_correlations(s, t, [_HF], tol)[0])
 
 
-def _field_energy_exact(s: Scenario, t: Optional[float]):
-    """The field energy's exact zero, or None when it needs the lag
-    quadrature; raises as :func:`field_energy_observable` does."""
-    report = require_valid(s)
-    _bob_upper(s, t)  # rejects an evaluation time before T_on
-    if report.causal_class is CausalClass.SPACELIKE:
-        return Observable(0.0, 0.0, 0)
-    if report.causal_class is CausalClass.LIGHTCONE_CROSSING:
-        raise InvalidScenarioError(
-            "field energy for windows touching the lightcone depends on "
-            "the kernel's unspecified on-cone part; rejected"
-        )
-    if s.dimension in (Dimension.D1p1, Dimension.D3p1):
-        # kernel supported on the cone only: timelike windows see nothing
-        return Observable(0.0, 0.0, 0)
-    return None
+def row_observables(s: Scenario, t: Optional[float] = None,
+                    tol: Optional[float] = None):
+    """One row's (s2, hI_on, hI_off, hf_sig), each the Observable its
+    public route returns or the ValueError or QuadratureError it raises.
 
-
-def _s2_and_field_energy(s: Scenario, t: Optional[float],
-                         tol: Optional[float]):
-    """(s2, hf_sig) for one row, each the Observable its public route
-    returns or the ValueError or QuadratureError it raises.  When both
-    need the lag quadrature they share one pass, which gives each the
-    value, error and count of its own route."""
-    out, picks = {}, []
-    for p, exact in ((_S2, lambda: _s2_exact(s, t, "auto")),
-                     (_HF, lambda: _field_energy_exact(s, t))):
+    s2 and hf_sig run over Bob's window up to min(t, T_off) (``t``
+    default: T_off) in one shared pass; hI is taken at T_on and at
+    min(t, T_off).
+    """
+    s2, hf = _correlations(s, t, [_S2, _HF], tol)
+    w = s.bob.window
+    hi = []
+    for at in (w.t_on, w.t_off if t is None else min(t, w.t_off)):
         try:
-            out[p] = exact()
-        except ValueError as exc:
-            out[p] = exc
-        if out[p] is None:
-            picks.append(p)
-    if picks:
-        out.update(zip(picks, _correlation_observables(s, t, picks, tol)))
-    return out[_S2], out[_HF]
+            hi.append(interaction_energy_observable(s, at, tol))
+        except (QuadratureError, ValueError) as exc:
+            hi.append(exc)
+    return s2, hi[0], hi[1], hf
 
 
 def s2_null_3p1(s: Scenario) -> float:
@@ -700,19 +698,12 @@ def energy_balance(s: Scenario, tol: Optional[float] = None) -> BalanceResult:
             "energy balance is defined for strictly timelike windows, "
             f"got {report.causal_class.value}"
         )
-    t1 = s.bob.window.t_on
-    t2 = s.bob.window.t_off
-    s2_res, hf_res = (_one(r) for r in _s2_and_field_energy(s, t2, tol))
-    hi_on = interaction_energy_observable(s, t1, tol)
-    hi_off = interaction_energy_observable(s, t2, tol)
-    omega_b = s.bob.gap
-    residual = (
-        (omega_b * s2_res.value + hf_res.value)
-        - (hi_on.value - hi_off.value)
+    s2, hi_on, hi_off, hf = row_observables(s, None, tol)
+    # raises the first failure, in the order s2, hf_sig, hI_on, hI_off
+    s2, hf, hi_on, hi_off = map(_one, (s2, hf, hi_on, hi_off))
+    om_b = s.bob.gap
+    return BalanceResult(
+        (om_b * s2.value + hf.value) - (hi_on.value - hi_off.value),
+        om_b * s2.quad_error + hf.quad_error
+        + hi_on.quad_error + hi_off.quad_error,
     )
-    err = (
-        omega_b * s2_res.quad_error + hf_res.quad_error
-        + hi_on.quad_error + hi_off.quad_error
-    )
-    return BalanceResult(residual, err)
-

@@ -8,6 +8,7 @@ suite is deterministic (fixed seeds) so CI failures are reproducible.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -58,6 +59,13 @@ def _demo(dim=Dimension.D2p1, t1=5.0, L=1.0):
                      (_ISQ, -1j * _ISQ), (_ISQ, _ISQ))
 
 
+def _s2_by_quadrature(s, tol):
+    """S2 on the lag quadrature, past the exact routes it is checked
+    against."""
+    return signalling._one(
+        signalling._correlation_observables(s, None, [signalling._S2], tol)[0])
+
+
 def _random_state(rng):
     v = rng.normal(size=4)
     z = np.array([v[0] + 1j * v[1], v[2] + 1j * v[3]])
@@ -65,10 +73,32 @@ def _random_state(rng):
     return complex(z[0]), complex(z[1])
 
 
+_CHECKS: List[Callable[[], CheckResult]] = []
+
+
+def _check(name: str):
+    """Register the decorated body as the check ``name``.  The body
+    returns (passed, detail); the check reports that verdict, or what the
+    body raised, under that one name, so it never raises itself."""
+    def register(body):
+        @functools.wraps(body)
+        def check() -> CheckResult:
+            try:
+                passed, detail = body()
+            except Exception as err:  # noqa: BLE001 - report, don't crash
+                passed, detail = False, f"raised {type(err).__name__}: {err}"
+            return CheckResult(name, passed, detail)
+
+        _CHECKS.append(check)
+        return check
+    return register
+
+
 # --- quadrature ---------------------------------------------------------
 
 
-def _check_quad_linearity() -> CheckResult:
+@_check("quadrature-linearity")
+def _check_quad_linearity():
     f = lambda t: math.sin(3.0 * t) * t
     g = lambda t: math.cos(5.0 * t) + t * t
     a, b = 0.3, 2.7
@@ -76,18 +106,17 @@ def _check_quad_linearity() -> CheckResult:
     rhs = (2.5 * integrate_1d(f, a, b, 1e-11).value
            - 1.25 * integrate_1d(g, a, b, 1e-11).value)
     defect = abs(lhs - rhs)
-    return CheckResult("quadrature-linearity", defect < 1e-10,
-                       f"|defect| = {defect:.3e} (tol 1e-10)")
+    return defect < 1e-10, f"|defect| = {defect:.3e} (tol 1e-10)"
 
 
-def _check_quad_additivity() -> CheckResult:
+@_check("quadrature-additivity")
+def _check_quad_additivity():
     f = lambda t: math.exp(-t) * math.sin(7.0 * t)
     whole = integrate_1d(f, 0.0, 4.0, 1e-11).value
     split = (integrate_1d(f, 0.0, 1.37, 1e-11).value
              + integrate_1d(f, 1.37, 4.0, 1e-11).value)
     defect = abs(whole - split)
-    return CheckResult("quadrature-additivity", defect < 1e-10,
-                       f"|defect| = {defect:.3e} (tol 1e-10)")
+    return defect < 1e-10, f"|defect| = {defect:.3e} (tol 1e-10)"
 
 
 def _poly_cos_integral(coeffs, omega, a, b) -> float:
@@ -117,7 +146,8 @@ def _poly_cos_integral(coeffs, omega, a, b) -> float:
     return float(antiderivative(b) - antiderivative(a))
 
 
-def _check_quad_error_honesty() -> CheckResult:
+@_check("quadrature-error-honesty")
+def _check_quad_error_honesty():
     # randomized polynomial x cosine family against its exact integral
     rng = np.random.default_rng(20240817)
     bad_loose = bad_tight = 0
@@ -154,17 +184,17 @@ def _check_quad_error_honesty() -> CheckResult:
         bad_tight += missed(tight)
     frac_loose = 1.0 - bad_loose / n_cases
     frac_tight = 1.0 - bad_tight / n_cases
-    return CheckResult(
-        "quadrature-error-honesty", min(frac_loose, frac_tight) >= 0.99,
-        f"{frac_loose:.1%} (tol 1e-9) and {frac_tight:.1%} (tol 1e-13) of "
-        f"{n_cases} cases within 10x estimate of the exact integral "
-        "(need >= 99%)")
+    return (min(frac_loose, frac_tight) >= 0.99,
+            f"{frac_loose:.1%} (tol 1e-9) and {frac_tight:.1%} (tol 1e-13) of "
+            f"{n_cases} cases within 10x estimate of the exact integral "
+            "(need >= 99%)")
 
 
 # --- scenario -----------------------------------------------------------
 
 
-def _check_bias_bound() -> CheckResult:
+@_check("bias-amplitude-bound")
+def _check_bias_bound():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(40):
@@ -175,22 +205,22 @@ def _check_bias_bound() -> CheckResult:
         ts = rng.uniform(-20.0, 20.0, size=64)
         excess = np.max(np.abs(detector_bias(det, ts))) - abs(alpha) * abs(beta)
         worst = max(worst, float(excess))
-    return CheckResult("bias-amplitude-bound", worst <= 1e-12,
-                       f"max excess over |alpha||beta| = {worst:.3e}")
+    return worst <= 1e-12, f"max excess over |alpha||beta| = {worst:.3e}"
 
 
-def _check_bias_periodicity() -> CheckResult:
+@_check("bias-periodicity")
+def _check_bias_periodicity():
     det = DetectorSpec(3.7, ComplexAmplitudePair(0.6, 0.8j),
                        (0.0,), SwitchingWindow(0.0, 1.0))
     ts = np.linspace(-5.0, 5.0, 41)
     period = 2.0 * math.pi / det.gap
     defect = float(np.max(np.abs(
         detector_bias(det, ts + period) - detector_bias(det, ts))))
-    return CheckResult("bias-periodicity", defect < 1e-12,
-                       f"max |bias(t+T) - bias(t)| = {defect:.3e}")
+    return defect < 1e-12, f"max |bias(t+T) - bias(t)| = {defect:.3e}"
 
 
-def _check_bias_orthogonal_flip() -> CheckResult:
+@_check("bias-orthogonal-flip")
+def _check_bias_orthogonal_flip():
     pair = ComplexAmplitudePair(0.3 + 0.4j, math.sqrt(0.75))
     det = DetectorSpec(2.1, pair, (0.0,), SwitchingWindow(0.0, 1.0))
     flipped = DetectorSpec(2.1, pair.orthogonal(), (0.0,),
@@ -198,14 +228,14 @@ def _check_bias_orthogonal_flip() -> CheckResult:
     ts = np.linspace(0.0, 9.0, 33)
     defect = float(np.max(np.abs(
         detector_bias(det, ts) + detector_bias(flipped, ts))))
-    return CheckResult("bias-orthogonal-flip", defect < 1e-12,
-                       f"max |bias + bias_orth| = {defect:.3e}")
+    return defect < 1e-12, f"max |bias + bias_orth| = {defect:.3e}"
 
 
 # --- greens -------------------------------------------------------------
 
 
-def _check_kernel_causality() -> CheckResult:
+@_check("kernel-causality")
+def _check_kernel_causality():
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(60):
@@ -214,12 +244,13 @@ def _check_kernel_causality() -> CheckResult:
         for dim in Dimension:
             worst = max(worst, abs(greens.commutator_kernel(dim, dt, L).value))
             worst = max(worst, abs(greens.field_energy_kernel(dim, dt, L).value))
-    return CheckResult("kernel-causality", worst == 0.0,
-                       f"max |kernel| at spacelike points = {worst:.3e} "
-                       "(must be exactly 0)")
+    return (worst == 0.0,
+            f"max |kernel| at spacelike points = {worst:.3e} "
+            "(must be exactly 0)")
 
 
-def _check_kernel_antisymmetry() -> CheckResult:
+@_check("commutator-antisymmetry")
+def _check_kernel_antisymmetry():
     rng = np.random.default_rng(13)
     worst = 0.0
     for _ in range(60):
@@ -229,31 +260,32 @@ def _check_kernel_antisymmetry() -> CheckResult:
             worst = max(worst, abs(
                 greens.commutator_kernel(dim, -dt, L).value
                 + greens.commutator_kernel(dim, dt, L).value))
-    return CheckResult("commutator-antisymmetry", worst == 0.0,
-                       f"max |D(-dt) + D(dt)| = {worst:.3e}")
+    return worst == 0.0, f"max |D(-dt) + D(dt)| = {worst:.3e}"
 
 
-def _check_kernel_decay() -> CheckResult:
+@_check("commutator-2p1-decay")
+def _check_kernel_decay():
     dts = np.linspace(1.05, 12.0, 200)
     vals = [greens.commutator_kernel(Dimension.D2p1, float(dt), 1.0).value
             for dt in dts]
     monotone = all(b < a for a, b in zip(vals, vals[1:]))
-    return CheckResult("commutator-2p1-decay", monotone,
-                       "strictly decreasing in dt > L" if monotone
-                       else "NOT monotone")
+    return (monotone,
+            "strictly decreasing in dt > L" if monotone
+            else "NOT monotone")
 
 
-def _check_field_kernel_parity() -> CheckResult:
+@_check("field-kernel-parity")
+def _check_field_kernel_parity():
     worst = 0.0
     for tau in (1.3, 2.0, 5.5):
         worst = max(worst, abs(
             greens.field_energy_kernel(Dimension.D2p1, tau, 1.0).value
             - greens.field_energy_kernel(Dimension.D2p1, -tau, 1.0).value))
-    return CheckResult("field-kernel-parity", worst == 0.0,
-                       f"max |F(tau) - F(-tau)| = {worst:.3e}")
+    return worst == 0.0, f"max |F(tau) - F(-tau)| = {worst:.3e}"
 
 
-def _check_field_kernel_oracle() -> CheckResult:
+@_check("field-kernel-oracle")
+def _check_field_kernel_oracle():
     worst = 0.0
     for tau, L in ((1.5, 1.0), (3.0, 1.0), (4.0, 2.0)):
         closed = greens.field_energy_kernel(Dimension.D2p1, tau, L).value
@@ -261,33 +293,35 @@ def _check_field_kernel_oracle() -> CheckResult:
             Dimension.D2p1, tau, L, greens.suggest_eps_schedule(tau, L))
         rel = abs(closed - oracle.value) / abs(closed)
         worst = max(worst, rel)
-    return CheckResult("field-kernel-oracle", worst < 1e-4,
-                       f"max rel deviation = {worst:.3e} (tol 1e-4)")
+    return worst < 1e-4, f"max rel deviation = {worst:.3e} (tol 1e-4)"
 
 
 # --- signalling ---------------------------------------------------------
 
 
-def _check_spacelike_zero() -> CheckResult:
+@_check("causality-spacelike-s2")
+def _check_spacelike_zero():
     worst = 0.0
     for dim in Dimension:
         s = _scenario(dim, 30.0, (0.0, 3.0), (5.0, 8.0),
                       (_ISQ, -1j * _ISQ), (_ISQ, _ISQ))
-        worst = max(worst, abs(signalling.s2_observable(s).value))
-    return CheckResult("causality-spacelike-s2", worst == 0.0,
-                       f"max |s2| spacelike = {worst:.3e} (must be exactly 0)")
+        worst = max(worst, abs(signalling.s2_observable(s, tol=1e-8).value))
+    return (worst == 0.0,
+            f"max |s2| spacelike = {worst:.3e} (must be exactly 0)")
 
 
-def _check_huygens() -> CheckResult:
+@_check("strong-huygens-3p1")
+def _check_huygens():
     s = _demo(Dimension.D3p1)
-    obs = signalling.s2_observable(s)
+    obs = signalling.s2_observable(s, tol=1e-8)
     ok = obs.value == 0.0 and obs.evaluations == 0
-    return CheckResult("strong-huygens-3p1", ok,
-                       f"s2 = {obs.value!r}, evaluations = {obs.evaluations} "
-                       "(need exact 0 with no quadrature)")
+    return (ok,
+            f"s2 = {obs.value!r}, evaluations = {obs.evaluations} "
+            "(need exact 0 with no quadrature)")
 
 
-def _check_sign_flip() -> CheckResult:
+@_check("orthogonal-sign-flip")
+def _check_sign_flip():
     worst = 0.0
     for dim in (Dimension.D1p1, Dimension.D2p1):
         s = _demo(dim)
@@ -304,24 +338,24 @@ def _check_sign_flip() -> CheckResult:
             lambda sc: signalling.field_energy_observable(sc, tol=1e-10),
         ):
             worst = max(worst, abs(op(s).value + op(flipped).value))
-    return CheckResult("orthogonal-sign-flip", worst < 1e-9,
-                       f"max |x + x_flipped| = {worst:.3e} (tol 1e-9)")
+    return worst < 1e-9, f"max |x + x_flipped| = {worst:.3e} (tol 1e-9)"
 
 
-def _check_eigenstate_nullity() -> CheckResult:
+@_check("eigenstate-nullity")
+def _check_eigenstate_nullity():
     worst = 0.0
     for dim in (Dimension.D1p1, Dimension.D2p1):
         s = _scenario(dim, 1.0, (0.0, 3.0), (5.0, 8.0),
                       (1.0, 0.0), (_ISQ, _ISQ))
-        for obs in (signalling.s2_observable(s, method="quadrature"),
-                    signalling.interaction_energy_observable(s, 6.0),
-                    signalling.field_energy_observable(s)):
+        for obs in (_s2_by_quadrature(s, 1e-8),
+                    signalling.interaction_energy_observable(s, 6.0, 1e-8),
+                    signalling.field_energy_observable(s, tol=1e-8)):
             worst = max(worst, abs(obs.value))
-    return CheckResult("eigenstate-nullity", worst < 1e-14,
-                       f"max |signal| with eigenstate Alice = {worst:.3e}")
+    return worst < 1e-14, f"max |signal| with eigenstate Alice = {worst:.3e}"
 
 
-def _check_1p1_closed_vs_quad() -> CheckResult:
+@_check("s2-1p1-closed-vs-quadrature")
+def _check_1p1_closed_vs_quad():
     worst = 0.0
     rng = np.random.default_rng(17)
     for _ in range(5):
@@ -330,15 +364,14 @@ def _check_1p1_closed_vs_quad() -> CheckResult:
         s = _scenario(Dimension.D1p1, 1.0, (0.0, 3.0), (5.0, 8.0),
                       _random_state(rng), _random_state(rng), gap_a, gap_b)
         closed = signalling.s2_closed_form_1p1(s)
-        quad = signalling.s2_observable(s, method="quadrature",
-                                        tol=1e-11).value
+        quad = _s2_by_quadrature(s, 1e-11).value
         rel = abs(closed - quad) / max(abs(closed), 1e-12)
         worst = max(worst, rel)
-    return CheckResult("s2-1p1-closed-vs-quadrature", worst < 1e-8,
-                       f"max rel deviation = {worst:.3e} (tol 1e-8)")
+    return worst < 1e-8, f"max rel deviation = {worst:.3e} (tol 1e-8)"
 
 
-def _check_interaction_closed_form() -> CheckResult:
+@_check("interaction-energy-closed-form")
+def _check_interaction_closed_form():
     worst = 0.0
     rng = np.random.default_rng(19)
     for _ in range(5):
@@ -349,11 +382,11 @@ def _check_interaction_closed_form() -> CheckResult:
         worst = max(worst, abs(
             signalling.interaction_energy_observable(s, t, tol=1e-12).value
             - signalling.interaction_energy_1p1_closed(s, t)))
-    return CheckResult("interaction-energy-closed-form", worst < 1e-10,
-                       f"max |quad - closed| = {worst:.3e} (tol 1e-10)")
+    return worst < 1e-10, f"max |quad - closed| = {worst:.3e} (tol 1e-10)"
 
 
-def _check_energy_balance() -> CheckResult:
+@_check("energy-balance")
+def _check_energy_balance():
     results = []
     s = _demo(Dimension.D1p1, t1=5.0, L=0.5)
     bal = signalling.energy_balance(s, tol=1e-10)
@@ -365,10 +398,11 @@ def _check_energy_balance() -> CheckResult:
     ok = all(r <= lim for _, r, lim in results)
     detail = "; ".join(f"{d}: |res| = {r:.3e} (tol {lim:.1e})"
                        for d, r, lim in results)
-    return CheckResult("energy-balance", ok, detail)
+    return ok, detail
 
 
-def _check_oscillatory_route() -> CheckResult:
+@_check("oscillatory-route-vs-gk")
+def _check_oscillatory_route():
     # the demo's lag piece [5, 8] spans 19 periods at gap 40, below the
     # steepest-descent threshold, so rows take it on GK panels; offered
     # to the route directly, s2's and hf_sig's integrals at gap_B 40 and
@@ -385,8 +419,7 @@ def _check_oscillatory_route() -> CheckResult:
     routed += signalling._oscillatory_piece(
         s.dimension, L, picks[:1], bias_terms(a, b), a, b, tol)
     if None in routed:
-        return CheckResult("oscillatory-route-vs-gk", False,
-                           "the route handed the piece back to GK")
+        return False, "the route handed the piece back to GK"
     d, f = greens.commutator_timelike, greens.field_energy_timelike
     weights = (lambda t: corr(t)[0], lambda t: corr(t)[1],
                lambda t: bias(t)[0])
@@ -398,15 +431,15 @@ def _check_oscillatory_route() -> CheckResult:
             max_panel_width=(2.0 * math.pi / 40.0) / 4.0)
         worst = max(worst, abs(res.value - gk.value) / (
             res.abs_error_estimate + gk.abs_error_estimate + 1e-15))
-    return CheckResult(
-        "oscillatory-route-vs-gk", worst <= 1.0,
-        f"max |route - GK| / (sum of estimates + 1e-15) = {worst:.3e} "
-        f"(need <= 1) for s2, hf_sig and hI on [5, 8] at 19 periods, "
-        f"{routed[0].evaluations} evaluations each for s2 and hf_sig, "
-        f"{routed[2].evaluations} for hI")
+    return (worst <= 1.0,
+            f"max |route - GK| / (sum of estimates + 1e-15) = {worst:.3e} "
+            f"(need <= 1) for s2, hf_sig and hI on [5, 8] at 19 periods, "
+            f"{routed[0].evaluations} evaluations each for s2 and hf_sig, "
+            f"{routed[2].evaluations} for hI")
 
 
-def _check_channel_reset() -> CheckResult:
+@_check("channel-reset-decay")
+def _check_channel_reset():
     period = 2.0 * math.pi / 3.0
 
     def rms(t1):
@@ -417,21 +450,21 @@ def _check_channel_reset() -> CheckResult:
         return math.sqrt(np.mean(np.square(samples)))
 
     early, late = rms(5.0), rms(11.0)
-    return CheckResult("channel-reset-decay", late < early,
-                       f"RMS s2: T1~5 {early:.3e} -> T1~11 {late:.3e}")
+    return late < early, f"RMS s2: T1~5 {early:.3e} -> T1~11 {late:.3e}"
 
 
-def _check_hb_identity() -> CheckResult:
+@_check("hB-definition")
+def _check_hb_identity():
     row = cli.compute_row(_demo(), 5.0, None, 1e-8)
     defect = abs(row.hB_sig - 3.0 * row.s2)
-    return CheckResult("hB-definition", defect < 1e-12,
-                       f"|hB - Omega_B s2| = {defect:.3e} (tol 1e-12)")
+    return defect < 1e-12, f"|hB - Omega_B s2| = {defect:.3e} (tol 1e-12)"
 
 
 # --- channel ------------------------------------------------------------
 
 
-def _check_capacity_oracle() -> CheckResult:
+@_check("capacity-closed-vs-bruteforce")
+def _check_capacity_oracle():
     g = np.linspace(0.02, 0.98, 25)
     P, Q = np.meshgrid(g, g, indexing="ij")
     mask = np.abs(P - Q) >= 1e-6
@@ -439,74 +472,44 @@ def _check_capacity_oracle() -> CheckResult:
     closed = np.array([channel.capacity_closed(float(p), float(q))
                        for p, q in zip(P.ravel(), Q.ravel())])
     worst = float(np.max(np.abs(brute - closed).reshape(P.shape)[mask]))
-    return CheckResult("capacity-closed-vs-bruteforce", worst < 1e-9,
-                       f"max |closed - brute| = {worst:.3e} (tol 1e-9)")
+    return worst < 1e-9, f"max |closed - brute| = {worst:.3e} (tol 1e-9)"
 
 
-def _check_capacity_positivity() -> CheckResult:
+@_check("capacity-positivity")
+def _check_capacity_positivity():
     cases = [(0.3, 0.3, False), (0.31, 0.3, True), (0.5, 0.5, False),
              (0.999, 0.001, True)]
     ok = all((channel.capacity_closed(p, q) > 0.0) == positive
              for p, q, positive in cases)
-    return CheckResult("capacity-positivity", ok,
-                       "C > 0 iff p != q on probe set")
+    return ok, "C > 0 iff p != q on probe set"
 
 
-def _check_capacity_symmetry() -> CheckResult:
+@_check("capacity-symmetry")
+def _check_capacity_symmetry():
     worst = max(
         abs(channel.capacity_closed(p, q) - channel.capacity_closed(q, p))
         for p, q in ((0.9, 0.1), (0.45, 0.2), (0.7, 0.65)))
-    return CheckResult("capacity-symmetry", worst < 1e-12,
-                       f"max |C(p,q) - C(q,p)| = {worst:.3e}")
+    return worst < 1e-12, f"max |C(p,q) - C(q,p)| = {worst:.3e}"
 
 
-def _check_expansion_consistency() -> CheckResult:
+@_check("capacity-expansion-consistency")
+def _check_expansion_consistency():
     worst = 0.0
     for q in (0.2, 0.5, 0.8):
         ratio = (channel.capacity_closed(q + 1e-4, q)
                  / (1e-8 / (8.0 * math.log(2.0) * q * (1.0 - q))))
         worst = max(worst, abs(ratio - 1.0))
-    return CheckResult("capacity-expansion-consistency", worst < 1e-2,
-                       f"max |ratio - 1| = {worst:.3e} at delta 1e-4")
+    return worst < 1e-2, f"max |ratio - 1| = {worst:.3e} at delta 1e-4"
 
 
-def _check_guess_success() -> CheckResult:
-    stats = channel.channel_stats(_demo(), lambda_product=0.05)
+@_check("guess-success-margin")
+def _check_guess_success():
+    stats = channel.channel_stats(_demo(), lambda_product=0.05, tol=1e-8)
     defect = abs((stats.success - 0.5) - 0.5 * (stats.p - stats.q))
     ok = defect < 1e-15 and stats.success > 0.5
-    return CheckResult("guess-success-margin", ok,
-                       f"success - 1/2 vs (p - q)/2 defect = {defect:.3e}, "
-                       f"success = {stats.success:.12f}")
-
-
-_CHECKS: List[Callable[[], CheckResult]] = [
-    _check_quad_linearity,
-    _check_quad_additivity,
-    _check_quad_error_honesty,
-    _check_bias_bound,
-    _check_bias_periodicity,
-    _check_bias_orthogonal_flip,
-    _check_kernel_causality,
-    _check_kernel_antisymmetry,
-    _check_kernel_decay,
-    _check_field_kernel_parity,
-    _check_field_kernel_oracle,
-    _check_spacelike_zero,
-    _check_huygens,
-    _check_sign_flip,
-    _check_eigenstate_nullity,
-    _check_1p1_closed_vs_quad,
-    _check_interaction_closed_form,
-    _check_energy_balance,
-    _check_oscillatory_route,
-    _check_channel_reset,
-    _check_hb_identity,
-    _check_capacity_oracle,
-    _check_capacity_positivity,
-    _check_capacity_symmetry,
-    _check_expansion_consistency,
-    _check_guess_success,
-]
+    return (ok,
+            f"success - 1/2 vs (p - q)/2 defect = {defect:.3e}, "
+            f"success = {stats.success:.12f}")
 
 
 def run_all_checks() -> List[CheckResult]:
@@ -515,14 +518,9 @@ def run_all_checks() -> List[CheckResult]:
     results = []
     for check in _CHECKS:
         start = time.perf_counter()
-        try:
-            result = check()
-        except Exception as err:  # noqa: BLE001 - report, don't crash the suite
-            result = CheckResult(
-                check.__name__.replace("_check_", "", 1).replace("_", "-"),
-                False, f"raised {type(err).__name__}: {err}")
-        ms = 1e3 * (time.perf_counter() - start)
-        results.append(replace(result, ms=ms))
+        result = check()
+        results.append(
+            replace(result, ms=1e3 * (time.perf_counter() - start)))
     return results
 
 

@@ -416,6 +416,46 @@ class TestValidateVerb:
         for line in checks:
             assert re.fullmatch(r"(PASS|FAIL)  \S+: .* \[\d+\.\d ms\]", line)
 
+    def test_checks_ignore_the_tolerance_variable(self, monkeypatch):
+        # every check passes its own tol, so the user's default changes
+        # no verdict and no digit; at 1e-16 guess-success-margin used to
+        # raise a roundoff failure
+        from qcc.quadrature import TOL_ENV_VAR
+        from qcc.validation import run_all_checks
+
+        def verdicts():
+            return [(r.name, r.passed, r.detail) for r in run_all_checks()]
+
+        monkeypatch.delenv(TOL_ENV_VAR, raising=False)
+        default = verdicts()
+        assert all(passed for _, passed, _ in default)
+        for value in ("1e-16", "1e-3"):
+            monkeypatch.setenv(TOL_ENV_VAR, value)
+            assert verdicts() == default
+
+    def test_a_check_that_raises_keeps_its_name(self, monkeypatch):
+        from qcc import validation
+
+        def names(lines):
+            return [line.split(":", 1)[0].split("  ", 1) for line in lines]
+
+        passing = validation.format_report(
+            validation.run_all_checks()).splitlines()[:-1]
+        for check in validation._CHECKS:
+            monkeypatch.setattr(check.__wrapped__, "__code__",
+                                _forced_failure.__code__)
+        failing = validation.format_report(
+            validation.run_all_checks()).splitlines()[:-1]
+        assert [name for _, name in names(failing)] \
+            == [name for _, name in names(passing)]
+        assert {verdict for verdict, _ in names(failing)} == {"FAIL"}
+        assert all(": raised RuntimeError: forced" in line
+                   for line in failing)
+
+
+def _forced_failure():
+    raise RuntimeError("forced")
+
 
 class TestComputeRow:
     def test_nan_columns_render_as_nan(self):
@@ -452,15 +492,16 @@ class TestComputeRow:
     def _counted_row(self, monkeypatch, s):
         # the evaluations the row's shared s2/hf_sig pass spends on each
         counts = {}
-        shared = signalling._s2_and_field_energy
+        row_observables = signalling.row_observables
 
         def counted(*args):
-            pair = shared(*args)
-            for name, obs in zip(("s2", "hf_sig"), pair):
+            outcomes = row_observables(*args)
+            s2, _, _, hf = outcomes
+            for name, obs in (("s2", s2), ("hf_sig", hf)):
                 if isinstance(obs, signalling.Observable):
                     counts[name] = obs.evaluations
-            return pair
-        monkeypatch.setattr(signalling, "_s2_and_field_energy", counted)
+            return outcomes
+        monkeypatch.setattr(signalling, "row_observables", counted)
         return compute_row(s, 0.0), counts
 
     def test_long_bob_window_finishes(self, monkeypatch):

@@ -66,8 +66,11 @@ class TestIntegrate1d:
         assert tight.abs_error_estimate <= 1e-12
 
     def test_degenerate_interval_rejected(self):
-        with pytest.raises(ValueError, match="a < b"):
-            integrate_1d(lambda t: 1.0, 1.0, 1.0, 1e-8)
+        # an infinite limit used to spend the whole evaluation budget
+        for a, b in ((1.0, 1.0), (0.0, math.inf), (-math.inf, 0.0),
+                     (-math.inf, math.inf), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="finite a < b"):
+                integrate_1d(lambda t: 1.0, a, b, 1e-8)
 
     def test_bad_tolerance_rejected(self):
         for tol in (-1e-8, 0.0, math.nan, math.inf):
@@ -324,5 +327,8 @@ class TestIntegrate2dRect:
             integrate_2d_rect(f, (0.0, 3.0), (3.5, 6.5), 1e-8, budget=20000)
 
     def test_degenerate_rectangle_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            integrate_2d_rect(lambda x, y: 1.0, (0.0, 0.0), (0.0, 1.0), 1e-8)
+        for x_range, y_range in (((0.0, 0.0), (0.0, 1.0)),
+                                 ((0.0, math.inf), (0.0, 1.0)),
+                                 ((0.0, 1.0), (-math.inf, 1.0))):
+            with pytest.raises(ValueError, match="degenerate or unbounded"):
+                integrate_2d_rect(lambda x, y: 1.0, x_range, y_range, 1e-8)

@@ -9,6 +9,7 @@ code path.
 import cmath
 import math
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,19 @@ CROSSING_B_STATE = (complex(-0.42659147733752584, -0.5639323642627608),
                     complex(-0.26905291044913937, 0.653919361526211))
 
 
+def _s2_by_quadrature(s, tol=None):
+    """s2 on the lag quadrature, past the exact routes it is checked
+    against."""
+    return signalling._one(signalling._correlation_observables(
+        s, None, [signalling._S2], tol)[0])
+
+
+def _s2_and_hf(s, t, tol):
+    """s2 and hf_sig from the shared pass a row takes them from."""
+    return signalling._correlations(
+        s, t, [signalling._S2, signalling._HF], tol)
+
+
 class TestS2ClosedForm1p1:
     def test_reference_value_from_antiderivatives(self):
         # Alice bias integrates to (1-cos9)/6 on [0,3]; Bob's rotated
@@ -93,7 +107,7 @@ class TestS2ClosedForm1p1:
         for _ in range(8):
             s = random_timelike_scenario(rng, "1+1")
             closed = s2_closed_form_1p1(s)
-            quad = s2_observable(s, method="quadrature", tol=1e-11).value
+            quad = _s2_by_quadrature(s, 1e-11).value
             assert quad == pytest.approx(closed, rel=1e-9, abs=1e-12)
 
 
@@ -116,12 +130,6 @@ class TestS2GenericRoutes:
         obs = s2_observable(s)
         assert obs.value == s2_closed_form_1p1(s)
         assert obs.evaluations == 0
-
-    @pytest.mark.parametrize("method", ["closed", "bogus"])
-    def test_unknown_method_rejected(self, method):
-        # the 1+1D closed form is s2_closed_form_1p1, not a method
-        with pytest.raises(ValueError, match="unknown method"):
-            s2_observable(make_scenario("1+1", L=0.5), method=method)
 
     def test_intermediate_time_truncates_bob_integral(self):
         s = demo_scenario("2+1")
@@ -180,7 +188,7 @@ class TestS2GenericRoutes:
 
     def test_eigenstate_alice_nulls_signal(self):
         s = make_scenario("2+1", a_state=(1.0, 0.0))
-        assert s2_observable(s, method="quadrature").value == 0.0
+        assert _s2_by_quadrature(s).value == 0.0
 
     @pytest.mark.parametrize("gap_b", [
         1.9573782686485903,         # the benchmark's crossing probe row
@@ -202,6 +210,52 @@ class TestS2GenericRoutes:
         err = abs(obs.value - oracle.value)
         assert err <= 10.0 * tol
         assert err <= obs.quad_error + oracle.abs_error_estimate
+
+    # Rows whose windows cross the cone, against references computed by
+    # hand with mpmath 1.3.0 at 40 digits in two ways that agree to all
+    # 32 digits printed here: the double integral over both windows with
+    # no lag reduction (inner over t1 = t2 - L - v^2 by Gauss-Legendre,
+    # outer by tanh-sinh, split where the inner range changes form), and
+    # 4 int D(tau) C(tau) dtau with C in closed form (tau = L + u^2 next
+    # to the cone, Gauss-Legendre).  The second and third rows are
+    # random_timelike_scenario(np.random.default_rng(seed), "2+1") for
+    # seeds 6 and 4, with L then drawn uniformly between the ends of the
+    # lag range by the same generator.  s2_via_2d_quadrature cannot judge
+    # them: at tol 1e-10 it raises KernelDomainError on the second (at
+    # nodes where sqrt(u^2 + L^2) rounds to L) and misses the third by
+    # 4.0 times its own estimate.
+    @pytest.mark.parametrize("s,reference", [
+        (make_scenario(
+            "2+1", L=2.4229047106555965, a_win=(0.0, 3.0), b_win=(5.0, 8.0),
+            a_state=CROSSING_A_STATE, b_state=CROSSING_B_STATE,
+            gap_a=CROSSING_GAP_A, gap_b=1.9573782686485903),
+         "0.0080324547449686569980125709160897"),
+        (make_scenario(
+            "2+1", L=5.529944303106367, a_win=(0.0, 2.9217395816237444),
+            b_win=(4.34440768111219, 6.389126595272213),
+            a_state=(complex(-0.5983976065346513, -0.0651920456619992),
+                     complex(0.4790085355175202, 0.6389218454375816)),
+            b_state=(complex(0.37394323354493036, 0.8562970896071209),
+                     complex(0.16584522131461737, 0.31530479695596353)),
+            gap_a=0.5845101525866294, gap_b=9.798291840760319),
+         "-0.0023657838392278225583692389335035"),
+        (make_scenario(
+            "2+1", L=10.365774446234827, a_win=(0.0, 4.743752475075654),
+            b_win=(7.684361739344915, 10.485335727009542),
+            a_state=(complex(-0.9314985332615403, -0.002952870070102951),
+                     complex(-0.353817788166515, 0.0843488936910461)),
+            b_state=(complex(-0.7064114880886625, 0.10620055257351141),
+                     complex(0.1033932645851578, 0.6921084344001781)),
+            gap_a=4.589714638429425, gap_b=7.99499381667113),
+         "-0.00024516805629313392723048250243897"),
+    ], ids=["crossing-probe", "seed6", "seed4"])
+    def test_2p1_crossing_rows_against_references(self, s, reference):
+        assert s.report.causal_class is CausalClass.LIGHTCONE_CROSSING
+        obs = s2_observable(s, None, 1e-8)
+        # Decimal(float) is exact, so the float rounding of the reference
+        # does not enter
+        assert abs(Decimal(obs.value) - Decimal(reference)) \
+            <= Decimal(obs.quad_error)
 
     def test_demo_2p1_evaluation_budget(self):
         # one lag integral: a few GK15 panels per quarter period
@@ -252,16 +306,17 @@ def _row_from_public_routes(s, t, tol):
 
 
 class TestSharedPass:
-    """A row takes s2 and hf_sig from one shared lag-quadrature pass;
-    each must equal its own public route bit for bit: value, quad_error
-    and evaluations, and on failure the same status and message."""
+    """A row takes its observables from row_observables, s2 and hf_sig
+    from one shared lag-quadrature pass; each must equal its own public
+    route bit for bit: value, quad_error and evaluations, and on failure
+    the same status and message."""
 
     @staticmethod
     def assert_parity(s, tol=1e-8):
         t = s.bob.window.t_off
         obs, status, failures = _row_from_public_routes(s, t, tol)
-        pair = signalling._s2_and_field_energy(s, t, tol)
-        assert pair == (obs["s2"], obs["hf_sig"])
+        assert signalling.row_observables(s, t, tol) == tuple(
+            obs[label] for label in ("s2", "hI_on", "hI_off", "hf_sig"))
         row = compute_row(s, 0.0, None, tol)
         assert (row.status, row.failures) == (status, failures)
         assert row.s2 == obs["s2"].value
@@ -301,8 +356,8 @@ class TestSharedPass:
             == [["s2", reason], ["hf_sig", reason]]
         row = compute_row(s, 0.0, None, tol)
         assert (row.status, row.failures) == (status, failures)
-        pair = signalling._s2_and_field_energy(s, t, tol)
-        assert [type(x) for x in pair] == [QuadratureError] * 2
+        s2, _, _, hf = signalling.row_observables(s, t, tol)
+        assert [type(s2), type(hf)] == [QuadratureError] * 2
 
 
 def test_failing_integrand_leaves_its_partner(monkeypatch):
@@ -313,7 +368,7 @@ def test_failing_integrand_leaves_its_partner(monkeypatch):
         lambda dim, tau, x, L: np.full_like(tau, np.nan)))
     s = demo_scenario("2+1")
     t = s.bob.window.t_off
-    s2, hf = signalling._s2_and_field_energy(s, t, 1e-8)
+    s2, _, _, hf = signalling.row_observables(s, t, 1e-8)
     assert isinstance(hf, QuadratureError)
     assert hf.reason == "non-finite"
     assert "on the lag piece [2.0, 5.0]:" in str(hf)
@@ -366,8 +421,7 @@ class TestSteepestDescentRoute:
         by a further kappa / 50 times its estimate."""
         if route is None:
             def route(s):
-                return signalling._s2_and_field_energy(
-                    s, s.bob.window.t_off, tol)
+                return _s2_and_hf(s, s.bob.window.t_off, tol)
         forced = _with_periods(0.0, route, s)
         gk = _with_periods(math.inf, route, s)
         for new, old in zip(forced, gk):
@@ -402,7 +456,7 @@ class TestSteepestDescentRoute:
     ], ids=["gap1e5", "gap1e6", "t_off1e4"])
     def test_extreme_rows_finish(self, changes):
         s = _demo_with_bob(**changes)
-        pair = signalling._s2_and_field_energy(s, s.bob.window.t_off, 1e-8)
+        pair = _s2_and_hf(s, s.bob.window.t_off, 1e-8)
         assert all(o.evaluations <= 10_000 for o in pair)
         # hI, at Alice's gap 3, stays on GK panels here, so the balance
         # checks the route against GK
@@ -515,10 +569,9 @@ class TestSteepestDescentRoute:
 
         monkeypatch.setattr(signalling, "_oscillatory_piece", only_first)
         t = s.bob.window.t_off
-        pair = signalling._s2_and_field_energy(s, t, 1e-8)
+        pair = _s2_and_hf(s, t, 1e-8)
         assert offered == [(None, None)]
-        assert pair == _with_periods(
-            math.inf, signalling._s2_and_field_energy, s, t, 1e-8)
+        assert pair == _with_periods(math.inf, _s2_and_hf, s, t, 1e-8)
 
 
 class TestInteractionEnergy:
@@ -658,6 +711,23 @@ class TestEnergyBalance:
     def test_crossing_rejected(self):
         with pytest.raises(InvalidScenarioError):
             energy_balance(make_scenario("2+1", b_win=(3.5, 6.5)))
+
+    def test_raises_the_first_failure(self, monkeypatch):
+        # the row's outcomes are checked in the order s2, hf_sig, hI_on,
+        # hI_off: with that one and every later one failed, it is raised
+        s = demo_scenario("2+1")
+        row = dict(zip(("s2", "hI_on", "hI_off", "hf_sig"),
+                       signalling.row_observables(s, None, 1e-8)))
+        order = ["s2", "hf_sig", "hI_on", "hI_off"]
+        for k, first in enumerate(order):
+            outcomes = dict(row, **{label: QuadratureError(label, "budget")
+                                    for label in order[k:]})
+            monkeypatch.setattr(
+                signalling, "row_observables", lambda *args: tuple(
+                    outcomes[label]
+                    for label in ("s2", "hI_on", "hI_off", "hf_sig")))
+            with pytest.raises(QuadratureError, match=f"^{first}$"):
+                energy_balance(s, 1e-8)
 
 
 class TestRandomScenarioProperties:
