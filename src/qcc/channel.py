@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .quadrature import DEFAULT_TOL
 from .scenario import Scenario
 from .signalling import s2_observable
 
@@ -216,7 +217,7 @@ def channel_stats(
     s: Scenario,
     lambda_product: float,
     noise_R: float = 0.0,
-    tol: Optional[float] = None,
+    tol: float = DEFAULT_TOL,
     s2: Optional[float] = None,
 ) -> ChannelStats:
     """Full channel characterization for one scenario.

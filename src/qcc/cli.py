@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .channel import ChannelStats, channel_stats
 from .config import _fmt, load_config
-from .quadrature import QuadratureError, default_tolerance
+from .quadrature import DEFAULT_TOL, QuadratureError, default_tolerance
 from .scenario import (
     Scenario,
     SwitchingWindow,
@@ -143,7 +143,7 @@ def compute_row(
     s: Scenario,
     param_value: float,
     eval_time: Optional[float] = None,
-    tol: Optional[float] = None,
+    tol: float = DEFAULT_TOL,
 ) -> Row:
     """Evaluate all signalling columns for one scenario.
 

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .quadrature import QuadResult, QuadratureError, integrate_1d
+from .quadrature import DEFAULT_TOL, QuadResult, QuadratureError, integrate_1d
 from .scenario import Dimension
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "field_energy_timelike",
     "field_energy_continued",
     "regularized_momentum_integral",
-    "suggest_eps_schedule",
 ]
 
 
@@ -181,7 +180,7 @@ def field_energy_kernel(dim: Dimension, tau: float, L: float) -> KernelValue:
 
 
 def _damped_level(dim: Dimension, tau: float, L: float, eps: float,
-                  tol: float) -> List[QuadResult]:
+                  tol: float) -> list[QuadResult]:
     """The momentum integral damped by e^{-eps |k|}, at one eps, in pieces.
 
     Each plane wave's k-integral is exact,
@@ -222,32 +221,19 @@ def _damped_level(dim: Dimension, tau: float, L: float, eps: float,
     return parts
 
 
-def suggest_eps_schedule(tau: float, L: float, levels: int = 7) -> List[float]:
-    """Geometric damping schedule adapted to the distance from the cone.
-
-    Starts at 0.3 * |  |tau| - L  | (or 0.3 * max(|tau|, L) when that
-    degenerates) and halves ``levels - 1`` times; small enough that the
-    damped value is in the asymptotic regime, large enough that the
-    angular integrands, peaked with width ~eps, stay cheap to resolve.
-    """
-    scale = abs(abs(tau) - L)
-    if scale == 0:
-        scale = max(abs(tau), L, 1.0)
-    eps0 = 0.3 * scale
-    return [eps0 * 0.5 ** j for j in range(levels)]
-
-
 def regularized_momentum_integral(
     dim: Dimension,
     tau: float,
     L: float,
-    eps_schedule: Sequence[float],
     tol: Optional[float] = None,
 ) -> QuadResult:
     """Momentum integral of the field-energy kernel, by damping + extrapolation.
 
-    For each eps in the schedule the momentum integral is damped by
-    e^{-eps |k|} and evaluated exactly in |k|, by quadrature over
+    The momentum integral is damped by e^{-eps |k|} at seven eps, from
+    0.3 |  |tau| - L  | (0.3 max(|tau|, L, 1) on the cone) halving each
+    time: small enough that the damped value is in the asymptotic regime,
+    large enough that the angular integrands, peaked with width ~eps, stay
+    cheap to resolve.  Each level is exact in |k|, by quadrature over
     directions (:func:`_damped_level`); the sequence is then extrapolated
     polynomially in eps to eps -> 0 with a Neville tableau.  The returned
     error estimate is the last diagonal difference of the tableau plus
@@ -264,13 +250,10 @@ def regularized_momentum_integral(
         If ``tol`` is given and the extrapolation residual exceeds it
         (carrying the best estimate).
     """
-    eps = [float(e) for e in eps_schedule]
-    if len(eps) < 2:
-        raise ValueError("eps_schedule needs at least two levels")
-    if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("eps_schedule must be strictly decreasing and positive")
+    scale = abs(abs(tau) - L) or max(abs(tau), L, 1.0)
+    eps = [0.3 * scale * 0.5 ** j for j in range(7)]
 
-    level_tol = (tol if tol is not None else 1e-8) * 1e-2
+    level_tol = (tol if tol is not None else DEFAULT_TOL) * 1e-2
     levels = [_damped_level(dim, tau, L, e, level_tol) for e in eps]
     values = [math.fsum(r.value for r in lv) for lv in levels]
     quad_errors = [math.fsum(r.abs_error_estimate for r in lv) for lv in levels]

@@ -50,6 +50,7 @@ __all__ = [
     "QuadratureError",
     "integrate_1d",
     "integrate_2d_rect",
+    "DEFAULT_TOL",
     "default_tolerance",
 ]
 
@@ -141,18 +142,19 @@ _LAGUERRE_RULES = ((_LAGUERRE_X16, _LAGUERRE_W16),
                    (_LAGUERRE_X24, _LAGUERRE_W24))
 
 TOL_ENV_VAR = "QCC_QUAD_TOL"
+DEFAULT_TOL = 1e-8
 
 
 def default_tolerance() -> float:
-    """Absolute tolerance used when none is passed explicitly.
+    """The CLI's absolute tolerance.
 
     Reads the ``QCC_QUAD_TOL`` environment variable at call time and falls
-    back to 1e-8; a value that is not a finite positive number is a
-    ValueError.
+    back to :data:`DEFAULT_TOL`; a value that is not a finite positive
+    number is a ValueError.
     """
     raw = os.environ.get(TOL_ENV_VAR)
     if raw is None:
-        return 1e-8
+        return DEFAULT_TOL
     try:
         tol = float(raw)
     except ValueError as err:
@@ -426,7 +428,7 @@ def integrate_1d(
     f: Callable,
     a: float,
     b: float,
-    tol: Optional[float] = None,
+    tol: float,
     *,
     vectorized: bool = False,
     max_panel_width: Optional[float] = None,
@@ -442,8 +444,8 @@ def integrate_1d(
         makes large oscillatory panellings affordable in pure Python).
     a, b : float
         Integration limits, a < b.
-    tol : float, optional
-        Absolute tolerance target; defaults to :func:`default_tolerance`.
+    tol : float
+        Absolute tolerance target.
     max_panel_width : float, optional
         Upper bound on the initial panel width, used to resolve
         oscillations (a quarter period per panel is ample for GK15).
@@ -470,8 +472,6 @@ def integrate_1d(
     """
     if not (a < b and math.isfinite(b - a)):
         raise ValueError(f"require finite a < b, got a={a!r}, b={b!r}")
-    if tol is None:
-        tol = default_tolerance()
     _check_tol(tol)
     if not vectorized:
         scalar = f
@@ -508,7 +508,7 @@ def integrate_2d_rect(
     f: Callable,
     x_range: Sequence[float],
     y_range: Sequence[float],
-    tol: Optional[float] = None,
+    tol: float,
     *,
     singular_line: Optional[float] = None,
     max_panel_width: Optional[float] = None,
@@ -559,8 +559,6 @@ def integrate_2d_rect(
     if not (ax < bx and ay < by
             and math.isfinite(bx - ax) and math.isfinite(by - ay)):
         raise ValueError("degenerate or unbounded rectangle")
-    if tol is None:
-        tol = default_tolerance()
     L = singular_line
     if L is not None and L <= 0:
         raise ValueError("singular_line must be a positive separation")

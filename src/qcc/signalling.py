@@ -56,9 +56,8 @@ from typing import Optional
 import numpy as np
 
 from . import greens
-from .quadrature import (QuadratureError, QuadResult, _check_tol,
-                         _integrate_shared, _steepest_descent,
-                         default_tolerance)
+from .quadrature import (DEFAULT_TOL, QuadratureError, QuadResult,
+                         _check_tol, _integrate_shared, _steepest_descent)
 from .scenario import (
     CausalClass,
     Dimension,
@@ -338,14 +337,11 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
     This is the shared pass: on each piece all integrands are evaluated
     on the initial nodes in one call, then each is refined on its own,
     so each gets the value, error and evaluation count it gets alone.
-    ``tol`` (default :func:`default_tolerance`; ValueError unless finite
-    and positive) is split across the pieces; an integrand that fails
-    on a piece gets a QuadratureError naming ``tol``, and is ignored on
-    later pieces.  Returns one Observable or QuadratureError per
-    integrand.
+    ``tol`` (ValueError unless finite and positive) is split across the
+    pieces; an integrand that fails on a piece gets a QuadratureError
+    naming ``tol``, and is ignored on later pieces.  Returns one
+    Observable or QuadratureError per integrand.
     """
-    if tol is None:
-        tol = default_tolerance()
     _check_tol(tol)
     n = len(picks)
     kernels = [_TIMELIKE[p] for p in picks]
@@ -479,8 +475,7 @@ def _exact(s: Scenario, t: Optional[float], pick):
     return _ZERO
 
 
-def _correlations(s: Scenario, t: Optional[float], picks,
-                  tol: Optional[float]):
+def _correlations(s: Scenario, t: Optional[float], picks, tol: float):
     """For each pick, the Observable its public route returns or the
     ValueError or QuadratureError it raises.  The picks that need the lag
     quadrature share one pass, which gives each the value, error and
@@ -498,7 +493,7 @@ def _correlations(s: Scenario, t: Optional[float], picks,
 
 
 def s2_observable(
-    s: Scenario, t: Optional[float] = None, tol: Optional[float] = None
+    s: Scenario, t: Optional[float] = None, tol: float = DEFAULT_TOL
 ) -> Observable:
     """Leading-order signalling shift of Bob's excitation probability.
 
@@ -557,7 +552,7 @@ def s2_closed_form_1p1(s: Scenario, t: Optional[float] = None) -> float:
 
 
 def interaction_energy_observable(
-    s: Scenario, t: float, tol: Optional[float] = None
+    s: Scenario, t: float, tol: float = DEFAULT_TOL
 ) -> Observable:
     """Signalling contribution to the interaction energy <H_I,B> at t.
 
@@ -618,7 +613,7 @@ def interaction_energy_1p1_closed(s: Scenario, t: float) -> float:
 
 
 def field_energy_observable(
-    s: Scenario, t: Optional[float] = None, tol: Optional[float] = None
+    s: Scenario, t: Optional[float] = None, tol: float = DEFAULT_TOL
 ) -> Observable:
     """Signalling contribution to the field energy after time t.
 
@@ -631,7 +626,7 @@ def field_energy_observable(
 
 
 def row_observables(s: Scenario, t: Optional[float] = None,
-                    tol: Optional[float] = None):
+                    tol: float = DEFAULT_TOL):
     """One row's (s2, hI_on, hI_off, hf_sig), each the Observable its
     public route returns or the ValueError or QuadratureError it raises.
 
@@ -684,7 +679,7 @@ def s2_null_3p1(s: Scenario) -> float:
     return 4.0 * delta_coeff * float(corr(L)[0])
 
 
-def energy_balance(s: Scenario, tol: Optional[float] = None) -> BalanceResult:
+def energy_balance(s: Scenario, tol: float = DEFAULT_TOL) -> BalanceResult:
     """Energy-balance residual with the combined quadrature error.
 
     The identity: the signalling parts of Bob's detector energy plus the

@@ -22,7 +22,6 @@ from qcc.greens import (
     field_energy_kernel,
     field_energy_timelike,
     regularized_momentum_integral,
-    suggest_eps_schedule,
 )
 from qcc.scenario import Dimension
 
@@ -233,8 +232,7 @@ class TestRegularizedMomentumIntegral:
     the acceptance tests and only spot checks run here."""
 
     def test_matches_2p1_closed_form(self):
-        res = regularized_momentum_integral(
-            D2, 2.0, 1.0, suggest_eps_schedule(2.0, 1.0))
+        res = regularized_momentum_integral(D2, 2.0, 1.0)
         closed = field_energy_kernel(D2, 2.0, 1.0).value
         assert abs(res.value - closed) / abs(closed) < 1e-6
         assert abs(res.value - closed) <= 10 * max(res.abs_error_estimate,
@@ -247,28 +245,12 @@ class TestRegularizedMomentumIntegral:
         (D3, 0.3, 1.0),   # spacelike
     ])
     def test_zero_cases_within_tolerance(self, dim, tau, L):
-        res = regularized_momentum_integral(
-            dim, tau, L, suggest_eps_schedule(tau, L))
+        res = regularized_momentum_integral(dim, tau, L)
         assert abs(res.value) < 1e-6
-
-    def test_schedule_must_decrease(self):
-        with pytest.raises(ValueError):
-            regularized_momentum_integral(D2, 2.0, 1.0, [0.1, 0.2, 0.05])
-        with pytest.raises(ValueError):
-            regularized_momentum_integral(D2, 2.0, 1.0, [0.1, -0.05])
-        with pytest.raises(ValueError):
-            regularized_momentum_integral(D2, 2.0, 1.0, [0.1])
-
-    def test_suggested_schedule_shape(self):
-        sched = suggest_eps_schedule(2.0, 1.0)
-        assert len(sched) >= 4
-        assert all(e > 0 for e in sched)
-        assert all(b < a for a, b in zip(sched, sched[1:]))
 
     def test_unreachable_tolerance_raises_with_best(self):
         with pytest.raises(NonConvergenceError) as excinfo:
-            regularized_momentum_integral(
-                D2, 2.0, 1.0, [0.4, 0.2], tol=1e-14)
+            regularized_momentum_integral(D2, 2.0, 1.0, tol=1e-14)
         assert excinfo.value.best is not None
 
     def test_certification_grid_is_cheap_and_bounded(self):
@@ -278,8 +260,7 @@ class TestRegularizedMomentumIntegral:
         for ratio in (1.1, 1.5, 2.0, 3.0, 5.0, 10.0):
             for L in (0.5, 1.0, 2.0):
                 tau = ratio * L
-                res = regularized_momentum_integral(
-                    D2, tau, L, suggest_eps_schedule(tau, L), tol=1e-6)
+                res = regularized_momentum_integral(D2, tau, L, tol=1e-6)
                 closed = field_energy_kernel(D2, tau, L).value
                 assert res.evaluations <= 2000
                 assert abs(res.value - closed) <= res.abs_error_estimate

@@ -56,7 +56,7 @@ CROSSING_B_STATE = (complex(-0.42659147733752584, -0.5639323642627608),
                     complex(-0.26905291044913937, 0.653919361526211))
 
 
-def _s2_by_quadrature(s, tol=None):
+def _s2_by_quadrature(s, tol=1e-8):
     """s2 on the lag quadrature, past the exact routes it is checked
     against."""
     return signalling._one(signalling._correlation_observables(
@@ -781,7 +781,7 @@ class TestNull3p1:
             s2_null_3p1(make_scenario("2+1", b_win=(3.0, 6.5)))
 
 
-def _row(s, tol=None):
+def _row(s, tol=1e-8):
     return compute_row(s, s.bob.window.t_on, None, tol)
 
 
