@@ -79,8 +79,6 @@ def _entropy_diff(p: float, q: float) -> float:
     every term O(d); used whenever the log1p arguments are small.
     """
     d = p - q
-    if d == 0.0:
-        return 0.0
     interior = min(p, 1.0 - p, q, 1.0 - q)
     if interior > 0.0 and abs(d) <= 0.5 * interior:
         return (

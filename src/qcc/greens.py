@@ -103,7 +103,9 @@ def field_energy_timelike(dim: Dimension, tau, x, L: float):
     2+1D, and 0 in 1+1D and 3+1D, where its support is the cone."""
     if dim is _D2:
         a = abs(tau)
-        return -a / (2.0 * math.pi * (x * (a + L)) ** 1.5)
+        q = x * (a + L)
+        # q sqrt(q) rounds alike on floats and arrays; numpy's pow may not
+        return -a / (2.0 * math.pi * (q * _sqrt(q)))
     return 0.0 * x
 
 
@@ -221,12 +223,8 @@ def _damped_level(dim: Dimension, tau: float, L: float, eps: float,
     return parts
 
 
-def regularized_momentum_integral(
-    dim: Dimension,
-    tau: float,
-    L: float,
-    tol: Optional[float] = None,
-) -> QuadResult:
+def regularized_momentum_integral(dim: Dimension, tau: float, L: float,
+                                  tol: Optional[float] = None) -> QuadResult:
     """Momentum integral of the field-energy kernel, by damping + extrapolation.
 
     The momentum integral is damped by e^{-eps |k|} at seven eps, from

@@ -5,6 +5,7 @@ subprocess smoke tests confirm the module and console-script entry
 points are wired up.
 """
 
+import math
 import re
 import shutil
 import subprocess
@@ -390,6 +391,21 @@ class TestCapacityVerb:
         assert v["capacity_closed"] / base["capacity_closed"] \
             == pytest.approx(4.0 * (0.25 / 0.21) / 1.0, rel=5e-2)
 
+    def test_numerical_failure_exits_2(self, capsys, tmp_path):
+        # Bob 6 away puts the cone inside his window; at gap 1e5 the lag
+        # piece that ends on the cone stays on GK panels, whose initial
+        # panelling alone exceeds the budget
+        text = Path(DEMO_CFG).read_text()
+        crossing = text.replace("bob.position = 1, 0", "bob.position = 6, 0")
+        crossing = crossing.replace("bob.gap = 3\n", "bob.gap = 1e5\n")
+        assert "6, 0" in crossing and "1e5" in crossing
+        path = tmp_path / "crossing_gap_2p1.cfg"
+        path.write_text(crossing)
+        rc, out, err = run_cli(capsys, "capacity", str(path))
+        assert (rc, out) == (2, "")
+        assert err.startswith("qcc: numerical failure: ")
+        assert "budget" in err
+
     @pytest.mark.parametrize("flag,value", [
         ("--lambda-product", "nan"),
         ("--lambda-product", "inf"),
@@ -458,6 +474,13 @@ def _forced_failure():
 
 
 class TestComputeRow:
+    @pytest.mark.parametrize("changes", [dict(gap_b=math.inf),
+                                         dict(L=math.nan)])
+    def test_non_finite_scenario_is_an_invalid_row(self, changes):
+        row = compute_row(make_scenario("2+1", **changes), 1.0)
+        assert row.status == "invalid-scenario"
+        assert row.to_csv() == "1,nan,nan,nan,nan,nan,nan,invalid-scenario"
+
     def test_nan_columns_render_as_nan(self):
         row = Row(1.0, float("nan"), float("nan"), float("nan"),
                   float("nan"), float("nan"), float("nan"),

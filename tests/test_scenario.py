@@ -105,6 +105,8 @@ class TestValidate:
         (dict(gap_b=0.0), "gap"),
         (dict(a_win=(3.0, 1.0)), "t_on"),
         (dict(b_win=(1.0, 4.0)), "before"),   # Bob on before Alice off
+        (dict(gap_b=math.inf), "bob: gap must be finite"),
+        (dict(L=math.nan), "bob: position components must be finite"),
     ])
     def test_violations_reported(self, mutation, fragment):
         report = validate(make_scenario("2+1", **mutation))

@@ -24,6 +24,7 @@ from helpers import (
     s2_via_2d_quadrature,
 )
 from qcc import greens, signalling
+from qcc.channel import channel_stats
 from qcc.cli import SweepSpec, apply_sweep_parameter, compute_row
 from qcc.config import load_config
 from qcc.greens import commutator_kernel
@@ -797,7 +798,32 @@ class TestSignallingReport:
             == (0.0, 0.0, 0.0, 0.0, 0.0)
         assert rep.quad_error == 0.0
 
+    @pytest.mark.parametrize("dim", ["1+1", "2+1", "3+1"])
+    def test_empty_bob_window_at_switch_on(self, dim):
+        # at T_on Bob's window is empty: s2 and hf_sig are exact zeros and
+        # hI is taken twice at the same time
+        s = demo_scenario(dim)
+        t = s.bob.window.t_on
+        s2, hi_on, hi_off, hf = signalling.row_observables(s, t, 1e-8)
+        assert s2 == hf == signalling.Observable(0.0, 0.0, 0)
+        assert hi_on == hi_off
+        if dim == "3+1":
+            assert hi_on.value == 0.0
+        assert compute_row(s, 0.0, t, 1e-8).status == "ok"
+
     def test_1p1_report_has_zero_field_term(self):
         rep = _row(demo_scenario("1+1"))
         assert rep.hf_sig == 0.0
         assert rep.s2 != 0.0
+
+
+def test_library_defaults_ignore_the_tolerance_variable(monkeypatch):
+    # QCC_QUAD_TOL is the CLI's: at 1e-16 every quadrature here would fail
+    # on the roundoff floor
+    monkeypatch.setenv("QCC_QUAD_TOL", "1e-16")
+    s = demo_scenario("2+1")
+    assert s2_observable(s) == s2_observable(s, tol=1e-8)
+    assert signalling.row_observables(s) == signalling.row_observables(
+        s, tol=1e-8)
+    assert energy_balance(s) == energy_balance(s, tol=1e-8)
+    assert channel_stats(s, 0.1) == channel_stats(s, 0.1, tol=1e-8)
