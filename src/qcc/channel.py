@@ -151,19 +151,19 @@ def _bruteforce_pi_tol(p, q, tol):
     return float(np.min(np.clip(width, 1e-12, 1e-4)))
 
 
-def capacity_bruteforce(p: float, q: float, tol: float = 1e-10) -> float:
+def capacity_bruteforce(p: float, q: float) -> float:
     """Capacity by direct concave maximization over the input prior.
 
     Independent of :func:`capacity_closed`: ternary search on the mutual
     information I(pi), which is concave in pi.  The bracket is shrunk
-    until the quadratic-curvature error bound sits below ``tol``.
+    until the quadratic-curvature error bound sits below 1e-10 bits.
     """
     for name, v in (("p", p), ("q", q)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {v!r}")
     if p == q:
         return 0.0
-    return float(capacity_bruteforce_grid(p, q, tol)[0])
+    return float(capacity_bruteforce_grid(p, q)[0])
 
 
 def capacity_bruteforce_grid(p, q, tol: float = 1e-10) -> np.ndarray:
@@ -174,11 +174,11 @@ def capacity_bruteforce_grid(p, q, tol: float = 1e-10) -> np.ndarray:
     return np.maximum(_mutual_information(pi, p, q), 0.0)
 
 
-def optimal_input_prior(p: float, q: float, tol: float = 1e-8) -> float:
-    """Input prior achieving the bruteforce capacity (bracket midpoint)."""
+def optimal_input_prior(p: float, q: float) -> float:
+    """Input prior achieving the bruteforce capacity (bracket 1e-8 wide)."""
     if p == q:
         return 0.5
-    pi = _ternary_search(p, q, tol)
+    pi = _ternary_search(p, q, 1e-8)
     return float(pi.ravel()[0])
 
 

@@ -209,7 +209,7 @@ def run_point(config_path: str) -> int:
     print(CSV_HEADER)
     print(row.to_csv())
 
-    if any(tag.startswith("numerical:") for tag in row.status.split(";")):
+    if row.failures:
         print("quadrature failed to converge for at least one observable",
               file=sys.stderr)
         for line in row.failures:
@@ -217,9 +217,8 @@ def run_point(config_path: str) -> int:
         return EXIT_NUMERICAL
 
     # the row's s2 is S2(T2) at tol, unless the row could not compute it
-    s2_ok = not any(tag.endswith(":s2") for tag in row.status.split(";"))
     stats = channel_stats(s, cfg.lambda_product, cfg.noise_R, tol=tol,
-                          s2=row.s2 if s2_ok else None)
+                          s2=None if math.isnan(row.s2) else row.s2)
     print()
     print(f"{'lambda_product':<20}= {_fmt(cfg.lambda_product)}")
     print(f"{'noise_R':<20}= {_fmt(cfg.noise_R)}")
@@ -393,7 +392,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return run_validate()
         raise AssertionError(f"unhandled command {args.command!r}")
     except QuadratureError as err:
-        print(f"qcc: numerical failure: {err}", file=sys.stderr)
+        print(f"qcc: numerical failure: {err.reason}: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as err:
         # ConfigError and InvalidScenarioError are ValueErrors

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .scenario import Dimension
 __all__ = [
     "KernelValue",
     "KernelDomainError",
-    "NonConvergenceError",
     "commutator_kernel",
     "commutator_timelike",
     "commutator_continued",
@@ -44,14 +42,6 @@ __all__ = [
 
 class KernelDomainError(ValueError):
     """Kernel evaluated where its pointwise value is undefined."""
-
-
-class NonConvergenceError(RuntimeError):
-    """Richardson extrapolation failed to settle within the tolerance."""
-
-    def __init__(self, message: str, best: Optional[QuadResult] = None):
-        super().__init__(message)
-        self.best = best
 
 
 @dataclass(frozen=True)
@@ -181,16 +171,17 @@ def field_energy_kernel(dim: Dimension, tau: float, L: float) -> KernelValue:
     return KernelValue(field_energy_timelike(dim, tau, x, L))
 
 
-def _damped_level(dim: Dimension, tau: float, L: float, eps: float,
-                  tol: float) -> list[QuadResult]:
+def _damped_level(dim: Dimension, tau: float, L: float,
+                  eps: float) -> list[QuadResult]:
     """The momentum integral damped by e^{-eps |k|}, at one eps, in pieces.
 
     Each plane wave's k-integral is exact,
     int_0^inf k^{n-1} cos(a k) e^{-eps k} dk = Re[(n-1)! / (eps - i a)^n]
     with a = tau - L cos(theta), so only the directions are integrated:
     the two of a line in 1+1D, theta over [0, pi] otherwise, cut where
-    a = 0 when |tau| < L (the integrand peaks there with width ~eps).  A
-    piece whose ``tol`` is below the roundoff floor keeps its best estimate.
+    a = 0 when |tau| < L (the integrand peaks there with width ~eps).  The
+    pieces share DEFAULT_TOL / 100; one whose share is below the roundoff
+    floor keeps its best estimate.
     """
     n = dim.spatial
 
@@ -214,7 +205,8 @@ def _damped_level(dim: Dimension, tau: float, L: float, eps: float,
     parts = []
     for lo, hi in zip(cuts, cuts[1:]):
         try:
-            parts.append(integrate_1d(f, lo, hi, tol / (len(cuts) - 1),
+            parts.append(integrate_1d(f, lo, hi,
+                                      DEFAULT_TOL * 1e-2 / (len(cuts) - 1),
                                       vectorized=True))
         except QuadratureError as exc:
             if exc.reason != "roundoff":
@@ -223,8 +215,8 @@ def _damped_level(dim: Dimension, tau: float, L: float, eps: float,
     return parts
 
 
-def regularized_momentum_integral(dim: Dimension, tau: float, L: float,
-                                  tol: Optional[float] = None) -> QuadResult:
+def regularized_momentum_integral(dim: Dimension, tau: float,
+                                  L: float) -> QuadResult:
     """Momentum integral of the field-energy kernel, by damping + extrapolation.
 
     The momentum integral is damped by e^{-eps |k|} at seven eps, from
@@ -235,24 +227,17 @@ def regularized_momentum_integral(dim: Dimension, tau: float, L: float,
     directions (:func:`_damped_level`); the sequence is then extrapolated
     polynomially in eps to eps -> 0 with a Neville tableau.  The returned
     error estimate is the last diagonal difference of the tableau plus
-    the propagated quadrature errors.
+    the propagated quadrature errors; the caller judges it.
 
     This op is the oracle for :func:`field_energy_kernel`: it evaluates
     no closed form of F.  In 2+1D the limit
     -(1/2 pi^2) int_0^pi dtheta / (tau - L cos theta)^2 of the damped
     integrals is what produces -|tau| / (2 pi (tau^2 - L^2)^{3/2}).
-
-    Raises
-    ------
-    NonConvergenceError
-        If ``tol`` is given and the extrapolation residual exceeds it
-        (carrying the best estimate).
     """
     scale = abs(abs(tau) - L) or max(abs(tau), L, 1.0)
     eps = [0.3 * scale * 0.5 ** j for j in range(7)]
 
-    level_tol = (tol if tol is not None else DEFAULT_TOL) * 1e-2
-    levels = [_damped_level(dim, tau, L, e, level_tol) for e in eps]
+    levels = [_damped_level(dim, tau, L, e) for e in eps]
     values = [math.fsum(r.value for r in lv) for lv in levels]
     quad_errors = [math.fsum(r.abs_error_estimate for r in lv) for lv in levels]
     evaluations = sum(r.evaluations for lv in levels for r in lv)
@@ -276,14 +261,5 @@ def regularized_momentum_integral(dim: Dimension, tau: float, L: float,
         p.append(row_p)
         q.append(row_q)
     best = p[-1][-1]
-    prev_diag = p[-2][-1]
-    residual = abs(best - prev_diag)
-    err = residual + q[-1][-1]
-    result = QuadResult(best, err, evaluations)
-    if tol is not None and err > tol:
-        raise NonConvergenceError(
-            f"extrapolation residual {err:.3e} exceeds tolerance {tol:.3e} "
-            f"for dim={dim}, tau={tau!r}, L={L!r}",
-            best=result,
-        )
-    return result
+    residual = abs(best - p[-2][-1])
+    return QuadResult(best, residual + q[-1][-1], evaluations)

@@ -199,8 +199,9 @@ class QuadratureError(Exception):
 
     ``best`` carries the best available estimate (or None when the failure
     happened before any usable value existed, e.g. a non-finite integrand).
-    A failed inner integral of :func:`integrate_2d_rect` carries None:
-    its estimate at a single x is not an estimate of the 2D integral.
+    A failure on one part of a larger integral carries None, since the
+    part's estimate is not the whole's: an inner integral of
+    :func:`integrate_2d_rect`, or a lag piece of a signalling observable.
     """
 
     REASONS = ("budget", "roundoff", "non-finite", "unsplittable")
@@ -575,11 +576,6 @@ def integrate_2d_rect(
         pieces = list(_inner_pieces(x, ay, by, L))
         total = err_here = 0.0
         for side, lo, hi in pieces:
-            if spent >= budget:
-                raise QuadratureError(
-                    f"2D quadrature budget of {budget} evaluations exhausted",
-                    "budget",
-                )
             if side:
                 # y = x + side sqrt(u^2 + L^2), dy = u du / sqrt(u^2 + L^2);
                 # u runs from the piece's end nearest the line to its far end

@@ -322,12 +322,12 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
     at the weight's ``kinks`` so every piece is smooth, and panels start
     a quarter period of the weight's top frequency ``omega`` wide
     (unless the piece takes the steepest-descent route below); the
-    pieces inside the cone, where the kernels vanish, are dropped.  A
-    2+1D piece that ends on the cone carries the kernels' 1/sqrt
-    singularity, which this route substitutes away: it integrates over
-    u = sqrt(x), with x = |tau| - L, tau = +-(L + u^2) and weight 2u,
-    so the rule sees a smooth integrand and the kernels never see x
-    rounded off against L.
+    pieces inside the cone, where the kernels vanish, are dropped, so
+    spacelike windows get 0 with no evaluations.  A 2+1D piece that ends
+    on the cone carries the kernels' 1/sqrt singularity, which this route
+    substitutes away: it integrates over u = sqrt(x), with
+    x = |tau| - L, tau = +-(L + u^2) and weight 2u, so the rule sees a
+    smooth integrand and the kernels never see x rounded off against L.
 
     Any other piece that spans at least _STEEPEST_DESCENT_PERIODS
     periods of ``omega`` is first offered to :func:`_oscillatory_piece`,
@@ -339,8 +339,8 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
     so each gets the value, error and evaluation count it gets alone.
     ``tol`` (ValueError unless finite and positive) is split across the
     pieces; an integrand that fails on a piece gets a QuadratureError
-    naming ``tol``, and is ignored on later pieces.  Returns one
-    Observable or QuadratureError per integrand.
+    naming ``tol``, with no ``best``, and is ignored on later pieces.
+    Returns one Observable or QuadratureError per integrand.
     """
     _check_tol(tol)
     n = len(picks)
@@ -394,7 +394,7 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
             if isinstance(res, QuadratureError):
                 failed[i] = QuadratureError(
                     f"tol {tol:.3e} not reached on the lag piece "
-                    f"[{a!r}, {b!r}]: {res}", res.reason, res.best,
+                    f"[{a!r}, {b!r}]: {res}", res.reason,
                 )
                 failed[i].__cause__ = res
                 continue
@@ -447,14 +447,11 @@ def _correlation_observables(s, t, picks, tol):
 
 
 def _exact(s: Scenario, t: Optional[float], pick):
-    """The pick's value from its exact route (a zero or the 1+1D closed
-    form), or None when it needs the lag quadrature; raises as its public
-    route does."""
+    """The pick's value from its exact route (a timelike zero or the 1+1D
+    closed form), or None for the lag quadrature, which is 0 for spacelike
+    windows; raises as its public route does."""
     report = require_valid(s)
     _bob_upper(s, t)  # rejects an evaluation time before T_on
-    if report.causal_class is CausalClass.SPACELIKE:
-        # no commutator support anywhere in the double integral
-        return _ZERO
     crossing = report.causal_class is CausalClass.LIGHTCONE_CROSSING
     if crossing and pick == _HF:
         raise InvalidScenarioError(
@@ -466,7 +463,8 @@ def _exact(s: Scenario, t: Optional[float], pick):
             "3+1D windows touch the lightcone: the signal lives on the "
             "on-cone delta; use s2_null_3p1 for this configuration"
         )
-    if crossing or s.dimension is Dimension.D2p1:
+    if report.causal_class is not CausalClass.TIMELIKE \
+            or s.dimension is Dimension.D2p1:
         return None
     # timelike windows: 1+1D's constant D makes s2 separable, and a kernel
     # that lives on the cone (F in 1+1D, D and F in 3+1D) sees nothing

@@ -286,14 +286,17 @@ def _check_field_kernel_parity():
 
 @_check("field-kernel-oracle")
 def _check_field_kernel_oracle():
-    worst = 0.0
+    worst = worst_ratio = 0.0
     for tau, L in ((1.5, 1.0), (3.0, 1.0), (4.0, 2.0)):
         closed = greens.field_energy_kernel(Dimension.D2p1, tau, L).value
         oracle = greens.regularized_momentum_integral(
             Dimension.D2p1, tau, L)
-        rel = abs(closed - oracle.value) / abs(closed)
-        worst = max(worst, rel)
-    return worst < 1e-4, f"max rel deviation = {worst:.3e} (tol 1e-4)"
+        dev = abs(closed - oracle.value)
+        worst = max(worst, dev / abs(closed))
+        worst_ratio = max(worst_ratio, dev / oracle.abs_error_estimate)
+    return (worst < 1e-4 and worst_ratio <= 1.0,
+            f"max rel deviation = {worst:.3e} (tol 1e-4), "
+            f"max |closed - oracle| / estimate = {worst_ratio:.3f}")
 
 
 # --- signalling ---------------------------------------------------------

@@ -130,7 +130,8 @@ def test_04_field_energy_kernel_matches_momentum_integral():
         for L in (0.5, 1.0, 2.0):
             tau = ratio * L
             closed = field_energy_kernel(dim, tau, L).value
-            res = regularized_momentum_integral(dim, tau, L, tol=1e-6)
+            res = regularized_momentum_integral(dim, tau, L)
+            assert res.abs_error_estimate <= 1e-6
             rel = abs(res.value - closed) / abs(closed)
             worst = max(worst, rel)
             assert rel <= 1e-4, f"tau={tau} L={L}: rel {rel:.2e}"

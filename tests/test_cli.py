@@ -315,6 +315,17 @@ class TestSweepVerb:
         assert rc == 1
         assert "start < stop" in err
 
+    @pytest.mark.parametrize("spec,message", [
+        ("1:2", "range must be start:stop:step"),
+        ("a:b:c", "range fields must be numbers"),
+    ])
+    def test_malformed_range_exits_1(self, capsys, tmp_path, spec, message):
+        rc, err = usage_error(capsys, "sweep", DEMO_CFG, "--param", "gap_B",
+                              "--range", spec, "--out",
+                              str(tmp_path / "x.csv"))
+        assert rc == 1
+        assert message in err
+
     def test_missing_out_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", DEMO_CFG, "--param", "gap_B", "--range", "1:2:1"])
@@ -361,6 +372,11 @@ class TestSweepSpec:
         moved = apply_sweep_parameter(s, "separation_L", 2.5)
         assert moved.bob.position == (2.5, 0.0)
 
+    def test_apply_separation_to_coincident_detectors_moves_along_x(self):
+        s = demo_scenario("2+1", L=0.0)
+        moved = apply_sweep_parameter(s, "separation_L", 2.0)
+        assert moved.bob.position == (2.0, 0.0)
+
 
 class TestCapacityVerb:
     def test_reference_values(self, capsys):
@@ -403,8 +419,7 @@ class TestCapacityVerb:
         path.write_text(crossing)
         rc, out, err = run_cli(capsys, "capacity", str(path))
         assert (rc, out) == (2, "")
-        assert err.startswith("qcc: numerical failure: ")
-        assert "budget" in err
+        assert err.startswith("qcc: numerical failure: budget: ")
 
     @pytest.mark.parametrize("flag,value", [
         ("--lambda-product", "nan"),
@@ -448,6 +463,27 @@ class TestValidateVerb:
         for value in ("1e-16", "1e-3"):
             monkeypatch.setenv(TOL_ENV_VAR, value)
             assert verdicts() == default
+
+    def test_field_kernel_oracle_is_held_to_its_estimate(self, monkeypatch):
+        # the closed form is within 5% of the oracle's estimate at each
+        # point, so an oracle claiming a hundredth of it fails the check
+        # while its relative deviation still passes
+        from qcc import greens, validation
+
+        check = validation._check_field_kernel_oracle
+        assert check().passed
+        honest = greens.regularized_momentum_integral
+
+        def overconfident(*args):
+            res = honest(*args)
+            return replace(res,
+                           abs_error_estimate=res.abs_error_estimate / 100)
+
+        monkeypatch.setattr(greens, "regularized_momentum_integral",
+                            overconfident)
+        result = check()
+        assert not result.passed
+        assert "(tol 1e-4)" in result.detail and "/ estimate" in result.detail
 
     def test_a_check_that_raises_keeps_its_name(self, monkeypatch):
         from qcc import validation

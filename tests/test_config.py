@@ -143,6 +143,13 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match="must be numbers"):
             parse_config(config_text({"bob.position": "1, north"}))
 
+    def test_empty_position_with_location(self):
+        # alice.position is the ninth base key
+        with pytest.raises(ConfigError,
+                           match=r"cfg:9: empty position for "
+                                 r"'alice.position'"):
+            parse_config(config_text({"alice.position": ","}), source="cfg")
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config("/nonexistent/path.cfg")

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from qcc.greens import (
     KernelDomainError,
     KernelValue,
-    NonConvergenceError,
     commutator_continued,
     commutator_kernel,
     commutator_timelike,
@@ -87,6 +86,13 @@ class TestCommutatorKernel:
     def test_3p1_coincident_points_rejected(self):
         with pytest.raises(KernelDomainError):
             commutator_kernel(D3, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("kernel", [commutator_kernel, field_energy_kernel])
+@pytest.mark.parametrize("dim", list(Dimension), ids=str)
+def test_negative_separation_rejected(kernel, dim):
+    with pytest.raises(ValueError, match="separation must be >= 0"):
+        kernel(dim, 2.0, -1.0)
 
 
 class TestFieldEnergyKernel:
@@ -261,11 +267,6 @@ class TestRegularizedMomentumIntegral:
         res = regularized_momentum_integral(dim, tau, L)
         assert abs(res.value) < 1e-6
 
-    def test_unreachable_tolerance_raises_with_best(self):
-        with pytest.raises(NonConvergenceError) as excinfo:
-            regularized_momentum_integral(D2, 2.0, 1.0, tol=1e-14)
-        assert excinfo.value.best is not None
-
     def test_certification_grid_is_cheap_and_bounded(self):
         # the acceptance grid: only the directions are integrated, so each
         # point costs a few GK15 panels per level, and the reported error
@@ -273,7 +274,7 @@ class TestRegularizedMomentumIntegral:
         for ratio in (1.1, 1.5, 2.0, 3.0, 5.0, 10.0):
             for L in (0.5, 1.0, 2.0):
                 tau = ratio * L
-                res = regularized_momentum_integral(D2, tau, L, tol=1e-6)
+                res = regularized_momentum_integral(D2, tau, L)
                 closed = field_energy_kernel(D2, tau, L).value
                 assert res.evaluations <= 2000
                 assert abs(res.value - closed) <= res.abs_error_estimate

@@ -379,6 +379,16 @@ def test_failing_integrand_leaves_its_partner(monkeypatch):
     assert row.s2 == s2.value
 
 
+def test_failed_lag_integral_carries_no_best():
+    # s2 fails on its first lag piece, [2, 5]; that piece's estimate is
+    # not an estimate of s2
+    with pytest.raises(QuadratureError) as excinfo:
+        s2_observable(demo_scenario("2+1"), 8.0, 1e-16)
+    assert excinfo.value.reason == "roundoff"
+    assert "on the lag piece [2.0, 5.0]:" in str(excinfo.value)
+    assert excinfo.value.best is None
+
+
 def _with_periods(periods, route, *args):
     """``route(*args)`` with the steepest-descent threshold at
     ``periods``: at 0 every lag piece that does not end on the 2+1D
@@ -451,6 +461,26 @@ class TestSteepestDescentRoute:
         forced, gk = self.assert_agrees(_demo_with_bob(gap=1e4))
         assert [o.evaluations for o in forced] == [340, 340]
         assert [o.evaluations for o in gk] == [572_970, 572_970]
+
+    def test_remainder_failure_hands_the_piece_to_gk(self, monkeypatch):
+        # at tol 1e-22 the slowly varying remainder of the piece [2, 5]
+        # fails on its roundoff floor inside the route, which hands the
+        # piece back to GK panels, and those fail there in turn
+        reasons = []
+        shared = signalling._integrate_shared
+
+        def spy(*args):
+            results = shared(*args)
+            reasons.append([getattr(r, "reason", None) for r in results])
+            return results
+
+        monkeypatch.setattr(signalling, "_integrate_shared", spy)
+        with pytest.raises(QuadratureError) as excinfo:
+            s2_observable(_demo_with_bob(gap=1e4), None, 1e-22)
+        assert excinfo.value.reason == "roundoff"
+        assert "on the lag piece [2.0, 5.0]:" in str(excinfo.value)
+        # the route's remainder, then GK on the same piece
+        assert reasons == [["roundoff"], ["roundoff"]]
 
     @pytest.mark.parametrize("changes", [
         {"gap": 1e5}, {"gap": 1e6}, {"t_off": 1e4},
@@ -616,6 +646,15 @@ class TestInteractionEnergy:
         with pytest.raises(ValueError):
             interaction_energy_observable(demo_scenario("2+1"), 8.5)
 
+    def test_closed_form_rejections(self):
+        with pytest.raises(InvalidScenarioError, match="requires 1\\+1D"):
+            interaction_energy_1p1_closed(demo_scenario("2+1"), 6.0)
+        s = make_scenario("1+1", L=0.5)
+        with pytest.raises(ValueError, match="requires t > T_A \\+ L"):
+            interaction_energy_1p1_closed(s, 3.4)
+        with pytest.raises(ValueError, match="outside bob's window"):
+            interaction_energy_1p1_closed(s, 8.5)
+
     def test_closed_form_alice_window_off_zero(self):
         # the closed form holds for any Alice window inside the past cone
         s = make_scenario("1+1", L=0.5, a_win=(1.0, 3.0))
@@ -660,8 +699,10 @@ class TestFieldEnergy:
         assert obs.evaluations == 0
 
     def test_spacelike_zero(self):
-        s = make_scenario("2+1", L=30.0)
-        assert field_energy_observable(s).value == 0.0
+        # the lag quadrature finds no lag beyond the cone
+        for dim in ("1+1", "2+1", "3+1"):
+            obs = field_energy_observable(make_scenario(dim, L=30.0))
+            assert (obs.value, obs.evaluations) == (0.0, 0)
 
     def test_2p1_crossing_rejected(self):
         s = make_scenario("2+1", b_win=(3.5, 6.5))
@@ -780,6 +821,10 @@ class TestNull3p1:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(InvalidScenarioError):
             s2_null_3p1(make_scenario("2+1", b_win=(3.0, 6.5)))
+
+    def test_coincident_detectors_rejected(self):
+        with pytest.raises(InvalidScenarioError, match="requires L > 0"):
+            s2_null_3p1(make_scenario("3+1", L=0.0, b_win=(3.0, 6.5)))
 
 
 def _row(s, tol=1e-8):
