@@ -9,12 +9,13 @@ closed forms.
 Both vanish outside the lightcone.  Beyond it each is one vectorized
 function of the lag tau and its distance x = |tau| - L to the cone, in
 which nothing cancels near the cone; :mod:`qcc.signalling` integrates
-these and their continuations into the upper half-plane.  The scalar
-kernels of (dt, L) are their 0-d case plus the domain logic, including
-the 3+1D on-cone delta coefficient of D, the only distributional part
-represented.  :func:`regularized_momentum_integral` is the independent
-oracle for F: exact in |k| per plane wave, quadrature over directions,
-and Richardson extrapolation in the Abel damping parameter.
+these and, in 2+1D, their continuations into the upper half-plane.  The
+scalar kernels of (dt, L) are their 0-d case plus the domain logic,
+including the 3+1D on-cone delta coefficient of D, the only
+distributional part represented.  :func:`regularized_momentum_integral`
+is the independent oracle for F: exact in |k| per plane wave,
+quadrature over directions, and Richardson extrapolation in the Abel
+damping parameter.
 """
 
 from __future__ import annotations
@@ -99,20 +100,16 @@ def field_energy_timelike(dim: Dimension, tau, x, L: float):
     return 0.0 * x
 
 
-def commutator_continued(dim: Dimension, z, L: float):
-    """D continued from the lags tau > L into the upper half-plane, on an
-    array z: 1/2 in 1+1D, 0 in 3+1D, and in 2+1D 1/(2 pi r) with r the
-    product of the principal roots sqrt(z - L) sqrt(z + L)."""
-    if dim is _D2:
-        return 1.0 / (2.0 * math.pi * (np.sqrt(z - L) * np.sqrt(z + L)))
-    return np.full(z.shape, 0.5 if dim is _D1 else 0.0)
+def commutator_continued(z, L: float):
+    """The 2+1D D continued from the lags tau > L into the upper
+    half-plane, on an array z: 1/(2 pi r), with r the product of the
+    principal roots sqrt(z - L) sqrt(z + L)."""
+    return 1.0 / (2.0 * math.pi * (np.sqrt(z - L) * np.sqrt(z + L)))
 
 
-def field_energy_continued(dim: Dimension, z, L: float):
-    """F continued likewise: -z / (2 pi r^3) in 2+1D, 0 otherwise."""
-    if dim is _D2:
-        return -z / (2.0 * math.pi * (np.sqrt(z - L) * np.sqrt(z + L)) ** 3)
-    return np.zeros(z.shape)
+def field_energy_continued(z, L: float):
+    """The 2+1D F continued likewise: -z / (2 pi r^3)."""
+    return -z / (2.0 * math.pi * (np.sqrt(z - L) * np.sqrt(z + L)) ** 3)
 
 
 def commutator_kernel(dim: Dimension, dt: float, L: float) -> KernelValue:

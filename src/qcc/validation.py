@@ -66,6 +66,11 @@ def _s2_by_quadrature(s, tol):
         signalling._correlation_observables(s, None, [signalling._S2], tol)[0])
 
 
+def _hI_by_quadrature(s, t, tol):
+    """hI at t on the lag quadrature, past the 1+1D closed form."""
+    return signalling._interaction_lag(s, t, tol)
+
+
 def _random_state(rng):
     v = rng.normal(size=4)
     z = np.array([v[0] + 1j * v[1], v[2] + 1j * v[3]])
@@ -359,32 +364,37 @@ def _check_eigenstate_nullity():
 
 @_check("s2-1p1-closed-vs-quadrature")
 def _check_1p1_closed_vs_quad():
+    # L = 1 is timelike, and at L = 6 the cone crosses Bob's window
     worst = 0.0
     rng = np.random.default_rng(17)
     for _ in range(5):
         gap_a = float(rng.uniform(0.5, 8.0))
         gap_b = float(rng.uniform(0.5, 8.0))
-        s = _scenario(Dimension.D1p1, 1.0, (0.0, 3.0), (5.0, 8.0),
-                      _random_state(rng), _random_state(rng), gap_a, gap_b)
-        closed = signalling.s2_closed_form_1p1(s)
-        quad = _s2_by_quadrature(s, 1e-11).value
-        rel = abs(closed - quad) / max(abs(closed), 1e-12)
-        worst = max(worst, rel)
+        states = _random_state(rng), _random_state(rng)
+        for L in (1.0, 6.0):
+            s = _scenario(Dimension.D1p1, L, (0.0, 3.0), (5.0, 8.0),
+                          *states, gap_a, gap_b)
+            closed = signalling.s2_observable(s).value
+            quad = _s2_by_quadrature(s, 1e-11).value
+            worst = max(worst, abs(closed - quad) / max(abs(closed), 1e-12))
     return worst < 1e-8, f"max rel deviation = {worst:.3e} (tol 1e-8)"
 
 
 @_check("interaction-energy-closed-form")
 def _check_interaction_closed_form():
+    # at L = 6, t's past cone covers part of Alice's window or none
     worst = 0.0
     rng = np.random.default_rng(19)
     for _ in range(5):
-        s = _scenario(Dimension.D1p1, 0.5, (0.0, 3.0), (5.0, 8.0),
-                      _random_state(rng), _random_state(rng),
-                      float(rng.uniform(0.5, 8.0)), float(rng.uniform(0.5, 8.0)))
+        states = _random_state(rng), _random_state(rng)
+        gaps = float(rng.uniform(0.5, 8.0)), float(rng.uniform(0.5, 8.0))
         t = float(rng.uniform(5.0, 8.0))
-        worst = max(worst, abs(
-            signalling.interaction_energy_observable(s, t, tol=1e-12).value
-            - signalling.interaction_energy_1p1_closed(s, t)))
+        for L in (0.5, 6.0):
+            s = _scenario(Dimension.D1p1, L, (0.0, 3.0), (5.0, 8.0),
+                          *states, *gaps)
+            worst = max(worst, abs(
+                _hI_by_quadrature(s, t, 1e-12).value
+                - signalling.interaction_energy_observable(s, t).value))
     return worst < 1e-10, f"max |quad - closed| = {worst:.3e} (tol 1e-10)"
 
 
@@ -417,10 +427,9 @@ def _check_oscillatory_route():
     corr, terms = signalling._window_correlation(s, 8.0, picks)
     bias, bias_terms = signalling._interaction_weight(
         replace(s.alice, gap=40.0), 8.0)
-    routed = signalling._oscillatory_piece(
-        s.dimension, L, picks, terms(a, b), a, b, tol)
+    routed = signalling._oscillatory_piece(L, picks, terms(a, b), a, b, tol)
     routed += signalling._oscillatory_piece(
-        s.dimension, L, picks[:1], bias_terms(a, b), a, b, tol)
+        L, picks[:1], bias_terms(a, b), a, b, tol)
     if None in routed:
         return False, "the route handed the piece back to GK"
     d, f = greens.commutator_timelike, greens.field_energy_timelike

@@ -36,12 +36,11 @@ from qcc.scenario import DetectorSpec, Dimension, Scenario
 from qcc.signalling import (
     energy_balance,
     field_energy_observable,
-    interaction_energy_1p1_closed,
     interaction_energy_observable,
-    s2_closed_form_1p1,
     s2_null_3p1,
     s2_observable,
 )
+from qcc.validation import _hI_by_quadrature
 
 PERIOD = 2.0 * math.pi / 3.0  # gap-3 detector period
 
@@ -68,14 +67,17 @@ def spacelike_variant(s, rng):
 
 def test_01_s2_2d_quadrature_matches_1p1_closed_form():
     """50 random strictly timelike 1+1D scenarios: S2 assembled from the
-    generic 2D integrator agrees with the separable closed form to
-    relative 1e-8, in under 10 s total."""
+    generic 2D integrator agrees with the closed form that s2_observable
+    takes in 1+1D, with no evaluations, to relative 1e-8, in under 10 s
+    total."""
     rng = np.random.default_rng(122)
     t0 = time.monotonic()
     worst = 0.0
     for _ in range(50):
         s = random_timelike_scenario(rng, "1+1")
-        closed = s2_closed_form_1p1(s)
+        obs = s2_observable(s)
+        assert obs.evaluations == 0
+        closed = obs.value
         tol = max(1e-12, abs(closed) * 1e-9)
         quad = s2_via_2d_quadrature(s, tol=tol).value
         worst = max(worst, abs(quad - closed) / abs(closed))
@@ -86,9 +88,9 @@ def test_01_s2_2d_quadrature_matches_1p1_closed_form():
 
 
 def test_02_interaction_energy_quadrature_matches_closed_form():
-    """50 random 1+1D scenarios, evaluation times past T_A + L: the
-    quadrature route equals the antiderivative closed form to 1e-10
-    absolute."""
+    """50 random 1+1D scenarios, evaluation times past T_A + L: the lag
+    quadrature equals the antiderivative closed form that
+    interaction_energy_observable takes in 1+1D to 1e-10 absolute."""
     rng = np.random.default_rng(211)
     worst = 0.0
     for _ in range(50):
@@ -97,8 +99,8 @@ def test_02_interaction_energy_quadrature_matches_closed_form():
         t = float(rng.uniform(w.t_on, w.t_off))
         assert t > s.alice.window.t_off + math.dist(
             s.alice.position, s.bob.position)
-        diff = abs(interaction_energy_observable(s, t, tol=1e-12).value
-                   - interaction_energy_1p1_closed(s, t))
+        diff = abs(_hI_by_quadrature(s, t, 1e-12).value
+                   - interaction_energy_observable(s, t).value)
         worst = max(worst, diff)
     assert worst <= 1e-10
 

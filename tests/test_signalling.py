@@ -39,12 +39,11 @@ from qcc.scenario import (
 from qcc.signalling import (
     energy_balance,
     field_energy_observable,
-    interaction_energy_1p1_closed,
     interaction_energy_observable,
-    s2_closed_form_1p1,
     s2_null_3p1,
     s2_observable,
 )
+from qcc.validation import _hI_by_quadrature, _s2_by_quadrature
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -57,11 +56,10 @@ CROSSING_B_STATE = (complex(-0.42659147733752584, -0.5639323642627608),
                     complex(-0.26905291044913937, 0.653919361526211))
 
 
-def _s2_by_quadrature(s, tol=1e-8):
-    """s2 on the lag quadrature, past the exact routes it is checked
-    against."""
-    return signalling._one(signalling._correlation_observables(
-        s, None, [signalling._S2], tol)[0])
+def _s2_lag(s, t):
+    """[s2 up to t] on the lag quadrature, the 1+1D closed form's oracle,
+    which checks t itself."""
+    return signalling._correlation_observables(s, t, [signalling._S2], 1e-8)
 
 
 def _s2_and_hf(s, t, tol):
@@ -77,7 +75,7 @@ class TestS2ClosedForm1p1:
         s = make_scenario("1+1", L=0.5)
         expected = 4.0 * ((1.0 - math.cos(9.0)) / 6.0) * (
             -(math.cos(15.0) - math.cos(24.0)) / 12.0)
-        assert s2_closed_form_1p1(s) == pytest.approx(expected, rel=1e-14)
+        assert s2_observable(s).value == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(0.1257, abs=5e-5)
 
     def test_full_period_alice_window_gives_zero(self):
@@ -85,7 +83,7 @@ class TestS2ClosedForm1p1:
         # cos(Omega t) over a full period vanishes
         s = make_scenario("1+1", L=0.5, a_win=(0.0, 2.0 * math.pi / 3.0),
                           a_state=(0.6, 0.8))
-        assert abs(s2_closed_form_1p1(s)) < 1e-15
+        assert abs(s2_observable(s).value) < 1e-15
 
     def test_orthogonal_bob_negates(self):
         s = make_scenario("1+1", L=0.5)
@@ -94,22 +92,25 @@ class TestS2ClosedForm1p1:
             DetectorSpec(s.bob.gap, s.bob.state.orthogonal(),
                          s.bob.position, s.bob.window),
         )
-        assert s2_closed_form_1p1(flipped) == -s2_closed_form_1p1(s)
-
-    def test_requires_1p1(self):
-        with pytest.raises(InvalidScenarioError):
-            s2_closed_form_1p1(make_scenario("2+1"))
-
-    def test_requires_timelike(self):
-        with pytest.raises(InvalidScenarioError):
-            s2_closed_form_1p1(make_scenario("1+1", L=30.0))
+        assert s2_observable(flipped).value == -s2_observable(s).value
 
     def test_quadrature_agrees(self, rng):
         for _ in range(8):
             s = random_timelike_scenario(rng, "1+1")
-            closed = s2_closed_form_1p1(s)
+            closed = s2_observable(s).value
             quad = _s2_by_quadrature(s, 1e-11).value
             assert quad == pytest.approx(closed, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("gap_b", [3.0, 3.0 + 1e-9],
+                             ids=["equal-gaps", "nearly-equal-gaps"])
+    def test_crossing_difference_term_stays_exact(self, gap_b):
+        # Bob's window crosses the cone at T_on,A + L = 6, so s2 has the
+        # product of sinusoids between 6 and 8, whose difference
+        # frequency Om_B - Om_A is 0 or 1e-9 here
+        s = make_scenario("1+1", L=6.0, gap_b=gap_b)
+        closed, quad = s2_observable(s), _s2_by_quadrature(s, 1e-11)
+        assert abs(closed.value - quad.value) \
+            <= closed.quad_error + quad.quad_error
 
 
 class TestS2GenericRoutes:
@@ -127,10 +128,10 @@ class TestS2GenericRoutes:
         assert via_profiles != 0.0
 
     def test_1p1_auto_dispatches_to_closed_form(self):
-        s = make_scenario("1+1", L=0.5)
-        obs = s2_observable(s)
-        assert obs.value == s2_closed_form_1p1(s)
+        # no evaluations, and a rounding bound as the error
+        obs = s2_observable(make_scenario("1+1", L=0.5))
         assert obs.evaluations == 0
+        assert 0.0 < obs.quad_error < 1e-13
 
     def test_intermediate_time_truncates_bob_integral(self):
         s = demo_scenario("2+1")
@@ -153,8 +154,8 @@ class TestS2GenericRoutes:
         with pytest.raises(ValueError):
             s2_observable(demo_scenario("2+1"), t=4.0)
 
-    @pytest.mark.parametrize("route", [s2_observable, s2_closed_form_1p1],
-                             ids=["observable", "closed_form"])
+    @pytest.mark.parametrize("route", [s2_observable, _s2_lag],
+                             ids=["observable", "quadrature"])
     def test_1p1_time_before_switch_on_rejected_by_both_routes(self, route):
         s = make_scenario("1+1", L=0.5)
         with pytest.raises(ValueError, match="precedes bob's switch-on"):
@@ -163,9 +164,9 @@ class TestS2GenericRoutes:
     @pytest.mark.parametrize("dim,route", [
         ("2+1", s2_observable),
         ("1+1", s2_observable),
-        ("1+1", s2_closed_form_1p1),
+        ("1+1", _s2_lag),
         ("2+1", field_energy_observable),
-    ], ids=["s2-2p1", "s2-1p1", "s2-closed-1p1", "hf-2p1"])
+    ], ids=["s2-2p1", "s2-1p1", "s2-quadrature-1p1", "hf-2p1"])
     def test_nan_time_rejected(self, dim, route):
         # nan compares false with every switch-on time
         with pytest.raises(ValueError, match="precedes bob's switch-on"):
@@ -189,7 +190,7 @@ class TestS2GenericRoutes:
 
     def test_eigenstate_alice_nulls_signal(self):
         s = make_scenario("2+1", a_state=(1.0, 0.0))
-        assert _s2_by_quadrature(s).value == 0.0
+        assert _s2_by_quadrature(s, 1e-8).value == 0.0
 
     @pytest.mark.parametrize("gap_b", [
         1.9573782686485903,         # the benchmark's crossing probe row
@@ -494,30 +495,31 @@ class TestSteepestDescentRoute:
         bal = energy_balance(s)
         assert abs(bal.residual) <= bal.quad_error
 
-    @pytest.mark.parametrize("dim", ["2+1", "1+1"])
+    @pytest.mark.parametrize("dim", ["2+1"])
     @given(seed=st.integers(0, 2 ** 32 - 1), periods=st.floats(20.0, 100.0))
     @settings(max_examples=20, deadline=None)
     def test_forced_route_matches_gk_for_hI(self, dim, seed, periods):
         # at either end of Bob's window hI's lag range is Alice's window,
         # one piece off the cone; her gap makes it span ``periods``.  At
-        # 100 periods GK's node rounding alone can exceed its estimate
-        # (about 1 example in 200 in 1+1D, where the closed form shows
-        # the route is the closer of the two), hence kappa.
+        # 100 periods GK's node rounding alone can exceed its estimate,
+        # hence kappa.
         s = random_timelike_scenario(np.random.default_rng(seed), dim)
         gap = 2.0 * math.pi * periods / s.alice.window.duration
         self.assert_agrees(_with_gap(s, "alice", gap),
                            route=_interaction_energies,
                            kappa=gap * s.bob.window.t_off)
 
-    @given(seed=st.integers(0, 2 ** 32 - 1), periods=st.floats(20.0, 100.0),
+    @given(seed=st.integers(0, 2 ** 32 - 1), periods=st.floats(2.0, 19.0),
            ratio=st.floats(0.2, 1.0))
     @settings(max_examples=20, deadline=None)
     def test_forced_route_matches_gk_for_1p1_crossing_s2(self, seed,
                                                          periods, ratio):
-        # L past both kinks of the window correlation (T_on,B - T_on,A and
-        # T_off,B - T_off,A) and before T_off,B - T_on,A: Bob's window
-        # crosses the cone, and the one lag piece beyond it, [L, T_off,B -
-        # T_on,A], spans ``periods`` of Bob's gap; Alice's is ``ratio`` of it
+        # 1+1D rows take the closed form, which is checked here against
+        # GK panels on the lag quadrature.  L past both kinks of the
+        # window correlation (T_on,B - T_on,A and T_off,B - T_off,A) and
+        # before T_off,B - T_on,A: Bob's window crosses the cone, and the
+        # one lag piece beyond it, [L, T_off,B - T_on,A], spans
+        # ``periods`` of Bob's gap; Alice's is ``ratio`` of it
         rng = np.random.default_rng(seed)
         s = random_timelike_scenario(rng, "1+1")
         a, b = s.alice.window, s.bob.window
@@ -528,32 +530,26 @@ class TestSteepestDescentRoute:
         s = replace(s, alice=replace(s.alice, gap=ratio * gap_b),
                     bob=replace(s.bob, gap=gap_b, position=(L,)))
         assert s.report.causal_class is CausalClass.LIGHTCONE_CROSSING
-        self.assert_agrees(s, route=lambda s: [s2_observable(s, None, 1e-8)],
-                           kappa=gap_b * b.t_off)
+        closed, gk = s2_observable(s), _s2_by_quadrature(s, 1e-8)
+        assert closed.evaluations == 0
+        kappa = gap_b * b.t_off
+        assert abs(closed.value - gk.value) <= closed.quad_error \
+            + (1.0 + kappa / 50.0) * gk.quad_error + 1e-15
 
     @pytest.mark.parametrize("s", [
         _with_gap(demo_scenario("2+1"), "alice", 1e4),
         _with_gap(demo_scenario("2+1"), "alice", 1e5),
-        _with_gap(demo_scenario("1+1"), "alice", 1e4),
-        _with_gap(demo_scenario("1+1"), "alice", 1e5),
-        _with_gap(demo_scenario("1+1", L=6.0), "bob", 1e4),
-        _with_gap(demo_scenario("1+1", L=6.0), "bob", 1e5),
-    ], ids=["2p1-alice-gap1e4", "2p1-alice-gap1e5", "1p1-alice-gap1e4",
-            "1p1-alice-gap1e5", "1p1-crossing-bob-gap1e4",
-            "1p1-crossing-bob-gap1e5"])
+    ], ids=["2p1-alice-gap1e4", "2p1-alice-gap1e5"])
     def test_fixed_cost_rows(self, s):
-        # on GK panels hI at Alice's gap 1e4 costs 286,485 evaluations and
-        # the crossing s2 at Bob's gap 1e4 190,995; at 1e5 both run out of
-        # budget
+        # on GK panels hI at Alice's gap 1e4 costs 286,485 evaluations;
+        # at 1e5 it runs out of budget
         obs, status, failures = _row_from_public_routes(
             s, s.bob.window.t_off, 1e-8)
-        assert failures == ()
-        assert status in ("ok", "rejected:hf_sig")  # crossing: no hf_sig
+        assert (status, failures) == ("ok", ())
         assert all(o.evaluations <= 10_000 for o in obs.values())
         assert compute_row(s, 0.0, None, 1e-8).status == status
-        if s.report.causal_class is CausalClass.TIMELIKE:
-            bal = energy_balance(s)
-            assert abs(bal.residual) <= bal.quad_error
+        bal = energy_balance(s)
+        assert abs(bal.residual) <= bal.quad_error
 
     @pytest.mark.parametrize("name", ["demo_1p1", "demo_2p1", "demo_3p1",
                                       "spacelike_2p1"])
@@ -566,7 +562,7 @@ class TestSteepestDescentRoute:
         piece = signalling._oscillatory_piece
 
         def counted(*args):
-            offered.append(args[4:6])
+            offered.append(args[3:5])
             return piece(*args)
 
         monkeypatch.setattr(signalling, "_oscillatory_piece", counted)
@@ -591,8 +587,8 @@ class TestSteepestDescentRoute:
         offered = []
         piece = signalling._oscillatory_piece
 
-        def only_first(dim, L, picks, terms, a, b, tol):
-            res = piece(dim, L, picks, terms, a, b, tol)
+        def only_first(L, picks, terms, a, b, tol):
+            res = piece(L, picks, terms, a, b, tol)
             if a != first:
                 return [None] * len(res)
             offered.append(tuple(res))
@@ -605,10 +601,69 @@ class TestSteepestDescentRoute:
         assert pair == _with_periods(math.inf, _s2_and_hf, s, t, 1e-8)
 
 
+# 1+1D rows against references computed by hand with mpmath 1.3.0 at 40
+# digits, each in two ways that agree to all 32 digits printed here: the
+# closed form evaluated in mp arithmetic from the float inputs, and a
+# quadrature by Gauss-Legendre on panels a period wide (for s2 over t2 of
+# Bob's factor times Alice's bias antiderivative, for hI over t1 of
+# Alice's bias).  The last row is random_timelike_scenario(
+# np.random.default_rng(9), "1+1"): its s2 misses the reference by
+# 2.5e-16, over 500 eps |ref|, so a quad_error of 0 does not cover it.
+@pytest.mark.parametrize("s,refs", [
+    (_with_gap(demo_scenario("1+1"), "alice", 1e4),
+     ("0.000031499335252251844023018578765046",
+      "0.000060639411016566105587988775566806",
+      "-0.000033858594740189426481066960728333")),
+    (_with_gap(demo_scenario("1+1"), "alice", 1e5),
+     ("0.0000039348819550974461845447250175295",
+      "0.0000075750463387879092260309559472748",
+      "-0.0000042295995265044293276032191053137")),
+    (_with_gap(demo_scenario("1+1", L=6.0), "bob", 1e4),
+     ("-5.2481512097055043750230627192585e-7", "0",
+      "0.0052566900114754571638975163790629")),
+    (_with_gap(demo_scenario("1+1", L=6.0), "bob", 1e5),
+     ("6.3681481568839304546951102859132e-8", "0",
+      "-0.0063685423565713611483702177014332")),
+    (random_timelike_scenario(np.random.default_rng(9), "1+1"),
+     ("0.0021544282200750676006350707350517",
+      "-0.13046855028523030704909211496500",
+      "-0.14854614990336455432483091792203")),
+], ids=["1p1-alice-gap1e4", "1p1-alice-gap1e5", "1p1-crossing-bob-gap1e4",
+        "1p1-crossing-bob-gap1e5", "1p1-seed9-timelike"])
+def test_1p1_rows_against_references(s, refs):
+    s2, hi_on, hi_off, hf = signalling.row_observables(s, None, 1e-8)
+    eps = Decimal(2.0 ** -52)
+    for obs, ref in zip((s2, hi_on, hi_off), map(Decimal, refs)):
+        assert obs.evaluations == 0
+        # Decimal(float) is exact, so the float rounding of the
+        # reference does not enter
+        assert abs(Decimal(obs.value) - ref) \
+            <= Decimal(obs.quad_error) + 4 * eps * abs(ref)
+    if s.report.causal_class is CausalClass.TIMELIKE:
+        assert hf == signalling.Observable(0.0, 0.0, 0)
+        bal = energy_balance(s)
+        assert abs(bal.residual) <= bal.quad_error
+    else:
+        assert isinstance(hf, InvalidScenarioError)
+
+
+def test_1p1_rows_never_reach_the_lag_quadrature(monkeypatch):
+    def lag(*args):
+        raise AssertionError("a 1+1D row reached the lag quadrature")
+
+    monkeypatch.setattr(signalling, "_lag_integrals", lag)
+    for s in (demo_scenario("1+1"), make_scenario("1+1", L=6.0),
+              make_scenario("1+1", L=30.0),
+              _with_gap(demo_scenario("1+1"), "alice", 1e5)):
+        for t in (None, 6.5, 4.0):
+            for obs in signalling.row_observables(s, t, 1e-8):
+                assert isinstance(obs, ValueError) or obs.evaluations == 0
+
+
 class TestInteractionEnergy:
     def test_closed_form_reference(self):
         # closed form written out independently here, then compared with
-        # the quadrature path
+        # the route and with the lag quadrature
         s = make_scenario("1+1", L=0.5)
         t = 5.0
         a, b = s.alice.state, s.bob.state
@@ -619,22 +674,22 @@ class TestInteractionEnergy:
         ).real * (
             a.alpha * a.beta.conjugate() * (cmath.exp(-1j * om_a * t_a) - 1.0)
         ).imag
-        assert interaction_energy_1p1_closed(s, t) == pytest.approx(
+        assert interaction_energy_observable(s, t).value == pytest.approx(
             expected, rel=1e-14)
-        assert interaction_energy_observable(
-            s, t, tol=1e-12).value == pytest.approx(expected, abs=1e-10)
+        assert _hI_by_quadrature(s, t, 1e-12).value == pytest.approx(
+            expected, abs=1e-10)
 
     def test_quadrature_matches_closed_random(self, rng):
+        # L up to past Bob's window: t's past cone may cover all, part or
+        # none of Alice's window
         for _ in range(8):
             s = random_timelike_scenario(rng, "1+1")
             w = s.bob.window
+            s = replace(s, bob=replace(s.bob, position=(
+                float(rng.uniform(0.0, w.t_off)),)))
             t = float(rng.uniform(w.t_on, w.t_off))
-            if t <= s.alice.window.t_off + math.dist(s.alice.position,
-                                                     s.bob.position):
-                continue
-            assert interaction_energy_observable(
-                s, t, tol=1e-12).value == pytest.approx(
-                    interaction_energy_1p1_closed(s, t), abs=1e-10)
+            assert _hI_by_quadrature(s, t, 1e-12).value == pytest.approx(
+                interaction_energy_observable(s, t).value, abs=1e-10)
 
     def test_alice_eigenstate_zero(self):
         s = make_scenario("1+1", a_state=(0.0, 1.0))
@@ -646,21 +701,11 @@ class TestInteractionEnergy:
         with pytest.raises(ValueError):
             interaction_energy_observable(demo_scenario("2+1"), 8.5)
 
-    def test_closed_form_rejections(self):
-        with pytest.raises(InvalidScenarioError, match="requires 1\\+1D"):
-            interaction_energy_1p1_closed(demo_scenario("2+1"), 6.0)
-        s = make_scenario("1+1", L=0.5)
-        with pytest.raises(ValueError, match="requires t > T_A \\+ L"):
-            interaction_energy_1p1_closed(s, 3.4)
-        with pytest.raises(ValueError, match="outside bob's window"):
-            interaction_energy_1p1_closed(s, 8.5)
-
     def test_closed_form_alice_window_off_zero(self):
         # the closed form holds for any Alice window inside the past cone
         s = make_scenario("1+1", L=0.5, a_win=(1.0, 3.0))
-        assert interaction_energy_1p1_closed(s, 6.0) == pytest.approx(
-            interaction_energy_observable(s, 6.0, tol=1e-12).value,
-            abs=1e-10)
+        assert interaction_energy_observable(s, 6.0).value == pytest.approx(
+            _hI_by_quadrature(s, 6.0, 1e-12).value, abs=1e-10)
 
     def test_2p1_time_on_alice_past_cone_vs_direct_quadrature(self):
         # at t = 3.5 the past cone t1 = t - L ends inside Alice's window,
@@ -792,7 +837,10 @@ class TestRandomScenarioProperties:
     def test_energy_balance_residual_within_quad_error(self, dim, seed):
         s = random_timelike_scenario(np.random.default_rng(seed), dim)
         bal = energy_balance(s, tol=1e-9)
-        assert abs(bal.residual) <= bal.quad_error + 1e-14
+        # every 1+1D term is a closed form, so the residual is rounding
+        # alone, and the terms' reported bounds must cover it
+        slack = 0.0 if dim == "1+1" else 1e-14
+        assert abs(bal.residual) <= bal.quad_error + slack
 
 
 class TestNull3p1:
