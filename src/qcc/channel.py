@@ -204,11 +204,9 @@ def capacity_expansion(
             "capacity expansion undefined when Bob starts in an energy "
             "eigenstate (|alpha_B||beta_B| = 0)"
         )
-    return (
-        lambda_product ** 2
-        * (2.0 / _LN2)
-        * (s2_value / (4.0 * mod)) ** 2
-    )
+    # squared as x * x: lambda ** 2 alone overflows once |lambda| > 1e154
+    x = lambda_product * s2_value / (4.0 * mod)
+    return (2.0 / _LN2) * x * x
 
 
 def channel_stats(

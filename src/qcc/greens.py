@@ -203,8 +203,7 @@ def _damped_level(dim: Dimension, tau: float, L: float,
     for lo, hi in zip(cuts, cuts[1:]):
         try:
             parts.append(integrate_1d(f, lo, hi,
-                                      DEFAULT_TOL * 1e-2 / (len(cuts) - 1),
-                                      vectorized=True))
+                                      DEFAULT_TOL * 1e-2 / (len(cuts) - 1)))
         except QuadratureError as exc:
             if exc.reason != "roundoff":
                 raise

@@ -236,8 +236,7 @@ def _panel_rules(vals, flat, halves):
     vals = np.asarray(vals, dtype=float)
     if vals.shape != flat.shape:
         raise ValueError(
-            "vectorized integrand returned shape "
-            f"{vals.shape}, expected {flat.shape}"
+            f"integrand returned shape {vals.shape}, expected {flat.shape}"
         )
     if not np.all(np.isfinite(vals)):
         bad = flat[~np.isfinite(vals)][0]
@@ -259,16 +258,16 @@ def _initial_edges(a, b, max_panel_width, budget):
     """Edges of the initial panelling of [a, b]: equal panels no wider
     than ``max_panel_width``; fails with reason "budget" when their
     nodes alone would exceed ``budget``."""
-    n0 = 1
+    n0 = 1.0  # a float, since the count can be inf; int() once it fits
     if max_panel_width is not None and max_panel_width > 0:
-        n0 = max(1, int(math.ceil((b - a) / max_panel_width)))
+        n0 = max(1.0, np.ceil((b - a) / max_panel_width))
     if 15 * n0 > budget:
         raise QuadratureError(
-            f"initial panelling needs {15 * n0} evaluations, "
+            f"initial panelling needs {15 * n0:.3g} evaluations, "
             f"exceeding the budget of {budget}",
             "budget",
         )
-    return np.linspace(a, b, n0 + 1)
+    return np.linspace(a, b, int(n0) + 1)
 
 
 def _adaptive(f, edges, initial, tol, budget):
@@ -431,7 +430,6 @@ def integrate_1d(
     b: float,
     tol: float,
     *,
-    vectorized: bool = False,
     max_panel_width: Optional[float] = None,
     budget: int = _DEFAULT_BUDGET,
 ) -> QuadResult:
@@ -440,9 +438,9 @@ def integrate_1d(
     Parameters
     ----------
     f : callable
-        Integrand.  With ``vectorized=True`` it must accept an ndarray of
-        abscissae and return an ndarray of the same shape (this is what
-        makes large oscillatory panellings affordable in pure Python).
+        Array integrand: it takes an ndarray of abscissae and returns an
+        ndarray of the same shape (this is what makes large oscillatory
+        panellings affordable in pure Python).
     a, b : float
         Integration limits, a < b.
     tol : float
@@ -468,24 +466,22 @@ def integrate_1d(
         "non-finite" when the integrand returns nan or inf.  All but the
         last carry the best estimate in ``best``.
     ValueError
-        On bad limits (not finite, or not a < b) or tolerance, or when a
-        vectorized integrand returns the wrong shape.
+        On bad limits (not finite, or not a < b) or tolerance, or when
+        the integrand returns the wrong shape (a scalar, say).
     """
     if not (a < b and math.isfinite(b - a)):
         raise ValueError(f"require finite a < b, got a={a!r}, b={b!r}")
     _check_tol(tol)
-    if not vectorized:
-        scalar = f
-
-        def f(t):
-            return np.fromiter((scalar(x) for x in t), dtype=float,
-                               count=t.size)
-
     (res,) = _integrate_shared(lambda t: [f(t)], 1, a, b, tol,
                                max_panel_width, budget)
     if isinstance(res, QuadratureError):
         raise res
     return res
+
+
+def _on_nodes(scalar):
+    """The array integrand that calls ``scalar`` node by node."""
+    return lambda t: np.fromiter(map(scalar, t), dtype=float, count=t.size)
 
 
 def _inner_pieces(x, ay, by, L):
@@ -520,7 +516,7 @@ def integrate_2d_rect(
     Parameters
     ----------
     f : callable
-        Scalar integrand f(x, y).
+        Scalar integrand f(x, y), called one point at a time.
     x_range, y_range : (float, float)
         Rectangle edges, each as (low, high).
     singular_line : float, optional
@@ -594,7 +590,7 @@ def integrate_2d_rect(
                 continue
             try:
                 res = integrate_1d(
-                    g, g_lo, g_hi, inner_tol / len(pieces),
+                    _on_nodes(g), g_lo, g_hi, inner_tol / len(pieces),
                     max_panel_width=width, budget=budget - spent,
                 )
             except QuadratureError as err:
@@ -609,7 +605,7 @@ def integrate_2d_rect(
         return total
 
     # the outer rule checks tol > 0 before its first inner integral
-    outer = integrate_1d(inner, ax, bx, 0.5 * tol,
+    outer = integrate_1d(_on_nodes(inner), ax, bx, 0.5 * tol,
                          max_panel_width=max_panel_width, budget=10 ** 9)
     err = outer.abs_error_estimate + span_x * worst_inner
     return QuadResult(outer.value, err, spent)

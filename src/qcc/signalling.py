@@ -328,12 +328,12 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
     This is the shared pass: on each piece all integrands are evaluated
     on the initial nodes in one call, then each is refined on its own,
     so each gets the value, error and evaluation count it gets alone.
-    ``tol`` (ValueError unless finite and positive) is split across the
-    pieces; an integrand that fails on a piece gets a QuadratureError
-    naming ``tol``, with no ``best``, and is ignored on later pieces.
+    ``tol``, which the public entries check before they pick a route,
+    is split across the pieces; an integrand that fails on a piece gets
+    a QuadratureError naming ``tol``, with no ``best``, and is ignored
+    on later pieces.
     Returns one Observable or QuadratureError per integrand.
     """
-    _check_tol(tol)
     n = len(picks)
     kernels = [_TIMELIKE[p] for p in picks]
 
@@ -423,7 +423,7 @@ def _correlation_observables(s, t, picks, tol):
     in one shared pass: double integrals over both windows (Bob's up to
     min(t, T_off)) whose kernels depend only on tau = t2 - t1; exactly 0
     when Bob's window is empty.  One Observable or QuadratureError per
-    pick."""
+    pick; a time before T_on raises, as the 1+1D lag oracle needs."""
     L = s.report.separation
     upper = _bob_upper(s, t)
     a_on, a_off = s.alice.window.t_on, s.alice.window.t_off
@@ -496,42 +496,38 @@ def _s2_1p1(s: Scenario, L: float, upper: float) -> Observable:
         s, abs(c_a) * abs(d_b) * amplitude, a_on, a_off, b_on, upper), 0)
 
 
-def _exact(s: Scenario, t: Optional[float], pick):
-    """The pick's value from its exact route, or None for the lag
-    quadrature that 2+1D takes; raises as its public route does."""
-    report = require_valid(s)
-    upper = _bob_upper(s, t)  # rejects an evaluation time before T_on
-    crossing = report.causal_class is CausalClass.LIGHTCONE_CROSSING
-    if crossing and pick == _HF:
-        raise InvalidScenarioError(
-            "field energy for windows touching the lightcone depends on "
-            "the kernel's unspecified on-cone part; rejected"
-        )
-    if crossing and s.dimension is Dimension.D3p1:
-        raise InvalidScenarioError(
-            "3+1D windows touch the lightcone: the signal lives on the "
-            "on-cone delta; use s2_null_3p1 for this configuration"
-        )
-    if s.dimension is Dimension.D2p1:
-        return None
-    if s.dimension is Dimension.D1p1 and pick == _S2:
-        return _s2_1p1(s, report.separation, upper)
-    # off the cone, F in 1+1D and both kernels in 3+1D vanish
-    return _ZERO
-
-
 def _correlations(s: Scenario, t: Optional[float], picks, tol: float):
     """For each pick, the Observable its public route returns or the
-    ValueError or QuadratureError it raises.  The picks that need the lag
-    quadrature share one pass, which gives each the value, error and
-    count of its own route."""
+    ValueError or QuadratureError it raises.  A bad ``tol`` raises in
+    every dimension; the scenario and the time are checked once, and a
+    failure there is every pick's.  The 2+1D picks share one lag
+    quadrature pass, which gives each the value, error and count of its
+    own route."""
+    _check_tol(tol)
+    try:
+        report = require_valid(s)
+        upper = _bob_upper(s, t)
+    except ValueError as exc:
+        return [exc] * len(picks)
+    crossing = report.causal_class is CausalClass.LIGHTCONE_CROSSING
     out = {}
     for p in picks:
-        try:
-            out[p] = _exact(s, t, p)
-        except ValueError as exc:
-            out[p] = exc
-    lag = [p for p in picks if out[p] is None]
+        if crossing and p == _HF:
+            out[p] = InvalidScenarioError(
+                "field energy for windows touching the lightcone depends on "
+                "the kernel's unspecified on-cone part; rejected"
+            )
+        elif crossing and s.dimension is Dimension.D3p1:
+            out[p] = InvalidScenarioError(
+                "3+1D windows touch the lightcone: the signal lives on the "
+                "on-cone delta; use s2_null_3p1 for this configuration"
+            )
+        elif s.dimension is Dimension.D1p1 and p == _S2:
+            out[p] = _s2_1p1(s, report.separation, upper)
+        elif s.dimension is not Dimension.D2p1:
+            # off the cone, F in 1+1D and both kernels in 3+1D vanish
+            out[p] = _ZERO
+    lag = [p for p in picks if p not in out]
     if lag:
         out.update(zip(lag, _correlation_observables(s, t, lag, tol)))
     return [out[p] for p in picks]
@@ -562,8 +558,10 @@ def interaction_energy_observable(
     error bookkeeping.  1+1D takes the closed form -2 bias_B(t)
     [Psi_A(min(T_off,A, t - L)) - Psi_A(T_on,A)] (0 until t - L passes
     T_on,A), with Psi_A Alice's bias antiderivative; 3+1D is 0 off the
-    cone, and 2+1D takes the lag quadrature.
+    cone, and 2+1D takes the lag quadrature.  ``tol``, the scenario and
+    ``t`` are checked first, in every dimension: each raises ValueError.
     """
+    _check_tol(tol)
     report = require_valid(s)
     L = report.separation
     if not s.bob.window.t_on <= t <= s.bob.window.t_off:
@@ -624,7 +622,9 @@ def row_observables(s: Scenario, t: Optional[float] = None,
 
     s2 and hf_sig run over Bob's window up to min(t, T_off) (``t``
     default: T_off) in one shared pass; hI is taken at T_on and at
-    min(t, T_off).
+    min(t, T_off).  A bad scenario or time is returned per observable,
+    but a ``tol`` that is not finite and positive raises ValueError, in
+    every dimension.
     """
     s2, hf = _correlations(s, t, [_S2, _HF], tol)
     w = s.bob.window
@@ -677,7 +677,9 @@ def energy_balance(s: Scenario, tol: float = DEFAULT_TOL) -> BalanceResult:
     The identity: the signalling parts of Bob's detector energy plus the
     field energy equal the interaction-energy drop between switch-on and
     switch-off, [Om_B s2(T2) + hf(T2)] - [hI(T1) - hI(T2)].  It should
-    vanish within quadrature error for strictly timelike windows.
+    vanish within quadrature error for strictly timelike windows.  Raises
+    ValueError for windows that are not strictly timelike, and for a
+    ``tol`` that is not finite and positive, in every dimension.
     """
     report = require_valid(s)
     if report.causal_class is not CausalClass.TIMELIKE:

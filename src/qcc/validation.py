@@ -104,8 +104,8 @@ def _check(name: str):
 
 @_check("quadrature-linearity")
 def _check_quad_linearity():
-    f = lambda t: math.sin(3.0 * t) * t
-    g = lambda t: math.cos(5.0 * t) + t * t
+    f = lambda t: np.sin(3.0 * t) * t
+    g = lambda t: np.cos(5.0 * t) + t * t
     a, b = 0.3, 2.7
     lhs = integrate_1d(lambda t: 2.5 * f(t) - 1.25 * g(t), a, b, 1e-11).value
     rhs = (2.5 * integrate_1d(f, a, b, 1e-11).value
@@ -116,7 +116,7 @@ def _check_quad_linearity():
 
 @_check("quadrature-additivity")
 def _check_quad_additivity():
-    f = lambda t: math.exp(-t) * math.sin(7.0 * t)
+    f = lambda t: np.exp(-t) * np.sin(7.0 * t)
     whole = integrate_1d(f, 0.0, 4.0, 1e-11).value
     split = (integrate_1d(f, 0.0, 1.37, 1e-11).value
              + integrate_1d(f, 1.37, 4.0, 1e-11).value)
@@ -174,12 +174,12 @@ def _check_quad_error_honesty():
             return (abs(res.value - exact)
                     > 10.0 * max(res.abs_error_estimate, 1e-15))
 
-        loose = integrate_1d(f, a, b, 1e-9, vectorized=True,
+        loose = integrate_1d(f, a, b, 1e-9,
                              max_panel_width=(2 * math.pi / omega) / 4)
         # tol 1e-13 is below the roundoff floor of some cases; the best
         # estimate such a failure carries must be honest as well
         try:
-            tight = integrate_1d(f, a, b, 1e-13, vectorized=True,
+            tight = integrate_1d(f, a, b, 1e-13,
                                  max_panel_width=(2 * math.pi / omega) / 8)
         except QuadratureError as err:
             if err.reason != "roundoff":
@@ -439,8 +439,7 @@ def _check_oscillatory_route():
     for kernel, weight, res in zip((d, f, d), weights, routed):
         gk = integrate_1d(
             lambda t: kernel(s.dimension, t, np.abs(t) - L, L) * weight(t),
-            a, b, tol, vectorized=True,
-            max_panel_width=(2.0 * math.pi / 40.0) / 4.0)
+            a, b, tol, max_panel_width=(2.0 * math.pi / 40.0) / 4.0)
         worst = max(worst, abs(res.value - gk.value) / (
             res.abs_error_estimate + gk.abs_error_estimate + 1e-15))
     return (worst <= 1.0,

@@ -178,6 +178,11 @@ class TestCapacityExpansion:
         with pytest.raises(ValueError, match="eigenstate"):
             capacity_expansion(1e-3, 1.0, 0.0)
 
+    def test_huge_coupling_without_signal_is_zero(self):
+        # lambda ** 2 overflows past 1e154; with S2 = 0, p = q passes p <= 1
+        isq = 1.0 / math.sqrt(2.0)
+        assert capacity_expansion(0.0, isq, isq, 1e200) == 0.0
+
     @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
     def test_agrees_with_closed_form_for_small_signal(self, q):
         # map delta = p - q onto s2 with unit couplings:

@@ -421,6 +421,36 @@ class TestCapacityVerb:
         assert (rc, out) == (2, "")
         assert err.startswith("qcc: numerical failure: budget: ")
 
+    def test_huge_coupling_without_signal_exits_0(self, capsys, tmp_path):
+        # spacelike windows give S2 = 0, so p = q at any coupling
+        text = Path(SPACELIKE_CFG).read_text()
+        huge = text.replace("lambda_product = 0.1\n",
+                            "lambda_product = 1e200\n")
+        assert "1e200" in huge
+        path = tmp_path / "huge_lambda.cfg"
+        path.write_text(huge)
+        for verb in ("point", "capacity"):
+            rc, out, _ = run_cli(capsys, verb, str(path))
+            assert rc == 0
+            assert stdout_floats(out)["capacity_expansion"] == 0.0
+
+    def test_uncountable_panelling_exits_2(self, capsys, tmp_path):
+        # at Alice's gap 1e300 the crossing piece needs inf panels
+        text = Path(DEMO_CFG).read_text()
+        for old, new in (("alice.gap = 3\n", "alice.gap = 1e300\n"),
+                         ("bob.t_off = 8\n", "bob.t_off = 1e16\n"),
+                         ("bob.position = 1, 0", "bob.position = 6, 0")):
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "huge_gap.cfg"
+        path.write_text(text)
+        rc, _, err = run_cli(capsys, "point", str(path))
+        assert rc == 2
+        assert "s2: budget: " in err and "needs inf evaluations" in err
+        rc, out, err = run_cli(capsys, "capacity", str(path))
+        assert (rc, out) == (2, "")
+        assert err.startswith("qcc: numerical failure: budget: ")
+
     @pytest.mark.parametrize("flag,value", [
         ("--lambda-product", "nan"),
         ("--lambda-product", "inf"),

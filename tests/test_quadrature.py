@@ -22,10 +22,10 @@ from qcc.validation import _poly_cos_integral
 
 # (f, a, b, exact) with exact from elementary antiderivatives
 KNOWN_INTEGRALS = [
-    (lambda t: math.sin(3.0 * t), 0.0, 3.0, (1.0 - math.cos(9.0)) / 3.0),
-    (lambda t: 1.0, 0.0, 1.0, 1.0),
+    (lambda t: np.sin(3.0 * t), 0.0, 3.0, (1.0 - math.cos(9.0)) / 3.0),
+    (lambda t: np.ones_like(t), 0.0, 1.0, 1.0),
     (lambda t: t ** 3, -1.0, 2.0, 15.0 / 4.0),
-    (lambda t: math.exp(-t), 0.0, 5.0, 1.0 - math.exp(-5.0)),
+    (lambda t: np.exp(-t), 0.0, 5.0, 1.0 - math.exp(-5.0)),
     (lambda t: 1.0 / (1.0 + t * t), 0.0, 1.0, math.pi / 4.0),
 ]
 
@@ -45,21 +45,12 @@ class TestIntegrate1d:
 
     def test_oscillatory_with_panel_cap(self):
         omega = 40.0
-        res = integrate_1d(lambda t: math.cos(omega * t), 0.0, 10.0, 1e-11,
+        res = integrate_1d(lambda t: np.cos(omega * t), 0.0, 10.0, 1e-11,
                            max_panel_width=(2 * math.pi / omega) / 4)
         assert abs(res.value - math.sin(400.0) / 40.0) < 1e-10
 
-    def test_vectorized_matches_scalar(self):
-        """The vectorized path visits the same panels, so the results
-        agree bit for bit."""
-        scalar = integrate_1d(lambda t: math.sin(3 * t) * t, 0.0, 4.0, 1e-10)
-        batched = integrate_1d(lambda t: np.sin(3 * t) * t, 0.0, 4.0, 1e-10,
-                               vectorized=True)
-        assert batched.value == scalar.value
-        assert batched.evaluations == scalar.evaluations
-
     def test_tighter_tolerance_costs_more(self):
-        f = lambda t: math.sin(7.0 * t) * math.exp(t)
+        f = lambda t: np.sin(7.0 * t) * np.exp(t)
         loose = integrate_1d(f, 0.0, 3.0, 1e-4)
         tight = integrate_1d(f, 0.0, 3.0, 1e-12)
         assert tight.evaluations >= loose.evaluations
@@ -70,19 +61,19 @@ class TestIntegrate1d:
         for a, b in ((1.0, 1.0), (0.0, math.inf), (-math.inf, 0.0),
                      (-math.inf, math.inf), (0.0, math.nan)):
             with pytest.raises(ValueError, match="finite a < b"):
-                integrate_1d(lambda t: 1.0, a, b, 1e-8)
+                integrate_1d(np.ones_like, a, b, 1e-8)
 
     def test_bad_tolerance_rejected(self):
         for tol in (-1e-8, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and positive"):
-                integrate_1d(lambda t: 1.0, 0.0, 1.0, tol)
+                integrate_1d(np.ones_like, 0.0, 1.0, tol)
             with pytest.raises(ValueError, match="finite and positive"):
                 integrate_2d_rect(lambda x, y: 1.0, (0.0, 1.0), (0.0, 1.0),
                                   tol)
 
     def test_budget_failure_carries_best_estimate(self):
         with pytest.raises(QuadratureError) as excinfo:
-            integrate_1d(lambda t: math.cos(200.0 * t), 0.0, 10.0, 1e-14,
+            integrate_1d(lambda t: np.cos(200.0 * t), 0.0, 10.0, 1e-14,
                          budget=300)
         assert excinfo.value.reason == "budget"
         best = excinfo.value.best
@@ -92,7 +83,7 @@ class TestIntegrate1d:
 
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(QuadratureError, match="non-finite") as excinfo:
-            integrate_1d(lambda t: math.nan, 0.0, 1.0, 1e-8)
+            integrate_1d(lambda t: np.full_like(t, math.nan), 0.0, 1.0, 1e-8)
         assert excinfo.value.reason == "non-finite"
         assert excinfo.value.best is None
 
@@ -101,9 +92,21 @@ class TestIntegrate1d:
         # integrand keeps the Kronrod-Gauss difference above the floor
         b = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
         with pytest.raises(QuadratureError) as excinfo:
-            integrate_1d(lambda t: math.sin(1e18 * t), 1.0, b, 1e-25)
+            integrate_1d(lambda t: np.sin(1e18 * t), 1.0, b, 1e-25)
         assert excinfo.value.reason == "unsplittable"
         assert excinfo.value.best is not None
+
+    def test_scalar_integrand_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(\)"):
+            integrate_1d(lambda t: 1.0, 0.0, 1.0, 1e-8)
+
+    def test_uncountable_initial_panelling_fails_on_budget(self):
+        # 1e310 panels: the count is inf, too large for an int
+        with pytest.raises(QuadratureError) as excinfo:
+            integrate_1d(np.cos, 0.0, 1e300, 1e-8, max_panel_width=1e-10)
+        assert excinfo.value.reason == "budget"
+        assert "needs inf evaluations" in str(excinfo.value)
+        assert len(str(excinfo.value)) < 200
 
     def test_unknown_reason_rejected(self):
         with pytest.raises(ValueError, match="reason"):
@@ -128,15 +131,14 @@ class TestConvergedInitialPanelling:
         n0 = math.ceil((b - a) / width)
         flat, halves = quadrature._panel_nodes(np.linspace(a, b, n0 + 1))
         k15, err, _ = quadrature._panel_rules(self.f(flat), flat, halves)
-        res = integrate_1d(self.f, a, b, 1e-8, vectorized=True,
-                           max_panel_width=width)
+        res = integrate_1d(self.f, a, b, 1e-8, max_panel_width=width)
         assert res.evaluations == 15 * n0
         assert res.value == math.fsum(k15)
         assert res.abs_error_estimate == math.fsum(err)
 
     def test_unconverged_panelling_still_refines(self):
         # one panel cannot resolve a sqrt endpoint left unsubstituted
-        res = integrate_1d(np.sqrt, 0.0, 1.0, 1e-10, vectorized=True)
+        res = integrate_1d(np.sqrt, 0.0, 1.0, 1e-10)
         assert res.evaluations > 15
         assert res.abs_error_estimate <= 1e-10
         assert abs(res.value - 2.0 / 3.0) <= 1e-10
@@ -147,7 +149,7 @@ class TestRoundoffFloor:
     reason "roundoff", carrying an honest best estimate."""
 
     def test_below_floor_fails_fast_with_honest_best(self):
-        f = lambda t: t * math.cos(3.0 * t)
+        f = lambda t: t * np.cos(3.0 * t)
         # antiderivative t sin(3t)/3 + cos(3t)/9
         exact = 4.0 * math.sin(12.0) / 3.0 + (math.cos(12.0) - 1.0) / 9.0
         with pytest.raises(QuadratureError, match="below roundoff floor") \
@@ -159,7 +161,7 @@ class TestRoundoffFloor:
         assert abs(err.best.value - exact) <= 10 * err.best.abs_error_estimate
 
     def test_reachable_tolerance_unaffected(self):
-        f = lambda t: t * math.cos(3.0 * t)
+        f = lambda t: t * np.cos(3.0 * t)
         exact = 4.0 * math.sin(12.0) / 3.0 + (math.cos(12.0) - 1.0) / 9.0
         res = integrate_1d(f, 0.0, 4.0, 1e-13)
         assert res.abs_error_estimate <= 1e-13
@@ -226,10 +228,9 @@ class TestAlgebraicProperties:
         p1 = np.polynomial.Polynomial(c1)
         p2 = np.polynomial.Polynomial(c2)
         a, b = -1.0, 2.0
-        combined = integrate_1d(lambda t: s1 * p1(t) + s2 * p2(t), a, b, 1e-11,
-                                vectorized=True)
-        parts = (s1 * integrate_1d(p1, a, b, 1e-11, vectorized=True).value
-                 + s2 * integrate_1d(p2, a, b, 1e-11, vectorized=True).value)
+        combined = integrate_1d(lambda t: s1 * p1(t) + s2 * p2(t), a, b, 1e-11)
+        parts = (s1 * integrate_1d(p1, a, b, 1e-11).value
+                 + s2 * integrate_1d(p2, a, b, 1e-11).value)
         assert abs(combined.value - parts) < 1e-9
 
     @given(coeffs=poly_coeffs, frac=st.floats(0.05, 0.95))
@@ -238,9 +239,9 @@ class TestAlgebraicProperties:
         p = np.polynomial.Polynomial(coeffs)
         a, b = 0.0, 3.0
         mid = a + frac * (b - a)
-        whole = integrate_1d(p, a, b, 1e-11, vectorized=True).value
-        split = (integrate_1d(p, a, mid, 1e-11, vectorized=True).value
-                 + integrate_1d(p, mid, b, 1e-11, vectorized=True).value)
+        whole = integrate_1d(p, a, b, 1e-11).value
+        split = (integrate_1d(p, a, mid, 1e-11).value
+                 + integrate_1d(p, mid, b, 1e-11).value)
         assert abs(whole - split) < 1e-9
 
 

@@ -141,14 +141,32 @@ class TestS2GenericRoutes:
         assert partial != pytest.approx(full, rel=1e-3)
         assert beyond == full  # window clamps at T2
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
     def test_tolerance_must_be_finite_and_positive(self, tol):
-        s = demo_scenario("2+1")
-        for route in (lambda: s2_observable(s, tol=tol),
-                      lambda: field_energy_observable(s, tol=tol),
-                      lambda: interaction_energy_observable(s, 6.0, tol)):
-            with pytest.raises(ValueError, match="finite and positive"):
-                route()
+        # every entry, in every dimension, whatever route the row takes:
+        # 1+1D and 3+1D need no quadrature, and at t = T_on Bob's 2+1D
+        # window is empty
+        missed = []
+        for dim in ("1+1", "2+1", "3+1"):
+            s = demo_scenario(dim)
+            t_on = s.bob.window.t_on
+            routes = {
+                "s2": lambda: s2_observable(s, tol=tol),
+                "hf": lambda: field_energy_observable(s, tol=tol),
+                "hI": lambda: interaction_energy_observable(s, 6.0, tol),
+                "row": lambda: signalling.row_observables(s, tol=tol),
+                "balance": lambda: energy_balance(s, tol),
+                "s2 at T_on": lambda: s2_observable(s, t_on, tol),
+                "hf at T_on": lambda: field_energy_observable(s, t_on, tol),
+            }
+            for name, route in routes.items():
+                try:
+                    route()
+                except ValueError as exc:
+                    if "finite and positive" in str(exc):
+                        continue
+                missed.append(f"{dim} {name}")
+        assert missed == []
 
     def test_time_before_window_rejected(self):
         with pytest.raises(ValueError):
@@ -719,8 +737,8 @@ class TestInteractionEnergy:
             return 2.0 * u * detector_bias(s.alice, t1) * commutator_kernel(
                 s.dimension, t - t1, L).value
 
-        inner = integrate_1d(
-            g, 0.0, math.sqrt((t - L) - s.alice.window.t_on), 1e-13)
+        inner = integrate_1d(np.vectorize(g, otypes=[float]), 0.0,
+                             math.sqrt((t - L) - s.alice.window.t_on), 1e-13)
         bob = detector_bias(s.bob, t)
         obs = interaction_energy_observable(s, t, tol=1e-10)
         assert abs(obs.value + 4.0 * bob * inner.value) <= (
