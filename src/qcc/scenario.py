@@ -52,7 +52,7 @@ class Dimension(Enum):
     def parse(cls, text: str) -> "Dimension":
         text = text.strip()
         for member in cls:
-            if text in (member.value, member.name):
+            if text == member.value:
                 return member
         valid = ", ".join(m.value for m in cls)
         raise ValueError(f"unknown dimension {text!r} (expected one of {valid})")
@@ -153,6 +153,10 @@ class Scenario:
                 )
             if not all(math.isfinite(x) for x in det.position):
                 violations.append(f"{name}: position components must be finite")
+            if not (math.isfinite(det.window.t_on)
+                    and math.isfinite(det.window.t_off)):
+                violations.append(
+                    f"{name}: switching window times must be finite")
             if not math.isfinite(det.gap):
                 violations.append(f"{name}: gap must be finite")
         if not self.alice.window.t_off <= self.bob.window.t_on:

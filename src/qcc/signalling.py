@@ -6,10 +6,17 @@ signalling parts of the detector, interaction and field energies, and the
 energy-balance identity tying them together, all divided by
 lambda_A lambda_B.
 
+One rule, :func:`_route`, decides every route that is not quadrature,
+for s2, hf_sig and hI alike: where the cone meets an integral's region
+a kernel with an on-cone part is rejected (F in every dimension, D's
+delta in 3+1D); otherwise 1+1D D takes its closed form, a kernel that
+vanishes off the cone gives 0, and 2+1D takes the lag quadrature below.
+
 In 1+1D each observable is a closed form, its only route: every lag
 t2 - t1 is >= 0 (Alice switches off before Bob switches on), D is the
 constant 1/2 beyond the cone and F lives on the cone.  Each reports a
-rounding bound as its error and costs no evaluations.
+rounding bound as its error, fails with reason "roundoff" when that
+bound exceeds tol, and costs no evaluations.
 
 Elsewhere each double integral over the two windows is one integral
 int dtau K(tau) C(tau) over the lag tau = t2 - t1, with C the windowed
@@ -35,7 +42,9 @@ into the upper half-plane, so each high-frequency group of terms is
 integrated by numerical steepest descent at a cost independent of
 om_j, and GK takes the slowly varying rest.  A pick whose estimate
 misses its share of tol is redone on GK panels, so a failure there is
-the GK route's failure.
+the GK route's failure.  Where 2 (Om_A + Om_B) times the largest |time|
+overflows, the exponentials cannot be formed, and every piece stays on
+GK panels; a closed form there reports an infinite rounding bound.
 """
 
 from __future__ import annotations
@@ -120,7 +129,8 @@ def _window_correlation(s: Scenario, upper: float, picks):
     """(corr, terms).  corr(tau) is C(tau) = int bias_A(t1)
     Re(d_B e^{i Om_B (t1 + tau)}) dt1 for each observable in ``picks``,
     vectorized; terms(a, b) is C on one lag piece as a sum of
-    exponentials.
+    exponentials, and terms is None when their phases would overflow
+    (see :func:`_phases_finite`).
 
     ``_S2`` picks d_B = i c_B and ``_HF`` picks d_B = c_B, with c_B Bob's
     bias coefficient; both share every intermediate below.  t1 runs over
@@ -206,7 +216,8 @@ def _window_correlation(s: Scenario, upper: float, picks):
                 else (-om, amp, [c.conjugate() for c in cs])
                 for om, amp, cs in out]
 
-    return corr, terms
+    times = (a_on, a_off, b_on, upper)
+    return corr, terms if _phases_finite(s, times) else None
 
 
 def _unit(z):
@@ -223,12 +234,13 @@ def _half_sinc(kappa, w0, w1):
     return lambda z: np.sin(0.5 * kappa * (w0 + w1 * z)) / kappa
 
 
-def _interaction_weight(alice, t: float):
+def _interaction_weight(s: Scenario, t: float):
     """(weight, terms) of the interaction energy at time t, as
     :func:`_window_correlation` returns them for its one pick: weight(tau)
     is Alice's bias at t - tau, and terms(a, b) writes it as
     Re(conj(c_A e^{i Om_A t}) e^{i Om_A tau}), a single exponential of
     amplitude 1 on every piece."""
+    alice = s.alice
 
     def weight(tau):
         return [detector_bias(alice, t - tau)]
@@ -237,7 +249,22 @@ def _interaction_weight(alice, t: float):
         c = _bias_coeff(alice) * cmath.exp(1j * alice.gap * t)
         return [(alice.gap, _unit, [c.conjugate()])]
 
-    return weight, terms
+    times = (t, alice.window.t_on, alice.window.t_off)
+    return weight, terms if _phases_finite(s, times) else None
+
+
+def _phase_scale(s: Scenario, times) -> float:
+    """(Om_A + Om_B) T, T the largest |time|: the largest phase either
+    detector builds from ``times``."""
+    return (s.alice.gap + s.bob.gap) * max(map(abs, times))
+
+
+def _phases_finite(s: Scenario, times) -> bool:
+    """Whether every phase built from ``times`` or from a lag between two
+    of them (at most 2T) is finite: an infinite one makes cmath.exp
+    raise, and a closed form or a steepest-descent term built from it
+    has no value."""
+    return math.isfinite(2.0 * _phase_scale(s, times))
 
 
 def _oscillatory_piece(L, picks, terms, a, b, tol):
@@ -309,37 +336,34 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
 
     ``weight(tau)`` returns one weight array per pick, and ``terms(a,
     b)`` the weights on the lag piece [a, b] as a sum of exponentials
-    (see :func:`_window_correlation`).  The lag range is cut at +-L and
-    at the weight's ``kinks`` so every piece is smooth, and panels start
-    a quarter period of the weight's top frequency ``omega`` wide
-    (unless the piece takes the steepest-descent route below); the
-    pieces inside the cone, where the kernels vanish, are dropped, so
-    spacelike windows get 0 with no evaluations.  A 2+1D piece that ends
-    on the cone carries the kernels' 1/sqrt singularity, which this route
+    (see :func:`_window_correlation`), or ``terms`` is None when their
+    phases would overflow.  The lag range is cut at +-L and at the
+    weight's ``kinks`` so every piece is smooth, and panels start a
+    quarter period of the weight's top frequency ``omega`` wide (unless
+    the piece takes the steepest-descent route below); the pieces inside
+    the cone, where the kernels vanish, are dropped, so spacelike windows
+    get 0 with no evaluations.  A 2+1D piece that ends on the cone
+    carries the kernels' 1/sqrt singularity, which this route
     substitutes away: it integrates over u = sqrt(x), with
     x = |tau| - L, tau = +-(L + u^2) and weight 2u, so the rule sees a
     smooth integrand and the kernels never see x rounded off against L.
 
     Any other 2+1D piece that spans at least _STEEPEST_DESCENT_PERIODS
     periods of ``omega`` is first offered to :func:`_oscillatory_piece`,
-    with the terms built for that piece only; each pick it returns None
-    for is integrated on GK panels as above.
+    with the terms built for that piece only, when there are terms; each
+    pick it returns None for is integrated on GK panels as above.
 
     This is the shared pass: on each piece all integrands are evaluated
     on the initial nodes in one call, then each is refined on its own,
     so each gets the value, error and evaluation count it gets alone.
     ``tol``, which the public entries check before they pick a route,
     is split across the pieces; an integrand that fails on a piece gets
-    a QuadratureError naming ``tol``, with no ``best``, and is ignored
-    on later pieces.
+    a QuadratureError naming ``tol``, with no ``best``, and is not
+    integrated on later pieces.
     Returns one Observable or QuadratureError per integrand.
     """
     n = len(picks)
     kernels = [_TIMELIKE[p] for p in picks]
-
-    def integrand(tau, x):
-        return [k(dim, tau, x, L) * w for k, w in zip(kernels, weight(tau))]
-
     cuts = sorted({lo, hi} | {c for c in (-L, L, *kinks) if lo < c < hi})
     pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
               if abs(0.5 * (a + b)) > L]
@@ -351,37 +375,38 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
     values = [[] for _ in range(n)]
     err, evals, failed = [0.0] * n, [0] * n, [None] * n
     for a, b in pieces:
-        if None not in failed:
+        todo = [i for i in range(n) if failed[i] is None]
+        if not todo:
             break
         on_cone = dim is Dimension.D2p1 and (a == L or b == -L)
-        results = [None] * n
-        if dim is Dimension.D2p1 and not on_cone and omega * (b - a) \
-                >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
-            results = _oscillatory_piece(L, picks, terms(a, b), a, b,
-                                         piece_tol)
-        redo = [i for i, res in enumerate(results) if res is None]
+        results = {}
+        if terms is not None and dim is Dimension.D2p1 and not on_cone \
+                and omega * (b - a) >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
+            results = dict(zip(todo, _oscillatory_piece(
+                L, [picks[i] for i in todo],
+                [(om, amp, [cs[i] for i in todo])
+                 for om, amp, cs in terms(a, b)], a, b, piece_tol)))
+        redo = [i for i in todo if results.get(i) is None]
+        ends, piece_width = (a, b), width
         if on_cone:
             end = b if a == L else a
-            sign, span = math.copysign(1.0, end), abs(end) - L
+            sign, u_end = math.copysign(1.0, end), math.sqrt(abs(end) - L)
+            # du = dx / (2u): an x-width W maps to at least W / (2 u_end)
+            ends, piece_width = (0.0, u_end), width / (2.0 * u_end)
 
-            def g(u):
-                x = u * u
-                return [2.0 * u * v for v in integrand(sign * (L + x), x)]
+        def f(v):
+            if on_cone:  # v is u = sqrt(x)
+                x = v * v
+                tau, jac = sign * (L + x), 2.0 * v
+            else:
+                tau, x, jac = v, np.abs(v) - L, 1.0
+            w = weight(tau)
+            return [jac * (kernels[i](dim, tau, x, L) * w[i]) for i in redo]
 
-            # du = dx / (2u): an x-width W maps to at least W / (2 sqrt(span))
-            results = _integrate_shared(g, n, 0.0, math.sqrt(span), piece_tol,
-                                        width / (2.0 * math.sqrt(span)))
-        elif redo:
-            def f(tau):
-                vals = integrand(tau, np.abs(tau) - L)
-                return [vals[i] for i in redo]
-
-            for i, res in zip(redo, _integrate_shared(
-                    f, len(redo), a, b, piece_tol, width)):
-                results[i] = res
-        for i, res in enumerate(results):
-            if failed[i] is not None:
-                continue
+        if redo:
+            results.update(zip(redo, _integrate_shared(
+                f, len(redo), *ends, piece_tol, piece_width)))
+        for i, res in results.items():
             if isinstance(res, QuadratureError):
                 failed[i] = QuadratureError(
                     f"tol {tol:.3e} not reached on the lag piece "
@@ -418,22 +443,21 @@ def _bob_upper(s: Scenario, t: Optional[float]) -> float:
     return min(t, s.bob.window.t_off)
 
 
-def _correlation_observables(s, t, picks, tol):
+def _correlation_observables(s, upper, picks, tol):
     """4 int dtau K(tau) C(tau) for each pick, _S2 (K = D) or _HF (K = F),
-    in one shared pass: double integrals over both windows (Bob's up to
-    min(t, T_off)) whose kernels depend only on tau = t2 - t1; exactly 0
-    when Bob's window is empty.  One Observable or QuadratureError per
-    pick; a time before T_on raises, as the 1+1D lag oracle needs."""
-    L = s.report.separation
-    upper = _bob_upper(s, t)
+    in one shared pass: double integrals over both windows, Bob's up to
+    ``upper`` (see :func:`_bob_upper`), whose kernels depend only on
+    tau = t2 - t1; exactly 0 when Bob's window is empty.  One Observable
+    or QuadratureError per pick."""
     a_on, a_off = s.alice.window.t_on, s.alice.window.t_off
     b_on = s.bob.window.t_on
     if upper <= b_on:
         return [_ZERO] * len(picks)
     corr, terms = _window_correlation(s, upper, picks)
     return _lag_integrals(
-        s.dimension, L, picks, corr, terms, max(s.alice.gap, s.bob.gap),
-        b_on - a_off, upper - a_on, (b_on - a_on, upper - a_off), tol, 4.0,
+        s.dimension, s.report.separation, picks, corr, terms,
+        max(s.alice.gap, s.bob.gap), b_on - a_off, upper - a_on,
+        (b_on - a_on, upper - a_off), tol, 4.0,
     )
 
 
@@ -443,8 +467,12 @@ def _rounding(s: Scenario, amplitude: float, *times) -> float:
     envelopes, not values after cancellation), T the largest |time| in a
     phase, which rounding turns by eps Om |t|.  On 360 random values the
     error was at most 0.02 of it (40-digit references)."""
-    return 8.0 * math.ulp(1.0) * (1.0 + (s.alice.gap + s.bob.gap)
-                                  * max(map(abs, times))) * amplitude
+    return 8.0 * math.ulp(1.0) * (1.0 + _phase_scale(s, times)) * amplitude
+
+
+# What a closed form returns when its phases overflow: no value, and an
+# error no tol accepts.
+_UNBOUNDED = Observable(math.nan, math.inf, 0)
 
 
 def _change(c: complex, om: float, lo: float, hi: float) -> float:
@@ -465,6 +493,9 @@ def _s2_1p1(s: Scenario, L: float, upper: float) -> Observable:
     """
     a_on, a_off = s.alice.window.t_on, s.alice.window.t_off
     b_on = s.bob.window.t_on
+    times = (a_on, a_off, b_on, upper)
+    if not _phases_finite(s, times):
+        return _UNBOUNDED
     c_a, om_a = _bias_coeff(s.alice), s.alice.gap
     d_b, om_b = 1j * _bias_coeff(s.bob), s.bob.gap
     values, amplitude = [], 0.0
@@ -493,43 +524,84 @@ def _s2_1p1(s: Scenario, L: float, upper: float) -> Observable:
         ]
         amplitude += (2.0 * (e_sum + e_diff) + 4.0 / om_b) / om_a
     return Observable(math.fsum(values), _rounding(
-        s, abs(c_a) * abs(d_b) * amplitude, a_on, a_off, b_on, upper), 0)
+        s, abs(c_a) * abs(d_b) * amplitude, *times), 0)
+
+
+def _hI_1p1(s: Scenario, t: float) -> Observable:
+    """hI in 1+1D at t, in closed form: -2 bias_B(t)
+    [Psi_A(min(T_off,A, t - L)) - Psi_A(T_on,A)], 0 until t - L passes
+    T_on,A, with Psi_A Alice's bias antiderivative."""
+    a_on = s.alice.window.t_on
+    end = min(s.alice.window.t_off, t - s.report.separation)
+    if not end > a_on:
+        return _ZERO
+    times = (t, a_on, end)
+    if not _phases_finite(s, times):
+        return _UNBOUNDED
+    c_a, om_a = _bias_coeff(s.alice), s.alice.gap
+    amplitude = 4.0 * abs(c_a) * abs(_bias_coeff(s.bob)) / om_a
+    return Observable(-2.0 * detector_bias(s.bob, t)
+                      * _change(c_a, om_a, a_on, end),
+                      _rounding(s, amplitude, *times), 0)
+
+
+# Why each pick (by index) is rejected where the cone meets its integration
+# region: D's on-cone part is the 3+1D delta, F's is unspecified in every
+# dimension.
+_ON_CONE_REJECTIONS = (
+    "3+1D windows touch the lightcone: the signal lives on the on-cone "
+    "delta; use s2_null_3p1 for this configuration",
+    "field energy for windows touching the lightcone depends on the "
+    "kernel's unspecified on-cone part; rejected",
+)
+
+
+def _route(s: Scenario, pick, meets: bool, closed_form, tol: float):
+    """The one route rule: a pick's rejection, closed form or zero, or
+    None for the lag pass.  ``meets`` says whether the cone meets the
+    pick's integration region.
+
+    Off the cone D is 1/2 in 1+1D, 0 in 3+1D and decays in 2+1D, and F
+    vanishes in all three.  So a kernel with an on-cone part where the
+    cone meets the region is rejected: F in every dimension, D's delta
+    in 3+1D.  Otherwise 1+1D D takes ``closed_form()``, failed with
+    reason "roundoff" when its rounding bound exceeds ``tol``, a kernel
+    that vanishes off the cone gives 0, and 2+1D takes the lag pass.
+    """
+    if meets and (pick == _HF or s.dimension is Dimension.D3p1):
+        return InvalidScenarioError(_ON_CONE_REJECTIONS[pick])
+    if s.dimension is Dimension.D1p1 and pick == _S2:
+        obs = closed_form()
+        if not obs.quad_error <= tol:
+            return QuadratureError(
+                f"the closed form's rounding bound {obs.quad_error:.3e} "
+                f"exceeds tol {tol:.3e}", "roundoff")
+        return obs
+    if s.dimension is not Dimension.D2p1:
+        return _ZERO
+    return None
 
 
 def _correlations(s: Scenario, t: Optional[float], picks, tol: float):
     """For each pick, the Observable its public route returns or the
     ValueError or QuadratureError it raises.  A bad ``tol`` raises in
     every dimension; the scenario and the time are checked once, and a
-    failure there is every pick's.  The 2+1D picks share one lag
-    quadrature pass, which gives each the value, error and count of its
-    own route."""
+    failure there is every pick's.  The picks :func:`_route` leaves to
+    the lag pass share it, which gives each the value, error and count
+    of its own route."""
     _check_tol(tol)
     try:
         report = require_valid(s)
         upper = _bob_upper(s, t)
     except ValueError as exc:
         return [exc] * len(picks)
-    crossing = report.causal_class is CausalClass.LIGHTCONE_CROSSING
-    out = {}
-    for p in picks:
-        if crossing and p == _HF:
-            out[p] = InvalidScenarioError(
-                "field energy for windows touching the lightcone depends on "
-                "the kernel's unspecified on-cone part; rejected"
-            )
-        elif crossing and s.dimension is Dimension.D3p1:
-            out[p] = InvalidScenarioError(
-                "3+1D windows touch the lightcone: the signal lives on the "
-                "on-cone delta; use s2_null_3p1 for this configuration"
-            )
-        elif s.dimension is Dimension.D1p1 and p == _S2:
-            out[p] = _s2_1p1(s, report.separation, upper)
-        elif s.dimension is not Dimension.D2p1:
-            # off the cone, F in 1+1D and both kernels in 3+1D vanish
-            out[p] = _ZERO
-    lag = [p for p in picks if p not in out]
+    meets = report.causal_class is CausalClass.LIGHTCONE_CROSSING
+    out = {p: _route(s, p, meets,
+                     lambda: _s2_1p1(s, report.separation, upper), tol)
+           for p in picks}
+    lag = [p for p in picks if out[p] is None]
     if lag:
-        out.update(zip(lag, _correlation_observables(s, t, lag, tol)))
+        out.update(zip(lag, _correlation_observables(s, upper, lag, tol)))
     return [out[p] for p in picks]
 
 
@@ -555,51 +627,34 @@ def interaction_energy_observable(
 
     Equals -4 Re(alpha_B* beta_B e^{i Omega_B t}) K(t) with
     K(t) = int bias_A(t1) D(t - t1, L) dt1, per lambda_A lambda_B, with
-    error bookkeeping.  1+1D takes the closed form -2 bias_B(t)
-    [Psi_A(min(T_off,A, t - L)) - Psi_A(T_on,A)] (0 until t - L passes
-    T_on,A), with Psi_A Alice's bias antiderivative; 3+1D is 0 off the
-    cone, and 2+1D takes the lag quadrature.  ``tol``, the scenario and
-    ``t`` are checked first, in every dimension: each raises ValueError.
+    error bookkeeping.  1+1D takes its closed form (see :func:`_hI_1p1`),
+    3+1D is 0 off the cone, and 2+1D takes the lag quadrature; the cone
+    meets the integral when t - L falls in Alice's window.  ``tol``, the
+    scenario and ``t`` are checked first, in every dimension: each
+    raises ValueError.
     """
     _check_tol(tol)
     report = require_valid(s)
-    L = report.separation
     if not s.bob.window.t_on <= t <= s.bob.window.t_off:
         raise ValueError(
             f"t={t!r} outside bob's window "
             f"[{s.bob.window.t_on!r}, {s.bob.window.t_off!r}]"
         )
-    a_on = s.alice.window.t_on
-    if s.dimension is Dimension.D1p1:
-        end = min(s.alice.window.t_off, t - L)
-        if not end > a_on:
-            return _ZERO
-        c_a, om_a = _bias_coeff(s.alice), s.alice.gap
-        amplitude = 4.0 * abs(c_a) * abs(_bias_coeff(s.bob)) / om_a
-        return Observable(-2.0 * detector_bias(s.bob, t)
-                          * _change(c_a, om_a, a_on, end),
-                          _rounding(s, amplitude, t, a_on, end), 0)
-    if s.dimension is Dimension.D3p1:
-        # off the cone the kernel vanishes; if the cone meets Alice's
-        # window the contribution is the convention-dependent delta term
-        if a_on <= t - L <= s.alice.window.t_off:
-            raise InvalidScenarioError(
-                "3+1D interaction energy at a time whose past lightcone "
-                "meets Alice's window is carried entirely by the on-cone "
-                "delta; only the null-signalling op handles that"
-            )
-        return _ZERO
-    return _interaction_lag(s, t, tol)
-
-
-def _interaction_lag(s: Scenario, t: float, tol: float) -> Observable:
-    """-4 bias_B(t) int bias_A(t - tau) D(tau, L) dtau on the lag
-    quadrature: the 2+1D route, and the 1+1D closed form's oracle."""
-    weight, terms = _interaction_weight(s.alice, t)
     a = s.alice.window
-    return _one(_lag_integrals(
+    out = _route(s, _S2, a.t_on <= t - report.separation <= a.t_off,
+                 lambda: _hI_1p1(s, t), tol)
+    return _one(_interaction_lag(s, t, tol) if out is None else out)
+
+
+def _interaction_lag(s: Scenario, t: float, tol: float):
+    """-4 bias_B(t) int bias_A(t - tau) D(tau, L) dtau on the lag
+    quadrature, as an Observable or a QuadratureError: the 2+1D route,
+    and the 1+1D closed form's oracle."""
+    weight, terms = _interaction_weight(s, t)
+    a = s.alice.window
+    return _lag_integrals(
         s.dimension, s.report.separation, [_S2], weight, terms, s.alice.gap,
-        t - a.t_off, t - a.t_on, (), tol, -4.0 * detector_bias(s.bob, t))[0])
+        t - a.t_off, t - a.t_on, (), tol, -4.0 * detector_bias(s.bob, t))[0]
 
 
 def field_energy_observable(

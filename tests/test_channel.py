@@ -128,6 +128,10 @@ class TestCapacityBruteforce:
     def test_degenerate_is_exact_zero(self):
         assert capacity_bruteforce(0.42, 0.42) == 0.0
 
+    def test_probability_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match="p must be in"):
+            capacity_bruteforce(1.2, 0.3)
+
     def test_grid_matches_scalar(self):
         p = np.array([0.1, 0.6, 0.6, 0.92])
         q = np.array([0.4, 0.2, 0.61, 0.9])

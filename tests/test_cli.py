@@ -462,6 +462,110 @@ class TestCapacityVerb:
         assert flag in err and "finite" in err
 
 
+def _edited_config(tmp_path, name, edits):
+    """configs/<name>.cfg with each (old, new) line edit applied."""
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    for old, new in edits:
+        assert f"{old}\n" in text
+        text = text.replace(f"{old}\n", f"{new}\n")
+    path = tmp_path / f"edited_{name}.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def _point_status(capsys, path):
+    """point's exit code, the row's status and its per-observable
+    failure lines."""
+    rc, out, err = run_cli(capsys, "point", path)
+    (row,) = csv_rows(out)
+    labels = ("s2", "hI_on", "hI_off", "hf_sig")
+    return rc, row.rsplit(",", 1)[1], [
+        line for line in err.splitlines() if line.split(":")[0] in labels]
+
+
+# Lags 2 to 8 at times near 1e16, so every phase Alice's gap 1e300 turns
+# overflows while each lag piece stays short
+LATE_GAP = (("alice.gap = 3", "alice.gap = 1e300"),
+            ("alice.t_on = 0", "alice.t_on = 1e16"),
+            ("alice.t_off = 3", "alice.t_off = 10000000000000004"),
+            ("bob.t_on = 5", "bob.t_on = 10000000000000006"),
+            ("bob.t_off = 8", "bob.t_off = 10000000000000008"))
+
+
+class TestExtremeConfigs:
+    """Valid configs whose phases overflow, or whose closed forms round
+    off past tol, end as numerical failures, not as config errors or
+    rejections."""
+
+    @pytest.fixture(autouse=True)
+    def _default_tol(self, monkeypatch):
+        monkeypatch.delenv("QCC_QUAD_TOL", raising=False)
+
+    def test_late_gap_fails_on_the_budget(self, capsys, tmp_path):
+        path = _edited_config(tmp_path, "demo_2p1", LATE_GAP)
+        rc, status, failures = _point_status(capsys, path)
+        assert rc == 2
+        assert status == ("numerical:s2;numerical:hI_on;numerical:hI_off;"
+                          "numerical:hf_sig")
+        assert len(failures) == 4
+        assert all(": budget: " in line for line in failures)
+        out = tmp_path / "sweep.csv"
+        rc, _, _ = run_cli(capsys, "sweep", path, "--param", "gap_B",
+                           "--range", "1:3:1", "--out", str(out))
+        rows = out.read_text().splitlines()[1:]
+        assert rc == 0 and len(rows) == 3
+        assert all(row.rsplit(",", 1)[1].startswith("numerical:")
+                   for row in rows)
+
+    def test_late_gap_1p1_closed_forms_fail_on_roundoff(self, capsys,
+                                                        tmp_path):
+        path = _edited_config(tmp_path, "demo_1p1", LATE_GAP)
+        rc, status, failures = _point_status(capsys, path)
+        assert rc == 2
+        assert status == "numerical:s2;numerical:hI_on;numerical:hI_off"
+        assert all(": roundoff: " in line for line in failures)
+
+    def test_huge_gap_hI_off_is_numerical_not_rejected(self, capsys,
+                                                       tmp_path):
+        path = _edited_config(tmp_path, "demo_2p1", (
+            ("alice.gap = 3", "alice.gap = 1e300"),
+            ("bob.t_off = 8", "bob.t_off = 1e16"),
+            ("bob.position = 1, 0", "bob.position = 6, 0")))
+        rc, status, failures = _point_status(capsys, path)
+        assert rc == 2
+        assert status == "numerical:s2;numerical:hI_off;rejected:hf_sig"
+        assert failures[1].startswith("hI_off: budget: ")
+
+    def test_1p1_rounding_bound_past_tol_is_roundoff(self, capsys, tmp_path):
+        path = _edited_config(tmp_path, "demo_1p1", (
+            ("alice.gap = 3", "alice.gap = 1e300"),
+            ("bob.t_off = 8", "bob.t_off = 1e16")))
+        rc, status, failures = _point_status(capsys, path)
+        assert rc == 2
+        assert status == "numerical:s2;numerical:hI_off"
+        assert [line.split(":")[:2] for line in failures] == [
+            ["s2", " roundoff"], ["hI_off", " roundoff"]]
+
+    def test_1p1_closed_forms_miss_a_tol_below_their_bound(
+            self, capsys, monkeypatch):
+        monkeypatch.setenv("QCC_QUAD_TOL", "1e-16")
+        rc, status, failures = _point_status(
+            capsys, str(CONFIGS / "demo_1p1.cfg"))
+        assert rc == 2
+        assert status == "numerical:s2;numerical:hI_on;numerical:hI_off"
+        assert len(failures) == 3
+        assert all(": roundoff: the closed form's rounding bound " in line
+                   and line.endswith("exceeds tol 1.000e-16")
+                   for line in failures)
+
+    def test_dimension_member_name_is_a_config_error(self, capsys, tmp_path):
+        path = _edited_config(tmp_path, "demo_2p1", (
+            ("dimension = 2+1", "dimension = D2p1"),))
+        rc, out, err = run_cli(capsys, "point", path)
+        assert (rc, out) == (1, "")
+        assert err.startswith("qcc: error:") and "D2p1" in err
+
+
 class TestValidateVerb:
     def test_all_invariants_hold(self, capsys):
         rc, out, _ = run_cli(capsys, "validate")
@@ -545,6 +649,18 @@ class TestComputeRow:
     def test_non_finite_scenario_is_an_invalid_row(self, changes):
         row = compute_row(make_scenario("2+1", **changes), 1.0)
         assert row.status == "invalid-scenario"
+        assert row.to_csv() == "1,nan,nan,nan,nan,nan,nan,invalid-scenario"
+
+    @pytest.mark.parametrize("dim", ["1+1", "2+1", "3+1"])
+    @pytest.mark.parametrize("who,changes", [
+        ("bob", dict(b_win=(5.0, math.inf))),
+        ("alice", dict(a_win=(-math.inf, 3.0))),
+    ], ids=["bob-inf", "alice-minus-inf"])
+    def test_non_finite_window_is_an_invalid_row(self, dim, who, changes):
+        s = make_scenario(dim, **changes)
+        assert f"{who}: switching window times must be finite" \
+            in scenario.validate(s).violations
+        row = compute_row(s, 1.0)
         assert row.to_csv() == "1,nan,nan,nan,nan,nan,nan,invalid-scenario"
 
     def test_nan_columns_render_as_nan(self):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qcc import greens
 from qcc.greens import (
     KernelDomainError,
     KernelValue,
@@ -22,6 +23,7 @@ from qcc.greens import (
     field_energy_timelike,
     regularized_momentum_integral,
 )
+from qcc.quadrature import QuadratureError
 from qcc.scenario import Dimension
 
 D1, D2, D3 = Dimension.D1p1, Dimension.D2p1, Dimension.D3p1
@@ -268,6 +270,24 @@ class TestRegularizedMomentumIntegral:
     def test_zero_cases_within_tolerance(self, dim, tau, L):
         res = regularized_momentum_integral(dim, tau, L)
         assert abs(res.value) < 1e-6
+
+    def test_roundoff_floor_keeps_the_best_estimate(self, monkeypatch):
+        # just outside a short 3+1D cone the direction integrals' shares of
+        # the tolerance sit below their roundoff floor, so each level keeps
+        # the best estimate its roundoff failure carries; F is 0 there
+        reasons = []
+        integrate_1d = greens.integrate_1d
+
+        def spied(*args, **kwargs):
+            try:
+                return integrate_1d(*args, **kwargs)
+            except QuadratureError as exc:
+                reasons.append(exc.reason)
+                raise
+        monkeypatch.setattr(greens, "integrate_1d", spied)
+        res = regularized_momentum_integral(D3, 0.03, 0.1)
+        assert reasons and set(reasons) == {"roundoff"}
+        assert abs(res.value) <= res.abs_error_estimate
 
     def test_certification_grid_is_cheap_and_bounded(self):
         # the acceptance grid: only the directions are integrated, so each

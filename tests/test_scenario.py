@@ -32,7 +32,7 @@ class TestDimension:
         assert dim.spatial == spatial
         assert str(dim) == text
 
-    @pytest.mark.parametrize("bad", ["4+1", "2", "", "2+2", "1+1D"])
+    @pytest.mark.parametrize("bad", ["4+1", "2", "", "2+2", "1+1D", "D2p1"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             Dimension.parse(bad)

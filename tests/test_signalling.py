@@ -57,9 +57,10 @@ CROSSING_B_STATE = (complex(-0.42659147733752584, -0.5639323642627608),
 
 
 def _s2_lag(s, t):
-    """[s2 up to t] on the lag quadrature, the 1+1D closed form's oracle,
-    which checks t itself."""
-    return signalling._correlation_observables(s, t, [signalling._S2], 1e-8)
+    """[s2 up to t] on the lag quadrature, the 1+1D closed form's oracle;
+    _bob_upper checks t."""
+    return signalling._correlation_observables(
+        s, signalling._bob_upper(s, t), [signalling._S2], 1e-8)
 
 
 def _s2_and_hf(s, t, tol):
@@ -396,6 +397,25 @@ def test_failing_integrand_leaves_its_partner(monkeypatch):
     row = compute_row(s, 0.0, None, 1e-8)
     assert row.status == "numerical:hf_sig"
     assert row.s2 == s2.value
+
+
+def test_failed_pick_is_not_integrated_on_later_pieces(monkeypatch):
+    # hf_sig fails on the demo's first lag piece, [2, 5]; the GK call on
+    # the second, [5, 8], integrates s2 alone
+    monkeypatch.setattr(signalling, "_TIMELIKE", (
+        greens.commutator_timelike,
+        lambda dim, tau, x, L: np.full_like(tau, np.nan)))
+    sizes = []
+    integrate_shared = signalling._integrate_shared
+
+    def spied(f, n, *args):
+        sizes.append(n)
+        return integrate_shared(f, n, *args)
+    monkeypatch.setattr(signalling, "_integrate_shared", spied)
+    s2, hf = _s2_and_hf(demo_scenario("2+1"), None, 1e-8)
+    assert sizes == [2, 1]
+    assert isinstance(hf, QuadratureError)
+    assert isinstance(s2, signalling.Observable)
 
 
 def test_failed_lag_integral_carries_no_best():
@@ -752,6 +772,50 @@ class TestInteractionEnergy:
             interaction_energy_observable(s, 3.5)
         # but away from the ray the 3+1D interaction term is exactly 0
         assert interaction_energy_observable(s, 5.0).value == 0.0
+
+
+class TestRouteRule:
+    """One rule picks every route but the lag pass, for s2, hf_sig and
+    hI alike."""
+
+    def test_3p1_rejections_share_the_null_op_hint(self):
+        s = make_scenario("3+1", b_win=(3.2, 6.2))
+        messages = []
+        for route in (lambda: s2_observable(s),
+                      lambda: interaction_energy_observable(s, 3.5)):
+            with pytest.raises(InvalidScenarioError,
+                               match="s2_null_3p1") as excinfo:
+                route()
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+
+    def test_1p1_bound_past_tol_is_roundoff(self):
+        s = demo_scenario("1+1")
+        for route in (lambda tol: s2_observable(s, None, tol),
+                      lambda tol: interaction_energy_observable(s, 8.0, tol)):
+            obs = route(1e-8)
+            assert 1e-16 < obs.quad_error <= 1e-8
+            with pytest.raises(QuadratureError) as excinfo:
+                route(1e-16)
+            assert excinfo.value.reason == "roundoff"
+            assert f"bound {obs.quad_error:.3e} exceeds tol" \
+                in str(excinfo.value)
+
+    @pytest.mark.parametrize("dim,reason", [("1+1", "roundoff"),
+                                            ("2+1", "budget")])
+    def test_overflowing_phases_fail_numerically(self, dim, reason):
+        # Alice's gap 1e300 at times near 1e16: every phase overflows
+        s = make_scenario(dim, a_win=(1e16, 1e16 + 4), b_win=(1e16 + 6,
+                                                             1e16 + 8),
+                          gap_a=1e300)
+        s2, hi_on, hi_off, hf = signalling.row_observables(s, None, 1e-8)
+        for obs in (s2, hi_on, hi_off):
+            assert isinstance(obs, QuadratureError)
+            assert obs.reason == reason
+        if dim == "1+1":
+            assert hf == signalling.Observable(0.0, 0.0, 0)
+        else:
+            assert isinstance(hf, QuadratureError)
 
 
 class TestFieldEnergy:
