@@ -26,7 +26,6 @@ __all__ = [
     "capacity_closed",
     "capacity_bruteforce",
     "capacity_bruteforce_grid",
-    "optimal_input_prior",
     "capacity_expansion",
     "channel_stats",
 ]
@@ -172,14 +171,6 @@ def capacity_bruteforce_grid(p, q, tol: float = 1e-10) -> np.ndarray:
     q = np.atleast_1d(np.asarray(q, dtype=float))
     pi = _ternary_search(p, q, _bruteforce_pi_tol(p, q, tol))
     return np.maximum(_mutual_information(pi, p, q), 0.0)
-
-
-def optimal_input_prior(p: float, q: float) -> float:
-    """Input prior achieving the bruteforce capacity (bracket 1e-8 wide)."""
-    if p == q:
-        return 0.5
-    pi = _ternary_search(p, q, 1e-8)
-    return float(pi.ravel()[0])
 
 
 def guess_success(p: float, q: float) -> float:

@@ -79,6 +79,10 @@ class SweepSpec:
             raise ValueError(
                 f"sweep needs start < stop, got {self.start!r}:{self.stop!r}"
             )
+        if self.parameter == "separation_L" and self.start < 0.0:
+            # a negative value would move Bob to the mirror point at -L
+            raise ValueError(
+                f"separation_L sweep needs start >= 0, got {self.start!r}")
         if (self.stop - self.start) / self.step > MAX_GRID_POINTS:
             raise ValueError(
                 f"sweep grid exceeds {MAX_GRID_POINTS} points; "

@@ -99,9 +99,6 @@ class SwitchingWindow:
     def duration(self) -> float:
         return self.t_off - self.t_on
 
-    def contains(self, t: float) -> bool:
-        return self.t_on <= t <= self.t_off
-
 
 @dataclass(frozen=True)
 class DetectorSpec:
@@ -194,12 +191,13 @@ def separation(s: Scenario) -> float:
 
 
 def _classify(s: Scenario, L: float) -> CausalClass:
-    # the range of t2 - t1 over the two windows
+    # the range [lo, hi] of t2 - t1 over the two windows, which the cone
+    # meets when lo <= L <= hi
     lo = s.bob.window.t_on - s.alice.window.t_off
     hi = s.bob.window.t_off - s.alice.window.t_on
-    if min(abs(lo), abs(hi)) > L and lo * hi > 0:
+    if lo > L:
         return CausalClass.TIMELIKE
-    if max(abs(lo), abs(hi)) < L:
+    if hi < L:
         return CausalClass.SPACELIKE
     return CausalClass.LIGHTCONE_CROSSING
 

@@ -7,10 +7,12 @@ energy-balance identity tying them together, all divided by
 lambda_A lambda_B.
 
 One rule, :func:`_route`, decides every route that is not quadrature,
-for s2, hf_sig and hI alike: where the cone meets an integral's region
-a kernel with an on-cone part is rejected (F in every dimension, D's
-delta in 3+1D); otherwise 1+1D D takes its closed form, a kernel that
-vanishes off the cone gives 0, and 2+1D takes the lag quadrature below.
+for s2, hf_sig and hI alike, from one input: the range [lo, hi] of the
+lags t2 - t1 over the integral's own region, which the cone meets when
+lo <= L <= hi.  There a kernel with an on-cone part is rejected (F in
+every dimension, D's delta in 3+1D); otherwise 1+1D D takes its closed
+form, a kernel that vanishes off the cone gives 0, and 2+1D takes the
+lag quadrature below.
 
 In 1+1D each observable is a closed form, its only route: every lag
 t2 - t1 is >= 0 (Alice switches off before Bob switches on), D is the
@@ -447,12 +449,9 @@ def _correlation_observables(s, upper, picks, tol):
     """4 int dtau K(tau) C(tau) for each pick, _S2 (K = D) or _HF (K = F),
     in one shared pass: double integrals over both windows, Bob's up to
     ``upper`` (see :func:`_bob_upper`), whose kernels depend only on
-    tau = t2 - t1; exactly 0 when Bob's window is empty.  One Observable
-    or QuadratureError per pick."""
+    tau = t2 - t1.  One Observable or QuadratureError per pick."""
     a_on, a_off = s.alice.window.t_on, s.alice.window.t_off
     b_on = s.bob.window.t_on
-    if upper <= b_on:
-        return [_ZERO] * len(picks)
     corr, terms = _window_correlation(s, upper, picks)
     return _lag_integrals(
         s.dimension, s.report.separation, picks, corr, terms,
@@ -556,10 +555,11 @@ _ON_CONE_REJECTIONS = (
 )
 
 
-def _route(s: Scenario, pick, meets: bool, closed_form, tol: float):
+def _route(s: Scenario, pick, lo: float, hi: float, closed_form, tol):
     """The one route rule: a pick's rejection, closed form or zero, or
-    None for the lag pass.  ``meets`` says whether the cone meets the
-    pick's integration region.
+    None for the lag pass.  [lo, hi] is the range of the lags t2 - t1
+    over the pick's integration region, which the cone meets when
+    lo <= L <= hi; a region that only touches the cone meets it.
 
     Off the cone D is 1/2 in 1+1D, 0 in 3+1D and decays in 2+1D, and F
     vanishes in all three.  So a kernel with an on-cone part where the
@@ -568,7 +568,8 @@ def _route(s: Scenario, pick, meets: bool, closed_form, tol: float):
     reason "roundoff" when its rounding bound exceeds ``tol``, a kernel
     that vanishes off the cone gives 0, and 2+1D takes the lag pass.
     """
-    if meets and (pick == _HF or s.dimension is Dimension.D3p1):
+    if lo <= s.report.separation <= hi and (
+            pick == _HF or s.dimension is Dimension.D3p1):
         return InvalidScenarioError(_ON_CONE_REJECTIONS[pick])
     if s.dimension is Dimension.D1p1 and pick == _S2:
         obs = closed_form()
@@ -586,17 +587,21 @@ def _correlations(s: Scenario, t: Optional[float], picks, tol: float):
     """For each pick, the Observable its public route returns or the
     ValueError or QuadratureError it raises.  A bad ``tol`` raises in
     every dimension; the scenario and the time are checked once, and a
-    failure there is every pick's.  The picks :func:`_route` leaves to
-    the lag pass share it, which gives each the value, error and count
-    of its own route."""
+    failure there is every pick's.  An empty Bob window gives exact
+    zeros; otherwise t2 runs over [T_on,B, upper] and t1 over Alice's
+    window, and :func:`_route` decides from their lag range.  The picks
+    it leaves to the lag pass share it, which gives each the value,
+    error and count of its own route."""
     _check_tol(tol)
     try:
         report = require_valid(s)
         upper = _bob_upper(s, t)
     except ValueError as exc:
         return [exc] * len(picks)
-    meets = report.causal_class is CausalClass.LIGHTCONE_CROSSING
-    out = {p: _route(s, p, meets,
+    a, b_on = s.alice.window, s.bob.window.t_on
+    if upper == b_on:
+        return [_ZERO] * len(picks)
+    out = {p: _route(s, p, b_on - a.t_off, upper - a.t_on,
                      lambda: _s2_1p1(s, report.separation, upper), tol)
            for p in picks}
     lag = [p for p in picks if out[p] is None]
@@ -628,21 +633,21 @@ def interaction_energy_observable(
     Equals -4 Re(alpha_B* beta_B e^{i Omega_B t}) K(t) with
     K(t) = int bias_A(t1) D(t - t1, L) dt1, per lambda_A lambda_B, with
     error bookkeeping.  1+1D takes its closed form (see :func:`_hI_1p1`),
-    3+1D is 0 off the cone, and 2+1D takes the lag quadrature; the cone
-    meets the integral when t - L falls in Alice's window.  ``tol``, the
-    scenario and ``t`` are checked first, in every dimension: each
+    3+1D is 0 off the cone, and 2+1D takes the lag quadrature; the
+    integral's lags t - t1 run over [t - T_off,A, t - T_on,A].  ``tol``,
+    the scenario and ``t`` are checked first, in every dimension: each
     raises ValueError.
     """
     _check_tol(tol)
-    report = require_valid(s)
+    require_valid(s)
     if not s.bob.window.t_on <= t <= s.bob.window.t_off:
         raise ValueError(
             f"t={t!r} outside bob's window "
             f"[{s.bob.window.t_on!r}, {s.bob.window.t_off!r}]"
         )
     a = s.alice.window
-    out = _route(s, _S2, a.t_on <= t - report.separation <= a.t_off,
-                 lambda: _hI_1p1(s, t), tol)
+    out = _route(s, _S2, t - a.t_off, t - a.t_on, lambda: _hI_1p1(s, t),
+                 tol)
     return _one(_interaction_lag(s, t, tol) if out is None else out)
 
 
@@ -709,9 +714,7 @@ def s2_null_3p1(s: Scenario) -> float:
     L = report.separation
     if L <= 0:
         raise InvalidScenarioError("null-signalling op requires L > 0")
-    lo = max(s.alice.window.t_on, s.bob.window.t_on - L)
-    hi = min(s.alice.window.t_off, s.bob.window.t_off - L)
-    if hi <= lo:
+    if report.causal_class is not CausalClass.LIGHTCONE_CROSSING:
         warnings.warn(
             "the null ray from Alice's window never meets Bob's window; "
             "s2_null_3p1 is 0",

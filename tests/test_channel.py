@@ -21,7 +21,6 @@ from qcc.channel import (
     capacity_expansion,
     channel_stats,
     guess_success,
-    optimal_input_prior,
 )
 
 # classic reference channels: (p, q, capacity, optimal prior on input 1)
@@ -139,15 +138,6 @@ class TestCapacityBruteforce:
         scalars = [capacity_bruteforce(float(a), float(b))
                    for a, b in zip(p, q)]
         np.testing.assert_allclose(grid, scalars, atol=1e-10)
-
-
-class TestOptimalInputPrior:
-    @pytest.mark.parametrize("p,q,_,prior", REFERENCE_CHANNELS)
-    def test_reference_channels(self, p, q, _, prior):
-        assert optimal_input_prior(p, q) == pytest.approx(prior, abs=1e-6)
-
-    def test_degenerate_returns_half(self):
-        assert optimal_input_prior(0.3, 0.3) == 0.5
 
 
 class TestGuessSuccess:

@@ -308,6 +308,35 @@ class TestSweepVerb:
         s2_values = [float(r.split(",")[1]) for r in rows]
         assert len(set(s2_values)) == 3
 
+    def test_rows_short_of_the_cone_are_zero(self, capsys, tmp_path):
+        # up to T = 6 the lags run from T_on,B - T_off,A = 2 to
+        # T - T_on,A = 6: rows with L in (6, 8] cross the cone over the
+        # whole windows but not up to T, and read exact zeros
+        out_path = tmp_path / "sep.csv"
+        rc, _, err = run_cli(
+            capsys, "sweep", str(CONFIGS / "demo_3p1.cfg"), "--param",
+            "separation_L", "--range", "0.1:9:0.05", "--eval-time", "6",
+            "--out", str(out_path))
+        assert rc == 0, err
+        rows = [r.split(",") for r in out_path.read_text().splitlines()[1:]]
+        crossing = [r for r in rows if 2.0 <= float(r[0]) <= 6.0]
+        assert len(crossing) == 81
+        # hI too where its own lags reach L
+        assert all(r[-1].startswith("rejected:s2;")
+                   and r[-1].endswith(";rejected:hf_sig") for r in crossing)
+        beyond = [r for r in rows if 6.0 < float(r[0]) <= 8.0]
+        assert len(beyond) == 40
+        assert all(r[1:] == ["0"] * 6 + ["ok"] for r in beyond)
+
+    def test_negative_separation_exits_1(self, capsys, tmp_path):
+        out_path = tmp_path / "x.csv"
+        rc, _, err = run_cli(
+            capsys, "sweep", DEMO_CFG, "--param", "separation_L",
+            "--range=-1:1:0.5", "--out", str(out_path))
+        assert rc == 1
+        assert err.startswith("qcc: error: ") and "start >= 0" in err
+        assert not out_path.exists()
+
     def test_reversed_range_exits_1(self, capsys, tmp_path):
         rc, _, err = run_cli(
             capsys, "sweep", DEMO_CFG, "--param", "gap_B",
@@ -355,10 +384,18 @@ class TestSweepSpec:
         dict(parameter="gap_B", start=0, stop=1, step=-0.1),
         dict(parameter="gap_B", start=2, stop=1, step=0.1),
         dict(parameter="gap_B", start=0, stop=1e7, step=1.0),
+        dict(parameter="separation_L", start=-1, stop=1, step=0.5),
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SweepSpec(**kwargs)
+
+    def test_separation_may_start_at_zero(self):
+        assert SweepSpec("separation_L", 0, 1, 0.5).grid() == [0, 0.5, 1]
+
+    def test_apply_unknown_parameter_rejected(self):
+        with pytest.raises(ValueError, match="unknown sweep parameter"):
+            apply_sweep_parameter(demo_scenario("2+1"), "bob_gap", 1.0)
 
     def test_apply_preserves_window_duration(self):
         s = demo_scenario("2+1")
@@ -516,6 +553,17 @@ class TestExtremeConfigs:
         assert rc == 0 and len(rows) == 3
         assert all(row.rsplit(",", 1)[1].startswith("numerical:")
                    for row in rows)
+
+    @pytest.mark.parametrize("edits", [LATE_GAP[1:], LATE_GAP],
+                             ids=["gap 3", "gap 1e300"])
+    def test_late_3p1_timelike_row_is_zero(self, capsys, tmp_path, edits):
+        # at t = T_on,B, t - L = 1e16 + 5 rounds onto Alice's switch-off,
+        # but the lags from t - T_off,A = 2 up are exact and pass L = 1
+        path = _edited_config(tmp_path, "demo_3p1", edits)
+        rc, out, err = run_cli(capsys, "point", path)
+        assert rc == 0, err
+        assert "causal class   : TIMELIKE" in out
+        assert csv_rows(out)[0].endswith(",0,0,0,0,0,0,ok")
 
     def test_late_gap_1p1_closed_forms_fail_on_roundoff(self, capsys,
                                                         tmp_path):

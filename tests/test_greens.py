@@ -271,6 +271,10 @@ class TestRegularizedMomentumIntegral:
         res = regularized_momentum_integral(dim, tau, L)
         assert abs(res.value) < 1e-6
 
+    def test_3p1_coincident_detectors_rejected(self):
+        with pytest.raises(ValueError, match="needs L > 0"):
+            regularized_momentum_integral(D3, 1.0, 0.0)
+
     def test_roundoff_floor_keeps_the_best_estimate(self, monkeypatch):
         # just outside a short 3+1D cone the direction integrals' shares of
         # the tolerance sit below their roundoff floor, so each level keeps

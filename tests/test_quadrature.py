@@ -327,6 +327,11 @@ class TestIntegrate2dRect:
         with pytest.raises((QuadratureError, KernelDomainError)):
             integrate_2d_rect(f, (0.0, 3.0), (3.5, 6.5), 1e-8, budget=20000)
 
+    def test_non_positive_singular_line_rejected(self):
+        with pytest.raises(ValueError, match="singular_line must be"):
+            integrate_2d_rect(lambda x, y: 1.0, (0.0, 1.0), (0.0, 1.0),
+                              1e-8, singular_line=0.0)
+
     def test_degenerate_rectangle_rejected(self):
         for x_range, y_range in (((0.0, 0.0), (0.0, 1.0)),
                                  ((0.0, math.inf), (0.0, 1.0)),

@@ -817,6 +817,24 @@ class TestRouteRule:
         else:
             assert isinstance(hf, QuadratureError)
 
+    @pytest.mark.parametrize("dim", ["1+1", "2+1", "3+1"])
+    @pytest.mark.parametrize("t", [5.5, 5.0])
+    def test_region_short_of_the_cone_is_an_exact_zero(self, dim, t):
+        # at L = 6 the whole windows' lags 2 to 8 cross the cone, but up
+        # to t = 5.5 they run only to t - T_on,A = 5.5; at t = T_on,B = 5
+        # Bob's window is empty
+        s = make_scenario(dim, L=6.0)
+        assert s.report.causal_class is CausalClass.LIGHTCONE_CROSSING
+        assert signalling.row_observables(s, t, 1e-8) \
+            == (signalling.Observable(0.0, 0.0, 0),) * 4
+
+    @pytest.mark.parametrize("dim", ["1+1", "2+1", "3+1"])
+    def test_region_reaching_the_cone_still_rejects(self, dim):
+        s2, _, _, hf = signalling.row_observables(
+            make_scenario(dim, L=6.0), 8.0, 1e-8)
+        assert isinstance(hf, InvalidScenarioError)
+        assert isinstance(s2, InvalidScenarioError) == (dim == "3+1")
+
 
 class TestFieldEnergy:
     @pytest.mark.parametrize("dim", ["1+1", "3+1"])
