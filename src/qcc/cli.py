@@ -165,27 +165,19 @@ def compute_row(
         return Row(param_value, nan, nan, nan, nan, nan, nan,
                    "invalid-scenario")
 
-    tags: List[str] = []
-    failures: List[str] = []
-    values: List[float] = []
-    total_err = 0.0
-    for label, outcome in zip(("s2", "hI_on", "hI_off", "hf_sig"),
-                              signalling.row_observables(s, eval_time, tol)):
-        if isinstance(outcome, QuadratureError):
-            tags.append(f"numerical:{label}")
-            failures.append(f"{label}: {outcome.reason}: {outcome}")
-            values.append(math.nan)
-        elif isinstance(outcome, ValueError):
-            # InvalidScenarioError and out-of-window evaluation times
-            tags.append(f"rejected:{label}")
-            values.append(math.nan)
-        else:
-            total_err += outcome.quad_error
-            values.append(outcome.value)
-    s2, hi_on, hi_off, hf = values
-    return Row(param_value, s2, s.bob.gap * s2, hi_on, hi_off, hf,
-               math.nan if failures else total_err,
-               ";".join(tags) or "ok", tuple(failures))
+    obs = signalling.row_observables(s, eval_time, tol)
+    failed = [(label, o.failure) for label, o in zip(
+        ("s2", "hI_on", "hI_off", "hf_sig"), obs) if o.failure is not None]
+    # a ValueError is an InvalidScenarioError or an out-of-window time
+    tags = [("numerical:" if isinstance(exc, QuadratureError)
+             else "rejected:") + label for label, exc in failed]
+    failures = tuple(f"{label}: {exc.reason}: {exc}" for label, exc in failed
+                     if isinstance(exc, QuadratureError))
+    s2, hi_on, hi_off, hf = obs
+    return Row(param_value, s2.value, s.bob.gap * s2.value, hi_on.value,
+               hi_off.value, hf.value, math.nan if failures else sum(
+                   (o.quad_error for o in obs if o.failure is None), 0.0),
+               ";".join(tags) or "ok", failures)
 
 
 # --- verbs --------------------------------------------------------------

@@ -86,14 +86,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Observable:
-    """A signalling value plus its quadrature bookkeeping."""
+    """A signalling value plus its quadrature bookkeeping.
+
+    ``failure`` is None, or what the observable's public entry raises: a
+    ValueError when the scenario, the time or the kernel's on-cone part
+    rejects it, a QuadratureError when it fails numerically.  A failed
+    observable has value and quad_error nan, and ``evaluations`` counts
+    what it spent before it failed.  Failed records compare equal only
+    when they hold the same exception object.
+    """
 
     value: float
     quad_error: float
     evaluations: int
+    failure: Optional[Exception] = None
 
 
 _ZERO = Observable(0.0, 0.0, 0)
+
+
+def _failed(failure: Exception, evaluations: int = 0) -> Observable:
+    """The record of an observable that failed with ``failure`` after
+    spending ``evaluations``."""
+    return Observable(math.nan, math.nan, evaluations, failure)
 
 
 @dataclass(frozen=True)
@@ -359,10 +374,11 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
     on the initial nodes in one call, then each is refined on its own,
     so each gets the value, error and evaluation count it gets alone.
     ``tol``, which the public entries check before they pick a route,
-    is split across the pieces; an integrand that fails on a piece gets
-    a QuadratureError naming ``tol``, with no ``best``, and is not
-    integrated on later pieces.
-    Returns one Observable or QuadratureError per integrand.
+    is split across the pieces.  An integrand that fails on a piece is
+    not integrated on later pieces: its record fails with a
+    QuadratureError naming ``tol``, with no ``best``, and counts the
+    evaluations of the earlier pieces and of the failed attempt.
+    Returns one Observable per integrand.
     """
     n = len(picks)
     kernels = [_TIMELIKE[p] for p in picks]
@@ -410,11 +426,13 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
                 f, len(redo), *ends, piece_tol, piece_width)))
         for i, res in results.items():
             if isinstance(res, QuadratureError):
-                failed[i] = QuadratureError(
+                exc = QuadratureError(
                     f"tol {tol:.3e} not reached on the lag piece "
                     f"[{a!r}, {b!r}]: {res}", res.reason,
                 )
-                failed[i].__cause__ = res
+                exc.__cause__ = res
+                failed[i] = _failed(exc, evals[i] + (
+                    res.best.evaluations if res.best else 0))
                 continue
             values[i].append(res.value)
             err[i] += res.abs_error_estimate
@@ -426,11 +444,13 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
     ]
 
 
-def _one(result):
-    """``result`` itself, or raised when it is an exception."""
-    if isinstance(result, Exception):
-        raise result
-    return result
+def _one(obs: Observable) -> Observable:
+    """``obs``, or its failure raised: the one place where a record's
+    failure becomes an exception, for the public entries and the
+    validation suite."""
+    if obs.failure is not None:
+        raise obs.failure
+    return obs
 
 
 def _bob_upper(s: Scenario, t: Optional[float]) -> float:
@@ -449,7 +469,7 @@ def _correlation_observables(s, upper, picks, tol):
     """4 int dtau K(tau) C(tau) for each pick, _S2 (K = D) or _HF (K = F),
     in one shared pass: double integrals over both windows, Bob's up to
     ``upper`` (see :func:`_bob_upper`), whose kernels depend only on
-    tau = t2 - t1.  One Observable or QuadratureError per pick."""
+    tau = t2 - t1.  One Observable per pick."""
     a_on, a_off = s.alice.window.t_on, s.alice.window.t_off
     b_on = s.bob.window.t_on
     corr, terms = _window_correlation(s, upper, picks)
@@ -570,13 +590,13 @@ def _route(s: Scenario, pick, lo: float, hi: float, closed_form, tol):
     """
     if lo <= s.report.separation <= hi and (
             pick == _HF or s.dimension is Dimension.D3p1):
-        return InvalidScenarioError(_ON_CONE_REJECTIONS[pick])
+        return _failed(InvalidScenarioError(_ON_CONE_REJECTIONS[pick]))
     if s.dimension is Dimension.D1p1 and pick == _S2:
         obs = closed_form()
         if not obs.quad_error <= tol:
-            return QuadratureError(
+            return _failed(QuadratureError(
                 f"the closed form's rounding bound {obs.quad_error:.3e} "
-                f"exceeds tol {tol:.3e}", "roundoff")
+                f"exceeds tol {tol:.3e}", "roundoff"))
         return obs
     if s.dimension is not Dimension.D2p1:
         return _ZERO
@@ -584,20 +604,18 @@ def _route(s: Scenario, pick, lo: float, hi: float, closed_form, tol):
 
 
 def _correlations(s: Scenario, t: Optional[float], picks, tol: float):
-    """For each pick, the Observable its public route returns or the
-    ValueError or QuadratureError it raises.  A bad ``tol`` raises in
-    every dimension; the scenario and the time are checked once, and a
+    """For each pick, the record of its public route, for a ``tol``
+    already checked.  The scenario and the time are checked once, and a
     failure there is every pick's.  An empty Bob window gives exact
     zeros; otherwise t2 runs over [T_on,B, upper] and t1 over Alice's
     window, and :func:`_route` decides from their lag range.  The picks
     it leaves to the lag pass share it, which gives each the value,
     error and count of its own route."""
-    _check_tol(tol)
     try:
         report = require_valid(s)
         upper = _bob_upper(s, t)
     except ValueError as exc:
-        return [exc] * len(picks)
+        return [_failed(exc)] * len(picks)
     a, b_on = s.alice.window, s.bob.window.t_on
     if upper == b_on:
         return [_ZERO] * len(picks)
@@ -622,6 +640,7 @@ def s2_observable(
     (see :func:`_s2_1p1`), 3+1D its zero off the cone (Huygens), and
     2+1D the lag quadrature.
     """
+    _check_tol(tol)
     return _one(_correlations(s, t, [_S2], tol)[0])
 
 
@@ -639,22 +658,29 @@ def interaction_energy_observable(
     raises ValueError.
     """
     _check_tol(tol)
-    require_valid(s)
-    if not s.bob.window.t_on <= t <= s.bob.window.t_off:
-        raise ValueError(
-            f"t={t!r} outside bob's window "
-            f"[{s.bob.window.t_on!r}, {s.bob.window.t_off!r}]"
-        )
-    a = s.alice.window
+    return _one(_interaction(s, t, tol))
+
+
+def _interaction(s: Scenario, t: float, tol: float) -> Observable:
+    """interaction_energy_observable's record, for a ``tol`` already
+    checked: a scenario or time it rejects, :func:`_route`'s outcome, or
+    the lag quadrature."""
+    w, a = s.bob.window, s.alice.window
+    try:
+        require_valid(s)
+        if not w.t_on <= t <= w.t_off:
+            raise ValueError(
+                f"t={t!r} outside bob's window [{w.t_on!r}, {w.t_off!r}]")
+    except ValueError as exc:
+        return _failed(exc)
     out = _route(s, _S2, t - a.t_off, t - a.t_on, lambda: _hI_1p1(s, t),
                  tol)
-    return _one(_interaction_lag(s, t, tol) if out is None else out)
+    return _interaction_lag(s, t, tol) if out is None else out
 
 
-def _interaction_lag(s: Scenario, t: float, tol: float):
+def _interaction_lag(s: Scenario, t: float, tol: float) -> Observable:
     """-4 bias_B(t) int bias_A(t - tau) D(tau, L) dtau on the lag
-    quadrature, as an Observable or a QuadratureError: the 2+1D route,
-    and the 1+1D closed form's oracle."""
+    quadrature: the 2+1D route, and the 1+1D closed form's oracle."""
     weight, terms = _interaction_weight(s, t)
     a = s.alice.window
     return _lag_integrals(
@@ -672,29 +698,28 @@ def field_energy_observable(
     1+1D and 3+1D for timelike windows (cone-supported kernel), computed
     by quadrature in 2+1D.  Per lambda_A lambda_B, with error bookkeeping.
     """
+    _check_tol(tol)
     return _one(_correlations(s, t, [_HF], tol)[0])
 
 
 def row_observables(s: Scenario, t: Optional[float] = None,
                     tol: float = DEFAULT_TOL):
-    """One row's (s2, hI_on, hI_off, hf_sig), each the Observable its
-    public route returns or the ValueError or QuadratureError it raises.
+    """One row's (s2, hI_on, hI_off, hf_sig), each the record of its
+    public route: the Observable it returns, or a failed one holding the
+    ValueError or QuadratureError it raises.
 
     s2 and hf_sig run over Bob's window up to min(t, T_off) (``t``
     default: T_off) in one shared pass; hI is taken at T_on and at
-    min(t, T_off).  A bad scenario or time is returned per observable,
-    but a ``tol`` that is not finite and positive raises ValueError, in
-    every dimension.
+    min(t, T_off).  A bad scenario or time fails each record it
+    concerns, but a ``tol`` that is not finite and positive raises
+    ValueError, in every dimension.
     """
+    _check_tol(tol)
     s2, hf = _correlations(s, t, [_S2, _HF], tol)
     w = s.bob.window
-    hi = []
-    for at in (w.t_on, w.t_off if t is None else min(t, w.t_off)):
-        try:
-            hi.append(interaction_energy_observable(s, at, tol))
-        except (QuadratureError, ValueError) as exc:
-            hi.append(exc)
-    return s2, hi[0], hi[1], hf
+    return (s2, _interaction(s, w.t_on, tol),
+            _interaction(s, w.t_off if t is None else min(t, w.t_off), tol),
+            hf)
 
 
 def s2_null_3p1(s: Scenario) -> float:

@@ -750,9 +750,7 @@ class TestComputeRow:
         def counted(*args):
             outcomes = row_observables(*args)
             s2, _, _, hf = outcomes
-            for name, obs in (("s2", s2), ("hf_sig", hf)):
-                if isinstance(obs, signalling.Observable):
-                    counts[name] = obs.evaluations
+            counts.update(s2=s2.evaluations, hf_sig=hf.evaluations)
             return outcomes
         monkeypatch.setattr(signalling, "row_observables", counted)
         return compute_row(s, 0.0), counts

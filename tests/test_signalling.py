@@ -305,10 +305,43 @@ def test_production_evaluation_counts_pinned(s, expected):
     assert counts == expected
 
 
+_LABELS = ("s2", "hI_on", "hI_off", "hf_sig")
+
+
+@pytest.mark.parametrize("s,tol,late_f,expected", [
+    (demo_scenario("2+1"), 1e-16, 1.0,
+     {"s2": ("roundoff", 90), "hI_on": ("roundoff", 90),
+      "hI_off": ("roundoff", 90), "hf_sig": ("roundoff", 90)}),
+    (make_scenario("2+1", L=6.0, gap_b=1e5), 1e-8, 1.0,
+     {"s2": ("budget", 0)}),
+    (demo_scenario("2+1"), 1e-8, 1e12, {"hf_sig": ("roundoff", 180)}),
+], ids=["demo-tol1e-16", "2p1-crossing-bob-gap1e5", "demo-late-piece"])
+def test_failed_observables_keep_their_evaluations(s, tol, late_f, expected,
+                                                   monkeypatch):
+    # each demo observable fails on its first lag piece after the 90
+    # evaluations of its attempt there; the crossing row's s2 piece is
+    # refused its initial panelling before any evaluation.  F scaled by
+    # late_f = 1e12 beyond lag 5 leaves hf_sig's first piece, [2, 5], as
+    # it is and puts its second, [5, 8], below the roundoff floor: 90
+    # evaluations on each
+    field = greens.field_energy_timelike
+    monkeypatch.setattr(signalling, "_TIMELIKE", (
+        greens.commutator_timelike,
+        lambda dim, tau, x, L: np.where(tau > 5.0, late_f, 1.0)
+        * field(dim, tau, x, L)))
+    records = dict(zip(_LABELS, signalling.row_observables(s, None, tol)))
+    assert {label: (records[label].failure.reason,
+                    records[label].evaluations)
+            for label in expected} == expected
+    for label in expected:
+        assert math.isnan(records[label].value)
+
+
 def _row_from_public_routes(s, t, tol):
-    """(observables, status, failures) of a row assembled from one
-    public call per observable, the way a row reads them."""
-    obs, tags, failures = {}, [], []
+    """(outcomes, status, failures) of a row assembled from one public
+    call per observable, the way a row reads them: each outcome is the
+    Observable the call returns or the exception it raises."""
+    out, tags, failures = {}, [], []
     for label, call in (
         ("s2", lambda: s2_observable(s, t, tol)),
         ("hI_on", lambda: interaction_energy_observable(
@@ -317,34 +350,49 @@ def _row_from_public_routes(s, t, tol):
         ("hf_sig", lambda: field_energy_observable(s, t, tol)),
     ):
         try:
-            obs[label] = call()
+            out[label] = call()
         except QuadratureError as err:
+            out[label] = err
             tags.append(f"numerical:{label}")
             failures.append(f"{label}: {err.reason}: {err}")
-        except ValueError:
+        except ValueError as err:
+            out[label] = err
             tags.append(f"rejected:{label}")
-    return obs, ";".join(tags) or "ok", tuple(failures)
+    return out, ";".join(tags) or "ok", tuple(failures)
+
+
+def _raised(exc):
+    return type(exc), str(exc), getattr(exc, "reason", None)
 
 
 class TestSharedPass:
     """A row takes its observables from row_observables, s2 and hf_sig
     from one shared lag-quadrature pass; each must equal its own public
     route bit for bit: value, quad_error and evaluations, and on failure
-    the same status and message."""
+    a record holding what the route raises, the same status and the
+    same message."""
 
     @staticmethod
-    def assert_parity(s, tol=1e-8):
-        t = s.bob.window.t_off
-        obs, status, failures = _row_from_public_routes(s, t, tol)
-        assert signalling.row_observables(s, t, tol) == tuple(
-            obs[label] for label in ("s2", "hI_on", "hI_off", "hf_sig"))
-        row = compute_row(s, 0.0, None, tol)
-        assert (row.status, row.failures) == (status, failures)
-        assert row.s2 == obs["s2"].value
-        assert row.hf_sig == obs["hf_sig"].value
-        assert row.quad_error == (
-            obs["s2"].quad_error + obs["hI_on"].quad_error
-            + obs["hI_off"].quad_error + obs["hf_sig"].quad_error)
+    def assert_parity(s, t=None, tol=1e-8):
+        t = s.bob.window.t_off if t is None else t
+        out, status, failures = _row_from_public_routes(s, t, tol)
+        for label, record in zip(_LABELS,
+                                 signalling.row_observables(s, t, tol)):
+            if isinstance(out[label], Exception):
+                assert _raised(record.failure) == _raised(out[label])
+                assert math.isnan(record.value)
+            else:
+                assert record == out[label]
+        row = compute_row(s, 0.0, t, tol)
+        if s.report.ok:
+            assert (row.status, row.failures) == (status, failures)
+        if status == "ok":
+            assert row.s2 == out["s2"].value
+            assert row.hf_sig == out["hf_sig"].value
+            assert row.quad_error == (
+                out["s2"].quad_error + out["hI_on"].quad_error
+                + out["hI_off"].quad_error + out["hf_sig"].quad_error)
+        return row
 
     @pytest.mark.parametrize("s", [
         demo_scenario("2+1"),
@@ -361,24 +409,29 @@ class TestSharedPass:
             s = replace(s, bob=replace(s.bob, gap=s.alice.gap))
         self.assert_parity(s)
 
-    @pytest.mark.parametrize("gap_b,tol,reason", [
-        (1e5, 1e-8, "budget"),
-        (3.0, 1e-16, "roundoff"),
-    ])
-    def test_failing_rows(self, gap_b, tol, reason, monkeypatch):
+    @pytest.mark.parametrize("s,t,tol,status,reason", [
+        (make_scenario("2+1", gap_b=1e5), 8.0, 1e-8,
+         "numerical:s2;numerical:hf_sig", "budget"),
+        (demo_scenario("2+1"), 8.0, 1e-16,
+         "numerical:s2;numerical:hI_on;numerical:hI_off;numerical:hf_sig",
+         "roundoff"),
+        (make_scenario("3+1", L=6.0), 8.0, 1e-8,
+         "rejected:s2;rejected:hI_off;rejected:hf_sig", None),
+        (make_scenario("2+1", L=6.0), 8.0, 1e-8, "rejected:hf_sig", None),
+        (demo_scenario("2+1"), 4.0, 1e-8,
+         "rejected:s2;rejected:hI_off;rejected:hf_sig", None),
+        (make_scenario("2+1", gap_b=-1.0), 8.0, 1e-8, "invalid-scenario",
+         None),
+    ], ids=["100000.0-1e-08-budget", "3.0-1e-16-roundoff",
+            "3p1-crossing-s2", "2p1-crossing-hf_sig",
+            "before-bob-switch-on", "invalid-scenario"])
+    def test_failing_rows(self, s, t, tol, status, reason, monkeypatch):
         # on GK panels alone the gap-1e5 row runs out of budget
         monkeypatch.setattr(signalling, "_STEEPEST_DESCENT_PERIODS", math.inf)
-        s = demo_scenario("2+1")
-        s = replace(s, bob=replace(s.bob, gap=gap_b))
-        t = s.bob.window.t_off
-        _, status, failures = _row_from_public_routes(s, t, tol)
-        assert [f.split(": ")[:2] for f in failures
-                if f.startswith(("s2", "hf_sig"))] \
-            == [["s2", reason], ["hf_sig", reason]]
-        row = compute_row(s, 0.0, None, tol)
-        assert (row.status, row.failures) == (status, failures)
-        s2, _, _, hf = signalling.row_observables(s, t, tol)
-        assert [type(s2), type(hf)] == [QuadratureError] * 2
+        row = self.assert_parity(s, t, tol)
+        assert row.status == status
+        assert {line.split(": ")[1] for line in row.failures} \
+            == ({reason} if reason else set())
 
 
 def test_failing_integrand_leaves_its_partner(monkeypatch):
@@ -390,9 +443,9 @@ def test_failing_integrand_leaves_its_partner(monkeypatch):
     s = demo_scenario("2+1")
     t = s.bob.window.t_off
     s2, _, _, hf = signalling.row_observables(s, t, 1e-8)
-    assert isinstance(hf, QuadratureError)
-    assert hf.reason == "non-finite"
-    assert "on the lag piece [2.0, 5.0]:" in str(hf)
+    assert isinstance(hf.failure, QuadratureError)
+    assert hf.failure.reason == "non-finite"
+    assert "on the lag piece [2.0, 5.0]:" in str(hf.failure)
     assert s2 == s2_observable(s, t, 1e-8)
     row = compute_row(s, 0.0, None, 1e-8)
     assert row.status == "numerical:hf_sig"
@@ -414,8 +467,8 @@ def test_failed_pick_is_not_integrated_on_later_pieces(monkeypatch):
     monkeypatch.setattr(signalling, "_integrate_shared", spied)
     s2, hf = _s2_and_hf(demo_scenario("2+1"), None, 1e-8)
     assert sizes == [2, 1]
-    assert isinstance(hf, QuadratureError)
-    assert isinstance(s2, signalling.Observable)
+    assert isinstance(hf.failure, QuadratureError)
+    assert s2.failure is None
 
 
 def test_failed_lag_integral_carries_no_best():
@@ -682,7 +735,7 @@ def test_1p1_rows_against_references(s, refs):
         bal = energy_balance(s)
         assert abs(bal.residual) <= bal.quad_error
     else:
-        assert isinstance(hf, InvalidScenarioError)
+        assert isinstance(hf.failure, InvalidScenarioError)
 
 
 def test_1p1_rows_never_reach_the_lag_quadrature(monkeypatch):
@@ -695,7 +748,7 @@ def test_1p1_rows_never_reach_the_lag_quadrature(monkeypatch):
               _with_gap(demo_scenario("1+1"), "alice", 1e5)):
         for t in (None, 6.5, 4.0):
             for obs in signalling.row_observables(s, t, 1e-8):
-                assert isinstance(obs, ValueError) or obs.evaluations == 0
+                assert obs.evaluations == 0
 
 
 class TestInteractionEnergy:
@@ -810,12 +863,12 @@ class TestRouteRule:
                           gap_a=1e300)
         s2, hi_on, hi_off, hf = signalling.row_observables(s, None, 1e-8)
         for obs in (s2, hi_on, hi_off):
-            assert isinstance(obs, QuadratureError)
-            assert obs.reason == reason
+            assert isinstance(obs.failure, QuadratureError)
+            assert obs.failure.reason == reason
         if dim == "1+1":
             assert hf == signalling.Observable(0.0, 0.0, 0)
         else:
-            assert isinstance(hf, QuadratureError)
+            assert isinstance(hf.failure, QuadratureError)
 
     @pytest.mark.parametrize("dim", ["1+1", "2+1", "3+1"])
     @pytest.mark.parametrize("t", [5.5, 5.0])
@@ -832,8 +885,8 @@ class TestRouteRule:
     def test_region_reaching_the_cone_still_rejects(self, dim):
         s2, _, _, hf = signalling.row_observables(
             make_scenario(dim, L=6.0), 8.0, 1e-8)
-        assert isinstance(hf, InvalidScenarioError)
-        assert isinstance(s2, InvalidScenarioError) == (dim == "3+1")
+        assert isinstance(hf.failure, InvalidScenarioError)
+        assert isinstance(s2.failure, InvalidScenarioError) == (dim == "3+1")
 
 
 class TestFieldEnergy:
@@ -900,19 +953,18 @@ class TestEnergyBalance:
             energy_balance(make_scenario("2+1", b_win=(3.5, 6.5)))
 
     def test_raises_the_first_failure(self, monkeypatch):
-        # the row's outcomes are checked in the order s2, hf_sig, hI_on,
-        # hI_off: with that one and every later one failed, it is raised
+        # the row's records are checked in the order s2, hf_sig, hI_on,
+        # hI_off: with that one and every later one failed, its failure
+        # is raised
         s = demo_scenario("2+1")
-        row = dict(zip(("s2", "hI_on", "hI_off", "hf_sig"),
-                       signalling.row_observables(s, None, 1e-8)))
+        row = dict(zip(_LABELS, signalling.row_observables(s, None, 1e-8)))
         order = ["s2", "hf_sig", "hI_on", "hI_off"]
         for k, first in enumerate(order):
-            outcomes = dict(row, **{label: QuadratureError(label, "budget")
-                                    for label in order[k:]})
+            records = dict(row, **{label: signalling._failed(
+                QuadratureError(label, "budget")) for label in order[k:]})
             monkeypatch.setattr(
-                signalling, "row_observables", lambda *args: tuple(
-                    outcomes[label]
-                    for label in ("s2", "hI_on", "hI_off", "hf_sig")))
+                signalling, "row_observables",
+                lambda *args: tuple(records[label] for label in _LABELS))
             with pytest.raises(QuadratureError, match=f"^{first}$"):
                 energy_balance(s, 1e-8)
 
