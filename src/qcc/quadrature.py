@@ -93,8 +93,12 @@ for _i, _w in zip((1, 3, 5), _WG[:3]):
     _WGAUSS[_i] = _w
     _WGAUSS[14 - _i] = _w
 _WGAUSS[7] = _WG[3]
+# Both rules' weights, stacked: one product and one sum give k15 and g7.
+_WKG = np.stack([_WK, _WGAUSS])
 
 _EPS = np.finfo(float).eps
+# A rule's roundoff floor is _FLOOR * resabs (QUADPACK's 50*eps*resabs).
+_FLOOR = 50.0 * float(_EPS)
 _DEFAULT_BUDGET = 1_000_000
 
 # Nodes and weights of the 16- and 24-point Gauss-Laguerre rules on
@@ -138,8 +142,10 @@ _LAGUERRE_W24 = np.array([
     5.350188813010104e-18, 2.0105174645555705e-20, 3.6057658645529064e-23,
     2.451818845878714e-26, 4.08830159368094e-30, 5.575345788327942e-35,
 ])
-_LAGUERRE_RULES = ((_LAGUERRE_X16, _LAGUERRE_W16),
-                   (_LAGUERRE_X24, _LAGUERRE_W24))
+# Both rules' nodes, and their weights at the two ends of an interval, in
+# the order _steepest_descent lays out its abscissae.
+_LAGUERRE_NODES = np.concatenate([_LAGUERRE_X16, _LAGUERRE_X24])
+_LAGUERRE_WEIGHTS = np.concatenate([_LAGUERRE_W16, _LAGUERRE_W24] * 2)
 
 TOL_ENV_VAR = "QCC_QUAD_TOL"
 DEFAULT_TOL = 1e-8
@@ -202,17 +208,21 @@ class QuadratureError(Exception):
     A failure on one part of a larger integral carries None, since the
     part's estimate is not the whole's: an inner integral of
     :func:`integrate_2d_rect`, or a lag piece of a signalling observable.
+    ``evaluations`` counts the integrand evaluations spent before the
+    failure, with or without a ``best``; an initial panelling refused on
+    its budget spends none.
     """
 
     REASONS = ("budget", "roundoff", "non-finite", "unsplittable")
 
     def __init__(self, message: str, reason: str,
-                 best: Optional[QuadResult] = None):
+                 best: Optional[QuadResult] = None, evaluations: int = 0):
         if reason not in self.REASONS:
             raise ValueError(f"unknown quadrature failure reason {reason!r}")
         super().__init__(message)
         self.reason = reason
         self.best = best
+        self.evaluations = evaluations
 
 
 def _panel_nodes(edges):
@@ -220,45 +230,51 @@ def _panel_nodes(edges):
     panel by panel, plus each panel's half width."""
     lefts, rights = edges[:-1], edges[1:]
     halves = 0.5 * (rights - lefts)
-    pts = (0.5 * (lefts + rights))[:, None] + halves[:, None] * _NODES[None, :]
+    pts = (0.5 * (lefts + rights))[:, None] + halves[:, None] * _NODES
     return pts.ravel(), halves
 
 
-def _panel_rules(vals, flat, halves):
+def _panel_rules(vals, flat, halves, spent):
     """Apply the GK15 pair to integrand values at the ``flat`` nodes.
 
     Returns (k15, err, at_floor) arrays, one entry per panel.  ``err`` is
     the Kronrod-Gauss difference, raised to the roundoff floor
     50*eps*resabs; ``at_floor`` marks the panels whose difference is
     already at or below that floor, so that bisecting them cannot lower
-    their error.
+    their error.  A nan or inf value fails with reason "non-finite",
+    naming the first such node and counting the ``spent`` evaluations.
     """
     vals = np.asarray(vals, dtype=float)
     if vals.shape != flat.shape:
         raise ValueError(
             f"integrand returned shape {vals.shape}, expected {flat.shape}"
         )
-    if not np.all(np.isfinite(vals)):
-        bad = flat[~np.isfinite(vals)][0]
-        raise QuadratureError(
-            f"integrand returned a non-finite value near t={bad!r}; "
-            "an endpoint singularity must be substituted away first",
-            "non-finite",
-        )
-    vals = vals.reshape(-1, 15)
-    k15 = halves * (vals * _WK).sum(axis=1)
-    g7 = halves * (vals * _WGAUSS).sum(axis=1)
-    resabs = halves * (np.abs(vals) * _WK).sum(axis=1)
+    panels = vals.reshape(-1, 15)
+    # A nan or inf value makes its panel's resabs nan or inf without a
+    # warning, before any sum that could warn on it (inf - inf); the
+    # nodes are scanned only then, since finite values can overflow too.
+    resabs = halves * (np.abs(panels) * _WK).sum(axis=1)
+    if not math.isfinite(resabs.max()):
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise QuadratureError(
+                f"integrand returned a non-finite value near "
+                f"t={flat[bad][0]!r}; an endpoint singularity must be "
+                "substituted away first",
+                "non-finite", evaluations=spent,
+            )
+    k15, g7 = halves * (panels[:, None] * _WKG).sum(axis=2).T
     diff = np.abs(k15 - g7)
-    floor = 50.0 * _EPS * resabs
+    floor = _FLOOR * resabs
     return k15, np.maximum(diff, floor), diff <= floor
 
 
 def _initial_edges(a, b, max_panel_width, budget):
     """Edges of the initial panelling of [a, b]: equal panels no wider
     than ``max_panel_width``; fails with reason "budget" when their
-    nodes alone would exceed ``budget``."""
-    n0 = 1.0  # a float, since the count can be inf; int() once it fits
+    nodes alone would exceed ``budget``.  For n panels the edges are
+    ``np.linspace(a, b, n + 1)``, by its own arithmetic."""
+    n0 = 1.0  # a float, since the count can be inf
     if max_panel_width is not None and max_panel_width > 0:
         n0 = max(1.0, np.ceil((b - a) / max_panel_width))
     if 15 * n0 > budget:
@@ -267,7 +283,12 @@ def _initial_edges(a, b, max_panel_width, budget):
             f"exceeding the budget of {budget}",
             "budget",
         )
-    return np.linspace(a, b, int(n0) + 1)
+    # linspace has a second branch for a step (b - a) / n0 that rounds to
+    # 0; here b - a is k times the smallest subnormal, with k >= n0 since
+    # max_panel_width is at least that subnormal, so the step is not 0
+    edges = np.arange(n0 + 1.0) * ((b - a) / n0) + a
+    edges[-1] = b
+    return edges
 
 
 def _adaptive(f, edges, initial, tol, budget):
@@ -288,9 +309,9 @@ def _adaptive(f, edges, initial, tol, budget):
     evaluations = 15 * n0
     running_err = float(err.sum())
     if running_err <= tol:
-        total_err = math.fsum(err)
+        total_err = math.fsum(err.tolist())
         if total_err <= tol:
-            return QuadResult(math.fsum(k15), total_err, evaluations)
+            return QuadResult(math.fsum(k15.tolist()), total_err, evaluations)
 
     # Heap entries: (-err, insertion order); the order makes ties
     # deterministic and is the key of the panel in ``panels``.
@@ -321,6 +342,7 @@ def _adaptive(f, edges, initial, tol, budget):
             f"{message} (error estimate {total_err:.3e} > tol {tol:.3e})",
             reason,
             best=QuadResult(value, total_err, evaluations),
+            evaluations=evaluations,
         )
 
     while True:
@@ -347,7 +369,7 @@ def _adaptive(f, edges, initial, tol, budget):
         del panels[key]
         flat, halves = _panel_nodes(np.array([pa, mid, pb]))
         evaluations += flat.size
-        ck15, cerr, cfloor = _panel_rules(f(flat), flat, halves)
+        ck15, cerr, cfloor = _panel_rules(f(flat), flat, halves, evaluations)
         running_err += cerr[0] + cerr[1] - perr
         add(pa, mid, ck15[0], cerr[0], cfloor[0])
         add(mid, pb, ck15[1], cerr[1], cfloor[1])
@@ -374,7 +396,7 @@ def _integrate_shared(f, n, a, b, tol, max_panel_width,
     results = []
     for i in range(n):
         try:
-            initial = _panel_rules(vals[i], flat, halves)
+            initial = _panel_rules(vals[i], flat, halves, flat.size)
             vals[i] = None  # only the panel sums are kept while refining
             results.append(_adaptive(lambda t, i=i: f(t)[i],
                                      edges, initial, tol, budget))
@@ -383,13 +405,13 @@ def _integrate_shared(f, n, a, b, tol, max_panel_width,
     return results
 
 
-def _steepest_descent(g, n, omega, a, b):
-    """int_a^b g(t)[i] e^{i omega t} dt for each of ``n`` integrands, by
+def _steepest_descent(g, omega, a, b):
+    """int_a^b g(t)[i] e^{i omega t} dt for each integrand i of ``g``, by
     numerical steepest descent; ``omega`` > 0.
 
-    ``g(z)`` takes an ndarray of complex abscissae and returns ``n``
-    complex value arrays; each integrand must be analytic on and above
-    [a, b] and grow slower than e^{omega Im z}.  The integral is then
+    ``g(z)`` takes an ndarray of complex abscissae and returns one
+    complex value array per integrand; each must be analytic on and
+    above [a, b] and grow slower than e^{omega Im z}.  The integral is then
     H(a) - H(b), with H(x) = (i / omega) e^{i omega x}
     int_0^inf g(x + i p / omega) e^{-p} dp, done by Gauss-Laguerre at two
     orders.  Returns (values, errors, evaluations): the higher order's
@@ -403,25 +425,27 @@ def _steepest_descent(g, n, omega, a, b):
     rounded (``math.fsum``), so its result does not depend on the
     others.
     """
-    rules = _LAGUERRE_RULES
-    p = np.concatenate([nodes for nodes, _ in rules]) / omega
+    p = _LAGUERRE_NODES / omega
     vals = g(np.concatenate([a + 1j * p, b + 1j * p]))
-    ends = [(0, 1j * cmath.exp(1j * omega * a) / omega),
-            (p.size, -1j * cmath.exp(1j * omega * b) / omega)]
-    out = [[0j] * n for _ in rules]
-    resabs = [0.0] * n
-    for i in range(n):
+    ends = ((0, 1j * cmath.exp(1j * omega * a) / omega),
+            (p.size, -1j * cmath.exp(1j * omega * b) / omega))
+    m = _LAGUERRE_X16.size  # each end's abscissae: the low order's m first
+    values, errors = [], []
+    for v in vals:
+        wv = _LAGUERRE_WEIGHTS * v
+        re, im, mag = wv.real.tolist(), wv.imag.tolist(), np.abs(wv).tolist()
+        low = high = 0j
+        resabs = 0.0
         for start, scale in ends:
-            for q, (nodes, weights) in zip(out, rules):
-                wv = weights * vals[i][start:start + nodes.size]
-                q[i] += scale * complex(math.fsum(wv.real),
-                                        math.fsum(wv.imag))
-                start += nodes.size
-            # wv is the higher order's
-            resabs[i] += math.fsum(np.abs(wv)) / omega
-    low, high = out
-    return (high, [max(abs(h - l), 50.0 * float(_EPS) * r)
-                   for h, l, r in zip(high, low, resabs)], 2 * p.size)
+            mid, end = start + m, start + p.size
+            low += scale * complex(math.fsum(re[start:mid]),
+                                   math.fsum(im[start:mid]))
+            high += scale * complex(math.fsum(re[mid:end]),
+                                    math.fsum(im[mid:end]))
+            resabs += math.fsum(mag[mid:end]) / omega
+        values.append(high)
+        errors.append(max(abs(high - low), _FLOOR * resabs))
+    return values, errors, 2 * p.size
 
 
 def integrate_1d(
@@ -596,7 +620,8 @@ def integrate_2d_rect(
             except QuadratureError as err:
                 raise QuadratureError(
                     f"inner integral at x={x!r} over y in [{lo!r}, {hi!r}] "
-                    f"failed: {err}", err.reason
+                    f"failed: {err}", err.reason,
+                    evaluations=spent + err.evaluations,
                 ) from err
             spent += res.evaluations
             err_here += res.abs_error_estimate

@@ -236,9 +236,6 @@ def detector_bias(d: DetectorSpec, t: ArrayOrFloat) -> ArrayOrFloat:
     leading-order signalling integrand; it is bounded by |alpha||beta| and
     periodic in t with period 2 pi / Omega.  Accepts scalars or arrays.
     """
-    coeff = _bias_coeff(d)
     t_arr = np.asarray(t, dtype=float)
-    out = np.real(coeff * np.exp(1j * d.gap * t_arr))
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
-    return out
+    out = (_bias_coeff(d) * np.exp(1j * d.gap * t_arr)).real
+    return float(out) if t_arr.ndim == 0 else out

@@ -60,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from . import greens
-from .quadrature import (DEFAULT_TOL, QuadratureError, QuadResult,
+from .quadrature import (_EPS, DEFAULT_TOL, QuadratureError, QuadResult,
                          _check_tol, _integrate_shared, _steepest_descent)
 from .scenario import (
     CausalClass,
@@ -181,11 +181,12 @@ def _window_correlation(s: Scenario, upper: float, picks):
         e_sum = np.exp(1j * (phase_a + phase_b))
         e_diff = np.exp(1j * (phase_a - phase_b))
         del phase_a, phase_b
-        sinc_sum = np.sinc((om_a + om_b) * w / (2.0 * math.pi))
-        sinc_diff = np.sinc((om_a - om_b) * w / (2.0 * math.pi))
+        sinc_sum = _sinc((om_a + om_b) * w / (2.0 * math.pi))
+        sinc_diff = _sinc((om_a - om_b) * w / (2.0 * math.pi))
+        half_w = 0.5 * w
         return [
-            0.5 * w * (np.real(c_sum * e_sum) * sinc_sum
-                       + np.real(c_diff * e_diff) * sinc_diff)
+            half_w * ((c_sum * e_sum).real * sinc_sum
+                      + (c_diff * e_diff).real * sinc_diff)
             for c_sum, c_diff in coeffs
         ]
 
@@ -235,6 +236,14 @@ def _window_correlation(s: Scenario, upper: float, picks):
 
     times = (a_on, a_off, b_on, upper)
     return corr, terms if _phases_finite(s, times) else None
+
+
+def _sinc(x):
+    """np.sinc(x) of a float array, by its own arithmetic: sin(pi x) /
+    (pi x), with pi x replaced by eps where it is 0."""
+    x = math.pi * x
+    y = np.where(x, x, _EPS)
+    return np.sin(y) / y
 
 
 def _unit(z):
@@ -294,9 +303,10 @@ def _oscillatory_piece(L, picks, terms, a, b, tol):
     numerical steepest descent against the continued kernels; the rest
     form a slowly varying remainder, which GK integrates against the
     real-axis kernels on panels a quarter period of its own top
-    frequency, to half of ``tol``.  Returns, per pick, a QuadResult, or
-    None when the remainder fails or the summed error estimate exceeds
-    ``tol``: the caller then redoes that pick's piece on the GK path.
+    frequency, to half of ``tol``.  Returns, per pick, a QuadResult, or,
+    when the remainder fails or the summed error estimate exceeds
+    ``tol``, the number of evaluations the attempt spent: the caller then
+    redoes that pick's piece on the GK path and counts them.
     """
     n = len(picks)
     kernels = [_TIMELIKE[p] for p in picks]
@@ -316,7 +326,7 @@ def _oscillatory_piece(L, picks, terms, a, b, tol):
                     * sum(c[i] * A for A, (_, c) in zip(amps, group))
                     for i, k in enumerate(continued)]
 
-        moments, errors, count = _steepest_descent(g, n, om, a, b)
+        moments, errors, count = _steepest_descent(g, om, a, b)
         for i in range(n):
             values[i].append(moments[i].real)
             err[i] += errors[i]
@@ -335,14 +345,14 @@ def _oscillatory_piece(L, picks, terms, a, b, tol):
         width = (2.0 * math.pi / top) / 4.0 if top > 0 else None
         for i, res in enumerate(_integrate_shared(remainder, n, a, b,
                                                   0.5 * tol, width)):
+            evals[i] += res.evaluations
             if isinstance(res, QuadratureError):
                 err[i] = math.inf
                 continue
             values[i].append(res.value)
             err[i] += res.abs_error_estimate
-            evals[i] += res.evaluations
     return [QuadResult(math.fsum(values[i]), err[i], evals[i])
-            if err[i] <= tol else None for i in range(n)]
+            if err[i] <= tol else evals[i] for i in range(n)]
 
 
 def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
@@ -368,7 +378,8 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
     Any other 2+1D piece that spans at least _STEEPEST_DESCENT_PERIODS
     periods of ``omega`` is first offered to :func:`_oscillatory_piece`,
     with the terms built for that piece only, when there are terms; each
-    pick it returns None for is integrated on GK panels as above.
+    pick it hands back is integrated on GK panels as above, and counts
+    the evaluations of both attempts.
 
     This is the shared pass: on each piece all integrands are evaluated
     on the initial nodes in one call, then each is refined on its own,
@@ -377,7 +388,8 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
     is split across the pieces.  An integrand that fails on a piece is
     not integrated on later pieces: its record fails with a
     QuadratureError naming ``tol``, with no ``best``, and counts the
-    evaluations of the earlier pieces and of the failed attempt.
+    evaluations of the earlier pieces and of the failed attempt, nodes
+    whose values were not finite included.
     Returns one Observable per integrand.
     """
     n = len(picks)
@@ -400,11 +412,15 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
         results = {}
         if terms is not None and dim is Dimension.D2p1 and not on_cone \
                 and omega * (b - a) >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
-            results = dict(zip(todo, _oscillatory_piece(
-                L, [picks[i] for i in todo],
-                [(om, amp, [cs[i] for i in todo])
-                 for om, amp, cs in terms(a, b)], a, b, piece_tol)))
-        redo = [i for i in todo if results.get(i) is None]
+            for i, res in zip(todo, _oscillatory_piece(
+                    L, [picks[i] for i in todo],
+                    [(om, amp, [cs[i] for i in todo])
+                     for om, amp, cs in terms(a, b)], a, b, piece_tol)):
+                if isinstance(res, QuadResult):
+                    results[i] = res
+                else:  # handed back after spending res evaluations
+                    evals[i] += res
+        redo = [i for i in todo if i not in results]
         ends, piece_width = (a, b), width
         if on_cone:
             end = b if a == L else a
@@ -426,13 +442,13 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
                 f, len(redo), *ends, piece_tol, piece_width)))
         for i, res in results.items():
             if isinstance(res, QuadratureError):
+                spent = evals[i] + res.evaluations
                 exc = QuadratureError(
                     f"tol {tol:.3e} not reached on the lag piece "
-                    f"[{a!r}, {b!r}]: {res}", res.reason,
+                    f"[{a!r}, {b!r}]: {res}", res.reason, evaluations=spent,
                 )
                 exc.__cause__ = res
-                failed[i] = _failed(exc, evals[i] + (
-                    res.best.evaluations if res.best else 0))
+                failed[i] = _failed(exc, spent)
                 continue
             values[i].append(res.value)
             err[i] += res.abs_error_estimate

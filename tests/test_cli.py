@@ -811,6 +811,9 @@ class TestEntryPoints:
                     if line.startswith("import time:")]
         assert "qcc.validation" in imported
         assert "qcc.cli" not in imported
+        # the seeded checks draw from random.Random: numpy.random would
+        # cost megabytes and milliseconds that nothing else in qcc needs
+        assert "numpy.random" not in imported
 
     @pytest.mark.skipif(shutil.which("qcc") is None,
                         reason="console script not on PATH")

@@ -1,10 +1,12 @@
 """Tests for the adaptive quadrature layer."""
 
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import demo_scenario
@@ -19,6 +21,10 @@ from qcc.quadrature import (
 )
 from qcc.scenario import Dimension
 from qcc.validation import _poly_cos_integral
+
+# The rules' arithmetic is ordered so that a nan or inf value is caught
+# before it can meet another (inf - inf); no test here may warn.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # (f, a, b, exact) with exact from elementary antiderivatives
 KNOWN_INTEGRALS = [
@@ -130,7 +136,8 @@ class TestConvergedInitialPanelling:
         a, b, width = 0.0, 6.0, 0.3
         n0 = math.ceil((b - a) / width)
         flat, halves = quadrature._panel_nodes(np.linspace(a, b, n0 + 1))
-        k15, err, _ = quadrature._panel_rules(self.f(flat), flat, halves)
+        k15, err, _ = quadrature._panel_rules(self.f(flat), flat, halves,
+                                              flat.size)
         res = integrate_1d(self.f, a, b, 1e-8, max_panel_width=width)
         assert res.evaluations == 15 * n0
         assert res.value == math.fsum(k15)
@@ -142,6 +149,141 @@ class TestConvergedInitialPanelling:
         assert res.evaluations > 15
         assert res.abs_error_estimate <= 1e-10
         assert abs(res.value - 2.0 / 3.0) <= 1e-10
+
+
+_LAGUERRE_RULES = ((quadrature._LAGUERRE_X16, quadrature._LAGUERRE_W16),
+                   (quadrature._LAGUERRE_X24, quadrature._LAGUERRE_W24))
+
+
+def _three_sums(vals, halves):
+    """GK15 on the panels, one weighted sum per rule and one for resabs:
+    what _panel_rules computes, the plain way."""
+    vals = vals.reshape(-1, 15)
+    k15 = halves * (vals * quadrature._WK).sum(axis=1)
+    g7 = halves * (vals * quadrature._WGAUSS).sum(axis=1)
+    resabs = halves * (np.abs(vals) * quadrature._WK).sum(axis=1)
+    diff = np.abs(k15 - g7)
+    floor = 50.0 * quadrature._EPS * resabs
+    return k15, np.maximum(diff, floor), diff <= floor
+
+
+def _steepest_descent_per_slice(g, n, omega, a, b):
+    """_steepest_descent, one weighted slice per integrand, end and
+    order."""
+    rules = _LAGUERRE_RULES
+    p = np.concatenate([nodes for nodes, _ in rules]) / omega
+    vals = g(np.concatenate([a + 1j * p, b + 1j * p]))
+    ends = [(0, 1j * cmath.exp(1j * omega * a) / omega),
+            (p.size, -1j * cmath.exp(1j * omega * b) / omega)]
+    out = [[0j] * n for _ in rules]
+    resabs = [0.0] * n
+    for i in range(n):
+        for start, scale in ends:
+            for q, (nodes, weights) in zip(out, rules):
+                wv = weights * vals[i][start:start + nodes.size]
+                q[i] += scale * complex(math.fsum(wv.real),
+                                        math.fsum(wv.imag))
+                start += nodes.size
+            resabs[i] += math.fsum(np.abs(wv)) / omega
+    low, high = out
+    return (high, [max(abs(h - l), 50.0 * float(quadrature._EPS) * r)
+                   for h, l, r in zip(high, low, resabs)], 2 * p.size)
+
+
+def _same_bytes(got, want):
+    return all(np.asarray(x).tobytes() == np.asarray(y).tobytes()
+               for x, y in zip(got, want, strict=True))
+
+
+# limits whose n steps of (b - a) / n stay finite, as linspace needs
+_LIMIT = st.floats(-1e300, 1e300)
+
+
+class TestLeanPasses:
+    """The passes of one GK15 panelling compute what the plain numpy
+    formulations compute, to the bit."""
+
+    @given(a=_LIMIT, b=_LIMIT, n=st.integers(1, 1000))
+    @example(a=0.0, b=7 * 5e-324, n=7)  # a subnormal step
+    @example(a=-1.0, b=2.0, n=1)
+    @settings(max_examples=200, deadline=None)
+    def test_initial_edges_are_linspace(self, a, b, n):
+        assume(a < b)
+        edges = quadrature._initial_edges(a, b, (b - a) / n, 10 ** 9)
+        assert _same_bytes([edges], [np.linspace(a, b, edges.size)])
+
+    def test_one_initial_panel(self):
+        edges = quadrature._initial_edges(-1.0, 2.0, None, 15)
+        assert _same_bytes([edges], [np.linspace(-1.0, 2.0, 2)])
+
+    @given(n=st.integers(1, 8), data=st.data(),
+           lo=st.floats(-1e3, 1e3), width=st.floats(1e-6, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_panel_rules_are_the_three_sums(self, n, data, lo, width):
+        flat, halves = quadrature._panel_nodes(
+            np.linspace(lo, lo + width, n + 1))
+        vals = np.array(data.draw(st.lists(
+            st.floats(-1e300, 1e300), min_size=flat.size,
+            max_size=flat.size)))
+        assert _same_bytes(
+            quadrature._panel_rules(vals, flat, halves, flat.size),
+            _three_sums(vals, halves))
+
+    @given(n=st.integers(1, 4), data=st.data(),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=100, deadline=None)
+    def test_panel_rules_name_the_first_non_finite_node(self, n, data, bad):
+        flat, halves = quadrature._panel_nodes(np.linspace(0.0, 3.0, n + 1))
+        vals = np.cos(flat)
+        first = data.draw(st.integers(0, flat.size - 1))
+        later = data.draw(st.integers(first, flat.size - 1))
+        vals[later] = data.draw(st.sampled_from([math.nan, math.inf,
+                                                 -math.inf]))
+        vals[first] = bad
+        with pytest.raises(QuadratureError) as excinfo:
+            quadrature._panel_rules(vals, flat, halves, 45)
+        assert excinfo.value.reason == "non-finite"
+        assert f"near t={flat[first]!r};" in str(excinfo.value)
+        assert excinfo.value.evaluations == 45
+        assert excinfo.value.best is None
+
+    def test_opposite_infinities_in_one_panel(self):
+        # their weighted sum alone would be inf - inf
+        flat, halves = quadrature._panel_nodes(np.array([0.0, 1.0, 2.0]))
+        vals = np.ones(flat.size)
+        vals[17], vals[20] = math.inf, -math.inf
+        with pytest.raises(QuadratureError,
+                           match=re.escape(f"near t={flat[17]!r};")):
+            quadrature._panel_rules(vals, flat, halves, 30)
+
+    def test_overflowing_resabs_is_no_failure(self):
+        # finite values of 1.5e308 whose |sum| overflows while their
+        # signed sums cancel: only a value that is not finite fails.  The
+        # overflow of resabs warns in any formulation, so it is let pass
+        flat, halves = quadrature._panel_nodes(np.array([-1.0, 1.0]))
+        vals = 1.5e308 * np.sign(flat)
+        with np.errstate(over="ignore"):
+            got = quadrature._panel_rules(vals, flat, halves, 15)
+            assert _same_bytes(got, _three_sums(vals, halves))
+        k15, err, at_floor = got
+        assert math.isfinite(k15[0]) and err[0] == math.inf and at_floor[0]
+
+    @given(omega=st.floats(1e-3, 1e6), a=st.floats(-1e3, 1e3),
+           width=st.floats(1e-3, 1e3), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_steepest_descent_is_the_per_slice_sums(self, omega, a, width,
+                                                    data):
+        coefs = data.draw(st.lists(st.complex_numbers(
+            max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=3))
+        b = a + width
+
+        def g(z):
+            return [c / (z - a + 1j) ** k for k, c in enumerate(coefs)]
+
+        got = quadrature._steepest_descent(g, omega, a, b)
+        want = _steepest_descent_per_slice(g, len(coefs), omega, a, b)
+        assert got == want
 
 
 class TestRoundoffFloor:
@@ -259,7 +401,7 @@ def test_env_var_overrides_default_tolerance(monkeypatch):
             default_tolerance()
 
 
-@pytest.mark.parametrize("rule", quadrature._LAGUERRE_RULES,
+@pytest.mark.parametrize("rule", _LAGUERRE_RULES,
                          ids=["16", "24"])
 def test_laguerre_tables_are_laggauss(rule):
     # the literal tables are laggauss's output; another LAPACK may move a

@@ -308,33 +308,40 @@ def test_production_evaluation_counts_pinned(s, expected):
 _LABELS = ("s2", "hI_on", "hI_off", "hf_sig")
 
 
-@pytest.mark.parametrize("s,tol,late_f,expected", [
-    (demo_scenario("2+1"), 1e-16, 1.0,
+@pytest.mark.parametrize("s,tol,f_factor,expected", [
+    (demo_scenario("2+1"), 1e-16, None,
      {"s2": ("roundoff", 90), "hI_on": ("roundoff", 90),
       "hI_off": ("roundoff", 90), "hf_sig": ("roundoff", 90)}),
-    (make_scenario("2+1", L=6.0, gap_b=1e5), 1e-8, 1.0,
+    (make_scenario("2+1", L=6.0, gap_b=1e5), 1e-8, None,
      {"s2": ("budget", 0)}),
-    (demo_scenario("2+1"), 1e-8, 1e12, {"hf_sig": ("roundoff", 180)}),
-], ids=["demo-tol1e-16", "2p1-crossing-bob-gap1e5", "demo-late-piece"])
-def test_failed_observables_keep_their_evaluations(s, tol, late_f, expected,
-                                                   monkeypatch):
+    (demo_scenario("2+1"), 1e-8, lambda tau: np.where(tau > 5.0, 1e12, 1.0),
+     {"hf_sig": ("roundoff", 180)}),
+    (demo_scenario("2+1"), 1e-8, lambda tau: math.nan,
+     {"hf_sig": ("non-finite", 90)}),
+], ids=["demo-tol1e-16", "2p1-crossing-bob-gap1e5", "demo-late-piece",
+        "demo-non-finite-F"])
+def test_failed_observables_keep_their_evaluations(s, tol, f_factor,
+                                                   expected, monkeypatch):
     # each demo observable fails on its first lag piece after the 90
     # evaluations of its attempt there; the crossing row's s2 piece is
     # refused its initial panelling before any evaluation.  F scaled by
-    # late_f = 1e12 beyond lag 5 leaves hf_sig's first piece, [2, 5], as
-    # it is and puts its second, [5, 8], below the roundoff floor: 90
-    # evaluations on each
+    # 1e12 beyond lag 5 leaves hf_sig's first piece, [2, 5], as it is and
+    # puts its second, [5, 8], below the roundoff floor: 90 evaluations
+    # on each.  A nan F fails hf_sig on the first piece's 90 initial
+    # nodes, which count although no estimate came of them
     field = greens.field_energy_timelike
-    monkeypatch.setattr(signalling, "_TIMELIKE", (
-        greens.commutator_timelike,
-        lambda dim, tau, x, L: np.where(tau > 5.0, late_f, 1.0)
-        * field(dim, tau, x, L)))
+    if f_factor is not None:
+        monkeypatch.setattr(signalling, "_TIMELIKE", (
+            greens.commutator_timelike,
+            lambda dim, tau, x, L: f_factor(tau) * field(dim, tau, x, L)))
     records = dict(zip(_LABELS, signalling.row_observables(s, None, tol)))
     assert {label: (records[label].failure.reason,
                     records[label].evaluations)
             for label in expected} == expected
     for label in expected:
         assert math.isnan(records[label].value)
+        assert records[label].failure.evaluations \
+            == records[label].evaluations
 
 
 def _row_from_public_routes(s, t, tol):
@@ -469,6 +476,15 @@ def test_failed_pick_is_not_integrated_on_later_pieces(monkeypatch):
     assert sizes == [2, 1]
     assert isinstance(hf.failure, QuadratureError)
     assert s2.failure is None
+
+
+@given(x=st.lists(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+                 min_size=1, max_size=20))
+@settings(max_examples=50, deadline=None)
+def test_window_sinc_is_numpy_sinc(x):
+    # the window correlation computes np.sinc by its own arithmetic
+    x = np.array(x)
+    assert signalling._sinc(x).tobytes() == np.sinc(x).tobytes()
 
 
 def test_failed_lag_integral_carries_no_best():
@@ -672,24 +688,31 @@ class TestSteepestDescentRoute:
         # the first lag piece, [L + 1e-3, L + 3 + 1e-3], spans 143
         # periods of Om_B = 300 but starts 0.3 / Om_B from the kernels'
         # branch point: its estimate misses tol and it is redone on GK.
-        # The other piece is sent to GK as well, so the row is GK's.
+        # The other piece is handed to GK unattempted, so the row has
+        # GK's values, and its counts add the abandoned attempt's.
         s = make_scenario("2+1", b_win=(4.001, 7.001), gap_b=300.0)
         first = s.bob.window.t_on - s.alice.window.t_off
         offered = []
         piece = signalling._oscillatory_piece
 
         def only_first(L, picks, terms, a, b, tol):
-            res = piece(L, picks, terms, a, b, tol)
             if a != first:
-                return [None] * len(res)
-            offered.append(tuple(res))
+                return [0] * len(picks)
+            res = piece(L, picks, terms, a, b, tol)
+            offered.append(res)
             return res
 
         monkeypatch.setattr(signalling, "_oscillatory_piece", only_first)
         t = s.bob.window.t_off
         pair = _s2_and_hf(s, t, 1e-8)
-        assert offered == [(None, None)]
-        assert pair == _with_periods(math.inf, _s2_and_hf, s, t, 1e-8)
+        gk = _with_periods(math.inf, _s2_and_hf, s, t, 1e-8)
+        (spent,) = offered
+        # two steepest-descent groups of 80 abscissae at least
+        assert all(type(k) is int and k >= 160 for k in spent)
+        for obs, ref, k in zip(pair, gk, spent):
+            assert (obs.value, obs.quad_error, obs.failure) \
+                == (ref.value, ref.quad_error, None)
+            assert obs.evaluations == ref.evaluations + k
 
 
 # 1+1D rows against references computed by hand with mpmath 1.3.0 at 40
