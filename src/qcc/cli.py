@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .channel import ChannelStats, channel_stats
-from .config import _fmt, load_config
+from .config import load_config
 from .quadrature import DEFAULT_TOL, QuadratureError, default_tolerance
 from .scenario import (
     Scenario,
@@ -50,6 +50,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_VALIDATION = 3
+
+
+def _fmt(x: float) -> str:
+    """A number as the CSV and the reports print it: 17 significant
+    digits, enough to parse back to the same float."""
+    return "%.17g" % x
 
 
 @dataclass(frozen=True)

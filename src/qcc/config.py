@@ -32,7 +32,7 @@ from .scenario import (
 )
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "load_config",
-           "serialize_config", "CONFIG_KEYS"]
+           "CONFIG_KEYS"]
 
 _DETECTOR_FIELDS = (
     "gap", "alpha_re", "alpha_im", "beta_re", "beta_im",
@@ -177,26 +177,3 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
     return parse_config(text, source=path)
 
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Round-trip serialization (17 significant digits)."""
-    s = cfg.scenario
-    out = [f"dimension = {s.dimension.value}"]
-    for who, det in (("alice", s.alice), ("bob", s.bob)):
-        out.append(f"{who}.gap = {_fmt(det.gap)}")
-        out.append(f"{who}.alpha_re = {_fmt(det.state.alpha.real)}")
-        out.append(f"{who}.alpha_im = {_fmt(det.state.alpha.imag)}")
-        out.append(f"{who}.beta_re = {_fmt(det.state.beta.real)}")
-        out.append(f"{who}.beta_im = {_fmt(det.state.beta.imag)}")
-        out.append(f"{who}.t_on = {_fmt(det.window.t_on)}")
-        out.append(f"{who}.t_off = {_fmt(det.window.t_off)}")
-        out.append(
-            f"{who}.position = " + " ".join(_fmt(x) for x in det.position)
-        )
-    out.append(f"lambda_product = {_fmt(cfg.lambda_product)}")
-    out.append(f"noise_R = {_fmt(cfg.noise_R)}")
-    return "\n".join(out) + "\n"

@@ -192,8 +192,15 @@ def _damped_level(dim: Dimension, tau: float, L: float,
         raise ValueError("3+1D momentum integral needs L > 0")
 
     def f(theta):
+        # a = tau - L cos(theta), with 1 - cos = 2 sin^2 and 1 + cos = 2 cos^2
+        # of theta/2: next to the cone, a ~ 0 is then not the difference of
+        # two numbers ~L, which loses ~eps L
+        if tau >= 0:
+            a = (tau - L) + 2.0 * L * np.sin(0.5 * theta) ** 2
+        else:
+            a = (tau + L) - 2.0 * L * np.cos(0.5 * theta) ** 2
         # times S_{n-1} / (2 pi)^n and the measure dtheta or sin(theta) dtheta
-        wave = radial(tau - L * np.cos(theta))
+        wave = radial(a)
         if n == 2:
             return wave / (2.0 * math.pi ** 2)
         return wave * np.sin(theta) / (4.0 * math.pi ** 2)
@@ -211,6 +218,17 @@ def _damped_level(dim: Dimension, tau: float, L: float,
     return parts
 
 
+# The value at eps = 0 of the polynomial through the levels (eps_j, v_j),
+# eps_j = c 2^-j, is sum w_j v_j whatever c, with the Lagrange weights
+# w_j = prod 2^j / (2^j - 2^k) over the other levels k: an integer ratio, so
+# each weight is correctly rounded.  The seven levels give the value, the
+# last six the residual.
+_WEIGHTS, _WEIGHTS_LAST = (
+    [2 ** (j * (len(ks) - 1))
+     / math.prod(2 ** j - 2 ** k for k in ks if k != j) for j in ks]
+    for ks in (range(7), range(1, 7)))
+
+
 def regularized_momentum_integral(dim: Dimension, tau: float,
                                   L: float) -> QuadResult:
     """Momentum integral of the field-energy kernel, by damping + extrapolation.
@@ -221,9 +239,11 @@ def regularized_momentum_integral(dim: Dimension, tau: float,
     large enough that the angular integrands, peaked with width ~eps, stay
     cheap to resolve.  Each level is exact in |k|, by quadrature over
     directions (:func:`_damped_level`); the sequence is then extrapolated
-    polynomially in eps to eps -> 0 with a Neville tableau.  The returned
-    error estimate is the last diagonal difference of the tableau plus
-    the propagated quadrature errors; the caller judges it.
+    polynomially in eps to eps -> 0, as the levels' sum with the fixed
+    weights ``_WEIGHTS``.  The returned error estimate is the distance to
+    the extrapolation from the last six levels plus the propagated
+    quadrature errors, sum |w_j| err_j, the exact bound of the weighted
+    sum; the caller judges it.
 
     This op is the oracle for :func:`field_energy_kernel`: it evaluates
     no closed form of F.  In 2+1D the limit
@@ -231,31 +251,13 @@ def regularized_momentum_integral(dim: Dimension, tau: float,
     integrals is what produces -|tau| / (2 pi (tau^2 - L^2)^{3/2}).
     """
     scale = abs(abs(tau) - L) or max(abs(tau), L, 1.0)
-    eps = [0.3 * scale * 0.5 ** j for j in range(7)]
-
-    levels = [_damped_level(dim, tau, L, e) for e in eps]
+    levels = [_damped_level(dim, tau, L, 0.3 * scale * 0.5 ** j)
+              for j in range(7)]
     values = [math.fsum(r.value for r in lv) for lv in levels]
-    quad_errors = [math.fsum(r.abs_error_estimate for r in lv) for lv in levels]
+    best = math.fsum(w * v for w, v in zip(_WEIGHTS, values))
+    residual = abs(best - math.fsum(
+        w * v for w, v in zip(_WEIGHTS_LAST, values[1:])))
+    quad_error = math.fsum(abs(w) * r.abs_error_estimate
+                           for w, lv in zip(_WEIGHTS, levels) for r in lv)
     evaluations = sum(r.evaluations for lv in levels for r in lv)
-
-    # Neville tableau in the variable eps, evaluated at eps = 0; a parallel
-    # tableau propagates the quadrature error bounds through the same
-    # linear combinations.
-    n = len(eps)
-    p = [values[:]]
-    q = [quad_errors[:]]
-    for j in range(1, n):
-        row_p, row_q = [], []
-        for i in range(j, n):
-            x_hi, x_lo = eps[i - j], eps[i]
-            denom = x_hi - x_lo
-            row_p.append((x_hi * p[j - 1][i - j + 1] - x_lo * p[j - 1][i - j]) / denom)
-            row_q.append(
-                (abs(x_hi) * q[j - 1][i - j + 1] + abs(x_lo) * q[j - 1][i - j])
-                / abs(denom)
-            )
-        p.append(row_p)
-        q.append(row_q)
-    best = p[-1][-1]
-    residual = abs(best - p[-2][-1])
-    return QuadResult(best, residual + q[-1][-1], evaluations)
+    return QuadResult(best, residual + quad_error, evaluations)

@@ -259,8 +259,8 @@ def _panel_rules(vals, flat, halves, spent):
         if bad.any():
             raise QuadratureError(
                 f"integrand returned a non-finite value near "
-                f"t={flat[bad][0]!r}; an endpoint singularity must be "
-                "substituted away first",
+                f"t={float(flat[bad][0])!r}; an endpoint singularity must "
+                "be substituted away first",
                 "non-finite", evaluations=spent,
             )
     k15, g7 = halves * (panels[:, None] * _WKG).sum(axis=2).T

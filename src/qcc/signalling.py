@@ -355,11 +355,11 @@ def _oscillatory_piece(L, picks, terms, a, b, tol):
             if err[i] <= tol else evals[i] for i in range(n)]
 
 
-def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
+def _lag_integrals(s, picks, weight, terms, omega, lo, hi, kinks, tol,
                    factor):
     """factor * int_lo^hi K_i(tau) W_i(tau) dtau over |tau| > L for each
-    pick i, on one node set: K_i is the pick's lag kernel and W_i its
-    weight.
+    pick i, on one node set: K_i is the pick's lag kernel in the
+    scenario's dimension, L its separation and W_i the pick's weight.
 
     ``weight(tau)`` returns one weight array per pick, and ``terms(a,
     b)`` the weights on the lag piece [a, b] as a sum of exponentials
@@ -393,6 +393,7 @@ def _lag_integrals(dim, L, picks, weight, terms, omega, lo, hi, kinks, tol,
     Returns one Observable per integrand.
     """
     n = len(picks)
+    dim, L = s.dimension, s.report.separation
     kernels = [_TIMELIKE[p] for p in picks]
     cuts = sorted({lo, hi} | {c for c in (-L, L, *kinks) if lo < c < hi})
     pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
@@ -490,9 +491,8 @@ def _correlation_observables(s, upper, picks, tol):
     b_on = s.bob.window.t_on
     corr, terms = _window_correlation(s, upper, picks)
     return _lag_integrals(
-        s.dimension, s.report.separation, picks, corr, terms,
-        max(s.alice.gap, s.bob.gap), b_on - a_off, upper - a_on,
-        (b_on - a_on, upper - a_off), tol, 4.0,
+        s, picks, corr, terms, max(s.alice.gap, s.bob.gap), b_on - a_off,
+        upper - a_on, (b_on - a_on, upper - a_off), tol, 4.0,
     )
 
 
@@ -516,7 +516,7 @@ def _change(c: complex, om: float, lo: float, hi: float) -> float:
             - (c * cmath.exp(1j * om * lo)).imag) / om
 
 
-def _s2_1p1(s: Scenario, L: float, upper: float) -> Observable:
+def _s2_1p1(s: Scenario, upper: float) -> Observable:
     """s2 in 1+1D up to ``upper``, for any windows, in closed form.
 
     D = 1/2 beyond the cone, so with Psi_A Alice's bias antiderivative
@@ -527,7 +527,7 @@ def _s2_1p1(s: Scenario, L: float, upper: float) -> Observable:
     difference form, whose sinc keeps it exact as Om_A -> Om_B.
     """
     a_on, a_off = s.alice.window.t_on, s.alice.window.t_off
-    b_on = s.bob.window.t_on
+    b_on, L = s.bob.window.t_on, s.report.separation
     times = (a_on, a_off, b_on, upper)
     if not _phases_finite(s, times):
         return _UNBOUNDED
@@ -628,7 +628,7 @@ def _correlations(s: Scenario, t: Optional[float], picks, tol: float):
     it leaves to the lag pass share it, which gives each the value,
     error and count of its own route."""
     try:
-        report = require_valid(s)
+        require_valid(s)
         upper = _bob_upper(s, t)
     except ValueError as exc:
         return [_failed(exc)] * len(picks)
@@ -636,7 +636,7 @@ def _correlations(s: Scenario, t: Optional[float], picks, tol: float):
     if upper == b_on:
         return [_ZERO] * len(picks)
     out = {p: _route(s, p, b_on - a.t_off, upper - a.t_on,
-                     lambda: _s2_1p1(s, report.separation, upper), tol)
+                     lambda: _s2_1p1(s, upper), tol)
            for p in picks}
     lag = [p for p in picks if out[p] is None]
     if lag:
@@ -700,8 +700,8 @@ def _interaction_lag(s: Scenario, t: float, tol: float) -> Observable:
     weight, terms = _interaction_weight(s, t)
     a = s.alice.window
     return _lag_integrals(
-        s.dimension, s.report.separation, [_S2], weight, terms, s.alice.gap,
-        t - a.t_off, t - a.t_on, (), tol, -4.0 * detector_bias(s.bob, t))[0]
+        s, [_S2], weight, terms, s.alice.gap, t - a.t_off, t - a.t_on, (),
+        tol, -4.0 * detector_bias(s.bob, t))[0]
 
 
 def field_energy_observable(

@@ -25,7 +25,6 @@ from qcc.cli import (
     compute_row,
     main,
 )
-from qcc.config import RunConfig, serialize_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DEMO_CFG = str(CONFIGS / "demo_2p1.cfg")
@@ -50,6 +49,16 @@ def stdout_floats(out):
         except ValueError:
             pass
     return values
+
+
+def shipped_with(name, values):
+    """The text of a shipped config with the given keys' lines replaced."""
+    lines = (CONFIGS / f"{name}.cfg").read_text().splitlines()
+    for key, value in values.items():
+        (i,) = [i for i, line in enumerate(lines)
+                if line.startswith(f"{key} = ")]
+        lines[i] = f"{key} = {value}"
+    return "\n".join(lines) + "\n"
 
 
 def usage_error(capsys, *argv):
@@ -104,11 +113,8 @@ class TestPointVerb:
         assert "error" in err
 
     def test_invalid_scenario_exits_1(self, capsys, tmp_path):
-        s = demo_scenario("2+1")
-        bad = serialize_config(RunConfig(s)).replace(
-            "bob.t_on = 5", "bob.t_on = 2")
         path = tmp_path / "bad.cfg"
-        path.write_text(bad)
+        path.write_text(shipped_with("demo_2p1", {"bob.t_on": "2"}))
         rc, _, err = run_cli(capsys, "point", str(path))
         assert rc == 1
         assert "before bob switches on" in err
@@ -152,8 +158,8 @@ class TestPointVerb:
         # on-cone delta), so the channel layer asks for it again, and
         # that raises
         path = tmp_path / "crossing_3p1.cfg"
-        path.write_text(serialize_config(RunConfig(
-            make_scenario("3+1", b_win=(3.5, 6.5)))))
+        path.write_text(shipped_with("demo_3p1", {"bob.t_on": "3.5",
+                                                  "bob.t_off": "6.5"}))
         rc, out, err = run_cli(capsys, "point", str(path))
         assert rc == 1
         assert "rejected:s2" in out

@@ -305,6 +305,43 @@ class TestRegularizedMomentumIntegral:
                 assert res.evaluations <= 2000
                 assert abs(res.value - closed) <= res.abs_error_estimate
 
+    @pytest.mark.parametrize("weights,levels", [
+        (greens._WEIGHTS, range(7)), (greens._WEIGHTS_LAST, range(1, 7))])
+    def test_extrapolation_weights_are_exact_at_zero(self, weights, levels):
+        # the polynomial through the levels at eps = 0: 1 is kept, and
+        # every eps^k up to the fit's degree vanishes, eps^6 with seven
+        assert len(weights) == len(levels)
+        assert abs(math.fsum(weights) - 1.0) <= 1e-12
+        for k in range(1, len(levels)):
+            assert abs(math.fsum(w * 0.5 ** (j * k)
+                                 for w, j in zip(weights, levels))) <= 1e-12
+
+    @pytest.mark.parametrize("ratio", [1.1, 1.5, 2.0, 3.0, 5.0, 10.0])
+    @pytest.mark.parametrize("L", [0.5, 1.0, 2.0])
+    def test_weights_give_the_neville_extrapolation(self, ratio, L):
+        # the grid, which holds validate's three points: the weighted sum
+        # is the value of a Neville tableau over the same levels at eps = 0
+        tau = ratio * L
+        eps = [0.3 * abs(tau - L) * 0.5 ** j for j in range(7)]
+        p = [math.fsum(r.value for r in greens._damped_level(D2, tau, L, e))
+             for e in eps]
+        for j in range(1, 7):
+            p = [(eps[i + j] * p[i] - eps[i] * p[i + 1])
+                 / (eps[i + j] - eps[i]) for i in range(7 - j)]
+        value = regularized_momentum_integral(D2, tau, L).value
+        assert abs(value - p[0]) <= 1e-13 * abs(p[0])
+
+    @pytest.mark.parametrize("dim", [D2, D3])
+    @pytest.mark.parametrize("tau", [9.99, -9.99, 10.001, -10.001])
+    def test_finishes_next_to_a_long_cone(self, dim, tau):
+        # a = tau - L cos(theta) is formed without cancelling near a = 0,
+        # where subtracting L cos(theta) would lose ~eps L: the direction
+        # integrals converge instead of bisecting until the budget
+        res = regularized_momentum_integral(dim, tau, 10.0)
+        closed = field_energy_kernel(dim, tau, 10.0).value
+        assert res.evaluations <= 20_000
+        assert abs(res.value - closed) <= res.abs_error_estimate
+
 
 def test_validation_suite_needs_no_scipy():
     code = ("import sys; from qcc.validation import run_all_checks; "
