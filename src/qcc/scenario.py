@@ -167,7 +167,9 @@ class Scenario:
         except ValueError:
             # mismatched position lengths already reported above
             L = float("nan")
-        return ValidationReport(tuple(violations), _classify(self, L), L)
+        lags = (self.bob.window.t_on - self.alice.window.t_off,
+                self.bob.window.t_off - self.alice.window.t_on)
+        return ValidationReport(tuple(violations), _classify(*lags, L), L)
 
 
 @dataclass(frozen=True)
@@ -190,11 +192,11 @@ def separation(s: Scenario) -> float:
     return math.dist(s.alice.position, s.bob.position)
 
 
-def _classify(s: Scenario, L: float) -> CausalClass:
-    # the range [lo, hi] of t2 - t1 over the two windows, which the cone
-    # meets when lo <= L <= hi
-    lo = s.bob.window.t_on - s.alice.window.t_off
-    hi = s.bob.window.t_off - s.alice.window.t_on
+def _classify(lo: float, hi: float, L: float) -> CausalClass:
+    """Where the cone at separation L stands against a range [lo, hi]
+    of lags t2 - t1: the one cone test, for the whole windows and for an
+    integral's own region alike.  It meets the range when
+    lo <= L <= hi, also when it only touches an end."""
     if lo > L:
         return CausalClass.TIMELIKE
     if hi < L:

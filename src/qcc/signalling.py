@@ -7,15 +7,17 @@ energy-balance identity tying them together, all divided by
 lambda_A lambda_B.
 
 One rule, :func:`_route`, decides every route that is not quadrature,
-for s2, hf_sig and hI alike, from one input: the range [lo, hi] of the
-lags t2 - t1 over the integral's own region, which the cone meets when
-lo <= L <= hi.  There a kernel with an on-cone part is rejected (F in
-every dimension, D's delta in 3+1D); otherwise 1+1D D takes its closed
-form, a kernel that vanishes off the cone gives 0, and 2+1D takes the
-lag quadrature below.
+for s2, hf_sig and hI alike, from the range [lo, hi] of the lags
+t2 - t1 over the integral's own region, which the cone meets when
+lo <= L <= hi (:func:`qcc.scenario._classify`, the test that classifies
+the whole windows too).  There a kernel with an on-cone part is
+rejected (F in every dimension, D's delta in 3+1D).  Otherwise a region
+with no lag past the cone is an exact zero, decided there and nowhere
+else.  1+1D D takes its closed form, a kernel that vanishes off the cone
+gives 0, and 2+1D takes the lag quadrature below.  Every lag is >= 0: Alice switches off before
+Bob switches on, and hI is only taken inside Bob's window.
 
-In 1+1D each observable is a closed form, its only route: every lag
-t2 - t1 is >= 0 (Alice switches off before Bob switches on), D is the
+In 1+1D each observable is a closed form, its only route: D is the
 constant 1/2 beyond the cone and F lives on the cone.  Each reports a
 rounding bound as its error, fails with reason "roundoff" when that
 bound exceeds tol, and costs no evaluations.
@@ -23,7 +25,7 @@ bound exceeds tol, and costs no evaluations.
 Elsewhere each double integral over the two windows is one integral
 int dtau K(tau) C(tau) over the lag tau = t2 - t1, with C the windowed
 cross-correlation of the two detector sinusoids, in closed form.  Its
-kinks and the lightcone |tau| = L are the breakpoints of one adaptive
+kinks and the lightcone tau = L are the breakpoints of one adaptive
 quadrature in tau, which is also the 1+1D closed forms' oracle.  The
 interaction energy at a time t is the same integral with Alice's bias
 at t - tau as the weight, and the 3+1D on-cone delta reduces s2 to C at
@@ -68,6 +70,7 @@ from .scenario import (
     InvalidScenarioError,
     Scenario,
     _bias_coeff,
+    _classify,
     detector_bias,
     require_valid,
 )
@@ -335,7 +338,7 @@ def _oscillatory_piece(L, picks, terms, a, b, tol):
         top = max(om for om, _, _ in low)
 
         def remainder(tau):
-            x = np.abs(tau) - L
+            x = tau - L
             waves = [(amp(tau) * np.exp(1j * om * tau), coefs)
                      for om, amp, coefs in low]
             return [k(Dimension.D2p1, tau, x, L)
@@ -357,23 +360,24 @@ def _oscillatory_piece(L, picks, terms, a, b, tol):
 
 def _lag_integrals(s, picks, weight, terms, omega, lo, hi, kinks, tol,
                    factor):
-    """factor * int_lo^hi K_i(tau) W_i(tau) dtau over |tau| > L for each
+    """factor * int_lo^hi K_i(tau) W_i(tau) dtau over tau > L for each
     pick i, on one node set: K_i is the pick's lag kernel in the
     scenario's dimension, L its separation and W_i the pick's weight.
+    The lags are >= 0 (Alice switches off before Bob switches on, and
+    hI is taken inside Bob's window), so the cone is the one lag L.
 
     ``weight(tau)`` returns one weight array per pick, and ``terms(a,
     b)`` the weights on the lag piece [a, b] as a sum of exponentials
     (see :func:`_window_correlation`), or ``terms`` is None when their
-    phases would overflow.  The lag range is cut at +-L and at the
+    phases would overflow.  The lag range is cut at L and at the
     weight's ``kinks`` so every piece is smooth, and panels start a
     quarter period of the weight's top frequency ``omega`` wide (unless
     the piece takes the steepest-descent route below); the pieces inside
-    the cone, where the kernels vanish, are dropped, so spacelike windows
-    get 0 with no evaluations.  A 2+1D piece that ends on the cone
-    carries the kernels' 1/sqrt singularity, which this route
-    substitutes away: it integrates over u = sqrt(x), with
-    x = |tau| - L, tau = +-(L + u^2) and weight 2u, so the rule sees a
-    smooth integrand and the kernels never see x rounded off against L.
+    the cone, where the kernels vanish, are dropped.  A 2+1D piece that
+    starts on the cone carries the kernels' 1/sqrt singularity, which
+    this route substitutes away: it integrates over u = sqrt(x), with
+    x = tau - L, tau = L + u^2 and weight 2u, so the rule sees a smooth
+    integrand and the kernels never see x rounded off against L.
 
     Any other 2+1D piece that spans at least _STEEPEST_DESCENT_PERIODS
     periods of ``omega`` is first offered to :func:`_oscillatory_piece`,
@@ -395,9 +399,9 @@ def _lag_integrals(s, picks, weight, terms, omega, lo, hi, kinks, tol,
     n = len(picks)
     dim, L = s.dimension, s.report.separation
     kernels = [_TIMELIKE[p] for p in picks]
-    cuts = sorted({lo, hi} | {c for c in (-L, L, *kinks) if lo < c < hi})
+    cuts = sorted({lo, hi} | {c for c in (L, *kinks) if lo < c < hi})
     pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
-              if abs(0.5 * (a + b)) > L]
+              if 0.5 * (a + b) > L]
     if not pieces:
         return [_ZERO] * n
     piece_tol = tol / len(pieces) / (abs(factor) or 1.0)
@@ -409,7 +413,7 @@ def _lag_integrals(s, picks, weight, terms, omega, lo, hi, kinks, tol,
         todo = [i for i in range(n) if failed[i] is None]
         if not todo:
             break
-        on_cone = dim is Dimension.D2p1 and (a == L or b == -L)
+        on_cone = dim is Dimension.D2p1 and a == L
         results = {}
         if terms is not None and dim is Dimension.D2p1 and not on_cone \
                 and omega * (b - a) >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
@@ -424,17 +428,16 @@ def _lag_integrals(s, picks, weight, terms, omega, lo, hi, kinks, tol,
         redo = [i for i in todo if i not in results]
         ends, piece_width = (a, b), width
         if on_cone:
-            end = b if a == L else a
-            sign, u_end = math.copysign(1.0, end), math.sqrt(abs(end) - L)
+            u_end = math.sqrt(b - L)
             # du = dx / (2u): an x-width W maps to at least W / (2 u_end)
             ends, piece_width = (0.0, u_end), width / (2.0 * u_end)
 
         def f(v):
             if on_cone:  # v is u = sqrt(x)
                 x = v * v
-                tau, jac = sign * (L + x), 2.0 * v
+                tau, jac = L + x, 2.0 * v
             else:
-                tau, x, jac = v, np.abs(v) - L, 1.0
+                tau, x, jac = v, v - L, 1.0
             w = weight(tau)
             return [jac * (kernels[i](dim, tau, x, L) * w[i]) for i in redo]
 
@@ -564,12 +567,10 @@ def _s2_1p1(s: Scenario, upper: float) -> Observable:
 
 def _hI_1p1(s: Scenario, t: float) -> Observable:
     """hI in 1+1D at t, in closed form: -2 bias_B(t)
-    [Psi_A(min(T_off,A, t - L)) - Psi_A(T_on,A)], 0 until t - L passes
-    T_on,A, with Psi_A Alice's bias antiderivative."""
+    [Psi_A(min(T_off,A, t - L)) - Psi_A(T_on,A)], with Psi_A Alice's
+    bias antiderivative, for a t whose lag t - T_on,A passes L."""
     a_on = s.alice.window.t_on
     end = min(s.alice.window.t_off, t - s.report.separation)
-    if not end > a_on:
-        return _ZERO
     times = (t, a_on, end)
     if not _phases_finite(s, times):
         return _UNBOUNDED
@@ -591,22 +592,33 @@ _ON_CONE_REJECTIONS = (
 )
 
 
-def _route(s: Scenario, pick, lo: float, hi: float, closed_form, tol):
+def _route(s: Scenario, pick, t2_lo: float, t2_hi: float, closed_form,
+           tol):
     """The one route rule: a pick's rejection, closed form or zero, or
-    None for the lag pass.  [lo, hi] is the range of the lags t2 - t1
-    over the pick's integration region, which the cone meets when
-    lo <= L <= hi; a region that only touches the cone meets it.
+    None for the lag pass.  Bob's time t2 runs over [t2_lo, t2_hi] in
+    the pick's integration region and Alice's t1 over her window, so the
+    lags t2 - t1 range over [lo, hi] = [t2_lo - T_off,A, t2_hi - T_on,A],
+    which the cone meets where :func:`qcc.scenario._classify` says so; a
+    region that only touches the cone meets it.
 
     Off the cone D is 1/2 in 1+1D, 0 in 3+1D and decays in 2+1D, and F
     vanishes in all three.  So a kernel with an on-cone part where the
     cone meets the region is rejected: F in every dimension, D's delta
-    in 3+1D.  Otherwise 1+1D D takes ``closed_form()``, failed with
-    reason "roundoff" when its rounding bound exceeds ``tol``, a kernel
-    that vanishes off the cone gives 0, and 2+1D takes the lag pass.
+    in 3+1D.  Both kernels vanish at every lag up to L, so a region with
+    no lag past L is an exact zero, built from nothing.  The rest is
+    computed: 1+1D D takes ``closed_form()``, failed with reason
+    "roundoff" when its rounding bound exceeds ``tol``, a kernel that
+    vanishes off the cone gives 0, and 2+1D takes the lag pass.
     """
-    if lo <= s.report.separation <= hi and (
+    a, L = s.alice.window, s.report.separation
+    lo, hi = t2_lo - a.t_off, t2_hi - a.t_on
+    if _classify(lo, hi, L) is CausalClass.LIGHTCONE_CROSSING and (
             pick == _HF or s.dimension is Dimension.D3p1):
         return _failed(InvalidScenarioError(_ON_CONE_REJECTIONS[pick]))
+    # rounding keeps hi on the exact end's side of L or lands it on L;
+    # there the sign of the exact sum says whether a lag passes the cone
+    if hi < L or hi == L and math.fsum((t2_hi, -a.t_on, -L)) <= 0.0:
+        return _ZERO
     if s.dimension is Dimension.D1p1 and pick == _S2:
         obs = closed_form()
         if not obs.quad_error <= tol:
@@ -632,11 +644,10 @@ def _correlations(s: Scenario, t: Optional[float], picks, tol: float):
         upper = _bob_upper(s, t)
     except ValueError as exc:
         return [_failed(exc)] * len(picks)
-    a, b_on = s.alice.window, s.bob.window.t_on
+    b_on = s.bob.window.t_on
     if upper == b_on:
         return [_ZERO] * len(picks)
-    out = {p: _route(s, p, b_on - a.t_off, upper - a.t_on,
-                     lambda: _s2_1p1(s, upper), tol)
+    out = {p: _route(s, p, b_on, upper, lambda: _s2_1p1(s, upper), tol)
            for p in picks}
     lag = [p for p in picks if out[p] is None]
     if lag:
@@ -681,7 +692,7 @@ def _interaction(s: Scenario, t: float, tol: float) -> Observable:
     """interaction_energy_observable's record, for a ``tol`` already
     checked: a scenario or time it rejects, :func:`_route`'s outcome, or
     the lag quadrature."""
-    w, a = s.bob.window, s.alice.window
+    w = s.bob.window
     try:
         require_valid(s)
         if not w.t_on <= t <= w.t_off:
@@ -689,8 +700,7 @@ def _interaction(s: Scenario, t: float, tol: float) -> Observable:
                 f"t={t!r} outside bob's window [{w.t_on!r}, {w.t_off!r}]")
     except ValueError as exc:
         return _failed(exc)
-    out = _route(s, _S2, t - a.t_off, t - a.t_on, lambda: _hI_1p1(s, t),
-                 tol)
+    out = _route(s, _S2, t, t, lambda: _hI_1p1(s, t), tol)
     return _interaction_lag(s, t, tol) if out is None else out
 
 

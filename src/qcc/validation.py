@@ -439,7 +439,7 @@ def _check_oscillatory_route():
     worst = 0.0
     for kernel, weight, res in zip((d, f, d), weights, routed):
         gk = integrate_1d(
-            lambda t: kernel(s.dimension, t, np.abs(t) - L, L) * weight(t),
+            lambda t: kernel(s.dimension, t, t - L, L) * weight(t),
             a, b, tol, max_panel_width=(2.0 * math.pi / 40.0) / 4.0)
         worst = max(worst, abs(res.value - gk.value) / (
             res.abs_error_estimate + gk.abs_error_estimate + 1e-15))

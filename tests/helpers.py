@@ -99,3 +99,21 @@ def random_timelike_scenario(rng, dim, gap_range=(0.5, 10.0),
         gap_a=float(rng.uniform(*gap_range)),
         gap_b=float(rng.uniform(*gap_range)),
     )
+
+
+def random_scenario(rng, dim):
+    """Random valid scenario of any causal class: windows
+    a_on ~ U(0, 5), a_off = a_on + U(0.1, 6), b_on = a_off + U(0, 4),
+    b_off = b_on + U(0.1, 6), separation L ~ U(0, b_off - a_on + 1), and
+    gaps from U(0.2, 60)."""
+    a_on = float(rng.uniform(0.0, 5.0))
+    a_off = a_on + float(rng.uniform(0.1, 6.0))
+    b_on = a_off + float(rng.uniform(0.0, 4.0))
+    b_off = b_on + float(rng.uniform(0.1, 6.0))
+    L = float(rng.uniform(0.0, b_off - a_on + 1.0))
+    return make_scenario(
+        dim, L=L, a_win=(a_on, a_off), b_win=(b_on, b_off),
+        a_state=random_state(rng), b_state=random_state(rng),
+        gap_a=float(rng.uniform(0.2, 60.0)),
+        gap_b=float(rng.uniform(0.2, 60.0)),
+    )

@@ -535,10 +535,20 @@ LATE_GAP = (("alice.gap = 3", "alice.gap = 1e300"),
             ("bob.t_off = 8", "bob.t_off = 10000000000000008"))
 
 
+# Alice's gap 1e300 and Bob listening up to 1e16, but 2e16 away: no lag
+# reaches the cone, so no phase is ever formed
+SPACELIKE_OVERFLOW = {
+    "demo_1p1": ("bob.position = 1", "bob.position = 2e16"),
+    "demo_2p1": ("bob.position = 1, 0", "bob.position = 2e16, 0"),
+    "demo_3p1": ("bob.position = 1, 0, 0", "bob.position = 2e16, 0, 0"),
+}
+
+
 class TestExtremeConfigs:
     """Valid configs whose phases overflow, or whose closed forms round
     off past tol, end as numerical failures, not as config errors or
-    rejections."""
+    rejections, where an integral's lags pass the cone.  Where none
+    does, the observable is an exact zero, which forms no phase."""
 
     @pytest.fixture(autouse=True)
     def _default_tol(self, monkeypatch):
@@ -599,6 +609,32 @@ class TestExtremeConfigs:
         assert status == "numerical:s2;numerical:hI_off"
         assert [line.split(":")[:2] for line in failures] == [
             ["s2", " roundoff"], ["hI_off", " roundoff"]]
+
+    @pytest.mark.parametrize("name", sorted(SPACELIKE_OVERFLOW))
+    def test_spacelike_overflow_row_is_zero(self, capsys, tmp_path, name):
+        path = _edited_config(tmp_path, name, (
+            ("alice.gap = 3", "alice.gap = 1e300"),
+            ("bob.t_off = 8", "bob.t_off = 1e16"),
+            SPACELIKE_OVERFLOW[name]))
+        rc, out, err = run_cli(capsys, "point", path)
+        assert (rc, err) == (0, "")
+        assert "causal class   : SPACELIKE" in out
+        assert csv_rows(out)[0].endswith(",0,0,0,0,0,0,ok")
+
+    def test_lags_rounded_onto_the_cone_are_not_a_zero(self, capsys,
+                                                       tmp_path):
+        # at t = 1e16 + 2, hI_off's lags run up to t - T_on,A = 1e16 + 0.5,
+        # which rounds onto L = 1e16: Alice's [1.5, 2] is in t's past
+        # cone, so the closed form runs and its rounding bound fails it
+        path = _edited_config(tmp_path, "demo_1p1", (
+            ("alice.t_on = 0", "alice.t_on = 1.5"),
+            ("bob.t_off = 8", "bob.t_off = 10000000000000002"),
+            ("bob.position = 1", "bob.position = 1e16")))
+        rc, status, failures = _point_status(capsys, path)
+        assert rc == 2
+        assert status == "numerical:hI_off;rejected:hf_sig"
+        assert [line.split(":")[:2] for line in failures] == [
+            ["hI_off", " roundoff"]]
 
     def test_1p1_closed_forms_miss_a_tol_below_their_bound(
             self, capsys, monkeypatch):

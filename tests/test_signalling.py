@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from helpers import (
     demo_scenario,
     make_scenario,
+    random_scenario,
     random_timelike_scenario,
     s2_via_2d_quadrature,
 )
@@ -774,6 +775,26 @@ def test_1p1_rows_never_reach_the_lag_quadrature(monkeypatch):
                 assert obs.evaluations == 0
 
 
+@pytest.mark.parametrize("cfg", ["demo_1p1", "demo_2p1", "demo_3p1"])
+def test_rows_with_no_lag_past_the_cone_reach_no_computation(monkeypatch,
+                                                             cfg):
+    # the route rule alone makes these zeros: no closed form, no lag pass
+    def fail(*args):
+        raise AssertionError("a row with no lag past L was computed")
+
+    for name in ("_lag_integrals", "_s2_1p1", "_hI_1p1"):
+        monkeypatch.setattr(signalling, name, fail)
+    base = load_config(str(CONFIGS / f"{cfg}.cfg")).scenario
+    # spacelike_2p1.cfg in this dimension: lags 2 to 8, L = 30
+    rows = [(apply_sweep_parameter(base, "separation_L", 30.0), None)]
+    # up to t = 6 the lags run from 2 to 6, short of every L in (6, 8)
+    rows += [(apply_sweep_parameter(base, "separation_L", L), 6.0)
+             for L in SweepSpec("separation_L", 6.05, 7.95, 0.05).grid()]
+    for s, t in rows:
+        assert signalling.row_observables(s, t, 1e-8) \
+            == (signalling.Observable(0.0, 0.0, 0),) * 4
+
+
 class TestInteractionEnergy:
     def test_closed_form_reference(self):
         # closed form written out independently here, then compared with
@@ -904,6 +925,15 @@ class TestRouteRule:
         assert signalling.row_observables(s, t, 1e-8) \
             == (signalling.Observable(0.0, 0.0, 0),) * 4
 
+    @pytest.mark.parametrize("dim", ["1+1", "2+1"])
+    def test_region_ending_on_the_cone_is_an_exact_zero(self, dim):
+        # up to t = 6 at L = 6 the lags end at t - T_on,A = 6 = L exactly:
+        # none passes the cone, which hf_sig's region touches
+        s2, hi_on, hi_off, hf = signalling.row_observables(
+            make_scenario(dim, L=6.0), 6.0, 1e-8)
+        assert (s2, hi_on, hi_off) == (signalling.Observable(0.0, 0.0, 0),) * 3
+        assert isinstance(hf.failure, InvalidScenarioError)
+
     @pytest.mark.parametrize("dim", ["1+1", "2+1", "3+1"])
     def test_region_reaching_the_cone_still_rejects(self, dim):
         s2, _, _, hf = signalling.row_observables(
@@ -1016,6 +1046,48 @@ class TestRandomScenarioProperties:
         # alone, and the terms' reported bounds must cover it
         slack = 0.0 if dim == "1+1" else 1e-14
         assert abs(bal.residual) <= bal.quad_error + slack
+
+    # s2 and hf_sig are linear in Alice's bias and integrate over Bob's
+    # time, so splitting either detector's window adds up
+
+    @staticmethod
+    def _assert_adds_up(whole, parts):
+        # s2 and hf_sig, where every side is ok
+        for i in (0, 3):
+            records = [whole[i]] + [row[i] for row in parts]
+            if any(r.failure is not None for r in records):
+                continue
+            bound = (math.fsum(r.quad_error for r in records)
+                     + 4.0 * math.ulp(1.0) * math.fsum(abs(r.value)
+                                                       for r in records))
+            rhs = math.fsum(r.value for r in records[1:])
+            assert abs(whole[i].value - rhs) <= bound, _LABELS[i]
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_alice_split_adds_up(self, seed):
+        rng = np.random.default_rng(seed)
+        s = random_scenario(rng, "1+1")
+        w = s.alice.window
+        m = float(rng.uniform(w.t_on, w.t_off))
+        halves = [replace(s, alice=replace(s.alice, window=replace(w, **kw)))
+                  for kw in ({"t_off": m}, {"t_on": m})]
+        self._assert_adds_up(
+            signalling.row_observables(s),
+            [signalling.row_observables(h) for h in halves])
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_bob_split_adds_up(self, seed):
+        rng = np.random.default_rng(seed)
+        s = random_scenario(rng, "1+1")
+        w = s.bob.window
+        m = float(rng.uniform(w.t_on, w.t_off))
+        late = replace(s, bob=replace(s.bob, window=replace(w, t_on=m)))
+        self._assert_adds_up(
+            signalling.row_observables(s),
+            [signalling.row_observables(s, m),
+             signalling.row_observables(late)])
 
 
 class TestNull3p1:
