@@ -15,10 +15,11 @@ error.  Once the frozen panels alone carry more error than the tolerance,
 the integral fails at once with reason "roundoff" instead of spending
 its evaluation budget.
 
-Several integrands over one interval can share the evaluation of their
-initial panelling; each is then refined on its own.  A panelling that
-already meets the tolerance is summed at once, with no per-panel
-bookkeeping.
+Several integrands over several intervals can share one evaluation of
+their initial panellings and one application of each integrand's rule
+over all of their panels; each integrand is then refined on each
+interval on its own.  A panelling that already meets the tolerance is
+summed at once, with no per-panel bookkeeping.
 
 For highly oscillatory integrals int_a^b g(t) e^{i omega t} dt with g
 analytic above the interval, :func:`_steepest_descent` replaces the
@@ -225,10 +226,15 @@ class QuadratureError(Exception):
         self.evaluations = evaluations
 
 
-def _panel_nodes(edges):
-    """GK15 nodes of the panels between consecutive ``edges``, flattened
-    panel by panel, plus each panel's half width."""
-    lefts, rights = edges[:-1], edges[1:]
+def _panel_nodes(*edges):
+    """GK15 nodes of the panels between consecutive edges of each of
+    ``edges``, in turn, flattened panel by panel, plus each panel's half
+    width."""
+    if len(edges) == 1:
+        lefts, rights = edges[0][:-1], edges[0][1:]
+    else:
+        lefts = np.concatenate([e[:-1] for e in edges])
+        rights = np.concatenate([e[1:] for e in edges])
     halves = 0.5 * (rights - lefts)
     pts = (0.5 * (lefts + rights))[:, None] + halves[:, None] * _NODES
     return pts.ravel(), halves
@@ -375,33 +381,74 @@ def _adaptive(f, edges, initial, tol, budget):
         add(mid, pb, ck15[1], cerr[1], cfloor[1])
 
 
-def _integrate_shared(f, n, a, b, tol, max_panel_width,
-                      budget=_DEFAULT_BUDGET):
-    """Integrate ``n`` integrands over [a, b] on one initial node set.
+def _integrate_shared(f, n, intervals, tol, budget=_DEFAULT_BUDGET):
+    """Integrate ``n`` integrands over each of ``intervals`` on one
+    initial node set.
 
-    ``f(t)`` takes an ndarray of abscissae and returns ``n`` value
-    arrays.  The initial panelling is evaluated once for all of them;
-    after that integrand i is refined through ``f(t)[i]``,
-    budget-checked and failed on its own, exactly as
-    :func:`integrate_1d` would integrate it alone.  Returns one
-    QuadResult or QuadratureError per integrand.  Arguments are as for
-    :func:`integrate_1d`, and are not checked here.
+    ``intervals`` lists (a, b, max_panel_width, picks): the initial
+    panelling of [a, b], as :func:`integrate_1d` lays it out, and the
+    integrands taken over it.  ``f(t, j)`` takes an ndarray of abscissae
+    and j, the index of the interval each lies in (an int array like t,
+    or one int), and returns ``n`` value arrays.  The initial panellings
+    are evaluated in one call of ``f``, and each integrand's GK15 pair is
+    applied over all of their panels at once.  After that integrand i is
+    refined interval by interval through ``f(t, j)[i]``, budget-checked
+    and failed on its own, exactly as :func:`integrate_1d` would
+    integrate it alone there, and is not taken past the first interval
+    it fails on.  Returns, per integrand, one QuadResult or
+    QuadratureError per interval it was taken over, in order.  An
+    interval refused its initial panelling on ``budget`` fails there
+    having spent nothing.  Arguments are as for :func:`integrate_1d`,
+    and are not checked here.
     """
-    try:
-        edges = _initial_edges(a, b, max_panel_width, budget)
-    except QuadratureError as exc:
-        return [exc] * n
-    flat, halves = _panel_nodes(edges)
-    vals = f(flat)
+    edges, spans, start = [], [], 0
+    for a, b, width, _ in intervals:
+        try:
+            e = _initial_edges(a, b, width, budget)
+            stop = start + e.size - 1
+        except QuadratureError as exc:
+            e, stop = exc, start  # refused: no panels
+        edges.append(e)
+        spans.append((start, stop))
+        start = stop
+    laid = [j for j, (lo, hi) in enumerate(spans) if hi > lo]
+    if laid:
+        flat, halves = _panel_nodes(*[edges[j] for j in laid])
+        owner = laid[0] if len(laid) == 1 else np.repeat(
+            np.arange(len(spans)), [15 * (hi - lo) for lo, hi in spans])
+        vals = f(flat, owner)
     results = []
     for i in range(n):
-        try:
-            initial = _panel_rules(vals[i], flat, halves, flat.size)
-            vals[i] = None  # only the panel sums are kept while refining
-            results.append(_adaptive(lambda t, i=i: f(t)[i],
-                                     edges, initial, tol, budget))
-        except QuadratureError as exc:
-            results.append(exc)
+        rules = vals_i = None
+        if laid:
+            vals_i, vals[i] = vals[i], None
+            try:
+                rules = _panel_rules(vals_i, flat, halves, flat.size)
+                vals_i = None  # only the panel sums are kept while refining
+            except QuadratureError:  # a node is not finite: judge each
+                pass                 # interval by its own nodes
+        out = []
+        for j, (e, (lo, hi), interval) in enumerate(
+                zip(edges, spans, intervals)):
+            if i not in interval[3]:
+                continue
+            res = e
+            if hi > lo:
+                try:
+                    if rules:
+                        initial = [r[lo:hi] for r in rules]
+                    else:
+                        nodes = slice(15 * lo, 15 * hi)
+                        initial = _panel_rules(vals_i[nodes], flat[nodes],
+                                               halves[lo:hi], 15 * (hi - lo))
+                    res = _adaptive(lambda t, i=i, j=j: f(t, j)[i], e,
+                                    initial, tol, budget)
+                except QuadratureError as exc:
+                    res = exc
+            out.append(res)
+            if isinstance(res, QuadratureError):
+                break
+        results.append(out)
     return results
 
 
@@ -496,8 +543,9 @@ def integrate_1d(
     if not (a < b and math.isfinite(b - a)):
         raise ValueError(f"require finite a < b, got a={a!r}, b={b!r}")
     _check_tol(tol)
-    (res,) = _integrate_shared(lambda t: [f(t)], 1, a, b, tol,
-                               max_panel_width, budget)
+    ((res,),) = _integrate_shared(lambda t, j: [f(t)], 1,
+                                  [(a, b, max_panel_width, (0,))], tol,
+                                  budget)
     if isinstance(res, QuadratureError):
         raise res
     return res

@@ -13,9 +13,11 @@ lo <= L <= hi (:func:`qcc.scenario._classify`, the test that classifies
 the whole windows too).  There a kernel with an on-cone part is
 rejected (F in every dimension, D's delta in 3+1D).  Otherwise a region
 with no lag past the cone is an exact zero, decided there and nowhere
-else.  1+1D D takes its closed form, a kernel that vanishes off the cone
-gives 0, and 2+1D takes the lag quadrature below.  Every lag is >= 0: Alice switches off before
-Bob switches on, and hI is only taken inside Bob's window.
+else, and one whose lags pass it by less than their rounding fails with
+reason "roundoff".  1+1D D takes its closed form, a kernel that
+vanishes off the cone gives 0, and 2+1D takes the lag quadrature below.
+Every lag is >= 0: Alice switches off before Bob switches on, and hI is
+only taken inside Bob's window.
 
 In 1+1D each observable is a closed form, its only route: D is the
 constant 1/2 beyond the cone and F lives on the cone.  Each reports a
@@ -31,10 +33,10 @@ interaction energy at a time t is the same integral with Alice's bias
 at t - tau as the weight, and the 3+1D on-cone delta reduces s2 to C at
 tau = L.  D and F are :mod:`qcc.greens`'; this module holds no closed
 form of either.  :func:`row_observables` computes a whole row, s2 and
-the field energy in one shared pass: on each lag piece C's
-intermediates and both integrands are evaluated on one initial node
-set, then each is refined, budget-checked and failed on its own, so
-each gets exactly what its own public route returns.
+the field energy in one shared pass: C's intermediates and both
+integrands are evaluated once on the initial nodes of every lag piece,
+then each integrand is refined, budget-checked and failed piece by piece
+on its own, so each gets exactly what its own public route returns.
 
 GK panels a quarter period wide cost O(Om T) evaluations on a lag
 piece.  So a 2+1D piece that spans at least _STEEPEST_DESCENT_PERIODS
@@ -346,8 +348,9 @@ def _oscillatory_piece(L, picks, terms, a, b, tol):
                     for i, k in enumerate(kernels)]
 
         width = (2.0 * math.pi / top) / 4.0 if top > 0 else None
-        for i, res in enumerate(_integrate_shared(remainder, n, a, b,
-                                                  0.5 * tol, width)):
+        for i, (res,) in enumerate(_integrate_shared(
+                lambda t, j: remainder(t), n, [(a, b, width, range(n))],
+                0.5 * tol)):
             evals[i] += res.evaluations
             if isinstance(res, QuadratureError):
                 err[i] = math.inf
@@ -361,7 +364,7 @@ def _oscillatory_piece(L, picks, terms, a, b, tol):
 def _lag_integrals(s, picks, weight, terms, omega, lo, hi, kinks, tol,
                    factor):
     """factor * int_lo^hi K_i(tau) W_i(tau) dtau over tau > L for each
-    pick i, on one node set: K_i is the pick's lag kernel in the
+    pick i, in one shared pass: K_i is the pick's lag kernel in the
     scenario's dimension, L its separation and W_i the pick's weight.
     The lags are >= 0 (Alice switches off before Bob switches on, and
     hI is taken inside Bob's window), so the cone is the one lag L.
@@ -375,9 +378,10 @@ def _lag_integrals(s, picks, weight, terms, omega, lo, hi, kinks, tol,
     the piece takes the steepest-descent route below); the pieces inside
     the cone, where the kernels vanish, are dropped.  A 2+1D piece that
     starts on the cone carries the kernels' 1/sqrt singularity, which
-    this route substitutes away: it integrates over u = sqrt(x), with
-    x = tau - L, tau = L + u^2 and weight 2u, so the rule sees a smooth
-    integrand and the kernels never see x rounded off against L.
+    this route substitutes away node by node: it integrates over
+    u = sqrt(x), with x = tau - L, tau = L + u^2 and weight 2u, so the
+    rule sees a smooth integrand and the kernels never see x rounded off
+    against L.
 
     Any other 2+1D piece that spans at least _STEEPEST_DESCENT_PERIODS
     periods of ``omega`` is first offered to :func:`_oscillatory_piece`,
@@ -385,15 +389,16 @@ def _lag_integrals(s, picks, weight, terms, omega, lo, hi, kinks, tol,
     pick it hands back is integrated on GK panels as above, and counts
     the evaluations of both attempts.
 
-    This is the shared pass: on each piece all integrands are evaluated
-    on the initial nodes in one call, then each is refined on its own,
-    so each gets the value, error and evaluation count it gets alone.
-    ``tol``, which the public entries check before they pick a route,
-    is split across the pieces.  An integrand that fails on a piece is
-    not integrated on later pieces: its record fails with a
-    QuadratureError naming ``tol``, with no ``best``, and counts the
-    evaluations of the earlier pieces and of the failed attempt, nodes
-    whose values were not finite included.
+    The GK panels of every piece, for every pick that takes them there,
+    are one :func:`quadrature._integrate_shared` batch: the weight and
+    each kernel are evaluated once on all their initial nodes, then each
+    pick is refined piece by piece on its own, so each gets the value,
+    error and evaluation count it gets alone.  ``tol``, which the public
+    entries check before they pick a route, is split across the pieces.
+    An integrand that fails on a piece is not refined on later pieces:
+    its record fails with a QuadratureError naming ``tol``, with no
+    ``best``, and counts the evaluations of the earlier pieces and of
+    the failed attempt, nodes whose values were not finite included.
     Returns one Observable per integrand.
     """
     n = len(picks)
@@ -406,62 +411,67 @@ def _lag_integrals(s, picks, weight, terms, omega, lo, hi, kinks, tol,
         return [_ZERO] * n
     piece_tol = tol / len(pieces) / (abs(factor) or 1.0)
     width = (2.0 * math.pi / omega) / 4.0
+    # only the first piece can start on the cone; it is never offered to
+    # the steepest-descent route, so it is the batch's interval 0
+    cone = dim is Dimension.D2p1 and pieces[0][0] == L
 
-    values = [[] for _ in range(n)]
-    err, evals, failed = [0.0] * n, [0] * n, [None] * n
+    # per piece and pick: a QuadResult of the steepest-descent route, the
+    # evaluations it spent before handing the pick back, or None
+    routed, intervals = [], []
     for a, b in pieces:
-        todo = [i for i in range(n) if failed[i] is None]
-        if not todo:
-            break
-        on_cone = dim is Dimension.D2p1 and a == L
-        results = {}
-        if terms is not None and dim is Dimension.D2p1 and not on_cone \
+        res = [None] * n
+        if terms is not None and dim is Dimension.D2p1 \
+                and not (cone and a == L) \
                 and omega * (b - a) >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
-            for i, res in zip(todo, _oscillatory_piece(
-                    L, [picks[i] for i in todo],
-                    [(om, amp, [cs[i] for i in todo])
-                     for om, amp, cs in terms(a, b)], a, b, piece_tol)):
-                if isinstance(res, QuadResult):
-                    results[i] = res
-                else:  # handed back after spending res evaluations
-                    evals[i] += res
-        redo = [i for i in todo if i not in results]
-        ends, piece_width = (a, b), width
-        if on_cone:
+            res = _oscillatory_piece(L, picks, terms(a, b), a, b, piece_tol)
+        routed.append(res)
+        redo = [i for i in range(n) if not isinstance(res[i], QuadResult)]
+        if not redo:
+            continue
+        if cone and a == L:
             u_end = math.sqrt(b - L)
             # du = dx / (2u): an x-width W maps to at least W / (2 u_end)
-            ends, piece_width = (0.0, u_end), width / (2.0 * u_end)
+            intervals.append((0.0, u_end, width / (2.0 * u_end), redo))
+        else:
+            intervals.append((a, b, width, redo))
 
-        def f(v):
-            if on_cone:  # v is u = sqrt(x)
-                x = v * v
-                tau, jac = L + x, 2.0 * v
-            else:
-                tau, x, jac = v, v - L, 1.0
-            w = weight(tau)
-            return [jac * (kernels[i](dim, tau, x, L) * w[i]) for i in redo]
+    def f(v, j):
+        if cone:  # on interval 0, v is u = sqrt(x)
+            on = j == 0
+            u = np.where(on, v, 0.0)
+            x = np.where(on, u * u, v - L)
+            tau, jac = np.where(on, L + x, v), np.where(on, 2.0 * u, 1.0)
+        else:
+            tau, x, jac = v, v - L, 1.0
+        w = weight(tau)
+        return [jac * (k(dim, tau, x, L) * w_i) for k, w_i in zip(kernels, w)]
 
-        if redo:
-            results.update(zip(redo, _integrate_shared(
-                f, len(redo), *ends, piece_tol, piece_width)))
-        for i, res in results.items():
+    shared = _integrate_shared(f, n, intervals, piece_tol)
+    out = []
+    for i in range(n):
+        gk = iter(shared[i])
+        values, err, evals = [], 0.0, 0
+        for (a, b), res in zip(pieces, routed):
+            res = res[i]
+            if not isinstance(res, QuadResult):  # on GK panels
+                evals += res or 0
+                res = next(gk)
             if isinstance(res, QuadratureError):
-                spent = evals[i] + res.evaluations
+                spent = evals + res.evaluations
                 exc = QuadratureError(
                     f"tol {tol:.3e} not reached on the lag piece "
                     f"[{a!r}, {b!r}]: {res}", res.reason, evaluations=spent,
                 )
                 exc.__cause__ = res
-                failed[i] = _failed(exc, spent)
-                continue
-            values[i].append(res.value)
-            err[i] += res.abs_error_estimate
-            evals[i] += res.evaluations
-    return [
-        failed[i] or Observable(
-            factor * math.fsum(values[i]), abs(factor) * err[i], evals[i])
-        for i in range(n)
-    ]
+                out.append(_failed(exc, spent))
+                break
+            values.append(res.value)
+            err += res.abs_error_estimate
+            evals += res.evaluations
+        else:
+            out.append(Observable(
+                factor * math.fsum(values), abs(factor) * err, evals))
+    return out
 
 
 def _one(obs: Observable) -> Observable:
@@ -605,10 +615,13 @@ def _route(s: Scenario, pick, t2_lo: float, t2_hi: float, closed_form,
     vanishes in all three.  So a kernel with an on-cone part where the
     cone meets the region is rejected: F in every dimension, D's delta
     in 3+1D.  Both kernels vanish at every lag up to L, so a region with
-    no lag past L is an exact zero, built from nothing.  The rest is
-    computed: 1+1D D takes ``closed_form()``, failed with reason
-    "roundoff" when its rounding bound exceeds ``tol``, a kernel that
-    vanishes off the cone gives 0, and 2+1D takes the lag pass.
+    no lag past L is an exact zero, built from nothing.  A region whose
+    lags pass L by less than the rounding of hi, which lands hi on L,
+    fails with reason "roundoff", at 0 evaluations: every route would cut
+    it off at the rounded end.  The rest is computed: 1+1D D takes
+    ``closed_form()``, failed with reason "roundoff" when its rounding
+    bound exceeds ``tol``, a kernel that vanishes off the cone gives 0,
+    and 2+1D takes the lag pass.
     """
     a, L = s.alice.window, s.report.separation
     lo, hi = t2_lo - a.t_off, t2_hi - a.t_on
@@ -616,8 +629,13 @@ def _route(s: Scenario, pick, t2_lo: float, t2_hi: float, closed_form,
             pick == _HF or s.dimension is Dimension.D3p1):
         return _failed(InvalidScenarioError(_ON_CONE_REJECTIONS[pick]))
     # rounding keeps hi on the exact end's side of L or lands it on L;
-    # there the sign of the exact sum says whether a lag passes the cone
-    if hi < L or hi == L and math.fsum((t2_hi, -a.t_on, -L)) <= 0.0:
+    # there the sign of the exact sum says whether a lag passes the cone,
+    # and if one does, every route below would cut it off at hi
+    if hi == L and math.fsum((t2_hi, -a.t_on, -L)) > 0.0:
+        return _failed(QuadratureError(
+            f"the lags past the cone L = {L!r}, up to {t2_hi!r} - "
+            f"{a.t_on!r}, round onto it", "roundoff"))
+    if hi <= L:
         return _ZERO
     if s.dimension is Dimension.D1p1 and pick == _S2:
         obs = closed_form()

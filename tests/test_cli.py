@@ -621,20 +621,32 @@ class TestExtremeConfigs:
         assert "causal class   : SPACELIKE" in out
         assert csv_rows(out)[0].endswith(",0,0,0,0,0,0,ok")
 
-    def test_lags_rounded_onto_the_cone_are_not_a_zero(self, capsys,
-                                                       tmp_path):
-        # at t = 1e16 + 2, hI_off's lags run up to t - T_on,A = 1e16 + 0.5,
-        # which rounds onto L = 1e16: Alice's [1.5, 2] is in t's past
-        # cone, so the closed form runs and its rounding bound fails it
-        path = _edited_config(tmp_path, "demo_1p1", (
+    @staticmethod
+    def assert_rounded_onto_the_cone_fails(capsys, tmp_path, name, position):
+        # at t = 1e16 + 2 the lags of s2 and hI_off run up to
+        # t - T_on,A = 1e16 + 0.5, which rounds onto L = 1e16: Alice's
+        # [1.5, 2] is in t's past cone, but every route would cut it off
+        # at the rounded end, so both fail before any evaluation
+        path = _edited_config(tmp_path, name, (
             ("alice.t_on = 0", "alice.t_on = 1.5"),
-            ("bob.t_off = 8", "bob.t_off = 10000000000000002"),
-            ("bob.position = 1", "bob.position = 1e16")))
+            ("bob.t_off = 8", "bob.t_off = 10000000000000002"), position))
         rc, status, failures = _point_status(capsys, path)
         assert rc == 2
-        assert status == "numerical:hI_off;rejected:hf_sig"
+        assert status == "numerical:s2;numerical:hI_off;rejected:hf_sig"
         assert [line.split(":")[:2] for line in failures] == [
-            ["hI_off", " roundoff"]]
+            ["s2", " roundoff"], ["hI_off", " roundoff"]]
+
+    def test_lags_rounded_onto_the_cone_are_not_a_zero(self, capsys,
+                                                       tmp_path):
+        self.assert_rounded_onto_the_cone_fails(
+            capsys, tmp_path, "demo_1p1",
+            ("bob.position = 1", "bob.position = 1e16"))
+
+    def test_2p1_lags_rounded_onto_the_cone_are_not_a_zero(self, capsys,
+                                                           tmp_path):
+        self.assert_rounded_onto_the_cone_fails(
+            capsys, tmp_path, "demo_2p1",
+            ("bob.position = 1, 0", "bob.position = 1e16, 0"))
 
     def test_1p1_closed_forms_miss_a_tol_below_their_bound(
             self, capsys, monkeypatch):

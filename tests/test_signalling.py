@@ -373,6 +373,13 @@ def _raised(exc):
     return type(exc), str(exc), getattr(exc, "reason", None)
 
 
+def _bits(obs):
+    """An Observable's fields, floats by their bits and the failure by
+    what it says."""
+    return (obs.value.hex(), obs.quad_error.hex(), obs.evaluations,
+            obs.failure and _raised(obs.failure))
+
+
 class TestSharedPass:
     """A row takes its observables from row_observables, s2 and hf_sig
     from one shared lag-quadrature pass; each must equal its own public
@@ -416,6 +423,53 @@ class TestSharedPass:
         if equal_gaps:
             s = replace(s, bob=replace(s.bob, gap=s.alice.gap))
         self.assert_parity(s)
+
+    def test_one_weight_evaluation_per_pass(self, monkeypatch):
+        # the demo's s2/hf_sig pass has two lag pieces, [2, 5] and [5, 8],
+        # of 90 initial nodes each: one call of the window correlation
+        # evaluates both, and neither needs refining at tol 1e-8
+        sizes = []
+        window = signalling._window_correlation
+
+        def counted(*args):
+            corr, terms = window(*args)
+
+            def spied(tau):
+                sizes.append(tau.size)
+                return corr(tau)
+            return spied, terms
+
+        monkeypatch.setattr(signalling, "_window_correlation", counted)
+        s2, hf = _s2_and_hf(demo_scenario("2+1"), None, 1e-8)
+        assert sizes == [180]
+        assert (s2.evaluations, hf.evaluations) == (180, 180)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_batch_equals_one_interval_per_call(self, seed):
+        # random rows of every causal class, so crossing rows bring the
+        # u = sqrt(x) piece on the cone, and gaps up to 60 on pieces up
+        # to 6 long send some pieces to the steepest-descent route
+        s = random_scenario(np.random.default_rng(seed), "2+1")
+        shared = signalling._integrate_shared
+
+        def one_at_a_time(f, n, intervals, tol):
+            results = [[] for _ in range(n)]
+            for j, (a, b, width, picks) in enumerate(intervals):
+                live = [i for i in picks if not (
+                    results[i] and isinstance(results[i][-1],
+                                              QuadratureError))]
+                per = shared(lambda t, _, j=j: f(t, j), n,
+                             [(a, b, width, live)], tol)
+                for i in live:
+                    results[i] += per[i]
+            return results
+
+        batched = signalling.row_observables(s, None, 1e-8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signalling, "_integrate_shared", one_at_a_time)
+            alone = signalling.row_observables(s, None, 1e-8)
+        assert list(map(_bits, batched)) == list(map(_bits, alone))
 
     @pytest.mark.parametrize("s,t,tol,status,reason", [
         (make_scenario("2+1", gap_b=1e5), 8.0, 1e-8,
@@ -461,22 +515,33 @@ def test_failing_integrand_leaves_its_partner(monkeypatch):
 
 
 def test_failed_pick_is_not_integrated_on_later_pieces(monkeypatch):
-    # hf_sig fails on the demo's first lag piece, [2, 5]; the GK call on
-    # the second, [5, 8], integrates s2 alone
-    monkeypatch.setattr(signalling, "_TIMELIKE", (
-        greens.commutator_timelike,
-        lambda dim, tau, x, L: np.full_like(tau, np.nan)))
-    sizes = []
-    integrate_shared = signalling._integrate_shared
+    # a nan F on the demo's first lag piece, [2, 5], fails hf_sig there.
+    # On the second, [5, 8], F has a kink that GK would refine, but F is
+    # called there at most once, for the initial nodes: hf_sig is not
+    # refined there, and s2 converges on them
+    field = greens.field_energy_timelike
+    calls = []
 
-    def spied(f, n, *args):
-        sizes.append(n)
-        return integrate_shared(f, n, *args)
-    monkeypatch.setattr(signalling, "_integrate_shared", spied)
-    s2, hf = _s2_and_hf(demo_scenario("2+1"), None, 1e-8)
-    assert sizes == [2, 1]
-    assert isinstance(hf.failure, QuadratureError)
-    assert s2.failure is None
+    def kinked(dim, tau, x, L):
+        calls.append(tau)
+        return np.where(tau < 5.0, np.nan, field(dim, tau, x, L)
+                        * (1.0 + np.sqrt(np.abs(tau - 6.3))))
+
+    monkeypatch.setattr(signalling, "_TIMELIKE",
+                        (greens.commutator_timelike, kinked))
+    s = demo_scenario("2+1")
+    s2, hf = _s2_and_hf(s, None, 1e-8)
+    assert hf.failure.reason == "non-finite"
+    assert "on the lag piece [2.0, 5.0]:" in str(hf.failure)
+    assert hf.evaluations == 90
+    assert s2 == s2_observable(s, None, 1e-8)
+    assert len([tau for tau in calls if (tau > 5.0).any()]) <= 1
+    # alone on [5, 8], the kink is refined
+    calls.clear()
+    (alone,) = signalling._lag_integrals(
+        s, [signalling._HF], lambda tau: [np.ones_like(tau)], None, 3.0,
+        5.0, 8.0, (), 1e-8, 1.0)
+    assert alone.evaluations > 90 and len(calls) > 1
 
 
 @given(x=st.lists(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
@@ -572,15 +637,17 @@ class TestSteepestDescentRoute:
         assert [o.evaluations for o in gk] == [572_970, 572_970]
 
     def test_remainder_failure_hands_the_piece_to_gk(self, monkeypatch):
-        # at tol 1e-22 the slowly varying remainder of the piece [2, 5]
-        # fails on its roundoff floor inside the route, which hands the
-        # piece back to GK panels, and those fail there in turn
-        reasons = []
+        # at tol 1e-22 the slowly varying remainder of each piece, [2, 5]
+        # and [5, 8], fails on its roundoff floor inside the route, which
+        # hands the piece back to GK panels; s2 fails on the first of
+        # them in turn and is not taken on to the second
+        calls = []
         shared = signalling._integrate_shared
 
-        def spy(*args):
-            results = shared(*args)
-            reasons.append([getattr(r, "reason", None) for r in results])
+        def spy(f, n, intervals, *args):
+            results = shared(f, n, intervals, *args)
+            calls.append(([iv[:2] for iv in intervals],
+                          [[r.reason for r in per] for per in results]))
             return results
 
         monkeypatch.setattr(signalling, "_integrate_shared", spy)
@@ -588,8 +655,10 @@ class TestSteepestDescentRoute:
             s2_observable(_demo_with_bob(gap=1e4), None, 1e-22)
         assert excinfo.value.reason == "roundoff"
         assert "on the lag piece [2.0, 5.0]:" in str(excinfo.value)
-        # the route's remainder, then GK on the same piece
-        assert reasons == [["roundoff"], ["roundoff"]]
+        # each piece's remainder, then GK on both pieces in one batch
+        assert calls == [([(2.0, 5.0)], [["roundoff"]]),
+                         ([(5.0, 8.0)], [["roundoff"]]),
+                         ([(2.0, 5.0), (5.0, 8.0)], [["roundoff"]])]
 
     @pytest.mark.parametrize("changes", [
         {"gap": 1e5}, {"gap": 1e6}, {"t_off": 1e4},
@@ -932,6 +1001,21 @@ class TestRouteRule:
         s2, hi_on, hi_off, hf = signalling.row_observables(
             make_scenario(dim, L=6.0), 6.0, 1e-8)
         assert (s2, hi_on, hi_off) == (signalling.Observable(0.0, 0.0, 0),) * 3
+        assert isinstance(hf.failure, InvalidScenarioError)
+
+    @pytest.mark.parametrize("dim", ["1+1", "2+1"])
+    def test_lags_rounded_onto_the_cone_fail_unspent(self, dim):
+        # Bob up to 1e16 + 2 and Alice from 1.5 at L = 1e16: the lags of
+        # s2 and hI_off end at 1e16 + 0.5, which rounds onto L, so the
+        # region past the cone is lost to rounding in every route
+        s = make_scenario(dim, L=1e16, a_win=(1.5, 3.0),
+                          b_win=(5.0, 1e16 + 2))
+        s2, hi_on, hi_off, hf = signalling.row_observables(s, None, 1e-8)
+        for obs in (s2, hi_off):
+            assert obs.failure.reason == "roundoff"
+            assert (obs.evaluations, obs.failure.evaluations) == (0, 0)
+            assert "round onto it" in str(obs.failure)
+        assert hi_on == signalling.Observable(0.0, 0.0, 0)
         assert isinstance(hf.failure, InvalidScenarioError)
 
     @pytest.mark.parametrize("dim", ["1+1", "2+1", "3+1"])
