@@ -119,25 +119,30 @@ def capacity_closed(p: float, q: float) -> float:
     return max(-q * e - binary_entropy(q) + softplus, 0.0)
 
 
-def _mutual_information(pi, p, q):
-    """I(pi) = h(pi p + (1-pi) q) - pi h(p) - (1-pi) h(q), vectorized."""
+def _mutual_information(pi, p, q, h_p, h_q):
+    """I(pi) = h(pi p + (1-pi) q) - pi h(p) - (1-pi) h(q), vectorized.
+
+    ``h_p`` and ``h_q`` are h(p) and h(q), which do not depend on pi, so
+    callers that evaluate many priors compute them once.  ``pi`` may
+    stack several priors along a leading axis.
+    """
     y = pi * p + (1.0 - pi) * q
-    return _entropy_arr(y) - pi * _entropy_arr(p) - (1.0 - pi) * _entropy_arr(q)
+    return _entropy_arr(y) - pi * h_p - (1.0 - pi) * h_q
 
 
-def _ternary_search(p, q, pi_tol: float):
+def _ternary_search(p, q, h_p, h_q, pi_tol: float):
     """Maximize the concave I(pi) over [0, 1] elementwise; returns the
-    bracket midpoint.  Works on equal-shape arrays (at least 1-d)."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    q = np.atleast_1d(np.asarray(q, dtype=float))
+    bracket midpoint.  Works on equal-shape arrays (at least 1-d), with
+    their entropies ``h_p`` and ``h_q``; each step evaluates both probes
+    in one stacked call, one binary-entropy array per step."""
     a = np.zeros(np.broadcast(p, q).shape)
     b = np.ones_like(a)
     while float(np.max(b - a)) > pi_tol:
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        lower_wins = _mutual_information(m1, p, q) < _mutual_information(m2, p, q)
-        a = np.where(lower_wins, m1, a)
-        b = np.where(lower_wins, b, m2)
+        probes = np.stack((a + (b - a) / 3.0, b - (b - a) / 3.0))
+        at_m1, at_m2 = _mutual_information(probes, p, q, h_p, h_q)
+        lower_wins = at_m1 < at_m2
+        a = np.where(lower_wins, probes[0], a)
+        b = np.where(lower_wins, b, probes[1])
     return 0.5 * (a + b)
 
 
@@ -169,8 +174,9 @@ def capacity_bruteforce_grid(p, q, tol: float = 1e-10) -> np.ndarray:
     """Vectorized :func:`capacity_bruteforce` over arrays of (p, q)."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    pi = _ternary_search(p, q, _bruteforce_pi_tol(p, q, tol))
-    return np.maximum(_mutual_information(pi, p, q), 0.0)
+    h_p, h_q = _entropy_arr(p), _entropy_arr(q)
+    pi = _ternary_search(p, q, h_p, h_q, _bruteforce_pi_tol(p, q, tol))
+    return np.maximum(_mutual_information(pi, p, q, h_p, h_q), 0.0)
 
 
 def guess_success(p: float, q: float) -> float:

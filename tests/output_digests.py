@@ -1,0 +1,78 @@
+"""sha256 digests of what qcc prints, so a byte that moves shows.
+
+The digested outputs are the CSV of the 12 reference sweeps (the four
+shipped configs, each swept over ``bob_t_on``, ``separation_L`` and
+``gap_B``), ``point`` and ``capacity`` stdout on the four shipped configs,
+and ``validate``'s lines without their `` [x ms]`` timings, all at the
+default tolerance.  ``data/output_digests.sha256`` holds them in the
+format of ``sha256sum``, under the file names the CI workflow writes from
+the console script, so ``sha256sum -c`` checks them there;
+``test_output_digests.py`` recomputes them in process.
+
+A change that moves printed bytes on purpose regenerates the file from
+the root of the repository:
+
+    PYTHONPATH=src python tests/output_digests.py
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+from qcc.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = Path(__file__).resolve().parent / "data" / "output_digests.sha256"
+CONFIGS = ("demo_1p1", "demo_2p1", "demo_3p1", "spacelike_2p1")
+SWEEPS = (("bob_t_on", "4.05:12:0.05"), ("separation_L", "0.1:6:0.05"),
+          ("gap_B", "0.5:40:0.5"))
+_MS = re.compile(r" \[[0-9.]* ms\]$", re.MULTILINE)
+
+
+def _stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    if rc != 0:
+        raise RuntimeError(f"qcc {' '.join(argv)} exited {rc}")
+    return buf.getvalue()
+
+
+def digests(workdir):
+    """{file name: sha256 hex digest} of every digested output, run in
+    process; the sweeps write their CSVs into ``workdir``."""
+    files = {}
+    for cfg in CONFIGS:
+        path = str(ROOT / "configs" / f"{cfg}.cfg")
+        for param, spec in SWEEPS:
+            out = Path(workdir) / f"serial_{cfg}_{param}.csv"
+            _stdout(["sweep", path, "--param", param, "--range", spec,
+                     "--out", str(out)])
+            files[out.name] = out.read_bytes()
+        for verb in ("point", "capacity"):
+            files[f"{verb}_{cfg}.txt"] = _stdout([verb, path]).encode()
+    files["validate.txt"] = _MS.sub("", _stdout(["validate"])).encode()
+    return {name: hashlib.sha256(data).hexdigest()
+            for name, data in files.items()}
+
+
+def committed():
+    """The digests in ``data/output_digests.sha256``."""
+    pairs = (line.split("  ", 1)
+             for line in DIGESTS.read_text(encoding="ascii").splitlines())
+    return {name: digest for digest, name in pairs}
+
+
+if __name__ == "__main__":
+    os.environ.pop("QCC_QUAD_TOL", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        found = digests(tmp)
+    DIGESTS.write_text("".join(f"{digest}  {name}\n"
+                               for name, digest in found.items()),
+                       encoding="ascii")
+    print(f"wrote {len(found)} digests to {DIGESTS}", file=sys.stderr)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import demo_scenario, make_scenario
+from qcc import channel
 from qcc.channel import (
     binary_entropy,
     capacity_bruteforce,
@@ -138,6 +139,26 @@ class TestCapacityBruteforce:
         scalars = [capacity_bruteforce(float(a), float(b))
                    for a, b in zip(p, q)]
         np.testing.assert_allclose(grid, scalars, atol=1e-10)
+
+    @pytest.mark.parametrize("p,q,entropies,capacity", [
+        (0.6, 0.4, 28, "0.029049405544471607"),
+        (0.5, 0.0, 72, "0.3219280948873623"),
+        (0.9, 0.1, 32, "0.5310044064103473"),
+    ])
+    def test_entropy_evaluations_pinned(self, monkeypatch, p, q, entropies,
+                                        capacity):
+        # h(p) and h(q) once, one stacked h per ternary step (25, 69 and
+        # 29 steps) and one for the final I(pi)
+        calls = []
+        entropy = channel._entropy_arr
+
+        def counting(x):
+            calls.append(x)
+            return entropy(x)
+
+        monkeypatch.setattr(channel, "_entropy_arr", counting)
+        assert repr(capacity_bruteforce(p, q)) == capacity
+        assert len(calls) == entropies
 
 
 class TestGuessSuccess:

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import demo_scenario
-from qcc import quadrature, signalling
+from qcc import quadrature, signalling, validation
 from qcc.greens import commutator_kernel
 from qcc.quadrature import (
     QuadResult,
@@ -354,6 +354,31 @@ class TestPolyCosOracle:
         poly = np.polynomial.Polynomial(coeffs)
         assert _poly_cos_integral(poly, omega, a, b) == pytest.approx(
             exact, abs=1e-14)
+
+
+class TestHonestyFamily:
+    """The validate honesty check's case family, and the quadrature work
+    it does: the tight tolerance keeps it on the roundoff failure path."""
+
+    def test_cases_and_quadrature_work_are_pinned(self, monkeypatch):
+        assert len(list(validation._honesty_cases())) == 120
+        spent = {1e-9: 0, 1e-13: 0}
+        failures = []
+
+        def counting(f, a, b, tol, **kwargs):
+            try:
+                res = integrate_1d(f, a, b, tol, **kwargs)
+            except QuadratureError as err:
+                spent[tol] += err.evaluations
+                failures.append((tol, err.reason))
+                raise
+            spent[tol] += res.evaluations
+            return res
+
+        monkeypatch.setattr(validation, "integrate_1d", counting)
+        assert validation._check_quad_error_honesty().passed
+        assert spent == {1e-9: 17700, 1e-13: 34515}
+        assert failures == [(1e-13, "roundoff")] * 7
 
 
 poly_coeffs = st.lists(
