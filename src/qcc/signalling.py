@@ -64,7 +64,7 @@ from typing import Optional
 import numpy as np
 
 from . import greens
-from .quadrature import (_EPS, DEFAULT_TOL, QuadratureError, QuadResult,
+from .quadrature import (DEFAULT_TOL, QuadratureError, QuadResult,
                          _check_tol, _integrate_shared, _steepest_descent)
 from .scenario import (
     CausalClass,
@@ -148,11 +148,17 @@ _OSCILLATORY_TERM_PERIODS = 2.0
 
 
 def _window_correlation(s: Scenario, upper: float, picks):
-    """(corr, terms).  corr(tau) is C(tau) = int bias_A(t1)
-    Re(d_B e^{i Om_B (t1 + tau)}) dt1 for each observable in ``picks``,
+    """The lag pass of 4 int dtau K(tau) C(tau) for each pick, _S2
+    (K = D) or _HF (K = F): double integrals over both windows, Bob's up
+    to ``upper`` (see :func:`_bob_upper`), whose kernels depend only on
+    tau = t2 - t1.  It is the tuple (weight, terms, omega, lo, hi, kinks,
+    factor) that :func:`_lag_integrals` takes.  weight(tau) is C(tau) =
+    int bias_A(t1) Re(d_B e^{i Om_B (t1 + tau)}) dt1 for each pick,
     vectorized; terms(a, b) is C on one lag piece as a sum of
     exponentials, and terms is None when their phases would overflow
-    (see :func:`_phases_finite`).
+    (see :func:`_phases_finite`).  omega is max(Om_A, Om_B), the lags run
+    over [lo, hi] = [T_on,B - T_off,A, upper - T_on,A], C has its kinks
+    at T_on,B - T_on,A and upper - T_off,A, and factor is 4.
 
     ``_S2`` picks d_B = i c_B and ``_HF`` picks d_B = c_B, with c_B Bob's
     bias coefficient; both share every intermediate below.  t1 runs over
@@ -186,8 +192,8 @@ def _window_correlation(s: Scenario, upper: float, picks):
         e_sum = np.exp(1j * (phase_a + phase_b))
         e_diff = np.exp(1j * (phase_a - phase_b))
         del phase_a, phase_b
-        sinc_sum = _sinc((om_a + om_b) * w / (2.0 * math.pi))
-        sinc_diff = _sinc((om_a - om_b) * w / (2.0 * math.pi))
+        sinc_sum = np.sinc((om_a + om_b) * w / (2.0 * math.pi))
+        sinc_diff = np.sinc((om_a - om_b) * w / (2.0 * math.pi))
         half_w = 0.5 * w
         return [
             half_w * ((c_sum * e_sum).real * sinc_sum
@@ -240,15 +246,9 @@ def _window_correlation(s: Scenario, upper: float, picks):
                 for om, amp, cs in out]
 
     times = (a_on, a_off, b_on, upper)
-    return corr, terms if _phases_finite(s, times) else None
-
-
-def _sinc(x):
-    """np.sinc(x) of a float array, by its own arithmetic: sin(pi x) /
-    (pi x), with pi x replaced by eps where it is 0."""
-    x = math.pi * x
-    y = np.where(x, x, _EPS)
-    return np.sin(y) / y
+    return (corr, terms if _phases_finite(s, times) else None,
+            max(om_a, om_b), b_on - a_off, upper - a_on,
+            (b_on - a_on, upper - a_off), 4.0)
 
 
 def _unit(z):
@@ -266,11 +266,14 @@ def _half_sinc(kappa, w0, w1):
 
 
 def _interaction_weight(s: Scenario, t: float):
-    """(weight, terms) of the interaction energy at time t, as
-    :func:`_window_correlation` returns them for its one pick: weight(tau)
-    is Alice's bias at t - tau, and terms(a, b) writes it as
-    Re(conj(c_A e^{i Om_A t}) e^{i Om_A tau}), a single exponential of
-    amplitude 1 on every piece."""
+    """The lag pass of the interaction energy at time t, -4 bias_B(t)
+    int bias_A(t - tau) D(tau, L) dtau: the tuple (weight, terms, omega,
+    lo, hi, kinks, factor) of :func:`_window_correlation` for its one
+    pick.  weight(tau) is Alice's bias at t - tau, and terms(a, b) writes
+    it as Re(conj(c_A e^{i Om_A t}) e^{i Om_A tau}), a single exponential
+    of amplitude 1 on every piece.  omega is Om_A, the lags run over
+    [t - T_off,A, t - T_on,A] with no kink, and factor is -4 bias_B(t).
+    """
     alice = s.alice
 
     def weight(tau):
@@ -280,8 +283,10 @@ def _interaction_weight(s: Scenario, t: float):
         c = _bias_coeff(alice) * cmath.exp(1j * alice.gap * t)
         return [(alice.gap, _unit, [c.conjugate()])]
 
-    times = (t, alice.window.t_on, alice.window.t_off)
-    return weight, terms if _phases_finite(s, times) else None
+    w = alice.window
+    times = (t, w.t_on, w.t_off)
+    return (weight, terms if _phases_finite(s, times) else None, alice.gap,
+            t - w.t_off, t - w.t_on, (), -4.0 * detector_bias(s.bob, t))
 
 
 def _phase_scale(s: Scenario, times) -> float:
@@ -361,18 +366,19 @@ def _oscillatory_piece(L, picks, terms, a, b, tol):
             if err[i] <= tol else evals[i] for i in range(n)]
 
 
-def _lag_integrals(s, picks, weight, terms, omega, lo, hi, kinks, tol,
-                   factor):
+def _lag_integrals(s, picks, lag_pass, tol):
     """factor * int_lo^hi K_i(tau) W_i(tau) dtau over tau > L for each
     pick i, in one shared pass: K_i is the pick's lag kernel in the
     scenario's dimension, L its separation and W_i the pick's weight.
     The lags are >= 0 (Alice switches off before Bob switches on, and
     hI is taken inside Bob's window), so the cone is the one lag L.
 
-    ``weight(tau)`` returns one weight array per pick, and ``terms(a,
-    b)`` the weights on the lag piece [a, b] as a sum of exponentials
-    (see :func:`_window_correlation`), or ``terms`` is None when their
-    phases would overflow.  The lag range is cut at L and at the
+    ``lag_pass`` is the tuple (weight, terms, omega, lo, hi, kinks,
+    factor) that :func:`_window_correlation` or
+    :func:`_interaction_weight` builds.  ``weight(tau)`` returns one
+    weight array per pick, and ``terms(a, b)`` the weights on the lag
+    piece [a, b] as a sum of exponentials, or ``terms`` is None when
+    their phases would overflow.  The lag range is cut at L and at the
     weight's ``kinks`` so every piece is smooth, and panels start a
     quarter period of the weight's top frequency ``omega`` wide (unless
     the piece takes the steepest-descent route below); the pieces inside
@@ -401,6 +407,7 @@ def _lag_integrals(s, picks, weight, terms, omega, lo, hi, kinks, tol,
     the failed attempt, nodes whose values were not finite included.
     Returns one Observable per integrand.
     """
+    weight, terms, omega, lo, hi, kinks, factor = lag_pass
     n = len(picks)
     dim, L = s.dimension, s.report.separation
     kernels = [_TIMELIKE[p] for p in picks]
@@ -493,20 +500,6 @@ def _bob_upper(s: Scenario, t: Optional[float]) -> float:
             f"{s.bob.window.t_on!r}"
         )
     return min(t, s.bob.window.t_off)
-
-
-def _correlation_observables(s, upper, picks, tol):
-    """4 int dtau K(tau) C(tau) for each pick, _S2 (K = D) or _HF (K = F),
-    in one shared pass: double integrals over both windows, Bob's up to
-    ``upper`` (see :func:`_bob_upper`), whose kernels depend only on
-    tau = t2 - t1.  One Observable per pick."""
-    a_on, a_off = s.alice.window.t_on, s.alice.window.t_off
-    b_on = s.bob.window.t_on
-    corr, terms = _window_correlation(s, upper, picks)
-    return _lag_integrals(
-        s, picks, corr, terms, max(s.alice.gap, s.bob.gap), b_on - a_off,
-        upper - a_on, (b_on - a_on, upper - a_off), tol, 4.0,
-    )
 
 
 def _rounding(s: Scenario, amplitude: float, *times) -> float:
@@ -669,7 +662,8 @@ def _correlations(s: Scenario, t: Optional[float], picks, tol: float):
            for p in picks}
     lag = [p for p in picks if out[p] is None]
     if lag:
-        out.update(zip(lag, _correlation_observables(s, upper, lag, tol)))
+        out.update(zip(lag, _lag_integrals(
+            s, lag, _window_correlation(s, upper, lag), tol)))
     return [out[p] for p in picks]
 
 
@@ -719,17 +713,8 @@ def _interaction(s: Scenario, t: float, tol: float) -> Observable:
     except ValueError as exc:
         return _failed(exc)
     out = _route(s, _S2, t, t, lambda: _hI_1p1(s, t), tol)
-    return _interaction_lag(s, t, tol) if out is None else out
-
-
-def _interaction_lag(s: Scenario, t: float, tol: float) -> Observable:
-    """-4 bias_B(t) int bias_A(t - tau) D(tau, L) dtau on the lag
-    quadrature: the 2+1D route, and the 1+1D closed form's oracle."""
-    weight, terms = _interaction_weight(s, t)
-    a = s.alice.window
-    return _lag_integrals(
-        s, [_S2], weight, terms, s.alice.gap, t - a.t_off, t - a.t_on, (),
-        tol, -4.0 * detector_bias(s.bob, t))[0]
+    return (_lag_integrals(s, [_S2], _interaction_weight(s, t), tol)[0]
+            if out is None else out)
 
 
 def field_energy_observable(
@@ -794,7 +779,7 @@ def s2_null_3p1(s: Scenario) -> float:
         Dimension.D3p1, L, L).on_lightcone_delta
     # 4 int bias_A(t1) Re(alpha_B* beta_B e^{i Om_B (t1+L)} * i * coeff):
     # the window correlation at the lag tau = L
-    corr, _ = _window_correlation(s, s.bob.window.t_off, [_S2])
+    corr = _window_correlation(s, s.bob.window.t_off, [_S2])[0]
     return 4.0 * delta_coeff * float(corr(L)[0])
 
 

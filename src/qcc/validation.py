@@ -63,14 +63,16 @@ def _demo(dim=Dimension.D2p1, t1=5.0, L=1.0):
 def _s2_by_quadrature(s, tol):
     """S2 on the lag quadrature, past the exact routes it is checked
     against."""
-    upper = signalling._bob_upper(s, None)
-    return signalling._one(signalling._correlation_observables(
-        s, upper, [signalling._S2], tol)[0])
+    picks = [signalling._S2]
+    lag_pass = signalling._window_correlation(s, s.bob.window.t_off, picks)
+    return signalling._one(
+        signalling._lag_integrals(s, picks, lag_pass, tol)[0])
 
 
 def _hI_by_quadrature(s, t, tol):
     """hI at t on the lag quadrature, past the 1+1D closed form."""
-    return signalling._one(signalling._interaction_lag(s, t, tol))
+    return signalling._one(signalling._lag_integrals(
+        s, [signalling._S2], signalling._interaction_weight(s, t), tol)[0])
 
 
 def _random_state(rng):
@@ -438,9 +440,9 @@ def _check_oscillatory_route():
     s = replace(s, bob=replace(s.bob, gap=40.0))
     L, a, b, tol = 1.0, 5.0, 8.0, 1e-10
     picks = (signalling._S2, signalling._HF)
-    corr, terms = signalling._window_correlation(s, 8.0, picks)
+    corr, terms = signalling._window_correlation(s, 8.0, picks)[:2]
     bias, bias_terms = signalling._interaction_weight(
-        replace(s, alice=replace(s.alice, gap=40.0)), 8.0)
+        replace(s, alice=replace(s.alice, gap=40.0)), 8.0)[:2]
     routed = signalling._oscillatory_piece(L, picks, terms(a, b), a, b, tol)
     routed += signalling._oscillatory_piece(
         L, picks[:1], bias_terms(a, b), a, b, tol)
