@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DEFAULT_TOL, QuadResult, QuadratureError, integrate_1d
+from .quadrature import (DEFAULT_TOL, QuadResult, _integrate_shared,
+                         _roundoff_best)
 from .scenario import Dimension
 
 __all__ = [
@@ -168,54 +169,60 @@ def field_energy_kernel(dim: Dimension, tau: float, L: float) -> KernelValue:
     return KernelValue(field_energy_timelike(dim, tau, x, L))
 
 
-def _damped_level(dim: Dimension, tau: float, L: float,
-                  eps: float) -> list[QuadResult]:
-    """The momentum integral damped by e^{-eps |k|}, at one eps, in pieces.
+def _radial(n, eps, a):
+    """One plane wave's k-integral, damped by e^{-eps k} and exact:
+    int_0^inf k^{n-1} cos(a k) e^{-eps k} dk = Re[(n-1)! / (eps - i a)^n]."""
+    return (math.factorial(n - 1) / (eps - 1j * a) ** n).real
 
-    Each plane wave's k-integral is exact,
-    int_0^inf k^{n-1} cos(a k) e^{-eps k} dk = Re[(n-1)! / (eps - i a)^n]
-    with a = tau - L cos(theta), so only the directions are integrated:
-    the two of a line in 1+1D, theta over [0, pi] otherwise, cut where
-    a = 0 when |tau| < L (the integrand peaks there with width ~eps).  The
-    pieces share DEFAULT_TOL / 100; one whose share is below the roundoff
-    floor keeps its best estimate.
+
+def _directions(n, tau, L, eps, theta):
+    """The damped momentum integral's integrand over the direction angle
+    ``theta`` (n = 2 or 3 space dimensions), for the plane waves with
+    a = tau - L cos(theta); ``eps`` may be one value per node."""
+    # a = tau - L cos(theta), with 1 - cos = 2 sin^2 and 1 + cos = 2 cos^2
+    # of theta/2: next to the cone, a ~ 0 is then not the difference of
+    # two numbers ~L, which loses ~eps L
+    if tau >= 0:
+        a = (tau - L) + 2.0 * L * np.sin(0.5 * theta) ** 2
+    else:
+        a = (tau + L) - 2.0 * L * np.cos(0.5 * theta) ** 2
+    # times S_{n-1} / (2 pi)^n and the measure dtheta or sin(theta) dtheta
+    wave = _radial(n, eps, a)
+    if n == 2:
+        return wave / (2.0 * math.pi ** 2)
+    return wave * np.sin(theta) / (4.0 * math.pi ** 2)
+
+
+def _damped_levels(dim: Dimension, tau: float, L: float,
+                   eps: list[float]) -> list[list[QuadResult]]:
+    """The momentum integral damped by e^{-eps |k|}, at each of ``eps``,
+    in pieces: per eps, the list of its pieces' QuadResults.
+
+    Each plane wave's k-integral is exact (:func:`_radial`), so only the
+    directions are integrated: the two of a line in 1+1D, theta over
+    [0, pi] otherwise, cut where a = 0 when |tau| < L (the integrand
+    peaks there with width ~eps).  Every level's pieces are one
+    :func:`quadrature._integrate_shared` pass whose integrand reads each
+    node's eps from its piece; each gets what :func:`integrate_1d` gives
+    it alone.  A level's pieces share DEFAULT_TOL / 100; one whose share
+    is below the roundoff floor keeps its best estimate, and any other
+    failure is raised.
     """
     n = dim.spatial
-
-    def radial(a):
-        return (math.factorial(n - 1) / (eps - 1j * a) ** n).real
-
     if n == 1:
-        return [QuadResult((radial(tau - L) + radial(tau + L)) / (2.0 * math.pi),
-                           0.0, 2)]
+        return [[QuadResult((_radial(1, e, tau - L) + _radial(1, e, tau + L))
+                            / (2.0 * math.pi), 0.0, 2)] for e in eps]
     if n == 3 and L == 0:
         raise ValueError("3+1D momentum integral needs L > 0")
-
-    def f(theta):
-        # a = tau - L cos(theta), with 1 - cos = 2 sin^2 and 1 + cos = 2 cos^2
-        # of theta/2: next to the cone, a ~ 0 is then not the difference of
-        # two numbers ~L, which loses ~eps L
-        if tau >= 0:
-            a = (tau - L) + 2.0 * L * np.sin(0.5 * theta) ** 2
-        else:
-            a = (tau + L) - 2.0 * L * np.cos(0.5 * theta) ** 2
-        # times S_{n-1} / (2 pi)^n and the measure dtheta or sin(theta) dtheta
-        wave = radial(a)
-        if n == 2:
-            return wave / (2.0 * math.pi ** 2)
-        return wave * np.sin(theta) / (4.0 * math.pi ** 2)
-
     cuts = [0.0, math.acos(tau / L), math.pi] if abs(tau) < L else [0.0, math.pi]
-    parts = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        try:
-            parts.append(integrate_1d(f, lo, hi,
-                                      DEFAULT_TOL * 1e-2 / (len(cuts) - 1)))
-        except QuadratureError as exc:
-            if exc.reason != "roundoff":
-                raise
-            parts.append(exc.best)
-    return parts
+    pieces = list(zip(cuts, cuts[1:]))
+    per_piece = np.repeat(eps, len(pieces))
+    (results,) = _integrate_shared(
+        lambda theta, j: [_directions(n, tau, L, per_piece[j], theta)], 1,
+        [(lo, hi, None, (0,)) for _ in eps for lo, hi in pieces],
+        DEFAULT_TOL * 1e-2 / len(pieces))
+    parts = [_roundoff_best(res) for res in results]
+    return [parts[k:k + len(pieces)] for k in range(0, len(parts), len(pieces))]
 
 
 # The value at eps = 0 of the polynomial through the levels (eps_j, v_j),
@@ -238,7 +245,8 @@ def regularized_momentum_integral(dim: Dimension, tau: float,
     time: small enough that the damped value is in the asymptotic regime,
     large enough that the angular integrands, peaked with width ~eps, stay
     cheap to resolve.  Each level is exact in |k|, by quadrature over
-    directions (:func:`_damped_level`); the sequence is then extrapolated
+    directions, and the seven levels' direction integrals are one shared
+    GK pass (:func:`_damped_levels`); the sequence is then extrapolated
     polynomially in eps to eps -> 0, as the levels' sum with the fixed
     weights ``_WEIGHTS``.  The returned error estimate is the distance to
     the extrapolation from the last six levels plus the propagated
@@ -251,8 +259,8 @@ def regularized_momentum_integral(dim: Dimension, tau: float,
     integrals is what produces -|tau| / (2 pi (tau^2 - L^2)^{3/2}).
     """
     scale = abs(abs(tau) - L) or max(abs(tau), L, 1.0)
-    levels = [_damped_level(dim, tau, L, 0.3 * scale * 0.5 ** j)
-              for j in range(7)]
+    levels = _damped_levels(dim, tau, L,
+                            [0.3 * scale * 0.5 ** j for j in range(7)])
     values = [math.fsum(r.value for r in lv) for lv in levels]
     best = math.fsum(w * v for w, v in zip(_WEIGHTS, values))
     residual = abs(best - math.fsum(

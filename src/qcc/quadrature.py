@@ -18,8 +18,12 @@ its evaluation budget.
 Several integrands over several intervals can share one evaluation of
 their initial panellings and one application of each integrand's rule
 over all of their panels; each integrand is then refined on each
-interval on its own.  A panelling that already meets the tolerance is
-summed at once, with no per-panel bookkeeping.
+interval on its own, when the caller takes that interval's result.  So
+the caller decides what a failure means: a lag pass stops an integrand
+at its first failed piece, while a family of independent integrals (the
+validation suite's honesty cases, the F oracle's damping levels) takes
+every result, failures included.  A panelling that already meets the
+tolerance is summed at once, with no per-panel bookkeeping.
 
 For highly oscillatory integrals int_a^b g(t) e^{i omega t} dt with g
 analytic above the interval, :func:`_steepest_descent` replaces the
@@ -389,17 +393,16 @@ def _integrate_shared(f, n, intervals, tol, budget=_DEFAULT_BUDGET):
     panelling of [a, b], as :func:`integrate_1d` lays it out, and the
     integrands taken over it.  ``f(t, j)`` takes an ndarray of abscissae
     and j, the index of the interval each lies in (an int array like t,
-    or one int), and returns ``n`` value arrays.  The initial panellings
-    are evaluated in one call of ``f``, and each integrand's GK15 pair is
-    applied over all of their panels at once.  After that integrand i is
-    refined interval by interval through ``f(t, j)[i]``, budget-checked
-    and failed on its own, exactly as :func:`integrate_1d` would
-    integrate it alone there, and is not taken past the first interval
-    it fails on.  Returns, per integrand, one QuadResult or
-    QuadratureError per interval it was taken over, in order.  An
-    interval refused its initial panelling on ``budget`` fails there
-    having spent nothing.  Arguments are as for :func:`integrate_1d`,
-    and are not checked here.
+    or one int), and returns a list of ``n`` value arrays.  The initial
+    panellings are evaluated here, in one call of ``f``.  Returns, per
+    integrand, an iterator of :func:`_refine` that yields one QuadResult
+    or QuadratureError per interval the integrand is taken over, in
+    order: each is what :func:`integrate_1d` gives alone there, failures
+    included, and an interval is refined only when its result is taken,
+    so a caller that stops at a failure spends nothing past it.  An
+    interval refused its initial panelling on ``budget`` fails having
+    spent nothing.  Arguments are as for :func:`integrate_1d`, and are
+    not checked here.
     """
     edges, spans, start = [], [], 0
     for a, b, width, _ in intervals:
@@ -412,44 +415,60 @@ def _integrate_shared(f, n, intervals, tol, budget=_DEFAULT_BUDGET):
         spans.append((start, stop))
         start = stop
     laid = [j for j, (lo, hi) in enumerate(spans) if hi > lo]
+    vals = flat = halves = None
     if laid:
         flat, halves = _panel_nodes(*[edges[j] for j in laid])
         owner = laid[0] if len(laid) == 1 else np.repeat(
             np.arange(len(spans)), [15 * (hi - lo) for lo, hi in spans])
         vals = f(flat, owner)
-    results = []
-    for i in range(n):
-        rules = vals_i = None
-        if laid:
-            vals_i, vals[i] = vals[i], None
+    return [_refine(f, i, vals, flat, halves, edges, spans, intervals, tol,
+                    budget) for i in range(n)]
+
+
+def _refine(f, i, vals, flat, halves, edges, spans, intervals, tol, budget):
+    """Integrand i's results of :func:`_integrate_shared`, one interval at
+    a time: its GK15 pair is applied over all the initial panels ``vals[i]``
+    at once, then each interval it is taken over is refined on its own,
+    through ``f(t, j)[i]``, budget-checked and failed as
+    :func:`integrate_1d` would.  When some node is not finite, each
+    interval's rules are redone on its own nodes, so a non-finite failure
+    names a node of that interval."""
+    rules = vals_i = None
+    if vals is not None:
+        vals_i, vals[i] = vals[i], None
+        try:
+            rules = _panel_rules(vals_i, flat, halves, flat.size)
+            vals_i = None  # only the panel sums are kept while refining
+        except QuadratureError:  # a node is not finite: judge each
+            pass                 # interval by its own nodes
+    for j, (e, (lo, hi), interval) in enumerate(zip(edges, spans, intervals)):
+        if i not in interval[3]:
+            continue
+        res = e
+        if hi > lo:
             try:
-                rules = _panel_rules(vals_i, flat, halves, flat.size)
-                vals_i = None  # only the panel sums are kept while refining
-            except QuadratureError:  # a node is not finite: judge each
-                pass                 # interval by its own nodes
-        out = []
-        for j, (e, (lo, hi), interval) in enumerate(
-                zip(edges, spans, intervals)):
-            if i not in interval[3]:
-                continue
-            res = e
-            if hi > lo:
-                try:
-                    if rules:
-                        initial = [r[lo:hi] for r in rules]
-                    else:
-                        nodes = slice(15 * lo, 15 * hi)
-                        initial = _panel_rules(vals_i[nodes], flat[nodes],
-                                               halves[lo:hi], 15 * (hi - lo))
-                    res = _adaptive(lambda t, i=i, j=j: f(t, j)[i], e,
-                                    initial, tol, budget)
-                except QuadratureError as exc:
-                    res = exc
-            out.append(res)
-            if isinstance(res, QuadratureError):
-                break
-        results.append(out)
-    return results
+                if rules:
+                    initial = [r[lo:hi] for r in rules]
+                else:
+                    nodes = slice(15 * lo, 15 * hi)
+                    initial = _panel_rules(vals_i[nodes], flat[nodes],
+                                           halves[lo:hi], 15 * (hi - lo))
+                res = _adaptive(lambda t, j=j: f(t, j)[i], e, initial, tol,
+                                budget)
+            except QuadratureError as exc:
+                res = exc
+        yield res
+
+
+def _roundoff_best(res):
+    """``res``, one result of :func:`_integrate_shared`, as a QuadResult:
+    a roundoff failure gives its best estimate, and any other failure is
+    raised."""
+    if isinstance(res, QuadratureError):
+        if res.reason != "roundoff":
+            raise res
+        return res.best
+    return res
 
 
 def _steepest_descent(g, omega, a, b):

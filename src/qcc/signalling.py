@@ -398,11 +398,12 @@ def _lag_integrals(s, picks, lag_pass, tol):
     The GK panels of every piece, for every pick that takes them there,
     are one :func:`quadrature._integrate_shared` batch: the weight and
     each kernel are evaluated once on all their initial nodes, then each
-    pick is refined piece by piece on its own, so each gets the value,
-    error and evaluation count it gets alone.  ``tol``, which the public
-    entries check before they pick a route, is split across the pieces.
-    An integrand that fails on a piece is not refined on later pieces:
-    its record fails with a QuadratureError naming ``tol``, with no
+    pick is refined piece by piece on its own as its results are taken,
+    so each gets the value, error and evaluation count it gets alone.
+    ``tol``, which the public entries check before they pick a route, is
+    split across the pieces.  A pick stops at the first piece it fails
+    on: no later piece's result is taken, so none is refined for it.
+    Its record fails with a QuadratureError naming ``tol``, with no
     ``best``, and counts the evaluations of the earlier pieces and of
     the failed attempt, nodes whose values were not finite included.
     Returns one Observable per integrand.
@@ -453,10 +454,8 @@ def _lag_integrals(s, picks, lag_pass, tol):
         w = weight(tau)
         return [jac * (k(dim, tau, x, L) * w_i) for k, w_i in zip(kernels, w)]
 
-    shared = _integrate_shared(f, n, intervals, piece_tol)
     out = []
-    for i in range(n):
-        gk = iter(shared[i])
+    for i, gk in enumerate(_integrate_shared(f, n, intervals, piece_tol)):
         values, err, evals = [], 0.0, 0
         for (a, b), res in zip(pieces, routed):
             res = res[i]

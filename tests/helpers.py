@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from qcc.greens import commutator_kernel
-from qcc.quadrature import integrate_2d_rect
+from qcc.quadrature import QuadratureError, integrate_1d, integrate_2d_rect
 from qcc.scenario import (
     ComplexAmplitudePair,
     DetectorSpec,
@@ -117,3 +117,21 @@ def random_scenario(rng, dim):
         gap_a=float(rng.uniform(0.2, 60.0)),
         gap_b=float(rng.uniform(0.2, 60.0)),
     )
+
+
+def quad_record(res):
+    """A QuadResult by its bits (value, estimate) and evaluations; a
+    QuadratureError by its reason, message, evaluations and best."""
+    if isinstance(res, QuadratureError):
+        return (res.reason, str(res), res.evaluations,
+                res.best and quad_record(res.best))
+    return (res.value.hex(), res.abs_error_estimate.hex(), res.evaluations)
+
+
+def integrate_alone(f, a, b, tol, **kwargs):
+    """What integrate_1d returns for ``f`` on [a, b], or the
+    QuadratureError it raises, in one call for this integral alone."""
+    try:
+        return integrate_1d(f, a, b, tol, **kwargs)
+    except QuadratureError as exc:
+        return exc

@@ -68,23 +68,24 @@ def spacelike_variant(s, rng):
 def test_01_s2_2d_quadrature_matches_1p1_closed_form():
     """50 random strictly timelike 1+1D scenarios: S2 assembled from the
     generic 2D integrator agrees with the closed form that s2_observable
-    takes in 1+1D, with no evaluations, to relative 1e-8, in under 10 s
-    total."""
+    takes in 1+1D, with no evaluations, to relative 1e-8.  The 2D
+    integrator's work is pinned by its evaluation count, which, unlike
+    its wall time, does not depend on the host."""
     rng = np.random.default_rng(122)
-    t0 = time.monotonic()
     worst = 0.0
+    evaluations = 0
     for _ in range(50):
         s = random_timelike_scenario(rng, "1+1")
         obs = s2_observable(s)
         assert obs.evaluations == 0
         closed = obs.value
         tol = max(1e-12, abs(closed) * 1e-9)
-        quad = s2_via_2d_quadrature(s, tol=tol).value
-        worst = max(worst, abs(quad - closed) / abs(closed))
-        assert quad == pytest.approx(closed, rel=1e-8)
-    elapsed = time.monotonic() - t0
+        quad = s2_via_2d_quadrature(s, tol=tol)
+        evaluations += quad.evaluations
+        worst = max(worst, abs(quad.value - closed) / abs(closed))
+        assert quad.value == pytest.approx(closed, rel=1e-8)
     assert worst <= 1e-8
-    assert elapsed < 10.0, f"took {elapsed:.1f} s"
+    assert evaluations == 856_710
 
 
 def test_02_interaction_energy_quadrature_matches_closed_form():

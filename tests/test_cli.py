@@ -721,6 +721,20 @@ class TestValidateVerb:
         assert not result.passed
         assert "(tol 1e-4)" in result.detail and "/ estimate" in result.detail
 
+    def test_route_handing_a_piece_back_fails_its_check(self, monkeypatch):
+        # the check offers its pieces to the steepest-descent route
+        # directly; a pick the route hands back (its evaluation count in
+        # place of a result) has no route value to compare with GK
+        from qcc import validation
+
+        check = validation._check_oscillatory_route
+        assert check().passed
+        monkeypatch.setattr(signalling, "_oscillatory_piece",
+                            lambda L, picks, *args: [96] * len(picks))
+        assert check() == validation.CheckResult(
+            "oscillatory-route-vs-gk", False,
+            "the route handed the piece back to GK")
+
     def test_a_check_that_raises_keeps_its_name(self, monkeypatch):
         from qcc import validation
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import integrate_alone, quad_record
 from qcc import greens
 from qcc.greens import (
     KernelDomainError,
@@ -23,7 +24,7 @@ from qcc.greens import (
     field_energy_timelike,
     regularized_momentum_integral,
 )
-from qcc.quadrature import QuadratureError
+from qcc.quadrature import DEFAULT_TOL, QuadratureError
 from qcc.scenario import Dimension
 
 D1, D2, D3 = Dimension.D1p1, Dimension.D2p1, Dimension.D3p1
@@ -249,6 +250,27 @@ class TestOneKernelEverywhere:
             assert _bits(f[i]) == _bits(field_energy_kernel(D2, tau, L).value)
 
 
+def _levels_alone(dim, tau, L, eps):
+    """The damped levels on the per-call route: each level's direction
+    pieces integrated alone by integrate_1d, each a QuadResult or the
+    QuadratureError raised (1+1D: the shared route's exact levels)."""
+    if dim is D1:
+        return greens._damped_levels(dim, tau, L, eps)
+    cuts = [0.0, math.acos(tau / L), math.pi] if abs(tau) < L else [0.0, math.pi]
+    tol = DEFAULT_TOL * 1e-2 / (len(cuts) - 1)
+    return [[integrate_alone(
+        lambda theta, e=e: greens._directions(dim.spatial, tau, L, e, theta),
+        lo, hi, tol) for lo, hi in zip(cuts, cuts[1:])] for e in eps]
+
+
+def _records(levels, roundoff_best=False):
+    """Levels of pieces as quad_records; with ``roundoff_best`` a roundoff
+    failure is recorded as its best estimate."""
+    return [[quad_record(r.best if roundoff_best and getattr(
+        r, "reason", None) == "roundoff" else r) for r in level]
+        for level in levels]
+
+
 class TestRegularizedMomentumIntegral:
     """The damped-and-extrapolated oracle that certifies the 2+1D
     closed form above; slow-ish, so the full certification grid lives in
@@ -275,23 +297,47 @@ class TestRegularizedMomentumIntegral:
         with pytest.raises(ValueError, match="needs L > 0"):
             regularized_momentum_integral(D3, 1.0, 0.0)
 
-    def test_roundoff_floor_keeps_the_best_estimate(self, monkeypatch):
+    def test_roundoff_floor_keeps_the_best_estimate(self):
         # just outside a short 3+1D cone the direction integrals' shares of
         # the tolerance sit below their roundoff floor, so each level keeps
         # the best estimate its roundoff failure carries; F is 0 there
-        reasons = []
-        integrate_1d = greens.integrate_1d
-
-        def spied(*args, **kwargs):
-            try:
-                return integrate_1d(*args, **kwargs)
-            except QuadratureError as exc:
-                reasons.append(exc.reason)
-                raise
-        monkeypatch.setattr(greens, "integrate_1d", spied)
-        res = regularized_momentum_integral(D3, 0.03, 0.1)
+        tau, L = 0.03, 0.1
+        eps = [0.3 * abs(abs(tau) - L) * 0.5 ** j for j in range(7)]
+        alone = _levels_alone(D3, tau, L, eps)
+        reasons = [r.reason for level in alone for r in level
+                   if isinstance(r, QuadratureError)]
         assert reasons and set(reasons) == {"roundoff"}
+        assert _records(greens._damped_levels(D3, tau, L, eps)) \
+            == _records(alone, roundoff_best=True)
+        res = regularized_momentum_integral(D3, tau, L)
         assert abs(res.value) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("dim,tau,L", [
+        (D2, 2.0, 1.0), (D2, 0.3, 1.0), (D2, -0.5, 1.0), (D2, 1.5, 0.0),
+        (D2, 9.99, 10.0), (D2, -10.001, 10.0), (D2, 1.0, 1.0),
+        (D3, 5.0, 1.0), (D3, 0.3, 1.0), (D3, -0.3, 1.0), (D3, 9.99, 10.0),
+        (D3, -10.001, 10.0), (D1, 5.0, 1.0),
+    ])
+    def test_levels_equal_one_integral_per_piece(self, dim, tau, L):
+        # the seven levels' pieces, one shared pass, against integrate_1d
+        # on each level's pieces alone, bit for bit; a roundoff failure
+        # there stands in its best estimate (the roundoff test above
+        # checks one point where they do fail)
+        scale = abs(abs(tau) - L) or max(abs(tau), L, 1.0)
+        eps = [0.3 * scale * 0.5 ** j for j in range(7)]
+        assert _records(greens._damped_levels(dim, tau, L, eps)) \
+            == _records(_levels_alone(dim, tau, L, eps), roundoff_best=True)
+
+    def test_other_failures_are_raised(self, monkeypatch):
+        # a budget below one GK15 panel: the first direction integral
+        # fails on it, and the oracle raises that failure instead of
+        # taking a best estimate from it
+        shared = greens._integrate_shared
+        monkeypatch.setattr(greens, "_integrate_shared",
+                            lambda *args: shared(*args, budget=14))
+        with pytest.raises(QuadratureError) as excinfo:
+            regularized_momentum_integral(D2, 2.0, 1.0)
+        assert excinfo.value.reason == "budget"
 
     def test_certification_grid_is_cheap_and_bounded(self):
         # the acceptance grid: only the directions are integrated, so each
@@ -323,8 +369,8 @@ class TestRegularizedMomentumIntegral:
         # is the value of a Neville tableau over the same levels at eps = 0
         tau = ratio * L
         eps = [0.3 * abs(tau - L) * 0.5 ** j for j in range(7)]
-        p = [math.fsum(r.value for r in greens._damped_level(D2, tau, L, e))
-             for e in eps]
+        p = [math.fsum(r.value for r in level)
+             for level in greens._damped_levels(D2, tau, L, eps)]
         for j in range(1, 7):
             p = [(eps[i + j] * p[i] - eps[i] * p[i + 1])
                  / (eps[i + j] - eps[i]) for i in range(7 - j)]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import demo_scenario
+from helpers import demo_scenario, integrate_alone, quad_record
 from qcc import quadrature, signalling, validation
 from qcc.greens import commutator_kernel
 from qcc.quadrature import (
@@ -310,24 +310,26 @@ class TestRoundoffFloor:
         signalling.s2_observable, signalling.field_energy_observable,
     ])
     def test_demo_2p1_observable_fails_fast(self, observable, monkeypatch):
-        # every evaluation the observable spends, in any of its pieces
-        spent = []
+        # the nodes at which the lag pass evaluates its weight: every
+        # integrand evaluation the observable makes, in any of its pieces
+        nodes = []
+        window = signalling._window_correlation
 
-        def counting(*args, **kwargs):
-            results = quadrature._integrate_shared(*args, **kwargs)
-            # one result per integrand and interval it was taken over
-            for res in (r for per_integrand in results for r in per_integrand):
-                if isinstance(res, QuadratureError):
-                    res = res.best
-                spent.append(res.evaluations)
-            return results
+        def counted(*args):
+            weight, *rest = window(*args)
 
-        monkeypatch.setattr(signalling, "_integrate_shared", counting)
+            def spied(tau):
+                nodes.append(tau.size)
+                return weight(tau)
+            return (spied, *rest)
+
+        monkeypatch.setattr(signalling, "_window_correlation", counted)
         s = demo_scenario("2+1")
         with pytest.raises(QuadratureError) as excinfo:
             observable(s, s.bob.window.t_off, 1e-16)
         assert excinfo.value.reason == "roundoff"
-        assert sum(spent) <= 1000
+        # the failure counts what was spent up to it, within those nodes
+        assert 0 < excinfo.value.evaluations <= sum(nodes) <= 1000
 
     def test_2d_keeps_inner_reason(self):
         with pytest.raises(QuadratureError) as excinfo:
@@ -361,24 +363,48 @@ class TestHonestyFamily:
     it does: the tight tolerance keeps it on the roundoff failure path."""
 
     def test_cases_and_quadrature_work_are_pinned(self, monkeypatch):
+        # what the check takes from its passes, one result per case and
+        # tolerance, failures included
         assert len(list(validation._honesty_cases())) == 120
         spent = {1e-9: 0, 1e-13: 0}
         failures = []
+        honesty_pass = validation._honesty_pass
 
-        def counting(f, a, b, tol, **kwargs):
-            try:
-                res = integrate_1d(f, a, b, tol, **kwargs)
-            except QuadratureError as err:
-                spent[tol] += err.evaluations
-                failures.append((tol, err.reason))
-                raise
-            spent[tol] += res.evaluations
-            return res
+        def recorded(cases, tol, per_period):
+            for res in honesty_pass(cases, tol, per_period):
+                spent[tol] += res.evaluations
+                if isinstance(res, QuadratureError):
+                    failures.append((tol, res.reason))
+                yield res
 
-        monkeypatch.setattr(validation, "integrate_1d", counting)
+        monkeypatch.setattr(validation, "_honesty_pass", recorded)
         assert validation._check_quad_error_honesty().passed
         assert spent == {1e-9: 17700, 1e-13: 34515}
         assert failures == [(1e-13, "roundoff")] * 7
+
+    @pytest.mark.parametrize("tol,per_period", [(1e-9, 4), (1e-13, 8)])
+    def test_pass_equals_one_integral_per_case(self, tol, per_period):
+        # the check's two passes, case by case, against integrate_1d on
+        # each case alone with the family's plain integrand: bit for bit,
+        # the seven roundoff failures at tol 1e-13 included
+        cases = list(validation._honesty_cases())
+        shared = validation._honesty_pass(cases, tol, per_period)
+        for (coeffs, omega, a, b), res in zip(cases, shared):
+            alone = integrate_alone(
+                lambda t: validation._horner(coeffs, t) * np.cos(omega * t),
+                a, b, tol, max_panel_width=(2 * math.pi / omega) / per_period)
+            assert quad_record(res) == quad_record(alone)
+
+    def test_other_failures_are_raised(self, monkeypatch):
+        # only a roundoff failure may stand in its best estimate: a case
+        # whose integrand is not finite fails the check by raising
+        cases = list(validation._honesty_cases())
+        cases[5] = ([math.nan, 1.0], *cases[5][1:])
+        monkeypatch.setattr(validation, "_honesty_cases", lambda: iter(cases))
+        result = validation._check_quad_error_honesty()
+        assert not result.passed
+        assert result.detail.startswith("raised QuadratureError: integrand "
+                                        "returned a non-finite value")
 
 
 poly_coeffs = st.lists(
@@ -408,6 +434,74 @@ class TestAlgebraicProperties:
         split = (integrate_1d(p, a, mid, 1e-11).value
                  + integrate_1d(p, mid, b, 1e-11).value)
         assert abs(whole - split) < 1e-9
+
+
+class TestSharedPassIterators:
+    """quadrature._integrate_shared gives each integrand an iterator of
+    its results, one per interval it is taken over; each refines its
+    interval only when taken, and does not stop at a failure."""
+
+    @given(cases=st.lists(st.tuples(
+               poly_coeffs, st.floats(0.5, 12.0), st.floats(-2.0, 0.0),
+               st.floats(0.5, 4.0), st.sampled_from([(0,), (1,), (0, 1)])),
+               min_size=1, max_size=8),
+           tol=st.sampled_from([1e-9, 1e-13, 1e-14, 1e-15]),
+           per_period=st.sampled_from([1, 4, 8]),
+           poison=st.integers(-1, 7))
+    @example(cases=[([1.0, -2.0, 0.5, 3.0], 11.0, -2.0, 4.0, (0, 1))] * 3,
+             tol=1e-15, per_period=8, poison=1)
+    @settings(max_examples=40, deadline=None)
+    def test_each_interval_is_what_integrate_1d_gives_alone(
+            self, cases, tol, per_period, poison):
+        # p(t) cos(omega t) and p(t) sin(omega t), each over the intervals
+        # that pick it; at the tighter tolerances many fail on roundoff,
+        # and the ``poison``-th interval's p has a nan, so it fails as
+        # non-finite there alone
+        polys = [list(c) for c, *_ in cases]
+        if poison < len(cases):
+            polys[poison][0] = math.nan
+        degree = max(map(len, polys))
+        coeffs = [np.array([p[k] if k < len(p) else 0.0 for p in polys])
+                  for k in range(degree)]
+        omegas = np.array([omega for _, omega, *_ in cases])
+
+        def f(t, j):
+            p = 0.0
+            for c in reversed(coeffs):
+                p = p * t + c[j]
+            return [p * np.cos(omegas[j] * t), p * np.sin(omegas[j] * t)]
+
+        intervals = [(a, a + w, (2 * math.pi / omega) / per_period, picks)
+                     for _, omega, a, w, picks in cases]
+        shared = quadrature._integrate_shared(f, 2, intervals, tol)
+        for i, wave in enumerate((np.cos, np.sin)):
+            alone = [quad_record(integrate_alone(
+                lambda t, p=p, omega=omega: (
+                    validation._horner(p, t) * wave(omega * t)),
+                a, b, tol, max_panel_width=width))
+                for p, (_, omega, *_), (a, b, width, picks)
+                in zip(polys, cases, intervals) if i in picks]
+            assert list(map(quad_record, shared[i])) == alone
+
+    def test_nothing_is_refined_until_taken(self):
+        # t^2 sin(40 t) on three intervals needs refining at 1e-13; the
+        # pass evaluates the initial nodes, and each result taken adds
+        # only that interval's refinement
+        calls = []
+
+        def f(t, j):
+            calls.append(t.size)
+            return [t * t * np.sin(40.0 * t)]
+
+        intervals = [(a, a + 1.0, None, (0,)) for a in (0.0, 1.0, 2.0)]
+        (results,) = quadrature._integrate_shared(f, 1, intervals, 1e-13)
+        assert calls == [45]
+        first = next(results)
+        assert first.evaluations > 15
+        assert sum(calls) == 45 - 15 + first.evaluations
+        del calls[1:]
+        rest = list(results)
+        assert sum(calls) == 45 + sum(r.evaluations - 15 for r in rest)
 
 
 def test_env_var_overrides_default_tolerance(monkeypatch):

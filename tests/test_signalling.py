@@ -476,7 +476,7 @@ class TestSharedPass:
                              [(a, b, width, live)], tol)
                 for i in live:
                     results[i] += per[i]
-            return results
+            return [iter(r) for r in results]
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(signalling, "_oscillatory_piece", spied)
@@ -648,15 +648,21 @@ class TestSteepestDescentRoute:
         # at tol 1e-22 the slowly varying remainder of each piece, [2, 5]
         # and [5, 8], fails on its roundoff floor inside the route, which
         # hands the piece back to GK panels; s2 fails on the first of
-        # them in turn and is not taken on to the second
+        # them in turn and is not taken on to the second.  Each call
+        # records the intervals of a pass and the results taken from it
         calls = []
         shared = signalling._integrate_shared
 
+        def taken(results, reasons):
+            for res in results:
+                reasons.append(res.reason)
+                yield res
+
         def spy(f, n, intervals, *args):
-            results = shared(f, n, intervals, *args)
-            calls.append(([iv[:2] for iv in intervals],
-                          [[r.reason for r in per] for per in results]))
-            return results
+            reasons = [[] for _ in range(n)]
+            calls.append(([iv[:2] for iv in intervals], reasons))
+            return [taken(results, out) for results, out
+                    in zip(shared(f, n, intervals, *args), reasons)]
 
         monkeypatch.setattr(signalling, "_integrate_shared", spy)
         with pytest.raises(QuadratureError) as excinfo:
