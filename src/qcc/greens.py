@@ -220,7 +220,7 @@ def _damped_levels(dim: Dimension, tau: float, L: float,
     (results,) = _integrate_shared(
         lambda theta, j: [_directions(n, tau, L, per_piece[j], theta)], 1,
         [(lo, hi, None, (0,)) for _ in eps for lo, hi in pieces],
-        DEFAULT_TOL * 1e-2 / len(pieces))
+        [DEFAULT_TOL * 1e-2 / len(pieces)])
     parts = [_roundoff_best(res) for res in results]
     return [parts[k:k + len(pieces)] for k in range(0, len(parts), len(pieces))]
 

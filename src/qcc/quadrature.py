@@ -245,35 +245,41 @@ def _panel_nodes(*edges):
 
 
 def _panel_rules(vals, flat, halves, spent):
-    """Apply the GK15 pair to integrand values at the ``flat`` nodes.
+    """Apply the GK15 pair to integrand values at the ``flat`` nodes:
+    ``vals`` holds one integrand's values, or one row per integrand.
 
-    Returns (k15, err, at_floor) arrays, one entry per panel.  ``err`` is
-    the Kronrod-Gauss difference, raised to the roundoff floor
+    Returns (k15, err, at_floor) arrays, one entry per panel (per row).
+    ``err`` is the Kronrod-Gauss difference, raised to the roundoff floor
     50*eps*resabs; ``at_floor`` marks the panels whose difference is
     already at or below that floor, so that bisecting them cannot lower
-    their error.  A nan or inf value fails with reason "non-finite",
-    naming the first such node and counting the ``spent`` evaluations.
+    their error.  A row's entries do not depend on the other rows.  A
+    nan or inf value fails with reason "non-finite", naming the first
+    such node and counting the ``spent`` evaluations.
     """
-    vals = np.asarray(vals, dtype=float)
-    if vals.shape != flat.shape:
+    rows = np.asarray(vals, dtype=float)
+    if rows.shape[-1:] != flat.shape:
+        if isinstance(vals, list):  # name the shape of a row at fault
+            rows = next(np.asarray(v) for v in vals
+                        if np.shape(v) != flat.shape)
         raise ValueError(
-            f"integrand returned shape {vals.shape}, expected {flat.shape}"
-        )
-    panels = vals.reshape(-1, 15)
+            f"integrand returned shape {rows.shape}, expected {flat.shape}")
+    vals = rows
+    panels = vals.reshape(vals.shape[:-1] + (-1, 15))
     # A nan or inf value makes its panel's resabs nan or inf without a
     # warning, before any sum that could warn on it (inf - inf); the
     # nodes are scanned only then, since finite values can overflow too.
-    resabs = halves * (np.abs(panels) * _WK).sum(axis=1)
+    resabs = halves * (np.abs(panels) * _WK).sum(axis=-1)
     if not math.isfinite(resabs.max()):
         bad = ~np.isfinite(vals)
         if bad.any():
             raise QuadratureError(
                 f"integrand returned a non-finite value near "
-                f"t={float(flat[bad][0])!r}; an endpoint singularity must "
-                "be substituted away first",
+                f"t={float(flat[np.nonzero(bad)[-1][0]])!r}; an endpoint "
+                "singularity must be substituted away first",
                 "non-finite", evaluations=spent,
             )
-    k15, g7 = halves * (panels[:, None] * _WKG).sum(axis=2).T
+    sums = (panels[..., None, :] * _WKG).sum(axis=-1)
+    k15, g7 = halves * sums[..., 0], halves * sums[..., 1]
     diff = np.abs(k15 - g7)
     floor = _FLOOR * resabs
     return k15, np.maximum(diff, floor), diff <= floor
@@ -385,9 +391,10 @@ def _adaptive(f, edges, initial, tol, budget):
         add(mid, pb, ck15[1], cerr[1], cfloor[1])
 
 
-def _integrate_shared(f, n, intervals, tol, budget=_DEFAULT_BUDGET):
+def _integrate_shared(f, n, intervals, tols, budget=_DEFAULT_BUDGET):
     """Integrate ``n`` integrands over each of ``intervals`` on one
-    initial node set.
+    initial node set, integrand i to tolerance ``tols[i]`` on each
+    interval it is taken over.
 
     ``intervals`` lists (a, b, max_panel_width, picks): the initial
     panelling of [a, b], as :func:`integrate_1d` lays it out, and the
@@ -415,32 +422,37 @@ def _integrate_shared(f, n, intervals, tol, budget=_DEFAULT_BUDGET):
         spans.append((start, stop))
         start = stop
     laid = [j for j, (lo, hi) in enumerate(spans) if hi > lo]
-    vals = flat = halves = None
+    vals, rules, flat, halves = [None] * n, [None] * n, None, None
     if laid:
         flat, halves = _panel_nodes(*[edges[j] for j in laid])
         owner = laid[0] if len(laid) == 1 else np.repeat(
             np.arange(len(spans)), [15 * (hi - lo) for lo, hi in spans])
         vals = f(flat, owner)
-    return [_refine(f, i, vals, flat, halves, edges, spans, intervals, tol,
-                    budget) for i in range(n)]
-
-
-def _refine(f, i, vals, flat, halves, edges, spans, intervals, tol, budget):
-    """Integrand i's results of :func:`_integrate_shared`, one interval at
-    a time: its GK15 pair is applied over all the initial panels ``vals[i]``
-    at once, then each interval it is taken over is refined on its own,
-    through ``f(t, j)[i]``, budget-checked and failed as
-    :func:`integrate_1d` would.  When some node is not finite, each
-    interval's rules are redone on its own nodes, so a non-finite failure
-    names a node of that interval."""
-    rules = vals_i = None
-    if vals is not None:
-        vals_i, vals[i] = vals[i], None
         try:
-            rules = _panel_rules(vals_i, flat, halves, flat.size)
-            vals_i = None  # only the panel sums are kept while refining
+            rules = list(zip(*_panel_rules(vals, flat, halves, flat.size)))
+            vals = [None] * n  # only the panel sums are kept while refining
         except QuadratureError:  # a node is not finite: judge each
-            pass                 # interval by its own nodes
+            pass                 # integrand by its own nodes
+    return [_refine(f, i, vals[i], rules[i], flat, halves, edges, spans,
+                    intervals, tols[i], budget) for i in range(n)]
+
+
+def _refine(f, i, vals, rules, flat, halves, edges, spans, intervals, tol,
+            budget):
+    """Integrand i's results of :func:`_integrate_shared`, one interval at
+    a time, from its GK15 pair ``rules`` over all the initial panels, or
+    else from its values ``vals`` on their nodes: each interval it is
+    taken over is refined on its own, through ``f(t, j)[i]``,
+    budget-checked and failed as :func:`integrate_1d` would.  When some
+    node of its own is not finite, each interval's rules are redone on
+    that interval's nodes, so a non-finite failure names a node of that
+    interval."""
+    if rules is None and vals is not None:
+        try:
+            rules = _panel_rules(vals, flat, halves, flat.size)
+            vals = None
+        except QuadratureError:
+            pass
     for j, (e, (lo, hi), interval) in enumerate(zip(edges, spans, intervals)):
         if i not in interval[3]:
             continue
@@ -451,7 +463,7 @@ def _refine(f, i, vals, flat, halves, edges, spans, intervals, tol, budget):
                     initial = [r[lo:hi] for r in rules]
                 else:
                     nodes = slice(15 * lo, 15 * hi)
-                    initial = _panel_rules(vals_i[nodes], flat[nodes],
+                    initial = _panel_rules(vals[nodes], flat[nodes],
                                            halves[lo:hi], 15 * (hi - lo))
                 res = _adaptive(lambda t, j=j: f(t, j)[i], e, initial, tol,
                                 budget)
@@ -563,7 +575,7 @@ def integrate_1d(
         raise ValueError(f"require finite a < b, got a={a!r}, b={b!r}")
     _check_tol(tol)
     ((res,),) = _integrate_shared(lambda t, j: [f(t)], 1,
-                                  [(a, b, max_panel_width, (0,))], tol,
+                                  [(a, b, max_panel_width, (0,))], [tol],
                                   budget)
     if isinstance(res, QuadratureError):
         raise res

@@ -78,8 +78,11 @@ class ComplexAmplitudePair:
     beta: complex
 
     def norm_defect(self) -> float:
-        """|alpha|^2 + |beta|^2 - 1 (should vanish for a physical state)."""
-        return abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0
+        """|alpha|^2 + |beta|^2 - 1 (should vanish for a physical state);
+        inf for a modulus whose square overflows, where a float ``** 2``
+        would raise OverflowError."""
+        a, b = abs(self.alpha), abs(self.beta)
+        return a * a + b * b - 1.0
 
     def orthogonal(self) -> "ComplexAmplitudePair":
         """The orthogonal pure state (beta*, -alpha*)."""

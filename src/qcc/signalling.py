@@ -32,11 +32,15 @@ quadrature in tau, which is also the 1+1D closed forms' oracle.  The
 interaction energy at a time t is the same integral with Alice's bias
 at t - tau as the weight, and the 3+1D on-cone delta reduces s2 to C at
 tau = L.  D and F are :mod:`qcc.greens`'; this module holds no closed
-form of either.  :func:`row_observables` computes a whole row, s2 and
-the field energy in one shared pass: C's intermediates and both
-integrands are evaluated once on the initial nodes of every lag piece,
-then each integrand is refined, budget-checked and failed piece by piece
-on its own, so each gets exactly what its own public route returns.
+form of either.  :func:`row_observables` computes a whole row, s2, the
+field energy and the interaction energy at both ends of Bob's window,
+in one lag integration.  hI's lag ranges end on s2's cuts, so its
+pieces are mostly s2's, and where the weights' top frequencies agree
+(Alice's gap at least Bob's) they share those pieces' panels.  Each
+weight and each kernel is evaluated once on the initial nodes of the
+pieces, then each integrand is refined, budget-checked and failed piece
+by piece on its own, so each gets exactly what its own public route
+returns.
 
 GK panels a quarter period wide cost O(Om T) evaluations on a lag
 piece.  So a 2+1D piece that spans at least _STEEPEST_DESCENT_PERIODS
@@ -355,7 +359,7 @@ def _oscillatory_piece(L, picks, terms, a, b, tol):
         width = (2.0 * math.pi / top) / 4.0 if top > 0 else None
         for i, (res,) in enumerate(_integrate_shared(
                 lambda t, j: remainder(t), n, [(a, b, width, range(n))],
-                0.5 * tol)):
+                [0.5 * tol] * n)):
             evals[i] += res.evaluations
             if isinstance(res, QuadratureError):
                 err[i] = math.inf
@@ -366,118 +370,155 @@ def _oscillatory_piece(L, picks, terms, a, b, tol):
             if err[i] <= tol else evals[i] for i in range(n)]
 
 
-def _lag_integrals(s, picks, lag_pass, tol):
+def _lag_integrals(s, passes, tol):
     """factor * int_lo^hi K_i(tau) W_i(tau) dtau over tau > L for each
-    pick i, in one shared pass: K_i is the pick's lag kernel in the
-    scenario's dimension, L its separation and W_i the pick's weight.
-    The lags are >= 0 (Alice switches off before Bob switches on, and
-    hI is taken inside Bob's window), so the cone is the one lag L.
+    pick i of each lag pass, all passes in one shared pass: K_i is the
+    pick's lag kernel in the scenario's dimension, L its separation and
+    W_i the pick's weight.  The lags are >= 0 (Alice switches off before
+    Bob switches on, and hI is taken inside Bob's window), so the cone
+    is the one lag L.
 
-    ``lag_pass`` is the tuple (weight, terms, omega, lo, hi, kinks,
-    factor) that :func:`_window_correlation` or
-    :func:`_interaction_weight` builds.  ``weight(tau)`` returns one
-    weight array per pick, and ``terms(a, b)`` the weights on the lag
-    piece [a, b] as a sum of exponentials, or ``terms`` is None when
-    their phases would overflow.  The lag range is cut at L and at the
-    weight's ``kinks`` so every piece is smooth, and panels start a
-    quarter period of the weight's top frequency ``omega`` wide (unless
-    the piece takes the steepest-descent route below); the pieces inside
-    the cone, where the kernels vanish, are dropped.  A 2+1D piece that
-    starts on the cone carries the kernels' 1/sqrt singularity, which
-    this route substitutes away node by node: it integrates over
-    u = sqrt(x), with x = tau - L, tau = L + u^2 and weight 2u, so the
-    rule sees a smooth integrand and the kernels never see x rounded off
-    against L.
+    ``passes`` lists (picks, lag_pass) pairs, ``lag_pass`` the tuple
+    (weight, terms, omega, lo, hi, kinks, factor) that
+    :func:`_window_correlation` or :func:`_interaction_weight` builds.
+    ``weight(tau)`` returns one weight array per pick, and
+    ``terms(a, b)`` the weights on the lag piece [a, b] as a sum of
+    exponentials, or ``terms`` is None when their phases would overflow.
+    Each pass's lag range is cut at L and at its weight's ``kinks`` so
+    every piece is smooth, and panels start a quarter period of the
+    weight's top frequency ``omega`` wide (unless the piece takes the
+    steepest-descent route below); the pieces inside the cone, where the
+    kernels vanish, are dropped.  A 2+1D piece that starts on the cone
+    carries the kernels' 1/sqrt singularity, which this route
+    substitutes away node by node: it integrates over u = sqrt(x), with
+    x = tau - L, tau = L + u^2 and weight 2u, so the rule sees a smooth
+    integrand and the kernels never see x rounded off against L.
 
     Any other 2+1D piece that spans at least _STEEPEST_DESCENT_PERIODS
-    periods of ``omega`` is first offered to :func:`_oscillatory_piece`,
-    with the terms built for that piece only, when there are terms; each
-    pick it hands back is integrated on GK panels as above, and counts
-    the evaluations of both attempts.
+    periods of ``omega`` is first offered to :func:`_oscillatory_piece`
+    for the pass's picks, with the terms built for that piece only, when
+    there are terms; each pick it hands back is integrated on GK panels
+    as above, and counts the evaluations of both attempts.
 
-    The GK panels of every piece, for every pick that takes them there,
-    are one :func:`quadrature._integrate_shared` batch: the weight and
-    each kernel are evaluated once on all their initial nodes, then each
-    pick is refined piece by piece on its own as its results are taken,
-    so each gets the value, error and evaluation count it gets alone.
-    ``tol``, which the public entries check before they pick a route, is
-    split across the pieces.  A pick stops at the first piece it fails
-    on: no later piece's result is taken, so none is refined for it.
-    Its record fails with a QuadratureError naming ``tol``, with no
+    The GK panels of the passes of one ``omega``, on every piece for
+    every pick that takes them there, are one
+    :func:`quadrature._integrate_shared` batch, in which passes whose
+    pieces coincide share their panels: each weight and each kernel is
+    evaluated once on all the batch's initial nodes, then each pick is
+    refined piece by piece on its own as its results are taken, so each
+    gets the value, error and evaluation count it gets alone.  A pass of
+    another ``omega`` has panels of other widths, and a batch of its
+    own, so no weight is evaluated on another pass's nodes.  ``tol``,
+    which the public entries
+    check before they pick a route, is split across each pass's pieces
+    and divided by its |factor|.  A pick stops at the first piece it
+    fails on: no later piece's result is taken, so none is refined for
+    it.  Its record fails with a QuadratureError naming ``tol``, with no
     ``best``, and counts the evaluations of the earlier pieces and of
     the failed attempt, nodes whose values were not finite included.
-    Returns one Observable per integrand.
+    Returns one Observable per pick, pass by pass.
     """
-    weight, terms, omega, lo, hi, kinks, factor = lag_pass
-    n = len(picks)
     dim, L = s.dimension, s.report.separation
-    kernels = [_TIMELIKE[p] for p in picks]
-    cuts = sorted({lo, hi} | {c for c in (L, *kinks) if lo < c < hi})
-    pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
-              if 0.5 * (a + b) > L]
-    if not pieces:
-        return [_ZERO] * n
-    piece_tol = tol / len(pieces) / (abs(factor) or 1.0)
-    width = (2.0 * math.pi / omega) / 4.0
-    # only the first piece can start on the cone; it is never offered to
-    # the steepest-descent route, so it is the batch's interval 0
-    cone = dim is Dimension.D2p1 and pieces[0][0] == L
+    # per pass: its pieces; per piece and pick, a QuadResult of the
+    # steepest-descent route, the evaluations it spent before handing the
+    # pick back, or None; and, when any piece of it takes GK panels, the
+    # indices of its picks among its batch's integrands.  A batch is
+    # (passes, tols, {piece: integrands}), one per omega
+    plan, batches = [], {}
+    for picks, (weight, terms, omega, lo, hi, kinks, factor) in passes:
+        cuts = sorted({lo, hi} | {c for c in (L, *kinks) if lo < c < hi})
+        pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
+                  if 0.5 * (a + b) > L]
+        piece_tol = tol / (len(pieces) or 1) / (abs(factor) or 1.0)
+        group, tols, shared = batches.setdefault(omega, ([], [], {}))
+        ix = range(len(tols), len(tols) + len(picks))
+        routed, on_gk = [], False
+        for a, b in pieces:
+            res = [None] * len(picks)
+            # only a 2+1D piece that starts on the cone is not offered
+            if terms is not None and dim is Dimension.D2p1 and a != L \
+                    and omega * (b - a) >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
+                res = _oscillatory_piece(L, picks, terms(a, b), a, b,
+                                         piece_tol)
+            routed.append(res)
+            redo = [i for i, r in zip(ix, res)
+                    if not isinstance(r, QuadResult)]
+            if redo:
+                shared.setdefault((a, b), []).extend(redo)
+                on_gk = True
+        if on_gk:
+            group.append((picks, weight))
+            tols += [piece_tol] * len(picks)
+        plan.append((omega, ix if on_gk else None, pieces, routed))
 
-    # per piece and pick: a QuadResult of the steepest-descent route, the
-    # evaluations it spent before handing the pick back, or None
-    routed, intervals = [], []
-    for a, b in pieces:
-        res = [None] * n
-        if terms is not None and dim is Dimension.D2p1 \
-                and not (cone and a == L) \
-                and omega * (b - a) >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
-            res = _oscillatory_piece(L, picks, terms(a, b), a, b, piece_tol)
-        routed.append(res)
-        redo = [i for i in range(n) if not isinstance(res[i], QuadResult)]
-        if not redo:
+    gk = {}
+    for omega, (group, tols, shared) in batches.items():
+        if not group:
             continue
-        if cone and a == L:
-            u_end = math.sqrt(b - L)
-            # du = dx / (2u): an x-width W maps to at least W / (2 u_end)
-            intervals.append((0.0, u_end, width / (2.0 * u_end), redo))
-        else:
-            intervals.append((a, b, width, redo))
+        # the intervals in order of their pieces, which keeps each pick's
+        # pieces in order; those that start on the 2+1D cone come first
+        width = (2.0 * math.pi / omega) / 4.0
+        intervals, n_cone = [], 0
+        for (a, b), redo in sorted(shared.items()):
+            if dim is Dimension.D2p1 and a == L:
+                u_end = math.sqrt(b - L)
+                # du = dx / (2u): an x-width W maps to at least W / (2 u_end)
+                intervals.append((0.0, u_end, width / (2.0 * u_end), redo))
+                n_cone += 1
+            else:
+                intervals.append((a, b, width, redo))
+        gk[omega] = _integrate_shared(_lag_integrand(dim, L, group, n_cone),
+                                      len(tols), intervals, tols)
+
+    out = []
+    for (picks, lag_pass), (omega, ix, pieces, routed) in zip(passes, plan):
+        factor = lag_pass[6]
+        for n in range(len(picks)):
+            values, err, evals = [], 0.0, 0
+            for (a, b), res in zip(pieces, routed):
+                res = res[n]
+                if not isinstance(res, QuadResult):  # on GK panels
+                    evals += res or 0
+                    res = next(gk[omega][ix[n]])
+                if isinstance(res, QuadratureError):
+                    spent = evals + res.evaluations
+                    exc = QuadratureError(
+                        f"tol {tol:.3e} not reached on the lag piece "
+                        f"[{a!r}, {b!r}]: {res}", res.reason,
+                        evaluations=spent,
+                    )
+                    exc.__cause__ = res
+                    out.append(_failed(exc, spent))
+                    break
+                values.append(res.value)
+                err += res.abs_error_estimate
+                evals += res.evaluations
+            else:
+                out.append(Observable(
+                    factor * math.fsum(values), abs(factor) * err, evals))
+    return out
+
+
+def _lag_integrand(dim, L, group, n_cone):
+    """The integrand of a GK batch of lag passes: f(v, j) is, for each
+    pick of each (picks, weight) of ``group``, the pick's kernel times
+    its weight at the lags v of intervals j, each kernel evaluated once.
+    On the first ``n_cone`` intervals, which start on the cone, v is
+    u = sqrt(tau - L), and the integrand carries the Jacobian 2u."""
+    kinds = {p for picks, _ in group for p in picks}
 
     def f(v, j):
-        if cone:  # on interval 0, v is u = sqrt(x)
-            on = j == 0
+        if n_cone:
+            on = j < n_cone
             u = np.where(on, v, 0.0)
             x = np.where(on, u * u, v - L)
             tau, jac = np.where(on, L + x, v), np.where(on, 2.0 * u, 1.0)
         else:
             tau, x, jac = v, v - L, 1.0
-        w = weight(tau)
-        return [jac * (k(dim, tau, x, L) * w_i) for k, w_i in zip(kernels, w)]
-
-    out = []
-    for i, gk in enumerate(_integrate_shared(f, n, intervals, piece_tol)):
-        values, err, evals = [], 0.0, 0
-        for (a, b), res in zip(pieces, routed):
-            res = res[i]
-            if not isinstance(res, QuadResult):  # on GK panels
-                evals += res or 0
-                res = next(gk)
-            if isinstance(res, QuadratureError):
-                spent = evals + res.evaluations
-                exc = QuadratureError(
-                    f"tol {tol:.3e} not reached on the lag piece "
-                    f"[{a!r}, {b!r}]: {res}", res.reason, evaluations=spent,
-                )
-                exc.__cause__ = res
-                out.append(_failed(exc, spent))
-                break
-            values.append(res.value)
-            err += res.abs_error_estimate
-            evals += res.evaluations
-        else:
-            out.append(Observable(
-                factor * math.fsum(values), abs(factor) * err, evals))
-    return out
+        kernel = {p: _TIMELIKE[p](dim, tau, x, L) for p in kinds}
+        return [jac * (kernel[p] * w_i) for picks, weight in group
+                for p, w_i in zip(picks, weight(tau))]
+    return f
 
 
 def _one(obs: Observable) -> Observable:
@@ -642,28 +683,51 @@ def _route(s: Scenario, pick, t2_lo: float, t2_hi: float, closed_form,
 
 
 def _correlations(s: Scenario, t: Optional[float], picks, tol: float):
-    """For each pick, the record of its public route, for a ``tol``
-    already checked.  The scenario and the time are checked once, and a
-    failure there is every pick's.  An empty Bob window gives exact
-    zeros; otherwise t2 runs over [T_on,B, upper] and t1 over Alice's
-    window, and :func:`_route` decides from their lag range.  The picks
-    it leaves to the lag pass share it, which gives each the value,
-    error and count of its own route."""
+    """For each pick, the record of its public route where that is not
+    the lag pass, else None; and the (picks, lag pass) pair that takes
+    the rest, or None.  ``tol`` is already checked.  The scenario and
+    the time are checked once, and a failure there is every pick's.  An
+    empty Bob window gives exact zeros; otherwise t2 runs over
+    [T_on,B, upper] and t1 over Alice's window, and :func:`_route`
+    decides from their lag range."""
     try:
         require_valid(s)
         upper = _bob_upper(s, t)
     except ValueError as exc:
-        return [_failed(exc)] * len(picks)
+        return [_failed(exc)] * len(picks), None
     b_on = s.bob.window.t_on
     if upper == b_on:
-        return [_ZERO] * len(picks)
-    out = {p: _route(s, p, b_on, upper, lambda: _s2_1p1(s, upper), tol)
-           for p in picks}
-    lag = [p for p in picks if out[p] is None]
-    if lag:
-        out.update(zip(lag, _lag_integrals(
-            s, lag, _window_correlation(s, upper, lag), tol)))
-    return [out[p] for p in picks]
+        return [_ZERO] * len(picks), None
+    out = [_route(s, p, b_on, upper, lambda: _s2_1p1(s, upper), tol)
+           for p in picks]
+    lag = [p for p, record in zip(picks, out) if record is None]
+    return out, (lag, _window_correlation(s, upper, lag)) if lag else None
+
+
+def _interaction(s: Scenario, t: float, tol: float):
+    """hI at t as :func:`_correlations` gives a pick: a one-record list,
+    holding the scenario or time it rejects or :func:`_route`'s outcome,
+    or None for the lag pass; and that pass, or None."""
+    w = s.bob.window
+    try:
+        require_valid(s)
+        if not w.t_on <= t <= w.t_off:
+            raise ValueError(
+                f"t={t!r} outside bob's window [{w.t_on!r}, {w.t_off!r}]")
+    except ValueError as exc:
+        return [_failed(exc)], None
+    out = _route(s, _S2, t, t, lambda: _hI_1p1(s, t), tol)
+    return [out], ([_S2], _interaction_weight(s, t)) if out is None else None
+
+
+def _records(s: Scenario, routes, tol: float):
+    """The records of each of ``routes``, each what :func:`_correlations`
+    or :func:`_interaction` returns, with the lag passes of all of them
+    in one :func:`_lag_integrals` call, made only when there is one."""
+    passes = [lag for _, lag in routes if lag]
+    computed = iter(_lag_integrals(s, passes, tol) if passes else ())
+    return [[next(computed) if record is None else record
+             for record in records] for records, _ in routes]
 
 
 def s2_observable(
@@ -679,7 +743,7 @@ def s2_observable(
     2+1D the lag quadrature.
     """
     _check_tol(tol)
-    return _one(_correlations(s, t, [_S2], tol)[0])
+    return _one(_records(s, [_correlations(s, t, [_S2], tol)], tol)[0][0])
 
 
 def interaction_energy_observable(
@@ -696,24 +760,7 @@ def interaction_energy_observable(
     raises ValueError.
     """
     _check_tol(tol)
-    return _one(_interaction(s, t, tol))
-
-
-def _interaction(s: Scenario, t: float, tol: float) -> Observable:
-    """interaction_energy_observable's record, for a ``tol`` already
-    checked: a scenario or time it rejects, :func:`_route`'s outcome, or
-    the lag quadrature."""
-    w = s.bob.window
-    try:
-        require_valid(s)
-        if not w.t_on <= t <= w.t_off:
-            raise ValueError(
-                f"t={t!r} outside bob's window [{w.t_on!r}, {w.t_off!r}]")
-    except ValueError as exc:
-        return _failed(exc)
-    out = _route(s, _S2, t, t, lambda: _hI_1p1(s, t), tol)
-    return (_lag_integrals(s, [_S2], _interaction_weight(s, t), tol)[0]
-            if out is None else out)
+    return _one(_records(s, [_interaction(s, t, tol)], tol)[0][0])
 
 
 def field_energy_observable(
@@ -727,27 +774,32 @@ def field_energy_observable(
     by quadrature in 2+1D.  Per lambda_A lambda_B, with error bookkeeping.
     """
     _check_tol(tol)
-    return _one(_correlations(s, t, [_HF], tol)[0])
+    return _one(_records(s, [_correlations(s, t, [_HF], tol)], tol)[0][0])
 
 
 def row_observables(s: Scenario, t: Optional[float] = None,
                     tol: float = DEFAULT_TOL):
-    """One row's (s2, hI_on, hI_off, hf_sig), each the record of its
-    public route: the Observable it returns, or a failed one holding the
-    ValueError or QuadratureError it raises.
+    """One row's (s2, hI_on, hI_off, hf_sig) records: the Observable
+    each public route returns, or a failed one holding the ValueError or
+    QuadratureError it raises.
 
     s2 and hf_sig run over Bob's window up to min(t, T_off) (``t``
-    default: T_off) in one shared pass; hI is taken at T_on and at
-    min(t, T_off).  A bad scenario or time fails each record it
-    concerns, but a ``tol`` that is not finite and positive raises
-    ValueError, in every dimension.
+    default: T_off); hI is taken at T_on and at min(t, T_off).
+    :func:`_route` decides all four first, and the lag passes it leaves,
+    usually s2/hf_sig, hI_on and hI_off, are one :func:`_lag_integrals`
+    call, which gives each record bit for bit what its public route
+    returns.  A bad scenario or time fails each record it concerns, but
+    a ``tol`` that is not finite and positive raises ValueError, in
+    every dimension.
     """
     _check_tol(tol)
-    s2, hf = _correlations(s, t, [_S2, _HF], tol)
     w = s.bob.window
-    return (s2, _interaction(s, w.t_on, tol),
-            _interaction(s, w.t_off if t is None else min(t, w.t_off), tol),
-            hf)
+    (s2, hf), (hi_on,), (hi_off,) = _records(s, [
+        _correlations(s, t, [_S2, _HF], tol),
+        _interaction(s, w.t_on, tol),
+        _interaction(s, w.t_off if t is None else min(t, w.t_off), tol),
+    ], tol)
+    return s2, hi_on, hi_off, hf
 
 
 def s2_null_3p1(s: Scenario) -> float:

@@ -67,13 +67,14 @@ def _s2_by_quadrature(s, tol):
     picks = [signalling._S2]
     lag_pass = signalling._window_correlation(s, s.bob.window.t_off, picks)
     return signalling._one(
-        signalling._lag_integrals(s, picks, lag_pass, tol)[0])
+        signalling._lag_integrals(s, [(picks, lag_pass)], tol)[0])
 
 
 def _hI_by_quadrature(s, t, tol):
     """hI at t on the lag quadrature, past the 1+1D closed form."""
     return signalling._one(signalling._lag_integrals(
-        s, [signalling._S2], signalling._interaction_weight(s, t), tol)[0])
+        s, [([signalling._S2], signalling._interaction_weight(s, t))],
+        tol)[0])
 
 
 def _random_state(rng):
@@ -193,7 +194,7 @@ def _honesty_pass(cases, tol, per_period):
 
     (results,) = _integrate_shared(
         f, 1, [(a, b, (2 * math.pi / omega) / per_period, (0,))
-               for _, omega, a, b in cases], tol)
+               for _, omega, a, b in cases], [tol])
     return results
 
 

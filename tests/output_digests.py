@@ -13,6 +13,9 @@ A change that moves printed bytes on purpose regenerates the file from
 the root of the repository:
 
     PYTHONPATH=src python tests/output_digests.py
+
+which names on stderr each output whose digest it changed, added or
+dropped, for the change's notes.
 """
 
 import contextlib
@@ -68,11 +71,23 @@ def committed():
     return {name: digest for digest, name in pairs}
 
 
+def moved(old, new):
+    """Lines naming each output whose digest differs between the
+    {name: digest} maps ``old`` and ``new``, in ``new``'s order, then
+    those ``new`` drops."""
+    lines = [f"{'changed' if name in old else 'added'}: {name}"
+             for name, digest in new.items() if old.get(name) != digest]
+    return lines + [f"dropped: {name}" for name in old if name not in new]
+
+
 if __name__ == "__main__":
     os.environ.pop("QCC_QUAD_TOL", None)
+    before = committed() if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         found = digests(tmp)
     DIGESTS.write_text("".join(f"{digest}  {name}\n"
                                for name, digest in found.items()),
                        encoding="ascii")
+    for line in moved(before, found):
+        print(line, file=sys.stderr)
     print(f"wrote {len(found)} digests to {DIGESTS}", file=sys.stderr)

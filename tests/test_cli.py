@@ -5,15 +5,21 @@ subprocess smoke tests confirm the module and console-script entry
 points are wired up.
 """
 
+import contextlib
+import io
 import math
 import re
 import shutil
+import string
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import demo_scenario, make_scenario
 from qcc import channel, cli, scenario, signalling
@@ -25,6 +31,7 @@ from qcc.cli import (
     compute_row,
     main,
 )
+from qcc.config import CONFIG_KEYS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DEMO_CFG = str(CONFIGS / "demo_2p1.cfg")
@@ -542,6 +549,64 @@ SPACELIKE_OVERFLOW = {
     "demo_2p1": ("bob.position = 1, 0", "bob.position = 2e16, 0"),
     "demo_3p1": ("bob.position = 1, 0, 0", "bob.position = 2e16, 0, 0"),
 }
+
+
+@pytest.mark.parametrize("verb", [
+    ["point"], ["capacity"],
+    ["sweep", "--param", "gap_B", "--range", "1:2:1", "--out"],
+], ids=["point", "capacity", "sweep"])
+def test_overflowing_amplitude_is_a_config_error(capsys, tmp_path, verb):
+    # |alpha|^2 overflows: the norm check reports it instead of raising
+    path = _edited_config(tmp_path, "demo_2p1",
+                          [("alice.alpha_im = 0", "alice.alpha_im = 1e300")])
+    out_csv = [str(tmp_path / "out.csv")] if verb[0] == "sweep" else []
+    rc, out, err = run_cli(capsys, verb[0], path, *verb[1:], *out_csv)
+    assert rc == 1
+    assert err.splitlines() == [
+        "qcc: error: alice: state norm defect inf exceeds 1e-12"]
+
+
+_SHIPPED = ("demo_1p1", "demo_2p1", "demo_3p1", "spacelike_2p1")
+_VALUES = st.one_of(
+    st.sampled_from(["", "0", "-0", "-1", "1e300", "-1e300", "1e-300",
+                     "5e-324", "1e16", "nan", "inf", "-inf", "1+1", "2+1",
+                     "3+1", "0, 0", "1, 2, 3", "x"]),
+    st.floats().map(repr),
+)
+
+
+@st.composite
+def _edited_shipped_config(draw):
+    """A shipped config's text with 1 to 3 lines replaced: mostly by its
+    own key with another value, else by another key's line or by text."""
+    lines = (CONFIGS / f"{draw(st.sampled_from(_SHIPPED))}.cfg") \
+        .read_text().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        own = lines[i].partition(" = ")[0]
+        key = draw(st.one_of(st.just(own), st.sampled_from(CONFIG_KEYS)))
+        lines[i] = draw(st.one_of(
+            _VALUES.map(lambda v, key=key: f"{key} = {v}"),
+            st.text(string.printable, max_size=12)))
+    return "\n".join(lines) + "\n"
+
+
+@given(text=_edited_shipped_config(), verb=st.sampled_from(["point",
+                                                            "capacity"]))
+@example(text=shipped_with("demo_2p1", {"alice.alpha_im": "1e300"}),
+         verb="point")
+@settings(max_examples=60, deadline=None)
+def test_edited_configs_end_in_an_exit_status(text, verb):
+    # what a process would print as a traceback escapes main here
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edited.cfg"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main([verb, str(path)])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestExtremeConfigs:

@@ -10,3 +10,11 @@ import output_digests
 def test_printed_output_matches_the_committed_digests(tmp_path, monkeypatch):
     monkeypatch.delenv("QCC_QUAD_TOL", raising=False)
     assert output_digests.digests(tmp_path) == output_digests.committed()
+
+
+def test_regeneration_names_the_moved_outputs():
+    old = {"a.csv": "1", "b.txt": "2", "c.txt": "3"}
+    new = {"a.csv": "1", "b.txt": "9", "d.csv": "4"}
+    assert output_digests.moved(old, new) == [
+        "changed: b.txt", "added: d.csv", "dropped: c.txt"]
+    assert output_digests.moved(new, new) == []

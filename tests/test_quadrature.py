@@ -445,18 +445,18 @@ class TestSharedPassIterators:
                poly_coeffs, st.floats(0.5, 12.0), st.floats(-2.0, 0.0),
                st.floats(0.5, 4.0), st.sampled_from([(0,), (1,), (0, 1)])),
                min_size=1, max_size=8),
-           tol=st.sampled_from([1e-9, 1e-13, 1e-14, 1e-15]),
+           tols=st.tuples(*[st.sampled_from([1e-9, 1e-13, 1e-14, 1e-15])] * 2),
            per_period=st.sampled_from([1, 4, 8]),
            poison=st.integers(-1, 7))
     @example(cases=[([1.0, -2.0, 0.5, 3.0], 11.0, -2.0, 4.0, (0, 1))] * 3,
-             tol=1e-15, per_period=8, poison=1)
+             tols=(1e-15, 1e-9), per_period=8, poison=1)
     @settings(max_examples=40, deadline=None)
     def test_each_interval_is_what_integrate_1d_gives_alone(
-            self, cases, tol, per_period, poison):
+            self, cases, tols, per_period, poison):
         # p(t) cos(omega t) and p(t) sin(omega t), each over the intervals
-        # that pick it; at the tighter tolerances many fail on roundoff,
-        # and the ``poison``-th interval's p has a nan, so it fails as
-        # non-finite there alone
+        # that pick it and to its own tolerance; at the tighter ones many
+        # fail on roundoff, and the ``poison``-th interval's p has a nan,
+        # so it fails as non-finite there alone
         polys = [list(c) for c, *_ in cases]
         if poison < len(cases):
             polys[poison][0] = math.nan
@@ -473,12 +473,12 @@ class TestSharedPassIterators:
 
         intervals = [(a, a + w, (2 * math.pi / omega) / per_period, picks)
                      for _, omega, a, w, picks in cases]
-        shared = quadrature._integrate_shared(f, 2, intervals, tol)
+        shared = quadrature._integrate_shared(f, 2, intervals, tols)
         for i, wave in enumerate((np.cos, np.sin)):
             alone = [quad_record(integrate_alone(
                 lambda t, p=p, omega=omega: (
                     validation._horner(p, t) * wave(omega * t)),
-                a, b, tol, max_panel_width=width))
+                a, b, tols[i], max_panel_width=width))
                 for p, (_, omega, *_), (a, b, width, picks)
                 in zip(polys, cases, intervals) if i in picks]
             assert list(map(quad_record, shared[i])) == alone
@@ -494,7 +494,7 @@ class TestSharedPassIterators:
             return [t * t * np.sin(40.0 * t)]
 
         intervals = [(a, a + 1.0, None, (0,)) for a in (0.0, 1.0, 2.0)]
-        (results,) = quadrature._integrate_shared(f, 1, intervals, 1e-13)
+        (results,) = quadrature._integrate_shared(f, 1, intervals, [1e-13])
         assert calls == [45]
         first = next(results)
         assert first.evaluations > 15

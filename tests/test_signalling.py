@@ -63,13 +63,13 @@ def _s2_lag(s, t):
     picks = [signalling._S2]
     lag_pass = signalling._window_correlation(
         s, signalling._bob_upper(s, t), picks)
-    return signalling._lag_integrals(s, picks, lag_pass, 1e-8)
+    return signalling._lag_integrals(s, [(picks, lag_pass)], 1e-8)
 
 
 def _s2_and_hf(s, t, tol):
-    """s2 and hf_sig from the shared pass a row takes them from."""
-    return signalling._correlations(
-        s, t, [signalling._S2, signalling._HF], tol)
+    """s2 and hf_sig from their shared pass, without the row's hI."""
+    return signalling._records(s, [signalling._correlations(
+        s, t, [signalling._S2, signalling._HF], tol)], tol)[0]
 
 
 class TestS2ClosedForm1p1:
@@ -383,11 +383,12 @@ def _bits(obs):
 
 
 class TestSharedPass:
-    """A row takes its observables from row_observables, s2 and hf_sig
-    from one shared lag-quadrature pass; each must equal its own public
-    route bit for bit: value, quad_error and evaluations, and on failure
-    a record holding what the route raises, the same status and the
-    same message."""
+    """A row takes its observables from row_observables, whose lag
+    passes, s2/hf_sig and hI at both ends of Bob's window, are one
+    shared lag-quadrature pass; each must equal its own public route bit
+    for bit: value, quad_error and evaluations, and on failure a record
+    holding what the route raises, the same status and the same
+    message."""
 
     @staticmethod
     def assert_parity(s, t=None, tol=1e-8):
@@ -446,15 +447,46 @@ class TestSharedPass:
         assert sizes == [180]
         assert (s2.evaluations, hf.evaluations) == (180, 180)
 
+    @pytest.mark.parametrize("gap_b,calls_made,counts", [
+        (3.0, [("D", 180), ("F", 180)], [180, 90, 90, 180]),
+        (4.0, [("D", 240), ("F", 240), ("D", 180)], [240, 90, 90, 240]),
+    ], ids=["demo", "demo-gapB4"])
+    def test_one_kernel_evaluation_per_row(self, monkeypatch, gap_b,
+                                           calls_made, counts):
+        # at equal gaps the demo row's three lag passes are one batch:
+        # hI_on and hI_off ride s2's panels on [2, 5] and [5, 8], and D
+        # and F are each evaluated once, on those 180 nodes.  At Bob's gap
+        # 4 the s2/hf_sig pass's panels are narrower; the two hI passes,
+        # at Alice's gap, are a batch of their own, with D evaluated once
+        # on their 180 nodes
+        calls = []
+
+        def counted(name, kernel):
+            def spied(dim, tau, x, L):
+                calls.append((name, tau.size))
+                return kernel(dim, tau, x, L)
+            return spied
+
+        monkeypatch.setattr(signalling, "_TIMELIKE", (
+            counted("D", greens.commutator_timelike),
+            counted("F", greens.field_energy_timelike)))
+        s = _with_gap(demo_scenario("2+1"), "bob", gap_b)
+        records = signalling.row_observables(s, None, 1e-8)
+        assert calls == calls_made
+        assert [r.evaluations for r in records] == counts
+
     @given(seed=st.integers(0, 2 ** 32 - 1))
     @example(seed=170)
+    @example(seed=1)
     @settings(max_examples=20, deadline=None)
     def test_batch_equals_one_interval_per_call(self, seed):
         # random rows of every causal class, so crossing rows bring the
         # u = sqrt(x) piece on the cone, and gaps up to 60 on pieces up
         # to 6 long send some pieces to the steepest-descent route.  Seed
         # 170's route keeps s2 on the lag piece [3.44, 9.19] but hands
-        # hf_sig back, so the batch holds an interval of hf_sig alone
+        # hf_sig back, so the batch holds an interval of hf_sig alone.
+        # Seed 1's batch holds two pieces on the cone, s2's [L, 6.2737]
+        # and hI_on's [L, 6.2844]
         s = random_scenario(np.random.default_rng(seed), "2+1")
         shared = signalling._integrate_shared
         oscillatory = signalling._oscillatory_piece
@@ -497,15 +529,20 @@ class TestSharedPass:
         (make_scenario("3+1", L=6.0), 8.0, 1e-8,
          "rejected:s2;rejected:hI_off;rejected:hf_sig", None),
         (make_scenario("2+1", L=6.0), 8.0, 1e-8, "rejected:hf_sig", None),
+        (make_scenario("2+1", L=6.0, gap_b=1e5), 8.0, 1e-8,
+         "numerical:s2;rejected:hf_sig", "budget"),
         (demo_scenario("2+1"), 4.0, 1e-8,
          "rejected:s2;rejected:hI_off;rejected:hf_sig", None),
         (make_scenario("2+1", gap_b=-1.0), 8.0, 1e-8, "invalid-scenario",
          None),
     ], ids=["100000.0-1e-08-budget", "3.0-1e-16-roundoff",
             "3p1-crossing-s2", "2p1-crossing-hf_sig",
+            "2p1-crossing-bob-gap1e5",
             "before-bob-switch-on", "invalid-scenario"])
     def test_failing_rows(self, s, t, tol, status, reason, monkeypatch):
-        # on GK panels alone the gap-1e5 row runs out of budget
+        # on GK panels alone the gap-1e5 rows run out of budget.  On the
+        # crossing one, hI_off shares s2's cone piece [6, 8], where s2's
+        # panelling is refused; hI_off, at Alice's gap, lays out its own
         monkeypatch.setattr(signalling, "_STEEPEST_DESCENT_PERIODS", math.inf)
         row = self.assert_parity(s, t, tol)
         assert row.status == status
@@ -557,7 +594,8 @@ def test_failed_pick_is_not_integrated_on_later_pieces(monkeypatch):
     calls.clear()
     lag_pass = (lambda tau: [np.ones_like(tau)], None, 3.0, 5.0, 8.0, (),
                 1.0)
-    (alone,) = signalling._lag_integrals(s, [signalling._HF], lag_pass, 1e-8)
+    (alone,) = signalling._lag_integrals(
+        s, [([signalling._HF], lag_pass)], 1e-8)
     assert alone.evaluations > 90 and len(calls) > 1
 
 
@@ -1144,6 +1182,25 @@ class TestRandomScenarioProperties:
         # alone, and the terms' reported bounds must cover it
         slack = 0.0 if dim == "1+1" else 1e-14
         assert abs(bal.residual) <= bal.quad_error + slack
+
+    # seed 720 at mid-window: hI_off's two lag pieces each take most of
+    # their share of 1e-13; with tol not split across pieces the record
+    # reads ok at 1.48 tol
+    @pytest.mark.parametrize("dim", ["1+1", "2+1"])
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           tol=st.sampled_from([1e-8, 1e-11, 1e-13]),
+           frac=st.none() | st.floats(0.0, 1.0))
+    @example(seed=720, tol=1e-13, frac=0.5)
+    @settings(max_examples=60, deadline=None)
+    def test_ok_records_meet_their_tolerance(self, dim, seed, tol, frac):
+        # the tolerance contract: every record a row reads as ok, at T_off
+        # or at the fraction ``frac`` of Bob's window, is within tol
+        s = random_scenario(np.random.default_rng(seed), dim)
+        w = s.bob.window
+        t = None if frac is None else w.t_on + frac * w.duration
+        for obs in signalling.row_observables(s, t, tol):
+            if obs.failure is None:
+                assert obs.quad_error <= tol
 
     # s2 and hf_sig are linear in Alice's bias and integrate over Bob's
     # time, so splitting either detector's window adds up
