@@ -16,9 +16,10 @@ the integral fails at once with reason "roundoff" instead of spending
 its evaluation budget.
 
 Several integrands over several intervals can share one evaluation of
-their initial panellings and one application of each integrand's rule
-over all of their panels; each integrand is then refined on each
-interval on its own, when the caller takes that interval's result.  So
+their initial panellings and one application of the rule, for all of
+them at once, over all of their panels; each integrand is then refined
+on each interval on its own, to its own tolerance, when the caller
+takes that interval's result.  So
 the caller decides what a failure means: a lag pass stops an integrand
 at its first failed piece, while a family of independent integrals (the
 validation suite's honesty cases, the F oracle's damping levels) takes
@@ -400,8 +401,10 @@ def _integrate_shared(f, n, intervals, tols, budget=_DEFAULT_BUDGET):
     panelling of [a, b], as :func:`integrate_1d` lays it out, and the
     integrands taken over it.  ``f(t, j)`` takes an ndarray of abscissae
     and j, the index of the interval each lies in (an int array like t,
-    or one int), and returns a list of ``n`` value arrays.  The initial
-    panellings are evaluated here, in one call of ``f``.  Returns, per
+    or one int), and returns a list of ``n`` value arrays; an integrand's
+    values on an interval that does not take it are never used.  The
+    initial panellings are evaluated here, in one call of ``f``, and the
+    rule is applied to all ``n`` integrands at once.  Returns, per
     integrand, an iterator of :func:`_refine` that yields one QuadResult
     or QuadratureError per interval the integrand is taken over, in
     order: each is what :func:`integrate_1d` gives alone there, failures
@@ -432,7 +435,7 @@ def _integrate_shared(f, n, intervals, tols, budget=_DEFAULT_BUDGET):
             rules = list(zip(*_panel_rules(vals, flat, halves, flat.size)))
             vals = [None] * n  # only the panel sums are kept while refining
         except QuadratureError:  # a node is not finite: judge each
-            pass                 # integrand by its own nodes
+            pass                 # interval by its own nodes
     return [_refine(f, i, vals[i], rules[i], flat, halves, edges, spans,
                     intervals, tols[i], budget) for i in range(n)]
 
@@ -440,19 +443,13 @@ def _integrate_shared(f, n, intervals, tols, budget=_DEFAULT_BUDGET):
 def _refine(f, i, vals, rules, flat, halves, edges, spans, intervals, tol,
             budget):
     """Integrand i's results of :func:`_integrate_shared`, one interval at
-    a time, from its GK15 pair ``rules`` over all the initial panels, or
-    else from its values ``vals`` on their nodes: each interval it is
-    taken over is refined on its own, through ``f(t, j)[i]``,
-    budget-checked and failed as :func:`integrate_1d` would.  When some
-    node of its own is not finite, each interval's rules are redone on
-    that interval's nodes, so a non-finite failure names a node of that
-    interval."""
-    if rules is None and vals is not None:
-        try:
-            rules = _panel_rules(vals, flat, halves, flat.size)
-            vals = None
-        except QuadratureError:
-            pass
+    a time: each interval it is taken over starts from its GK15 pair
+    ``rules`` over all the initial panels, and is refined on its own,
+    through ``f(t, j)[i]``, budget-checked and failed as
+    :func:`integrate_1d` would.  When some node of the pass is not
+    finite, there are no ``rules``, and each interval's are applied to
+    the integrand's values ``vals`` on that interval's nodes, so a
+    non-finite failure names a node of that interval."""
     for j, (e, (lo, hi), interval) in enumerate(zip(edges, spans, intervals)):
         if i not in interval[3]:
             continue

@@ -1183,14 +1183,17 @@ class TestRandomScenarioProperties:
         slack = 0.0 if dim == "1+1" else 1e-14
         assert abs(bal.residual) <= bal.quad_error + slack
 
-    # seed 720 at mid-window: hI_off's two lag pieces each take most of
-    # their share of 1e-13; with tol not split across pieces the record
-    # reads ok at 1.48 tol
+    # at 3e-15 a lag piece's error sits on its roundoff floor, about 50
+    # eps times its integral of |f|: where tol is split across the
+    # pieces such a piece fails, while given all of tol each piece passes
+    # and their sum exceeds tol, as s2's does at seed 307 a quarter into
+    # Bob's window (1.007 tol) and hf_sig's at seed 378 (1.026 tol)
     @pytest.mark.parametrize("dim", ["1+1", "2+1"])
     @given(seed=st.integers(0, 2 ** 32 - 1),
-           tol=st.sampled_from([1e-8, 1e-11, 1e-13]),
+           tol=st.sampled_from([1e-8, 1e-11, 1e-13, 3e-15]),
            frac=st.none() | st.floats(0.0, 1.0))
-    @example(seed=720, tol=1e-13, frac=0.5)
+    @example(seed=307, tol=3e-15, frac=0.25)
+    @example(seed=378, tol=3e-15, frac=None)
     @settings(max_examples=60, deadline=None)
     def test_ok_records_meet_their_tolerance(self, dim, seed, tol, frac):
         # the tolerance contract: every record a row reads as ok, at T_off
