@@ -425,30 +425,30 @@ def _integrate_shared(f, n, intervals, tols, budget=_DEFAULT_BUDGET):
         spans.append((start, stop))
         start = stop
     laid = [j for j, (lo, hi) in enumerate(spans) if hi > lo]
-    vals, rules, flat, halves = [None] * n, [None] * n, None, None
+    vals = rules = flat = halves = None
     if laid:
         flat, halves = _panel_nodes(*[edges[j] for j in laid])
         owner = laid[0] if len(laid) == 1 else np.repeat(
             np.arange(len(spans)), [15 * (hi - lo) for lo, hi in spans])
         vals = f(flat, owner)
         try:
-            rules = list(zip(*_panel_rules(vals, flat, halves, flat.size)))
-            vals = [None] * n  # only the panel sums are kept while refining
+            rules = _panel_rules(vals, flat, halves, flat.size)
+            vals = None  # only the panel sums are kept while refining
         except QuadratureError:  # a node is not finite: judge each
             pass                 # interval by its own nodes
-    return [_refine(f, i, vals[i], rules[i], flat, halves, edges, spans,
-                    intervals, tols[i], budget) for i in range(n)]
+    return [_refine(f, i, vals, rules, flat, halves, edges, spans, intervals,
+                    tols[i], budget) for i in range(n)]
 
 
 def _refine(f, i, vals, rules, flat, halves, edges, spans, intervals, tol,
             budget):
     """Integrand i's results of :func:`_integrate_shared`, one interval at
-    a time: each interval it is taken over starts from its GK15 pair
-    ``rules`` over all the initial panels, and is refined on its own,
-    through ``f(t, j)[i]``, budget-checked and failed as
+    a time: each interval it is taken over starts from row i of the GK15
+    pair ``rules`` over all the initial panels, and is refined on its
+    own, through ``f(t, j)[i]``, budget-checked and failed as
     :func:`integrate_1d` would.  When some node of the pass is not
     finite, there are no ``rules``, and each interval's are applied to
-    the integrand's values ``vals`` on that interval's nodes, so a
+    the integrand's values ``vals[i]`` on that interval's nodes, so a
     non-finite failure names a node of that interval."""
     for j, (e, (lo, hi), interval) in enumerate(zip(edges, spans, intervals)):
         if i not in interval[3]:
@@ -457,10 +457,10 @@ def _refine(f, i, vals, rules, flat, halves, edges, spans, intervals, tol,
         if hi > lo:
             try:
                 if rules:
-                    initial = [r[lo:hi] for r in rules]
+                    initial = [r[i, lo:hi] for r in rules]
                 else:
                     nodes = slice(15 * lo, 15 * hi)
-                    initial = _panel_rules(vals[nodes], flat[nodes],
+                    initial = _panel_rules(vals[i][nodes], flat[nodes],
                                            halves[lo:hi], 15 * (hi - lo))
                 res = _adaptive(lambda t, j=j: f(t, j)[i], e, initial, tol,
                                 budget)

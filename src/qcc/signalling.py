@@ -372,7 +372,7 @@ def _oscillatory_piece(L, picks, terms, a, b, tol):
 
 def _lag_integrals(s, passes, tol):
     """factor * int_lo^hi K_i(tau) W_i(tau) dtau over tau > L for each
-    pick i of each lag pass, all passes in one shared pass: K_i is the
+    pick i of each lag pass, for all passes at once: K_i is the
     pick's lag kernel in the scenario's dimension, L its separation and
     W_i the pick's weight.  The lags are >= 0 (Alice switches off before
     Bob switches on, and hI is taken inside Bob's window), so the cone
@@ -409,14 +409,14 @@ def _lag_integrals(s, passes, tol):
     gets the value, error and evaluation count it gets alone.  A pass of
     another ``omega`` has panels of other widths, and a batch of its
     own, so no weight is evaluated on another pass's nodes.  ``tol``,
-    which the public entries
-    check before they pick a route, is split across each pass's pieces
-    and divided by its |factor|.  A pick stops at the first piece it
-    fails on: no later piece's result is taken, so none is refined for
-    it.  Its record fails with a QuadratureError naming ``tol``, with no
-    ``best``, and counts the evaluations of the earlier pieces and of
-    the failed attempt, nodes whose values were not finite included.
-    Returns one Observable per pick, pass by pass.
+    which the public entries check before they pick a route, is split
+    across each pass's pieces and divided by its |factor|.  A pick stops
+    at the first piece it fails on: no later piece's result is taken, so
+    none is refined for it.  Its record fails with a QuadratureError
+    naming ``tol``, with no ``best``, and counts the evaluations of the
+    earlier pieces and of the failed attempt, nodes whose values were
+    not finite included.  A pass with no lag past the cone gives exact
+    zeros.  Returns one Observable per pick, pass by pass.
     """
     dim, L = s.dimension, s.report.separation
     # per pass: its pieces; per piece and pick, a QuadResult of the
@@ -429,7 +429,10 @@ def _lag_integrals(s, passes, tol):
         cuts = sorted({lo, hi} | {c for c in (L, *kinks) if lo < c < hi})
         pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
                   if 0.5 * (a + b) > L]
-        piece_tol = tol / (len(pieces) or 1) / (abs(factor) or 1.0)
+        if not pieces:
+            plan.append(None)
+            continue
+        piece_tol = tol / len(pieces) / (abs(factor) or 1.0)
         group, tols, shared = batches.setdefault(omega, ([], [], {}))
         ix = range(len(tols), len(tols) + len(picks))
         routed, on_gk = [], False
@@ -471,7 +474,11 @@ def _lag_integrals(s, passes, tol):
                                       len(tols), intervals, tols)
 
     out = []
-    for (picks, lag_pass), (omega, ix, pieces, routed) in zip(passes, plan):
+    for (picks, lag_pass), pass_plan in zip(passes, plan):
+        if pass_plan is None:
+            out += [_ZERO] * len(picks)
+            continue
+        omega, ix, pieces, routed = pass_plan
         factor = lag_pass[6]
         for n in range(len(picks)):
             values, err, evals = [], 0.0, 0
