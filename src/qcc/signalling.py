@@ -440,7 +440,8 @@ def _lag_integrals(s, passes, tol):
             res = [None] * len(picks)
             # only a 2+1D piece that starts on the cone is not offered
             if terms is not None and dim is Dimension.D2p1 and a != L \
-                    and omega * (b - a) >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
+                    and omega * (b - a) \
+                    >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
                 res = _oscillatory_piece(L, picks, terms(a, b), a, b,
                                          piece_tol)
             routed.append(res)

@@ -384,9 +384,9 @@ def _bits(obs):
 
 class TestSharedPass:
     """A row takes its observables from row_observables, whose lag
-    passes, s2/hf_sig and hI at both ends of Bob's window, are one
-    shared lag-quadrature pass; each must equal its own public route bit
-    for bit: value, quad_error and evaluations, and on failure a record
+    passes, s2/hf_sig and hI at both ends of Bob's window, are one call
+    of the lag quadrature; each must equal its own public route bit for
+    bit: value, quad_error and evaluations, and on failure a record
     holding what the route raises, the same status and the same
     message."""
 
