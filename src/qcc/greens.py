@@ -218,7 +218,7 @@ def _damped_levels(dim: Dimension, tau: float, L: float,
     pieces = list(zip(cuts, cuts[1:]))
     per_piece = np.repeat(eps, len(pieces))
     (results,) = _integrate_shared(
-        lambda theta, j: [_directions(n, tau, L, per_piece[j], theta)], 1,
+        lambda theta, j: [_directions(n, tau, L, per_piece[j], theta)],
         [(lo, hi, None, (0,)) for _ in eps for lo, hi in pieces],
         [DEFAULT_TOL * 1e-2 / len(pieces)])
     parts = [_roundoff_best(res) for res in results]

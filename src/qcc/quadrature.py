@@ -392,19 +392,19 @@ def _adaptive(f, edges, initial, tol, budget):
         add(mid, pb, ck15[1], cerr[1], cfloor[1])
 
 
-def _integrate_shared(f, n, intervals, tols, budget=_DEFAULT_BUDGET):
-    """Integrate ``n`` integrands over each of ``intervals`` on one
-    initial node set, integrand i to tolerance ``tols[i]`` on each
+def _integrate_shared(f, intervals, tols, budget=_DEFAULT_BUDGET):
+    """Integrate ``len(tols)`` integrands over each of ``intervals`` on
+    one initial node set, integrand i to tolerance ``tols[i]`` on each
     interval it is taken over.
 
     ``intervals`` lists (a, b, max_panel_width, picks): the initial
     panelling of [a, b], as :func:`integrate_1d` lays it out, and the
     integrands taken over it.  ``f(t, j)`` takes an ndarray of abscissae
     and j, the index of the interval each lies in (an int array like t,
-    or one int), and returns a list of ``n`` value arrays; an integrand's
-    values on an interval that does not take it are never used.  The
-    initial panellings are evaluated here, in one call of ``f``, and the
-    rule is applied to all ``n`` integrands at once.  Returns, per
+    or one int), and returns a list of one value array per integrand; an
+    integrand's values on an interval that does not take it are never
+    used.  The initial panellings are evaluated here, in one call of
+    ``f``, and the rule is applied to all the integrands at once.  Returns, per
     integrand, an iterator of :func:`_refine` that yields one QuadResult
     or QuadratureError per interval the integrand is taken over, in
     order: each is what :func:`integrate_1d` gives alone there, failures
@@ -437,7 +437,7 @@ def _integrate_shared(f, n, intervals, tols, budget=_DEFAULT_BUDGET):
         except QuadratureError:  # a node is not finite: judge each
             pass                 # interval by its own nodes
     return [_refine(f, i, vals, rules, flat, halves, edges, spans, intervals,
-                    tols[i], budget) for i in range(n)]
+                    tol, budget) for i, tol in enumerate(tols)]
 
 
 def _refine(f, i, vals, rules, flat, halves, edges, spans, intervals, tol,
@@ -571,7 +571,7 @@ def integrate_1d(
     if not (a < b and math.isfinite(b - a)):
         raise ValueError(f"require finite a < b, got a={a!r}, b={b!r}")
     _check_tol(tol)
-    ((res,),) = _integrate_shared(lambda t, j: [f(t)], 1,
+    ((res,),) = _integrate_shared(lambda t, j: [f(t)],
                                   [(a, b, max_panel_width, (0,))], [tol],
                                   budget)
     if isinstance(res, QuadratureError):

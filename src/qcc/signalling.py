@@ -11,10 +11,12 @@ for s2, hf_sig and hI alike, from the range [lo, hi] of the lags
 t2 - t1 over the integral's own region, which the cone meets when
 lo <= L <= hi (:func:`qcc.scenario._classify`, the test that classifies
 the whole windows too).  There a kernel with an on-cone part is
-rejected (F in every dimension, D's delta in 3+1D).  Otherwise a region
-with no lag past the cone is an exact zero, decided there and nowhere
-else, and one whose lags pass it by less than their rounding fails with
-reason "roundoff".  1+1D D takes its closed form, a kernel that
+rejected (F in every dimension, D's delta in 3+1D), and so is hI in
+2+1D at L = 0 where its lags start at 0: D = 1/(2 pi tau) there, and
+Alice's bias does not vanish at tau = 0.  Otherwise a region with no lag
+past the cone is an exact zero, decided there and nowhere else, and one
+whose lags pass it by less than their rounding fails with reason
+"roundoff".  1+1D D takes its closed form, a kernel that
 vanishes off the cone gives 0, and 2+1D takes the lag quadrature below.
 Every lag is >= 0: Alice switches off before Bob switches on, and hI is
 only taken inside Bob's window.
@@ -50,11 +52,13 @@ piece the weight is exactly a finite sum of exponentials
 sum_j P_j(tau) e^{i om_j tau}, and the kernels continue analytically
 into the upper half-plane, so each high-frequency group of terms is
 integrated by numerical steepest descent at a cost independent of
-om_j, and GK takes the slowly varying rest.  A pick whose estimate
-misses its share of tol is redone on GK panels, so a failure there is
-the GK route's failure.  Where 2 (Om_A + Om_B) times the largest |time|
-overflows, the exponentials cannot be formed, and every piece stays on
-GK panels; a closed form there reports an infinite rounding bound.
+om_j.  The slowly varying rest is a lag pass of its own, so
+:func:`_lag_integrals` is the one place that lays a lag integral out on
+GK panels.  A pick whose estimate misses its share of tol is redone on
+GK panels, so a failure there is the GK route's failure.  Where
+2 (Om_A + Om_B) times the largest |time| overflows, the exponentials
+cannot be formed, and every piece stays on GK panels; a closed form
+there reports an infinite rounding bound.
 """
 
 from __future__ import annotations
@@ -307,23 +311,23 @@ def _phases_finite(s: Scenario, times) -> bool:
     return math.isfinite(2.0 * _phase_scale(s, times))
 
 
-def _oscillatory_piece(L, picks, terms, a, b, tol):
+def _oscillatory_piece(s, picks, terms, a, b, tol):
     """int_a^b K_i(tau) W_i(tau) dtau for each pick i, on a 2+1D lag
-    piece beyond the cone that does not end on it, from the weight's
-    exponential ``terms`` on [a, b].
+    piece of ``s`` beyond the cone that does not end on it, from the
+    weight's exponential ``terms`` on [a, b].
 
     Terms that span at least _OSCILLATORY_TERM_PERIODS periods over the
     piece are grouped by frequency, and each group is integrated by
-    numerical steepest descent against the continued kernels; the rest
-    form a slowly varying remainder, which GK integrates against the
-    real-axis kernels on panels a quarter period of its own top
-    frequency, to half of ``tol``.  Returns, per pick, a QuadResult, or,
-    when the remainder fails or the summed error estimate exceeds
-    ``tol``, the number of evaluations the attempt spent: the caller then
-    redoes that pick's piece on the GK path and counts them.
+    numerical steepest descent against the continued kernels.  The rest
+    form a slowly varying weight, whose integral is the lag pass (rest,
+    None, top, a, b, (), 1.0) of :func:`_lag_integrals` to half of
+    ``tol``: with no terms it stays on GK panels a quarter period of the
+    rest's top frequency, which is > 0.  Returns, per pick, a
+    QuadResult, or, when the rest fails or the summed error estimate
+    exceeds ``tol``, the number of evaluations the attempt spent: the
+    caller then redoes that pick's piece on the GK path and counts them.
     """
-    n = len(picks)
-    kernels = [_TIMELIKE[p] for p in picks]
+    L, n = s.report.separation, len(picks)
     continued = [_CONTINUED[p] for p in picks]
     groups, low = {}, []
     for om, amp, coefs in terms:
@@ -346,26 +350,18 @@ def _oscillatory_piece(L, picks, terms, a, b, tol):
             err[i] += errors[i]
             evals[i] += count
     if low:
-        top = max(om for om, _, _ in low)
-
-        def remainder(tau):
-            x = tau - L
+        def rest(tau):
             waves = [(amp(tau) * np.exp(1j * om * tau), coefs)
                      for om, amp, coefs in low]
-            return [k(Dimension.D2p1, tau, x, L)
-                    * sum((c[i] * wave).real for wave, c in waves)
-                    for i, k in enumerate(kernels)]
+            return [sum((c[i] * wave).real for wave, c in waves)
+                    for i in range(n)]
 
-        width = (2.0 * math.pi / top) / 4.0 if top > 0 else None
-        for i, (res,) in enumerate(_integrate_shared(
-                lambda t, j: remainder(t), n, [(a, b, width, range(n))],
-                [0.5 * tol] * n)):
-            evals[i] += res.evaluations
-            if isinstance(res, QuadratureError):
-                err[i] = math.inf
-                continue
-            values[i].append(res.value)
-            err[i] += res.abs_error_estimate
+        top = max(om for om, _, _ in low)
+        for i, obs in enumerate(_lag_integrals(
+                s, [(picks, (rest, None, top, a, b, (), 1.0))], 0.5 * tol)):
+            values[i].append(obs.value)
+            err[i] += math.inf if obs.failure is not None else obs.quad_error
+            evals[i] += obs.evaluations
     return [QuadResult(math.fsum(values[i]), err[i], evals[i])
             if err[i] <= tol else evals[i] for i in range(n)]
 
@@ -378,9 +374,13 @@ def _lag_integrals(s, passes, tol):
     Bob switches on, and hI is taken inside Bob's window), so the cone
     is the one lag L.
 
-    ``passes`` lists (picks, lag_pass) pairs, ``lag_pass`` the tuple
-    (weight, terms, omega, lo, hi, kinks, factor) that
-    :func:`_window_correlation` or :func:`_interaction_weight` builds.
+    This is the one place that lays a lag integral out on GK panels: for
+    the rows, the public entries, the slowly varying rest of the
+    steepest-descent route and the validation suite alike.  ``passes``
+    lists (picks, lag_pass) pairs, ``lag_pass`` the tuple (weight, terms,
+    omega, lo, hi, kinks, factor) that :func:`_window_correlation` or
+    :func:`_interaction_weight` builds, or that
+    :func:`_oscillatory_piece` builds for its rest.
     ``weight(tau)`` returns one weight array per pick, and
     ``terms(a, b)`` the weights on the lag piece [a, b] as a sum of
     exponentials, or ``terms`` is None when their phases would overflow.
@@ -398,15 +398,17 @@ def _lag_integrals(s, passes, tol):
     periods of ``omega`` is first offered to :func:`_oscillatory_piece`
     for the pass's picks, with the terms built for that piece only, when
     there are terms; each pick it hands back is integrated on GK panels
-    as above, and counts the evaluations of both attempts.
+    as above, and counts the evaluations of both attempts.  The route's
+    rest is a pass with no terms, so it is never offered again.
 
-    The GK panels of the passes of one ``omega``, on every piece for
-    every pick that takes them there, are one
-    :func:`quadrature._integrate_shared` batch, in which passes whose
-    pieces coincide share their panels: each weight and each kernel is
-    evaluated once on all the batch's initial nodes, then each pick is
-    refined piece by piece on its own as its results are taken, so each
-    gets the value, error and evaluation count it gets alone.  A pass of
+    Every pass joins the batch of its ``omega``, and the GK panels of a
+    batch, on every piece for every pick that takes them there, are one
+    :func:`quadrature._integrate_shared` call, made only when some piece
+    takes them.  Passes whose pieces coincide share their panels: each
+    weight and each kernel is evaluated once on all the batch's initial
+    nodes, then each pick is refined piece by piece on its own as its
+    results are taken, so each gets the value, error and evaluation
+    count it gets alone.  A pass of
     another ``omega`` has panels of other widths, and a batch of its
     own, so no weight is evaluated on another pass's nodes.  ``tol``,
     which the public entries check before they pick a route, is split
@@ -421,9 +423,9 @@ def _lag_integrals(s, passes, tol):
     dim, L = s.dimension, s.report.separation
     # per pass: its pieces; per piece and pick, a QuadResult of the
     # steepest-descent route, the evaluations it spent before handing the
-    # pick back, or None; and, when any piece of it takes GK panels, the
-    # indices of its picks among its batch's integrands.  A batch is
-    # (passes, tols, {piece: integrands}), one per omega
+    # pick back, or None; and the indices of its picks among its batch's
+    # integrands.  A batch is (passes, tols, {piece: integrands}), one per
+    # omega, and makes no GK call when no piece of it takes GK panels
     plan, batches = [], {}
     for picks, (weight, terms, omega, lo, hi, kinks, factor) in passes:
         cuts = sorted({lo, hi} | {c for c in (L, *kinks) if lo < c < hi})
@@ -435,29 +437,27 @@ def _lag_integrals(s, passes, tol):
         piece_tol = tol / len(pieces) / (abs(factor) or 1.0)
         group, tols, shared = batches.setdefault(omega, ([], [], {}))
         ix = range(len(tols), len(tols) + len(picks))
-        routed, on_gk = [], False
+        group.append((picks, weight))
+        tols += [piece_tol] * len(picks)
+        routed = []
         for a, b in pieces:
             res = [None] * len(picks)
             # only a 2+1D piece that starts on the cone is not offered
             if terms is not None and dim is Dimension.D2p1 and a != L \
                     and omega * (b - a) \
                     >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
-                res = _oscillatory_piece(L, picks, terms(a, b), a, b,
+                res = _oscillatory_piece(s, picks, terms(a, b), a, b,
                                          piece_tol)
             routed.append(res)
             redo = [i for i, r in zip(ix, res)
                     if not isinstance(r, QuadResult)]
             if redo:
                 shared.setdefault((a, b), []).extend(redo)
-                on_gk = True
-        if on_gk:
-            group.append((picks, weight))
-            tols += [piece_tol] * len(picks)
-        plan.append((omega, ix if on_gk else None, pieces, routed))
+        plan.append((omega, ix, pieces, routed))
 
     gk = {}
     for omega, (group, tols, shared) in batches.items():
-        if not group:
+        if not shared:
             continue
         # the intervals in order of their pieces, which keeps each pick's
         # pieces in order; those that start on the 2+1D cone come first
@@ -472,7 +472,7 @@ def _lag_integrals(s, passes, tol):
             else:
                 intervals.append((a, b, width, redo))
         gk[omega] = _integrate_shared(_lag_integrand(dim, L, group, n_cone),
-                                      len(tols), intervals, tols)
+                                      intervals, tols)
 
     out = []
     for (picks, lag_pass), pass_plan in zip(passes, plan):
@@ -641,6 +641,11 @@ _ON_CONE_REJECTIONS = (
     "field energy for windows touching the lightcone depends on the "
     "kernel's unspecified on-cone part; rejected",
 )
+# At L = 0 the 2+1D D is 1/(2 pi tau), which no weight that stays nonzero
+# at tau = 0 can integrate: Alice's bias, for hI at her switch-off time.
+_DIVERGENT_HI = ("interaction energy at alice's switch-off time at L = 0 in "
+                 "2+1D: D = 1/(2 pi tau) is not integrable against her bias "
+                 "at the lag 0; rejected")
 
 
 def _route(s: Scenario, pick, t2_lo: float, t2_hi: float, closed_form,
@@ -655,20 +660,27 @@ def _route(s: Scenario, pick, t2_lo: float, t2_hi: float, closed_form,
     Off the cone D is 1/2 in 1+1D, 0 in 3+1D and decays in 2+1D, and F
     vanishes in all three.  So a kernel with an on-cone part where the
     cone meets the region is rejected: F in every dimension, D's delta
-    in 3+1D.  Both kernels vanish at every lag up to L, so a region with
-    no lag past L is an exact zero, built from nothing.  A region whose
-    lags pass L by less than the rounding of hi, which lands hi on L,
-    fails with reason "roundoff", at 0 evaluations: every route would cut
-    it off at the rounded end.  The rest is computed: 1+1D D takes
-    ``closed_form()``, failed with reason "roundoff" when its rounding
-    bound exceeds ``tol``, a kernel that vanishes off the cone gives 0,
-    and 2+1D takes the lag pass.
+    in 3+1D.  At L = 0 the 2+1D D is 1/(2 pi tau), integrable only
+    against a weight that vanishes at the lag 0.  The window correlation
+    of a region of positive length does at its lowest lag, but hI's
+    region is one Bob time t, whose weight is Alice's bias at t - tau: hI
+    is rejected too where lo = L = 0, at T_off,A.  Both kernels vanish
+    at every lag up to L, so a region with no lag past L is an exact
+    zero, built from nothing.  A region whose lags pass L by less than
+    the rounding of hi, which lands hi on L, fails with reason
+    "roundoff", at 0 evaluations: every route would cut it off at the
+    rounded end.  The rest is computed: 1+1D D takes ``closed_form()``,
+    failed with reason "roundoff" when its rounding bound exceeds
+    ``tol``, a kernel that vanishes off the cone gives 0, and 2+1D takes
+    the lag pass.
     """
     a, L = s.alice.window, s.report.separation
     lo, hi = t2_lo - a.t_off, t2_hi - a.t_on
     if _classify(lo, hi, L) is CausalClass.LIGHTCONE_CROSSING and (
             pick == _HF or s.dimension is Dimension.D3p1):
         return _failed(InvalidScenarioError(_ON_CONE_REJECTIONS[pick]))
+    if lo == L == 0.0 and t2_lo == t2_hi and s.dimension is Dimension.D2p1:
+        return _failed(InvalidScenarioError(_DIVERGENT_HI))
     # rounding keeps hi on the exact end's side of L or lands it on L;
     # there the sign of the exact sum says whether a lag passes the cone,
     # and if one does, every route below would cut it off at hi

@@ -595,6 +595,9 @@ def _edited_shipped_config(draw):
                                                             "capacity"]))
 @example(text=shipped_with("demo_2p1", {"alice.alpha_im": "1e300"}),
          verb="point")
+@example(text=shipped_with("demo_2p1", {"bob.t_on": "3",
+                                         "bob.position": "0, 0"}),
+         verb="point")
 @settings(max_examples=60, deadline=None)
 def test_edited_configs_end_in_an_exit_status(text, verb):
     # what a process would print as a traceback escapes main here
@@ -795,10 +798,46 @@ class TestValidateVerb:
         check = validation._check_oscillatory_route
         assert check().passed
         monkeypatch.setattr(signalling, "_oscillatory_piece",
-                            lambda L, picks, *args: [96] * len(picks))
+                            lambda s, picks, *args: [96] * len(picks))
         assert check() == validation.CheckResult(
             "oscillatory-route-vs-gk", False,
             "the route handed the piece back to GK")
+
+    def test_route_check_takes_gk_from_the_hand_built_integrals(
+            self, monkeypatch):
+        # the check's GK side is one lag pass call with no terms; it must
+        # equal, bit for bit, integrate_1d of each kernel times its
+        # weight on panels a quarter period of gap 40, as the check once
+        # integrated them
+        from qcc import greens, validation
+        from qcc.quadrature import integrate_1d
+
+        calls = []
+        lag = signalling._lag_integrals
+
+        def spied(s, passes, tol):
+            calls.append(lag(s, passes, tol))
+            return calls[-1]
+
+        monkeypatch.setattr(signalling, "_lag_integrals", spied)
+        assert validation._check_oscillatory_route().passed
+        s = validation._demo()
+        s = replace(s, bob=replace(s.bob, gap=40.0))
+        picks = (signalling._S2, signalling._HF)
+        corr = signalling._window_correlation(s, 8.0, picks)[0]
+        bias = signalling._interaction_weight(
+            replace(s, alice=replace(s.alice, gap=40.0)), 8.0)[0]
+        d, f = greens.commutator_timelike, greens.field_energy_timelike
+        weights = (lambda t: corr(t)[0], lambda t: corr(t)[1],
+                   lambda t: bias(t)[0])
+        gk = calls[-1]
+        assert len(gk) == 3
+        for kernel, weight, obs in zip((d, f, d), weights, gk):
+            ref = integrate_1d(
+                lambda t: kernel(s.dimension, t, t - 1.0, 1.0) * weight(t),
+                5.0, 8.0, 1e-10, max_panel_width=(2.0 * math.pi / 40.0) / 4)
+            assert (obs.value, obs.quad_error, obs.evaluations) \
+                == (ref.value, ref.abs_error_estimate, ref.evaluations)
 
     def test_a_check_that_raises_keeps_its_name(self, monkeypatch):
         from qcc import validation

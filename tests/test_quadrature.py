@@ -473,7 +473,7 @@ class TestSharedPassIterators:
 
         intervals = [(a, a + w, (2 * math.pi / omega) / per_period, picks)
                      for _, omega, a, w, picks in cases]
-        shared = quadrature._integrate_shared(f, 2, intervals, tols)
+        shared = quadrature._integrate_shared(f, intervals, tols)
         for i, wave in enumerate((np.cos, np.sin)):
             alone = [quad_record(integrate_alone(
                 lambda t, p=p, omega=omega: (
@@ -494,7 +494,7 @@ class TestSharedPassIterators:
             return [t * t * np.sin(40.0 * t)]
 
         intervals = [(a, a + 1.0, None, (0,)) for a in (0.0, 1.0, 2.0)]
-        (results,) = quadrature._integrate_shared(f, 1, intervals, [1e-13])
+        (results,) = quadrature._integrate_shared(f, intervals, [1e-13])
         assert calls == [45]
         first = next(results)
         assert first.evaluations > 15

@@ -492,19 +492,19 @@ class TestSharedPass:
         oscillatory = signalling._oscillatory_piece
         handed_back = []
 
-        def spied(L, picks, *args):
-            res = oscillatory(L, picks, *args)
+        def spied(s, picks, *args):
+            res = oscillatory(s, picks, *args)
             handed_back.append((len(picks), sum(
                 not isinstance(r, QuadResult) for r in res)))
             return res
 
-        def one_at_a_time(f, n, intervals, tol):
-            results = [[] for _ in range(n)]
+        def one_at_a_time(f, intervals, tol):
+            results = [[] for _ in tol]
             for j, (a, b, width, picks) in enumerate(intervals):
                 live = [i for i in picks if not (
                     results[i] and isinstance(results[i][-1],
                                               QuadratureError))]
-                per = shared(lambda t, _, j=j: f(t, j), n,
+                per = shared(lambda t, _, j=j: f(t, j),
                              [(a, b, width, live)], tol)
                 for i in live:
                     results[i] += per[i]
@@ -682,6 +682,49 @@ class TestSteepestDescentRoute:
         assert [o.evaluations for o in forced] == [340, 340]
         assert [o.evaluations for o in gk] == [572_970, 572_970]
 
+    @pytest.mark.parametrize("gap_b", [40.0, 300.0],
+                             ids=["validate-gap40", "long-window-gap300"])
+    def test_rest_is_gk_of_kernel_times_rest(self, gap_b, monkeypatch):
+        # the slowly varying rest of the demo's lag piece [5, 8], as the
+        # validation suite and the long window's gap-300 row offer it,
+        # is a lag pass: bit for bit integrate_1d of each kernel times
+        # the rest's weight at half of tol, on panels a quarter period
+        # of the rest's top frequency
+        s, a, b, tol = _demo_with_bob(gap=gap_b), 5.0, 8.0, 1e-10
+        L = s.report.separation
+        picks = [signalling._S2, signalling._HF]
+        terms = signalling._window_correlation(s, 8.0, picks)[1](a, b)
+        low = [(om, amp, coefs) for om, amp, coefs in terms
+               if om * (b - a) < 2.0 * math.pi
+               * signalling._OSCILLATORY_TERM_PERIODS]
+        assert low and len(low) < len(terms)
+        top = max(om for om, _, _ in low)
+
+        def remainder(tau):
+            waves = [(amp(tau) * np.exp(1j * om * tau), coefs)
+                     for om, amp, coefs in low]
+            return [kernel(s.dimension, tau, tau - L, L)
+                    * sum((c[i] * wave).real for wave, c in waves)
+                    for i, kernel in enumerate(signalling._TIMELIKE)]
+
+        rests = []
+        lag = signalling._lag_integrals
+
+        def spied(s, passes, tol):
+            rests.append((tol, lag(s, passes, tol)))
+            return rests[-1][1]
+
+        monkeypatch.setattr(signalling, "_lag_integrals", spied)
+        routed = signalling._oscillatory_piece(s, picks, terms, a, b, tol)
+        assert all(isinstance(r, QuadResult) for r in routed)
+        ((rest_tol, rest),) = rests
+        assert rest_tol == 0.5 * tol
+        for i, obs in enumerate(rest):
+            ref = integrate_1d(lambda t: remainder(t)[i], a, b, 0.5 * tol,
+                               max_panel_width=(2.0 * math.pi / top) / 4.0)
+            assert (obs.value, obs.quad_error, obs.evaluations) \
+                == (ref.value, ref.abs_error_estimate, ref.evaluations)
+
     def test_remainder_failure_hands_the_piece_to_gk(self, monkeypatch):
         # at tol 1e-22 the slowly varying remainder of each piece, [2, 5]
         # and [5, 8], fails on its roundoff floor inside the route, which
@@ -696,11 +739,11 @@ class TestSteepestDescentRoute:
                 reasons.append(res.reason)
                 yield res
 
-        def spy(f, n, intervals, *args):
-            reasons = [[] for _ in range(n)]
+        def spy(f, intervals, tols, *args):
+            reasons = [[] for _ in tols]
             calls.append(([iv[:2] for iv in intervals], reasons))
             return [taken(results, out) for results, out
-                    in zip(shared(f, n, intervals, *args), reasons)]
+                    in zip(shared(f, intervals, tols, *args), reasons)]
 
         monkeypatch.setattr(signalling, "_integrate_shared", spy)
         with pytest.raises(QuadratureError) as excinfo:
@@ -817,10 +860,10 @@ class TestSteepestDescentRoute:
         offered = []
         piece = signalling._oscillatory_piece
 
-        def only_first(L, picks, terms, a, b, tol):
+        def only_first(s, picks, terms, a, b, tol):
             if a != first:
                 return [0] * len(picks)
-            res = piece(L, picks, terms, a, b, tol)
+            res = piece(s, picks, terms, a, b, tol)
             offered.append(res)
             return res
 
@@ -1069,6 +1112,25 @@ class TestRouteRule:
             assert "round onto it" in str(obs.failure)
         assert hi_on == signalling.Observable(0.0, 0.0, 0)
         assert isinstance(hf.failure, InvalidScenarioError)
+
+    def test_2p1_hI_at_L0_as_alice_switches_off_is_rejected(self):
+        # at L = 0 the 2+1D D is 1/(2 pi tau), and hI_on at T_on,B =
+        # T_off,A weighs it with Alice's bias at the lag 0, which does not
+        # vanish: the integral diverges, and is rejected unspent.  s2's
+        # window correlation vanishes at its lowest lag, and hI_off's lags
+        # start at 3, so both keep their values
+        s = make_scenario("2+1", L=0.0, b_win=(3.0, 6.0))
+        s2, hi_on, hi_off, hf = signalling.row_observables(s, None, 1e-8)
+        assert isinstance(hi_on.failure, InvalidScenarioError)
+        assert "L = 0" in str(hi_on.failure)
+        assert hi_on.evaluations == 0
+        assert isinstance(hf.failure, InvalidScenarioError)
+        for obs in (s2, hi_off):
+            assert obs.failure is None and math.isfinite(obs.value)
+        with pytest.raises(InvalidScenarioError, match="L = 0"):
+            interaction_energy_observable(s, 3.0)
+        # a moment later the lags start past 0, where D is finite
+        assert interaction_energy_observable(s, 3.5).failure is None
 
     @pytest.mark.parametrize("dim", ["1+1", "2+1", "3+1"])
     def test_region_reaching_the_cone_still_rejects(self, dim):
