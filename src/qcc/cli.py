@@ -16,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .channel import ChannelStats, channel_stats
@@ -52,10 +52,11 @@ EXIT_NUMERICAL = 2
 EXIT_VALIDATION = 3
 
 
-def _fmt(x: float) -> str:
-    """A number as the CSV and the reports print it: 17 significant
-    digits, enough to parse back to the same float."""
-    return "%.17g" % x
+def _fmt(x) -> str:
+    """A value as the CSV and the reports print it: a number to 17
+    significant digits, enough to parse back to the same float, and a
+    status as it is."""
+    return x if isinstance(x, str) else "%.17g" % x
 
 
 @dataclass(frozen=True)
@@ -141,12 +142,12 @@ class Row:
     status: str
     failures: Tuple[str, ...] = ()
 
+    def cells(self) -> List[Tuple[str, str]]:
+        """(column, printed value) for each column of CSV_HEADER."""
+        return [(c, _fmt(getattr(self, c))) for c in CSV_HEADER.split(",")]
+
     def to_csv(self) -> str:
-        return ",".join(
-            [_fmt(self.param), _fmt(self.s2), _fmt(self.hB_sig),
-             _fmt(self.hI_on), _fmt(self.hI_off), _fmt(self.hf_sig),
-             _fmt(self.quad_error), self.status]
-        )
+        return ",".join(value for _, value in self.cells())
 
 
 def compute_row(
@@ -201,12 +202,8 @@ def run_point(config_path: str) -> int:
     print(f"causal class   : {report.causal_class.name}")
     print(f"quad tolerance : {_fmt(tol)}")
     print()
-    for label, value in (("s2", row.s2), ("hB_sig", row.hB_sig),
-                         ("hI_on", row.hI_on), ("hI_off", row.hI_off),
-                         ("hf_sig", row.hf_sig),
-                         ("quad_error", row.quad_error)):
-        print(f"{label:<11}= {_fmt(value)}")
-    print(f"{'status':<11}= {row.status}")
+    for label, value in row.cells()[1:]:  # every column but param
+        print(f"{label:<11}= {value}")
     print()
     print(CSV_HEADER)
     print(row.to_csv())
@@ -222,16 +219,18 @@ def run_point(config_path: str) -> int:
     stats = channel_stats(s, cfg.lambda_product, cfg.noise_R, tol=tol,
                           s2=None if math.isnan(row.s2) else row.s2)
     print()
-    print(f"{'lambda_product':<20}= {_fmt(cfg.lambda_product)}")
-    print(f"{'noise_R':<20}= {_fmt(cfg.noise_R)}")
-    _print_stats(stats)
+    _print_channel(cfg.lambda_product, cfg.noise_R, stats)
     return EXIT_OK
 
 
-def _print_stats(stats: ChannelStats) -> None:
-    for label in ("p", "q", "success", "capacity_closed",
-                  "capacity_expansion", "capacity_bruteforce"):
-        print(f"{label:<20}= {_fmt(getattr(stats, label))}")
+def _print_channel(lambda_product: float, noise_R: float,
+                   stats: ChannelStats) -> None:
+    """The channel block of ``point`` and ``capacity``: the coupling, the
+    noise and every field of ``stats``, one per line."""
+    values = {"lambda_product": lambda_product, "noise_R": noise_R,
+              **asdict(stats)}
+    for label, value in values.items():
+        print(f"{label:<20}= {_fmt(value)}")
 
 
 def run_sweep(
@@ -278,10 +277,8 @@ def run_capacity(
     require_valid(cfg.scenario)
     lam = cfg.lambda_product if lambda_product is None else lambda_product
     noise = cfg.noise_R if noise_R is None else noise_R
-    stats = channel_stats(cfg.scenario, lam, noise, tol=default_tolerance())
-    print(f"{'lambda_product':<20}= {_fmt(lam)}")
-    print(f"{'noise_R':<20}= {_fmt(noise)}")
-    _print_stats(stats)
+    _print_channel(lam, noise, channel_stats(cfg.scenario, lam, noise,
+                                             tol=default_tolerance()))
     return EXIT_OK
 
 
@@ -350,6 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_point = sub.add_parser("point", help="evaluate one config, print all "
                                            "observables and channel stats")
     p_point.add_argument("config", help="path to key = value config file")
+    p_point.set_defaults(run=lambda args: run_point(args.config))
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter, write CSV")
     p_sweep.add_argument("config")
@@ -365,6 +363,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          type=_checked(int, lambda n: n >= 1,
                                        "a positive integer"),
                          help="worker processes (default 1: serial)")
+    p_sweep.set_defaults(run=lambda args: run_sweep(
+        args.config, SweepSpec(args.param, *args.range_spec, args.eval_time),
+        args.out, jobs=args.jobs))
 
     p_cap = sub.add_parser("capacity", help="channel capacity for one config")
     p_cap.add_argument("config")
@@ -374,25 +375,18 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override lambda_product from the config")
     p_cap.add_argument("--noise-R", type=finite, default=None, dest="noise_R",
                        help="override noise_R from the config")
+    p_cap.set_defaults(run=lambda args: run_capacity(
+        args.config, args.lambda_product, args.noise_R))
 
-    sub.add_parser("validate", help="run the built-in invariant suite")
+    sub.add_parser("validate", help="run the built-in invariant suite"
+                   ).set_defaults(run=lambda args: run_validate())
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "point":
-            return run_point(args.config)
-        if args.command == "sweep":
-            start, stop, step = args.range_spec
-            sweep = SweepSpec(args.param, start, stop, step, args.eval_time)
-            return run_sweep(args.config, sweep, args.out, jobs=args.jobs)
-        if args.command == "capacity":
-            return run_capacity(args.config, args.lambda_product, args.noise_R)
-        if args.command == "validate":
-            return run_validate()
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args)  # each verb's runner, set by its subparser
     except QuadratureError as err:
         print(f"qcc: numerical failure: {err.reason}: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

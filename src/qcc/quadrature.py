@@ -401,72 +401,67 @@ def _integrate_shared(f, intervals, tols, budget=_DEFAULT_BUDGET):
     panelling of [a, b], as :func:`integrate_1d` lays it out, and the
     integrands taken over it.  ``f(t, j)`` takes an ndarray of abscissae
     and j, the index of the interval each lies in (an int array like t,
-    or one int), and returns a list of one value array per integrand; an
-    integrand's values on an interval that does not take it are never
-    used.  The initial panellings are evaluated here, in one call of
-    ``f``, and the rule is applied to all the integrands at once.  Returns, per
-    integrand, an iterator of :func:`_refine` that yields one QuadResult
-    or QuadratureError per interval the integrand is taken over, in
-    order: each is what :func:`integrate_1d` gives alone there, failures
-    included, and an interval is refined only when its result is taken,
-    so a caller that stops at a failure spends nothing past it.  An
-    interval refused its initial panelling on ``budget`` fails having
-    spent nothing.  Arguments are as for :func:`integrate_1d`, and are
-    not checked here.
+    or the int 0 when there is one interval), and returns a list of
+    one value array per integrand; an integrand's values on an interval
+    that does not take it are never used.  The initial panellings are
+    evaluated here, in one call of ``f``, and the rule is applied to all
+    the integrands at once.  Returns, per integrand, an iterator that
+    yields one QuadResult or QuadratureError per interval the integrand
+    is taken over, in order: each starts from the integrand's row of
+    the rule over that interval's initial panels and is refined on its
+    own, through ``f(t, j)[i]``, budget-checked and failed as
+    :func:`integrate_1d` would, so it is what :func:`integrate_1d` gives
+    alone there, failures included.  An interval is refined only when
+    its result is taken, so a caller that stops at a failure spends
+    nothing past it.  An interval refused its initial panelling on
+    ``budget`` fails having spent nothing.  When some node of the pass
+    is not finite, the rule is applied to each interval's nodes on
+    their own as its result is taken, so a non-finite failure names a
+    node of that interval.  Arguments are as for :func:`integrate_1d`,
+    and are not checked here.
     """
-    edges, spans, start = [], [], 0
-    for a, b, width, _ in intervals:
+    # per interval: its edges or its refusal, the span [lo, hi) of its
+    # panels among all the initial panels, and its integrands
+    layout, start = [], 0
+    for a, b, width, picks in intervals:
         try:
-            e = _initial_edges(a, b, width, budget)
-            stop = start + e.size - 1
+            edges = _initial_edges(a, b, width, budget)
+            stop = start + edges.size - 1
         except QuadratureError as exc:
-            e, stop = exc, start  # refused: no panels
-        edges.append(e)
-        spans.append((start, stop))
+            edges, stop = exc, start  # refused: no panels
+        layout.append((edges, start, stop, picks))
         start = stop
-    laid = [j for j, (lo, hi) in enumerate(spans) if hi > lo]
-    vals = rules = flat = halves = None
-    if laid:
-        flat, halves = _panel_nodes(*[edges[j] for j in laid])
-        owner = laid[0] if len(laid) == 1 else np.repeat(
-            np.arange(len(spans)), [15 * (hi - lo) for lo, hi in spans])
+    panelled = [edges for edges, lo, hi, _ in layout if hi > lo]
+    if panelled:  # else no interval reads the rule or the nodes below
+        flat, halves = _panel_nodes(*panelled)
+        owner = 0 if len(layout) == 1 else np.repeat(
+            np.arange(len(layout)), [15 * (hi - lo) for _, lo, hi, _ in layout])
         vals = f(flat, owner)
         try:
             rules = _panel_rules(vals, flat, halves, flat.size)
             vals = None  # only the panel sums are kept while refining
         except QuadratureError:  # a node is not finite: judge each
-            pass                 # interval by its own nodes
-    return [_refine(f, i, vals, rules, flat, halves, edges, spans, intervals,
-                    tol, budget) for i, tol in enumerate(tols)]
+            rules = None         # interval by its own nodes
 
-
-def _refine(f, i, vals, rules, flat, halves, edges, spans, intervals, tol,
-            budget):
-    """Integrand i's results of :func:`_integrate_shared`, one interval at
-    a time: each interval it is taken over starts from row i of the GK15
-    pair ``rules`` over all the initial panels, and is refined on its
-    own, through ``f(t, j)[i]``, budget-checked and failed as
-    :func:`integrate_1d` would.  When some node of the pass is not
-    finite, there are no ``rules``, and each interval's are applied to
-    the integrand's values ``vals[i]`` on that interval's nodes, so a
-    non-finite failure names a node of that interval."""
-    for j, (e, (lo, hi), interval) in enumerate(zip(edges, spans, intervals)):
-        if i not in interval[3]:
-            continue
-        res = e
-        if hi > lo:
-            try:
-                if rules:
-                    initial = [r[i, lo:hi] for r in rules]
-                else:
-                    nodes = slice(15 * lo, 15 * hi)
-                    initial = _panel_rules(vals[i][nodes], flat[nodes],
-                                           halves[lo:hi], 15 * (hi - lo))
-                res = _adaptive(lambda t, j=j: f(t, j)[i], e, initial, tol,
-                                budget)
-            except QuadratureError as exc:
-                res = exc
-        yield res
+    def results(i, tol):
+        for j, (edges, lo, hi, picks) in enumerate(layout):
+            if i not in picks:
+                continue
+            res = edges
+            if hi > lo:
+                try:
+                    if rules:
+                        initial = [r[i, lo:hi] for r in rules]
+                    else:
+                        nodes = slice(15 * lo, 15 * hi)
+                        initial = _panel_rules(vals[i][nodes], flat[nodes],
+                                               halves[lo:hi], 15 * (hi - lo))
+                    res = _adaptive(lambda t, j=j: f(t, j)[i], edges,
+                                    initial, tol, budget)
+                except QuadratureError as exc:
+                    res = exc
+            yield res
+    return [results(i, tol) for i, tol in enumerate(tols)]
 
 
 def _roundoff_best(res):

@@ -421,18 +421,19 @@ def _lag_integrals(s, passes, tol):
     zeros.  Returns one Observable per pick, pass by pass.
     """
     dim, L = s.dimension, s.report.separation
-    # per pass: its pieces; per piece and pick, a QuadResult of the
-    # steepest-descent route, the evaluations it spent before handing the
-    # pick back, or None; and the indices of its picks among its batch's
-    # integrands.  A batch is (passes, tols, {piece: integrands}), one per
-    # omega, and makes no GK call when no piece of it takes GK panels
+    # per pass: its picks and factor, its omega, the indices of its picks
+    # among its batch's integrands (none without pieces), its pieces, and
+    # per piece and pick a QuadResult of the steepest-descent route or the
+    # evaluations spent before the pick takes GK panels there.  A batch is
+    # (passes, tols, {piece: integrands}), one per omega, and makes no GK
+    # call when no piece of it takes GK panels
     plan, batches = [], {}
     for picks, (weight, terms, omega, lo, hi, kinks, factor) in passes:
         cuts = sorted({lo, hi} | {c for c in (L, *kinks) if lo < c < hi})
         pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
                   if 0.5 * (a + b) > L]
         if not pieces:
-            plan.append(None)
+            plan.append((picks, factor, omega, (), pieces, []))
             continue
         piece_tol = tol / len(pieces) / (abs(factor) or 1.0)
         group, tols, shared = batches.setdefault(omega, ([], [], {}))
@@ -441,7 +442,7 @@ def _lag_integrals(s, passes, tol):
         tols += [piece_tol] * len(picks)
         routed = []
         for a, b in pieces:
-            res = [None] * len(picks)
+            res = [0] * len(picks)
             # only a 2+1D piece that starts on the cone is not offered
             if terms is not None and dim is Dimension.D2p1 and a != L \
                     and omega * (b - a) \
@@ -453,7 +454,7 @@ def _lag_integrals(s, passes, tol):
                     if not isinstance(r, QuadResult)]
             if redo:
                 shared.setdefault((a, b), []).extend(redo)
-        plan.append((omega, ix, pieces, routed))
+        plan.append((picks, factor, omega, ix, pieces, routed))
 
     gk = {}
     for omega, (group, tols, shared) in batches.items():
@@ -475,19 +476,16 @@ def _lag_integrals(s, passes, tol):
                                       intervals, tols)
 
     out = []
-    for (picks, lag_pass), pass_plan in zip(passes, plan):
-        if pass_plan is None:
+    for picks, factor, omega, ix, pieces, routed in plan:
+        if not pieces:
             out += [_ZERO] * len(picks)
-            continue
-        omega, ix, pieces, routed = pass_plan
-        factor = lag_pass[6]
-        for n in range(len(picks)):
+        for n, i in enumerate(ix):
             values, err, evals = [], 0.0, 0
             for (a, b), res in zip(pieces, routed):
                 res = res[n]
                 if not isinstance(res, QuadResult):  # on GK panels
-                    evals += res or 0
-                    res = next(gk[omega][ix[n]])
+                    evals += res
+                    res = next(gk[omega][i])
                 if isinstance(res, QuadratureError):
                     spent = evals + res.evaluations
                     exc = QuadratureError(
