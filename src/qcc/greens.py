@@ -78,12 +78,31 @@ def _sqrt(v):
     return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
 
 
+def _top(v):
+    """The largest of ``v``, a float or an array of values >= 0."""
+    return v if isinstance(v, float) else np.max(v, initial=0.0)
+
+
+def _in_range(x, b, bound) -> bool:
+    """Whether the root sqrt(x b) of every lag is below ``bound``, for x
+    and b = |tau| + L >= x as floats or arrays: b bounds the root, so the
+    roots are formed only where b does not settle it."""
+    return _top(b) < bound or _top(_sqrt(x) * _sqrt(b)) < bound
+
+
 def commutator_timelike(dim: Dimension, tau, x, L: float):
     """D(tau, L) beyond the cone, given tau and x = |tau| - L, as floats
     or arrays: sgn(tau)/2 in 1+1D, sgn(tau) / (2 pi sqrt(x (|tau| + L)))
-    in 2+1D and 0 in 3+1D."""
+    in 2+1D and 0 in 3+1D.  In 2+1D the product x (|tau| + L) overflows
+    once its root r passes about 1.3e154; from there on (for a whole
+    array, once any of its lags does) r is formed as sqrt(x) sqrt(|tau| +
+    L), and sgn(tau) is divided by r and by 2 pi in turn, which no finite
+    lag overflows."""
     if dim is _D2:
-        return _sign(tau) / (2.0 * math.pi * _sqrt(x * (abs(tau) + L)))
+        b = abs(tau) + L
+        if _in_range(x, b, 1.3e154):
+            return _sign(tau) / (2.0 * math.pi * _sqrt(x * b))
+        return _sign(tau) / (_sqrt(x) * _sqrt(b)) / (2.0 * math.pi)
     if dim is _D1:
         return 0.5 * _sign(tau)
     return 0.0 * x  # x >= 0, so +0.0 in x's shape
@@ -92,12 +111,19 @@ def commutator_timelike(dim: Dimension, tau, x, L: float):
 def field_energy_timelike(dim: Dimension, tau, x, L: float):
     """F(tau, L) beyond the cone, arguments as for
     :func:`commutator_timelike`: -|tau| / (2 pi (x (|tau| + L))^{3/2}) in
-    2+1D, and 0 in 1+1D and 3+1D, where its support is the cone."""
+    2+1D, and 0 in 1+1D and 3+1D, where its support is the cone.  In 2+1D
+    2 pi r^3 overflows once the root r passes about 3.06e102; from 3e102
+    on, r is formed as for D, and -|tau| is divided by r three times and
+    by 2 pi."""
     if dim is _D2:
         a = abs(tau)
-        q = x * (a + L)
-        # q sqrt(q) rounds alike on floats and arrays; numpy's pow may not
-        return -a / (2.0 * math.pi * (q * _sqrt(q)))
+        b = a + L
+        if _in_range(x, b, 3e102):
+            q = x * b
+            # q sqrt(q) rounds alike on floats and arrays; numpy's pow may not
+            return -a / (2.0 * math.pi * (q * _sqrt(q)))
+        r = _sqrt(x) * _sqrt(b)
+        return -(a / r) / r / r / (2.0 * math.pi)
     return 0.0 * x
 
 
@@ -109,8 +135,12 @@ def commutator_continued(z, L: float):
 
 
 def field_energy_continued(z, L: float):
-    """The 2+1D F continued likewise: -z / (2 pi r^3)."""
-    return -z / (2.0 * math.pi * (np.sqrt(z - L) * np.sqrt(z + L)) ** 3)
+    """The 2+1D F continued likewise: -z / (2 pi r^3), divided by r one
+    factor at a time.  r^3 itself overflows once |z| passes about
+    5.6e102, where F is about -1 / (2 pi z^2), and the quotient would be
+    nan; this way every finite z up to about 1e300 gives a finite F."""
+    r = np.sqrt(z - L) * np.sqrt(z + L)
+    return -(z / r) / (2.0 * math.pi * r) / r
 
 
 def commutator_kernel(dim: Dimension, dt: float, L: float) -> KernelValue:

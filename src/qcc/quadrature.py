@@ -17,14 +17,17 @@ its evaluation budget.
 
 Several integrands over several intervals can share one evaluation of
 their initial panellings and one application of the rule, for all of
-them at once, over all of their panels; each integrand is then refined
-on each interval on its own, to its own tolerance, when the caller
-takes that interval's result.  So
-the caller decides what a failure means: a lag pass stops an integrand
-at its first failed piece, while a family of independent integrals (the
-validation suite's honesty cases, the F oracle's damping levels) takes
-every result, failures included.  A panelling that already meets the
-tolerance is summed at once, with no per-panel bookkeeping.
+them at once, over all of their panels (:func:`_integrate_shared`,
+which lays each interval out once: its edges, or its refusal on the
+budget, and the span of its panels among all of them).  Each integrand
+is then refined on each interval on its own, to its own tolerance, by
+an iterator that takes the next interval only when the caller asks for
+its result.  So the caller decides what a failure means: a lag pass
+stops an integrand at its first failed piece, while a family of
+independent integrals (the validation suite's honesty cases, the F
+oracle's damping levels) takes every result, failures included.  A
+panelling that already meets the tolerance is summed at once, with no
+per-panel bookkeeping.
 
 For highly oscillatory integrals int_a^b g(t) e^{i omega t} dt with g
 analytic above the interval, :func:`_steepest_descent` replaces the

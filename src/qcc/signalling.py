@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -641,9 +642,12 @@ _ON_CONE_REJECTIONS = (
 )
 # At L = 0 the 2+1D D is 1/(2 pi tau), which no weight that stays nonzero
 # at tau = 0 can integrate: Alice's bias, for hI at her switch-off time.
-_DIVERGENT_HI = ("interaction energy at alice's switch-off time at L = 0 in "
-                 "2+1D: D = 1/(2 pi tau) is not integrable against her bias "
-                 "at the lag 0; rejected")
+# At an L whose square is subnormal the integral is finite, but D's
+# radicand x (tau + L) underflows near the cone.
+_DIVERGENT_HI = ("interaction energy at alice's switch-off time in 2+1D at "
+                 "L = 0, or at an L whose square is subnormal: D = 1/(2 pi "
+                 "tau) is not integrable against her bias at the lag 0; "
+                 "rejected")
 
 
 def _route(s: Scenario, pick, t2_lo: float, t2_hi: float, closed_form,
@@ -662,7 +666,11 @@ def _route(s: Scenario, pick, t2_lo: float, t2_hi: float, closed_form,
     against a weight that vanishes at the lag 0.  The window correlation
     of a region of positive length does at its lowest lag, but hI's
     region is one Bob time t, whose weight is Alice's bias at t - tau: hI
-    is rejected too where lo = L = 0, at T_off,A.  Both kernels vanish
+    is rejected too where lo = L = 0, at T_off,A.  So it is where lo <= L
+    and L^2 is below the smallest normal float: the integral, about
+    ln(1/L), is finite there, but near the cone D's radicand x (tau +
+    L), about u^2 (u^2 + 2L) in the cone substitution tau = L + u^2,
+    underflows to 0 and D to inf.  Both kernels vanish
     at every lag up to L, so a region with no lag past L is an exact
     zero, built from nothing.  A region whose lags pass L by less than
     the rounding of hi, which lands hi on L, fails with reason
@@ -677,7 +685,8 @@ def _route(s: Scenario, pick, t2_lo: float, t2_hi: float, closed_form,
     if _classify(lo, hi, L) is CausalClass.LIGHTCONE_CROSSING and (
             pick == _HF or s.dimension is Dimension.D3p1):
         return _failed(InvalidScenarioError(_ON_CONE_REJECTIONS[pick]))
-    if lo == L == 0.0 and t2_lo == t2_hi and s.dimension is Dimension.D2p1:
+    if lo <= L and L * L < sys.float_info.min and t2_lo == t2_hi \
+            and s.dimension is Dimension.D2p1:
         return _failed(InvalidScenarioError(_DIVERGENT_HI))
     # rounding keeps hi on the exact end's side of L or lands it on L;
     # there the sign of the exact sum says whether a lag passes the cone,

@@ -2,9 +2,10 @@
 
 The digested outputs are the CSV of the 12 reference sweeps (the four
 shipped configs, each swept over ``bob_t_on``, ``separation_L`` and
-``gap_B``), ``point`` and ``capacity`` stdout on the four shipped configs,
-and ``validate``'s lines without their `` [x ms]`` timings, all at the
-default tolerance.  ``data/output_digests.sha256`` holds them in the
+``gap_B``), the CSV of the ``bob_t_on`` sweeps of ``demo_2p1`` and
+``demo_1p1`` at the fixed evaluation times 6.5 and 4, ``point`` and
+``capacity`` stdout on the four shipped configs, and ``validate``'s
+lines without their `` [x ms]`` timings, all at the default tolerance.  ``data/output_digests.sha256`` holds them in the
 format of ``sha256sum``, under the file names the CI workflow writes from
 the console script, so ``sha256sum -c`` checks them there;
 ``test_output_digests.py`` recomputes them in process.
@@ -34,6 +35,9 @@ DIGESTS = Path(__file__).resolve().parent / "data" / "output_digests.sha256"
 CONFIGS = ("demo_1p1", "demo_2p1", "demo_3p1", "spacelike_2p1")
 SWEEPS = (("bob_t_on", "4.05:12:0.05"), ("separation_L", "0.1:6:0.05"),
           ("gap_B", "0.5:40:0.5"))
+# the bob_t_on sweeps at a fixed --eval-time, written as serial_<cfg>_t<T>.csv
+EVAL_TIME_CONFIGS = ("demo_2p1", "demo_1p1")
+EVAL_TIMES = ("6.5", "4")
 _MS = re.compile(r" \[[0-9.]* ms\]$", re.MULTILINE)
 
 
@@ -50,15 +54,23 @@ def digests(workdir):
     """{file name: sha256 hex digest} of every digested output, run in
     process; the sweeps write their CSVs into ``workdir``."""
     files = {}
+
+    def sweep(cfg, name, *args):
+        out = Path(workdir) / f"serial_{cfg}_{name}.csv"
+        _stdout(["sweep", str(ROOT / "configs" / f"{cfg}.cfg"), *args,
+                 "--out", str(out)])
+        files[out.name] = out.read_bytes()
+
     for cfg in CONFIGS:
-        path = str(ROOT / "configs" / f"{cfg}.cfg")
         for param, spec in SWEEPS:
-            out = Path(workdir) / f"serial_{cfg}_{param}.csv"
-            _stdout(["sweep", path, "--param", param, "--range", spec,
-                     "--out", str(out)])
-            files[out.name] = out.read_bytes()
+            sweep(cfg, param, "--param", param, "--range", spec)
         for verb in ("point", "capacity"):
+            path = str(ROOT / "configs" / f"{cfg}.cfg")
             files[f"{verb}_{cfg}.txt"] = _stdout([verb, path]).encode()
+    for cfg in EVAL_TIME_CONFIGS:
+        for t in EVAL_TIMES:
+            sweep(cfg, f"t{t}", "--param", "bob_t_on", "--range",
+                  SWEEPS[0][1], "--eval-time", t)
     files["validate.txt"] = _MS.sub("", _stdout(["validate"])).encode()
     return {name: hashlib.sha256(data).hexdigest()
             for name, data in files.items()}

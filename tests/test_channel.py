@@ -62,6 +62,21 @@ class TestBinaryEntropy:
         with pytest.raises(ValueError):
             binary_entropy(x)
 
+    @pytest.mark.parametrize("q,p,reference", [
+        (0.5673687177777303, 0.4447573375238413, "0.0043118866126256732315"),
+        (0.1501420425789949, 0.15857732827694745, "0.020699530782540353359"),
+        (0.24471877636281614, 0.2867583658866412, "0.061697147309285090778"),
+        (0.01021726571609221, 0.00748780563438654,
+         "-0.018594775581290998801"),
+    ])
+    def test_difference_near_q_does_not_cancel(self, q, p, reference):
+        # h(p) - h(q) in mpmath at 50 digits, from these very floats; p - q
+        # is 6% to 28% of the distance to the nearer edge, where the
+        # difference of the two entropies loses up to 1.6e-14 relative and
+        # the O(p - q) series keeps 4e-17
+        assert channel._entropy_diff(p, q) == pytest.approx(
+            float(reference), rel=5e-16, abs=0.0)
+
 
 class TestCapacityClosed:
     @pytest.mark.parametrize("p,q,expected,_", REFERENCE_CHANNELS)
@@ -80,7 +95,8 @@ class TestCapacityClosed:
     def test_quadratic_limit_joins_full_formula(self):
         # at d = 1e-5 the full formula is still ~6 digits clean and the
         # quadratic model is good to O(d): both must agree there, which
-        # pins the |p-q| < 1e-9 branch onto the same curve
+        # pins the quadratic branch (taken here at d = 1e-10) onto the
+        # same curve
         q = 0.37
         d = 1e-5
         quadratic = d * d / (8.0 * math.log(2.0) * q * (1.0 - q))
@@ -90,6 +106,29 @@ class TestCapacityClosed:
         d_small = p_small - q
         assert capacity_closed(p_small, q) \
             == d_small * d_small / (8.0 * math.log(2.0) * q * (1.0 - q))
+
+    @pytest.mark.parametrize("q,p,reference,rel", [
+        # the quadratic limit's side of the crossover
+        (0.5, 0.50000001, "7.2134752769367709423e-17", 1e-12),
+        (0.3, 0.30000004999999996, "2.1468675158786706385e-15", 1e-7),
+        (0.5, 0.500001, "7.2134752048680893038e-13", 1e-10),
+        (0.3, 0.300002, "3.4349816497989570475e-12", 1e-5),
+        (0.001, 0.00100006, "6.4984315536706323273e-13", 5e-5),
+        # the full formula's side
+        (0.3, 0.300004, "1.3739900428264843099e-11", 1e-6),
+        (0.01, 0.0100015, "4.0982611968869022588e-11", 5e-6),
+        # qcc capacity configs/demo_2p1.cfg --lambda-product 1e-6
+        (0.5000000000000001, 0.500000010224735,
+         "7.5413422582193400979e-17", 1e-6),
+    ])
+    def test_relative_accuracy_across_the_quadratic_crossover(
+            self, q, p, reference, rel):
+        # references: the capacity formula in mpmath at 50 digits, from
+        # these very floats; below d = p - q ~ 1e-6 the full formula
+        # loses every digit to cancellation, and the quadratic limit's
+        # O(d) error rules it out above d ~ 3e-6
+        assert capacity_closed(p, q) == pytest.approx(float(reference),
+                                                      rel=rel, abs=0.0)
 
     def test_noise_floor_clamped_to_zero(self):
         # both probabilities at the bottom corner: the true capacity is

@@ -598,6 +598,19 @@ def _edited_shipped_config(draw):
 @example(text=shipped_with("demo_2p1", {"bob.t_on": "3",
                                          "bob.position": "0, 0"}),
          verb="point")
+# lags past 3e102 on the steepest-descent route (the continued F), and on
+# GK panels (the real-axis D and F) with gaps too small for that route
+@example(text=shipped_with("demo_2p1", {"bob.t_off": "1e103"}),
+         verb="point")
+@example(text=shipped_with("demo_2p1",
+                           {"bob.t_off": "3.0585240314376923e+102"}),
+         verb="point")
+@example(text=shipped_with("demo_2p1", {"alice.t_on": "-1e103"}),
+         verb="capacity")
+@example(text=shipped_with("demo_2p1", {"alice.gap": "1e-160",
+                                         "bob.gap": "1e-160",
+                                         "bob.t_off": "1e160"}),
+         verb="point")
 @settings(max_examples=60, deadline=None)
 def test_edited_configs_end_in_an_exit_status(text, verb):
     # what a process would print as a traceback escapes main here
@@ -727,6 +740,28 @@ class TestExtremeConfigs:
         assert all(": roundoff: the closed form's rounding bound " in line
                    and line.endswith("exceeds tol 1.000e-16")
                    for line in failures)
+
+    @pytest.mark.parametrize("edits", [
+        (("bob.t_off = 8", "bob.t_off = 1e103"),),
+        (("alice.gap = 3", "alice.gap = 1e-100"),
+         ("bob.gap = 3", "bob.gap = 1e-100"),
+         ("bob.t_off = 8", "bob.t_off = 1e103")),
+    ], ids=["steepest-descent", "gk-panels"])
+    def test_lags_past_1e102_keep_the_field_energy_finite(
+            self, capsys, tmp_path, edits):
+        # the field-energy kernel's cube of its root overflowed there, in
+        # the continued and the real-axis form alike: numpy warned, and
+        # the continued F read nan
+        path = _edited_config(tmp_path, "demo_2p1", edits)
+        rc, out, err = run_cli(capsys, "point", path)
+        assert (rc, err) == (0, "") and "status     = ok" in out
+        # F falls off like 1/tau^2, so the field energy has settled long
+        # before: Bob's window ending at 1e50 gives the same float
+        short = _edited_config(tmp_path, "demo_2p1", [
+            (old, new.replace("1e103", "1e50")) for old, new in edits])
+        _, short_out, _ = run_cli(capsys, "point", short)
+        assert stdout_floats(out)["hf_sig"] \
+            == stdout_floats(short_out)["hf_sig"]
 
     def test_dimension_member_name_is_a_config_error(self, capsys, tmp_path):
         path = _edited_config(tmp_path, "demo_2p1", (

@@ -250,6 +250,42 @@ class TestOneKernelEverywhere:
             assert _bits(f[i]) == _bits(field_energy_kernel(D2, tau, L).value)
 
 
+class TestLargeLags:
+    """Far from the cone D -> sgn(tau) / (2 pi |tau|) and F -> -1 / (2 pi
+    tau^2).  Formed as written, 2 pi (x (|tau| + L))^{3/2} overflows past
+    |tau| ~ 3.1e102 and x (|tau| + L) past ~1.3e154 (the continued F's
+    r^3 past ~5.6e102, where it read nan); every finite value here must
+    stay finite, without a warning, and near its far field."""
+
+    @pytest.mark.parametrize("m", [1e8, 1e102, 1e103, 1e150, 1e300])
+    def test_continued_F(self, m):
+        z = m * np.exp(1j * np.linspace(0.0, 0.5 * math.pi, 5))
+        f = field_energy_continued(z, 1.0)
+        far = -(1.0 / z) / z / (2.0 * math.pi)
+        assert np.all(np.isfinite(f))
+        assert np.all(np.abs(f - far) <= 1e-12 * np.abs(far) + 1e-300)
+
+    @pytest.mark.parametrize("tau", [1e8, 1e101, 1e103, 1e153, 1e155,
+                                     1e300])
+    @pytest.mark.parametrize("L", [0.0, 1.0])
+    def test_real_axis_kernels(self, tau, L):
+        # as a float, as an array, and next to a lag of 2, whose array
+        # then takes the overflow-free form with it
+        for taus in (tau, np.array([tau, -2.0 * tau]), np.array([2.0, tau])):
+            xs = np.abs(taus) - L
+            d = commutator_timelike(D2, taus, xs, L)
+            f = field_energy_timelike(D2, taus, xs, L)
+            far_d = np.sign(taus) / np.abs(taus) / (2.0 * math.pi)
+            far_f = -(1.0 / taus) / taus / (2.0 * math.pi)
+            if np.ndim(taus) and taus[0] == 2.0:  # 2 is near the cone
+                far_d[0] = commutator_kernel(D2, 2.0, L).value
+                far_f[0] = field_energy_kernel(D2, 2.0, L).value
+            assert np.all(np.isfinite(d)) and np.all(np.isfinite(f))
+            assert np.all(np.abs(d - far_d) <= 1e-12 * np.abs(far_d))
+            assert np.all(np.abs(f - far_f)
+                          <= 1e-12 * np.abs(far_f) + 1e-300)
+
+
 def _levels_alone(dim, tau, L, eps):
     """The damped levels on the per-call route: each level's direction
     pieces integrated alone by integrate_1d, each a QuadResult or the

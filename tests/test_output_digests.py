@@ -1,5 +1,6 @@
 """Printed output against the committed digests: the 12 reference sweeps'
-CSV bytes, ``point`` and ``capacity`` stdout on the shipped configs and
+CSV bytes and those of the four sweeps at a fixed evaluation time,
+``point`` and ``capacity`` stdout on the shipped configs and
 ``validate``'s lines.  A failure names each output whose bytes moved;
 ``output_digests.py`` says how to regenerate them after a deliberate
 change."""
