@@ -79,8 +79,8 @@ def _sqrt(v):
 
 
 def _top(v):
-    """The largest of ``v``, a float or an array of values >= 0."""
-    return v if isinstance(v, float) else np.max(v, initial=0.0)
+    """The largest of ``v``, a number or a nonempty array."""
+    return v.max() if isinstance(v, np.ndarray) else v
 
 
 def _in_range(x, b, bound) -> bool:

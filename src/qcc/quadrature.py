@@ -438,7 +438,8 @@ def _integrate_shared(f, intervals, tols, budget=_DEFAULT_BUDGET):
     if panelled:  # else no interval reads the rule or the nodes below
         flat, halves = _panel_nodes(*panelled)
         owner = 0 if len(layout) == 1 else np.repeat(
-            np.arange(len(layout)), [15 * (hi - lo) for _, lo, hi, _ in layout])
+            np.arange(len(layout)),
+            [15 * (hi - lo) for _, lo, hi, _ in layout])
         vals = f(flat, owner)
         try:
             rules = _panel_rules(vals, flat, halves, flat.size)

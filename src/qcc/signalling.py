@@ -13,7 +13,9 @@ lo <= L <= hi (:func:`qcc.scenario._classify`, the test that classifies
 the whole windows too).  There a kernel with an on-cone part is
 rejected (F in every dimension, D's delta in 3+1D), and so is hI in
 2+1D at L = 0 where its lags start at 0: D = 1/(2 pi tau) there, and
-Alice's bias does not vanish at tau = 0.  Otherwise a region with no lag
+Alice's bias does not vanish at tau = 0.  The same holds where they
+start at or before an L whose square is subnormal, where D's radicand
+underflows next to the cone.  Otherwise a region with no lag
 past the cone is an exact zero, decided there and nowhere else, and one
 whose lags pass it by less than their rounding fails with reason
 "roundoff".  1+1D D takes its closed form, a kernel that

@@ -5,9 +5,10 @@ shipped configs, each swept over ``bob_t_on``, ``separation_L`` and
 ``gap_B``), the CSV of the ``bob_t_on`` sweeps of ``demo_2p1`` and
 ``demo_1p1`` at the fixed evaluation times 6.5 and 4, ``point`` and
 ``capacity`` stdout on the four shipped configs, and ``validate``'s
-lines without their `` [x ms]`` timings, all at the default tolerance.  ``data/output_digests.sha256`` holds them in the
-format of ``sha256sum``, under the file names the CI workflow writes from
-the console script, so ``sha256sum -c`` checks them there;
+lines without their `` [x ms]`` timings, all at the default tolerance.
+``data/output_digests.sha256`` holds them in the format of
+``sha256sum``, under the file names the CI workflow writes from the
+console script, so ``sha256sum -c`` checks them there;
 ``test_output_digests.py`` recomputes them in process.
 
 A change that moves printed bytes on purpose regenerates the file from

@@ -101,7 +101,7 @@ class TestCapacityClosed:
         d = 1e-5
         quadratic = d * d / (8.0 * math.log(2.0) * q * (1.0 - q))
         assert capacity_closed(q + d, q) == pytest.approx(
-            quadratic, rel=2e-4)
+            quadratic, rel=2e-4, abs=0.0)
         p_small = q + 1e-10
         d_small = p_small - q
         assert capacity_closed(p_small, q) \

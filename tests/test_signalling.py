@@ -8,6 +8,7 @@ code path.
 
 import cmath
 import math
+import sys
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
@@ -1131,6 +1132,27 @@ class TestRouteRule:
             interaction_energy_observable(s, 3.0)
         # a moment later the lags start past 0, where D is finite
         assert interaction_energy_observable(s, 3.5).failure is None
+
+    @pytest.mark.parametrize("L", [5e-324, 1e-300, 1e-157, 1.4e-154])
+    def test_2p1_hI_at_a_subnormal_L_squared_is_rejected(self, L):
+        # the integral is finite, about ln(1/L), but next to the cone the
+        # kernel's radicand u^2 (u^2 + 2L) underflows to 0 and D to inf:
+        # at 1e-158 that was two RuntimeWarnings and a non-finite failure
+        s = make_scenario("2+1", L=L, b_win=(3.0, 6.0))
+        assert L * L < sys.float_info.min
+        _, hi_on, hi_off, _ = signalling.row_observables(s, None, 1e-8)
+        assert isinstance(hi_on.failure, InvalidScenarioError)
+        assert "square is subnormal" in str(hi_on.failure)
+        assert hi_on.evaluations == 0
+        assert hi_off.failure is None
+
+    def test_2p1_hI_at_a_normal_L_squared_is_computed(self):
+        # the smallest normal square and a little past it: hI_on grows
+        # like ln(1/L) as L -> 0
+        for L in (1.5e-154, 1e-150):
+            s = make_scenario("2+1", L=L, b_win=(3.0, 6.0))
+            obs = interaction_energy_observable(s, 3.0)
+            assert obs.failure is None and 20.0 < obs.value < 22.0
 
     @pytest.mark.parametrize("dim", ["1+1", "2+1", "3+1"])
     def test_region_reaching_the_cone_still_rejects(self, dim):
