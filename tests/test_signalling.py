@@ -1147,8 +1147,8 @@ class TestRouteRule:
         assert hi_off.failure is None
 
     def test_2p1_hI_at_a_normal_L_squared_is_computed(self):
-        # the smallest normal square and a little past it: hI_on grows
-        # like ln(1/L) as L -> 0
+        # just past the smallest L whose square is normal, and at 1e-150:
+        # hI_on grows like ln(1/L) as L -> 0
         for L in (1.5e-154, 1e-150):
             s = make_scenario("2+1", L=L, b_win=(3.0, 6.0))
             obs = interaction_energy_observable(s, 3.0)
