@@ -13,8 +13,11 @@ Keys::
     alice.t_on/t_off     switching window
     alice.position       spatial coordinates, comma or space separated
     bob.*                same fields for Bob
-    lambda_product       lambda_A * lambda_B  (default 1.0)
-    noise_R              Bob's signal-independent noise R >= 0  (default 0.0)
+    lambda_product       lambda_A * lambda_B  (optional)
+    noise_R              Bob's signal-independent noise R >= 0  (optional)
+
+An optional key left out takes :class:`RunConfig`'s default: 1.0 for
+lambda_product, 0.0 for noise_R.
 """
 
 from __future__ import annotations
@@ -39,13 +42,12 @@ _DETECTOR_FIELDS = (
     "t_on", "t_off", "position",
 )
 
-CONFIG_KEYS = tuple(
-    ["dimension"]
-    + [f"{who}.{f}" for who in ("alice", "bob") for f in _DETECTOR_FIELDS]
-    + ["lambda_product", "noise_R"]
-)
+# the keys a config may leave out, for RunConfig's defaults
+_OPTIONAL = ("lambda_product", "noise_R")
 
-_OPTIONAL = {"lambda_product": "1.0", "noise_R": "0.0"}
+CONFIG_KEYS = ("dimension",) + tuple(
+    f"{who}.{f}" for who in ("alice", "bob") for f in _DETECTOR_FIELDS
+) + _OPTIONAL
 
 
 class ConfigError(ValueError):
@@ -122,16 +124,12 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         values[key] = raw_value
         lines[key] = lineno
 
-    missing = [
-        k for k in CONFIG_KEYS if k not in values and k not in _OPTIONAL
-    ]
+    missing = [k for k in CONFIG_KEYS
+               if k not in values and k not in _OPTIONAL]
     if missing:
         raise ConfigError(
             f"{source}: missing required keys: {', '.join(missing)}"
         )
-    for key, default in _OPTIONAL.items():
-        values.setdefault(key, default)
-        lines.setdefault(key, 0)
 
     def fval(key: str) -> float:
         return _parse_float(values[key], key, source, lines[key])
@@ -155,17 +153,13 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         )
         return DetectorSpec(fval(f"{who}.gap"), state, position, window)
 
-    noise_R = fval("noise_R")
-    if noise_R < 0:
+    if "noise_R" in values and fval("noise_R") < 0:
         raise ConfigError(
             f"{source}:{lines['noise_R']}: noise_R must be >= 0, "
             f"got {values['noise_R']!r}"
         )
-    return RunConfig(
-        scenario=Scenario(dimension, detector("alice"), detector("bob")),
-        lambda_product=fval("lambda_product"),
-        noise_R=noise_R,
-    )
+    return RunConfig(Scenario(dimension, detector("alice"), detector("bob")),
+                     **{key: fval(key) for key in _OPTIONAL if key in values})
 
 
 def load_config(path: str) -> RunConfig:

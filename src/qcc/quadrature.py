@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import cmath
 import heapq
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -317,44 +318,44 @@ def _adaptive(f, edges, initial, tol, budget):
 
     A panelling that already meets ``tol`` is summed at once; ``fsum``
     is exact, so this is the value the refinement loop would return.
-    A panel whose Kronrod-Gauss difference is at or below its roundoff
-    floor is frozen: it stays in the panel list (its value and error are
-    still summed) but never goes back on the heap, since its halves would
+    The panels it may still refine wait on a heap, worst error first;
+    the panels it never refines again are kept in a list, their values
+    and errors still summed.  These are the panels too narrow to bisect,
+    once popped, and the frozen ones: a panel whose Kronrod-Gauss
+    difference is at or below its roundoff floor, since its halves would
     carry the same floor.  The frozen error can only grow, so once it
     exceeds ``tol`` the integral fails at once with reason "roundoff".
     ``f`` is vectorized; the initial panels count 15 evaluations each.
     """
     k15, err, at_floor = initial
-    n0 = len(k15)
-    evaluations = 15 * n0
+    evaluations = 15 * len(k15)
     running_err = float(err.sum())
     if running_err <= tol:
         total_err = math.fsum(err.tolist())
         if total_err <= tol:
             return QuadResult(math.fsum(k15.tolist()), total_err, evaluations)
 
-    # Heap entries: (-err, insertion order); the order makes ties
-    # deterministic and is the key of the panel in ``panels``.
-    order = 0
-    heap = []
-    panels = {}
+    # The panels it may still refine, worst first, as (-err, order, a, b,
+    # value), the order breaking ties; and the panels it never refines
+    # again, frozen or too narrow to split, as (value, err).
+    order = itertools.count()
+    heap, done = [], []
     frozen_err = 0.0
 
     def add(pa, pb, value, perr, frozen):
-        nonlocal order, frozen_err
-        panels[order] = (pa, pb, value, perr)
+        nonlocal frozen_err
         if frozen:
             frozen_err += perr
+            done.append((value, perr))
         else:
-            heapq.heappush(heap, (-perr, order))
-        order += 1
+            heapq.heappush(heap, (-perr, next(order), pa, pb, value))
 
-    for i in range(n0):
-        add(edges[i], edges[i + 1], k15[i], err[i], at_floor[i])
+    for panel in zip(edges[:-1], edges[1:], k15, err, at_floor):
+        add(*panel)
 
     def finish():
-        return (math.fsum(p[2] for p in panels.values()),
-                math.fsum(p[3] for p in panels.values()))
+        return (math.fsum([p[4] for p in heap] + [p[0] for p in done]),
+                math.fsum([-p[0] for p in heap] + [p[1] for p in done]))
 
     def fail(message, reason):
         value, total_err = finish()
@@ -379,18 +380,15 @@ def _adaptive(f, edges, initial, tol, budget):
                  "budget")
         if not heap:
             fail("no panel can be refined further", "unsplittable")
-        _, key = heapq.heappop(heap)
-        pa, pb, pval, perr = panels[key]
+        neg_err, _, pa, pb, pval = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
-        if mid <= pa or mid >= pb:
-            # Not splittable in floating point; keep the panel (and its
-            # error) but never refine it again.
+        if mid <= pa or mid >= pb:  # not splittable in floating point
+            done.append((pval, -neg_err))
             continue
-        del panels[key]
         flat, halves = _panel_nodes(np.array([pa, mid, pb]))
         evaluations += flat.size
         ck15, cerr, cfloor = _panel_rules(f(flat), flat, halves, evaluations)
-        running_err += cerr[0] + cerr[1] - perr
+        running_err += cerr[0] + cerr[1] + neg_err  # less the popped err
         add(pa, mid, ck15[0], cerr[0], cfloor[0])
         add(mid, pb, ck15[1], cerr[1], cfloor[1])
 

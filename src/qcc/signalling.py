@@ -714,11 +714,11 @@ def _route(s: Scenario, pick, t2_lo: float, t2_hi: float, closed_form,
 def _correlations(s: Scenario, t: Optional[float], picks, tol: float):
     """For each pick, the record of its public route where that is not
     the lag pass, else None; and the (picks, lag pass) pair that takes
-    the rest, or None.  ``tol`` is already checked.  The scenario and
-    the time are checked once, and a failure there is every pick's.  An
-    empty Bob window gives exact zeros; otherwise t2 runs over
-    [T_on,B, upper] and t1 over Alice's window, and :func:`_route`
-    decides from their lag range."""
+    the rest, or None.  ``tol`` is checked after, by :func:`_records`.
+    The scenario and the time are checked once, and a failure there is
+    every pick's.  An empty Bob window gives exact zeros; otherwise t2
+    runs over [T_on,B, upper] and t1 over Alice's window, and
+    :func:`_route` decides from their lag range."""
     try:
         require_valid(s)
         upper = _bob_upper(s, t)
@@ -752,7 +752,12 @@ def _interaction(s: Scenario, t: float, tol: float):
 def _records(s: Scenario, routes, tol: float):
     """The records of each of ``routes``, each what :func:`_correlations`
     or :func:`_interaction` returns, with the lag passes of all of them
-    in one :func:`_lag_integrals` call, made only when there is one."""
+    in one :func:`_lag_integrals` call, made only when there is one.
+    ``tol`` is checked here, once for all the routes and whether or not
+    a pass is made: one that is not finite and positive raises
+    ValueError.  The routes run before it, and none raises on a bad
+    ``tol``."""
+    _check_tol(tol)
     passes = [lag for _, lag in routes if lag]
     computed = iter(_lag_integrals(s, passes, tol) if passes else ())
     return [[next(computed) if record is None else record
@@ -769,9 +774,9 @@ def s2_observable(
     window up to ``t`` (default: his switch-off time); returned with its
     error estimate and evaluation count.  1+1D takes its closed form
     (see :func:`_s2_1p1`), 3+1D its zero off the cone (Huygens), and
-    2+1D the lag quadrature.
+    2+1D the lag quadrature.  A ``tol`` that is not finite and positive
+    raises ValueError, in every dimension.
     """
-    _check_tol(tol)
     return _one(_records(s, [_correlations(s, t, [_S2], tol)], tol)[0][0])
 
 
@@ -784,11 +789,10 @@ def interaction_energy_observable(
     K(t) = int bias_A(t1) D(t - t1, L) dt1, per lambda_A lambda_B, with
     error bookkeeping.  1+1D takes its closed form (see :func:`_hI_1p1`),
     3+1D is 0 off the cone, and 2+1D takes the lag quadrature; the
-    integral's lags t - t1 run over [t - T_off,A, t - T_on,A].  ``tol``,
-    the scenario and ``t`` are checked first, in every dimension: each
-    raises ValueError.
+    integral's lags t - t1 run over [t - T_off,A, t - T_on,A].  A bad
+    ``tol`` (not finite and positive), scenario or ``t`` raises
+    ValueError, in every dimension; with a bad ``tol``, it is tol's.
     """
-    _check_tol(tol)
     return _one(_records(s, [_interaction(s, t, tol)], tol)[0][0])
 
 
@@ -801,8 +805,9 @@ def field_energy_observable(
     window up to t, with F the field-energy kernel; identically zero in
     1+1D and 3+1D for timelike windows (cone-supported kernel), computed
     by quadrature in 2+1D.  Per lambda_A lambda_B, with error bookkeeping.
+    A ``tol`` that is not finite and positive raises ValueError, in every
+    dimension.
     """
-    _check_tol(tol)
     return _one(_records(s, [_correlations(s, t, [_HF], tol)], tol)[0][0])
 
 
@@ -821,7 +826,6 @@ def row_observables(s: Scenario, t: Optional[float] = None,
     a ``tol`` that is not finite and positive raises ValueError, in
     every dimension.
     """
-    _check_tol(tol)
     w = s.bob.window
     (s2, hf), (hi_on,), (hi_off,) = _records(s, [
         _correlations(s, t, [_S2, _HF], tol),

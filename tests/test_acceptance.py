@@ -83,7 +83,7 @@ def test_01_s2_2d_quadrature_matches_1p1_closed_form():
         quad = s2_via_2d_quadrature(s, tol=tol)
         evaluations += quad.evaluations
         worst = max(worst, abs(quad.value - closed) / abs(closed))
-        assert quad.value == pytest.approx(closed, rel=1e-8)
+        assert quad.value == pytest.approx(closed, rel=1e-8, abs=0.0)
     assert worst <= 1e-8
     assert evaluations == 856_710
 

@@ -95,38 +95,58 @@ class TestCapacityClosed:
     def test_quadratic_limit_joins_full_formula(self):
         # at d = 1e-5 the full formula is still ~6 digits clean and the
         # quadratic model is good to O(d): both must agree there, which
-        # pins the quadratic branch (taken here at d = 1e-10) onto the
-        # same curve
+        # pins the limit's branch (taken here at d = 1e-10, to second
+        # order) onto the same curve
         q = 0.37
         d = 1e-5
         quadratic = d * d / (8.0 * math.log(2.0) * q * (1.0 - q))
         assert capacity_closed(q + d, q) == pytest.approx(
             quadratic, rel=2e-4, abs=0.0)
         p_small = q + 1e-10
-        d_small = p_small - q
+        d_small, v = p_small - q, q * (1.0 - q)
         assert capacity_closed(p_small, q) \
-            == d_small * d_small / (8.0 * math.log(2.0) * q * (1.0 - q))
+            == d_small * d_small / (8.0 * math.log(2.0) * v) \
+            * (1.0 - d_small * (1.0 - 2.0 * q) / (2.0 * v))
 
     @pytest.mark.parametrize("q,p,reference,rel", [
-        # the quadratic limit's side of the crossover
+        # the limit's side of the crossover |d| = 2.5e-4 v^(3/4), with
+        # d = p - q and v = q(1-q)
         (0.5, 0.50000001, "7.2134752769367709423e-17", 1e-12),
         (0.3, 0.30000004999999996, "2.1468675158786706385e-15", 1e-7),
         (0.5, 0.500001, "7.2134752048680893038e-13", 1e-10),
         (0.3, 0.300002, "3.4349816497989570475e-12", 1e-5),
         (0.001, 0.00100006, "6.4984315536706323273e-13", 5e-5),
-        # the full formula's side
         (0.3, 0.300004, "1.3739900428264843099e-11", 1e-6),
         (0.01, 0.0100015, "4.0982611968869022588e-11", 5e-6),
         # qcc capacity configs/demo_2p1.cfg --lambda-product 1e-6
         (0.5000000000000001, 0.500000010224735,
          "7.5413422582193400979e-17", 1e-6),
+        # either side of the crossover, at 80 digits; it sits at
+        # d = 2.5e-10 (q = 1e-8), 7.9e-9 (q = 1e-6 and 1 - 1e-6), 2.5e-7
+        # (q = 1e-4) and 8.8e-5 (q = 0.5); doubling its exponent or its
+        # factor 2.5e-4, or halving either, fails one of these
+        (1e-08, 1.0015e-08, "4.0545393817033602667e-15", 2e-6),
+        (1e-08, 1.0450000000000001e-08, "3.5718002537351683759e-12", 5e-5),
+        (1e-08, 1.4e-08, "2.4176330855760290314e-10", 2e-6),
+        # qcc capacity on demo_2p1.cfg with bob.alpha_re = 0.0001,
+        # bob.beta_re = 0.9999999949999999 and --lambda-product 1e-6
+        (1e-08, 1.0002044946967934e-08, "7.5405713500940480406e-17", 1e-6),
+        (1e-06, 1.015e-06, "4.027421948413089682e-11", 2e-5),
+        (0.0001, 0.00010012500000000001, "2.8162857675853100131e-11", 1e-6),
+        (0.0001, 0.00010035, "2.2054898065409414408e-10", 1e-6),
+        (0.5, 0.500045, "1.46072873234856302e-9", 1e-8),
+        (0.5, 0.50017, "2.0846944043735852702e-8", 2e-8),
+        (0.999999, 0.999999004, "2.8911775666091899945e-12", 2e-5),
+        (0.999999, 0.999998996, "2.8796359332038132692e-12", 2e-5),
     ])
     def test_relative_accuracy_across_the_quadratic_crossover(
             self, q, p, reference, rel):
-        # references: the capacity formula in mpmath at 50 digits, from
-        # these very floats; below d = p - q ~ 1e-6 the full formula
-        # loses every digit to cancellation, and the quadratic limit's
-        # O(d) error rules it out above d ~ 3e-6
+        # references: the capacity formula in mpmath at 50 or 80 digits,
+        # from these very floats; below d ~ 1e-6 the full formula loses
+        # every digit to cancellation.  Near q = 0 or 1 the limit's
+        # first-order error d(1 - 2q)/(2v) is large, so the limit is
+        # taken to second order: at (1e-8, 1.0015e-8) the first order
+        # alone is 7.5e-4 off, and the full formula 0.021
         assert capacity_closed(p, q) == pytest.approx(float(reference),
                                                       rel=rel, abs=0.0)
 
@@ -220,13 +240,13 @@ class TestCapacityExpansion:
         isq = 1.0 / math.sqrt(2.0)
         for s2v in (1e-3, 2.5e-4):
             assert capacity_expansion(s2v, isq, isq) == pytest.approx(
-                s2v * s2v / (2.0 * math.log(2.0)), rel=1e-14)
+                s2v * s2v / (2.0 * math.log(2.0)), rel=1e-14, abs=0.0)
 
     def test_coupling_scaling(self):
         isq = 1.0 / math.sqrt(2.0)
         base = capacity_expansion(1e-3, isq, isq)
         assert capacity_expansion(1e-3, isq, isq, 0.3) \
-            == pytest.approx(0.09 * base, rel=1e-14)
+            == pytest.approx(0.09 * base, rel=1e-14, abs=0.0)
 
     def test_eigenstate_rejected(self):
         with pytest.raises(ValueError, match="eigenstate"):
@@ -288,7 +308,7 @@ class TestChannelStats:
         assert stats.capacity_closed == pytest.approx(
             stats.capacity_bruteforce, abs=1e-9)
         assert stats.capacity_expansion == pytest.approx(
-            stats.capacity_closed, rel=2e-2)
+            stats.capacity_closed, rel=2e-2, abs=0.0)
         assert stats.p > stats.q
 
     def test_spacelike_stats_all_trivial(self):

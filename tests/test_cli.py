@@ -434,13 +434,14 @@ class TestCapacityVerb:
         assert rc == 0
         v = stdout_floats(out)
         assert v["q"] == pytest.approx(0.5, abs=1e-15)
-        assert v["p"] - v["q"] == pytest.approx(1.0224734890795e-3, rel=1e-9)
+        assert v["p"] - v["q"] == pytest.approx(1.0224734890795e-3,
+                                                rel=1e-9, abs=0.0)
         assert v["success"] == pytest.approx(0.5 + 0.5 * (v["p"] - v["q"]),
                                              abs=1e-15)
         assert v["capacity_closed"] == pytest.approx(
             v["capacity_bruteforce"], abs=1e-9)
         assert v["capacity_closed"] == pytest.approx(
-            v["capacity_expansion"], rel=2e-2)
+            v["capacity_expansion"], rel=2e-2, abs=0.0)
 
     def test_flag_overrides(self, capsys):
         rc, base_out, _ = run_cli(capsys, "capacity", DEMO_CFG)
@@ -452,10 +453,10 @@ class TestCapacityVerb:
         assert v["lambda_product"] == 0.2
         assert v["q"] == pytest.approx(0.7, abs=1e-15)
         assert v["p"] - v["q"] == pytest.approx(
-            2.0 * (base["p"] - base["q"]), rel=1e-12)
+            2.0 * (base["p"] - base["q"]), rel=1e-12, abs=0.0)
         # capacity is quadratic in the signal at this size
         assert v["capacity_closed"] / base["capacity_closed"] \
-            == pytest.approx(4.0 * (0.25 / 0.21) / 1.0, rel=5e-2)
+            == pytest.approx(4.0 * (0.25 / 0.21) / 1.0, rel=5e-2, abs=0.0)
 
     def test_numerical_failure_exits_2(self, capsys, tmp_path):
         # Bob 6 away puts the cone inside his window; at gap 1e5 the lag

@@ -146,6 +146,59 @@ class TestConvergedInitialPanelling:
         assert abs(res.value - 2.0 / 3.0) <= 1e-10
 
 
+# Integrals that refine past their initial panels, with the record each
+# gives: value and estimate bits, evaluations, and a failure's reason,
+# message and best.  Each takes one path out of the refinement loop.
+_REFINED = [
+    pytest.param(lambda t: np.cos(200.0 * t), 0.0, 10.0, 1e-14, {}, (
+        "roundoff", "tolerance is below roundoff floor: panels at their "
+        "floor carry error 1.000e-14 (error estimate 4.849e-11 > tol "
+        "1.000e-14)", 18885,
+        ("0x1.30c15e46fb3d9p-8", "0x1.aa8e6ef2129ecp-35", 18885)),
+        id="roundoff"),
+    # about 450 ulps wide: bisection runs out of floats between the ends
+    pytest.param(lambda t: np.sin(1e18 * t), 1.0, 1.0 + 1e-13, 1e-25, {}, (
+        "unsplittable", "no panel can be refined further (error estimate "
+        "1.617e-17 > tol 1.000e-25)", 13485,
+        ("0x1.13f9de0304f0fp-50", "0x1.2a4eed0ed9a04p-56", 13485)),
+        id="unsplittable"),
+    pytest.param(np.sqrt, 0.0, 1.0, 1e-10, {},
+                 ("0x1.555555555a52ap-1", "0x1.5a5b7e8a80000p-35", 465),
+                 id="sqrt-endpoint"),
+    pytest.param(lambda t: np.sqrt(np.abs(t - 0.3)), 0.0, 1.0, 1e-12, {},
+                 ("0x1.fffc4ae4d6124p-2", "0x1.fd42fc1e756f8p-41", 1005),
+                 id="interior-kink"),
+    pytest.param(
+        lambda t: np.exp(-t) * np.sin(50.0 * t), 0.0, 20.0, 1e-13,
+        {"budget": 3000}, (
+            "budget", "quadrature budget of 3000 evaluations exhausted "
+            "(error estimate 5.577e-08 > tol 1.000e-13)", 2985,
+            ("0x1.478c8ee44cf5fp-6", "0x1.df04be585ff44p-25", 2985)),
+        id="budget"),
+    pytest.param(lambda t: 1.0 / (1e-3 + (t - 0.5) ** 2), 0.0, 1.0, 1e-12,
+                 {}, (
+        "roundoff", "tolerance is below roundoff floor: panels at their "
+        "floor carry error 1.059e-12 (error estimate 1.059e-12 > tol "
+        "1.000e-12)", 765,
+        ("0x1.7d67a1d1a5c8cp+6", "0x1.29f8f66bc984dp-40", 765)),
+        id="peak-roundoff"),
+    # mirror panels about 0 carry equal errors: the refinement takes
+    # the earlier one first, and the budget stops it between the two
+    pytest.param(lambda t: np.abs(t) ** 0.3, -1.0, 1.0, 1e-9,
+                 {"budget": 500}, (
+        "budget", "quadrature budget of 500 evaluations exhausted (error "
+        "estimate 1.285e-06 > tol 1.000e-09)", 495,
+        ("0x1.89d89f7a864bap+0", "0x1.58ff374e32e00p-20", 495)),
+        id="tied-errors"),
+]
+
+
+@pytest.mark.parametrize("f,a,b,tol,kwargs,want", _REFINED)
+def test_refined_records_are_pinned(f, a, b, tol, kwargs, want):
+    # the refinement order, the panels it keeps and their sums, bit for bit
+    assert quad_record(integrate_alone(f, a, b, tol, **kwargs)) == want
+
+
 _LAGUERRE_RULES = ((quadrature._LAGUERRE_X16, quadrature._LAGUERRE_W16),
                    (quadrature._LAGUERRE_X24, quadrature._LAGUERRE_W24))
 
@@ -534,7 +587,7 @@ def test_laguerre_tables_are_laggauss(rule):
     # for every k < 2m (positive terms, so the sums are well conditioned)
     for k in range(2 * nodes.size):
         assert math.fsum(weights * nodes ** k) == pytest.approx(
-            math.factorial(k), rel=1e-12)
+            math.factorial(k), rel=1e-12, abs=0.0)
 
 
 # Frozen oracle for the singular-line rectangle below: midpoint-rule

@@ -80,7 +80,8 @@ class TestS2ClosedForm1p1:
         s = make_scenario("1+1", L=0.5)
         expected = 4.0 * ((1.0 - math.cos(9.0)) / 6.0) * (
             -(math.cos(15.0) - math.cos(24.0)) / 12.0)
-        assert s2_observable(s).value == pytest.approx(expected, rel=1e-14)
+        assert s2_observable(s).value == pytest.approx(expected, rel=1e-14,
+                                                       abs=0.0)
         assert expected == pytest.approx(0.1257, abs=5e-5)
 
     def test_full_period_alice_window_gives_zero(self):
@@ -123,13 +124,13 @@ class TestS2GenericRoutes:
         s = demo_scenario("2+1", t1=5.0)
         via_profiles = s2_observable(s, tol=1e-10).value
         via_2d = s2_via_2d_quadrature(s, tol=1e-9)
-        assert via_profiles == pytest.approx(via_2d.value, rel=1e-6)
+        assert via_profiles == pytest.approx(via_2d.value, rel=1e-6, abs=0.0)
 
     def test_2p1_lightcone_crossing_supported(self):
         s = make_scenario("2+1", b_win=(3.5, 6.5))
         via_profiles = s2_observable(s, tol=1e-10).value
         via_2d = s2_via_2d_quadrature(s, tol=1e-9)
-        assert via_profiles == pytest.approx(via_2d.value, rel=1e-6)
+        assert via_profiles == pytest.approx(via_2d.value, rel=1e-6, abs=0.0)
         assert via_profiles != 0.0
 
     def test_1p1_auto_dispatches_to_closed_form(self):
@@ -975,7 +976,7 @@ class TestInteractionEnergy:
             a.alpha * a.beta.conjugate() * (cmath.exp(-1j * om_a * t_a) - 1.0)
         ).imag
         assert interaction_energy_observable(s, t).value == pytest.approx(
-            expected, rel=1e-14)
+            expected, rel=1e-14, abs=0.0)
         assert _hI_by_quadrature(s, t, 1e-12).value == pytest.approx(
             expected, abs=1e-10)
 
@@ -1345,7 +1346,7 @@ class TestNull3p1:
             math.cos(3.0) * (hi - lo)
             - (math.sin(6.0 * hi + 3.0) - math.sin(6.0 * lo + 3.0)) / 6.0
         )
-        assert s2_null_3p1(s) == pytest.approx(exact, rel=1e-10)
+        assert s2_null_3p1(s) == pytest.approx(exact, rel=1e-10, abs=0.0)
 
     def test_timelike_warns_and_returns_zero(self):
         with pytest.warns(UserWarning, match="never meets"):
