@@ -3,9 +3,11 @@
 The digested outputs are the CSV of the 12 reference sweeps (the four
 shipped configs, each swept over ``bob_t_on``, ``separation_L`` and
 ``gap_B``), the CSV of the ``bob_t_on`` sweeps of ``demo_2p1`` and
-``demo_1p1`` at the fixed evaluation times 6.5 and 4, ``point`` and
-``capacity`` stdout on the four shipped configs, and ``validate``'s
-lines without their `` [x ms]`` timings, all at the default tolerance.
+``demo_1p1`` at the fixed evaluation times 6.5 and 4, the CSV of the
+``gap_B`` sweep of ``demo_2p1`` from 1e4 to 1e6 (the one whose lag
+pieces take the steepest-descent route), ``point`` and ``capacity``
+stdout on the four shipped configs, and ``validate``'s lines without
+their `` [x ms]`` timings, all at the default tolerance.
 ``data/output_digests.sha256`` holds them in the format of
 ``sha256sum``, under the file names the CI workflow writes from the
 console script, so ``sha256sum -c`` checks them there;
@@ -39,6 +41,8 @@ SWEEPS = (("bob_t_on", "4.05:12:0.05"), ("separation_L", "0.1:6:0.05"),
 # the bob_t_on sweeps at a fixed --eval-time, written as serial_<cfg>_t<T>.csv
 EVAL_TIME_CONFIGS = ("demo_2p1", "demo_1p1")
 EVAL_TIMES = ("6.5", "4")
+# the high-gap sweep, written as serial_gap.csv
+HIGH_GAP = ("demo_2p1", "gap_B", "1e4:1e6:1.98e5")
 _MS = re.compile(r" \[[0-9.]* ms\]$", re.MULTILINE)
 
 
@@ -57,21 +61,23 @@ def digests(workdir):
     files = {}
 
     def sweep(cfg, name, *args):
-        out = Path(workdir) / f"serial_{cfg}_{name}.csv"
+        out = Path(workdir) / f"serial_{name}.csv"
         _stdout(["sweep", str(ROOT / "configs" / f"{cfg}.cfg"), *args,
                  "--out", str(out)])
         files[out.name] = out.read_bytes()
 
     for cfg in CONFIGS:
         for param, spec in SWEEPS:
-            sweep(cfg, param, "--param", param, "--range", spec)
+            sweep(cfg, f"{cfg}_{param}", "--param", param, "--range", spec)
         for verb in ("point", "capacity"):
             path = str(ROOT / "configs" / f"{cfg}.cfg")
             files[f"{verb}_{cfg}.txt"] = _stdout([verb, path]).encode()
     for cfg in EVAL_TIME_CONFIGS:
         for t in EVAL_TIMES:
-            sweep(cfg, f"t{t}", "--param", "bob_t_on", "--range",
+            sweep(cfg, f"{cfg}_t{t}", "--param", "bob_t_on", "--range",
                   SWEEPS[0][1], "--eval-time", t)
+    cfg, param, spec = HIGH_GAP
+    sweep(cfg, "gap", "--param", param, "--range", spec)
     files["validate.txt"] = _MS.sub("", _stdout(["validate"])).encode()
     return {name: hashlib.sha256(data).hexdigest()
             for name, data in files.items()}

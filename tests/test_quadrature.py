@@ -335,6 +335,36 @@ class TestLeanPasses:
         want = _steepest_descent_per_slice(g, len(coefs), omega, a, b)
         assert got == want
 
+    @given(omega=st.floats(1e-3, 1e6), a=st.floats(-1e3, 1e3),
+           width=st.floats(1e-3, 1e3), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_steepest_descent_integrands_are_independent(self, omega, a,
+                                                         width, data):
+        # a stack of exponential sums c_k e^{i nu_k z}, each analytic and
+        # bounded above the real axis, gives each integrand's value,
+        # error and evaluations bit for bit as it gives alone
+        sums = data.draw(st.lists(st.lists(st.tuples(
+            st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                               allow_infinity=False),
+            st.floats(0.0, 1e3)), min_size=1, max_size=3),
+            min_size=1, max_size=4))
+        b = a + width
+
+        def stack(terms):
+            return lambda z: [sum(c * np.exp(1j * nu * z) for c, nu in t)
+                              for t in terms]
+
+        def bits(value, error, evaluations):
+            return (value.real.hex(), value.imag.hex(), error.hex(),
+                    evaluations)
+
+        values, errors, n = quadrature._steepest_descent(stack(sums), omega,
+                                                         a, b)
+        for terms, value, error in zip(sums, values, errors, strict=True):
+            (alone,), (alone_error,), m = quadrature._steepest_descent(
+                stack([terms]), omega, a, b)
+            assert bits(value, error, n) == bits(alone, alone_error, m)
+
 
 class TestRoundoffFloor:
     """A tolerance below the roundoff floor 50*eps*resabs fails fast with

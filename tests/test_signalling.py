@@ -882,6 +882,93 @@ class TestSteepestDescentRoute:
             assert obs.evaluations == ref.evaluations + k
 
 
+def _record(obs):
+    """An Observable by its bits, evaluations, and failure's reason and
+    message."""
+    failure = obs.failure and (obs.failure.reason, str(obs.failure))
+    return (obs.value.hex(), obs.quad_error.hex(), obs.evaluations, failure)
+
+
+def _roundoff(piece, floor, estimate, tol):
+    return ("roundoff", f"tol 1.000e-22 not reached on the lag piece {piece}:"
+            f" tolerance is below roundoff floor: panels at their floor carry"
+            f" error {floor} (error estimate {estimate} > tol {tol})")
+
+
+# Rows whose lag pieces take the steepest-descent route, each record
+# (s2, hI_on, hI_off, hf_sig) by _record: value and quad_error bits,
+# evaluations, failure reason and message.
+_ROUTE_ROWS = [
+    # Bob windows 60, 140 and 300 long at gap 3: route pieces with no rest
+    pytest.param(make_scenario("2+1", b_win=(5.0, 65.0)), 1e-8, [
+        ("0x1.1ca357d39b186p-7", "0x1.04c124b5f468fp-50", 260, None),
+        ("0x1.e3ebd597e6c9cp-6", "0x1.f95efc808e97ap-51", 90, None),
+        ("-0x1.98a58f889cbd4p-10", "0x1.edf6777c95c19p-55", 90, None),
+        ("0x1.4a04ab4c1fcb9p-8", "0x1.908bec297d183p-52", 260, None),
+    ], id="window60"),
+    pytest.param(make_scenario("2+1", b_win=(5.0, 145.0)), 1e-8, [
+        ("0x1.0c762691b1ce8p-7", "0x1.fa09eef84a52cp-51", 260, None),
+        ("0x1.e3ebd597e6c9cp-6", "0x1.f95efc808e97ap-51", 90, None),
+        ("-0x1.47162054c1bafp-14", "0x1.8b54a49f44797p-59", 90, None),
+        ("0x1.4a06c776c35ddp-8", "0x1.8fa6cf638e744p-52", 260, None),
+    ], id="window140"),
+    pytest.param(make_scenario("2+1", b_win=(5.0, 305.0)), 1e-8, [
+        ("0x1.0909a8739f927p-7", "0x1.f1b12c117d2bap-51", 260, None),
+        ("0x1.e3ebd597e6c9cp-6", "0x1.f95efc808e97ap-51", 90, None),
+        ("0x1.e9db5a9285887p-13", "0x1.27ff3ed7239cap-57", 90, None),
+        ("0x1.4a2688d54992bp-8", "0x1.8f7d9831ba1c0p-52", 260, None),
+    ], id="window300"),
+    # Bob's gap 100 and 300 on [5, 8]: a slowly varying rest on each piece
+    pytest.param(make_scenario("2+1", gap_b=100.0), 1e-8, [
+        ("0x1.1ae7f5902e05ep-12", "0x1.d752c6951b4a7p-57", 340, None),
+        ("0x1.198189d7798abp-5", "0x1.25fbd812ab018p-50", 90, None),
+        ("0x1.eb8706238e580p-8", "0x1.1ff258c188139p-52", 90, None),
+        ("-0x1.e91d8b3869c8bp-14", "0x1.dd0e7b4035de4p-58", 340, None),
+    ], id="bob-gap100"),
+    pytest.param(make_scenario("2+1", gap_b=300.0), 1e-8, [
+        ("0x1.232c78aed48d1p-14", "0x1.4dc35af9c7e24p-59", 340, None),
+        ("0x1.18f61b86fe79dp-8", "0x1.256a3b9b9651ap-53", 90, None),
+        ("-0x1.0df019845a5c6p-6", "0x1.3c45252a43bb3p-51", 90, None),
+        ("-0x1.0a7d06c71a753p-14", "0x1.3989dec6c446fp-58", 340, None),
+    ], id="bob-gap300"),
+    # the first piece starts 0.3 / Om_B from the branch point: the route
+    # hands both picks back to GK there
+    pytest.param(make_scenario("2+1", b_win=(4.001, 7.001), gap_b=300.0),
+                 1e-8, [
+        ("-0x1.93bd153c6640ap-12", "0x1.4f9ccab00ae55p-42", 9115, None),
+        ("-0x1.cfef8d5399e30p-4", "0x1.e364aae7a9cb0p-31", 300, None),
+        ("0x1.8304a9d95ebdfp-9", "0x1.be8dcd3381fcep-54", 90, None),
+        ("-0x1.730edfce75e6dp-11", "0x1.58f4fe3fd8914p-32", 9205, None),
+    ], id="near-cone"),
+    # the rest fails on its roundoff floor, and GK fails in turn
+    pytest.param(make_scenario("2+1", gap_b=1e4), 1e-22, [
+        ("nan", "nan", 286655, _roundoff(
+            "[2.0, 5.0]", "1.365e-23", "4.064e-18", "1.250e-23")),
+        ("nan", "nan", 90, _roundoff(
+            "[2.0, 5.0]", "5.770e-16", "5.770e-16", "2.797e-21")),
+        ("nan", "nan", 90, _roundoff(
+            "[5.0, 8.0]", "2.787e-16", "2.787e-16", "6.314e-23")),
+        ("nan", "nan", 286655, _roundoff(
+            "[2.0, 5.0]", "1.161e-22", "1.141e-18", "1.250e-23")),
+    ], id="bob-gap1e4-tol1e-22"),
+    # hI on the route
+    pytest.param(make_scenario("2+1", gap_a=1e4), 1e-8, [
+        ("0x1.39678cb341db6p-19", "0x1.0e30da22d911bp-63", 340, None),
+        ("0x1.bd018e2b1cdcdp-18", "0x1.ef61bc368129ep-64", 80, None),
+        ("-0x1.c0f0b1c8b3892p-20", "0x1.d35ebead017bep-66", 80, None),
+        ("0x1.5c899e419bd78p-20", "0x1.01cca97b0cb21p-63", 340, None),
+    ], id="alice-gap1e4"),
+]
+
+
+@pytest.mark.parametrize("s,tol,want", _ROUTE_ROWS)
+def test_route_records_are_pinned(s, tol, want):
+    # how the route's pieces, rests and handed-back picks are laid out
+    # and summed, bit for bit
+    assert list(map(_record, signalling.row_observables(s, None, tol))) \
+        == want
+
+
 # 1+1D rows against references computed by hand with mpmath 1.3.0 at 40
 # digits, each in two ways that agree to all 32 digits printed here: the
 # closed form evaluated in mp arithmetic from the float inputs, and a
