@@ -34,6 +34,7 @@ __all__ = [
     "KernelDomainError",
     "commutator_kernel",
     "commutator_timelike",
+    "continued_root",
     "commutator_continued",
     "field_energy_kernel",
     "field_energy_timelike",
@@ -127,19 +128,24 @@ def field_energy_timelike(dim: Dimension, tau, x, L: float):
     return 0.0 * x
 
 
-def commutator_continued(z, L: float):
+def continued_root(z, L: float):
+    """r = sqrt(z - L) sqrt(z + L), the product of the principal roots, on
+    an array z in the upper half-plane: the one root that both 2+1D
+    kernels continued from the lags tau > L are built from."""
+    return np.sqrt(z - L) * np.sqrt(z + L)
+
+
+def commutator_continued(z, r):
     """The 2+1D D continued from the lags tau > L into the upper
-    half-plane, on an array z: 1/(2 pi r), with r the product of the
-    principal roots sqrt(z - L) sqrt(z + L)."""
-    return 1.0 / (2.0 * math.pi * (np.sqrt(z - L) * np.sqrt(z + L)))
+    half-plane: 1/(2 pi r), with r = :func:`continued_root` (z, L)."""
+    return 1.0 / (2.0 * math.pi * r)
 
 
-def field_energy_continued(z, L: float):
+def field_energy_continued(z, r):
     """The 2+1D F continued likewise: -z / (2 pi r^3), divided by r one
     factor at a time.  r^3 itself overflows once |z| passes about
     5.6e102, where F is about -1 / (2 pi z^2), and the quotient would be
     nan; this way every finite z up to about 1e300 gives a finite F."""
-    r = np.sqrt(z - L) * np.sqrt(z + L)
     return -(z / r) / (2.0 * math.pi * r) / r
 
 

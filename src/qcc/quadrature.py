@@ -493,19 +493,20 @@ def _steepest_descent(g, omega, a, b):
     floor 50*eps*resabs, with resabs the higher order's sum of
     |weight * value| / omega over both ends: the two orders usually
     agree to below it, and where the rule is exact (a constant g) their
-    difference is roundoff alone.  Each integrand's sums are exactly
-    rounded (``math.fsum``), so its result does not depend on the
-    others.
+    difference is roundoff alone.  The weights multiply all the
+    integrands' values as one array, but each integrand's sums are
+    exactly rounded (``math.fsum``) on its own row, so its result does
+    not depend on the others.
     """
     p = _LAGUERRE_NODES / omega
     vals = g(np.concatenate([a + 1j * p, b + 1j * p]))
     ends = ((0, 1j * cmath.exp(1j * omega * a) / omega),
             (p.size, -1j * cmath.exp(1j * omega * b) / omega))
     m = _LAGUERRE_X16.size  # each end's abscissae: the low order's m first
+    wv = _LAGUERRE_WEIGHTS * np.asarray(vals)
     values, errors = [], []
-    for v in vals:
-        wv = _LAGUERRE_WEIGHTS * v
-        re, im, mag = wv.real.tolist(), wv.imag.tolist(), np.abs(wv).tolist()
+    for re, im, mag in zip(wv.real.tolist(), wv.imag.tolist(),
+                           np.abs(wv).tolist()):
         low = high = 0j
         resabs = 0.0
         for start, scale in ends:

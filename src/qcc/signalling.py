@@ -54,10 +54,14 @@ piece the weight is exactly a finite sum of exponentials
 sum_j P_j(tau) e^{i om_j tau}, and the kernels continue analytically
 into the upper half-plane, so each high-frequency group of terms is
 integrated by numerical steepest descent at a cost independent of
-om_j.  The slowly varying rest is a lag pass of its own, so
+om_j, every pick of the pass in one application of the rule.  The
+slowly varying rest joins the row's one lag pass, over the piece at
+half its share of tol, in the GK batch of the rest's top frequency, so
 :func:`_lag_integrals` is the one place that lays a lag integral out on
-GK panels.  A pick whose estimate misses its share of tol is redone on
-GK panels, so a failure there is the GK route's failure.  Where
+GK panels, and a rest shares its panels with any pass over the same
+piece at that frequency.  A pick whose rest fails or whose estimate
+misses its share of tol is redone on GK panels in a second batch, run
+only then, so a failure there is the GK route's failure.  Where
 2 (Om_A + Om_B) times the largest |time| overflows, the exponentials
 cannot be formed, and every piece stays on GK panels; a closed form
 there reports an infinite rounding bound.
@@ -314,59 +318,68 @@ def _phases_finite(s: Scenario, times) -> bool:
     return math.isfinite(2.0 * _phase_scale(s, times))
 
 
-def _oscillatory_piece(s, picks, terms, a, b, tol):
+def _oscillatory_piece(s, picks, terms, a, b):
     """int_a^b K_i(tau) W_i(tau) dtau for each pick i, on a 2+1D lag
     piece of ``s`` beyond the cone that does not end on it, from the
-    weight's exponential ``terms`` on [a, b].
+    weight's exponential ``terms`` on [a, b], in two parts.
 
     Terms that span at least _OSCILLATORY_TERM_PERIODS periods over the
     piece are grouped by frequency, and each group is integrated by
-    numerical steepest descent against the continued kernels.  The rest
-    form a slowly varying weight, whose integral is the lag pass (rest,
-    None, top, a, b, (), 1.0) of :func:`_lag_integrals` to half of
-    ``tol``: with no terms it stays on GK panels a quarter period of the
-    rest's top frequency, which is > 0.  Returns, per pick, a
-    QuadResult, or, when the rest fails or the summed error estimate
-    exceeds ``tol``, the number of evaluations the attempt spent: the
-    caller then redoes that pick's piece on the GK path and counts them.
+    numerical steepest descent against the continued kernels, every pick
+    in one application of the rule.  The rest form a slowly varying
+    weight.  Returns, per pick, the (values, error, evaluations) of the
+    groups, and the lag pass (rest, None, top, a, b, (), 1.0) of the
+    rest, or None when there is no rest: it has no terms, and panels a
+    quarter period of the rest's top frequency, which is > 0.
+    :func:`_lag_integrals` takes that pass in its GK batch and
+    :func:`_settled` adds it to the groups.
     """
     L, n = s.report.separation, len(picks)
-    continued = [_CONTINUED[p] for p in picks]
     groups, low = {}, []
     for om, amp, coefs in terms:
         if om * (b - a) >= 2.0 * math.pi * _OSCILLATORY_TERM_PERIODS:
             groups.setdefault(om, []).append((amp, coefs))
         else:
             low.append((om, amp, coefs))
-    values = [[] for _ in range(n)]
-    err, evals = [0.0] * n, [0] * n
+    moments = [[[], 0.0, 0] for _ in picks]  # values, error, evaluations
     for om, group in groups.items():
         def g(z, group=group):
+            r = greens.continued_root(z, L)
             amps = [amp(z) for amp, _ in group]
-            return [k(z, L)
+            return [_CONTINUED[p](z, r)
                     * sum(c[i] * A for A, (_, c) in zip(amps, group))
-                    for i, k in enumerate(continued)]
+                    for i, p in enumerate(picks)]
 
-        moments, errors, count = _steepest_descent(g, om, a, b)
-        for i in range(n):
-            values[i].append(moments[i].real)
-            err[i] += errors[i]
-            evals[i] += count
+        values, errors, count = _steepest_descent(g, om, a, b)
+        for moment, value, error in zip(moments, values, errors):
+            moment[0].append(value.real)
+            moment[1] += error
+            moment[2] += count
+    rest = None
     if low:
-        def rest(tau):
+        def weight(tau):
             waves = [(amp(tau) * np.exp(1j * om * tau), coefs)
                      for om, amp, coefs in low]
             return [sum((c[i] * wave).real for wave, c in waves)
                     for i in range(n)]
 
-        top = max(om for om, _, _ in low)
-        for i, obs in enumerate(_lag_integrals(
-                s, [(picks, (rest, None, top, a, b, (), 1.0))], 0.5 * tol)):
-            values[i].append(obs.value)
-            err[i] += math.inf if obs.failure is not None else obs.quad_error
-            evals[i] += obs.evaluations
-    return [QuadResult(math.fsum(values[i]), err[i], evals[i])
-            if err[i] <= tol else evals[i] for i in range(n)]
+        rest = (weight, None, max(om for om, _, _ in low), a, b, (), 1.0)
+    return moments, rest
+
+
+def _settled(moments, rest, tol):
+    """A pick's steepest-descent result on a piece: the QuadResult of its
+    groups' ``moments`` (values, error, evaluations) and of the record
+    ``rest`` of its rest (None when there is none); or, when the rest
+    failed or the summed error exceeds ``tol``, the number of
+    evaluations the attempt spent, and the caller redoes the pick's
+    piece on GK panels and counts them."""
+    values, err, evals = moments
+    if rest is not None:
+        values = [*values, rest.value]
+        err += math.inf if rest.failure is not None else rest.quad_error
+        evals += rest.evaluations
+    return QuadResult(math.fsum(values), err, evals) if err <= tol else evals
 
 
 def _lag_integrals(s, passes, tol):
@@ -378,12 +391,10 @@ def _lag_integrals(s, passes, tol):
     is the one lag L.
 
     This is the one place that lays a lag integral out on GK panels: for
-    the rows, the public entries, the slowly varying rest of the
-    steepest-descent route and the validation suite alike.  ``passes``
-    lists (picks, lag_pass) pairs, ``lag_pass`` the tuple (weight, terms,
-    omega, lo, hi, kinks, factor) that :func:`_window_correlation` or
-    :func:`_interaction_weight` builds, or that
-    :func:`_oscillatory_piece` builds for its rest.
+    the rows, the public entries and the validation suite alike.
+    ``passes`` lists (picks, lag_pass) pairs, ``lag_pass`` the tuple
+    (weight, terms, omega, lo, hi, kinks, factor) that
+    :func:`_window_correlation` or :func:`_interaction_weight` builds.
     ``weight(tau)`` returns one weight array per pick, and
     ``terms(a, b)`` the weights on the lag piece [a, b] as a sum of
     exponentials, or ``terms`` is None when their phases would overflow.
@@ -398,20 +409,24 @@ def _lag_integrals(s, passes, tol):
     integrand and the kernels never see x rounded off against L.
 
     Any other 2+1D piece that spans at least _STEEPEST_DESCENT_PERIODS
-    periods of ``omega`` is first offered to :func:`_oscillatory_piece`
-    for the pass's picks, with the terms built for that piece only, when
-    there are terms; each pick it hands back is integrated on GK panels
-    as above, and counts the evaluations of both attempts.  The route's
-    rest is a pass with no terms, so it is never offered again.
+    periods of ``omega`` takes the steepest-descent route for the pass's
+    picks, with the terms built for that piece only, when there are
+    terms: :func:`_oscillatory_piece` integrates its oscillatory groups
+    while the passes are planned, and the lag pass of its slowly varying
+    rest, which has no terms, joins the passes here, over the piece at
+    half of the piece's share of ``tol``.  A pick whose rest fails or
+    whose summed estimate misses that share (:func:`_settled`) is redone
+    on GK panels in a second round, made only when some pick is handed
+    back, and counts the evaluations of both attempts.
 
     Every pass joins the batch of its ``omega``, and the GK panels of a
-    batch, on every piece for every pick that takes them there, are one
-    :func:`quadrature._integrate_shared` call, made only when some piece
-    takes them.  Passes whose pieces coincide share their panels: each
-    weight and each kernel is evaluated once on all the batch's initial
-    nodes, then each pick is refined piece by piece on its own as its
-    results are taken, so each gets the value, error and evaluation
-    count it gets alone.  A pass of
+    batch, on every piece for every pick that takes them there in a
+    round, are one :func:`quadrature._integrate_shared` call, made only
+    when some piece takes them.  Passes whose pieces coincide share
+    their panels: each weight and each kernel is
+    evaluated once on all the batch's initial nodes, then each pick is
+    refined piece by piece on its own as its results are taken, so each
+    gets the value, error and evaluation count it gets alone.  A pass of
     another ``omega`` has panels of other widths, and a batch of its
     own, so no weight is evaluated on another pass's nodes.  ``tol``,
     which the public entries check before they pick a route, is split
@@ -424,87 +439,125 @@ def _lag_integrals(s, passes, tol):
     zeros.  Returns one Observable per pick, pass by pass.
     """
     dim, L = s.dimension, s.report.separation
-    # per pass: its picks and factor, its omega, the indices of its picks
-    # among its batch's integrands (none without pieces), its pieces, and
-    # per piece and pick a QuadResult of the steepest-descent route or the
-    # evaluations spent before the pick takes GK panels there.  A batch is
-    # (passes, tols, {piece: integrands}), one per omega, and makes no GK
-    # call when no piece of it takes GK panels
+    # the callers' passes, then the rests' passes, each (picks, lag pass,
+    # tol).  Per pass its plan: picks, factor, omega, tol, pieces and tol
+    # per piece; per piece None for GK panels, or the route's moments and
+    # the index of its rest's pass (None without a rest), later settled
+    # into per pick a result or the evaluations spent before GK; and the
+    # indices of its picks among its batch's integrands.  A batch is
+    # (group, tols, per round {piece: integrands}), one per omega: the
+    # second round takes the same integrands on the pieces where the
+    # route hands them back
+    work = [(picks, lag_pass, tol) for picks, lag_pass in passes]
     plan, batches = [], {}
-    for picks, (weight, terms, omega, lo, hi, kinks, factor) in passes:
+    for picks, (weight, terms, omega, lo, hi, kinks, factor), pass_tol \
+            in work:
         cuts = sorted({lo, hi} | {c for c in (L, *kinks) if lo < c < hi})
         pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
                   if 0.5 * (a + b) > L]
-        if not pieces:
-            plan.append((picks, factor, omega, (), pieces, []))
-            continue
-        piece_tol = tol / len(pieces) / (abs(factor) or 1.0)
-        group, tols, shared = batches.setdefault(omega, ([], [], {}))
+        # a pass with no piece takes no panels: the rows never make one,
+        # so none can have its weight evaluated on another pass's nodes
+        piece_tol = pass_tol / (len(pieces) or 1) / (abs(factor) or 1.0)
+        group, tols, shared = batches.setdefault(omega, ([], [], ({}, {})))
         ix = range(len(tols), len(tols) + len(picks))
         group.append((picks, weight))
         tols += [piece_tol] * len(picks)
-        routed = []
+        routes = []
         for a, b in pieces:
-            res = [0] * len(picks)
+            route = None
             # only a 2+1D piece that starts on the cone is not offered
             if terms is not None and dim is Dimension.D2p1 and a != L \
                     and omega * (b - a) \
                     >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
-                res = _oscillatory_piece(s, picks, terms(a, b), a, b,
-                                         piece_tol)
-            routed.append(res)
-            redo = [i for i, r in zip(ix, res)
-                    if not isinstance(r, QuadResult)]
-            if redo:
-                shared.setdefault((a, b), []).extend(redo)
-        plan.append((picks, factor, omega, ix, pieces, routed))
+                moments, rest = _oscillatory_piece(s, picks, terms(a, b),
+                                                   a, b)
+                if rest is not None:  # the loop takes it in turn
+                    work.append((picks, rest, 0.5 * piece_tol))
+                route = (moments, len(work) - 1 if rest else None)
+            else:
+                shared[0].setdefault((a, b), []).extend(ix)
+            routes.append(route)
+        plan.append((picks, factor, omega, pass_tol, pieces, piece_tol,
+                     routes, ix))
+    rounds = [_gk_batches(dim, L, batches, 0)]
 
-    gk = {}
+    # each route's result per pick, with its rest's records from the
+    # first round; then the second round for the picks it hands back
+    for picks, _, omega, _, pieces, piece_tol, routes, ix \
+            in plan[:len(passes)]:
+        for j, route in enumerate(routes):
+            if route:
+                moments, rest = route
+                routes[j] = [_settled(m, r, piece_tol) for m, r in zip(
+                    moments, [None] * len(picks) if rest is None
+                    else _assemble(plan[rest], rounds))]
+                for i, res in zip(ix, routes[j]):
+                    if not isinstance(res, QuadResult):  # handed back
+                        batches[omega][2][1].setdefault(
+                            pieces[j], []).append(i)
+    rounds.append(_gk_batches(dim, L, batches, 1))
+    return [obs for entry in plan[:len(passes)]
+            for obs in _assemble(entry, rounds)]
+
+
+def _gk_batches(dim, L, batches, r):
+    """{omega: one result iterator per integrand} for each batch of
+    ``batches``, {omega: (group, tols, per round {piece: integrands})}:
+    its GK panels in round ``r``, in one
+    :func:`quadrature._integrate_shared` call, made only when some piece
+    takes them."""
+    out = {}
     for omega, (group, tols, shared) in batches.items():
+        shared = shared[r]
         if not shared:
             continue
         # the intervals in order of their pieces, which keeps each pick's
         # pieces in order; those that start on the 2+1D cone come first
         width = (2.0 * math.pi / omega) / 4.0
         intervals, n_cone = [], 0
-        for (a, b), redo in sorted(shared.items()):
+        for (a, b), ix in sorted(shared.items()):
             if dim is Dimension.D2p1 and a == L:
                 u_end = math.sqrt(b - L)
                 # du = dx / (2u): an x-width W maps to at least W / (2 u_end)
-                intervals.append((0.0, u_end, width / (2.0 * u_end), redo))
+                intervals.append((0.0, u_end, width / (2.0 * u_end), ix))
                 n_cone += 1
             else:
-                intervals.append((a, b, width, redo))
-        gk[omega] = _integrate_shared(_lag_integrand(dim, L, group, n_cone),
-                                      intervals, tols)
+                intervals.append((a, b, width, ix))
+        out[omega] = _integrate_shared(_lag_integrand(dim, L, group, n_cone),
+                                       intervals, tols)
+    return out
 
+
+def _assemble(entry, rounds):
+    """The records of a pass planned as ``entry``: per pick, its pieces'
+    results, each from the settled route or, in order, from the pick's
+    GK results in ``rounds``, summed up to the first failure."""
+    picks, factor, omega, tol, pieces, _, routes, ix = entry
+    if not pieces:
+        return [_ZERO] * len(picks)
     out = []
-    for picks, factor, omega, ix, pieces, routed in plan:
-        if not pieces:
-            out += [_ZERO] * len(picks)
-        for n, i in enumerate(ix):
-            values, err, evals = [], 0.0, 0
-            for (a, b), res in zip(pieces, routed):
-                res = res[n]
-                if not isinstance(res, QuadResult):  # on GK panels
-                    evals += res
-                    res = next(gk[omega][i])
-                if isinstance(res, QuadratureError):
-                    spent = evals + res.evaluations
-                    exc = QuadratureError(
-                        f"tol {tol:.3e} not reached on the lag piece "
-                        f"[{a!r}, {b!r}]: {res}", res.reason,
-                        evaluations=spent,
-                    )
-                    exc.__cause__ = res
-                    out.append(_failed(exc, spent))
-                    break
-                values.append(res.value)
-                err += res.abs_error_estimate
-                evals += res.evaluations
-            else:
-                out.append(Observable(
-                    factor * math.fsum(values), abs(factor) * err, evals))
+    for n, i in enumerate(ix):
+        values, err, evals = [], 0.0, 0
+        for (a, b), res in zip(pieces, routes):
+            # the round of a piece on GK panels, or of a pick handed back
+            r, res = (1, res[n]) if res else (0, 0)
+            if not isinstance(res, QuadResult):
+                evals += res
+                res = next(rounds[r][omega][i])
+            if isinstance(res, QuadratureError):
+                exc = QuadratureError(
+                    f"tol {tol:.3e} not reached on the lag piece "
+                    f"[{a!r}, {b!r}]: {res}", res.reason,
+                    evaluations=evals + res.evaluations)
+                exc.__cause__ = res
+                out.append(_failed(exc, exc.evaluations))
+                break
+            values.append(res.value)
+            err += res.abs_error_estimate
+            evals += res.evaluations
+        else:
+            out.append(Observable(
+                factor * math.fsum(values), abs(factor) * err, evals))
     return out
 
 

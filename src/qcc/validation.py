@@ -443,9 +443,14 @@ def _check_oscillatory_route():
     corr, terms = signalling._window_correlation(s, 8.0, picks)[:2]
     bias, bias_terms = signalling._interaction_weight(
         replace(s, alice=replace(s.alice, gap=40.0)), 8.0)[:2]
-    routed = signalling._oscillatory_piece(s, picks, terms(a, b), a, b, tol)
-    routed += signalling._oscillatory_piece(
-        s, picks[:1], bias_terms(a, b), a, b, tol)
+    # the groups by steepest descent, and the slowly varying rest, at
+    # Alice's gap 3 in s2's and hf_sig's weight (hI's has none), on GK
+    # panels at tol / 2
+    moments, rest = signalling._oscillatory_piece(s, picks, terms(a, b), a, b)
+    moments += signalling._oscillatory_piece(s, picks[:1], bias_terms(a, b),
+                                             a, b)[0]
+    rests = signalling._lag_integrals(s, [(picks, rest)], 0.5 * tol) + [None]
+    routed = [signalling._settled(m, r, tol) for m, r in zip(moments, rests)]
     if not all(isinstance(res, QuadResult) for res in routed):
         return False, "the route handed the piece back to GK"
     gk = signalling._lag_integrals(s, [

@@ -5,8 +5,21 @@ import math
 
 import numpy as np
 
-from qcc.greens import commutator_kernel
-from qcc.quadrature import QuadratureError, integrate_1d, integrate_2d_rect
+from qcc.greens import (
+    commutator_continued,
+    commutator_kernel,
+    commutator_timelike,
+    continued_root,
+    field_energy_continued,
+    field_energy_timelike,
+)
+from qcc.quadrature import (
+    QuadratureError,
+    QuadResult,
+    _steepest_descent,
+    integrate_1d,
+    integrate_2d_rect,
+)
 from qcc.scenario import (
     ComplexAmplitudePair,
     DetectorSpec,
@@ -135,3 +148,98 @@ def integrate_alone(f, a, b, tol, **kwargs):
         return integrate_1d(f, a, b, tol, **kwargs)
     except QuadratureError as exc:
         return exc
+
+
+# The lag kernels D and F past the cone, on the real axis and continued
+# into the 2+1D upper half-plane, by pick: 0 for D, 1 for F.
+_REAL = (commutator_timelike, field_energy_timelike)
+_CONTINUED = (commutator_continued, field_energy_continued)
+
+
+def route_by_hand(s, picks, terms, a, b, tol):
+    """The steepest-descent route on the 2+1D lag piece [a, b] past the
+    cone, one integral at a time, for each pick of the weight whose
+    exponential ``terms`` (om, amp, coefs) hold on [a, b].  The terms of
+    at least 2 periods over the piece are integrated by
+    _steepest_descent, one frequency at a time for this pick alone, the
+    others, the slowly varying rest, by integrate_1d of the kernel times
+    their sum, to tol / 2 on panels a quarter period of their top
+    frequency.  Per pick a QuadResult; or, when the rest fails or the
+    summed estimate misses ``tol``, the evaluations the attempt spent."""
+    L = s.report.separation
+    high = [term for term in terms if term[0] * (b - a) >= 4.0 * math.pi]
+    low = [term for term in terms if term[0] * (b - a) < 4.0 * math.pi]
+    out = []
+    for i, p in enumerate(picks):
+        values, err, evals = [], 0.0, 0
+        for om in dict.fromkeys(om for om, _, _ in high):
+            group = [(amp, c[i]) for o, amp, c in high if o == om]
+
+            def g(z, group=group):
+                return [_CONTINUED[p](z, continued_root(z, L))
+                        * sum(c * amp(z) for amp, c in group)]
+
+            (moment,), (error,), count = _steepest_descent(g, om, a, b)
+            values.append(moment.real)
+            err += error
+            evals += count
+        if low:
+            def rest(tau):
+                return _REAL[p](s.dimension, tau, tau - L, L) * sum(
+                    (c[i] * (amp(tau) * np.exp(1j * om * tau))).real
+                    for om, amp, c in low)
+
+            top = max(om for om, _, _ in low)
+            res = integrate_alone(rest, a, b, 0.5 * tol,
+                                  max_panel_width=(2.0 * math.pi / top) / 4)
+            failed = isinstance(res, QuadratureError)
+            if not failed:
+                values.append(res.value)
+            err += math.inf if failed else res.abs_error_estimate
+            evals += res.evaluations
+        out.append(QuadResult(math.fsum(values), err, evals)
+                   if err <= tol else evals)
+    return out
+
+
+def lag_pass_by_hand(s, picks, lag_pass, tol, periods):
+    """What the lag quadrature gives each pick of ``lag_pass``, the tuple
+    (weight, terms, omega, lo, hi, kinks, factor), on a 2+1D region whose
+    lags start past the cone, one integral at a time.  A piece that spans
+    at least ``periods`` periods of omega takes route_by_hand; any other
+    piece, and a pick the route hands back, takes integrate_1d of the
+    kernel times the pick's weight on panels a quarter period of omega.
+    Each piece gets tol over the number of pieces and over |factor|.
+    Per pick (value, quad_error, evaluations), or for a pick that fails
+    on a piece (reason, evaluations, message of the piece's failure)."""
+    weight, terms, omega, lo, hi, kinks, factor = lag_pass
+    L = s.report.separation
+    assert lo > L
+    cuts = sorted({lo, hi} | {c for c in kinks if lo < c < hi})
+    pieces = list(zip(cuts[:-1], cuts[1:]))
+    piece_tol = tol / len(pieces) / abs(factor)
+    routed = [
+        route_by_hand(s, picks, terms(a, b), a, b, piece_tol)
+        if omega * (b - a) >= 2.0 * math.pi * periods else [0] * len(picks)
+        for a, b in pieces]
+    out = []
+    for i, p in enumerate(picks):
+        values, err, evals = [], 0.0, 0
+        for (a, b), res in zip(pieces, routed):
+            res = res[i]
+            if not isinstance(res, QuadResult):
+                evals += res
+                res = integrate_alone(
+                    lambda t: _REAL[p](s.dimension, t, t - L, L)
+                    * weight(t)[i], a, b, piece_tol,
+                    max_panel_width=(2.0 * math.pi / omega) / 4)
+            if isinstance(res, QuadratureError):
+                out.append((res.reason, evals + res.evaluations, str(res)))
+                break
+            values.append(res.value)
+            err += res.abs_error_estimate
+            evals += res.evaluations
+        else:
+            out.append((factor * math.fsum(values), abs(factor) * err,
+                        evals))
+    return out

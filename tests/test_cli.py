@@ -827,53 +827,56 @@ class TestValidateVerb:
 
     def test_route_handing_a_piece_back_fails_its_check(self, monkeypatch):
         # the check offers its pieces to the steepest-descent route
-        # directly; a pick the route hands back (its evaluation count in
-        # place of a result) has no route value to compare with GK
+        # directly; a route whose estimates never meet tol hands every
+        # pick back, and leaves no route value to compare with GK
         from qcc import validation
 
         check = validation._check_oscillatory_route
         assert check().passed
-        monkeypatch.setattr(signalling, "_oscillatory_piece",
-                            lambda s, picks, *args: [96] * len(picks))
+        rule = signalling._steepest_descent
+
+        def unsure(*args):
+            values, errors, count = rule(*args)
+            return values, [math.inf] * len(errors), count
+
+        monkeypatch.setattr(signalling, "_steepest_descent", unsure)
         assert check() == validation.CheckResult(
             "oscillatory-route-vs-gk", False,
             "the route handed the piece back to GK")
 
-    def test_route_check_takes_gk_from_the_hand_built_integrals(
-            self, monkeypatch):
-        # the check's GK side is one lag pass call with no terms; it must
-        # equal, bit for bit, integrate_1d of each kernel times its
-        # weight on panels a quarter period of gap 40, as the check once
-        # integrated them
+    def test_route_check_takes_gk_from_the_hand_built_integrals(self):
+        # the check's detail line is what the route and GK give one
+        # integral at a time: helpers.route_by_hand, and integrate_1d of
+        # each kernel times its weight on panels a quarter period of gap
+        # 40, as the check once integrated them
+        from helpers import route_by_hand
         from qcc import greens, validation
         from qcc.quadrature import integrate_1d
 
-        calls = []
-        lag = signalling._lag_integrals
-
-        def spied(s, passes, tol):
-            calls.append(lag(s, passes, tol))
-            return calls[-1]
-
-        monkeypatch.setattr(signalling, "_lag_integrals", spied)
-        assert validation._check_oscillatory_route().passed
         s = validation._demo()
         s = replace(s, bob=replace(s.bob, gap=40.0))
         picks = (signalling._S2, signalling._HF)
-        corr = signalling._window_correlation(s, 8.0, picks)[0]
-        bias = signalling._interaction_weight(
-            replace(s, alice=replace(s.alice, gap=40.0)), 8.0)[0]
+        corr, terms = signalling._window_correlation(s, 8.0, picks)[:2]
+        bias, bias_terms = signalling._interaction_weight(
+            replace(s, alice=replace(s.alice, gap=40.0)), 8.0)[:2]
+        routed = route_by_hand(s, picks, terms(5.0, 8.0), 5.0, 8.0, 1e-10)
+        routed += route_by_hand(s, picks[:1], bias_terms(5.0, 8.0), 5.0,
+                                8.0, 1e-10)
         d, f = greens.commutator_timelike, greens.field_energy_timelike
         weights = (lambda t: corr(t)[0], lambda t: corr(t)[1],
                    lambda t: bias(t)[0])
-        gk = calls[-1]
-        assert len(gk) == 3
-        for kernel, weight, obs in zip((d, f, d), weights, gk):
+        worst = 0.0
+        for kernel, weight, res in zip((d, f, d), weights, routed):
             ref = integrate_1d(
                 lambda t: kernel(s.dimension, t, t - 1.0, 1.0) * weight(t),
                 5.0, 8.0, 1e-10, max_panel_width=(2.0 * math.pi / 40.0) / 4)
-            assert (obs.value, obs.quad_error, obs.evaluations) \
-                == (ref.value, ref.abs_error_estimate, ref.evaluations)
+            worst = max(worst, abs(res.value - ref.value) / (
+                res.abs_error_estimate + ref.abs_error_estimate + 1e-15))
+        assert validation._check_oscillatory_route().detail == (
+            f"max |route - GK| / (sum of estimates + 1e-15) = {worst:.3e} "
+            f"(need <= 1) for s2, hf_sig and hI on [5, 8] at 19 periods, "
+            f"{routed[0].evaluations} evaluations each for s2 and hf_sig, "
+            f"{routed[2].evaluations} for hI")
 
     def test_a_check_that_raises_keeps_its_name(self, monkeypatch):
         from qcc import validation

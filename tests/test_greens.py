@@ -19,6 +19,7 @@ from qcc.greens import (
     commutator_continued,
     commutator_kernel,
     commutator_timelike,
+    continued_root,
     field_energy_continued,
     field_energy_kernel,
     field_energy_timelike,
@@ -229,8 +230,9 @@ class TestOneKernelEverywhere:
                 assert field_energy_kernel(dim, taus[0], L).value == 0.0
                 continue
             z = taus[:1] + 0j
-            for cont, real in ((commutator_continued(z, L), d[:1]),
-                               (field_energy_continued(z, L), f[:1])):
+            r = continued_root(z, L)
+            for cont, real in ((commutator_continued(z, r), d[:1]),
+                               (field_energy_continued(z, r), f[:1])):
                 assert np.all(np.imag(cont) == 0.0)
                 assert np.all(np.abs(np.real(cont) - real)
                               <= 8.0 * eps * np.abs(real))
@@ -260,7 +262,7 @@ class TestLargeLags:
     @pytest.mark.parametrize("m", [1e8, 1e102, 1e103, 1e150, 1e300])
     def test_continued_F(self, m):
         z = m * np.exp(1j * np.linspace(0.0, 0.5 * math.pi, 5))
-        f = field_energy_continued(z, 1.0)
+        f = field_energy_continued(z, continued_root(z, 1.0))
         far = -(1.0 / z) / z / (2.0 * math.pi)
         assert np.all(np.isfinite(f))
         assert np.all(np.abs(f - far) <= 1e-12 * np.abs(far) + 1e-300)

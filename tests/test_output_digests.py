@@ -1,7 +1,7 @@
 """Printed output against the committed digests: the 12 reference sweeps'
 CSV bytes, those of the four sweeps at a fixed evaluation time and of
-the high-gap sweep, ``point`` and ``capacity`` stdout on the shipped configs and
-``validate``'s lines.  A failure names each output whose bytes moved;
+the high-gap sweep, ``point`` and ``capacity`` stdout on the shipped
+configs and ``validate``'s lines.  A failure names each output whose bytes moved;
 ``output_digests.py`` says how to regenerate them after a deliberate
 change."""
 

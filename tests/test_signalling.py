@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     demo_scenario,
+    lag_pass_by_hand,
     make_scenario,
     random_scenario,
     random_timelike_scenario,
+    route_by_hand,
     s2_via_2d_quadrature,
 )
 from qcc import greens, signalling
@@ -486,19 +488,11 @@ class TestSharedPass:
         # u = sqrt(x) piece on the cone, and gaps up to 60 on pieces up
         # to 6 long send some pieces to the steepest-descent route.  Seed
         # 170's route keeps s2 on the lag piece [3.44, 9.19] but hands
-        # hf_sig back, so the batch holds an interval of hf_sig alone.
-        # Seed 1's batch holds two pieces on the cone, s2's [L, 6.2737]
-        # and hI_on's [L, 6.2844]
+        # hf_sig back, so the second round's batch holds an interval of
+        # hf_sig alone.  Seed 1's batch holds two pieces on the cone,
+        # s2's [L, 6.2737] and hI_on's [L, 6.2844]
         s = random_scenario(np.random.default_rng(seed), "2+1")
         shared = signalling._integrate_shared
-        oscillatory = signalling._oscillatory_piece
-        handed_back = []
-
-        def spied(s, picks, *args):
-            res = oscillatory(s, picks, *args)
-            handed_back.append((len(picks), sum(
-                not isinstance(r, QuadResult) for r in res)))
-            return res
 
         def one_at_a_time(f, intervals, tol):
             results = [[] for _ in tol]
@@ -512,15 +506,25 @@ class TestSharedPass:
                     results[i] += per[i]
             return [iter(r) for r in results]
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(signalling, "_oscillatory_piece", spied)
-            batched = signalling.row_observables(s, None, 1e-8)
+        batched = signalling.row_observables(s, None, 1e-8)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(signalling, "_integrate_shared", one_at_a_time)
             alone = signalling.row_observables(s, None, 1e-8)
         assert list(map(_bits, batched)) == list(map(_bits, alone))
         if seed == 170:
-            assert (2, 1) in handed_back
+            # the row's s2 and hf_sig are what the route and GK give one
+            # integral at a time, and the route hands hf_sig back on the
+            # first of its three pieces
+            picks = [signalling._S2, signalling._HF]
+            corr = signalling._window_correlation(s, s.bob.window.t_off,
+                                                  picks)
+            assert [(o.value, o.quad_error, o.evaluations)
+                    for o in (batched[0], batched[3])] == lag_pass_by_hand(
+                s, picks, corr, 1e-8, signalling._STEEPEST_DESCENT_PERIODS)
+            a, b = corr[3], min(corr[5])
+            s2, hf = route_by_hand(s, picks, corr[1](a, b), a, b,
+                                   1e-8 / 3 / 4.0)
+            assert isinstance(s2, QuadResult) and type(hf) is int
 
     @pytest.mark.parametrize("s,t,tol,status,reason", [
         (make_scenario("2+1", gap_b=1e5), 8.0, 1e-8,
@@ -686,76 +690,51 @@ class TestSteepestDescentRoute:
 
     @pytest.mark.parametrize("gap_b", [40.0, 300.0],
                              ids=["validate-gap40", "long-window-gap300"])
-    def test_rest_is_gk_of_kernel_times_rest(self, gap_b, monkeypatch):
-        # the slowly varying rest of the demo's lag piece [5, 8], as the
-        # validation suite and the long window's gap-300 row offer it,
-        # is a lag pass: bit for bit integrate_1d of each kernel times
-        # the rest's weight at half of tol, on panels a quarter period
-        # of the rest's top frequency
-        s, a, b, tol = _demo_with_bob(gap=gap_b), 5.0, 8.0, 1e-10
-        L = s.report.separation
+    def test_rest_is_gk_of_kernel_times_rest(self, gap_b):
+        # both lag pieces of the demo's s2/hf_sig pass, [2, 5] and
+        # [5, 8], offered to the route, as the validation suite offers
+        # [5, 8] at gap 40 and the long window's gap-300 row takes both.
+        # The slowly varying rest of each is integrate_1d of each kernel
+        # times the rest's weight at half of the piece's tol, on panels a
+        # quarter period of the rest's top frequency, and each group's
+        # steepest-descent moment is the pick's alone: the records are
+        # those of helpers.lag_pass_by_hand, bit for bit
+        s, tol = _demo_with_bob(gap=gap_b), 1e-10
         picks = [signalling._S2, signalling._HF]
-        terms = signalling._window_correlation(s, 8.0, picks)[1](a, b)
-        low = [(om, amp, coefs) for om, amp, coefs in terms
-               if om * (b - a) < 2.0 * math.pi
-               * signalling._OSCILLATORY_TERM_PERIODS]
-        assert low and len(low) < len(terms)
-        top = max(om for om, _, _ in low)
+        corr = signalling._window_correlation(s, 8.0, picks)
+        for a, b in ((2.0, 5.0), (5.0, 8.0)):
+            terms = corr[1](a, b)
+            low = [om for om, _, _ in terms if om * (b - a) < 2.0 * math.pi
+                   * signalling._OSCILLATORY_TERM_PERIODS]
+            assert low and len(low) < len(terms)
+            assert all(isinstance(res, QuadResult) for res in route_by_hand(
+                s, picks, terms, a, b, tol / 2 / 4.0))
+        got = _with_periods(0.0, _s2_and_hf, s, 8.0, tol)
+        assert [(o.value, o.quad_error, o.evaluations) for o in got] \
+            == lag_pass_by_hand(s, picks, corr, tol, 0.0)
 
-        def remainder(tau):
-            waves = [(amp(tau) * np.exp(1j * om * tau), coefs)
-                     for om, amp, coefs in low]
-            return [kernel(s.dimension, tau, tau - L, L)
-                    * sum((c[i] * wave).real for wave, c in waves)
-                    for i, kernel in enumerate(signalling._TIMELIKE)]
-
-        rests = []
-        lag = signalling._lag_integrals
-
-        def spied(s, passes, tol):
-            rests.append((tol, lag(s, passes, tol)))
-            return rests[-1][1]
-
-        monkeypatch.setattr(signalling, "_lag_integrals", spied)
-        routed = signalling._oscillatory_piece(s, picks, terms, a, b, tol)
-        assert all(isinstance(r, QuadResult) for r in routed)
-        ((rest_tol, rest),) = rests
-        assert rest_tol == 0.5 * tol
-        for i, obs in enumerate(rest):
-            ref = integrate_1d(lambda t: remainder(t)[i], a, b, 0.5 * tol,
-                               max_panel_width=(2.0 * math.pi / top) / 4.0)
-            assert (obs.value, obs.quad_error, obs.evaluations) \
-                == (ref.value, ref.abs_error_estimate, ref.evaluations)
-
-    def test_remainder_failure_hands_the_piece_to_gk(self, monkeypatch):
+    def test_remainder_failure_hands_the_piece_to_gk(self):
         # at tol 1e-22 the slowly varying remainder of each piece, [2, 5]
-        # and [5, 8], fails on its roundoff floor inside the route, which
-        # hands the piece back to GK panels; s2 fails on the first of
-        # them in turn and is not taken on to the second.  Each call
-        # records the intervals of a pass and the results taken from it
-        calls = []
-        shared = signalling._integrate_shared
-
-        def taken(results, reasons):
-            for res in results:
-                reasons.append(res.reason)
-                yield res
-
-        def spy(f, intervals, tols, *args):
-            reasons = [[] for _ in tols]
-            calls.append(([iv[:2] for iv in intervals], reasons))
-            return [taken(results, out) for results, out
-                    in zip(shared(f, intervals, tols, *args), reasons)]
-
-        monkeypatch.setattr(signalling, "_integrate_shared", spy)
+        # and [5, 8], fails on its roundoff floor, and the route hands
+        # both picks back to GK panels there; each fails on the first of
+        # them in turn, counting both attempts, and is not taken on to
+        # the second
+        s, tol = _demo_with_bob(gap=1e4), 1e-22
+        picks = [signalling._S2, signalling._HF]
+        corr = signalling._window_correlation(s, 8.0, picks)
+        for a, b in ((2.0, 5.0), (5.0, 8.0)):
+            assert all(type(k) is int for k in route_by_hand(
+                s, picks, corr[1](a, b), a, b, tol / 2 / 4.0))
+        for obs, (reason, spent, message) in zip(
+                _s2_and_hf(s, None, tol),
+                lag_pass_by_hand(s, picks, corr, tol, 20.0)):
+            assert (obs.failure.reason, obs.evaluations) == (reason, spent)
+            assert str(obs.failure) == ("tol 1.000e-22 not reached on the "
+                                        f"lag piece [2.0, 5.0]: {message}")
         with pytest.raises(QuadratureError) as excinfo:
-            s2_observable(_demo_with_bob(gap=1e4), None, 1e-22)
+            s2_observable(s, None, tol)
         assert excinfo.value.reason == "roundoff"
         assert "on the lag piece [2.0, 5.0]:" in str(excinfo.value)
-        # each piece's remainder, then GK on both pieces in one batch
-        assert calls == [([(2.0, 5.0)], [["roundoff"]]),
-                         ([(5.0, 8.0)], [["roundoff"]]),
-                         ([(2.0, 5.0), (5.0, 8.0)], [["roundoff"]])]
 
     @pytest.mark.parametrize("changes", [
         {"gap": 1e5}, {"gap": 1e6}, {"t_off": 1e4},
@@ -827,59 +806,44 @@ class TestSteepestDescentRoute:
 
     @pytest.mark.parametrize("name", ["demo_1p1", "demo_2p1", "demo_3p1",
                                       "spacelike_2p1"])
-    def test_shipped_gap_sweeps_stay_on_gk(self, name, monkeypatch):
+    def test_shipped_gap_sweeps_stay_on_gk(self, name):
         # the reference gap_B 0.5:40:0.5 sweeps reach the most periods of
         # any shipped sweep: 19.1 on the demo 2+1 top row's 3-long lag
         # pieces.  Lowering _STEEPEST_DESCENT_PERIODS to that would move
-        # their rows off GK, and so their bytes; it fails here instead.
-        offered = []
-        piece = signalling._oscillatory_piece
+        # their rows off GK, and so their bytes; it fails here instead,
+        # where every row must be its records on GK panels alone
+        def row(s, periods=signalling._STEEPEST_DESCENT_PERIODS):
+            return list(map(_bits, _with_periods(
+                periods, signalling.row_observables, s, None, 1e-8)))
 
-        def counted(*args):
-            offered.append(args[3:5])
-            return piece(*args)
-
-        monkeypatch.setattr(signalling, "_oscillatory_piece", counted)
         s = load_config(str(CONFIGS / f"{name}.cfg")).scenario
         for v in SweepSpec("gap_B", 0.5, 40.0, 0.5).grid():
-            compute_row(apply_sweep_parameter(s, "gap_B", v), v, None, 1e-8)
-        assert offered == []
+            swept = apply_sweep_parameter(s, "gap_B", v)
+            assert row(swept) == row(swept, math.inf)
         if name == "demo_2p1":
-            # the guard is tight: at 19 periods the top row is offered
-            monkeypatch.setattr(signalling, "_STEEPEST_DESCENT_PERIODS", 19.0)
-            compute_row(apply_sweep_parameter(s, "gap_B", 40.0), 40.0,
-                        None, 1e-8)
-            assert offered
+            # the guard is tight: at 19 periods the top row leaves GK
+            top = apply_sweep_parameter(s, "gap_B", 40.0)
+            assert row(top, 19.0) != row(top, math.inf)
 
-    def test_piece_near_cone_falls_back_to_gk(self, monkeypatch):
+    def test_piece_near_cone_falls_back_to_gk(self):
         # the first lag piece, [L + 1e-3, L + 3 + 1e-3], spans 143
         # periods of Om_B = 300 but starts 0.3 / Om_B from the kernels'
-        # branch point: its estimate misses tol and it is redone on GK.
-        # The other piece is handed to GK unattempted, so the row has
-        # GK's values, and its counts add the abandoned attempt's.
+        # branch point: its estimate misses tol, and both picks are
+        # redone on GK panels there, counting the abandoned attempt's
+        # evaluations too.  The second piece stays on the route
         s = make_scenario("2+1", b_win=(4.001, 7.001), gap_b=300.0)
-        first = s.bob.window.t_on - s.alice.window.t_off
-        offered = []
-        piece = signalling._oscillatory_piece
-
-        def only_first(s, picks, terms, a, b, tol):
-            if a != first:
-                return [0] * len(picks)
-            res = piece(s, picks, terms, a, b, tol)
-            offered.append(res)
-            return res
-
-        monkeypatch.setattr(signalling, "_oscillatory_piece", only_first)
-        t = s.bob.window.t_off
-        pair = _s2_and_hf(s, t, 1e-8)
-        gk = _with_periods(math.inf, _s2_and_hf, s, t, 1e-8)
-        (spent,) = offered
+        t, picks = s.bob.window.t_off, [signalling._S2, signalling._HF]
+        corr = signalling._window_correlation(s, t, picks)
+        cuts = sorted({corr[3], corr[4], *corr[5]})
+        first, second = [
+            route_by_hand(s, picks, corr[1](a, b), a, b, 1e-8 / 2 / 4.0)
+            for a, b in zip(cuts[:-1], cuts[1:])]
         # two steepest-descent groups of 80 abscissae at least
-        assert all(type(k) is int and k >= 160 for k in spent)
-        for obs, ref, k in zip(pair, gk, spent):
-            assert (obs.value, obs.quad_error, obs.failure) \
-                == (ref.value, ref.quad_error, None)
-            assert obs.evaluations == ref.evaluations + k
+        assert all(type(k) is int and k >= 160 for k in first)
+        assert all(isinstance(res, QuadResult) for res in second)
+        assert [(o.value, o.quad_error, o.evaluations)
+                for o in _s2_and_hf(s, t, 1e-8)] \
+            == lag_pass_by_hand(s, picks, corr, 1e-8, 20.0)
 
 
 def _record(obs):
