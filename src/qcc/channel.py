@@ -106,11 +106,15 @@ def capacity_closed(p: float, q: float) -> float:
     next to a certain click (q near 0 or 1), so it is taken to second
     order, d^2 / (8 ln2 v) (1 - d (1 - 2q) / (2v)), below
     |d| = 2.5e-4 v^(3/4), about where its O((d/v)^2) error meets the
-    formula's.  Against 80-digit references, on |d| from 1.3e-20 to
-    1e-3 of either sign, the result stays within 3e-7 relative for q in
-    [0.01, 0.99], 6e-6 for q in [1e-4, 1 - 1e-4] and 2e-3 for q in
-    [1e-10, 1 - 1e-8].  Below q ~ 1e-12, d can exceed q, and neither
-    route is an expansion there.
+    formula's.  Next to q = 1 the formula's terms are each about
+    |log2((1 - q)/q)| and cancel, so there the outputs are relabelled,
+    C(p, q) = C(1 - p, 1 - q), which is exact for p, q >= 1/2, and the
+    formula is taken next to q = 0.  Against 80-digit references, on |d|
+    from 1.3e-20 to 1e-3 of either sign, the result stays within 3e-7
+    relative for q in [0.01, 0.99], 2e-6 for q in [1e-4, 1 - 1e-4], 2e-4
+    for q in [1e-8, 1 - 1e-8] and 2e-3 for q in [1e-10, 1 - 1e-10].
+    Below q ~ 1e-12, d can exceed q, and neither route is an expansion
+    there.
     Capacity is provably nonnegative, so noise-level negatives are
     clamped to 0.
     """
@@ -119,6 +123,8 @@ def capacity_closed(p: float, q: float) -> float:
             raise ValueError(f"{name} must be in [0, 1], got {v!r}")
     if p == q:
         return 0.0
+    if q > 0.5 and p >= 0.5:  # relabel the outputs; both differences exact
+        p, q = 1.0 - p, 1.0 - q
     d, v = p - q, q * (1.0 - q)
     if abs(d) < 2.5e-4 * v ** 0.75:  # the limit, to second order in d
         return max(d * d / (8.0 * _LN2 * v)

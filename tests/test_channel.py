@@ -138,6 +138,12 @@ class TestCapacityClosed:
         (0.5, 0.50017, "2.0846944043735852702e-8", 2e-8),
         (0.999999, 0.999999004, "2.8911775666091899945e-12", 2e-5),
         (0.999999, 0.999998996, "2.8796359332038132692e-12", 2e-5),
+        # just above the crossover next to q = 1, where the full formula
+        # is taken at (1 - p, 1 - q); at (p, q) itself it read 1.0e-3,
+        # 2.3e-4 and 4.2e-6 relative
+        (0.99999999, 0.99999999031, "1.7604075698403030843e-12", 5e-5),
+        (0.999999, 0.999998992, "1.1495625024064345739e-11", 1e-5),
+        (0.9999, 0.99990031, "1.7359019303952782302e-10", 1e-6),
     ])
     def test_relative_accuracy_across_the_quadratic_crossover(
             self, q, p, reference, rel):
