@@ -451,18 +451,26 @@ class TestSharedPass:
         assert sizes == [180]
         assert (s2.evaluations, hf.evaluations) == (180, 180)
 
-    @pytest.mark.parametrize("gap_b,calls_made,counts", [
-        (3.0, [("D", 180), ("F", 180)], [180, 90, 90, 180]),
-        (4.0, [("D", 240), ("F", 240), ("D", 180)], [240, 90, 90, 240]),
-    ], ids=["demo", "demo-gapB4"])
-    def test_one_kernel_evaluation_per_row(self, monkeypatch, gap_b,
+    @pytest.mark.parametrize("gap_b,tol,calls_made,counts", [
+        (3.0, 1e-8, [("D", 180), ("F", 180)], [180, 90, 90, 180]),
+        (4.0, 1e-8, [("D", 240), ("F", 240), ("D", 180)],
+         [240, 90, 90, 240]),
+        (1e4, 1e-8, [("D", 180), ("F", 180)], [340, 90, 90, 340]),
+        (1e4, 1e-22, [("D", 180), ("F", 180), ("D", 572970),
+                      ("F", 572970)], [286655, 90, 90, 286655]),
+    ], ids=["demo", "demo-gapB4", "demo-gapB1e4", "demo-gapB1e4-tol1e-22"])
+    def test_one_kernel_evaluation_per_row(self, monkeypatch, gap_b, tol,
                                            calls_made, counts):
         # at equal gaps the demo row's three lag passes are one batch:
         # hI_on and hI_off ride s2's panels on [2, 5] and [5, 8], and D
         # and F are each evaluated once, on those 180 nodes.  At Bob's gap
         # 4 the s2/hf_sig pass's panels are narrower; the two hI passes,
         # at Alice's gap, are a batch of their own, with D evaluated once
-        # on their 180 nodes
+        # on their 180 nodes.  At Bob's gap 1e4 both pieces of s2/hf_sig
+        # take the steepest-descent route, and the rests, at Alice's gap,
+        # share the hI passes' batch and its 180 nodes.  At tol 1e-22 the
+        # rests fail, both picks are handed back on both pieces, and the
+        # second round's batch lays both out on GK panels
         calls = []
 
         def counted(name, kernel):
@@ -475,7 +483,7 @@ class TestSharedPass:
             counted("D", greens.commutator_timelike),
             counted("F", greens.field_energy_timelike)))
         s = _with_gap(demo_scenario("2+1"), "bob", gap_b)
-        records = signalling.row_observables(s, None, 1e-8)
+        records = signalling.row_observables(s, None, tol)
         assert calls == calls_made
         assert [r.evaluations for r in records] == counts
 
