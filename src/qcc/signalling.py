@@ -46,10 +46,13 @@ pieces, then each integrand is refined, budget-checked and failed piece
 by piece on its own, so each gets exactly what its own public route
 returns.
 
-GK panels a quarter period wide cost O(Om T) evaluations on a lag
-piece.  So a 2+1D piece that spans at least _STEEPEST_DESCENT_PERIODS
-periods of its weight's top frequency, and does not end on the cone
-where the kernels have their 1/sqrt edge, takes a second route.  On a
+Each lag piece takes one of three routes, decided once where the piece
+is planned (:class:`_Piece`).  ``gk`` lays it out on GK panels a
+quarter period of its weight's top frequency wide, which costs
+O(Om T) evaluations.  ``gk-cone``, for a 2+1D piece that starts on the
+cone where the kernels have their 1/sqrt edge, lays the same panels
+over u = sqrt(tau - L).  ``steepest-descent`` takes any other 2+1D
+piece that spans at least _STEEPEST_DESCENT_PERIODS periods: on a
 piece the weight is exactly a finite sum of exponentials
 sum_j P_j(tau) e^{i om_j tau}, and the kernels continue analytically
 into the upper half-plane, so each high-frequency group of terms is
@@ -60,11 +63,11 @@ half its share of tol, in the GK batch of the rest's top frequency, so
 :func:`_lag_integrals` is the one place that lays a lag integral out on
 GK panels, and a rest shares its panels with any pass over the same
 piece at that frequency.  A pick whose rest fails or whose estimate
-misses its share of tol is redone on GK panels in a second batch, run
-only then, so a failure there is the GK route's failure.  Where
-2 (Om_A + Om_B) times the largest |time| overflows, the exponentials
-cannot be formed, and every piece stays on GK panels; a closed form
-there reports an infinite rounding bound.
+misses its share of tol is handed back: it is redone on GK panels in a
+second batch, run only then, so a failure there is the GK route's
+failure.  Where 2 (Om_A + Om_B) times the largest |time| overflows,
+the exponentials cannot be formed, and every piece stays on ``gk``; a
+closed form there reports an infinite rounding bound.
 """
 
 from __future__ import annotations
@@ -318,7 +321,7 @@ def _phases_finite(s: Scenario, times) -> bool:
     return math.isfinite(2.0 * _phase_scale(s, times))
 
 
-def _oscillatory_piece(s, picks, terms, a, b):
+def _oscillatory_piece(s, picks, terms, a, b, tol):
     """int_a^b K_i(tau) W_i(tau) dtau for each pick i, on a 2+1D lag
     piece of ``s`` beyond the cone that does not end on it, from the
     weight's exponential ``terms`` on [a, b], in two parts.
@@ -328,11 +331,10 @@ def _oscillatory_piece(s, picks, terms, a, b):
     numerical steepest descent against the continued kernels, every pick
     in one application of the rule.  The rest form a slowly varying
     weight.  Returns, per pick, the (values, error, evaluations) of the
-    groups, and the lag pass (rest, None, top, a, b, (), 1.0) of the
-    rest, or None when there is no rest: it has no terms, and panels a
-    quarter period of the rest's top frequency, which is > 0.
-    :func:`_lag_integrals` takes that pass in its GK batch and
-    :func:`_settled` adds it to the groups.
+    groups, and the plan at ``tol`` of the rest's lag pass (rest, None,
+    top, a, b, (), 1.0), or None when there is no rest: it has no terms,
+    and panels a quarter period of the rest's top frequency, which is
+    > 0.
     """
     L, n = s.report.separation, len(picks)
     groups, low = {}, []
@@ -355,16 +357,15 @@ def _oscillatory_piece(s, picks, terms, a, b):
             moment[0].append(value.real)
             moment[1] += error
             moment[2] += count
-    rest = None
-    if low:
-        def weight(tau):
-            waves = [(amp(tau) * np.exp(1j * om * tau), coefs)
-                     for om, amp, coefs in low]
-            return [sum((c[i] * wave).real for wave, c in waves)
-                    for i in range(n)]
 
-        rest = (weight, None, max(om for om, _, _ in low), a, b, (), 1.0)
-    return moments, rest
+    def weight(tau):
+        waves = [(amp(tau) * np.exp(1j * om * tau), coefs)
+                 for om, amp, coefs in low]
+        return [sum((c[i] * wave).real for wave, c in waves)
+                for i in range(n)]
+
+    return moments, _plan(s, picks, (weight, None, max(
+        om for om, _, _ in low), a, b, (), 1.0), tol) if low else None
 
 
 def _settled(moments, rest, tol):
@@ -372,14 +373,82 @@ def _settled(moments, rest, tol):
     groups' ``moments`` (values, error, evaluations) and of the record
     ``rest`` of its rest (None when there is none); or, when the rest
     failed or the summed error exceeds ``tol``, the number of
-    evaluations the attempt spent, and the caller redoes the pick's
-    piece on GK panels and counts them."""
+    evaluations the attempt spent, and the pick is handed back."""
     values, err, evals = moments
     if rest is not None:
         values = [*values, rest.value]
         err += math.inf if rest.failure is not None else rest.quad_error
         evals += rest.evaluations
     return QuadResult(math.fsum(values), err, evals) if err <= tol else evals
+
+
+@dataclass(slots=True)
+class _Piece:
+    """A lag piece [a, b] of a planned pass, and its route, decided where
+    :func:`_plan` plans the piece and nowhere else.
+
+    - ``gk``: GK panels a quarter period of the pass's omega wide.
+    - ``gk-cone``: a 2+1D piece that starts on the cone, where the
+      kernels have their 1/sqrt edge.  Its panels lie over u = sqrt(x),
+      with x = tau - L, tau = L + u^2 and weight 2u, so the rule sees a
+      smooth integrand and the kernels never see x rounded off against L.
+    - ``steepest-descent``: any other 2+1D piece that spans at least
+      _STEEPEST_DESCENT_PERIODS periods of omega, when the pass has
+      terms.  ``moments`` are its picks' groups by
+      :func:`_oscillatory_piece`, and ``rest`` the plan of its slowly
+      varying rest's pass over the piece at half the piece's share of
+      tol, or None.  ``settled`` is set once the rests are integrated:
+      per pick :func:`_settled`'s result, a QuadResult, or the
+      evaluations of an attempt handed back to GK panels on the piece.
+    """
+
+    a: float
+    b: float
+    route: str
+    moments: Optional[list] = None
+    rest: Optional[_Pass] = None
+    settled: Optional[list] = None
+
+
+@dataclass(slots=True)
+class _Pass:
+    """A planned lag pass: its picks, weight, omega, factor and tol, each
+    piece's share of tol, its pieces, and ``ix``, its picks' indices
+    among the integrands of its omega's GK batch, set once with the
+    batches."""
+
+    picks: list
+    weight: object
+    omega: float
+    factor: float
+    tol: float
+    piece_tol: float
+    pieces: list
+    ix: Optional[range] = None
+
+
+def _plan(s, picks, lag_pass, tol):
+    """The plan of ``lag_pass`` for ``picks`` at ``tol``: its lag range
+    cut at L and at its weight's kinks, so every piece is smooth, without
+    the pieces inside the cone, where the kernels vanish, and each piece
+    with its route (see :class:`_Piece`).  ``tol`` is split across the
+    pieces and divided by |factor|."""
+    weight, terms, omega, lo, hi, kinks, factor = lag_pass
+    L = s.report.separation
+    cuts = sorted({lo, hi} | {c for c in (L, *kinks) if lo < c < hi})
+    spans = [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if 0.5 * (a + b) > L]
+    # a pass with no piece takes no panels: the rows never make one, so
+    # none can have its weight evaluated on another pass's nodes
+    piece_tol = tol / (len(spans) or 1) / (abs(factor) or 1.0)
+    pieces, d2 = [], s.dimension is Dimension.D2p1
+    for a, b in spans:
+        route, parts = "gk-cone" if d2 and a == L else "gk", ()
+        if d2 and a != L and terms is not None and omega * (b - a) \
+                >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
+            route, parts = "steepest-descent", _oscillatory_piece(
+                s, picks, terms(a, b), a, b, 0.5 * piece_tol)
+        pieces.append(_Piece(a, b, route, *parts))
+    return _Pass(picks, weight, omega, factor, tol, piece_tol, pieces)
 
 
 def _lag_integrals(s, passes, tol):
@@ -398,156 +467,107 @@ def _lag_integrals(s, passes, tol):
     ``weight(tau)`` returns one weight array per pick, and
     ``terms(a, b)`` the weights on the lag piece [a, b] as a sum of
     exponentials, or ``terms`` is None when their phases would overflow.
-    Each pass's lag range is cut at L and at its weight's ``kinks`` so
-    every piece is smooth, and panels start a quarter period of the
-    weight's top frequency ``omega`` wide (unless the piece takes the
-    steepest-descent route below); the pieces inside the cone, where the
-    kernels vanish, are dropped.  A 2+1D piece that starts on the cone
-    carries the kernels' 1/sqrt singularity, which this route
-    substitutes away node by node: it integrates over u = sqrt(x), with
-    x = tau - L, tau = L + u^2 and weight 2u, so the rule sees a smooth
-    integrand and the kernels never see x rounded off against L.
+    ``tol`` is checked by the public entries before they pick a route.
 
-    Any other 2+1D piece that spans at least _STEEPEST_DESCENT_PERIODS
-    periods of ``omega`` takes the steepest-descent route for the pass's
-    picks, with the terms built for that piece only, when there are
-    terms: :func:`_oscillatory_piece` integrates its oscillatory groups
-    while the passes are planned, and the lag pass of its slowly varying
-    rest, which has no terms, joins the passes here, over the piece at
-    half of the piece's share of ``tol``.  A pick whose rest fails or
-    whose summed estimate misses that share (:func:`_settled`) is redone
-    on GK panels in a second round, made only when some pick is handed
-    back, and counts the evaluations of both attempts.
-
-    Every pass joins the batch of its ``omega``, and the GK panels of a
-    batch, on every piece for every pick that takes them there in a
-    round, are one :func:`quadrature._integrate_shared` call, made only
-    when some piece takes them.  Passes whose pieces coincide share
-    their panels: each weight and each kernel is
+    Each pass is planned by :func:`_plan` into pieces, each of which
+    holds its route.  Every pass, and every rest, joins the GK batch of
+    its ``omega``, and the GK panels of a batch in a round are one
+    :func:`quadrature._integrate_shared` call, made only when some piece
+    takes them: in the first round every piece off the steepest-descent
+    route, in the second each pick that route hands back.  Passes whose
+    pieces coincide share their panels: each weight and each kernel is
     evaluated once on all the batch's initial nodes, then each pick is
     refined piece by piece on its own as its results are taken, so each
-    gets the value, error and evaluation count it gets alone.  A pass of
-    another ``omega`` has panels of other widths, and a batch of its
-    own, so no weight is evaluated on another pass's nodes.  ``tol``,
-    which the public entries check before they pick a route, is split
-    across each pass's pieces and divided by its |factor|.  A pick stops
-    at the first piece it fails on: no later piece's result is taken, so
-    none is refined for it.  Its record fails with a QuadratureError
-    naming ``tol``, with no ``best``, and counts the evaluations of the
-    earlier pieces and of the failed attempt, nodes whose values were
-    not finite included.  A pass with no lag past the cone gives exact
-    zeros.  Returns one Observable per pick, pass by pass.
+    gets the value, error and evaluation count it gets alone.  A pick
+    stops at the first piece it fails on: no later piece's result is
+    taken, so none is refined for it.  Its record fails with a
+    QuadratureError naming ``tol``, with no ``best``, and counts the
+    evaluations of the earlier pieces and of the failed attempts, nodes
+    whose values were not finite included.  A pass with no lag past the
+    cone gives exact zeros.  Returns one Observable per pick, pass by
+    pass.
     """
-    dim, L = s.dimension, s.report.separation
-    # the callers' passes, then the rests' passes, each (picks, lag pass,
-    # tol).  Per pass its plan: picks, factor, omega, tol, pieces and tol
-    # per piece; per piece None for GK panels, or the route's moments and
-    # the index of its rest's pass (None without a rest), later settled
-    # into per pick a result or the evaluations spent before GK; and the
-    # indices of its picks among its batch's integrands.  A batch is
-    # (group, tols, per round {piece: integrands}), one per omega: the
-    # second round takes the same integrands on the pieces where the
-    # route hands them back
-    work = [(picks, lag_pass, tol) for picks, lag_pass in passes]
-    plan, batches = [], {}
-    for picks, (weight, terms, omega, lo, hi, kinks, factor), pass_tol \
-            in work:
-        cuts = sorted({lo, hi} | {c for c in (L, *kinks) if lo < c < hi})
-        pieces = [(a, b) for a, b in zip(cuts[:-1], cuts[1:])
-                  if 0.5 * (a + b) > L]
-        # a pass with no piece takes no panels: the rows never make one,
-        # so none can have its weight evaluated on another pass's nodes
-        piece_tol = pass_tol / (len(pieces) or 1) / (abs(factor) or 1.0)
-        group, tols, shared = batches.setdefault(omega, ([], [], ({}, {})))
-        ix = range(len(tols), len(tols) + len(picks))
-        group.append((picks, weight))
-        tols += [piece_tol] * len(picks)
-        routes = []
-        for a, b in pieces:
-            route = None
-            # only a 2+1D piece that starts on the cone is not offered
-            if terms is not None and dim is Dimension.D2p1 and a != L \
-                    and omega * (b - a) \
-                    >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
-                moments, rest = _oscillatory_piece(s, picks, terms(a, b),
-                                                   a, b)
-                if rest is not None:  # the loop takes it in turn
-                    work.append((picks, rest, 0.5 * piece_tol))
-                route = (moments, len(work) - 1 if rest else None)
-            else:
-                shared[0].setdefault((a, b), []).extend(ix)
-            routes.append(route)
-        plan.append((picks, factor, omega, pass_tol, pieces, piece_tol,
-                     routes, ix))
-    rounds = [_gk_batches(dim, L, batches, 0)]
-
-    # each route's result per pick, with its rest's records from the
-    # first round; then the second round for the picks it hands back
-    for picks, _, omega, _, pieces, piece_tol, routes, ix \
-            in plan[:len(passes)]:
-        for j, route in enumerate(routes):
-            if route:
-                moments, rest = route
-                routes[j] = [_settled(m, r, piece_tol) for m, r in zip(
-                    moments, [None] * len(picks) if rest is None
-                    else _assemble(plan[rest], rounds))]
-                for i, res in zip(ix, routes[j]):
-                    if not isinstance(res, QuadResult):  # handed back
-                        batches[omega][2][1].setdefault(
-                            pieces[j], []).append(i)
-    rounds.append(_gk_batches(dim, L, batches, 1))
-    return [obs for entry in plan[:len(passes)]
-            for obs in _assemble(entry, rounds)]
+    plan = [_plan(s, picks, lag_pass, tol) for picks, lag_pass in passes]
+    # per omega the passes of its GK batch, the callers' and then their
+    # pieces' rests, each with its picks' indices among the integrands
+    batches = {}
+    for entry in plan + [p.rest for e in plan for p in e.pieces if p.rest]:
+        group = batches.setdefault(entry.omega, [])
+        start = group[-1].ix.stop if group else 0
+        entry.ix = range(start, start + len(entry.picks))
+        group.append(entry)
+    # the first round lays out every piece off the steepest-descent route
+    # for all its pass's picks, the second each piece for the picks the
+    # route hands back there
+    rounds = [_gk_batches(s, batches, [
+        (e, p, e.ix) for group in batches.values() for e in group
+        for p in e.pieces if p.route != "steepest-descent"])]
+    for entry in plan:
+        for piece in entry.pieces:
+            if piece.route == "steepest-descent":
+                rests = _assemble(piece.rest, rounds) if piece.rest \
+                    else [None] * len(entry.picks)
+                piece.settled = [_settled(m, r, entry.piece_tol)
+                                 for m, r in zip(piece.moments, rests)]
+    rounds.append(_gk_batches(s, batches, [
+        (e, p, [i for i, res in zip(e.ix, p.settled)
+                if not isinstance(res, QuadResult)])
+        for e in plan for p in e.pieces if p.settled]))
+    return [obs for entry in plan for obs in _assemble(entry, rounds)]
 
 
-def _gk_batches(dim, L, batches, r):
-    """{omega: one result iterator per integrand} for each batch of
-    ``batches``, {omega: (group, tols, per round {piece: integrands})}:
-    its GK panels in round ``r``, in one
-    :func:`quadrature._integrate_shared` call, made only when some piece
-    takes them."""
-    out = {}
-    for omega, (group, tols, shared) in batches.items():
-        shared = shared[r]
-        if not shared:
-            continue
-        # the intervals in order of their pieces, which keeps each pick's
-        # pieces in order; those that start on the 2+1D cone come first
+def _gk_batches(s, batches, taken):
+    """{omega: one result iterator per integrand of its batch}: the GK
+    panels of ``taken``, (pass, piece, integrands) triples, one
+    :func:`quadrature._integrate_shared` call per omega of ``batches``,
+    {omega: its planned passes}, made only when some piece takes its
+    panels."""
+    L, shared, out = s.report.separation, {}, {}
+    for entry, piece, ix in taken:
+        if ix:
+            shared.setdefault(entry.omega, {}).setdefault(
+                (piece.a, piece.b, piece.route), []).extend(ix)
+    for omega, pieces in shared.items():
+        group = batches[omega]
+        # the intervals in order of their pieces, which keeps each
+        # pick's pieces in order; those that start on the cone come
+        # first, over u = sqrt(tau - L) from 0 to sqrt(b - L), where
+        # du = dx / (2u) maps an x-width W to at least
+        # W / (2 sqrt(b - L))
         width = (2.0 * math.pi / omega) / 4.0
-        intervals, n_cone = [], 0
-        for (a, b), ix in sorted(shared.items()):
-            if dim is Dimension.D2p1 and a == L:
-                u_end = math.sqrt(b - L)
-                # du = dx / (2u): an x-width W maps to at least W / (2 u_end)
-                intervals.append((0.0, u_end, width / (2.0 * u_end), ix))
-                n_cone += 1
-            else:
-                intervals.append((a, b, width, ix))
-        out[omega] = _integrate_shared(_lag_integrand(dim, L, group, n_cone),
-                                       intervals, tols)
+        intervals = [
+            (0.0, math.sqrt(b - L), width / (2.0 * math.sqrt(b - L)), ix)
+            if route == "gk-cone" else (a, b, width, ix)
+            for (a, b, route), ix in sorted(pieces.items())]
+        n_cone = sum(route == "gk-cone" for _, _, route in pieces)
+        out[omega] = _integrate_shared(
+            _lag_integrand(s.dimension, L, group, n_cone), intervals,
+            [entry.piece_tol for entry in group for _ in entry.picks])
     return out
 
 
 def _assemble(entry, rounds):
-    """The records of a pass planned as ``entry``: per pick, its pieces'
-    results, each from the settled route or, in order, from the pick's
-    GK results in ``rounds``, summed up to the first failure."""
-    picks, factor, omega, tol, pieces, _, routes, ix = entry
-    if not pieces:
-        return [_ZERO] * len(picks)
+    """The records of the pass planned as ``entry``: per pick, its
+    pieces' results, each settled on the steepest-descent route or, in
+    order, the pick's next GK result in ``rounds``, the second round's
+    when the route handed the pick back, summed up to the first
+    failure."""
+    if not entry.pieces:
+        return [_ZERO] * len(entry.picks)
     out = []
-    for n, i in enumerate(ix):
+    for n, i in enumerate(entry.ix):
         values, err, evals = [], 0.0, 0
-        for (a, b), res in zip(pieces, routes):
-            # the round of a piece on GK panels, or of a pick handed back
-            r, res = (1, res[n]) if res else (0, 0)
+        for piece in entry.pieces:
+            # on GK panels in round r, after an attempt of res evaluations
+            # when the route handed the pick back
+            r, res = (1, piece.settled[n]) if piece.settled else (0, 0)
             if not isinstance(res, QuadResult):
                 evals += res
-                res = next(rounds[r][omega][i])
+                res = next(rounds[r][entry.omega][i])
             if isinstance(res, QuadratureError):
                 exc = QuadratureError(
-                    f"tol {tol:.3e} not reached on the lag piece "
-                    f"[{a!r}, {b!r}]: {res}", res.reason,
+                    f"tol {entry.tol:.3e} not reached on the lag piece "
+                    f"[{piece.a!r}, {piece.b!r}]: {res}", res.reason,
                     evaluations=evals + res.evaluations)
                 exc.__cause__ = res
                 out.append(_failed(exc, exc.evaluations))
@@ -556,18 +576,18 @@ def _assemble(entry, rounds):
             err += res.abs_error_estimate
             evals += res.evaluations
         else:
-            out.append(Observable(
-                factor * math.fsum(values), abs(factor) * err, evals))
+            out.append(Observable(entry.factor * math.fsum(values),
+                                  abs(entry.factor) * err, evals))
     return out
 
 
 def _lag_integrand(dim, L, group, n_cone):
     """The integrand of a GK batch of lag passes: f(v, j) is, for each
-    pick of each (picks, weight) of ``group``, the pick's kernel times
-    its weight at the lags v of intervals j, each kernel evaluated once.
-    On the first ``n_cone`` intervals, which start on the cone, v is
+    pick of each planned pass of ``group``, the pick's kernel times its
+    weight at the lags v of intervals j, each kernel evaluated once.  On
+    the first ``n_cone`` intervals, which start on the cone, v is
     u = sqrt(tau - L), and the integrand carries the Jacobian 2u."""
-    kinds = {p for picks, _ in group for p in picks}
+    kinds = {p for entry in group for p in entry.picks}
 
     def f(v, j):
         if n_cone:
@@ -578,8 +598,8 @@ def _lag_integrand(dim, L, group, n_cone):
         else:
             tau, x, jac = v, v - L, 1.0
         kernel = {p: _TIMELIKE[p](dim, tau, x, L) for p in kinds}
-        return [jac * (kernel[p] * w_i) for picks, weight in group
-                for p, w_i in zip(picks, weight(tau))]
+        return [jac * (kernel[p] * w_i) for entry in group
+                for p, w_i in zip(entry.picks, entry.weight(tau))]
     return f
 
 

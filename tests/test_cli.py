@@ -846,19 +846,19 @@ class TestValidateVerb:
 
     def test_route_check_takes_gk_from_the_hand_built_integrals(self):
         # the check's detail line is what the route and GK give one
-        # integral at a time: helpers.route_by_hand, and integrate_1d of
-        # each kernel times its weight on panels a quarter period of gap
-        # 40, as the check once integrated them
+        # integral at a time on [5, 8], 21.5 periods at gap 45:
+        # helpers.route_by_hand, and integrate_1d of each kernel times
+        # its weight on panels a quarter period of gap 45
         from helpers import route_by_hand
         from qcc import greens, validation
         from qcc.quadrature import integrate_1d
 
         s = validation._demo()
-        s = replace(s, bob=replace(s.bob, gap=40.0))
+        s = replace(s, bob=replace(s.bob, gap=45.0))
         picks = (signalling._S2, signalling._HF)
         corr, terms = signalling._window_correlation(s, 8.0, picks)[:2]
         bias, bias_terms = signalling._interaction_weight(
-            replace(s, alice=replace(s.alice, gap=40.0)), 8.0)[:2]
+            replace(s, alice=replace(s.alice, gap=45.0)), 8.0)[:2]
         routed = route_by_hand(s, picks, terms(5.0, 8.0), 5.0, 8.0, 1e-10)
         routed += route_by_hand(s, picks[:1], bias_terms(5.0, 8.0), 5.0,
                                 8.0, 1e-10)
@@ -869,12 +869,13 @@ class TestValidateVerb:
         for kernel, weight, res in zip((d, f, d), weights, routed):
             ref = integrate_1d(
                 lambda t: kernel(s.dimension, t, t - 1.0, 1.0) * weight(t),
-                5.0, 8.0, 1e-10, max_panel_width=(2.0 * math.pi / 40.0) / 4)
+                5.0, 8.0, 1e-10, max_panel_width=(2.0 * math.pi / 45.0) / 4)
+            assert res.evaluations < ref.evaluations
             worst = max(worst, abs(res.value - ref.value) / (
                 res.abs_error_estimate + ref.abs_error_estimate + 1e-15))
         assert validation._check_oscillatory_route().detail == (
             f"max |route - GK| / (sum of estimates + 1e-15) = {worst:.3e} "
-            f"(need <= 1) for s2, hf_sig and hI on [5, 8] at 19 periods, "
+            f"(need <= 1) for s2, hf_sig and hI on [5, 8] at 21.5 periods, "
             f"{routed[0].evaluations} evaluations each for s2 and hf_sig, "
             f"{routed[2].evaluations} for hI")
 
