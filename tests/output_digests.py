@@ -83,10 +83,11 @@ def digests(workdir):
             for name, data in files.items()}
 
 
-def committed():
-    """The digests in ``data/output_digests.sha256``."""
+def committed(path=DIGESTS):
+    """The {name: digest} pairs of the ``sha256sum``-format file ``path``,
+    by default ``data/output_digests.sha256``."""
     pairs = (line.split("  ", 1)
-             for line in DIGESTS.read_text(encoding="ascii").splitlines())
+             for line in path.read_text(encoding="ascii").splitlines())
     return {name: digest for digest, name in pairs}
 
 

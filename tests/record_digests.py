@@ -26,7 +26,8 @@ repository:
 
     PYTHONPATH=src python tests/record_digests.py
 
-which names on stderr each family whose digest it changed or added.
+which names on stderr each family whose digest it changed, added or
+dropped.
 """
 
 import hashlib
@@ -35,6 +36,7 @@ import random
 import sys
 from pathlib import Path
 
+import output_digests
 from helpers import make_scenario
 from qcc.signalling import row_observables
 
@@ -127,9 +129,7 @@ def digests():
 
 def committed():
     """The digests in ``data/record_digests.sha256``."""
-    pairs = (line.split("  ", 1)
-             for line in DIGESTS.read_text(encoding="ascii").splitlines())
-    return {name: digest for digest, name in pairs}
+    return output_digests.committed(DIGESTS)
 
 
 if __name__ == "__main__":
@@ -138,8 +138,6 @@ if __name__ == "__main__":
     DIGESTS.write_text("".join(f"{digest}  {name}\n"
                                for name, digest in found.items()),
                        encoding="ascii")
-    for name, digest in found.items():
-        if before.get(name) != digest:
-            print(f"{'changed' if name in before else 'added'}: {name}",
-                  file=sys.stderr)
+    for line in output_digests.moved(before, found):
+        print(line, file=sys.stderr)
     print(f"wrote {len(found)} digests to {DIGESTS}", file=sys.stderr)
