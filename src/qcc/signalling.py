@@ -469,16 +469,17 @@ def _lag_integrals(s, passes, tol):
     exponentials, or ``terms`` is None when their phases would overflow.
     ``tol`` is checked by the public entries before they pick a route.
 
-    Each pass is planned by :func:`_plan` into pieces, each of which
-    holds its route.  Every pass, and every rest, joins the GK batch of
-    its ``omega``, and the GK panels of a batch in a round are one
-    :func:`quadrature._integrate_shared` call, made only when some piece
-    takes them: in the first round every piece off the steepest-descent
-    route, in the second each pick that route hands back.  Passes whose
-    pieces coincide share their panels: each weight and each kernel is
-    evaluated once on all the batch's initial nodes, then each pick is
-    refined piece by piece on its own as its results are taken, so each
-    gets the value, error and evaluation count it gets alone.  A pick
+    Each pass is planned by :func:`_plan` into :class:`_Piece` records,
+    each holding its route; the route rule is there.  Every pass, and
+    every rest, joins the GK batch of its ``omega``, and the GK panels
+    of a batch in a round are one :func:`quadrature._integrate_shared`
+    call, made only when some piece takes them: in the first round
+    every piece off the steepest-descent route, in the second each pick
+    that route hands back.  Passes whose pieces coincide share their
+    panels: each weight and each kernel is evaluated once on all the
+    batch's initial nodes, then each pick is refined piece by piece on
+    its own as its results are taken, so each gets the value, error and
+    evaluation count it gets alone.  A pick
     stops at the first piece it fails on: no later piece's result is
     taken, so none is refined for it.  Its record fails with a
     QuadratureError naming ``tol``, with no ``best``, and counts the
