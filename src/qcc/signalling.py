@@ -435,8 +435,8 @@ def _plan(s, picks, lag_pass, tol):
     pieces and divided by |factor|."""
     weight, terms, omega, lo, hi, kinks, factor = lag_pass
     L = s.report.separation
-    cuts = sorted({lo, hi} | {c for c in (L, *kinks) if lo < c < hi})
-    spans = [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if 0.5 * (a + b) > L]
+    cuts = [c for c in sorted({lo, hi, L, *kinks}) if lo <= c <= hi]
+    spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if 0.5 * (a + b) > L]
     # a pass with no piece takes no panels: the rows never make one, so
     # none can have its weight evaluated on another pass's nodes
     piece_tol = tol / (len(spans) or 1) / (abs(factor) or 1.0)
@@ -489,10 +489,12 @@ def _lag_integrals(s, passes, tol):
     pass.
     """
     plan = [_plan(s, picks, lag_pass, tol) for picks, lag_pass in passes]
+    routed = [(e, p) for e in plan for p in e.pieces
+              if p.route == "steepest-descent"]
     # per omega the passes of its GK batch, the callers' and then their
     # pieces' rests, each with its picks' indices among the integrands
     batches = {}
-    for entry in plan + [p.rest for e in plan for p in e.pieces if p.rest]:
+    for entry in plan + [p.rest for _, p in routed if p.rest]:
         group = batches.setdefault(entry.omega, [])
         start = group[-1].ix.stop if group else 0
         entry.ix = range(start, start + len(entry.picks))
@@ -503,17 +505,14 @@ def _lag_integrals(s, passes, tol):
     rounds = [_gk_batches(s, batches, [
         (e, p, e.ix) for group in batches.values() for e in group
         for p in e.pieces if p.route != "steepest-descent"])]
-    for entry in plan:
-        for piece in entry.pieces:
-            if piece.route == "steepest-descent":
-                rests = _assemble(piece.rest, rounds) if piece.rest \
-                    else [None] * len(entry.picks)
-                piece.settled = [_settled(m, r, entry.piece_tol)
-                                 for m, r in zip(piece.moments, rests)]
+    for entry, piece in routed:
+        rests = _assemble(piece.rest, rounds) if piece.rest \
+            else [None] * len(entry.picks)
+        piece.settled = [_settled(m, r, entry.piece_tol)
+                         for m, r in zip(piece.moments, rests)]
     rounds.append(_gk_batches(s, batches, [
         (e, p, [i for i, res in zip(e.ix, p.settled)
-                if not isinstance(res, QuadResult)])
-        for e in plan for p in e.pieces if p.settled]))
+                if not isinstance(res, QuadResult)]) for e, p in routed]))
     return [obs for entry in plan for obs in _assemble(entry, rounds)]
 
 
