@@ -479,14 +479,13 @@ def _lag_integrals(s, passes, tol):
     panels: each weight and each kernel is evaluated once on all the
     batch's initial nodes, then each pick is refined piece by piece on
     its own as its results are taken, so each gets the value, error and
-    evaluation count it gets alone.  A pick
-    stops at the first piece it fails on: no later piece's result is
-    taken, so none is refined for it.  Its record fails with a
-    QuadratureError naming ``tol``, with no ``best``, and counts the
-    evaluations of the earlier pieces and of the failed attempts, nodes
-    whose values were not finite included.  A pass with no lag past the
-    cone gives exact zeros.  Returns one Observable per pick, pass by
-    pass.
+    evaluation count it gets alone.  A pick stops at the first piece it
+    fails on: no later piece's result is taken, so none is refined for
+    it.  Its record fails with a QuadratureError naming ``tol``, with no
+    ``best``, and counts the evaluations of the earlier pieces and of
+    the failed attempts, nodes whose values were not finite included.  A
+    pass with no lag past the cone gives exact zeros.  Returns one
+    Observable per pick, pass by pass.
     """
     plan = [_plan(s, picks, lag_pass, tol) for picks, lag_pass in passes]
     routed = [(e, p) for e in plan for p in e.pieces
