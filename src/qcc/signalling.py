@@ -10,18 +10,19 @@ One rule, :func:`_route`, decides every route that is not quadrature,
 for s2, hf_sig and hI alike, from the range [lo, hi] of the lags
 t2 - t1 over the integral's own region, which the cone meets when
 lo <= L <= hi (:func:`qcc.scenario._classify`, the test that classifies
-the whole windows too).  There a kernel with an on-cone part is
-rejected (F in every dimension, D's delta in 3+1D), and so is hI in
-2+1D at L = 0 where its lags start at 0: D = 1/(2 pi tau) there, and
-Alice's bias does not vanish at tau = 0.  The same holds where they
+the whole windows too).  There F, whose on-cone part is unspecified, is
+rejected in every dimension, and so is D's 3+1D delta where L is lo or
+hi: a switching edge, whose convention would decide its value.  So is
+hI in 2+1D at L = 0 where its lags start at 0: D = 1/(2 pi tau) there,
+and Alice's bias does not vanish at tau = 0.  The same holds where they
 start at or before an L whose square is subnormal, where D's radicand
 underflows next to the cone.  Otherwise a region with no lag
 past the cone is an exact zero, decided there and nowhere else, and one
 whose lags pass it by less than their rounding fails with reason
-"roundoff".  1+1D D takes its closed form, a kernel that
-vanishes off the cone gives 0, and 2+1D takes the lag quadrature below.
-Every lag is >= 0: Alice switches off before Bob switches on, and hI is
-only taken inside Bob's window.
+"roundoff".  1+1D D takes its closed form, a kernel that vanishes off
+the cone gives 0, and 2+1D, and 3+1D D where lo < L < hi, take the lag
+pass below.  Every lag is >= 0: Alice switches off before Bob switches
+on, and hI is only taken inside Bob's window.
 
 In 1+1D each observable is a closed form, its only route: D is the
 constant 1/2 beyond the cone and F lives on the cone.  Each reports a
@@ -34,21 +35,23 @@ cross-correlation of the two detector sinusoids, in closed form.  Its
 kinks and the lightcone tau = L are the breakpoints of one adaptive
 quadrature in tau, which is also the 1+1D closed forms' oracle.  The
 interaction energy at a time t is the same integral with Alice's bias
-at t - tau as the weight, and the 3+1D on-cone delta reduces s2 to C at
-tau = L.  D and F are :mod:`qcc.greens`'; this module holds no closed
-form of either.  :func:`row_observables` computes a whole row, s2, the
-field energy and the interaction energy at both ends of Bob's window,
-in one lag integration.  hI's lag ranges end on s2's cuts, so its
-pieces are mostly s2's, and where the weights' top frequencies agree
-(Alice's gap at least Bob's) they share those pieces' panels.  Each
-weight and each kernel is evaluated once on the initial nodes of the
-pieces, then each integrand is refined, budget-checked and failed piece
-by piece on its own, so each gets exactly what its own public route
-returns.
+at t - tau as the weight, and the 3+1D on-cone delta reduces either to
+its weight at tau = L.  D and F are :mod:`qcc.greens`'; this module
+holds no closed form of either.  :func:`row_observables` computes a
+whole row, s2, the field energy and the interaction energy at both ends
+of Bob's window, in one lag integration.  hI's lag ranges end on s2's
+cuts, so its pieces are mostly s2's, and where the weights' top
+frequencies agree (Alice's gap at least Bob's) they share those pieces'
+panels.  Each weight and each kernel is evaluated once on the initial
+nodes of the pieces, then each integrand is refined, budget-checked and
+failed piece by piece on its own, so each gets exactly what its own
+public route returns.
 
-Each lag piece takes one of three routes, decided once where the piece
-is planned (:class:`_Piece`).  ``gk`` lays it out on GK panels a
-quarter period of its weight's top frequency wide, which costs
+Each lag piece takes one of four routes, decided once where the piece
+is planned (:class:`_Piece`).  ``delta`` is the 3+1D pass's one piece
+[L, L], c W(L) with c = -1/(4 pi L), whose error is a rounding bound,
+as the 1+1D closed forms report theirs.  ``gk`` lays a piece out on GK
+panels a quarter period of its weight's top frequency wide, which costs
 O(Om T) evaluations.  ``gk-cone``, for a 2+1D piece that starts on the
 cone where the kernels have their 1/sqrt edge, lays the same panels
 over u = sqrt(tau - L).  ``steepest-descent`` takes any other 2+1D
@@ -75,7 +78,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -99,7 +101,6 @@ __all__ = [
     "Observable",
     "BalanceResult",
     "s2_observable",
-    "s2_null_3p1",
     "interaction_energy_observable",
     "field_energy_observable",
     "row_observables",
@@ -170,13 +171,15 @@ def _window_correlation(s: Scenario, upper: float, picks):
     (K = D) or _HF (K = F): double integrals over both windows, Bob's up
     to ``upper`` (see :func:`_bob_upper`), whose kernels depend only on
     tau = t2 - t1.  It is the tuple (weight, terms, omega, lo, hi, kinks,
-    factor) that :func:`_lag_integrals` takes.  weight(tau) is C(tau) =
-    int bias_A(t1) Re(d_B e^{i Om_B (t1 + tau)}) dt1 for each pick,
+    factor, envelope) that :func:`_lag_integrals` takes.  weight(tau) is
+    C(tau) = int bias_A(t1) Re(d_B e^{i Om_B (t1 + tau)}) dt1 for each pick,
     vectorized; terms(a, b) is C on one lag piece as a sum of
     exponentials, and terms is None when their phases would overflow
     (see :func:`_phases_finite`).  omega is max(Om_A, Om_B), the lags run
     over [lo, hi] = [T_on,B - T_off,A, upper - T_on,A], C has its kinks
-    at T_on,B - T_on,A and upper - T_off,A, and factor is 4.
+    at T_on,B - T_on,A and upper - T_off,A, and factor is 4.  envelope
+    is |c_A| |c_B| (T_off,A - T_on,A), which bounds |C| before any
+    cancellation.
 
     ``_S2`` picks d_B = i c_B and ``_HF`` picks d_B = c_B, with c_B Bob's
     bias coefficient; both share every intermediate below.  t1 runs over
@@ -266,7 +269,7 @@ def _window_correlation(s: Scenario, upper: float, picks):
     times = (a_on, a_off, b_on, upper)
     return (corr, terms if _phases_finite(s, times) else None,
             max(om_a, om_b), b_on - a_off, upper - a_on,
-            (b_on - a_on, upper - a_off), 4.0)
+            (b_on - a_on, upper - a_off), 4.0, abs(c_a * c_b) * (a_off - a_on))
 
 
 def _unit(z):
@@ -286,11 +289,12 @@ def _half_sinc(kappa, w0, w1):
 def _interaction_weight(s: Scenario, t: float):
     """The lag pass of the interaction energy at time t, -4 bias_B(t)
     int bias_A(t - tau) D(tau, L) dtau: the tuple (weight, terms, omega,
-    lo, hi, kinks, factor) of :func:`_window_correlation` for its one
-    pick.  weight(tau) is Alice's bias at t - tau, and terms(a, b) writes
-    it as Re(conj(c_A e^{i Om_A t}) e^{i Om_A tau}), a single exponential
-    of amplitude 1 on every piece.  omega is Om_A, the lags run over
-    [t - T_off,A, t - T_on,A] with no kink, and factor is -4 bias_B(t).
+    lo, hi, kinks, factor, envelope) of :func:`_window_correlation` for
+    its one pick.  weight(tau) is Alice's bias at t - tau, and terms(a, b)
+    writes it as Re(conj(c_A e^{i Om_A t}) e^{i Om_A tau}), a single
+    exponential of amplitude 1 on every piece.  omega is Om_A, the lags
+    run over [t - T_off,A, t - T_on,A] with no kink, factor is -4
+    bias_B(t) and envelope |c_A|.
     """
     alice = s.alice
 
@@ -304,7 +308,8 @@ def _interaction_weight(s: Scenario, t: float):
     w = alice.window
     times = (t, w.t_on, w.t_off)
     return (weight, terms if _phases_finite(s, times) else None, alice.gap,
-            t - w.t_off, t - w.t_on, (), -4.0 * detector_bias(s.bob, t))
+            t - w.t_off, t - w.t_on, (), -4.0 * detector_bias(s.bob, t),
+            abs(_bias_coeff(alice)))
 
 
 def _phase_scale(s: Scenario, times) -> float:
@@ -332,9 +337,9 @@ def _oscillatory_piece(s, picks, terms, a, b, tol):
     in one application of the rule.  The rest form a slowly varying
     weight.  Returns, per pick, the (values, error, evaluations) of the
     groups, and the plan at ``tol`` of the rest's lag pass (rest, None,
-    top, a, b, (), 1.0), or None when there is no rest: it has no terms,
-    and panels a quarter period of the rest's top frequency, which is
-    > 0.
+    top, a, b, (), 1.0, None), or None when there is no rest: it has no
+    terms, and panels a quarter period of the rest's top frequency, which
+    is > 0.
     """
     L, n = s.report.separation, len(picks)
     groups, low = {}, []
@@ -365,7 +370,7 @@ def _oscillatory_piece(s, picks, terms, a, b, tol):
                 for i in range(n)]
 
     return moments, _plan(s, picks, (weight, None, max(
-        om for om, _, _ in low), a, b, (), 1.0), tol) if low else None
+        om for om, _, _ in low), a, b, (), 1.0, None), tol) if low else None
 
 
 def _settled(moments, rest, tol):
@@ -400,6 +405,9 @@ class _Piece:
       tol, or None.  ``settled`` is set once the rests are integrated:
       per pick :func:`_settled`'s result, a QuadResult, or the
       evaluations of an attempt handed back to GK panels on the piece.
+    - ``delta``: the 3+1D piece [L, L], D's on-cone delta, settled where
+      it is planned: per pick :func:`_delta`'s QuadResult or
+      QuadratureError.  It takes no GK panels.
     """
 
     a: float
@@ -431,24 +439,54 @@ def _plan(s, picks, lag_pass, tol):
     """The plan of ``lag_pass`` for ``picks`` at ``tol``: its lag range
     cut at L and at its weight's kinks, so every piece is smooth, without
     the pieces inside the cone, where the kernels vanish, and each piece
-    with its route (see :class:`_Piece`).  ``tol`` is split across the
-    pieces and divided by |factor|."""
-    weight, terms, omega, lo, hi, kinks, factor = lag_pass
-    L = s.report.separation
+    with its route (see :class:`_Piece`).  In 3+1D, where D beyond the
+    cone is its delta at L, the one piece is [L, L] when the lags cross
+    L.  ``tol`` is split across the pieces and divided by |factor|."""
+    weight, terms, omega, lo, hi, kinks, factor, envelope = lag_pass
+    L, d2 = s.report.separation, s.dimension is Dimension.D2p1
     cuts = [c for c in sorted({lo, hi, L, *kinks}) if lo <= c <= hi]
     spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if 0.5 * (a + b) > L]
+    if s.dimension is Dimension.D3p1:
+        spans = [(L, L)] if lo < L < hi else []
     # a pass with no piece takes no panels: the rows never make one, so
     # none can have its weight evaluated on another pass's nodes
     piece_tol = tol / (len(spans) or 1) / (abs(factor) or 1.0)
-    pieces, d2 = [], s.dimension is Dimension.D2p1
+    pieces = []
     for a, b in spans:
         route, parts = "gk-cone" if d2 and a == L else "gk", ()
-        if d2 and a != L and terms is not None and omega * (b - a) \
+        if a == b:
+            route, parts = "delta", (None, None, _delta(
+                s, len(picks), weight, envelope, piece_tol))
+        elif d2 and a != L and terms is not None and omega * (b - a) \
                 >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
             route, parts = "steepest-descent", _oscillatory_piece(
                 s, picks, terms(a, b), a, b, 0.5 * piece_tol)
         pieces.append(_Piece(a, b, route, *parts))
     return _Pass(picks, weight, omega, factor, tol, piece_tol, pieces)
+
+
+def _delta(s, n, weight, envelope, tol):
+    """For each of the ``n`` picks, int delta(tau - L) c W(tau) dtau =
+    c W(L), with c the 3+1D delta's coefficient -1/(4 pi L) and W the
+    pick's ``weight``: a QuadResult of one evaluation, or a
+    QuadratureError.  Its error is |c| times :func:`_rounding` of the
+    weight's ``envelope``, T the largest |time| of the windows.  A bound
+    above ``tol`` fails with reason "roundoff" before W is evaluated, so
+    a phase that overflows is never formed (its bound is inf, or nan
+    where the envelope is 0); a W(L) that is not finite fails with
+    reason "non-finite"."""
+    L, a, b = s.report.separation, s.alice.window, s.bob.window
+    c = greens.commutator_kernel(Dimension.D3p1, L, L).on_lightcone_delta
+    bound = abs(c) * _rounding(s, envelope, a.t_on, a.t_off, b.t_on,
+                               b.t_off)
+    if not bound <= tol:
+        return [QuadratureError(
+            f"the on-cone delta's rounding bound {bound:.3e} exceeds tol "
+            f"{tol:.3e}", "roundoff")] * n
+    return [QuadResult(c * float(w), bound, 1) if math.isfinite(c * w)
+            else QuadratureError(f"the weight at the cone is {float(w)!r}",
+                                 "non-finite", evaluations=1)
+            for w in weight(L)]
 
 
 def _lag_integrals(s, passes, tol):
@@ -462,11 +500,13 @@ def _lag_integrals(s, passes, tol):
     This is the one place that lays a lag integral out on GK panels: for
     the rows, the public entries and the validation suite alike.
     ``passes`` lists (picks, lag_pass) pairs, ``lag_pass`` the tuple
-    (weight, terms, omega, lo, hi, kinks, factor) that
+    (weight, terms, omega, lo, hi, kinks, factor, envelope) that
     :func:`_window_correlation` or :func:`_interaction_weight` builds.
     ``weight(tau)`` returns one weight array per pick, and
     ``terms(a, b)`` the weights on the lag piece [a, b] as a sum of
     exponentials, or ``terms`` is None when their phases would overflow.
+    ``envelope`` bounds |weight| before cancellation; only a 3+1D pass
+    reads it, and any other may give None.
     ``tol`` is checked by the public entries before they pick a route.
 
     Each pass is planned by :func:`_plan` into :class:`_Piece` records,
@@ -498,12 +538,12 @@ def _lag_integrals(s, passes, tol):
         start = group[-1].ix.stop if group else 0
         entry.ix = range(start, start + len(entry.picks))
         group.append(entry)
-    # the first round lays out every piece off the steepest-descent route
-    # for all its pass's picks, the second each piece for the picks the
-    # route hands back there
+    # the first round lays out every piece on a GK route for all its
+    # pass's picks, the second each piece for the picks the
+    # steepest-descent route hands back there
     rounds = [_gk_batches(s, batches, [
         (e, p, e.ix) for group in batches.values() for e in group
-        for p in e.pieces if p.route != "steepest-descent"])]
+        for p in e.pieces if p.route.startswith("gk")])]
     for entry, piece in routed:
         rests = _assemble(piece.rest, rounds) if piece.rest \
             else [None] * len(entry.picks)
@@ -547,10 +587,10 @@ def _gk_batches(s, batches, taken):
 
 def _assemble(entry, rounds):
     """The records of the pass planned as ``entry``: per pick, its
-    pieces' results, each settled on the steepest-descent route or, in
-    order, the pick's next GK result in ``rounds``, the second round's
-    when the route handed the pick back, summed up to the first
-    failure."""
+    pieces' results, each settled where the piece was planned or on the
+    steepest-descent route or, in order, the pick's next GK result in
+    ``rounds``, the second round's when the route handed the pick back,
+    summed up to the first failure."""
     if not entry.pieces:
         return [_ZERO] * len(entry.picks)
     out = []
@@ -560,7 +600,7 @@ def _assemble(entry, rounds):
             # on GK panels in round r, after an attempt of res evaluations
             # when the route handed the pick back
             r, res = (1, piece.settled[n]) if piece.settled else (0, 0)
-            if not isinstance(res, QuadResult):
+            if type(res) is int:
                 evals += res
                 res = next(rounds[r][entry.omega][i])
             if isinstance(res, QuadratureError):
@@ -706,11 +746,11 @@ def _hI_1p1(s: Scenario, t: float) -> Observable:
 
 
 # Why each pick (by index) is rejected where the cone meets its integration
-# region: D's on-cone part is the 3+1D delta, F's is unspecified in every
-# dimension.
+# region: D's on-cone part is the 3+1D delta, which an end of the lags
+# puts on a switching edge, F's is unspecified in every dimension.
 _ON_CONE_REJECTIONS = (
-    "3+1D windows touch the lightcone: the signal lives on the on-cone "
-    "delta; use s2_null_3p1 for this configuration",
+    "3+1D lags end on the lightcone: its delta lands on a switching edge, "
+    "whose convention decides its value; rejected",
     "field energy for windows touching the lightcone depends on the "
     "kernel's unspecified on-cone part; rejected",
 )
@@ -735,9 +775,11 @@ def _route(s: Scenario, pick, t2_lo: float, t2_hi: float, closed_form,
 
     Off the cone D is 1/2 in 1+1D, 0 in 3+1D and decays in 2+1D, and F
     vanishes in all three.  So a kernel with an on-cone part where the
-    cone meets the region is rejected: F in every dimension, D's delta
-    in 3+1D.  At L = 0 the 2+1D D is 1/(2 pi tau), integrable only
-    against a weight that vanishes at the lag 0.  The window correlation
+    cone meets the region is rejected: F in every dimension, and D's
+    delta in 3+1D where L is an end of the lags, lo or hi, a switching
+    edge whose convention would decide its value.  At L = 0 the 2+1D D
+    is 1/(2 pi tau), integrable only against a weight that vanishes at
+    the lag 0.  The window correlation
     of a region of positive length does at its lowest lag, but hI's
     region is one Bob time t, whose weight is Alice's bias at t - tau: hI
     is rejected too where lo = L = 0, at T_off,A.  So it is where lo <= L
@@ -752,12 +794,12 @@ def _route(s: Scenario, pick, t2_lo: float, t2_hi: float, closed_form,
     rounded end.  The rest is computed: 1+1D D takes ``closed_form()``,
     failed with reason "roundoff" when its rounding bound exceeds
     ``tol``, a kernel that vanishes off the cone gives 0, and 2+1D takes
-    the lag pass.
+    the lag pass, as does 3+1D D where lo < L < hi, for its delta.
     """
     a, L = s.alice.window, s.report.separation
     lo, hi = t2_lo - a.t_off, t2_hi - a.t_on
     if _classify(lo, hi, L) is CausalClass.LIGHTCONE_CROSSING and (
-            pick == _HF or s.dimension is Dimension.D3p1):
+            pick == _HF or s.dimension is Dimension.D3p1 and L in (lo, hi)):
         return _failed(InvalidScenarioError(_ON_CONE_REJECTIONS[pick]))
     if lo <= L and L * L < sys.float_info.min and t2_lo == t2_hi \
             and s.dimension is Dimension.D2p1:
@@ -778,9 +820,10 @@ def _route(s: Scenario, pick, t2_lo: float, t2_hi: float, closed_form,
                 f"the closed form's rounding bound {obs.quad_error:.3e} "
                 f"exceeds tol {tol:.3e}", "roundoff"))
         return obs
-    if s.dimension is not Dimension.D2p1:
-        return _ZERO
-    return None
+    # 2+1D, and 3+1D D whose lags cross its delta
+    if s.dimension is Dimension.D2p1 or lo < L and pick == _S2:
+        return None
+    return _ZERO
 
 
 def _correlations(s: Scenario, t: Optional[float], picks, tol: float):
@@ -905,38 +948,6 @@ def row_observables(s: Scenario, t: Optional[float] = None,
         _interaction(s, w.t_off if t is None else min(t, w.t_off), tol),
     ], tol)
     return s2, hi_on, hi_off, hf
-
-
-def s2_null_3p1(s: Scenario) -> float:
-    """Null-ray signalling in 3+1D: the on-cone delta collapses S2 to the
-    window correlation at lag L, i.e. to the times whose forward light ray
-    lands inside Bob's window, which is integrated in closed form.
-
-    The overall sign inherits the retarded-kernel normalization
-    convention (the magnitude does not); returns 0 with a warning when
-    the ray never connects the windows.
-    """
-    if s.dimension is not Dimension.D3p1:
-        raise InvalidScenarioError(
-            f"null-signalling op requires 3+1D, scenario is {s.dimension}"
-        )
-    report = require_valid(s)
-    L = report.separation
-    if L <= 0:
-        raise InvalidScenarioError("null-signalling op requires L > 0")
-    if report.causal_class is not CausalClass.LIGHTCONE_CROSSING:
-        warnings.warn(
-            "the null ray from Alice's window never meets Bob's window; "
-            "s2_null_3p1 is 0",
-            stacklevel=2,
-        )
-        return 0.0
-    delta_coeff = greens.commutator_kernel(
-        Dimension.D3p1, L, L).on_lightcone_delta
-    # 4 int bias_A(t1) Re(alpha_B* beta_B e^{i Om_B (t1+L)} * i * coeff):
-    # the window correlation at the lag tau = L
-    corr = _window_correlation(s, s.bob.window.t_off, [_S2])[0]
-    return 4.0 * delta_coeff * float(corr(L)[0])
 
 
 def energy_balance(s: Scenario, tol: float = DEFAULT_TOL) -> BalanceResult:

@@ -444,8 +444,8 @@ def _check_oscillatory_route():
     bias, bias_terms = signalling._interaction_weight(
         replace(s, alice=replace(s.alice, gap=45.0)), 8.0)[:2]
     routed, gk = [list(map(signalling._one, signalling._lag_integrals(s, [
-        (picks, (corr, t, 45.0, 5.0, 8.0, (), 1.0)),
-        (picks[:1], (bias, u, 45.0, 5.0, 8.0, (), 1.0))], 1e-10)))
+        (picks, (corr, t, 45.0, 5.0, 8.0, (), 1.0, None)),
+        (picks[:1], (bias, u, 45.0, 5.0, 8.0, (), 1.0, None))], 1e-10)))
         for t, u in ((terms, bias_terms), (None, None))]
     if any(r.evaluations >= g.evaluations for r, g in zip(routed, gk)):
         return False, "the route handed the piece back to GK"

@@ -204,15 +204,16 @@ def route_by_hand(s, picks, terms, a, b, tol):
 
 def lag_pass_by_hand(s, picks, lag_pass, tol, periods):
     """What the lag quadrature gives each pick of ``lag_pass``, the tuple
-    (weight, terms, omega, lo, hi, kinks, factor), on a 2+1D region whose
-    lags start past the cone, one integral at a time.  A piece that spans
-    at least ``periods`` periods of omega takes route_by_hand; any other
-    piece, and a pick the route hands back, takes integrate_1d of the
-    kernel times the pick's weight on panels a quarter period of omega.
+    (weight, terms, omega, lo, hi, kinks, factor, envelope), on a 2+1D
+    region whose lags start past the cone, one integral at a time.  A
+    piece that spans at least ``periods`` periods of omega takes
+    route_by_hand; any other piece, and a pick the route hands back,
+    takes integrate_1d of the kernel times the pick's weight on panels a
+    quarter period of omega.
     Each piece gets tol over the number of pieces and over |factor|.
     Per pick (value, quad_error, evaluations), or for a pick that fails
     on a piece (reason, evaluations, message of the piece's failure)."""
-    weight, terms, omega, lo, hi, kinks, factor = lag_pass
+    weight, terms, omega, lo, hi, kinks, factor, _ = lag_pass
     L = s.report.separation
     assert lo > L
     cuts = sorted({lo, hi} | {c for c in kinks if lo < c < hi})

@@ -32,12 +32,12 @@ from qcc.greens import (
     field_energy_kernel,
     regularized_momentum_integral,
 )
-from qcc.scenario import DetectorSpec, Dimension, Scenario
+from qcc.scenario import (ComplexAmplitudePair, DetectorSpec, Dimension,
+                          Scenario)
 from qcc.signalling import (
     energy_balance,
     field_energy_observable,
     interaction_energy_observable,
-    s2_null_3p1,
     s2_observable,
 )
 from qcc.validation import _hI_by_quadrature
@@ -231,7 +231,8 @@ def test_09_orthogonal_state_flip_negates_observables():
     """Swapping either detector state for its orthogonal complement
     negates S2, the interaction energy, and the field energy to within
     the summed quadrature errors, on 20 random scenarios per
-    dimension."""
+    dimension; in 3+1D also on a lightcone-crossing variant of each,
+    where an eigenstate Alice zeroes S2 and the interaction energy."""
     rng = np.random.default_rng(909)
 
     def check_pair(orig, flip):
@@ -256,20 +257,28 @@ def test_09_orthogonal_state_flip_negates_observables():
                            field_energy_observable(f, tol=1e-7))
             if dim == "3+1":
                 # the only nonzero 3+1D signal lives on the null ray:
-                # flip-check it on a lightcone-crossing variant too
+                # flip-check it on a lightcone-crossing variant too, with
+                # hI at a time whose lags cross L strictly inside
                 a_len = s.alice.window.duration
                 b_len = s.bob.window.duration
+                L = 0.5 * min(a_len, b_len)
                 cross = make_scenario(
-                    "3+1", L=0.5 * min(a_len, b_len),
-                    a_win=(0.0, a_len),
+                    "3+1", L=L, a_win=(0.0, a_len),
                     b_win=(a_len, a_len + b_len),
                     a_state=(s.alice.state.alpha, s.alice.state.beta),
                     b_state=(s.bob.state.alpha, s.bob.state.beta),
                     gap_a=s.alice.gap, gap_b=s.bob.gap)
-                for who in ("alice", "bob"):
-                    v = s2_null_3p1(cross)
-                    v_flip = s2_null_3p1(flipped(cross, who))
-                    assert abs(v_flip + v) <= 1e-13 * (1.0 + abs(v))
+                t_cross = a_len + 0.5 * L
+                ops = (lambda x: s2_observable(x, tol=1e-7),
+                       lambda x: interaction_energy_observable(
+                           x, t_cross, tol=1e-7))
+                for op in ops:
+                    assert op(cross).value != 0.0
+                    for who in ("alice", "bob"):
+                        check_pair(op(cross), op(flipped(cross, who)))
+                    eigen = replace(cross, alice=replace(
+                        cross.alice, state=ComplexAmplitudePair(1.0, 0.0)))
+                    assert op(eigen).value == 0.0
 
 
 def test_10_sweep_byte_determinism(tmp_path, monkeypatch, capsys):

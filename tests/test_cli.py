@@ -161,16 +161,33 @@ class TestPointVerb:
         assert calls == []
 
     def test_rejected_s2_still_fails_the_channel(self, capsys, tmp_path):
-        # a 3+1D row across the cone rejects s2 (its signal sits on the
-        # on-cone delta), so the channel layer asks for it again, and
-        # that raises
+        # Bob switching on at T_off,A + L puts the 3+1D on-cone delta on
+        # the lags' lower end, a switching edge, so s2 is rejected; the
+        # channel layer asks for it again, and that raises
+        path = tmp_path / "edge_3p1.cfg"
+        path.write_text(shipped_with("demo_3p1", {"bob.t_on": "4"}))
+        rc, out, err = run_cli(capsys, "point", str(path))
+        assert rc == 1
+        assert "rejected:s2" in out
+        assert "switching edge" in err
+
+    def test_3p1_crossing_row_takes_the_on_cone_delta(self, capsys,
+                                                       tmp_path):
+        # Bob on [3.5, 6.5]: the lags cross L = 1 strictly inside, so s2
+        # and hI_on come from the delta, hI_on = -4 bias_B(3.5) c
+        # bias_A(2.5); only hf_sig, whose on-cone part is unspecified, is
+        # rejected, and the channel takes the row's s2
         path = tmp_path / "crossing_3p1.cfg"
         path.write_text(shipped_with("demo_3p1", {"bob.t_on": "3.5",
                                                   "bob.t_off": "6.5"}))
         rc, out, err = run_cli(capsys, "point", str(path))
-        assert rc == 1
-        assert "rejected:s2" in out
-        assert "s2_null_3p1" in err
+        assert (rc, err) == (0, "")
+        assert "s2         = -0.030223658809789455\n" in out
+        assert "hI_on      = -0.035495819843645332\n" in out
+        assert "status     = rejected:hf_sig\n" in out
+        rc, out, err = run_cli(capsys, "capacity", str(path))
+        assert (rc, err) == (0, "")
+        assert stdout_floats(out)["capacity_closed"] > 0.0
 
     def test_unreachable_tolerance_exits_2(self, capsys, monkeypatch):
         # 1e-16 sits below the roundoff floor of the double integrals:
@@ -334,9 +351,15 @@ class TestSweepVerb:
         rows = [r.split(",") for r in out_path.read_text().splitlines()[1:]]
         crossing = [r for r in rows if 2.0 <= float(r[0]) <= 6.0]
         assert len(crossing) == 81
-        # hI too where its own lags reach L
-        assert all(r[-1].startswith("rejected:s2;")
-                   and r[-1].endswith(";rejected:hf_sig") for r in crossing)
+        # every crossing row rejects hf_sig.  s2 and hI take the on-cone
+        # delta, rejected only where L is an end of their own lags: s2's
+        # [2, 6], hI_on's [2, 5] and hI_off's [3, 6] (the row printed as
+        # L = 3.0000000000000004 lies just past 3)
+        edges = {2.0: "rejected:s2;rejected:hI_on;", 5.0: "rejected:hI_on;",
+                 6.0: "rejected:s2;rejected:hI_off;"}
+        assert [r[-1] for r in crossing] == [
+            edges.get(float(r[0]), "") + "rejected:hf_sig" for r in crossing]
+        assert sum(r[1] != "nan" for r in crossing) == 79
         beyond = [r for r in rows if 6.0 < float(r[0]) <= 8.0]
         assert len(beyond) == 40
         assert all(r[1:] == ["0"] * 6 + ["ok"] for r in beyond)

@@ -44,7 +44,6 @@ from qcc.signalling import (
     energy_balance,
     field_energy_observable,
     interaction_energy_observable,
-    s2_null_3p1,
     s2_observable,
 )
 from qcc.validation import _hI_by_quadrature, _s2_by_quadrature
@@ -209,10 +208,15 @@ class TestS2GenericRoutes:
         assert obs.value == 0.0
         assert obs.evaluations == 0
 
-    def test_3p1_crossing_rejected_with_null_op_hint(self):
-        s = make_scenario("3+1", b_win=(3.5, 6.5))
-        with pytest.raises(InvalidScenarioError, match="null"):
-            s2_observable(s)
+    def test_3p1_crossing_takes_the_on_cone_delta(self):
+        # demo_3p1.cfg with Bob on [3.5, 6.5]: the lags run from 0.5 to
+        # 6.5 and cross L = 1 inside, so s2 is 4 c C(1), one evaluation
+        # of the window correlation; the value is the one the null-ray
+        # closed form gave before the row path took it
+        base = load_config(str(CONFIGS / "demo_3p1.cfg")).scenario
+        obs = s2_observable(apply_sweep_parameter(base, "bob_t_on", 3.5))
+        assert (obs.value, obs.evaluations) == (-0.030223658809789455, 1)
+        assert 0.0 < obs.quad_error <= 1e-13
 
     def test_eigenstate_alice_nulls_signal(self):
         s = make_scenario("2+1", a_state=(1.0, 0.0))
@@ -540,8 +544,7 @@ class TestSharedPass:
         (demo_scenario("2+1"), 8.0, 1e-16,
          "numerical:s2;numerical:hI_on;numerical:hI_off;numerical:hf_sig",
          "roundoff"),
-        (make_scenario("3+1", L=6.0), 8.0, 1e-8,
-         "rejected:s2;rejected:hI_off;rejected:hf_sig", None),
+        (make_scenario("3+1", L=6.0), 8.0, 1e-8, "rejected:hf_sig", None),
         (make_scenario("2+1", L=6.0), 8.0, 1e-8, "rejected:hf_sig", None),
         (make_scenario("2+1", L=6.0, gap_b=1e5), 8.0, 1e-8,
          "numerical:s2;rejected:hf_sig", "budget"),
@@ -550,7 +553,7 @@ class TestSharedPass:
         (make_scenario("2+1", gap_b=-1.0), 8.0, 1e-8, "invalid-scenario",
          None),
     ], ids=["100000.0-1e-08-budget", "3.0-1e-16-roundoff",
-            "3p1-crossing-s2", "2p1-crossing-hf_sig",
+            "3p1-crossing-hf_sig", "2p1-crossing-hf_sig",
             "2p1-crossing-bob-gap1e5",
             "before-bob-switch-on", "invalid-scenario"])
     def test_failing_rows(self, s, t, tol, status, reason, monkeypatch):
@@ -607,7 +610,7 @@ def test_failed_pick_is_not_integrated_on_later_pieces(monkeypatch):
     # alone on [5, 8], the kink is refined
     calls.clear()
     lag_pass = (lambda tau: [np.ones_like(tau)], None, 3.0, 5.0, 8.0, (),
-                1.0)
+                1.0, None)
     (alone,) = signalling._lag_integrals(
         s, [([signalling._HF], lag_pass)], 1e-8)
     assert alone.evaluations > 90 and len(calls) > 1
@@ -1086,12 +1089,16 @@ class TestInteractionEnergy:
         assert abs(obs.value + 4.0 * bob * inner.value) <= (
             obs.quad_error + 4.0 * abs(bob) * inner.abs_error_estimate)
 
-    def test_3p1_ray_inside_alice_window_rejected(self):
+    def test_3p1_ray_inside_alice_window_takes_the_delta(self):
         # t - L falling inside Alice's window puts the evaluation point
-        # on the lightcone delta, which has no off-cone value to report
+        # on the lightcone delta: hI(t) = -4 bias_B(t) c bias_A(t - L)
         s = make_scenario("3+1", b_win=(3.2, 6.2))
-        with pytest.raises(InvalidScenarioError):
-            interaction_energy_observable(s, 3.5)
+        obs = interaction_energy_observable(s, 3.5)
+        c = -1.0 / (4.0 * math.pi)
+        want = -4.0 * detector_bias(s.bob, 3.5) * c \
+            * detector_bias(s.alice, 2.5)
+        assert abs(obs.value - want) <= obs.quad_error
+        assert obs.evaluations == 1 and want != 0.0
         # but away from the ray the 3+1D interaction term is exactly 0
         assert interaction_energy_observable(s, 5.0).value == 0.0
 
@@ -1100,16 +1107,41 @@ class TestRouteRule:
     """One rule picks every route but the lag pass, for s2, hf_sig and
     hI alike."""
 
-    def test_3p1_rejections_share_the_null_op_hint(self):
-        s = make_scenario("3+1", b_win=(3.2, 6.2))
+    def test_3p1_rejections_share_the_switching_edge_message(self):
+        # Bob switches on at T_off,A + L, so s2's lags start on the cone,
+        # and hI at 4 = T_off,A + L sees it at Alice's switch-off
+        s = make_scenario("3+1", b_win=(4.0, 7.0))
         messages = []
         for route in (lambda: s2_observable(s),
-                      lambda: interaction_energy_observable(s, 3.5)):
+                      lambda: interaction_energy_observable(s, 4.0)):
             with pytest.raises(InvalidScenarioError,
-                               match="s2_null_3p1") as excinfo:
+                               match="switching edge") as excinfo:
                 route()
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
+        assert "s2_null" not in messages[0]
+
+    # Alice's window is [0, 3]; s2's lags run over [T_on,B - 3, t] and
+    # hI's at t over [t - 3, t]
+    @pytest.mark.parametrize("L,b_win,t,label", [
+        (1.0, (4.0, 7.0), 7.0, "s2"),   # L = lo: T_on,B = T_off,A + L
+        (7.0, (5.0, 8.0), 7.0, "s2"),   # L = hi: t = T_on,A + L
+        (1.0, (3.5, 6.5), 4.0, "hI"),   # t - L = T_off,A
+        (4.0, (3.0, 6.0), 4.0, "hI"),   # t - L = T_on,A
+    ], ids=["s2-L-at-lo", "s2-L-at-hi", "hI-at-alice-off", "hI-at-alice-on"])
+    def test_3p1_delta_on_a_switching_edge_is_rejected(self, L, b_win, t,
+                                                       label):
+        # the delta lands on an end of the lags, where its value depends
+        # on the edge convention: rejected unspent, as hf_sig is
+        s = make_scenario("3+1", L=L, b_win=b_win)
+        s2, _, hi_off, hf = signalling.row_observables(s, t, 1e-8)
+        obs = s2 if label == "s2" else hi_off
+        lo = (b_win[0] if label == "s2" else t) - 3.0
+        assert L in (lo, t) and lo < t
+        assert isinstance(obs.failure, InvalidScenarioError)
+        assert "switching edge" in str(obs.failure)
+        assert obs.evaluations == 0
+        assert isinstance(hf.failure, InvalidScenarioError)
 
     def test_1p1_bound_past_tol_is_roundoff(self):
         s = demo_scenario("1+1")
@@ -1219,7 +1251,7 @@ class TestRouteRule:
         s2, _, _, hf = signalling.row_observables(
             make_scenario(dim, L=6.0), 8.0, 1e-8)
         assert isinstance(hf.failure, InvalidScenarioError)
-        assert isinstance(s2.failure, InvalidScenarioError) == (dim == "3+1")
+        assert s2.failure is None
 
 
 class TestFieldEnergy:
@@ -1393,6 +1425,9 @@ class TestRandomScenarioProperties:
 
 
 class TestNull3p1:
+    """The 3+1D signal rides the null ray: the row path's on-cone delta
+    against values derived by hand."""
+
     def test_crossing_value_matches_antiderivative(self):
         # Alice [0,3], Bob [3,6.5], L=1: the null ray t1 + L meets Bob's
         # window for t1 in [2,3].  With the standard detector states the
@@ -1405,23 +1440,20 @@ class TestNull3p1:
             math.cos(3.0) * (hi - lo)
             - (math.sin(6.0 * hi + 3.0) - math.sin(6.0 * lo + 3.0)) / 6.0
         )
-        assert s2_null_3p1(s) == pytest.approx(exact, rel=1e-10, abs=0.0)
-
-    def test_timelike_warns_and_returns_zero(self):
-        with pytest.warns(UserWarning, match="never meets"):
-            assert s2_null_3p1(demo_scenario("3+1", t1=5.0)) == 0.0
+        obs = s2_observable(s)
+        assert obs.value == pytest.approx(exact, rel=1e-10, abs=0.0)
+        assert abs(obs.value - exact) <= obs.quad_error + 1e-16
 
     def test_eigenstate_zero(self):
         s = make_scenario("3+1", b_win=(3.0, 6.5), a_state=(1.0, 0.0))
-        assert abs(s2_null_3p1(s)) < 1e-15
-
-    def test_wrong_dimension_rejected(self):
-        with pytest.raises(InvalidScenarioError):
-            s2_null_3p1(make_scenario("2+1", b_win=(3.0, 6.5)))
+        s2, hi_on, hi_off, _ = signalling.row_observables(s)
+        assert (s2.value, hi_on.value) == (0.0, 0.0)
+        assert hi_off == signalling.Observable(0.0, 0.0, 0)
 
     def test_coincident_detectors_rejected(self):
-        with pytest.raises(InvalidScenarioError, match="requires L > 0"):
-            s2_null_3p1(make_scenario("3+1", L=0.0, b_win=(3.0, 6.5)))
+        # at L = 0 the lags start on the cone, Alice's switch-off
+        with pytest.raises(InvalidScenarioError, match="switching edge"):
+            s2_observable(make_scenario("3+1", L=0.0, b_win=(3.0, 6.5)))
 
 
 def _row(s, tol=1e-8):
