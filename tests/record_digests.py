@@ -17,7 +17,11 @@ evaluations, and its failure's type, reason and message.  The families:
   lag pieces take the cone substitution, the steepest-descent route with
   a rest, and plain GK panels;
 - ``hand-back-L1.99``: the demo at L = 1.99 and Bob's gap 100, where the
-  route hands hf_sig back on the piece next to the cone.
+  route hands hf_sig back on the piece next to the cone;
+- ``3p1-crossing``: random 3+1D rows whose windows, starting anywhere
+  up to 1e5, cross the cone, each at every tol of TOLS and at Bob's
+  switch-off time and mid-window: s2 and hI on the on-cone delta, or
+  rejected where it lands on a switching edge.
 
 ``data/record_digests.sha256`` holds one ``<digest>  <family>`` line per
 family; ``test_record_digests.py`` recomputes them in process.  A change
@@ -70,6 +74,28 @@ def _random_rows(dim, seed, n):
                 yield s, t, tol
 
 
+def _crossing_3p1(seed, n):
+    """n random 3+1D scenarios whose windows cross the cone, with L
+    uniform between the ends of their lags and the windows shifted by
+    up to 1e5, each at every tol of TOLS and at Bob's switch-off time
+    and mid-window."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        t0 = 10.0 ** rng.uniform(-1.0, 5.0)
+        a_on = t0 + rng.uniform(0.0, 5.0)
+        a_off = a_on + rng.uniform(0.1, 6.0)
+        b_on = a_off + rng.uniform(0.0, 4.0)
+        b_off = b_on + rng.uniform(0.1, 6.0)
+        s = make_scenario(
+            "3+1", L=rng.uniform(b_on - a_off, b_off - a_on),
+            a_win=(a_on, a_off), b_win=(b_on, b_off), a_state=_state(rng),
+            b_state=_state(rng), gap_a=rng.uniform(0.2, 60.0),
+            gap_b=rng.uniform(0.2, 60.0))
+        for tol in TOLS:
+            for t in (b_off, 0.5 * (b_on + b_off)):
+                yield s, t, tol
+
+
 def _log_grid(lo, hi, n):
     return [lo * (hi / lo) ** (k / (n - 1)) for k in range(n)]
 
@@ -102,6 +128,7 @@ FAMILIES = {
                              None, 1e-8)],
     "hand-back-L1.99": lambda: [(make_scenario("2+1", L=1.99, gap_b=100.0),
                                  None, 1e-8)],
+    "3p1-crossing": lambda: _crossing_3p1(3, 100),
 }
 
 
