@@ -54,8 +54,10 @@ as the 1+1D closed forms report theirs.  ``gk`` lays a piece out on GK
 panels a quarter period of its weight's top frequency wide, which costs
 O(Om T) evaluations.  ``gk-cone``, for a 2+1D piece that starts on the
 cone where the kernels have their 1/sqrt edge, lays the same panels
-over u = sqrt(tau - L).  ``steepest-descent`` takes any other 2+1D
-piece that spans at least _STEEPEST_DESCENT_PERIODS periods: on a
+over u = sqrt(tau - L).  Where a cone piece past its first two periods
+spans _STEEPEST_DESCENT_PERIODS, that rest is a piece of its own, so the
+cone costs no more as Om T grows.  ``steepest-descent`` takes any other
+2+1D piece that spans at least _STEEPEST_DESCENT_PERIODS periods: on a
 piece the weight is exactly a finite sum of exponentials
 sum_j P_j(tau) e^{i om_j tau}, and the kernels continue analytically
 into the upper half-plane, so each high-frequency group of terms is
@@ -397,6 +399,9 @@ class _Piece:
       kernels have their 1/sqrt edge.  Its panels lie over u = sqrt(x),
       with x = tau - L, tau = L + u^2 and weight 2u, so the rule sees a
       smooth integrand and the kernels never see x rounded off against L.
+      It ends two periods of omega past L when the pass has terms and
+      the rest of the piece spans _STEEPEST_DESCENT_PERIODS; that rest
+      is a piece of its own.
     - ``steepest-descent``: any other 2+1D piece that spans at least
       _STEEPEST_DESCENT_PERIODS periods of omega, when the pass has
       terms.  ``moments`` are its picks' groups by
@@ -448,6 +453,14 @@ def _plan(s, picks, lag_pass, tol):
     spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if 0.5 * (a + b) > L]
     if s.dimension is Dimension.D3p1:
         spans = [(L, L)] if lo < L < hi else []
+    # a 2+1D piece on the cone, where GK costs O(Om T), keeps two periods
+    # of omega there, and past them a piece of its own that spans the
+    # steepest-descent threshold is offered to that route
+    head = L + 4.0 * math.pi / omega
+    if d2 and terms is not None and spans and spans[0][0] == L \
+            and omega * (spans[0][1] - head) \
+            >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
+        spans[:1] = [(L, head), (head, spans[0][1])]
     # a pass with no piece takes no panels: the rows never make one, so
     # none can have its weight evaluated on another pass's nodes
     piece_tol = tol / (len(spans) or 1) / (abs(factor) or 1.0)

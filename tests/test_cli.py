@@ -481,19 +481,24 @@ class TestCapacityVerb:
         assert v["capacity_closed"] / base["capacity_closed"] \
             == pytest.approx(4.0 * (0.25 / 0.21) / 1.0, rel=5e-2, abs=0.0)
 
-    def test_numerical_failure_exits_2(self, capsys, tmp_path):
+    def test_crossing_row_at_bob_gap_1e5_exits_0(self, capsys, tmp_path):
         # Bob 6 away puts the cone inside his window; at gap 1e5 the lag
-        # piece that ends on the cone stays on GK panels, whose initial
-        # panelling alone exceeds the budget
+        # piece that starts on the cone keeps two periods on the cone
+        # route and takes the steepest-descent route past them, so the
+        # row finishes, with only hf_sig rejected, and the channel reads
+        # its s2
         text = Path(DEMO_CFG).read_text()
         crossing = text.replace("bob.position = 1, 0", "bob.position = 6, 0")
         crossing = crossing.replace("bob.gap = 3\n", "bob.gap = 1e5\n")
         assert "6, 0" in crossing and "1e5" in crossing
         path = tmp_path / "crossing_gap_2p1.cfg"
         path.write_text(crossing)
+        rc, out, err = run_cli(capsys, "point", str(path))
+        assert (rc, err) == (0, "")
+        assert "status     = rejected:hf_sig\n" in out
         rc, out, err = run_cli(capsys, "capacity", str(path))
-        assert (rc, out) == (2, "")
-        assert err.startswith("qcc: numerical failure: budget: ")
+        assert (rc, err) == (0, "")
+        assert stdout_floats(out)["capacity_closed"] > 0.0
 
     def test_huge_coupling_without_signal_exits_0(self, capsys, tmp_path):
         # spacelike windows give S2 = 0, so p = q at any coupling
