@@ -901,8 +901,8 @@ def s2_observable(
     * i D(t2 - t1, L)), per lambda_A lambda_B, with t2 running over Bob's
     window up to ``t`` (default: his switch-off time); returned with its
     error estimate and evaluation count.  1+1D takes its closed form
-    (see :func:`_s2_1p1`), 3+1D its zero off the cone (Huygens), and
-    2+1D the lag quadrature.  A ``tol`` that is not finite and positive
+    (see :func:`_s2_1p1`), 3+1D its zero off the cone (Huygens) and its
+    on-cone delta across it, and 2+1D the lag quadrature.  A ``tol`` that is not finite and positive
     raises ValueError, in every dimension.
     """
     return _one(_records(s, [_correlations(s, t, [_S2], tol)], tol)[0][0])
@@ -916,10 +916,11 @@ def interaction_energy_observable(
     Equals -4 Re(alpha_B* beta_B e^{i Omega_B t}) K(t) with
     K(t) = int bias_A(t1) D(t - t1, L) dt1, per lambda_A lambda_B, with
     error bookkeeping.  1+1D takes its closed form (see :func:`_hI_1p1`),
-    3+1D is 0 off the cone, and 2+1D takes the lag quadrature; the
-    integral's lags t - t1 run over [t - T_off,A, t - T_on,A].  A bad
-    ``tol`` (not finite and positive), scenario or ``t`` raises
-    ValueError, in every dimension; with a bad ``tol``, it is tol's.
+    3+1D is 0 off the cone and its on-cone delta across it, and 2+1D
+    takes the lag quadrature; the integral's lags t - t1 run over
+    [t - T_off,A, t - T_on,A].  A bad ``tol`` (not finite and positive),
+    scenario or ``t`` raises ValueError, in every dimension; with a bad
+    ``tol``, it is tol's.
     """
     return _one(_records(s, [_interaction(s, t, tol)], tol)[0][0])
 

@@ -8,6 +8,7 @@ code path.
 
 import cmath
 import math
+import random
 import sys
 from dataclasses import replace
 from decimal import Decimal
@@ -1063,6 +1064,73 @@ def test_1p1_rows_against_references(s, refs):
         assert isinstance(hf.failure, InvalidScenarioError)
 
 
+def _crossing_3p1_rows(seed=37, n=20):
+    """n random 3+1D scenarios whose lags cross the cone, drawn from
+    random.Random (whose stream Python keeps fixed): Alice's window
+    starts anywhere from 1 to 1e5, and L is uniform between the ends of
+    s2's lags."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        a_on = 10.0 ** rng.uniform(0.0, 5.0)
+        a_off = a_on + rng.uniform(0.5, 6.0)
+        b_on = a_off + rng.uniform(0.0, 4.0)
+        b_off = b_on + rng.uniform(0.5, 6.0)
+        z = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+             for _ in range(4)]
+        states = [(z[k] / math.hypot(abs(z[k]), abs(z[k + 1])),
+                   z[k + 1] / math.hypot(abs(z[k]), abs(z[k + 1])))
+                  for k in (0, 2)]
+        yield make_scenario(
+            "3+1", L=rng.uniform(b_on - a_off, b_off - a_on),
+            a_win=(a_on, a_off), b_win=(b_on, b_off), a_state=states[0],
+            b_state=states[1], gap_a=rng.uniform(0.2, 20.0),
+            gap_b=rng.uniform(0.2, 20.0))
+
+
+# (s2, hI_on, hI_off) of each _crossing_3p1_rows() row, computed by hand
+# with mpmath 1.3.0 at 50 digits from the float inputs: s2 = 4 c C(L),
+# with c = -1/(4 pi L) and the window correlation C(L) integrated in
+# closed form and by tanh-sinh, which agree to 35 digits, and hI(t) =
+# -4 bias_B(t) c bias_A(t - L) where t - L lies inside Alice's window,
+# else 0.  Printed to 30 digits.
+_CROSSING_3P1_REFS = [
+    ("-0.000205671364452049459239183534163", "0", "0"),
+    ("-0.000136909531601780339504998852547", "0", "0.00217719170045500604419645480721"),
+    ("-0.000290517419898109909012758750838", "0", "-0.00218200457602157906902098228376"),
+    ("-7.4997341717783105731755520751e-5", "0.00473076986719850135606711772956", "0"),
+    ("-0.00278747955900524114347605577491", "0", "0"),
+    ("0.000378060738972679544405248847365", "0.0111948541506644445497105409991", "0"),
+    ("7.51981905103558114211203224542e-6", "0.000299033796661528648494573630337", "0"),
+    ("-0.000120416940923541751578565449175", "0", "0"),
+    ("-0.0146113074202761237370429114776", "0.0103564186379032294499073805521", "0"),
+    ("-7.6495742377402196278481383763e-5", "-0.00926840145690770356207366764348", "0"),
+    ("0.00381067045152265764244237623242", "0", "0.00112831939343236907129143840493"),
+    ("0.000923090822526032713502645977053", "-0.0065484083188637852246351457379", "-0.00510626200985305930875950560812"),
+    ("-6.63057514788805301583641997927e-5", "0", "0.000636720894843566631048136834493"),
+    ("0.00133834974542037758496747091031", "0", "0"),
+    ("-0.000331100228891816140329685297647", "0", "-0.000726447813466369234099762996714"),
+    ("-0.00474100591328044769853572992333", "-0.0310772241920804729300633252569", "0"),
+    ("0.00480003807799092380697324500079", "0", "0.00288168243708489880035891509226"),
+    ("-5.90931039152178150710476860554e-5", "0", "-0.00533455614166367932935751885246"),
+    ("-1.3471806128402210763182481001e-5", "0", "-0.00357058136709173947308892011213"),
+    ("0.000914560449255172201224295184007", "0", "0.000640218782651965763393600768822"),
+]
+
+
+@pytest.mark.parametrize("s,refs", zip(_crossing_3p1_rows(),
+                                       _CROSSING_3P1_REFS))
+def test_3p1_crossing_rows_against_references(s, refs):
+    # the on-cone delta's rounding bound covers its error, with windows
+    # up to 1e5 from the origin
+    assert s.report.causal_class is CausalClass.LIGHTCONE_CROSSING
+    eps = Decimal(2.0 ** -52)
+    for obs, ref in zip(signalling.row_observables(s, None, 1e-8),
+                        map(Decimal, refs)):
+        assert obs.failure is None
+        assert abs(Decimal(obs.value) - ref) \
+            <= Decimal(obs.quad_error) + 4 * eps * abs(ref)
+
+
 def test_1p1_rows_never_reach_the_lag_quadrature(monkeypatch):
     def lag(*args):
         raise AssertionError("a 1+1D row reached the lag quadrature")
@@ -1227,6 +1295,33 @@ class TestRouteRule:
             assert excinfo.value.reason == "roundoff"
             assert f"bound {obs.quad_error:.3e} exceeds tol" \
                 in str(excinfo.value)
+
+    def test_3p1_delta_bound_past_tol_is_roundoff(self):
+        # the on-cone delta reports a rounding bound, as the 1+1D closed
+        # forms do, and fails before its weight is evaluated
+        s = make_scenario("3+1", b_win=(3.5, 6.5))
+        for route in (lambda tol: s2_observable(s, None, tol),
+                      lambda tol: interaction_energy_observable(s, 3.5, tol)):
+            obs = route(1e-8)
+            assert 1e-16 < obs.quad_error <= 1e-8
+            with pytest.raises(QuadratureError) as excinfo:
+                route(1e-16)
+            assert excinfo.value.reason == "roundoff"
+            assert excinfo.value.evaluations == 0
+            assert "on the lag piece [1.0, 1.0]: the on-cone delta's " \
+                "rounding bound" in str(excinfo.value)
+
+    def test_3p1_delta_of_a_non_finite_weight_fails(self, monkeypatch):
+        window = signalling._window_correlation
+
+        def nan_weight(*args):
+            _, *rest = window(*args)
+            return (lambda tau: [math.nan], *rest)
+
+        monkeypatch.setattr(signalling, "_window_correlation", nan_weight)
+        s2 = signalling.row_observables(
+            make_scenario("3+1", b_win=(3.5, 6.5)), None, 1e-8)[0]
+        assert (s2.failure.reason, s2.evaluations) == ("non-finite", 1)
 
     @pytest.mark.parametrize("dim,reason", [("1+1", "roundoff"),
                                             ("2+1", "budget")])
