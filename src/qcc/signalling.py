@@ -792,10 +792,10 @@ def _route(s: Scenario, pick, t2_lo: float, t2_hi: float, closed_form,
     delta in 3+1D where L is an end of the lags, lo or hi, a switching
     edge whose convention would decide its value.  At L = 0 the 2+1D D
     is 1/(2 pi tau), integrable only against a weight that vanishes at
-    the lag 0.  The window correlation
-    of a region of positive length does at its lowest lag, but hI's
-    region is one Bob time t, whose weight is Alice's bias at t - tau: hI
-    is rejected too where lo = L = 0, at T_off,A.  So it is where lo <= L
+    the lag 0.  The window correlation of a region of positive length
+    does at its lowest lag, but hI's region is one Bob time t, whose
+    weight is Alice's bias at t - tau: hI is rejected too where
+    lo = L = 0, at T_off,A.  So it is where lo <= L
     and L^2 is below the smallest normal float: the integral, about
     ln(1/L), is finite there, but near the cone D's radicand x (tau +
     L), about u^2 (u^2 + 2L) in the cone substitution tau = L + u^2,
@@ -902,8 +902,8 @@ def s2_observable(
     window up to ``t`` (default: his switch-off time); returned with its
     error estimate and evaluation count.  1+1D takes its closed form
     (see :func:`_s2_1p1`), 3+1D its zero off the cone (Huygens) and its
-    on-cone delta across it, and 2+1D the lag quadrature.  A ``tol`` that is not finite and positive
-    raises ValueError, in every dimension.
+    on-cone delta across it, and 2+1D the lag quadrature.  A ``tol`` that
+    is not finite and positive raises ValueError, in every dimension.
     """
     return _one(_records(s, [_correlations(s, t, [_S2], tol)], tol)[0][0])
 

@@ -18,10 +18,10 @@ evaluations, and its failure's type, reason and message.  The families:
   a rest, and plain GK panels;
 - ``hand-back-L1.99``: the demo at L = 1.99 and Bob's gap 100, where the
   route hands hf_sig back on the piece next to the cone;
-- ``3p1-crossing``: random 3+1D rows whose windows, starting anywhere
-  up to 1e5, cross the cone, each at every tol of TOLS and at Bob's
-  switch-off time and mid-window: s2 and hI on the on-cone delta, or
-  rejected where it lands on a switching edge.
+- ``3p1-crossing``: random 3+1D rows whose lags cross the cone, with
+  windows starting anywhere from 1 to 1e5 (``crossing_3p1``), each at
+  every tol of TOLS and at Bob's switch-off time and mid-window: s2 and
+  hI on the on-cone delta.
 
 ``data/record_digests.sha256`` holds one ``<digest>  <family>`` line per
 family; ``test_record_digests.py`` recomputes them in process.  A change
@@ -54,46 +54,48 @@ def _state(rng):
     return z[0] / norm, z[1] / norm
 
 
+def _at_tols_and_times(scenarios):
+    """Each of ``scenarios`` at every tol of TOLS, at Bob's switch-off
+    time and mid-window."""
+    for s in scenarios:
+        w = s.bob.window
+        for tol in TOLS:
+            for t in (w.t_off, 0.5 * (w.t_on + w.t_off)):
+                yield s, t, tol
+
+
 def _random_rows(dim, seed, n):
     """n random scenarios of every causal class, as helpers.
-    random_scenario draws them, each at every tol of TOLS and at Bob's
-    switch-off time and mid-window."""
+    random_scenario draws them."""
     rng = random.Random(seed)
     for _ in range(n):
         a_on = rng.uniform(0.0, 5.0)
         a_off = a_on + rng.uniform(0.1, 6.0)
         b_on = a_off + rng.uniform(0.0, 4.0)
         b_off = b_on + rng.uniform(0.1, 6.0)
-        s = make_scenario(
+        yield make_scenario(
             dim, L=rng.uniform(0.0, b_off - a_on + 1.0),
             a_win=(a_on, a_off), b_win=(b_on, b_off), a_state=_state(rng),
             b_state=_state(rng), gap_a=rng.uniform(0.2, 60.0),
             gap_b=rng.uniform(0.2, 60.0))
-        for tol in TOLS:
-            for t in (b_off, 0.5 * (b_on + b_off)):
-                yield s, t, tol
 
 
-def _crossing_3p1(seed, n):
-    """n random 3+1D scenarios whose windows cross the cone, with L
-    uniform between the ends of their lags and the windows shifted by
-    up to 1e5, each at every tol of TOLS and at Bob's switch-off time
-    and mid-window."""
+def crossing_3p1(seed, n):
+    """n random 3+1D scenarios whose lags cross the cone, drawn from
+    random.Random: Alice's window starts anywhere from 1 to 1e5, and L
+    is uniform between the ends of s2's lags."""
     rng = random.Random(seed)
     for _ in range(n):
-        t0 = 10.0 ** rng.uniform(-1.0, 5.0)
-        a_on = t0 + rng.uniform(0.0, 5.0)
-        a_off = a_on + rng.uniform(0.1, 6.0)
+        a_on = 10.0 ** rng.uniform(0.0, 5.0)
+        a_off = a_on + rng.uniform(0.5, 6.0)
         b_on = a_off + rng.uniform(0.0, 4.0)
-        b_off = b_on + rng.uniform(0.1, 6.0)
-        s = make_scenario(
+        b_off = b_on + rng.uniform(0.5, 6.0)
+        a_state, b_state = _state(rng), _state(rng)
+        yield make_scenario(
             "3+1", L=rng.uniform(b_on - a_off, b_off - a_on),
-            a_win=(a_on, a_off), b_win=(b_on, b_off), a_state=_state(rng),
-            b_state=_state(rng), gap_a=rng.uniform(0.2, 60.0),
-            gap_b=rng.uniform(0.2, 60.0))
-        for tol in TOLS:
-            for t in (b_off, 0.5 * (b_on + b_off)):
-                yield s, t, tol
+            a_win=(a_on, a_off), b_win=(b_on, b_off), a_state=a_state,
+            b_state=b_state, gap_a=rng.uniform(0.2, 20.0),
+            gap_b=rng.uniform(0.2, 20.0))
 
 
 def _log_grid(lo, hi, n):
@@ -119,8 +121,8 @@ def _high_gap_low_tol():
 
 
 FAMILIES = {
-    "random-1p1": lambda: _random_rows("1+1", 1, 200),
-    "random-2p1": lambda: _random_rows("2+1", 2, 200),
+    "random-1p1": lambda: _at_tols_and_times(_random_rows("1+1", 1, 200)),
+    "random-2p1": lambda: _at_tols_and_times(_random_rows("2+1", 2, 200)),
     "demo-gaps": _demo_gaps,
     "bob-windows": _bob_windows,
     "high-gap-low-tol": _high_gap_low_tol,
@@ -128,7 +130,7 @@ FAMILIES = {
                              None, 1e-8)],
     "hand-back-L1.99": lambda: [(make_scenario("2+1", L=1.99, gap_b=100.0),
                                  None, 1e-8)],
-    "3p1-crossing": lambda: _crossing_3p1(3, 100),
+    "3p1-crossing": lambda: _at_tols_and_times(crossing_3p1(3, 100)),
 }
 
 

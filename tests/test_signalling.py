@@ -8,7 +8,6 @@ code path.
 
 import cmath
 import math
-import random
 import sys
 from dataclasses import replace
 from decimal import Decimal
@@ -28,6 +27,7 @@ from helpers import (
     route_by_hand,
     s2_via_2d_quadrature,
 )
+from record_digests import crossing_3p1
 from qcc import greens, signalling
 from qcc.channel import channel_stats
 from qcc.cli import SweepSpec, apply_sweep_parameter, compute_row
@@ -1064,30 +1064,7 @@ def test_1p1_rows_against_references(s, refs):
         assert isinstance(hf.failure, InvalidScenarioError)
 
 
-def _crossing_3p1_rows(seed=37, n=20):
-    """n random 3+1D scenarios whose lags cross the cone, drawn from
-    random.Random (whose stream Python keeps fixed): Alice's window
-    starts anywhere from 1 to 1e5, and L is uniform between the ends of
-    s2's lags."""
-    rng = random.Random(seed)
-    for _ in range(n):
-        a_on = 10.0 ** rng.uniform(0.0, 5.0)
-        a_off = a_on + rng.uniform(0.5, 6.0)
-        b_on = a_off + rng.uniform(0.0, 4.0)
-        b_off = b_on + rng.uniform(0.5, 6.0)
-        z = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-             for _ in range(4)]
-        states = [(z[k] / math.hypot(abs(z[k]), abs(z[k + 1])),
-                   z[k + 1] / math.hypot(abs(z[k]), abs(z[k + 1])))
-                  for k in (0, 2)]
-        yield make_scenario(
-            "3+1", L=rng.uniform(b_on - a_off, b_off - a_on),
-            a_win=(a_on, a_off), b_win=(b_on, b_off), a_state=states[0],
-            b_state=states[1], gap_a=rng.uniform(0.2, 20.0),
-            gap_b=rng.uniform(0.2, 20.0))
-
-
-# (s2, hI_on, hI_off) of each _crossing_3p1_rows() row, computed by hand
+# (s2, hI_on, hI_off) of each crossing_3p1(37, 20) row, computed by hand
 # with mpmath 1.3.0 at 50 digits from the float inputs: s2 = 4 c C(L),
 # with c = -1/(4 pi L) and the window correlation C(L) integrated in
 # closed form and by tanh-sinh, which agree to 35 digits, and hI(t) =
@@ -1117,7 +1094,7 @@ _CROSSING_3P1_REFS = [
 ]
 
 
-@pytest.mark.parametrize("s,refs", zip(_crossing_3p1_rows(),
+@pytest.mark.parametrize("s,refs", zip(crossing_3p1(37, 20),
                                        _CROSSING_3P1_REFS))
 def test_3p1_crossing_rows_against_references(s, refs):
     # the on-cone delta's rounding bound covers its error, with windows
@@ -1129,6 +1106,18 @@ def test_3p1_crossing_rows_against_references(s, refs):
         assert obs.failure is None
         assert abs(Decimal(obs.value) - ref) \
             <= Decimal(obs.quad_error) + 4 * eps * abs(ref)
+
+
+def test_3p1_rows_never_reach_gk_panels(monkeypatch):
+    # the delta is settled where its piece is planned
+    def gk(*args):
+        raise AssertionError("a 3+1D row reached GK panels")
+
+    monkeypatch.setattr(signalling, "_integrate_shared", gk)
+    for s in crossing_3p1(37, 20):
+        for t in (None, 0.5 * (s.bob.window.t_on + s.bob.window.t_off)):
+            assert all(obs.failure is None for obs in
+                       signalling.row_observables(s, t, 1e-8)[:3])
 
 
 def test_1p1_rows_never_reach_the_lag_quadrature(monkeypatch):
