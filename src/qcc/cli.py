@@ -97,10 +97,24 @@ class SweepSpec:
             )
 
     def grid(self) -> List[float]:
-        """Ascending grid start, start+step, ... including stop when it
-        lands on the lattice (within a small relative slack)."""
-        n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [self.start + i * self.step for i in range(n)]
+        """Ascending grid start, start+step, ... up to stop, which is the
+        last point, exactly, when it lands on the lattice within a
+        relative slack of 1e-9 step; no point lies past stop.
+
+        The points between are start + i*step in binary floating point,
+        so a point meant to sit on a decimal value can land an ulp to
+        one side of it.  A 3+1D switching edge is such a value: there
+        the row reads the value on that side of the jump, where a point
+        exactly on the edge is rejected.  ``--range 0.1:9:0.05`` over
+        separation_L at ``--eval-time 6`` on demo_3p1.cfg prints hI_off
+        at L = 3.0000000000000004 and rejects it at L = 2, 5 and 6.
+        """
+        q = (self.stop - self.start) / self.step
+        n = int(math.floor(q + 1e-9)) + 1
+        grid = [self.start + i * self.step for i in range(n)]
+        if n > 1 and q - (n - 1) <= 1e-9:  # stop lands on the lattice
+            grid[-1] = self.stop
+        return grid
 
 
 def apply_sweep_parameter(s: Scenario, parameter: str, value: float) -> Scenario:

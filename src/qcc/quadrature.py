@@ -25,9 +25,13 @@ an iterator that takes the next interval only when the caller asks for
 its result.  So the caller decides what a failure means: a lag pass
 stops an integrand at its first failed piece, while a family of
 independent integrals (the validation suite's honesty cases, the F
-oracle's damping levels) takes every result, failures included.  A
-panelling that already meets the tolerance is summed at once, with no
-per-panel bookkeeping.
+oracle's damping levels) takes every result, failures included.  An
+interval whose initial panelling already meets the tolerance, as the
+rows' intervals almost always do, is settled there, in one place: the
+exact sum of its panels' errors, read from one list of the rule per
+pass, meets its tolerance, and its panels' values are summed the same
+way.  Only the other intervals reach the refinement loop
+(:func:`_adaptive`).
 
 For highly oscillatory integrals int_a^b g(t) e^{i omega t} dt with g
 analytic above the interval, :func:`_steepest_descent` replaces the
@@ -312,12 +316,13 @@ def _initial_edges(a, b, max_panel_width, budget):
     return edges
 
 
-def _adaptive(f, edges, initial, tol, budget):
+def _adaptive(f, edges, initial, running_err, tol, budget):
     """Greedy GK15 refinement, down to absolute tolerance ``tol``, of the
-    panelling ``edges`` whose (k15, err, at_floor) is ``initial``.
+    panelling ``edges`` whose (k15, err, at_floor) is ``initial`` and
+    whose errors sum exactly to ``running_err``, above ``tol``: a
+    panelling that meets ``tol`` is settled by :func:`_integrate_shared`
+    and never comes here.
 
-    A panelling that already meets ``tol`` is summed at once; ``fsum``
-    is exact, so this is the value the refinement loop would return.
     The panels it may still refine wait on a heap, worst error first;
     the panels it never refines again are kept in a list, their values
     and errors still summed.  These are the panels too narrow to bisect,
@@ -329,11 +334,6 @@ def _adaptive(f, edges, initial, tol, budget):
     """
     k15, err, at_floor = initial
     evaluations = 15 * len(k15)
-    running_err = float(err.sum())
-    if running_err <= tol:
-        total_err = math.fsum(err.tolist())
-        if total_err <= tol:
-            return QuadResult(math.fsum(k15.tolist()), total_err, evaluations)
 
     # The panels it may still refine, worst first, as (-err, order, a, b,
     # value), the order breaking ties; and the panels it never refines
@@ -412,14 +412,20 @@ def _integrate_shared(f, intervals, tols, budget=_DEFAULT_BUDGET):
     the rule over that interval's initial panels and is refined on its
     own, through ``f(t, j)[i]``, budget-checked and failed as
     :func:`integrate_1d` would, so it is what :func:`integrate_1d` gives
-    alone there, failures included.  An interval is refined only when
-    its result is taken, so a caller that stops at a failure spends
-    nothing past it.  An interval refused its initial panelling on
-    ``budget`` fails having spent nothing.  When some node of the pass
-    is not finite, the rule is applied to each interval's nodes on
-    their own as its result is taken, so a non-finite failure names a
-    node of that interval.  Arguments are as for :func:`integrate_1d`,
-    and are not checked here.
+    alone there, failures included.  The rule's values and errors are
+    turned into lists once per call.  An interval whose errors' exact
+    sum (``math.fsum``) meets the tol is settled from them: the exact
+    sum of its values, that error and 15 evaluations per panel, what
+    the refinement loop would return.  Only the others are sliced out
+    of the rule and refined by :func:`_adaptive`.  An interval is
+    refined only when its result is taken, so a caller that stops at a
+    failure spends nothing past it.  An interval refused its initial
+    panelling on ``budget`` fails having spent nothing.  When some node
+    of the pass is not finite, the rule is applied to each interval's
+    nodes on their own as its result is taken, so a non-finite failure
+    names a node of that interval, and a finite interval is settled by
+    the same exact sum.  Arguments are as for :func:`integrate_1d`, and
+    are not checked here.
     """
     # per interval: its edges or its refusal, the span [lo, hi) of its
     # panels among all the initial panels, and its integrands
@@ -442,6 +448,8 @@ def _integrate_shared(f, intervals, tols, budget=_DEFAULT_BUDGET):
         try:
             rules = _panel_rules(vals, flat, halves, flat.size)
             vals = None  # only the panel sums are kept while refining
+            # each panel's value and error as floats, to settle from
+            k15s, errs = rules[0].tolist(), rules[1].tolist()
         except QuadratureError:  # a node is not finite: judge each
             rules = None         # interval by its own nodes
 
@@ -453,13 +461,23 @@ def _integrate_shared(f, intervals, tols, budget=_DEFAULT_BUDGET):
             if hi > lo:
                 try:
                     if rules:
-                        initial = [r[i, lo:hi] for r in rules]
+                        k15, err = k15s[i][lo:hi], errs[i][lo:hi]
                     else:
                         nodes = slice(15 * lo, 15 * hi)
-                        initial = _panel_rules(vals[i][nodes], flat[nodes],
+                        rules_i = _panel_rules(vals[i][nodes], flat[nodes],
                                                halves[lo:hi], 15 * (hi - lo))
-                    res = _adaptive(lambda t, j=j: f(t, j)[i], edges,
-                                    initial, tol, budget)
+                        k15, err = rules_i[0].tolist(), rules_i[1].tolist()
+                    # the one acceptance of an initial panelling: its
+                    # errors' exact sum, which no panel order can change
+                    total_err = math.fsum(err)
+                    if total_err <= tol:
+                        res = QuadResult(math.fsum(k15), total_err,
+                                         15 * (hi - lo))
+                    else:
+                        res = _adaptive(
+                            lambda t, j=j: f(t, j)[i], edges,
+                            [r[i, lo:hi] for r in rules] if rules
+                            else rules_i, total_err, tol, budget)
                 except QuadratureError as exc:
                     res = exc
             yield res

@@ -527,12 +527,13 @@ def _lag_integrals(s, passes, tol):
     every rest, joins the GK batch of its ``omega``, and the GK panels
     of a batch in a round are one :func:`quadrature._integrate_shared`
     call, made only when some piece takes them: in the first round
-    every piece off the steepest-descent route, in the second each pick
-    that route hands back.  Passes whose pieces coincide share their
-    panels: each weight and each kernel is evaluated once on all the
-    batch's initial nodes, then each pick is refined piece by piece on
-    its own as its results are taken, so each gets the value, error and
-    evaluation count it gets alone.  A pick stops at the first piece it
+    every piece off the steepest-descent route, in the second, made
+    only when some piece took that route, each pick it hands back.
+    Passes whose pieces coincide share their panels: each weight and
+    each kernel is evaluated once on all the batch's initial nodes,
+    then each pick is refined piece by piece on its own as its results
+    are taken, so each gets the value, error and evaluation count it
+    gets alone.  A pick stops at the first piece it
     fails on: no later piece's result is taken, so none is refined for
     it.  Its record fails with a QuadratureError naming ``tol``, with no
     ``best``, and counts the evaluations of the earlier pieces and of
@@ -544,7 +545,10 @@ def _lag_integrals(s, passes, tol):
     routed = [(e, p) for e in plan for p in e.pieces
               if p.route == "steepest-descent"]
     # per omega the passes of its GK batch, the callers' and then their
-    # pieces' rests, each with its picks' indices among the integrands
+    # pieces' rests, each with its picks' indices among the integrands.
+    # A row keeps one batch per omega: in one batch per round every
+    # pass's weight would be evaluated on every node, and a prototype
+    # ran 1.2% slower on sweep-2p1 rows and 2.5% on long-window rows
     batches = {}
     for entry in plan + [p.rest for _, p in routed if p.rest]:
         group = batches.setdefault(entry.omega, [])
@@ -552,8 +556,8 @@ def _lag_integrals(s, passes, tol):
         entry.ix = range(start, start + len(entry.picks))
         group.append(entry)
     # the first round lays out every piece on a GK route for all its
-    # pass's picks, the second each piece for the picks the
-    # steepest-descent route hands back there
+    # pass's picks, the second, when a piece took the steepest-descent
+    # route, each such piece for the picks the route hands back there
     rounds = [_gk_batches(s, batches, [
         (e, p, e.ix) for group in batches.values() for e in group
         for p in e.pieces if p.route.startswith("gk")])]
@@ -562,9 +566,10 @@ def _lag_integrals(s, passes, tol):
             else [None] * len(entry.picks)
         piece.settled = [_settled(m, r, entry.piece_tol)
                          for m, r in zip(piece.moments, rests)]
-    rounds.append(_gk_batches(s, batches, [
-        (e, p, [i for i, res in zip(e.ix, p.settled)
-                if not isinstance(res, QuadResult)]) for e, p in routed]))
+    if routed:
+        rounds.append(_gk_batches(s, batches, [
+            (e, p, [i for i, res in zip(e.ix, p.settled)
+                    if not isinstance(res, QuadResult)]) for e, p in routed]))
     return [obs for entry in plan for obs in _assemble(entry, rounds)]
 
 
@@ -638,7 +643,8 @@ def _lag_integrand(dim, L, group, n_cone):
     pick of each planned pass of ``group``, the pick's kernel times its
     weight at the lags v of intervals j, each kernel evaluated once.  On
     the first ``n_cone`` intervals, which start on the cone, v is
-    u = sqrt(tau - L), and the integrand carries the Jacobian 2u."""
+    u = sqrt(tau - L), and the integrand carries the Jacobian 2u; with
+    no such interval, v is tau and no Jacobian is applied."""
     kinds = {p for entry in group for p in entry.picks}
 
     def f(v, j):
@@ -648,10 +654,11 @@ def _lag_integrand(dim, L, group, n_cone):
             x = np.where(on, u * u, v - L)
             tau, jac = np.where(on, L + x, v), np.where(on, 2.0 * u, 1.0)
         else:
-            tau, x, jac = v, v - L, 1.0
+            tau, x = v, v - L
         kernel = {p: _TIMELIKE[p](dim, tau, x, L) for p in kinds}
-        return [jac * (kernel[p] * w_i) for entry in group
-                for p, w_i in zip(entry.picks, entry.weight(tau))]
+        out = [kernel[p] * w_i for entry in group
+               for p, w_i in zip(entry.picks, entry.weight(tau))]
+        return [jac * f_i for f_i in out] if n_cone else out
     return f
 
 

@@ -414,6 +414,51 @@ class TestSweepSpec:
         assert SweepSpec("gap_B", 1.0, 2.0, 0.3).grid() \
             == pytest.approx([1.0, 1.3, 1.6, 1.9])
 
+    @pytest.mark.parametrize("start,stop,step,n", [
+        (0.0, 0.9999999999, 0.1, 11),  # start + 10 step rounds to 1.0
+        (0.0, 0.3, 0.1, 4),            # and here to 0.30000000000000004
+        (4.05, 12.0, 0.05, 160),
+        (1e4, 1e6, 1.98e5, 6),
+    ])
+    def test_grid_ends_on_stop_on_lattice(self, start, stop, step, n):
+        grid = SweepSpec("gap_B", start, stop, step).grid()
+        assert len(grid) == n
+        assert grid[0] == start and grid[-1] == stop
+
+    @given(start=st.floats(0.0, 1e6), span=st.floats(1e-6, 1e6),
+           step=st.floats(1e-3, 1e6))
+    @example(start=0.0, span=0.9999999999, step=0.1)
+    @settings(max_examples=300, deadline=None)
+    def test_grid_never_passes_stop(self, start, span, step):
+        stop = start + span
+        if not (start < stop and span / step <= cli.MAX_GRID_POINTS):
+            return
+        grid = SweepSpec("gap_B", start, stop, step).grid()
+        assert grid[0] == start and grid[-1] <= stop
+        assert all(x < y for x, y in zip(grid, grid[1:]))
+
+    def test_grid_points_miss_3p1_switching_edges_by_an_ulp(self):
+        # the rows of `sweep demo_3p1.cfg --param separation_L --range
+        # 0.1:9:0.05 --eval-time 6` around hI_off's edge L = 3 (where
+        # t - L meets Alice's switch-off) and at the edges the grid lands
+        # on exactly, L = 2, 5 and 6: a point an ulp past 3 reads the
+        # value on that side of the jump, while L = 3 itself is rejected
+        base = cli.load_config(str(CONFIGS / "demo_3p1.cfg")).scenario
+        grid = SweepSpec("separation_L", 0.1, 9.0, 0.05, 6.0).grid()
+
+        def row(L):
+            s = apply_sweep_parameter(base, "separation_L", L)
+            return compute_row(s, L, 6.0, 1e-8).to_csv().split(",")
+
+        assert grid[58] == 3.0000000000000004
+        assert row(grid[58])[4] == "0.0072184385328256453"
+        assert row(grid[57])[4] == "0"  # L = 2.95: t - L past the window
+        assert row(3.0)[-1] == "rejected:hI_off;rejected:hf_sig"
+        assert {L: row(L)[-1] for L in grid if L in (2.0, 5.0, 6.0)} == {
+            2.0: "rejected:s2;rejected:hI_on;rejected:hf_sig",
+            5.0: "rejected:hI_on;rejected:hf_sig",
+            6.0: "rejected:s2;rejected:hI_off;rejected:hf_sig"}
+
     @pytest.mark.parametrize("kwargs", [
         dict(parameter="bob_gap", start=0, stop=1, step=0.1),
         dict(parameter="gap_B", start=0, stop=1, step=0.0),

@@ -1,6 +1,7 @@
 """Tests for the adaptive quadrature layer."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -144,6 +145,69 @@ class TestConvergedInitialPanelling:
         assert res.evaluations > 15
         assert res.abs_error_estimate <= 1e-10
         assert abs(res.value - 2.0 / 3.0) <= 1e-10
+
+    # integrand k of a shared pass at scale s: smooth, some oscillatory
+    _SHARED = (lambda t, s: np.cos(s * t),
+               lambda t, s: np.exp(-t) * np.sin(s * t),
+               lambda t, s: t * t / (1.0 + s),
+               lambda t, s: 1.0 / (1.0 + s * t * t))
+
+    @staticmethod
+    def _alone(g, a, b, width):
+        """(k15, err) of the initial panelling of [a, b] for ``g`` alone."""
+        edges = quadrature._initial_edges(a, b, width, 10 ** 6)
+        flat, halves = quadrature._panel_nodes(edges)
+        k15, err, _ = quadrature._panel_rules(g(flat), flat, halves,
+                                              flat.size)
+        return k15.tolist(), err.tolist()
+
+    @given(data=st.data(), scales=st.lists(st.floats(0.5, 40.0),
+                                           min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_settled_intervals_are_their_panels_exact_sums(self, data,
+                                                            scales):
+        # an interval settles on its initial panels exactly when their
+        # errors' exact sum meets its integrand's tol, and then gives
+        # those panels' exact sums, whatever else shares the pass
+        gs = [functools.partial(self._SHARED[k % 4], s=s)
+              for k, s in enumerate(scales)]
+        n = len(gs)
+        intervals = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            a = data.draw(st.floats(-5.0, 5.0))
+            b = a + data.draw(st.floats(0.1, 8.0))
+            width = data.draw(st.floats(0.05, 2.0))
+            picks = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+            intervals.append((a, b, width, tuple(sorted(picks))))
+        tols = [10.0 ** data.draw(st.floats(-13.0, -6.0)) for _ in gs]
+        streams = quadrature._integrate_shared(
+            lambda t, j: [g(t) for g in gs], intervals, tols)
+        for i, (stream, tol) in enumerate(zip(streams, tols)):
+            taken = [iv for iv in intervals if i in iv[3]]
+            for (a, b, width, _), res in zip(taken, stream):
+                if isinstance(res, QuadratureError):
+                    continue
+                k15, err = self._alone(gs[i], a, b, width)
+                settled = res.evaluations == 15 * len(k15)
+                assert settled == (math.fsum(err) <= tol)
+                if settled:
+                    assert res == QuadResult(math.fsum(k15), math.fsum(err),
+                                             15 * len(k15))
+
+    def test_exact_error_sum_settles_above_the_pairwise_sum(self):
+        # numpy's pairwise sum of these panels' errors rounds above their
+        # exact sum; at that exact sum as tol the panels settle unrefined
+        candidates = (
+            (g, width, self._alone(g, 0.0, 6.0, width))
+            for g in (lambda t: np.exp(-t) * np.sin(3.0 * t),
+                      lambda t: np.cos(40.0 * t))
+            for width in (0.05, 0.1, 0.2, 0.3, 0.5, 0.6, 0.8, 1.0))
+        g, width, (k15, err) = next(
+            c for c in candidates
+            if float(np.sum(c[2][1])) > math.fsum(c[2][1]))
+        tol = math.fsum(err)
+        res = integrate_1d(g, 0.0, 6.0, tol, max_panel_width=width)
+        assert res == QuadResult(math.fsum(k15), tol, 15 * len(k15))
 
 
 # Integrals that refine past their initial panels, with the record each
