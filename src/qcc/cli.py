@@ -411,6 +411,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    # `validate` imports qcc.cli: let it find this module, not a copy
-    sys.modules.setdefault("qcc.cli", sys.modules[__name__])
     raise SystemExit(main())

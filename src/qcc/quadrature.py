@@ -243,11 +243,8 @@ def _panel_nodes(*edges):
     """GK15 nodes of the panels between consecutive edges of each of
     ``edges``, in turn, flattened panel by panel, plus each panel's half
     width."""
-    if len(edges) == 1:
-        lefts, rights = edges[0][:-1], edges[0][1:]
-    else:
-        lefts = np.concatenate([e[:-1] for e in edges])
-        rights = np.concatenate([e[1:] for e in edges])
+    lefts = np.concatenate([e[:-1] for e in edges])
+    rights = np.concatenate([e[1:] for e in edges])
     halves = 0.5 * (rights - lefts)
     pts = (0.5 * (lefts + rights))[:, None] + halves[:, None] * _NODES
     return pts.ravel(), halves
@@ -402,8 +399,8 @@ def _integrate_shared(f, intervals, tols, budget=_DEFAULT_BUDGET):
     panelling of [a, b], as :func:`integrate_1d` lays it out, and the
     integrands taken over it.  ``f(t, j)`` takes an ndarray of abscissae
     and j, the index of the interval each lies in (an int array like t,
-    or the int 0 when there is one interval), and returns a list of
-    one value array per integrand; an integrand's values on an interval
+    or an int when one interval is refined), and returns a list of one
+    value array per integrand; an integrand's values on an interval
     that does not take it are never used.  The initial panellings are
     evaluated here, in one call of ``f``, and the rule is applied to all
     the integrands at once.  Returns, per integrand, an iterator that
@@ -441,9 +438,8 @@ def _integrate_shared(f, intervals, tols, budget=_DEFAULT_BUDGET):
     panelled = [edges for edges, lo, hi, _ in layout if hi > lo]
     if panelled:  # else no interval reads the rule or the nodes below
         flat, halves = _panel_nodes(*panelled)
-        owner = 0 if len(layout) == 1 else np.repeat(
-            np.arange(len(layout)),
-            [15 * (hi - lo) for _, lo, hi, _ in layout])
+        owner = np.repeat(np.arange(len(layout)),
+                          [15 * (hi - lo) for _, lo, hi, _ in layout])
         vals = f(flat, owner)
         try:
             rules = _panel_rules(vals, flat, halves, flat.size)

@@ -449,15 +449,17 @@ def _plan(s, picks, lag_pass, tol):
     L.  ``tol`` is split across the pieces and divided by |factor|."""
     weight, terms, omega, lo, hi, kinks, factor, envelope = lag_pass
     L, d2 = s.report.separation, s.dimension is Dimension.D2p1
+    d3 = s.dimension is Dimension.D3p1
     cuts = [c for c in sorted({lo, hi, L, *kinks}) if lo <= c <= hi]
     spans = [(a, b) for a, b in zip(cuts, cuts[1:]) if 0.5 * (a + b) > L]
-    if s.dimension is Dimension.D3p1:
+    if d3:
         spans = [(L, L)] if lo < L < hi else []
     # a 2+1D piece on the cone, where GK costs O(Om T), keeps two periods
-    # of omega there, and past them a piece of its own that spans the
-    # steepest-descent threshold is offered to that route
+    # of omega there, where they do not round onto L, and past them a
+    # piece of its own that spans the steepest-descent threshold is
+    # offered to that route
     head = L + 4.0 * math.pi / omega
-    if d2 and terms is not None and spans and spans[0][0] == L \
+    if d2 and terms is not None and spans and spans[0][0] == L < head \
             and omega * (spans[0][1] - head) \
             >= 2.0 * math.pi * _STEEPEST_DESCENT_PERIODS:
         spans[:1] = [(L, head), (head, spans[0][1])]
@@ -467,7 +469,7 @@ def _plan(s, picks, lag_pass, tol):
     pieces = []
     for a, b in spans:
         route, parts = "gk-cone" if d2 and a == L else "gk", ()
-        if a == b:
+        if d3:
             route, parts = "delta", (None, None, _delta(
                 s, len(picks), weight, envelope, piece_tol))
         elif d2 and a != L and terms is not None and omega * (b - a) \
@@ -520,15 +522,17 @@ def _lag_integrals(s, passes, tol):
     exponentials, or ``terms`` is None when their phases would overflow.
     ``envelope`` bounds |weight| before cancellation; only a 3+1D pass
     reads it, and any other may give None.
-    ``tol`` is checked by the public entries before they pick a route.
+    ``tol`` is not checked here: :func:`_records` checks it for the
+    public entries after their routes have run, and the validation
+    suite passes fixed tols.
 
     Each pass is planned by :func:`_plan` into :class:`_Piece` records,
     each holding its route; the route rule is there.  Every pass, and
     every rest, joins the GK batch of its ``omega``, and the GK panels
     of a batch in a round are one :func:`quadrature._integrate_shared`
     call, made only when some piece takes them: in the first round
-    every piece off the steepest-descent route, in the second, made
-    only when some piece took that route, each pick it hands back.
+    every piece off the steepest-descent route, in the second each pick
+    that route hands back.
     Passes whose pieces coincide share their panels: each weight and
     each kernel is evaluated once on all the batch's initial nodes,
     then each pick is refined piece by piece on its own as its results
@@ -556,8 +560,8 @@ def _lag_integrals(s, passes, tol):
         entry.ix = range(start, start + len(entry.picks))
         group.append(entry)
     # the first round lays out every piece on a GK route for all its
-    # pass's picks, the second, when a piece took the steepest-descent
-    # route, each such piece for the picks the route hands back there
+    # pass's picks, the second each steepest-descent piece for the picks
+    # the route hands back there
     rounds = [_gk_batches(s, batches, [
         (e, p, e.ix) for group in batches.values() for e in group
         for p in e.pieces if p.route.startswith("gk")])]
@@ -566,10 +570,9 @@ def _lag_integrals(s, passes, tol):
             else [None] * len(entry.picks)
         piece.settled = [_settled(m, r, entry.piece_tol)
                          for m, r in zip(piece.moments, rests)]
-    if routed:
-        rounds.append(_gk_batches(s, batches, [
-            (e, p, [i for i, res in zip(e.ix, p.settled)
-                    if not isinstance(res, QuadResult)]) for e, p in routed]))
+    rounds.append(_gk_batches(s, batches, [
+        (e, p, [i for i, res in zip(e.ix, p.settled)
+                if not isinstance(res, QuadResult)]) for e, p in routed]))
     return [obs for entry in plan for obs in _assemble(entry, rounds)]
 
 

@@ -17,7 +17,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from . import channel, cli, greens, signalling
+from . import channel, greens, signalling
 from .quadrature import _integrate_shared, _roundoff_best, integrate_1d
 from .scenario import (
     ComplexAmplitudePair,
@@ -471,13 +471,6 @@ def _check_channel_reset():
 
     early, late = rms(5.0), rms(11.0)
     return late < early, f"RMS s2: T1~5 {early:.3e} -> T1~11 {late:.3e}"
-
-
-@_check("hB-definition")
-def _check_hb_identity():
-    row = cli.compute_row(_demo(), 5.0, None, 1e-8)
-    defect = abs(row.hB_sig - 3.0 * row.s2)
-    return defect < 1e-12, f"|hB - Omega_B s2| = {defect:.3e} (tol 1e-12)"
 
 
 # --- channel ------------------------------------------------------------

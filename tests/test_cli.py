@@ -952,6 +952,16 @@ class TestValidateVerb:
             f"{routed[0].evaluations} evaluations each for s2 and hf_sig, "
             f"{routed[2].evaluations} for hI")
 
+    def test_a_kernel_that_grows_fails_the_decay_check(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from qcc import greens, validation
+
+        monkeypatch.setattr(greens, "commutator_kernel",
+                            lambda dim, dt, L: SimpleNamespace(value=dt))
+        assert validation._check_kernel_decay() == validation.CheckResult(
+            "commutator-2p1-decay", False, "NOT monotone")
+
     def test_a_check_that_raises_keeps_its_name(self, monkeypatch):
         from qcc import validation
 
@@ -1085,8 +1095,8 @@ class TestEntryPoints:
         assert proc.stdout.splitlines() == ["[]", "[]"]
 
     def test_python_m_validate_loads_cli_once(self):
-        # the running __main__ stands in for qcc.cli, so the validation
-        # suite's `from . import cli` imports no second copy
+        # the running __main__ is the only CLI: the validation suite
+        # imports no qcc.cli, which would load a second copy
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "qcc.cli", "validate"],
             capture_output=True, text=True, timeout=120)

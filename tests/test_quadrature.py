@@ -146,6 +146,24 @@ class TestConvergedInitialPanelling:
         assert res.abs_error_estimate <= 1e-10
         assert abs(res.value - 2.0 / 3.0) <= 1e-10
 
+    def test_drifted_running_error_keeps_refining(self):
+        # the refinement loop keeps a running sum of its panels' errors
+        # and takes their exact sum only once the running one meets tol;
+        # a running sum that drifted below tol while the exact one has
+        # not settles nothing: the loop goes on from the exact sum
+        edges = np.linspace(0.0, 6.0, 3)
+        flat, halves = quadrature._panel_nodes(edges)
+        initial = quadrature._panel_rules(self.f(flat), flat, halves,
+                                          flat.size)
+        exact, tol = math.fsum(initial[1].tolist()), 1e-10
+        assert exact > tol
+        drifted, kept = (quadrature._adaptive(self.f, edges, initial, err,
+                                              tol, 10 ** 6)
+                         for err in (0.0, exact))
+        assert drifted == kept
+        assert drifted.evaluations > flat.size
+        assert drifted.abs_error_estimate <= tol
+
     # integrand k of a shared pass at scale s: smooth, some oscillatory
     _SHARED = (lambda t, s: np.cos(s * t),
                lambda t, s: np.exp(-t) * np.sin(s * t),
@@ -732,6 +750,19 @@ class TestIntegrate2dRect:
 
         with pytest.raises((QuadratureError, KernelDomainError)):
             integrate_2d_rect(f, (0.0, 3.0), (3.5, 6.5), 1e-8, budget=20000)
+
+    def test_timelike_side_rounded_to_nothing_is_skipped(self):
+        # past 2^53 doubles are 2 apart, so for x <= -2^53 the lags y - x
+        # of y in [0, 0.75] round to -x, and the side beyond the line
+        # y = x + 1 maps to an empty u range: it is skipped, where
+        # integrate_1d would reject it.  Inside 2^53 they round to -x + 1,
+        # and the side is integrated: at 7 of the outer rule's 15 nodes
+        edge, seen = -2.0 ** 53, []
+        res = integrate_2d_rect(lambda x, y: seen.append(x) or 0.0,
+                                (edge - 8.0, edge + 8.0), (0.0, 0.75), 1e-8,
+                                singular_line=1.0)
+        assert res == QuadResult(0.0, 0.0, 7 * 15)
+        assert min(seen) > edge
 
     def test_non_positive_singular_line_rejected(self):
         with pytest.raises(ValueError, match="singular_line must be"):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -1409,6 +1409,64 @@ class TestRouteRule:
             make_scenario(dim, L=6.0), 8.0, 1e-8)
         assert isinstance(hf.failure, InvalidScenarioError)
         assert s2.failure is None
+
+
+def _plans(s, tol=1e-8):
+    """The plans of a row's lag passes, s2/hf_sig over Bob's window and
+    hI at both its ends, as (a, b, route) per piece."""
+    w, both = s.bob.window, [signalling._S2, signalling._HF]
+    passes = [(both, signalling._window_correlation(s, w.t_off, both))] \
+        + [([signalling._S2], signalling._interaction_weight(s, t))
+           for t in (w.t_on, w.t_off)]
+    return [[(p.a, p.b, p.route)
+             for p in signalling._plan(s, picks, lag_pass, tol).pieces]
+            for picks, lag_pass in passes]
+
+
+class TestPlan:
+    """A lag piece's route follows its pass's dimension, never a
+    coincidence of rounding."""
+
+    def test_cone_head_that_rounds_onto_the_cone_stays_on_it(self):
+        # demo_2p1.cfg with Bob 1e13 away at gap 1e5, listening from
+        # 1e13 - 1 to 1e13 + 0.02: s2's one piece past the cone spans
+        # 318 periods, but its two-period head L + 4 pi / 1e5 rounds
+        # onto L, so the piece stays whole on the cone route.  Cut there,
+        # it would leave an [L, L] piece for the 3+1D delta: one more
+        # evaluation and a rounding bound of 4.24e-11
+        base = load_config(str(CONFIGS / "demo_2p1.cfg")).scenario
+        s = replace(base, bob=replace(
+            base.bob, gap=1e5, position=(1e13, 0.0),
+            window=replace(base.bob.window, t_on=9999999999999.0,
+                           t_off=10000000000000.02)))
+        assert _plans(s)[0] == [(1e13, 10000000000000.02, "gk-cone")]
+        assert s2_observable(s) == signalling.Observable(
+            4.546697359067212e-16, 2.352694171459013e-19, 37305)
+
+    @given(dim=st.sampled_from(["1+1", "2+1"]), log_L=st.floats(-1.0, 15.0),
+           log_gaps=st.tuples(st.floats(-1.0, 8.0), st.floats(-1.0, 8.0)),
+           before=st.floats(0.5, 6.0), past=st.floats(-3.0, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_no_delta_outside_3p1(self, dim, log_L, log_gaps, before, past):
+        # Bob's window crosses the cone at L up to 1e15, where a head of
+        # two periods at gaps up to 1e8 rounds onto L
+        L = 10.0 ** log_L
+        b_win = (max(3.0, L - before), L + 10.0 ** past)
+        assume(b_win[0] < b_win[1])
+        s = make_scenario(dim, L=L, b_win=b_win, gap_a=10.0 ** log_gaps[0],
+                          gap_b=10.0 ** log_gaps[1])
+        for plan in _plans(s):
+            assert all(a < b and route != "delta" for a, b, route in plan)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_3p1_plans_hold_at_most_the_delta(self, seed):
+        (s,) = crossing_3p1(seed, 1)
+        L = s.report.separation
+        s2_plan, *hI_plans = _plans(s)
+        assert s2_plan == [(L, L, "delta")]
+        for plan in hI_plans:
+            assert plan in ([], [(L, L, "delta")])
 
 
 class TestFieldEnergy:
