@@ -652,7 +652,9 @@ def integrate_2d_rect(
         When an inner integral fails (its ``reason`` is kept) or the
         budget is spent, with ``best`` None: an inner estimate at one x
         is not an estimate of the 2D integral.  A failure of the outer
-        integral over x is raised as :func:`integrate_1d` raises it.
+        integral over x is raised as :func:`integrate_1d` raises it.  When
+        every inner range rounds to nothing (an x past 2^53, say), it is
+        raised with ``reason`` "roundoff" and no evaluations.
     ValueError
         On a degenerate or unbounded rectangle, a non-positive
         ``singular_line`` or a non-positive tolerance.
@@ -720,5 +722,7 @@ def integrate_2d_rect(
     # the outer rule checks tol > 0 before its first inner integral
     outer = integrate_1d(_on_nodes(inner), ax, bx, 0.5 * tol,
                          max_panel_width=max_panel_width, budget=10 ** 9)
+    if not spent:
+        raise QuadratureError("no inner range survives rounding", "roundoff")
     err = outer.abs_error_estimate + span_x * worst_inner
     return QuadResult(outer.value, err, spent)

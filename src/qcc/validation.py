@@ -3,6 +3,10 @@
 Each check exercises one documented invariant of the library on built-in
 scenarios and reports the measured defect against its threshold.  The
 suite is deterministic (fixed seeds) so CI failures are reproducible.
+A check stays only if it can fail: some mutant of the library fails it,
+or it probes a call whose result depends on the host (numpy's
+transcendental functions, say).  One that compares an expression with
+itself belongs in the tests.
 """
 
 from __future__ import annotations
@@ -257,35 +261,6 @@ def _check_bias_orthogonal_flip():
 # --- greens -------------------------------------------------------------
 
 
-@_check("kernel-causality")
-def _check_kernel_causality():
-    rng = random.Random(11)
-    worst = 0.0
-    for _ in range(60):
-        L = rng.uniform(0.5, 5.0)
-        dt = rng.uniform(-0.999, 0.999) * L
-        for dim in Dimension:
-            worst = max(worst, abs(greens.commutator_kernel(dim, dt, L).value))
-            worst = max(worst, abs(greens.field_energy_kernel(dim, dt, L).value))
-    return (worst == 0.0,
-            f"max |kernel| at spacelike points = {worst:.3e} "
-            "(must be exactly 0)")
-
-
-@_check("commutator-antisymmetry")
-def _check_kernel_antisymmetry():
-    rng = random.Random(13)
-    worst = 0.0
-    for _ in range(60):
-        L = rng.uniform(0.1, 3.0)
-        dt = L * rng.uniform(1.001, 8.0)
-        for dim in (Dimension.D1p1, Dimension.D2p1):
-            worst = max(worst, abs(
-                greens.commutator_kernel(dim, -dt, L).value
-                + greens.commutator_kernel(dim, dt, L).value))
-    return worst == 0.0, f"max |D(-dt) + D(dt)| = {worst:.3e}"
-
-
 @_check("commutator-2p1-decay")
 def _check_kernel_decay():
     dts = np.linspace(1.05, 12.0, 200)
@@ -295,16 +270,6 @@ def _check_kernel_decay():
     return (monotone,
             "strictly decreasing in dt > L" if monotone
             else "NOT monotone")
-
-
-@_check("field-kernel-parity")
-def _check_field_kernel_parity():
-    worst = 0.0
-    for tau in (1.3, 2.0, 5.5):
-        worst = max(worst, abs(
-            greens.field_energy_kernel(Dimension.D2p1, tau, 1.0).value
-            - greens.field_energy_kernel(Dimension.D2p1, -tau, 1.0).value))
-    return worst == 0.0, f"max |F(tau) - F(-tau)| = {worst:.3e}"
 
 
 @_check("field-kernel-oracle")

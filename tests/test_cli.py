@@ -860,6 +860,13 @@ class TestValidateVerb:
         for line in checks:
             assert re.fullmatch(r"(PASS|FAIL)  \S+: .* \[\d+\.\d ms\]", line)
 
+    def test_readme_counts_every_check(self):
+        from qcc import validation
+
+        readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+        counts = re.findall(r"\b(\d+)[ -]checks?\b", readme)
+        assert counts and set(counts) == {str(len(validation._CHECKS))}
+
     def test_checks_ignore_the_tolerance_variable(self, monkeypatch):
         # every check passes its own tol, so the user's default changes
         # no verdict and no digit; at 1e-16 guess-success-margin used to

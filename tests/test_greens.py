@@ -62,6 +62,7 @@ class TestCommutatorKernel:
                 kv = commutator_kernel(dim, dt, L)
                 assert kv.value == 0.0
                 assert kv.on_lightcone_delta == 0.0
+                assert field_energy_kernel(dim, dt, L) == KernelValue(0.0)
 
     def test_2p1_decay_in_dt(self):
         L = 1.0

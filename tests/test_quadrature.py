@@ -764,6 +764,15 @@ class TestIntegrate2dRect:
         assert res == QuadResult(0.0, 0.0, 7 * 15)
         assert min(seen) > edge
 
+    def test_every_inner_range_rounded_to_nothing_fails_on_roundoff(self):
+        # past 2^53 every inner range is a timelike side rounded to an
+        # empty u range, so nothing is integrated where the truth is 4
+        with pytest.raises(QuadratureError) as err:
+            integrate_2d_rect(lambda x, y: 1.0, (-1e16 - 8, -1e16),
+                              (0.0, 0.5), 1e-8, singular_line=1.0)
+        assert (err.value.reason, err.value.evaluations,
+                err.value.best) == ("roundoff", 0, None)
+
     def test_non_positive_singular_line_rejected(self):
         with pytest.raises(ValueError, match="singular_line must be"):
             integrate_2d_rect(lambda x, y: 1.0, (0.0, 1.0), (0.0, 1.0),
